@@ -1,66 +1,115 @@
-"""Compare the compiled reduction kernel against the pure-Python one.
+"""Throughput of the reduction engine on the bundled machines.
 
-Runs the compiled gcd machine's term through full lockstep trajectories
-with each kernel and reports steps per second.
+Compiles ``machines/euclid.asm`` and ``machines/doubling.asm`` through
+``sourcefmt``, then drives each compiled term through whole trajectories
+with ``engine.advance_term(t, table, K + L)``, one call per machine step,
+as lockstep does.  euclid runs every input pair in 1..N under one
+compile; doubling runs every stop in 1..8 and is compiled once per
+stop, because its program mentions the input.  Compiling and decoding
+stay outside the timed region.  The best of R timings gives the steps
+per second.
 
-    python3 benchmarks/bench_engine.py [--grid N] [--repeat R]
+    PYTHONPATH=src python3 benchmarks/bench_engine.py [--grid N] [--repeat R]
+        [--label NAME] [--json BENCH_engine.json]
+
+With ``--json`` the record is merged into that file under ``--label``,
+so runs of two checkouts (point PYTHONPATH at each one's ``src``) sit
+side by side.  Step counts are deterministic and must agree between
+checkouts that claim the same (K, L).
 """
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import platform
 import time
+from pathlib import Path
 
-from asmlc import engine
 from asmlc.compiler import compile_machine
-from asmlc.engine import advance_term, signature_table
-from asmlc.machines import euclid_machine, euclid_state
+from asmlc.engine import STATUS_RAN, advance_term, signature_table
+from asmlc.sourcefmt import parse_source
+from asmlc.terms import term_size
+
+MACHINES = Path(__file__).resolve().parent.parent / "machines"
+DOUBLING_STOPS = range(1, 9)
 
 
-def bench(kernel, name: str, cm, states, repeat: int) -> float:
-    sig_table = signature_table(cm.sig)
-    budget = cm.K + cm.L
+def _load(name: str):
+    return parse_source((MACHINES / f"{name}.asm").read_text(encoding="utf-8"))
+
+
+def _cases(grid: int) -> dict:
+    """machine name -> list of (compiled machine, input state)."""
+    euclid = _load("euclid")
+    cm = compile_machine(euclid.machine(), euclid.state({"a0": 1, "b0": 1}))
+    out = {"euclid": [(cm, euclid.state({"a0": a, "b0": b}))
+                      for a in range(1, grid + 1) for b in range(1, grid + 1)]}
+    doubling = _load("doubling")
+    out["doubling"] = []
+    for stop in DOUBLING_STOPS:
+        state = doubling.state({"stop": stop})
+        out["doubling"].append((compile_machine(doubling.machine(), state), state))
+    return out
+
+
+def _run(cases) -> tuple[int, int]:
+    """(engine steps, machine steps) over every trajectory."""
+    steps = rounds = 0
+    for cm, state in cases:
+        table = signature_table(cm.sig)
+        budget = cm.K + cm.L
+        t = cm.initial_term(state)
+        status = STATUS_RAN
+        while status == STATUS_RAN:
+            t, beta, f, status = advance_term(t, table, budget)
+            steps += beta + f
+            rounds += 1
+    return steps, rounds
+
+
+def bench(cases, repeat: int) -> dict:
     best = float("inf")
-    steps_done = 0
+    counts = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        steps_done = 0
-        for state in states:
-            t = cm.initial_term(state)
-            status = 1
-            while status == engine.STATUS_RAN:
-                t, beta, f, status = advance_term(t, sig_table, budget,
-                                                  kernel=kernel)
-                steps_done += beta + f
+        got = _run(cases)
         best = min(best, time.perf_counter() - t0)
-    rate = steps_done / best
-    print(f"{name:>12}: {best:.3f}s for {steps_done} steps "
-          f"({rate:,.0f} steps/s)")
-    return best
+        if counts is not None and got != counts:
+            raise RuntimeError(f"step counts drifted from {counts} to {got}")
+        counts = got
+    steps, rounds = counts
+    return {"trajectories": len(cases), "rounds": rounds, "steps": steps,
+            "best_s": round(best, 4), "steps_per_s": round(steps / best)}
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--grid", type=int, default=12,
-                    help="run gcd on every input pair in 1..N (default 12)")
-    ap.add_argument("--repeat", type=int, default=3,
-                    help="timing repetitions, best of R (default 3)")
+                    help="run euclid on every input pair in 1..N (default 12)")
+    ap.add_argument("--repeat", type=int, default=5,
+                    help="timing repetitions, best of R (default 5)")
+    ap.add_argument("--label", default="current", help="record name in --json")
+    ap.add_argument("--json", type=Path, help="merge the record into this file")
     args = ap.parse_args()
 
-    machine = euclid_machine()
-    base = euclid_state(1, 1)
-    cm = compile_machine(machine, base)
-    states = [euclid_state(a, b)
-              for a in range(1, args.grid + 1)
-              for b in range(1, args.grid + 1)]
-    print(f"gcd term, (K, L) = ({cm.K}, {cm.L}), "
-          f"{len(states)} runs; selected kernel: {engine.KERNEL_NAME}")
-
-    t_pure = bench(engine.pure_kernel, "pure-python", cm, states, args.repeat)
-    if engine.KERNEL_NAME == "compiled":
-        t_fast = bench(engine._kernel, "compiled", cm, states, args.repeat)
-        print(f"speedup: {t_pure / t_fast:.2f}x")
-    else:
-        print("compiled kernel not available; built only the pure path")
+    record = {"python": platform.python_version(),
+              "nproc": len(os.sched_getaffinity(0)), "repeat": args.repeat,
+              "euclid_grid": args.grid,
+              "doubling_stops": [DOUBLING_STOPS[0], DOUBLING_STOPS[-1]],
+              "machines": {}}
+    for name, cases in _cases(args.grid).items():
+        cm = cases[0][0]
+        row = {"K": cm.K, "L": cm.L, "theta_nodes": term_size(cm.theta),
+               **bench(cases, args.repeat)}
+        record["machines"][name] = row
+        print(f"{name:>9}: (K, L) = ({row['K']}, {row['L']}), {row['trajectories']} runs, "
+              f"{row['steps']} steps in {row['best_s']:.3f}s "
+              f"({row['steps_per_s']:,} steps/s, best of {args.repeat})")
+    if args.json:
+        data = json.loads(args.json.read_text()) if args.json.exists() else {}
+        data[args.label] = record
+        args.json.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

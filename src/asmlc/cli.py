@@ -134,6 +134,8 @@ def cmd_verify(args) -> int:
             shown = ", ".join(f"{k}={v}" for k, v in sorted(binding.items()))
             print(f"FAIL [{shown}]: {rep.verdict} "
                   f"(machine {rep.asm_outcome}, term {rep.term_outcome})")
+            if rep.rounds and rep.rounds[-1].note:
+                print(f"  round {rep.rounds[-1].index}: {rep.rounds[-1].note}")
     print(f"verified {len(cases) - failures}/{len(cases)} runs "
           f"in lockstep at ({cm.K}, {cm.L})")
     return 0 if failures == 0 else 1

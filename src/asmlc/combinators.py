@@ -15,6 +15,10 @@ branches, built with internal padding (K', L'):
 Because the F-work happens before the selection, both counts are
 independent of the valuation and of which branch fires.  Minima are
 determined by measurement, never assumed.
+
+Measurement (``reduce_one_block``) runs the counting engine's shared
+loop and stops at the first block boundary: the term is theta applied
+to one code per slot, with theta compared by structural equality.
 """
 from __future__ import annotations
 
@@ -22,19 +26,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .encodings import case_n, identity_chain, I_TERM
+from .engine import _STATUS_BOUNDARY, STATUS_NORMAL, _advance, signature_table
 from .good_terms import GoodTerm, const_count, to_term
-from .lambda_f import (
-    BOOL,
-    FSignature,
-    bool_term,
-    code_term,
-    f_redexes,
-    leftmost_f_redex,
-    match_code,
-    f_step,
-    reduce_leftmost_f,
-)
-from .reduction import Status, Step, Trace, beta_step, leftmost_redex
+from .lambda_f import BOOL, FSignature, code_term, f_redexes, match_code
 from .terms import (
     Abs,
     App,
@@ -43,10 +37,8 @@ from .terms import (
     Var,
     alpha_eq,
     app,
-    canonical,
     free_vars,
     lam,
-    spine,
 )
 
 
@@ -241,23 +233,34 @@ class BlockResult:
     values: Optional[tuple[Value, ...]]  # decoded slots when kind == "state"
 
 
-def decode_state(t: Term, theta: Term, slots: Sequence[Slot]) -> Optional[tuple[Value, ...]]:
-    """Decode ``theta code...code`` into slot values, else None.
-
-    Peels exactly one application per slot (theta itself is an
-    application, so the full spine would over-unwind)."""
+def _peel(t: Term, slots: Sequence[Slot]) -> Optional[tuple[Term, tuple[Value, ...]]]:
+    """Peel exactly one application per slot off ``t``, each argument a
+    code of its slot's datatype: (what remains, slot values), else None.
+    (theta itself is an application, so the full spine would
+    over-unwind.)"""
     vals: list[Value] = []
     for s in reversed(slots):
-        if not isinstance(t, App):
+        if type(t) is not App:
             return None
         v = match_code(t.arg, s.datatype)
         if v is None:
             return None
         vals.append(v)
         t = t.fun
-    if not alpha_eq(t, theta):
+    return t, tuple(reversed(vals))
+
+
+def decode_state(t: Term, theta: Term, slots: Sequence[Slot]) -> Optional[tuple[Value, ...]]:
+    """Decode ``theta code...code`` into slot values, else None.  The
+    head is compared with theta structurally first and up to alpha only
+    when that fails."""
+    peeled = _peel(t, slots)
+    if peeled is None:
         return None
-    return tuple(reversed(vals))
+    head, vals = peeled
+    if head != theta and not alpha_eq(head, theta):
+        return None
+    return vals
 
 
 def reduce_one_block(
@@ -268,23 +271,26 @@ def reduce_one_block(
     max_steps: int = 100_000,
 ) -> BlockResult:
     """Reduce F-first leftmost until the term is again theta applied to
-    slot codes, or until normal form (an exit)."""
-    beta = 0
-    f = 0
-    for _ in range(max_steps):
-        at = leftmost_f_redex(t, sig)
-        if at is not None:
-            t = f_step(t, at, sig)
-            f += 1
-        else:
-            at = leftmost_redex(t)
-            if at is None:
-                return BlockResult(t, beta, f, "exit", None)
-            t = beta_step(t, at)
-            beta += 1
-        vals = decode_state(t, theta, slots)
-        if vals is not None:
-            return BlockResult(t, beta, f, "state", vals)
+    slot codes, or until normal form (an exit).
+
+    Runs the engine's shared loop and checks the boundary after every
+    step: peel one slot code per slot, then compare what remains with
+    theta by ``==``.  Structural equality is exact here because theta is
+    closed: substitution never enters a closed term, so the engine never
+    renames a binder inside theta's copies.  Raises RuntimeError when
+    the block does not complete within ``max_steps`` and
+    UndefinedApplication when a partial function is applied outside its
+    domain.
+    """
+    def at_boundary(s: Term) -> bool:
+        peeled = _peel(s, slots)
+        return peeled is not None and peeled[0] == theta
+
+    t, beta, f, status = _advance(t, signature_table(sig), max_steps, at_boundary)
+    if status == STATUS_NORMAL:
+        return BlockResult(t, beta, f, "exit", None)
+    if status == _STATUS_BOUNDARY:
+        return BlockResult(t, beta, f, "state", _peel(t, slots)[1])
     raise RuntimeError("block did not complete within the step budget")
 
 

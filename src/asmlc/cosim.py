@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .asm import Machine, State, eval_ground, run, TApp
-from .combinators import PadSpec, curry_fixpoint, pad
+from .combinators import PadSpec, curry_fixpoint, pad, reduce_one_block
 from .compiler import CompiledMachine, DecodeError, decode_result, delta_as_map
 from .encodings import (
     FALSE_TERM,
@@ -23,8 +23,8 @@ from .encodings import (
     projection_cost,
     tup,
 )
-from .engine import advance_term, signature_table
-from .lambda_f import FSignature, Value, reduce_leftmost_f
+from .engine import STATUS_UNDEFINED, advance_term, signature_table
+from .lambda_f import FSignature, UndefinedApplication, Value, reduce_leftmost_f
 from .reduction import Status, reduce_leftmost
 from .terms import Abs, App, Term, Var, alpha_eq, app, lam
 
@@ -34,7 +34,7 @@ class RoundRecord:
     index: int
     beta_count: int
     f_count: int
-    kind: str  # "running" | "success" | "fail" | "clash"
+    kind: str  # "running" | "success" | "fail" | "clash" | "undecodable" | "undefined"
     match: bool
     note: str = ""
 
@@ -56,32 +56,77 @@ class LockstepReport:
 _EXIT_OF = {"halt": "success", "implicit-halt": "success",
             "fail": "fail", "clash": "clash"}
 
+# A failed round's diagnostic block search stops after this many rounds' budget.
+_NOTE_ROUNDS = 4
 
-def _values_match(cm: CompiledMachine, decoded, asm_state: State, initial: State) -> bool:
-    """Decoded slot codes describe the machine state: plain slots agree
-    exactly; difference-list slots agree as maps over the initial
-    tables (grid-free: both sides are finite tables)."""
+
+def _state_diff(cm: CompiledMachine, decoded, asm_state: State, initial: State) -> str:
+    """The first slot where decoded slot codes and the machine state
+    disagree, described, or "" when they agree.  Plain slots agree
+    exactly; difference-list slots agree as maps over the initial tables
+    (grid-free: both sides are finite tables)."""
     for info, got in zip(cm.slots, decoded):
         table = asm_state.dynamics[info.symbol]
         if info.representation == "value":
             if got.datatype != info.datatype or table.get(()) != got.payload:
-                return False
+                return (f"state mismatch: slot {info.symbol} is {got.payload!r} in the term, "
+                        f"{table.get(())!r} in the machine")
         else:
             diff = delta_as_map(got)
-            init_table = initial.dynamics[info.symbol]
-            merged = dict(init_table)
+            if len(diff) != len(got.payload):
+                return f"state mismatch: slot {info.symbol} holds a non-functional list {got.payload!r}"
+            merged = dict(initial.dynamics[info.symbol])
             merged.update(diff)
             if merged != table:
-                return False
-            if len(diff) != len(got.payload):
-                return False  # duplicate keys: list went non-functional
-    return True
+                return (f"state mismatch: slot {info.symbol} is {merged!r} in the term, "
+                        f"{table!r} in the machine")
+    return ""
+
+
+def _outputs_diff(cm: CompiledMachine, decoded: dict, asm_outputs: dict,
+                  initial: State) -> str:
+    for info in cm.slots:
+        if info.symbol not in decoded:
+            continue
+        got = decoded[info.symbol]
+        want = asm_outputs[info.symbol]
+        if info.representation == "value":
+            got = got.payload
+        else:
+            merged = dict(initial.dynamics[info.symbol])
+            merged.update(delta_as_map(got))
+            got = merged
+        if got != want:
+            return f"output mismatch: {info.symbol} is {got!r} in the term, {want!r} in the machine"
+    return ""
+
+
+def _block_note(t: Term, cm: CompiledMachine) -> str:
+    """What one certification block from ``t`` costs, against (K, L).
+    The search is cut at a few rounds' budget, so a term that never
+    reaches a boundary costs no more than that to diagnose."""
+    limit = _NOTE_ROUNDS * (cm.K + cm.L)
+    try:
+        block = reduce_one_block(t, cm.theta, [s.as_slot() for s in cm.slots], cm.sig,
+                                 max_steps=limit)
+    except RuntimeError:
+        return f"no block boundary within {limit} steps of the round's start"
+    except UndefinedApplication as exc:
+        return f"no block boundary from the round's start ({exc})"
+    got = (block.beta_count, block.f_count)
+    if got == (cm.K, cm.L):
+        return f"the block takes (beta, F) = {got} as budgeted"
+    return f"counts off: the block takes (beta, F) = {got}, want {(cm.K, cm.L)}"
 
 
 def lockstep(machine: Machine, cm: CompiledMachine, state: State,
              max_steps: int = 10_000) -> LockstepReport:
     """One round per machine step; the final round must land on the
-    exit normal form within the same (K, L) budget."""
+    exit normal form within the same (K, L) budget.  A failed round
+    says why in its note: the step counts are off, the decoded state or
+    outputs differ from the machine's, the term cannot be decoded, or a
+    partial function was applied outside its domain (kind
+    "undefined")."""
     result = run(machine, state, max_steps)
     initial = result.trajectory[0]
     K, L = cm.K, cm.L
@@ -98,47 +143,39 @@ def lockstep(machine: Machine, cm: CompiledMachine, state: State,
         verdict_hint = None
 
     for i, (want_kind, want_state) in enumerate(expected, start=1):
-        t, beta, f, _status = advance_term(t, sig_table, K + L)
-        exact = (beta, f) == (K, L)
+        start = t
+        t, beta, f, status = advance_term(start, sig_table, K + L)
+        if status == STATUS_UNDEFINED:
+            rounds.append(RoundRecord(i, beta, f, "undefined", False,
+                                      f"undefined application after (beta, F) = {(beta, f)}"))
+            ok = False
+            break
         try:
             d = decode_result(t, cm)
         except DecodeError:
-            rounds.append(RoundRecord(i, beta, f, "undecodable", False))
+            note = (f"undecodable term after (beta, F) = {(beta, f)}; "
+                    + _block_note(start, cm))
+            rounds.append(RoundRecord(i, beta, f, "undecodable", False, note))
             ok = False
             break
-        if want_kind == "running":
-            match = exact and d.kind == "running" and _values_match(
-                cm, d.values, want_state, initial)
+        if (beta, f) != (K, L):
+            note = f"counts off: (beta, F) = {(beta, f)}, want {(K, L)}"
+        elif d.kind != want_kind:
+            note = f"outcome mismatch: the term reached {d.kind}, the machine {want_kind}"
+        elif d.kind == "running":
+            note = _state_diff(cm, d.values, want_state, initial)
+        elif d.kind == "success":
+            note = _outputs_diff(cm, d.outputs, result.outcome.outputs, initial)
         else:
-            match = exact and d.kind == want_kind
-            if match and d.kind == "success":
-                match = _outputs_match(cm, d.outputs, result.outcome.outputs, initial)
-        rounds.append(RoundRecord(i, beta, f, d.kind, match))
-        if not match:
+            note = ""
+        rounds.append(RoundRecord(i, beta, f, d.kind, not note, note))
+        if note:
             ok = False
             break
 
     verdict = verdict_hint or ("pass" if ok else "fail")
     term_outcome = rounds[-1].kind if rounds else "none"
     return LockstepReport(K, L, tuple(rounds), result.kind, term_outcome, verdict)
-
-
-def _outputs_match(cm: CompiledMachine, decoded: dict, asm_outputs: dict,
-                   initial: State) -> bool:
-    for info in cm.slots:
-        if info.symbol not in decoded:
-            continue
-        got = decoded[info.symbol]
-        want = asm_outputs[info.symbol]
-        if info.representation == "value":
-            if got.payload != want:
-                return False
-        else:
-            merged = dict(initial.dynamics[info.symbol])
-            merged.update(delta_as_map(got))
-            if merged != want:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

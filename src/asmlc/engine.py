@@ -1,77 +1,263 @@
-"""Counting engine facade: picks the compiled kernel when available,
-falls back to the pure-Python one, and converts between the Term trees
-and the kernel's tuple representation.
+"""Counting engine: F-first leftmost reduction on Term trees.
 
-``KERNEL_NAME`` reports which implementation was selected.
+One step contracts the leftmost F-redex anywhere in the term, or, when
+there is none, the leftmost beta redex.  The engine records counts
+only; the traced reducer in ``reduction``/``lambda_f`` is the reference
+implementation and the test suite checks step-for-step agreement.
+
+Redex search unwinds each application spine ``h a1 ... an`` once.  In
+prefix order the spine nodes come first, outermost first, then the head,
+then the arguments left to right.  Of the spine nodes, the only F-redex
+candidate is the prefix carrying exactly ``arity`` arguments (so an
+over-applied ``(f a b) c`` still fires), and the only beta candidate is
+``h a1`` when ``h`` is an abstraction.
+
+Within one call the engine keeps three memos keyed by ``id``:
+
+- subterms already found to contain no F-redex;
+- subterms already found beta-normal;
+- free-variable sets.
+
+Both redex properties are inherited by every subterm, and a step
+rebuilds only the path from the root to the redex plus the contractum,
+so a memo hit covers a whole subtree the step left untouched.
+Substitution consults the free-variable memo and returns every subterm
+in which the variable is not free unchanged, closed terms included.
+Every memo stores the node itself, so no ``id`` is reused while the memo
+lives, and the memos live for one call only.
+
+``KERNEL_NAME`` names the implementation for benchmark records.
 """
 from __future__ import annotations
 
-from typing import Optional
-
-from .lambda_f import BOOL, FSignature, match_bool
+from .lambda_f import BOOL, FALSE_TERM, TRUE_TERM, FSignature, UndefinedApplication
+from .reduction import fresh_name
 from .terms import Abs, App, Code, Const, Term, Value, Var
 
-try:  # pragma: no cover - exercised only when the extension is built
-    from . import _speedups as _kernel
-
-    KERNEL_NAME = "compiled"
-except ImportError:
-    from . import _engine_py as _kernel
-
-    KERNEL_NAME = "pure-python"
-
-from . import _engine_py as pure_kernel
-
-VAR, ABS, APP, CONST, CODE = 0, 1, 2, 3, 4
+KERNEL_NAME = "pure-python"
 
 STATUS_NORMAL = 0
 STATUS_RAN = 1
 STATUS_UNDEFINED = 2
+_STATUS_BOUNDARY = 3
 
-
-def to_tuple(t: Term):
-    if isinstance(t, Var):
-        return (VAR, t.name)
-    if isinstance(t, Abs):
-        return (ABS, t.binder, to_tuple(t.body))
-    if isinstance(t, App):
-        return (APP, to_tuple(t.fun), to_tuple(t.arg))
-    if isinstance(t, Const):
-        return (CONST, t.symbol)
-    if isinstance(t, Code):
-        if t.value.datatype == BOOL:
-            raise ValueError("Boolean values must be lambda booleans, not Code nodes")
-        return (CODE, t.value.datatype, t.value.payload)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def from_tuple(t) -> Term:
-    tag = t[0]
-    if tag == VAR:
-        return Var(t[1])
-    if tag == ABS:
-        return Abs(t[1], from_tuple(t[2]))
-    if tag == APP:
-        return App(from_tuple(t[1]), from_tuple(t[2]))
-    if tag == CONST:
-        return Const(t[1])
-    if tag == CODE:
-        return Code(Value(t[1], t[2]))
-    raise ValueError(f"bad tag {tag!r}")
+_EMPTY: frozenset = frozenset()
 
 
 def signature_table(sig: FSignature) -> dict:
-    """Lower an FSignature to the kernel's dict form."""
+    """Lower an FSignature to the engine's dict form
+    ``name -> (arity, arg_datatypes, result_datatype, fn)``."""
     return {
         name: (f.arity, f.arg_datatypes, f.result_datatype, f.fn)
         for name, f in sig.functions.items()
     }
 
 
-def advance_term(t: Term, sig_table: dict, max_steps: int, kernel=None):
-    """Advance ``t`` by up to ``max_steps`` F-first leftmost steps using
-    the counting kernel.  Returns (term, beta_count, f_count, status).
+def _rebuild(spine: list, i: int, new: Term) -> Term:
+    """The spine's root with ``spine[i]`` (the head when ``i`` is the
+    spine length) replaced by ``new``; nodes below it are kept."""
+    for j in range(i - 1, -1, -1):
+        new = App(new, spine[j].arg)
+    return new
+
+
+def _unwind(t: App) -> tuple[list, Term]:
+    """Spine nodes outermost first, and the head."""
+    spine = []
+    while type(t) is App:
+        spine.append(t)
+        t = t.fun
+    return spine, t
+
+
+class _Reducer:
+    """Leftmost F-step and beta step over one signature table, sharing
+    the memos of one call."""
+
+    def __init__(self, table: dict):
+        self.table = table
+        self.f_free: dict = {}  # id -> node with no F-redex inside
+        self.beta_normal: dict = {}  # id -> node with no beta redex inside
+        self.fv: dict = {}  # id -> (node, free variables)
+
+    def free(self, t: Term) -> frozenset:
+        hit = self.fv.get(id(t))
+        if hit is not None:
+            return hit[1]
+        tp = type(t)
+        if tp is Var:
+            out = frozenset((t.name,))
+        elif tp is Abs:
+            out = self.free(t.body)
+            if t.binder in out:
+                out = out - {t.binder}
+        elif tp is App:
+            a = self.free(t.fun)
+            b = self.free(t.arg)
+            out = a | b if a and b else a or b
+        else:
+            out = _EMPTY
+        self.fv[id(t)] = (t, out)
+        return out
+
+    def subst(self, t: Term, name: str, repl: Term, repl_free: frozenset) -> Term:
+        """Capture-avoiding ``t[repl/name]``."""
+        if name not in self.free(t):
+            return t
+        tp = type(t)
+        if tp is Var:
+            return repl
+        if tp is App:
+            return App(self.subst(t.fun, name, repl, repl_free),
+                       self.subst(t.arg, name, repl, repl_free))
+        binder, body = t.binder, t.body
+        if binder in repl_free:
+            fresh = fresh_name(binder)
+            body = self.subst(body, binder, Var(fresh), frozenset((fresh,)))
+            binder = fresh
+        return Abs(binder, self.subst(body, name, repl, repl_free))
+
+    def _fire(self, head: Const, entry: tuple, spine: list, n: int):
+        """The contractum of the prefix ``head a1 ... a_arity`` of the
+        spine, or None when an argument is not a code of its datatype.
+        Raises UndefinedApplication outside the function's domain."""
+        payloads = []
+        for k, dt in enumerate(entry[1], 1):
+            a = spine[n - k].arg
+            if dt == BOOL:
+                if type(a) is not Abs or type(a.body) is not Abs or type(a.body.body) is not Var:
+                    return None
+                v = a.body.body.name
+                if v == a.body.binder:
+                    payloads.append(False)
+                elif v == a.binder:
+                    payloads.append(True)
+                else:
+                    return None
+            elif type(a) is Code and a.value.datatype == dt:
+                payloads.append(a.value.payload)
+            else:
+                return None
+        out = entry[3](*payloads)
+        if out is None:
+            raise UndefinedApplication(head.symbol, tuple(payloads))
+        if entry[2] == BOOL:
+            return TRUE_TERM if out else FALSE_TERM
+        return Code(Value(entry[2], out))
+
+    def f_step(self, t: Term):
+        """``t`` with its leftmost F-redex contracted, or None."""
+        if id(t) in self.f_free:
+            return None
+        tp = type(t)
+        if tp is App:
+            spine, head = _unwind(t)
+            n = len(spine)
+            ht = type(head)
+            if ht is Const:
+                entry = self.table.get(head.symbol)
+                if entry is not None and entry[0] <= n:
+                    new = self._fire(head, entry, spine, n)
+                    if new is not None:
+                        return _rebuild(spine, n - entry[0], new)
+            elif ht is Abs:
+                new = self.f_step(head.body)
+                if new is not None:
+                    return _rebuild(spine, n, Abs(head.binder, new))
+            for i in range(n - 1, -1, -1):
+                node = spine[i]
+                new = self.f_step(node.arg)
+                if new is not None:
+                    return _rebuild(spine, i, App(node.fun, new))
+            f_free = self.f_free
+            for node in spine:
+                f_free[id(node)] = node
+            return None
+        if tp is Abs:
+            new = self.f_step(t.body)
+            if new is not None:
+                return Abs(t.binder, new)
+        elif tp is Const:
+            entry = self.table.get(t.symbol)
+            if entry is not None and entry[0] == 0:
+                return self._fire(t, entry, [], 0)
+        self.f_free[id(t)] = t
+        return None
+
+    def beta_step(self, t: Term):
+        """``t`` with its leftmost beta redex contracted, or None."""
+        if id(t) in self.beta_normal:
+            return None
+        tp = type(t)
+        if tp is App:
+            spine, head = _unwind(t)
+            n = len(spine)
+            if type(head) is Abs:
+                arg = spine[n - 1].arg
+                body = self.subst(head.body, head.binder, arg, self.free(arg))
+                return _rebuild(spine, n - 1, body)
+            for i in range(n - 1, -1, -1):
+                node = spine[i]
+                new = self.beta_step(node.arg)
+                if new is not None:
+                    return _rebuild(spine, i, App(node.fun, new))
+            beta_normal = self.beta_normal
+            for node in spine:
+                beta_normal[id(node)] = node
+            return None
+        if tp is Abs:
+            new = self.beta_step(t.body)
+            if new is not None:
+                return Abs(t.binder, new)
+        self.beta_normal[id(t)] = t
+        return None
+
+
+def _advance(t: Term, sig_table: dict, max_steps: int, boundary=None):
+    """The shared reduction loop: up to ``max_steps`` F-first leftmost
+    steps, stopping early at a normal form or, when ``boundary`` is
+    given, at the first term after a step for which it holds.
+
+    Returns (term, beta_count, f_count, status).  An undefined leftmost
+    F-redex within the budget raises UndefinedApplication carrying
+    ``reached`` = (term before it, beta_count, f_count).
     """
-    k = kernel if kernel is not None else _kernel
-    tup, beta, f, status = k.advance(to_tuple(t), sig_table, max_steps)
-    return from_tuple(tup), beta, f, status
+    r = _Reducer(sig_table)
+    beta = f = 0
+    while True:
+        try:
+            new = r.f_step(t)
+        except UndefinedApplication as exc:
+            if beta + f == max_steps:
+                return t, beta, f, STATUS_RAN
+            exc.reached = (t, beta, f)
+            raise
+        is_beta = new is None
+        if is_beta:
+            new = r.beta_step(t)
+            if new is None:
+                return t, beta, f, STATUS_NORMAL
+        if beta + f == max_steps:
+            return t, beta, f, STATUS_RAN
+        t = new
+        if is_beta:
+            beta += 1
+        else:
+            f += 1
+        if boundary is not None and boundary(t):
+            return t, beta, f, _STATUS_BOUNDARY
+
+
+def advance_term(t: Term, sig_table: dict, max_steps: int):
+    """Advance ``t`` by up to ``max_steps`` F-first leftmost steps.
+
+    Returns (term, beta_count, f_count, status): STATUS_NORMAL when a
+    normal form was reached within the budget, STATUS_RAN when the
+    budget was consumed and a redex remains, STATUS_UNDEFINED when the
+    next step applies a partial function outside its domain (the term
+    is the one before that step).
+    """
+    try:
+        return _advance(t, sig_table, max_steps)
+    except UndefinedApplication as exc:
+        return (*exc.reached, STATUS_UNDEFINED)

@@ -24,9 +24,7 @@ from .reduction import (
     subterm_at,
     replace_at,
 )
-from .terms import Abs, App, Code, Const, Term, Value, Var, lam, spine
-
-BOOL = "Bool"
+from .terms import BOOL, Abs, App, Code, Const, Term, Value, Var, lam, spine
 
 TRUE_TERM: Term = lam(["x", "y"], Var("x"))
 FALSE_TERM: Term = lam(["x", "y"], Var("y"))

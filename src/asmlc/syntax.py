@@ -58,7 +58,10 @@ def _parse_code(text: str, pos: int) -> Code:
         payload = ast.literal_eval(payload_src.strip())
     except (ValueError, SyntaxError) as exc:
         raise TermSyntaxError(f"bad payload literal: {exc}", pos) from None
-    return Code(Value(datatype, payload))
+    try:
+        return Code(Value(datatype, payload))
+    except ValueError as exc:
+        raise TermSyntaxError(str(exc), pos) from None
 
 
 class _Parser:

@@ -10,6 +10,9 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 
+BOOL = "Bool"
+
+
 class Value(NamedTuple):
     """A datatype element: a tag plus a hashable payload.
 
@@ -51,9 +54,14 @@ class Const(Term):
 @dataclass(frozen=True, slots=True)
 class Code(Term):
     """Opaque code of a datatype element: never a redex, never entered
-    by substitution."""
+    by substitution.  Booleans have no Code nodes: their codes are the
+    lambda booleans, so that guard results can select branches."""
 
     value: Value
+
+    def __post_init__(self):
+        if self.value.datatype == BOOL:
+            raise ValueError("Boolean values must be lambda booleans, not Code nodes")
 
 
 def lam(binders, body: Term) -> Term:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from asmlc.combinators import (
+    BlockResult,
     PadSpec,
     Slot,
     UpdateBranch,
@@ -16,19 +17,62 @@ from asmlc.combinators import (
     static_f_work,
 )
 from asmlc.good_terms import GApp, GCode, GVar
+from asmlc.compiler import _default_probes, compile_machine
 from asmlc.lambda_f import (
     BOOL,
     FSignature,
+    UndefinedApplication,
     Value,
     code_term,
     f_redexes,
+    f_step,
+    leftmost_f_redex,
     reduce_leftmost_f,
     standard_bool_signature,
 )
-from asmlc.reduction import Status, reduce_leftmost
+from asmlc.machines import doubling_machine, doubling_state, euclid_machine, euclid_state
+from asmlc.reduction import Status, beta_step, leftmost_redex, reduce_leftmost
 from asmlc.terms import Abs, App, Var, alpha_eq, app
 
 from conftest import random_closed_term
+
+
+def traced_block(t, theta, slots, sig, max_steps=100_000) -> BlockResult:
+    """Reference block loop: one traced F-first leftmost step at a time,
+    decoding the boundary (up to alpha) after every step."""
+    beta = f = 0
+    for _ in range(max_steps):
+        at = leftmost_f_redex(t, sig)
+        if at is not None:
+            t = f_step(t, at, sig)
+            f += 1
+        else:
+            at = leftmost_redex(t)
+            if at is None:
+                return BlockResult(t, beta, f, "exit", None)
+            t = beta_step(t, at)
+            beta += 1
+        vals = decode_state(t, theta, slots)
+        if vals is not None:
+            return BlockResult(t, beta, f, "state", vals)
+    raise RuntimeError("block did not complete within the step budget")
+
+
+def block(t, theta, slots, sig) -> BlockResult:
+    """reduce_one_block, checked against the traced reference loop."""
+    got = reduce_one_block(t, theta, slots, sig)
+    want = traced_block(t, theta, slots, sig)
+    assert (got.kind, got.beta_count, got.f_count, got.values) == (
+        want.kind, want.beta_count, want.f_count, want.values)
+    assert alpha_eq(got.term, want.term)
+    return got
+
+
+def _assert_probes_agree(cc, slots, sig, probes):
+    for val in probes:
+        start = app(cc.theta, *(code_term(val[s.name]) for s in slots))
+        b = block(start, cc.theta, slots, sig)
+        assert (b.beta_count, b.f_count) == (cc.K, cc.L)
 
 
 @pytest.fixture
@@ -92,18 +136,20 @@ def _counter(nat_sig, **kw):
     slots = [Slot("c", "Nat")]
     phi = GApp("plus", (GVar("c", "Nat"), GCode(Value("Nat", 1))))
     probes = [{"c": Value("Nat", i)} for i in range(3)]
-    return build_update_combinator([phi], slots, nat_sig, probes, **kw), slots
+    cc = build_update_combinator([phi], slots, nat_sig, probes, **kw)
+    _assert_probes_agree(cc, slots, nat_sig, probes)
+    return cc, slots
 
 
 def test_update_combinator_lockstep(nat_sig):
     cc, slots = _counter(nat_sig)
     t = App(cc.theta, code_term(Value("Nat", 0)))
     for i in range(1, 6):
-        block = reduce_one_block(t, cc.theta, slots, nat_sig)
-        assert block.kind == "state"
-        assert block.values == (Value("Nat", i),)
-        assert (block.beta_count, block.f_count) == (cc.K, cc.L)
-        t = block.term
+        b = block(t, cc.theta, slots, nat_sig)
+        assert b.kind == "state"
+        assert b.values == (Value("Nat", i),)
+        assert (b.beta_count, b.f_count) == (cc.K, cc.L)
+        t = b.term
 
 
 def test_static_f_work_counts_all_branches(nat_sig):
@@ -119,8 +165,8 @@ def test_requested_headroom_is_exact(nat_sig):
         cc, _ = _counter(nat_sig, K=cc0.K_min + dk, L=cc0.L_min + dl)
         assert (cc.K, cc.L) == (cc0.K_min + dk, cc0.L_min + dl)
         t = App(cc.theta, code_term(Value("Nat", 1)))
-        block = reduce_one_block(t, cc.theta, slots, nat_sig)
-        assert (block.beta_count, block.f_count) == (cc.K, cc.L)
+        b = block(t, cc.theta, slots, nat_sig)
+        assert (b.beta_count, b.f_count) == (cc.K, cc.L)
 
 
 def test_headroom_below_minimum_rejected(nat_sig):
@@ -139,19 +185,20 @@ def test_conditional_combinator_exits(nat_sig):
     probes = [{"c": Value("Nat", i)} for i in range(4)]
     cc = build_conditional_combinator(
         [guard_run, guard_done], [[phi]], [gamma], slots, nat_sig, probes)
+    _assert_probes_agree(cc, slots, nat_sig, probes)
     t = App(cc.theta, code_term(Value("Nat", 0)))
     seen = []
     for _ in range(10):
-        block = reduce_one_block(t, cc.theta, slots, nat_sig)
-        assert (block.beta_count, block.f_count) == (cc.K, cc.L)
-        if block.kind == "exit":
+        b = block(t, cc.theta, slots, nat_sig)
+        assert (b.beta_count, b.f_count) == (cc.K, cc.L)
+        if b.kind == "exit":
             break
-        seen.append(block.values[0].payload)
-        t = block.term
+        seen.append(b.values[0].payload)
+        t = b.term
     assert seen == [1, 2, 3]
-    assert block.kind == "exit"
+    assert b.kind == "exit"
     from asmlc.lambda_f import match_code
-    assert match_code(block.term, "Nat") == Value("Nat", 3)
+    assert match_code(b.term, "Nat") == Value("Nat", 3)
 
 
 def test_decode_state_rejects_partial_application(nat_sig):
@@ -171,3 +218,26 @@ def test_resident_f_redex_rejected(nat_sig):
     with pytest.raises(ValueError):
         build_branch_combinator([UpdateBranch(bad_guard, (phi,))],
                                 slots, nat_sig, probes)
+
+
+@pytest.mark.parametrize("name", ["euclid", "doubling"])
+def test_block_matches_traced_block_on_machine_probes(name):
+    """Certification through the engine gives the traced loop's blocks
+    on the default probes of the bundled machines."""
+    machine, state = {"euclid": (euclid_machine(), euclid_state(6, 4)),
+                      "doubling": (doubling_machine(stop=4), doubling_state(stop=4))}[name]
+    cm = compile_machine(machine, state)
+    slots = [s.as_slot() for s in cm.slots]
+    probes = _default_probes(machine, state, cm.slots, 4)
+    _assert_probes_agree(cm.combinator, slots, cm.sig, probes)
+
+
+def test_block_reraises_undefined_application(nat_sig):
+    nat_sig.add("half", ("Nat",), "Nat", lambda n: n // 2 if n % 2 == 0 else None)
+    slots = [Slot("c", "Nat")]
+    phi = GApp("half", (GVar("c", "Nat"),))
+    cc = build_update_combinator([phi], slots, nat_sig, [{"c": Value("Nat", 4)}])
+    t = App(cc.theta, code_term(Value("Nat", 3)))
+    with pytest.raises(UndefinedApplication) as info:
+        reduce_one_block(t, cc.theta, slots, nat_sig)
+    assert (info.value.symbol, info.value.args) == ("half", (3,))

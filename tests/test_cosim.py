@@ -1,7 +1,10 @@
 import pytest
 
+from asmlc.asm import If, Machine, Par, TApp, Update
 from asmlc.compiler import compile_machine
 from asmlc.cosim import decoration_audit, lockstep, render_audit
+from asmlc.lambda_f import FFunction, FSignature
+from asmlc.terms import App, Var, lam
 from asmlc.machines import (
     clash_machine,
     doubling_machine,
@@ -64,6 +67,53 @@ def test_lockstep_detects_wrong_constants():
     bad = type(cm)(cm.machine, cm.guarded, broken, cm.slots, cm.sig, cm.outputs)
     rep = lockstep(machine, bad, euclid_state(6, 4))
     assert not rep.passed
+    last = rep.rounds[-1]
+    assert not last.match and last.kind == "undecodable"
+    # the note names the block's real cost and the wrong budget
+    assert f"({cm.K}, {cm.L})" in last.note and f"({cm.K + 1}, {cm.L})" in last.note
+
+
+def test_lockstep_reports_state_mismatch(euclid_cm):
+    machine, cm = euclid_cm
+    program = If(TApp("lt", (TApp("zero"), TApp("b"))), Par((
+        Update("a", (), TApp("a")),  # the compiled machine sets a := b
+        Update("b", (), TApp("rem", (TApp("a"), TApp("b")))),
+    )))
+    other = Machine(machine.voc, program, machine.init)
+    rep = lockstep(other, cm, euclid_state(6, 4))
+    assert not rep.passed
+    last = rep.rounds[-1]
+    assert (last.index, last.kind, last.match) == (1, "running", False)
+    assert "slot a" in last.note and "4" in last.note and "6" in last.note
+
+
+def test_lockstep_reports_undefined_application(euclid_cm):
+    machine, cm = euclid_cm
+    functions = dict(cm.sig.functions)
+    functions["rem"] = FFunction("rem", ("Nat", "Nat"), "Nat", lambda a, b: None)
+    bad = type(cm)(cm.machine, cm.guarded, cm.combinator, cm.slots,
+                   FSignature(functions), cm.outputs)
+    rep = lockstep(machine, bad, euclid_state(6, 4))
+    assert rep.verdict == "fail"
+    last = rep.rounds[-1]
+    assert (last.index, last.kind, last.match) == (1, "undefined", False)
+    assert "undefined" in last.note
+
+
+def test_lockstep_note_bounds_the_block_search(euclid_cm):
+    # a theta that never returns to a block boundary: the note's search
+    # stops after a few rounds' budget instead of the certifier's default
+    machine, cm = euclid_cm
+    omega = App(lam(["z"], App(Var("z"), Var("z"))), lam(["z"], App(Var("z"), Var("z"))))
+    looping = lam([f"s{i}" for i in range(len(cm.slots))], omega)
+    broken = type(cm.combinator)(
+        looping, cm.K, cm.L, cm.combinator.slots,
+        cm.combinator.branches, cm.combinator.K_min, cm.combinator.L_min)
+    bad = type(cm)(cm.machine, cm.guarded, broken, cm.slots, cm.sig, cm.outputs)
+    rep = lockstep(machine, bad, euclid_state(6, 4))
+    last = rep.rounds[-1]
+    assert (last.index, last.kind, last.match) == (1, "undecodable", False)
+    assert f"no block boundary within {4 * (cm.K + cm.L)} steps" in last.note
 
 
 def test_audit_exact_rows():
