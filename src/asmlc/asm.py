@@ -8,7 +8,7 @@ through evaluation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 BOOL_SORT = "Bool"
@@ -128,9 +128,6 @@ class State:
         if tuple(self.carriers.get(BOOL_SORT, ())) not in ((True, False), (False, True)):
             raise ValueError("Bool carrier must be {True, False}")
 
-    def dyn_table(self, name: str) -> dict[tuple, object]:
-        return self.dynamics[name]
-
     def with_dynamics(self, dynamics: dict[str, dict[tuple, object]]) -> "State":
         return State(self.voc, self.carriers, self.statics, dynamics)
 
@@ -141,9 +138,6 @@ class State:
             (name, tuple(sorted(self.dynamics[name].items())))
             for name in sorted(self.dynamics)
         )
-
-    def same_dynamics(self, other: "State") -> bool:
-        return self.digest() == other.digest()
 
 
 def eval_ground(s: State, t: TypedTerm, env: Optional[dict[str, object]] = None):

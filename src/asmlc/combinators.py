@@ -13,8 +13,12 @@ branches, built with internal padding (K', L'):
            + L' (padding)
 
 Because the F-work happens before the selection, both counts are
-independent of the valuation and of which branch fires.  Minima are
-determined by measurement, never assumed.
+independent of the valuation and of which branch fires.  The minima
+come from this formula, at the least padding the F-redex-free pad
+allows (K' = 3, L' = 0): K_min = k + 4n + 5 and L_min = N.  A compile
+builds theta once, with the padding that lands on the requested budget,
+and one measurement of that theta on the probe valuations must equal
+the formula; lockstep then checks every round against it.
 
 Measurement (``reduce_one_block``) runs the counting engine's shared
 loop and stops at the first block boundary: the term is theta applied
@@ -25,13 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .encodings import case_n, identity_chain, I_TERM
+from .encodings import case_n, I_TERM
 from .engine import _STATUS_BOUNDARY, STATUS_NORMAL, _advance, signature_table
 from .good_terms import GoodTerm, const_count, to_term
 from .lambda_f import BOOL, FSignature, code_term, f_redexes, match_code
 from .terms import (
     Abs,
     App,
+    Const,
     Term,
     Value,
     Var,
@@ -52,16 +57,18 @@ def curry_fixpoint(f: Term) -> Term:
     return App(half, half)
 
 
+# The pad's F-work: a chain of the unary Boolean constant omega over
+# the code of nu1.
+_OMEGA = "not"
+_NU1 = Value(BOOL, True)
+
+
 @dataclass(frozen=True)
 class PadSpec:
-    """Target beta count K and F count L for a padding term.  The pad
-    work is carried by ``omega`` (a unary Boolean constant) applied to
-    the code of ``nu1``."""
+    """Target beta count K and F count L for a padding term."""
 
     K: int
     L: int
-    omega: str = "not"
-    nu1: Value = Value(BOOL, True)
 
 
 def pad(spec: PadSpec, f_redex_free: bool = False) -> Term:
@@ -81,17 +88,15 @@ def pad(spec: PadSpec, f_redex_free: bool = False) -> Term:
     K, L = spec.K, spec.L
 
     def omega_chain(t: Term) -> Term:
-        from .terms import Const
-
         for _ in range(L):
-            t = App(Const(spec.omega), t)
+            t = App(Const(_OMEGA), t)
         return t
 
     discard = lam(["x", "y"], Var("y"))
     if f_redex_free:
         if K < 3:
             raise ValueError("F-redex-free padding needs K >= 3")
-        core = App(Abs("z", App(discard, omega_chain(Var("z")))), code_term(spec.nu1))
+        core = App(Abs("z", App(discard, omega_chain(Var("z")))), code_term(_NU1))
         return _i_apply(K - 3, core)
     if L == 0:
         if K < 1:
@@ -99,7 +104,7 @@ def pad(spec: PadSpec, f_redex_free: bool = False) -> Term:
         return _i_apply(K - 1, I_TERM)
     if K < 2:
         raise ValueError("padding with F-work needs K >= 2")
-    return _i_apply(K - 2, App(discard, omega_chain(code_term(spec.nu1))))
+    return _i_apply(K - 2, App(discard, omega_chain(code_term(_NU1))))
 
 
 def _i_apply(n: int, t: Term) -> Term:
@@ -163,6 +168,11 @@ class CompiledCombinator:
     def k(self) -> int:
         return len(self.slots)
 
+    def cost(self) -> dict:
+        """The parts of (K, L) by the formula in the module docstring."""
+        return step_cost(self.k, self.branches,
+                         _MIN_PAD_K + self.K - self.K_min, self.L - self.L_min)
+
 
 def _part_term(p: ExitPart) -> Term:
     return to_term(p) if isinstance(p, GoodTerm) else p
@@ -172,17 +182,32 @@ def _part_consts(p: ExitPart) -> int:
     return const_count(p) if isinstance(p, GoodTerm) else 0
 
 
+def branch_f_work(b: Branch) -> int:
+    """N_i: constant nodes of one guard and its branch body."""
+    if isinstance(b, UpdateBranch):
+        body = sum(const_count(u) for u in b.updates)
+    else:
+        body = sum(_part_consts(p) for p in b.parts)
+    return const_count(b.guard) + body
+
+
 def static_f_work(branches: Sequence[Branch]) -> int:
     """N: constant nodes over all guards and branch bodies — the F-cost
     the F-first strategy pays on every step regardless of selection."""
-    n = 0
-    for b in branches:
-        n += const_count(b.guard)
-        if isinstance(b, UpdateBranch):
-            n += sum(const_count(u) for u in b.updates)
-        else:
-            n += sum(_part_consts(p) for p in b.parts)
-    return n
+    return sum(branch_f_work(b) for b in branches)
+
+
+# The least beta count of the F-redex-free pad.
+_MIN_PAD_K = 3
+
+
+def step_cost(k: int, branches: Sequence[Branch], pad_K: int, pad_L: int) -> dict:
+    """The parts of one step's cost with k slots and internal padding
+    (pad_K, pad_L): K is unfold + load + select + pad_K, and L is the
+    sum of F_branches plus pad_L."""
+    return {"unfold": 1, "load": k + 1, "select": 4 * len(branches),
+            "pad_K": pad_K, "F_branches": [branch_f_work(b) for b in branches],
+            "pad_L": pad_L}
 
 
 def _build_theta(
@@ -190,16 +215,12 @@ def _build_theta(
     slots: Sequence[Slot],
     k_prime: int,
     l_prime: int,
-    pad_spec_base: PadSpec,
 ) -> Term:
     names = [s.name for s in slots]
     w = "w"
     while w in names:
         w += "'"
-    padding = pad(
-        PadSpec(k_prime, l_prime, pad_spec_base.omega, pad_spec_base.nu1),
-        f_redex_free=True,
-    )
+    padding = pad(PadSpec(k_prime, l_prime), f_redex_free=True)
     branch_terms: list[Term] = []
     for b in branches:
         if isinstance(b, UpdateBranch):
@@ -294,20 +315,22 @@ def reduce_one_block(
     raise RuntimeError("block did not complete within the step budget")
 
 
-def _measure(
+def _certify(
     theta: Term,
     slots: Sequence[Slot],
     sig: FSignature,
     probes: Sequence[dict[str, Value]],
-) -> tuple[int, int]:
-    costs = set()
+    want: tuple[int, int],
+) -> None:
+    """Measure one block of theta from every probe valuation; each must
+    cost exactly ``want``."""
     for val in probes:
         start = app(theta, *(code_term(val[s.name]) for s in slots))
         block = reduce_one_block(start, theta, slots, sig)
-        costs.add((block.beta_count, block.f_count))
-    if len(costs) != 1:
-        raise RuntimeError(f"per-step cost is not constant over probes: {sorted(costs)}")
-    return costs.pop()
+        got = (block.beta_count, block.f_count)
+        if got != want:
+            raise RuntimeError(f"cost formula gives (K,L)={want} but theta "
+                               f"measures {got} from probe {val}")
 
 
 def build_branch_combinator(
@@ -317,69 +340,32 @@ def build_branch_combinator(
     probes: Sequence[dict[str, Value]],
     K: Optional[int] = None,
     L: Optional[int] = None,
-    pad_spec: PadSpec = PadSpec(3, 0),
 ) -> CompiledCombinator:
-    """Build theta for an ordered guarded-branch list and certify its
-    exact per-step (K, L) by measurement on the probe valuations.
+    """Build theta for an ordered guarded-branch list with an exact
+    per-step cost (K, L).
 
-    With K/L omitted the measured minima are used; otherwise internal
-    padding is raised to land exactly on the requested budget.
+    The minima come from the cost formula: K_min = k + 4n + 5 and
+    L_min = N (``static_f_work``).  With K/L omitted the minima are
+    used; otherwise internal padding is raised to land exactly on the
+    requested budget, and a request below the minima is rejected.
+    Theta is built once, and one measurement of it on every probe
+    valuation must equal the formula (RuntimeError otherwise); lockstep
+    checks every round against the same (K, L).
     """
     if not branches:
         raise ValueError("need at least one branch")
     if not probes:
         raise ValueError("need at least one probe valuation")
-    base = _build_theta(branches, slots, 3, 0, pad_spec)
-    if f_redexes(base, sig):
-        raise ValueError("combinator body contains a resident F-redex; "
-                         "fold ground constant subterms to codes first")
-    k_min, l_min = _measure(base, slots, sig, probes)
+    least = step_cost(len(slots), branches, _MIN_PAD_K, 0)
+    k_min = least["unfold"] + least["load"] + least["select"] + least["pad_K"]
+    l_min = static_f_work(branches)
     K = k_min if K is None else K
     L = l_min if L is None else L
     if K < k_min or L < l_min:
-        raise ValueError(f"requested (K,L)=({K},{L}) below measured minima ({k_min},{l_min})")
-    theta = _build_theta(branches, slots, 3 + (K - k_min), L - l_min, pad_spec)
-    got = _measure(theta, slots, sig, probes)
-    if got != (K, L):
-        raise RuntimeError(f"padding did not land on ({K},{L}): measured {got}")
+        raise ValueError(f"requested (K,L)=({K},{L}) below the minima ({k_min},{l_min})")
+    theta = _build_theta(branches, slots, _MIN_PAD_K + K - k_min, L - l_min)
+    if f_redexes(theta, sig):
+        raise ValueError("combinator body contains a resident F-redex; "
+                         "fold ground constant subterms to codes first")
+    _certify(theta, slots, sig, probes, (K, L))
     return CompiledCombinator(theta, K, L, tuple(slots), tuple(branches), k_min, l_min)
-
-
-def build_update_combinator(
-    phis: Sequence[GoodTerm],
-    slots: Sequence[Slot],
-    sig: FSignature,
-    probes: Sequence[dict[str, Value]],
-    K: Optional[int] = None,
-    L: Optional[int] = None,
-) -> CompiledCombinator:
-    """Unconditional simultaneous update: one always-firing branch."""
-    branch = UpdateBranch(_true_guard(), tuple(phis))
-    return build_branch_combinator([branch], slots, sig, probes, K, L)
-
-
-def build_conditional_combinator(
-    rhos: Sequence[GoodTerm],
-    phi_rows: Sequence[Sequence[GoodTerm]],
-    gammas: Sequence[GoodTerm],
-    slots: Sequence[Slot],
-    sig: FSignature,
-    probes: Sequence[dict[str, Value]],
-    K: Optional[int] = None,
-    L: Optional[int] = None,
-) -> CompiledCombinator:
-    """Guard list rho_1..rho_{p+q}: the first p guards select update
-    rows, the last q select bare exits.  First true guard wins."""
-    p, q = len(phi_rows), len(gammas)
-    if len(rhos) != p + q:
-        raise ValueError("need one guard per update row plus one per exit")
-    branches: list[Branch] = [
-        UpdateBranch(rhos[i], tuple(phi_rows[i])) for i in range(p)
-    ] + [ExitBranch(rhos[p + j], (gammas[j],)) for j in range(q)]
-    return build_branch_combinator(branches, slots, sig, probes, K, L)
-
-
-def _true_guard() -> GoodTerm:
-    from .good_terms import GCode
-
-    return GCode(Value(BOOL, True))

@@ -16,23 +16,20 @@ with the outputs, fail is the numeral 2, clash the numeral 3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .asm import (
-    BOOL_SORT,
     FailI,
     HaltI,
     InitRule,
     Machine,
     State,
     Symbol,
-    TApp,
     TVar,
     TypedTerm,
     Update,
     Vocabulary,
-    eval_ground,
     initial_dynamics,
     run_from_state,
     _carrier_grid,
@@ -47,8 +44,8 @@ from .combinators import (
     decode_state,
 )
 from .encodings import match_nat, nat
-from .good_terms import GApp, GCode, GoodTerm, GVar, const_count
-from .lambda_f import BOOL, DeltaType, FSignature, Value, delta_semantics, install_delta, match_bool
+from .good_terms import GApp, GCode, GoodTerm, GVar
+from .lambda_f import BOOL, DeltaType, FSignature, Value, install_delta
 from .normalize import Clause, GuardedProgram, normalize
 from .terms import Abs, App, Term, Var, app
 
@@ -329,6 +326,7 @@ class CompiledMachine:
             "K_total": c.K + c.L,
             "K_min": c.K_min,
             "L_min": c.L_min,
+            "cost": c.cost(),
             "slots": [
                 {"symbol": s.symbol, "representation": s.representation,
                  "datatype": s.datatype, "sort": s.sort}
@@ -411,22 +409,16 @@ def _slot_update(tr: Translator, info: SlotInfo, updates: list[Update]) -> GoodT
 def compile_machine(
     machine: Machine,
     state: State,
-    probes: Optional[Sequence[dict[str, Value]]] = None,
     K: Optional[int] = None,
     L: Optional[int] = None,
-    require_type0: bool = False,
-    probe_steps: int = 4,
 ) -> CompiledMachine:
     """Compile; ``state`` supplies carriers and static semantics.  The
     resulting theta is input-independent as long as the program body
     does not mention input constants (inputs enter through the initial
-    slot codes only)."""
+    slot codes only).  (K, L) is the requested per-step budget, the
+    minima when omitted."""
     voc = machine.voc
     slots = make_slots(voc)
-    if require_type0:
-        bad = [s.symbol for s in slots if s.representation == "delta"]
-        if bad:
-            raise CompileError(f"not a type-0 machine: {bad} have positive arity")
     if not slots:
         raise CompileError("machine has no dynamic symbols")
     gp = normalize(machine.program)
@@ -484,24 +476,15 @@ def compile_machine(
         branches.append(UpdateBranch(fold(g), row))
 
     compiled_slots = [s.as_slot() for s in slots]
-    if probes is None:
-        probes = _default_probes(machine, state, slots, probe_steps)
+    probes = _default_probes(machine, state, slots)
     cc = build_branch_combinator(branches, compiled_slots, sig, probes, K, L)
     return CompiledMachine(machine, gp, cc, tuple(slots), sig, outputs)
 
 
-def compile_type0(machine: Machine, state: State, **kw) -> CompiledMachine:
-    return compile_machine(machine, state, require_type0=True, **kw)
-
-
-def compile_general(machine: Machine, state: State, **kw) -> CompiledMachine:
-    return compile_machine(machine, state, require_type0=False, **kw)
-
-
-def _default_probes(machine, state, slots, probe_steps):
-    """Probe valuations from a short run of the machine itself."""
+def _default_probes(machine, state, slots):
+    """Probe valuations from a 4-step run of the machine itself."""
     s0 = machine.initial_state(state)
-    r = run_from_state(s0, machine.program, probe_steps)
+    r = run_from_state(s0, machine.program, 4)
     cm_like = CompiledMachine(machine, None, None, tuple(slots), None, ())
     probes = []
     for st in r.trajectory:

@@ -5,14 +5,12 @@ published reduction counts against measured ones.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-from .asm import Machine, State, eval_ground, run, TApp
+from .asm import Machine, State, run
 from .combinators import PadSpec, curry_fixpoint, pad, reduce_one_block
 from .compiler import CompiledMachine, DecodeError, decode_result, delta_as_map
 from .encodings import (
-    FALSE_TERM,
     PRED,
     SUCC,
     TRUE_TERM,
@@ -21,12 +19,11 @@ from .encodings import (
     measure_beta,
     nat,
     projection_cost,
-    tup,
 )
 from .engine import STATUS_UNDEFINED, advance_term, signature_table
-from .lambda_f import FSignature, UndefinedApplication, Value, reduce_leftmost_f
-from .reduction import Status, reduce_leftmost
-from .terms import Abs, App, Term, Var, alpha_eq, app, lam
+from .lambda_f import UndefinedApplication, reduce_leftmost_f
+from .reduction import reduce_leftmost
+from .terms import Abs, App, Term, Var, alpha_eq, app
 
 
 @dataclass(frozen=True)

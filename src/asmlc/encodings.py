@@ -1,6 +1,6 @@
-"""Canonical lambda encodings: booleans and connectives, tuples and
-projections, naturals, branch selectors, and the Scott encoder for
-inductive datatypes — each with measured-cost certificates.
+"""Canonical lambda encodings: booleans, tuples and projections,
+naturals, branch selectors, and the Scott encoder for inductive
+datatypes — each with measured-cost certificates.
 
 Costs are measured under the strict one-redex-per-step convention of
 the reduction kernel; ``CostCertificate`` records what a construction
@@ -9,20 +9,13 @@ actually costs, and re-measuring must reproduce it exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .reduction import Status, reduce_leftmost
-from .terms import Abs, App, Term, Value, Var, alpha_eq, app, free_vars, lam
+from .terms import Abs, App, Term, Var, app, free_vars, lam
 from .lambda_f import FALSE_TERM, TRUE_TERM, bool_term, match_bool
 
 I_TERM: Term = Abs("u", Var("u"))
-
-# Connectives as closed normal terms acting on lambda booleans.
-NEG: Term = Abs("z", app(Var("z"), FALSE_TERM, TRUE_TERM))
-AND: Term = lam(["z", "w"], app(Var("z"), Var("w"), FALSE_TERM))
-OR: Term = lam(["z", "w"], app(Var("z"), TRUE_TERM, Var("w")))
-IMPLIES: Term = lam(["z", "w"], app(Var("z"), Var("w"), TRUE_TERM))
-IFF: Term = lam(["z", "w"], app(Var("z"), Var("w"), app(NEG, Var("w"))))
 
 
 def identity_chain(n: int, t: Term) -> Term:

@@ -146,7 +146,7 @@ def from_asm_term(t, voc, sorts_to_datatypes=None) -> GoodTerm:
     """Translate a static-only ASM term (dynamic constants allowed, they
     become variables) into a good term.  Sort names double as datatype
     names unless a renaming is given."""
-    from .asm import TApp, TVar, Vocabulary  # local to avoid import cycles
+    from .asm import TVar  # local to avoid import cycles
 
     rename = sorts_to_datatypes or {}
 

@@ -10,7 +10,7 @@ codes of every other datatype are opaque Code nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .reduction import (
     Addr,

@@ -20,7 +20,6 @@ from .asm import (
     If,
     Par,
     Program,
-    Skip,
     State,
     TApp,
     TypedTerm,

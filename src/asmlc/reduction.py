@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
-from .terms import Abs, App, Code, Const, Term, Var, canonical, free_vars, term_size
+from .terms import Abs, App, Term, Var, canonical, free_vars, term_size
 
 sys.setrecursionlimit(100_000)
 
@@ -149,10 +149,6 @@ def leftmost_redex(t: Term) -> Optional[Addr]:
     for at in beta_redex_addresses(t):
         return at
     return None
-
-
-def is_beta_normal(t: Term) -> bool:
-    return leftmost_redex(t) is None
 
 
 def beta_step(t: Term, at: Addr) -> Term:

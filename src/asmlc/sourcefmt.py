@@ -34,7 +34,7 @@ default to the first carrier element.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .asm import (
@@ -55,7 +55,6 @@ from .asm import (
     Update,
     Vocabulary,
     check_program,
-    term_sort,
 )
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Optional
 
 from .terms import Abs, App, Code, Const, Term, Value, Var
 

@@ -118,6 +118,41 @@ def random_program(rng: random.Random, depth: int) -> Program:
     return Par(tuple(random_program(rng, depth - 1) for _ in range(n)))
 
 
+def counter_family(n: int) -> tuple[Machine, State]:
+    """A machine with n cyclic counters updated in parallel; exits when
+    the first counter returns to zero."""
+    names = [f"c{i}" for i in range(1, n + 1)]
+    symbols = {
+        "zero": Symbol("zero", "static", (), "Nat"),
+        "inc": Symbol("inc", "static", ("Nat",), "Nat"),
+        "eq_Nat": Symbol("eq_Nat", "static", ("Nat", "Nat"), "Bool"),
+        "and": Symbol("and", "static", ("Bool", "Bool"), "Bool"),
+        "or": Symbol("or", "static", ("Bool", "Bool"), "Bool"),
+        "not": Symbol("not", "static", ("Bool",), "Bool"),
+    }
+    for i, c in enumerate(names):
+        symbols[c] = Symbol(c, "dynamic", (), "Nat", is_output=(i == 0))
+    voc = Vocabulary(("Bool", "Nat"), symbols)
+    cond = TApp("eq_Nat", (TApp(names[0]), TApp("zero")))
+    prog = Par((
+        If(TApp("not", (cond,)),
+           Par(tuple(Update(c, (), TApp("inc", (TApp(c),))) for c in names))),
+        If(cond, HaltI()),
+    ))
+    init = {c: InitRule((), TApp("one")) for c in names}
+    symbols["one"] = Symbol("one", "static", (), "Nat")
+    statics = {
+        "zero": lambda: 0, "one": lambda: 1,
+        "inc": lambda a: (a + 1) % 4,
+        "eq_Nat": lambda a, b: a == b,
+        "and": lambda a, b: a and b, "or": lambda a, b: a or b,
+        "not": lambda a: not a,
+    }
+    state = State(voc, {"Bool": (True, False), "Nat": (0, 1, 2, 3)},
+                  statics, {})
+    return Machine(voc, prog, init), state
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260824)

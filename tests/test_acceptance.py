@@ -9,19 +9,7 @@ import time
 
 import pytest
 
-from asmlc.asm import (
-    HaltI,
-    If,
-    InitRule,
-    Machine,
-    Par,
-    State,
-    Symbol,
-    TApp,
-    Update,
-    Vocabulary,
-    run,
-)
+from asmlc.asm import run
 from asmlc.combinators import PadSpec, curry_fixpoint, pad
 from asmlc.compiler import compile_machine, decode_result, delta_as_map
 from asmlc.cosim import decoration_audit, lockstep
@@ -47,6 +35,7 @@ from asmlc.reduction import (
 from asmlc.terms import App, Var, alpha_eq
 
 from conftest import (
+    counter_family,
     counter_state,
     counter_vocabulary,
     random_closed_term,
@@ -272,47 +261,12 @@ def test_11_decoration_audit():
           "padding exact, convention rows annotated")
 
 
-def _counter_family(n: int):
-    """A machine with n cyclic counters updated in parallel; exits when
-    the first counter returns to zero."""
-    names = [f"c{i}" for i in range(1, n + 1)]
-    symbols = {
-        "zero": Symbol("zero", "static", (), "Nat"),
-        "inc": Symbol("inc", "static", ("Nat",), "Nat"),
-        "eq_Nat": Symbol("eq_Nat", "static", ("Nat", "Nat"), "Bool"),
-        "and": Symbol("and", "static", ("Bool", "Bool"), "Bool"),
-        "or": Symbol("or", "static", ("Bool", "Bool"), "Bool"),
-        "not": Symbol("not", "static", ("Bool",), "Bool"),
-    }
-    for i, c in enumerate(names):
-        symbols[c] = Symbol(c, "dynamic", (), "Nat", is_output=(i == 0))
-    voc = Vocabulary(("Bool", "Nat"), symbols)
-    cond = TApp("eq_Nat", (TApp(names[0]), TApp("zero")))
-    prog = Par((
-        If(TApp("not", (cond,)),
-           Par(tuple(Update(c, (), TApp("inc", (TApp(c),))) for c in names))),
-        If(cond, HaltI()),
-    ))
-    init = {c: InitRule((), TApp("one")) for c in names}
-    symbols["one"] = Symbol("one", "static", (), "Nat")
-    statics = {
-        "zero": lambda: 0, "one": lambda: 1,
-        "inc": lambda a: (a + 1) % 4,
-        "eq_Nat": lambda a, b: a == b,
-        "and": lambda a, b: a and b, "or": lambda a, b: a or b,
-        "not": lambda a: not a,
-    }
-    state = State(voc, {"Bool": (True, False), "Nat": (0, 1, 2, 3)},
-                  statics, {})
-    return Machine(voc, prog, init), state
-
-
 def test_12_step_budget_growth_curve():
     """The minimal beta budget K_min grows monotonically with machine
     size and stays within a quadratic envelope."""
     curve = []
     for n in range(1, 6):
-        machine, state = _counter_family(n)
+        machine, state = counter_family(n)
         cm = compile_machine(machine, state)
         size = n  # dynamic symbols; guards/updates grow linearly with n
         curve.append((size, cm.combinator.K_min))

@@ -42,6 +42,9 @@ def test_compile_manifest(capsys):
     assert manifest["exit_codes"] == {"success": 1, "fail": 2, "clash": 3}
     assert [s["symbol"] for s in manifest["slots"]] == ["a", "b"]
     assert manifest["K"] >= manifest["K_min"]
+    cost = manifest["cost"]
+    assert cost["unfold"] + cost["load"] + cost["select"] + cost["pad_K"] == manifest["K"] == 23
+    assert sum(cost["F_branches"]) + cost["pad_L"] == manifest["L"] == 8
 
 
 def test_compile_term_printable(capsys):

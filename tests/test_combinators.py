@@ -2,14 +2,14 @@ import random
 
 import pytest
 
+from asmlc import combinators
 from asmlc.combinators import (
     BlockResult,
+    ExitBranch,
     PadSpec,
     Slot,
     UpdateBranch,
     build_branch_combinator,
-    build_conditional_combinator,
-    build_update_combinator,
     curry_fixpoint,
     decode_state,
     pad,
@@ -75,6 +75,9 @@ def _assert_probes_agree(cc, slots, sig, probes):
         assert (b.beta_count, b.f_count) == (cc.K, cc.L)
 
 
+TRUE_GUARD = GCode(Value(BOOL, True))
+
+
 @pytest.fixture
 def nat_sig():
     sig = standard_bool_signature()
@@ -136,7 +139,8 @@ def _counter(nat_sig, **kw):
     slots = [Slot("c", "Nat")]
     phi = GApp("plus", (GVar("c", "Nat"), GCode(Value("Nat", 1))))
     probes = [{"c": Value("Nat", i)} for i in range(3)]
-    cc = build_update_combinator([phi], slots, nat_sig, probes, **kw)
+    cc = build_branch_combinator([UpdateBranch(TRUE_GUARD, (phi,))],
+                                 slots, nat_sig, probes, **kw)
     _assert_probes_agree(cc, slots, nat_sig, probes)
     return cc, slots
 
@@ -175,6 +179,14 @@ def test_headroom_below_minimum_rejected(nat_sig):
         _counter(nat_sig, K=cc0.K_min - 1)
 
 
+def test_cost_formula_cross_check_fires(nat_sig, monkeypatch):
+    """A formula that disagrees with the measured theta is an error."""
+    real = combinators.static_f_work
+    monkeypatch.setattr(combinators, "static_f_work", lambda bs: real(bs) + 1)
+    with pytest.raises(RuntimeError, match=r"\(K,L\)=\(10, 2\).*measures \(10, 1\)"):
+        _counter(nat_sig)
+
+
 def test_conditional_combinator_exits(nat_sig):
     # count up to 3, then exit with the final value
     slots = [Slot("c", "Nat")]
@@ -183,8 +195,9 @@ def test_conditional_combinator_exits(nat_sig):
     phi = GApp("plus", (GVar("c", "Nat"), GCode(Value("Nat", 1))))
     gamma = GVar("c", "Nat")
     probes = [{"c": Value("Nat", i)} for i in range(4)]
-    cc = build_conditional_combinator(
-        [guard_run, guard_done], [[phi]], [gamma], slots, nat_sig, probes)
+    cc = build_branch_combinator(
+        [UpdateBranch(guard_run, (phi,)), ExitBranch(guard_done, (gamma,))],
+        slots, nat_sig, probes)
     _assert_probes_agree(cc, slots, nat_sig, probes)
     t = App(cc.theta, code_term(Value("Nat", 0)))
     seen = []
@@ -228,7 +241,7 @@ def test_block_matches_traced_block_on_machine_probes(name):
                       "doubling": (doubling_machine(stop=4), doubling_state(stop=4))}[name]
     cm = compile_machine(machine, state)
     slots = [s.as_slot() for s in cm.slots]
-    probes = _default_probes(machine, state, cm.slots, 4)
+    probes = _default_probes(machine, state, cm.slots)
     _assert_probes_agree(cm.combinator, slots, cm.sig, probes)
 
 
@@ -236,7 +249,8 @@ def test_block_reraises_undefined_application(nat_sig):
     nat_sig.add("half", ("Nat",), "Nat", lambda n: n // 2 if n % 2 == 0 else None)
     slots = [Slot("c", "Nat")]
     phi = GApp("half", (GVar("c", "Nat"),))
-    cc = build_update_combinator([phi], slots, nat_sig, [{"c": Value("Nat", 4)}])
+    cc = build_branch_combinator([UpdateBranch(TRUE_GUARD, (phi,))],
+                                 slots, nat_sig, [{"c": Value("Nat", 4)}])
     t = App(cc.theta, code_term(Value("Nat", 3)))
     with pytest.raises(UndefinedApplication) as info:
         reduce_one_block(t, cc.theta, slots, nat_sig)

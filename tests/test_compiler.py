@@ -6,16 +6,15 @@ from asmlc.compiler import (
     CLASH_CODE,
     FAIL_CODE,
     SUCCESS_CODE,
-    CompileError,
-    compile_general,
+    _default_probes,
     compile_machine,
-    compile_type0,
     decode_result,
     delta_as_map,
     make_slots,
 )
+from asmlc.combinators import reduce_one_block, static_f_work
 from asmlc.engine import advance_term, signature_table
-from asmlc.lambda_f import Value
+from asmlc.lambda_f import Value, code_term
 from asmlc.machines import (
     clash_machine,
     doubling_machine,
@@ -25,6 +24,9 @@ from asmlc.machines import (
     fail_machine,
     small_state,
 )
+from asmlc.terms import app
+
+from conftest import counter_family
 
 
 @pytest.fixture(scope="module")
@@ -90,16 +92,10 @@ def test_clash_machine_compiles_to_clash_code():
     assert counts == (cm.K, cm.L)
 
 
-def test_type0_restriction():
-    with pytest.raises(CompileError):
-        compile_type0(doubling_machine(), doubling_state())
-    compile_type0(euclid_machine(), euclid_state(1, 1))  # accepted
-
-
 def test_delta_machine_tabulates():
     machine = doubling_machine(stop=4)
     state = doubling_state(stop=4)
-    cm = compile_general(machine, state)
+    cm = compile_machine(machine, state)
     d, _ = _run_compiled(cm, state)
     assert d.kind == "success"
     delta = delta_as_map(d.outputs["f"])
@@ -114,6 +110,9 @@ def test_headroom_requests_exact():
     cm = compile_machine(machine, euclid_state(1, 1),
                          K=base.K + 3, L=base.L + 2)
     assert (cm.K, cm.L) == (base.K + 3, base.L + 2)
+    base_cost = base.manifest()["cost"]
+    moved = {k for k, v in cm.manifest()["cost"].items() if v != base_cost[k]}
+    assert moved == {"pad_K", "pad_L"}
     d, counts = _run_compiled(cm, euclid_state(10, 4))
     assert d.kind == "success" and counts == (cm.K, cm.L)
 
@@ -126,3 +125,35 @@ def test_decode_running_state(euclid):
     d = decode_result(t, cm)
     assert d.kind == "running"
     assert [v.payload for v in d.values] == [4, 2]  # (a, b) after one step
+
+
+FORMULA_CASES = {
+    "euclid": (lambda: (euclid_machine(), euclid_state(1, 1)), (23, 8)),
+    "doubling": (lambda: (doubling_machine(), doubling_state()), (27, 65)),
+    "fail": (lambda: (fail_machine(), small_state(fail_machine())), (18, 0)),
+    "clash": (lambda: (clash_machine(), small_state(clash_machine())), (22, 0)),
+    **{f"counter-{n}": (lambda n=n: counter_family(n), None) for n in range(1, 6)},
+}
+
+
+@pytest.mark.parametrize("name", list(FORMULA_CASES))
+def test_cost_formula_equals_measurement(name):
+    """K_min = k + 4n + 5 and L_min = N, a default compile measures
+    exactly that on its probes, and the manifest's parts sum to it."""
+    make, want = FORMULA_CASES[name]
+    machine, state = make()
+    cm = compile_machine(machine, state)
+    c = cm.combinator
+    assert c.K_min == c.k + 4 * len(c.branches) + 5
+    assert c.L_min == static_f_work(c.branches)
+    assert (c.K, c.L) == (c.K_min, c.L_min)
+    if want is not None:
+        assert (c.K_min, c.L_min) == want
+    slots = [s.as_slot() for s in cm.slots]
+    for val in _default_probes(machine, state, cm.slots):
+        start = app(c.theta, *(code_term(val[s.name]) for s in slots))
+        b = reduce_one_block(start, c.theta, slots, cm.sig)
+        assert (b.beta_count, b.f_count) == (c.K_min, c.L_min)
+    cost = cm.manifest()["cost"]
+    assert cost["unfold"] + cost["load"] + cost["select"] + cost["pad_K"] == c.K
+    assert sum(cost["F_branches"]) + cost["pad_L"] == c.L
