@@ -146,20 +146,50 @@ def eval_ground(s: State, t: TypedTerm, env: Optional[dict[str, object]] = None)
     Undefined propagates strictly: any undefined argument makes the
     application undefined.
     """
-    if isinstance(t, TVar):
-        if env is None or t.name not in env:
-            raise ValueError(f"unbound term variable {t.name}")
-        return env[t.name]
-    sym = s.voc.symbol(t.head)
-    argv = []
-    for a in t.args:
-        v = eval_ground(s, a, env)
-        if v is None:
-            return None
-        argv.append(v)
-    if sym.kind == "static":
-        return s.statics[t.head](*argv)
-    return s.dynamics[t.head].get(tuple(argv))
+    return _evaluator(s, env)(t)
+
+
+def _evaluator(s: State, env: Optional[dict[str, object]]) -> Callable[[TypedTerm], object]:
+    """``eval_ground`` in state ``s``, evaluating each term node at most
+    once.  The memo is keyed by ``id``, so it is only valid while every
+    term it has seen is alive: keep the evaluator for one term or one
+    step, never longer."""
+    symbol = s.voc.symbol
+    statics = s.statics
+    dynamics = s.dynamics
+    memo: dict[int, object] = {}
+
+    def ev(t: TypedTerm):
+        v = memo.get(id(t), _UNSEEN)
+        if v is not _UNSEEN:
+            return v
+        if isinstance(t, TVar):
+            if env is None or t.name not in env:
+                raise ValueError(f"unbound term variable {t.name}")
+            v = env[t.name]
+        else:
+            sym = symbol(t.head)
+            argv = []
+            for a in t.args:
+                # A seen argument is read here, without a call.
+                v = memo.get(id(a), _UNSEEN)
+                if v is _UNSEEN:
+                    v = ev(a)
+                if v is None:
+                    break
+                argv.append(v)
+            else:
+                if sym.kind == "static":
+                    v = statics[t.head](*argv)
+                else:
+                    v = dynamics[t.head].get(tuple(argv))
+        memo[id(t)] = v
+        return v
+
+    return ev
+
+
+_UNSEEN = object()
 
 
 def lift_interpretation(s: State, t: TypedTerm, sigma: tuple[int, ...], p: int):
@@ -309,72 +339,12 @@ def program_symbols(p: Program) -> Iterable[str]:
             yield from program_symbols(b)
 
 
-def active_updates(s: State, p: Program) -> list[Update]:
-    """The update instructions selected by the conditionals in state s.
-    An If whose condition is undefined contributes nothing."""
-    if isinstance(p, Update):
-        return [p]
-    if isinstance(p, If):
-        c = eval_ground(s, p.cond)
-        if c is True:
-            return active_updates(s, p.then)
-        if c is False:
-            return active_updates(s, p.orelse)
-        return []
-    if isinstance(p, Par):
-        out: list[Update] = []
-        for b in p.blocks:
-            out.extend(active_updates(s, b))
-        return out
-    return []
-
-
-def halts_or_fails(s: State, p: Program) -> tuple[bool, bool]:
-    if isinstance(p, HaltI):
-        return True, False
-    if isinstance(p, FailI):
-        return False, True
-    if isinstance(p, If):
-        c = eval_ground(s, p.cond)
-        if c is True:
-            return halts_or_fails(s, p.then)
-        if c is False:
-            return halts_or_fails(s, p.orelse)
-        return False, False
-    if isinstance(p, Par):
-        results = [halts_or_fails(s, b) for b in p.blocks]
-        fails = any(f for _, f in results)
-        halts = any(h for h, _ in results) and not fails
-        return halts, fails
-    return False, False
-
-
 @dataclass(frozen=True)
 class EvaluatedUpdate:
     symbol: str
     args: tuple
     value: object
     source: Update
-
-
-def evaluate_updates(s: State, updates: list[Update]):
-    """Evaluate argument tuples and right-hand sides simultaneously in
-    the current state; returns (evaluated, first-undefined-update)."""
-    out: list[EvaluatedUpdate] = []
-    for u in updates:
-        argv = []
-        bad = False
-        for a in u.args:
-            v = eval_ground(s, a)
-            if v is None:
-                bad = True
-                break
-            argv.append(v)
-        rhs = eval_ground(s, u.rhs) if not bad else None
-        if bad or rhs is None:
-            return out, u
-        out.append(EvaluatedUpdate(u.symbol, tuple(argv), rhs, u))
-    return out, None
 
 
 def detect_clash(updates: list[EvaluatedUpdate]):
@@ -421,16 +391,47 @@ def _outputs(s: State) -> dict:
 
 
 def successor(s: State, p: Program) -> Outcome:
-    """One ASM step.  Outcome precedence: fail (explicit, or an active
-    update evaluating to undefined), then clash, then halt, then the
-    empty active set (implicit halt), then the updated state."""
-    halts, fails = halts_or_fails(s, p)
+    """One ASM step, in one walk of the program that evaluates each term
+    node at most once.  An If whose condition is undefined contributes
+    nothing.  Outcome precedence: fail (explicit, or an active update
+    evaluating to undefined), then clash, then halt, then the empty
+    active set (implicit halt), then the updated state."""
+    ev = _evaluator(s, None)
+    updates: list[Update] = []
+    halts = fails = False
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, If):
+            c = ev(q.cond)
+            if c is True:
+                stack.append(q.then)
+            elif c is False:
+                stack.append(q.orelse)
+        elif isinstance(q, Par):
+            stack.extend(reversed(q.blocks))
+        elif isinstance(q, Update):
+            updates.append(q)
+        elif isinstance(q, HaltI):
+            halts = True
+        elif isinstance(q, FailI):
+            fails = True
     if fails:
         return Outcome("fail", reason="explicit-fail")
-    active = active_updates(s, p)
-    evaluated, bad = evaluate_updates(s, active)
-    if bad is not None:
-        return Outcome("fail", reason="undefined-evaluation")
+    # Arguments and right-hand sides are evaluated in the current state,
+    # in program order, up to the first undefined one.
+    evaluated: list[EvaluatedUpdate] = []
+    for u in updates:
+        argv = []
+        for a in u.args:
+            v = ev(a)
+            if v is None:
+                return Outcome("fail", reason="undefined-evaluation")
+            argv.append(v)
+        rhs = ev(u.rhs)
+        if rhs is None:
+            return Outcome("fail", reason="undefined-evaluation")
+        evaluated.append(EvaluatedUpdate(u.symbol, tuple(argv), rhs, u))
     witness = detect_clash(evaluated)
     if witness is not None:
         w = tuple((u.symbol, u.args, u.value) for u in witness)

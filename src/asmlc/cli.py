@@ -62,6 +62,16 @@ def _show(v) -> str:
     return str(v)
 
 
+def _compile(machine, state, args):
+    """``compile_machine`` at the requested budget; a budget below the
+    minima, or a machine the compiler rejects, ends in one error line."""
+    try:
+        return compile_machine(machine, state, K=args.headroom_K, L=args.headroom_L)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(1)
+
+
 def cmd_run(args) -> int:
     sm = _load(args.file)
     machine = sm.machine()
@@ -92,7 +102,7 @@ def cmd_compile(args) -> int:
     sm = _load(args.file)
     machine = sm.machine()
     state = sm.state({})
-    cm = compile_machine(machine, state, K=args.headroom_K, L=args.headroom_L)
+    cm = _compile(machine, state, args)
     print(json.dumps(cm.manifest(), indent=2))
     if args.term:
         print(print_term(cm.theta))
@@ -103,7 +113,7 @@ def cmd_verify(args) -> int:
     sm = _load(args.file)
     machine = sm.machine()
     base = sm.state(_bindings(args.input))
-    cm = compile_machine(machine, base, K=args.headroom_K, L=args.headroom_L)
+    cm = _compile(machine, base, args)
     print(f"(K, L) = ({cm.K}, {cm.L})")
     inputs = sorted(s.name for s in machine.voc.symbols.values()
                     if s.kind == "static" and s.is_input)
@@ -120,8 +130,7 @@ def cmd_verify(args) -> int:
     for binding in cases:
         state = sm.state(binding)
         if input_dependent:
-            cmx = compile_machine(machine, state,
-                                  K=args.headroom_K, L=args.headroom_L)
+            cmx = _compile(machine, state, args)
             if (cmx.K, cmx.L) != (cm.K, cm.L):
                 print(f"FAIL: step counts drifted to ({cmx.K}, {cmx.L})")
                 failures += 1

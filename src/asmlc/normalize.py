@@ -43,14 +43,21 @@ class GuardedProgram:
     clauses: tuple[Clause, ...]
 
 
-def _collect(p: Program, path: tuple[Literal, ...], conds: list[TypedTerm], out: list):
+def _collect(p: Program, path: tuple[tuple[int, bool], ...], conds: list[TypedTerm],
+             out: list):
+    """Place every instruction under its path of (condition index,
+    sign) pairs.  Conditions are told apart by equality, never hashed:
+    hashing a term walks all of it."""
     if isinstance(p, (Update, HaltI, FailI)):
         out.append((path, p))
     elif isinstance(p, If):
-        if p.cond not in conds:
+        try:
+            i = conds.index(p.cond)
+        except ValueError:
+            i = len(conds)
             conds.append(p.cond)
-        _collect(p.then, path + ((p.cond, True),), conds, out)
-        _collect(p.orelse, path + ((p.cond, False),), conds, out)
+        _collect(p.then, path + ((i, True),), conds, out)
+        _collect(p.orelse, path + ((i, False),), conds, out)
     elif isinstance(p, Par):
         for b in p.blocks:
             _collect(b, path, conds, out)
@@ -58,14 +65,13 @@ def _collect(p: Program, path: tuple[Literal, ...], conds: list[TypedTerm], out:
 
 def normalize(p: Program) -> GuardedProgram:
     conds: list[TypedTerm] = []
-    placed: list[tuple[tuple[Literal, ...], Instruction]] = []
+    placed: list[tuple[tuple[tuple[int, bool], ...], Instruction]] = []
     _collect(p, (), conds, placed)
     clauses: list[Clause] = []
     for signs in product((True, False), repeat=len(conds)):
-        env = dict(zip(conds, signs))
         instrs = []
         for path, ins in placed:
-            if all(env[c] == want for c, want in path):
+            if all(signs[i] == want for i, want in path):
                 if ins not in instrs:
                     instrs.append(ins)
         if instrs:
@@ -87,11 +93,32 @@ def guard_term(literals: tuple[Literal, ...], and_sym: str = "and",
 
 
 def to_program(gp: GuardedProgram, and_sym: str = "and", not_sym: str = "not") -> Program:
-    """Re-materialize the guarded form as an ordinary program."""
+    """Re-materialize the guarded form as an ordinary program.
+
+    Each guard is ``==`` to ``guard_term(cl.literals)``, but the guards
+    form one DAG: one ``not`` node per negated condition and one ``and``
+    node per distinct literal prefix, so clauses that share a prefix
+    share its node and ``successor`` evaluates it once per step."""
+    negated: dict[int, TypedTerm] = {}  # id(condition) -> not(condition)
+    conj: dict[tuple[int, int], TypedTerm] = {}  # (id(prefix), id(literal)) -> and
     blocks = []
     for cl in gp.clauses:
+        g = None
+        for c, want in cl.literals:
+            lit = c
+            if not want:
+                lit = negated.get(id(c))
+                if lit is None:
+                    lit = negated[id(c)] = TApp(not_sym, (c,))
+            if g is None:
+                g = lit
+                continue
+            key = (id(g), id(lit))
+            node = conj.get(key)
+            if node is None:
+                node = conj[key] = TApp(and_sym, (g, lit))
+            g = node
         body: Program = Par(cl.instructions)
-        g = guard_term(cl.literals, and_sym, not_sym)
         blocks.append(body if g is None else If(g, body))
     return Par(tuple(blocks))
 

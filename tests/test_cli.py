@@ -11,12 +11,17 @@ DOUBLING = str(MACHINES / "doubling.asm")
 
 
 def run_cli(capsys, *argv):
+    code, out, _ = run_cli_err(capsys, *argv)
+    return code, out
+
+
+def run_cli_err(capsys, *argv):
     try:
         code = main(list(argv))
     except SystemExit as e:
         code = e.code
-    out = capsys.readouterr().out
-    return code, out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def test_run(capsys):
@@ -35,6 +40,35 @@ def test_normalize(capsys):
     assert "a := b" in out
 
 
+DOUBLING_NORMAL_FORM = """\
+conditions: 2, clauses: 3
+par {
+  if and(not(eq_Nat(i, stop)), eq_Nat(i, stop)) then
+    par {
+      f(i) := plus(i, i)
+      i := succ(i)
+      halt
+    }
+  if and(not(eq_Nat(i, stop)), not(eq_Nat(i, stop))) then
+    par {
+      f(i) := plus(i, i)
+      i := succ(i)
+    }
+  if and(not(not(eq_Nat(i, stop))), eq_Nat(i, stop)) then
+    par {
+      halt
+    }
+}
+"""
+
+
+def test_normalize_prints_guards_in_full(capsys):
+    # The guards share their prefixes in memory; printed, each is whole.
+    code, out = run_cli(capsys, "normalize", DOUBLING)
+    assert code == 0
+    assert out == DOUBLING_NORMAL_FORM
+
+
 def test_compile_manifest(capsys):
     code, out = run_cli(capsys, "compile", EUCLID)
     assert code == 0
@@ -45,6 +79,13 @@ def test_compile_manifest(capsys):
     cost = manifest["cost"]
     assert cost["unfold"] + cost["load"] + cost["select"] + cost["pad_K"] == manifest["K"] == 23
     assert sum(cost["F_branches"]) + cost["pad_L"] == manifest["L"] == 8
+
+
+def test_compile_below_minima_is_one_error_line(capsys):
+    code, out, err = run_cli_err(capsys, "compile", EUCLID, "--headroom-K", "20")
+    assert code == 1
+    assert out == ""
+    assert err == "error: requested (K,L)=(20,8) below the minima (23,8)\n"
 
 
 def test_compile_term_printable(capsys):
@@ -60,6 +101,14 @@ def test_verify_grid(capsys):
     assert code == 0
     assert "verified 16/16 runs" in out
     assert out.splitlines()[0].startswith("(K, L) = (")
+
+
+def test_verify_below_minima_is_one_error_line(capsys):
+    code, out, err = run_cli_err(capsys, "verify", EUCLID, "--grid", "2",
+                                 "--headroom-L", "7")
+    assert code == 1
+    assert out == ""
+    assert err == "error: requested (K,L)=(23,7) below the minima (23,8)\n"
 
 
 def test_verify_input_dependent_program(capsys):

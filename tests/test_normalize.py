@@ -1,9 +1,10 @@
-import random
-
-import pytest
+from itertools import product
+from pathlib import Path
 
 from asmlc.asm import FailI, HaltI, If, Par, Skip, TApp, Update
 from asmlc.normalize import (
+    Clause,
+    GuardedProgram,
     check_equivalence,
     guard_term,
     normalize,
@@ -11,6 +12,7 @@ from asmlc.normalize import (
     to_program,
     true_guard_count,
 )
+from asmlc.sourcefmt import parse_source
 
 from conftest import counter_state, counter_vocabulary, random_program
 
@@ -82,3 +84,75 @@ def test_guard_term_shape():
     g = guard_term(clause.literals)
     # a Boolean term over and/not built from the conditions
     assert g.head in ("and", "not", "lt")
+
+
+MACHINES = Path(__file__).resolve().parent.parent / "machines"
+
+
+def test_normal_form_guards_share_prefixes(rng):
+    progs = [parse_source((MACHINES / name).read_text()).machine().program
+             for name in ("euclid.asm", "doubling.asm")]
+    progs += [random_program(rng, 4) for _ in range(25)]  # test_08's shape
+    shared = 0
+    for prog in progs:
+        gp = normalize(prog)
+        nf = to_program(gp)
+        assert len(nf.blocks) == len(gp.clauses)
+        nodes = {}  # literal prefix, conditions by identity -> its node
+        for cl, block in zip(gp.clauses, nf.blocks):
+            if not cl.literals:
+                assert block == Par(cl.instructions)
+                continue
+            assert block.then == Par(cl.instructions)
+            assert block.cond == guard_term(cl.literals)
+            g = block.cond
+            for n in range(len(cl.literals), 0, -1):
+                key = tuple((id(c), want) for c, want in cl.literals[:n])
+                if key in nodes:
+                    assert nodes[key] is g, (n, cl.literals)
+                    shared += 1
+                nodes[key] = g
+                g = g.args[0] if n > 1 else None
+    assert shared > 0
+
+
+def _hashing_normalize(p):
+    """The normalizer as it was before it indexed conditions: conditions
+    as dict keys, paths as (condition, sign) pairs.  Kept as the oracle
+    for clause order, instruction order and condition objects."""
+    conds, placed = [], []
+
+    def collect(q, path):
+        if isinstance(q, (Update, HaltI, FailI)):
+            placed.append((path, q))
+        elif isinstance(q, If):
+            if q.cond not in conds:
+                conds.append(q.cond)
+            collect(q.then, path + ((q.cond, True),))
+            collect(q.orelse, path + ((q.cond, False),))
+        elif isinstance(q, Par):
+            for b in q.blocks:
+                collect(b, path)
+
+    collect(p, ())
+    clauses = []
+    for signs in product((True, False), repeat=len(conds)):
+        env = dict(zip(conds, signs))
+        instrs = []
+        for path, ins in placed:
+            if all(env[c] == want for c, want in path) and ins not in instrs:
+                instrs.append(ins)
+        if instrs:
+            clauses.append(Clause(tuple(zip(conds, signs)), tuple(instrs)))
+    return GuardedProgram(tuple(conds), tuple(clauses))
+
+
+def test_normalize_matches_hashing_oracle(rng):
+    for _ in range(60):
+        prog = random_program(rng, 4)
+        got, want = normalize(prog), _hashing_normalize(prog)
+        assert got == want
+        assert all(a is b for a, b in zip(got.conditions, want.conditions))
+        for cg, cw in zip(got.clauses, want.clauses):
+            assert all(a is b for (a, _), (b, _) in zip(cg.literals, cw.literals))
+            assert all(a is b for a, b in zip(cg.instructions, cw.instructions))
