@@ -13,6 +13,30 @@ from typing import Callable, Iterable, Optional
 
 BOOL_SORT = "Bool"
 
+# The payload semantics of the builtin statics, each written once here.
+# Source files name them (``static rem : Nat Nat -> Nat = builtin rem``);
+# the Boolean connectives and one equality ``eq_<sort>`` per sort (with
+# the semantics of "eq") are in every vocabulary read from source, and
+# the compiler's constant signature falls back to them.
+BUILTINS: dict[str, Callable] = {
+    "zero": lambda: 0,
+    "succ": lambda a: a + 1,
+    "plus": lambda a, b: a + b,
+    "rem": lambda a, b: a % b if b != 0 else None,
+    "lt": lambda a, b: a < b,
+    "le": lambda a, b: a <= b,
+    "true": lambda: True,
+    "false": lambda: False,
+    "and": lambda a, b: a and b,
+    "or": lambda a, b: a or b,
+    "not": lambda a: not a,
+    "eq": lambda a, b: a == b,
+}
+
+# The Boolean connectives of BUILTINS and their arities; each maps
+# Bool^arity to Bool.
+CONNECTIVES = {"not": 1, "and": 2, "or": 2}
+
 
 # ---------------------------------------------------------------------------
 # Vocabulary
@@ -376,10 +400,6 @@ class Outcome:
     outputs: Optional[dict] = None
     reason: Optional[str] = None
     witness: Optional[tuple] = None
-
-    @property
-    def is_final(self) -> bool:
-        return self.kind != "continue"
 
 
 def _outputs(s: State) -> dict:

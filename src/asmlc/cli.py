@@ -11,7 +11,7 @@ import json
 import sys
 
 from .asm import program_symbols, run as asm_run
-from .compiler import compile_machine
+from .compiler import CompileError, compile_machine
 from .cosim import decoration_audit, lockstep, render_audit
 from .encodings import match_nat, nat
 from .lambda_f import bool_term, match_bool, standard_bool_signature, reduce_leftmost_f
@@ -113,8 +113,6 @@ def cmd_verify(args) -> int:
     sm = _load(args.file)
     machine = sm.machine()
     base = sm.state(_bindings(args.input))
-    cm = _compile(machine, base, args)
-    print(f"(K, L) = ({cm.K}, {cm.L})")
     inputs = sorted(s.name for s in machine.voc.symbols.values()
                     if s.kind == "static" and s.is_input)
     if args.grid and inputs:
@@ -122,13 +120,15 @@ def cmd_verify(args) -> int:
         cases = [dict(zip(inputs, combo)) for combo in itertools.product(*grids)]
     else:
         cases = [_bindings(args.input)]
+    states = [sm.state(binding) for binding in cases]  # every binding checked up front
+    cm = _compile(machine, base, args)
+    print(f"(K, L) = ({cm.K}, {cm.L})")
     # Input constants mentioned in the program body get folded into the
     # compiled term, so such machines are recompiled per assignment (and
     # must land on the same step counts every time).
     input_dependent = bool(set(inputs) & set(program_symbols(machine.program)))
     failures = 0
-    for binding in cases:
-        state = sm.state(binding)
+    for binding, state in zip(cases, states):
         if input_dependent:
             cmx = _compile(machine, state, args)
             if (cmx.K, cmx.L) != (cm.K, cm.L):
@@ -258,8 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a machine, an input or a compile the program
+    rejects ends in one ``error:`` line on stderr and exit status 1."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (CompileError, SourceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

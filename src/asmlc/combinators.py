@@ -27,9 +27,9 @@ to one code per slot, with theta compared by structural equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .encodings import case_n, I_TERM
+from .encodings import I_TERM, case_n, identity_chain
 from .engine import _STATUS_BOUNDARY, STATUS_NORMAL, _advance, signature_table
 from .good_terms import GoodTerm, const_count, to_term
 from .lambda_f import BOOL, FSignature, code_term, f_redexes, match_code
@@ -97,28 +97,23 @@ def pad(spec: PadSpec, f_redex_free: bool = False) -> Term:
         if K < 3:
             raise ValueError("F-redex-free padding needs K >= 3")
         core = App(Abs("z", App(discard, omega_chain(Var("z")))), code_term(_NU1))
-        return _i_apply(K - 3, core)
+        return identity_chain(K - 3, core)
     if L == 0:
         if K < 1:
             raise ValueError("padding needs K >= 1")
-        return _i_apply(K - 1, I_TERM)
+        return identity_chain(K - 1, I_TERM)
     if K < 2:
         raise ValueError("padding with F-work needs K >= 2")
-    return _i_apply(K - 2, App(discard, omega_chain(code_term(_NU1))))
-
-
-def _i_apply(n: int, t: Term) -> Term:
-    """I applied n times in front of t (n inert beta steps on arrival)."""
-    for _ in range(n):
-        t = App(I_TERM, t)
-    return t
+    return identity_chain(K - 2, App(discard, omega_chain(code_term(_NU1))))
 
 
 # ---------------------------------------------------------------------------
 # Branch combinators
 
 
-ExitPart = Union[GoodTerm, Term]
+# ``|`` unions, not typing.Union: typing caches each Union it builds, and
+# that cache would keep every copy of this module a re-import leaves behind.
+ExitPart = GoodTerm | Term
 
 
 @dataclass(frozen=True)
@@ -145,7 +140,7 @@ class ExitBranch:
             raise ValueError("exit branch needs at least one part")
 
 
-Branch = Union[UpdateBranch, ExitBranch]
+Branch = UpdateBranch | ExitBranch
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .asm import (
+    BUILTINS,
+    CONNECTIVES,
     FailI,
     HaltI,
     InitRule,
@@ -165,14 +167,12 @@ def lower_signature(voc: Vocabulary, state: State, slots: Sequence[SlotInfo]) ->
 
             sig.add(sym.name, sym.arg_sorts, sym.result_sort, totalized)
             sig.add("def_" + sym.name, sym.arg_sorts, BOOL, defined)
-    for name, fn in (("and", lambda a, b: a and b),
-                     ("or", lambda a, b: a or b),
-                     ("not", lambda a: not a)):
+    for name, arity in CONNECTIVES.items():
         if sig.get(name) is None:
-            sig.add(name, (BOOL,) * (1 if name == "not" else 2), BOOL, fn)
+            sig.add(name, (BOOL,) * arity, BOOL, BUILTINS[name])
     for sort in voc.sorts:
         if sig.get(f"eq_{sort}") is None:
-            sig.add(f"eq_{sort}", (sort, sort), BOOL, lambda a, b: a == b)
+            sig.add(f"eq_{sort}", (sort, sort), BOOL, BUILTINS["eq"])
         if sig.get(f"ite_{sort}") is None:
             sig.add(f"ite_{sort}", (BOOL, sort, sort), sort, lambda c, a, b: a if c else b)
     for info in slots:
@@ -482,10 +482,13 @@ def compile_machine(
 
 
 def _default_probes(machine, state, slots):
-    """Probe valuations from a 4-step run of the machine itself."""
+    """Probe valuations from a 4-step run of the machine itself.  Raises
+    CompileError first when a dynamic constant has no defined initial
+    value, since no slot code can stand for it."""
+    cm_like = CompiledMachine(machine, None, None, tuple(slots), None, ())
+    cm_like.initial_values(state)
     s0 = machine.initial_state(state)
     r = run_from_state(s0, machine.program, 4)
-    cm_like = CompiledMachine(machine, None, None, tuple(slots), None, ())
     probes = []
     for st in r.trajectory:
         vals = cm_like.slot_values_for_state(st, s0)

@@ -140,30 +140,3 @@ def reduce_cost(t: GoodTerm, sig: FSignature, valuations: Iterable[dict[str, Val
     if len(costs) != 1:
         raise RuntimeError(f"F-cost not value-independent: {sorted(costs)}")
     return costs.pop()
-
-
-def from_asm_term(t, voc, sorts_to_datatypes=None) -> GoodTerm:
-    """Translate a static-only ASM term (dynamic constants allowed, they
-    become variables) into a good term.  Sort names double as datatype
-    names unless a renaming is given."""
-    from .asm import TVar  # local to avoid import cycles
-
-    rename = sorts_to_datatypes or {}
-
-    def dt(sort: str) -> str:
-        return rename.get(sort, sort)
-
-    def walk(s) -> GoodTerm:
-        if isinstance(s, TVar):
-            return GVar(s.name, dt(s.sort))
-        sym = voc.symbol(s.head)
-        if sym.kind == "dynamic":
-            if sym.arity != 0:
-                raise ValueError(
-                    f"dynamic symbol {sym.name} has arity {sym.arity}; "
-                    "only dynamic constants translate directly"
-                )
-            return GVar(s.head, dt(sym.result_sort))
-        return GApp(s.head, tuple(walk(a) for a in s.args))
-
-    return walk(t)

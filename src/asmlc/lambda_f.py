@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .asm import BUILTINS, CONNECTIVES
 from .reduction import (
     Addr,
     ReduceResult,
@@ -106,17 +107,12 @@ class FSignature:
     def get(self, name: str) -> Optional[FFunction]:
         return self.functions.get(name)
 
-    def extend(self, other: "FSignature") -> "FSignature":
-        merged = dict(self.functions)
-        merged.update(other.functions)
-        return FSignature(merged)
-
 
 def standard_bool_signature() -> FSignature:
+    """The Boolean connectives over the Boolean datatype."""
     sig = FSignature()
-    sig.add("not", (BOOL,), BOOL, lambda a: not a)
-    sig.add("and", (BOOL, BOOL), BOOL, lambda a, b: a and b)
-    sig.add("or", (BOOL, BOOL), BOOL, lambda a, b: a or b)
+    for name, arity in CONNECTIVES.items():
+        sig.add(name, (BOOL,) * arity, BOOL, BUILTINS[name])
     return sig
 
 
@@ -179,10 +175,6 @@ def f_step(t: Term, at: Addr, sig: FSignature) -> Term:
     return replace_at(t, at, code_term(f.apply(vals)))
 
 
-def contains_f_redex(t: Term, sig: FSignature) -> bool:
-    return leftmost_f_redex(t, sig) is not None
-
-
 def is_normal_form(t: Term, sig: FSignature) -> bool:
     return leftmost_redex(t) is None and leftmost_f_redex(t, sig) is None
 
@@ -233,16 +225,6 @@ class DeltaType:
 
     def op_name(self, op: str) -> str:
         return f"{op}_{self.name}"
-
-
-@dataclass
-class DeltaSignature:
-    deltas: dict[str, DeltaType] = field(default_factory=dict)
-
-    def add(self, name, arg_datatypes, result_datatype) -> DeltaType:
-        d = DeltaType(name, tuple(arg_datatypes), result_datatype)
-        self.deltas[name] = d
-        return d
 
 
 def delta_semantics(op: str, args: tuple):

@@ -80,19 +80,18 @@ def normalize(p: Program) -> GuardedProgram:
     return GuardedProgram(tuple(conds), tuple(clauses))
 
 
-def guard_term(literals: tuple[Literal, ...], and_sym: str = "and",
-               not_sym: str = "not") -> Optional[TypedTerm]:
+def guard_term(literals: tuple[Literal, ...]) -> Optional[TypedTerm]:
     """The guard as one Boolean term; None for the empty conjunction."""
-    parts = [c if want else TApp(not_sym, (c,)) for c, want in literals]
+    parts = [c if want else TApp("not", (c,)) for c, want in literals]
     if not parts:
         return None
     t = parts[0]
     for q in parts[1:]:
-        t = TApp(and_sym, (t, q))
+        t = TApp("and", (t, q))
     return t
 
 
-def to_program(gp: GuardedProgram, and_sym: str = "and", not_sym: str = "not") -> Program:
+def to_program(gp: GuardedProgram) -> Program:
     """Re-materialize the guarded form as an ordinary program.
 
     Each guard is ``==`` to ``guard_term(cl.literals)``, but the guards
@@ -109,14 +108,14 @@ def to_program(gp: GuardedProgram, and_sym: str = "and", not_sym: str = "not") -
             if not want:
                 lit = negated.get(id(c))
                 if lit is None:
-                    lit = negated[id(c)] = TApp(not_sym, (c,))
+                    lit = negated[id(c)] = TApp("not", (c,))
             if g is None:
                 g = lit
                 continue
             key = (id(g), id(lit))
             node = conj.get(key)
             if node is None:
-                node = conj[key] = TApp(and_sym, (g, lit))
+                node = conj[key] = TApp("and", (g, lit))
             g = node
         body: Program = Par(cl.instructions)
         blocks.append(body if g is None else If(g, body))

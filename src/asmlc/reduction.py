@@ -60,12 +60,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def concat(self, other: "Trace") -> "Trace":
-        return Trace(self.steps + other.steps)
-
-
-EMPTY_TRACE = Trace(())
-
 
 @dataclass(frozen=True, slots=True)
 class ReduceResult:

@@ -26,10 +26,12 @@ Grammar (EBNF; '#' starts a comment running to end of line):
 Bool, its connectives (and/or/not, true/false) and one equality symbol
 per sort (eq_<sort>) are injected automatically.  Enumeration elements
 and numeric literals become nullary static constants.  Builtin statics:
-zero, succ, plus, rem (undefined at divisor 0), lt, le; every builtin
-and table result is clipped to the carrier (out of range = undefined).
-Input constants are bound when the state is built; unbound inputs
-default to the first carrier element.
+zero, succ, plus, rem (undefined at divisor 0), lt, le; their semantics,
+and those of the injected symbols, are the table ``asm.BUILTINS``.
+Every builtin and table result is clipped to the carrier (out of range
+= undefined).  Input constants are bound when the state is built, to
+values of their carriers; unbound inputs default to the first carrier
+element.
 """
 from __future__ import annotations
 
@@ -39,6 +41,8 @@ from typing import Optional
 
 from .asm import (
     BOOL_SORT,
+    BUILTINS,
+    CONNECTIVES,
     FailI,
     HaltI,
     If,
@@ -65,6 +69,8 @@ class Diagnostic:
     message: str
 
     def __str__(self):
+        if self.line == 0:  # not tied to a place in the source
+            return self.message
         return f"{self.line}:{self.column}: {self.message}"
 
 
@@ -112,20 +118,9 @@ class InitDecl:
     term: TypedTerm  # over TVar(param, sort)
 
 
-_BUILTINS = {
-    "zero": lambda: 0,
-    "succ": lambda a: a + 1,
-    "plus": lambda a, b: a + b,
-    "rem": lambda a, b: a % b if b != 0 else None,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "true": lambda: True,
-    "false": lambda: False,
-    "and": lambda a, b: a and b,
-    "or": lambda a, b: a or b,
-    "not": lambda a: not a,
-    "eq": lambda a, b: a == b,
-}
+# Injected into every vocabulary (besides eq_<sort>): name -> arity,
+# all over Bool.
+_INJECTED = {"true": 0, "false": 0, **CONNECTIVES}
 
 
 @dataclass
@@ -142,11 +137,9 @@ class SourceMachine:
         for st in self.statics:
             symbols[st.name] = Symbol(st.name, "static", st.arg_sorts, st.result,
                                       is_input=st.impl[0] == "input")
-        for name, arity, result in (("true", 0, BOOL_SORT), ("false", 0, BOOL_SORT),
-                                    ("not", 1, BOOL_SORT), ("and", 2, BOOL_SORT),
-                                    ("or", 2, BOOL_SORT)):
+        for name, arity in _INJECTED.items():
             symbols.setdefault(name, Symbol(name, "static",
-                                            (BOOL_SORT,) * arity, result))
+                                            (BOOL_SORT,) * arity, BOOL_SORT))
         for s in names:
             symbols.setdefault(f"eq_{s}", Symbol(f"eq_{s}", "static", (s, s), BOOL_SORT))
         for d in self.dynamics:
@@ -167,11 +160,25 @@ class SourceMachine:
         return m
 
     def state(self, bindings: Optional[dict[str, object]] = None) -> State:
+        """The state that binds the input constants to ``bindings``.
+        Raises SourceError for a name that is not a declared input and
+        for a value outside its input's carrier."""
         bindings = bindings or {}
         voc = self.vocabulary()
         carriers: dict[str, tuple] = {BOOL_SORT: (True, False)}
         for s in self.sorts:
             carriers[s.name] = s.carrier
+        inputs = {d.name: d.result for d in self.statics if d.impl[0] == "input"}
+        for name, value in bindings.items():
+            if name not in inputs:
+                raise SourceError([Diagnostic(0, 0, (
+                    f"{name} is not an input of this machine "
+                    f"(inputs: {', '.join(inputs) or 'none'})"))])
+            sort = inputs[name]
+            # True == 1, so a Bool must not pass for a number or back
+            if isinstance(value, bool) != (sort == BOOL_SORT) or value not in carriers[sort]:
+                raise SourceError([Diagnostic(0, 0, (
+                    f"input {name} = {value!r} is outside the carrier of {sort}"))])
         statics: dict = {}
         for sym in voc.symbols.values():
             if sym.kind != "static":
@@ -200,14 +207,14 @@ def _init_rule(decl: InitDecl) -> InitRule:
 def _semantics(sym: Symbol, decl: Optional[StaticDecl], bindings, carriers):
     if decl is None:  # injected connective or equality
         if sym.name.startswith("eq_"):
-            return _BUILTINS["eq"]
-        return _BUILTINS[sym.name]
+            return BUILTINS["eq"]
+        return BUILTINS[sym.name]
     kind = decl.impl[0]
     if kind == "builtin":
         name = decl.impl[1]
-        if name not in _BUILTINS:
+        if name not in BUILTINS:
             raise SourceError([Diagnostic(0, 0, f"unknown builtin {name}")])
-        return _BUILTINS[name]
+        return BUILTINS[name]
     if kind == "table":
         mapping = {tuple(r[:-1]): r[-1] for r in decl.impl[1]}
         return lambda *a: mapping.get(tuple(a))
@@ -240,11 +247,6 @@ _TOKEN = re.compile(
     r"|(?P<punct>[:=(){},])"
     r"|(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
 )
-
-_KEYWORDS = {"sort", "static", "input", "dynamic", "init", "program",
-             "builtin", "output", "skip", "halt", "fail", "if", "then",
-             "else", "par"}
-
 
 @dataclass
 class _Tok:
@@ -354,15 +356,6 @@ class _Ctx:
     statics: list[StaticDecl]
     dynamics: list[DynamicDecl]
 
-    def sort_of_symbol(self, name: str) -> Optional[str]:
-        for s in self.statics:
-            if s.name == name:
-                return s.result
-        for d in self.dynamics:
-            if d.name == name:
-                return d.result
-        return None
-
     def numeric_sort(self, p: _P, tok: _Tok) -> str:
         ranges = [s for s in self.sorts if not s.elements]
         if len(ranges) != 1:
@@ -417,7 +410,7 @@ def _parse_static(p: _P, ctx: _Ctx) -> StaticDecl:
     t = p.next()
     if t.kind == "ident" and t.text == "builtin":
         b = p.ident("builtin name")
-        if b not in _BUILTINS:
+        if b not in BUILTINS:
             p.error(t, f"unknown builtin {b!r}")
         return StaticDecl(name, args, result, ("builtin", b))
     if t.kind == "{":
@@ -516,7 +509,7 @@ def _known_symbol(ctx: _Ctx, name: str) -> bool:
         return True
     if any(d.name == name for d in ctx.dynamics):
         return True
-    if name in ("true", "false", "and", "or", "not"):
+    if name in _INJECTED:
         return True
     sorts = [BOOL_SORT] + [s.name for s in ctx.sorts]
     return name in (f"eq_{s}" for s in sorts)

@@ -1,7 +1,10 @@
-"""Shared random generators for terms, programs, and states."""
+"""Shared random generators for terms, programs, and states, and the
+loader of the bundled machines."""
 from __future__ import annotations
 
+import functools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +23,23 @@ from asmlc.asm import (
     Update,
     Vocabulary,
 )
+from asmlc.sourcefmt import SourceMachine, parse_source
 from asmlc.terms import Abs, App, Term, Var
+
+MACHINES = Path(__file__).resolve().parent.parent / "machines"
+
+
+@functools.cache
+def bundled(name: str) -> SourceMachine:
+    """``machines/<name>.asm``, parsed once per session."""
+    return parse_source((MACHINES / f"{name}.asm").read_text(encoding="utf-8"))
+
+
+# Inputs to compile each bundled machine at, and its (K, L) there.
+BUNDLED_COSTS = {"euclid": ({"a0": 1, "b0": 1}, (23, 8)),
+                 "doubling": ({"stop": 4}, (27, 65)),
+                 "fail": ({}, (18, 0)),
+                 "clash": ({}, (22, 0))}
 
 
 def random_term(rng: random.Random, size: int, pool=("a", "b", "c")) -> Term:

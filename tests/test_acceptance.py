@@ -17,15 +17,6 @@ from asmlc.encodings import match_nat, projection_cost
 from asmlc.engine import STATUS_NORMAL, advance_term, signature_table
 from asmlc.good_terms import reduce_cost, semantics, variables
 from asmlc.lambda_f import reduce_leftmost_f, standard_bool_signature
-from asmlc.machines import (
-    clash_machine,
-    doubling_machine,
-    doubling_state,
-    euclid_machine,
-    euclid_state,
-    fail_machine,
-    small_state,
-)
 from asmlc.normalize import check_equivalence, normalize, to_program
 from asmlc.reduction import (
     ConfluenceInconclusive,
@@ -35,6 +26,7 @@ from asmlc.reduction import (
 from asmlc.terms import App, Var, alpha_eq
 
 from conftest import (
+    bundled,
     counter_family,
     counter_state,
     counter_vocabulary,
@@ -46,11 +38,12 @@ from conftest import (
 
 def test_01_interpreter_gcd_grid():
     """gcd machine equals math.gcd on the full 1..50 square in < 5s."""
-    machine = euclid_machine()
+    sm = bundled("euclid")
+    machine = sm.machine()
     t0 = time.perf_counter()
     for a in range(1, 51):
         for b in range(1, 51):
-            r = run(machine, euclid_state(a, b), 1000)
+            r = run(machine, sm.state({"a0": a, "b0": b}), 1000)
             assert r.kind == "implicit-halt"
             assert r.outcome.outputs["a"] == math.gcd(a, b)
     elapsed = time.perf_counter() - t0
@@ -61,12 +54,13 @@ def test_01_interpreter_gcd_grid():
 def test_02_lockstep_gcd_grid():
     """Every machine step is exactly (K, L) reductions of the compiled
     term over the full 1..20 square, in < 60s."""
-    machine = euclid_machine()
-    cm = compile_machine(machine, euclid_state(1, 1))
+    sm = bundled("euclid")
+    machine = sm.machine()
+    cm = compile_machine(machine, sm.state({"a0": 1, "b0": 1}))
     t0 = time.perf_counter()
     for a in range(1, 21):
         for b in range(1, 21):
-            rep = lockstep(machine, cm, euclid_state(a, b))
+            rep = lockstep(machine, cm, sm.state({"a0": a, "b0": b}))
             assert rep.passed, (a, b, rep)
             assert all((r.beta_count, r.f_count) == (cm.K, cm.L)
                        for r in rep.rounds)
@@ -80,10 +74,9 @@ def test_03_fail_and_clash_exit_codes():
     """Failing and clashing machines reach their numeric exit codes as
     normal forms within a single block."""
     results = {}
-    for mk, want_kind, want_code in ((fail_machine, "fail", 2),
-                                     (clash_machine, "clash", 3)):
-        machine = mk()
-        state = small_state(machine)
+    for want_kind, want_code in (("fail", 2), ("clash", 3)):
+        sm = bundled(want_kind)
+        machine, state = sm.machine(), sm.state({})
         cm = compile_machine(machine, state)
         table = signature_table(cm.sig)
         t, beta, f, status = advance_term(cm.initial_term(state), table,
@@ -102,8 +95,8 @@ def test_04_delta_fidelity_lockstep():
     """The tabulating machine stays in lockstep and its difference list
     merges to exactly the machine's final table, in < 60s."""
     t0 = time.perf_counter()
-    machine = doubling_machine(stop=4)
-    state = doubling_state(stop=4)
+    sm = bundled("doubling")
+    machine, state = sm.machine(), sm.state({"stop": 4})
     cm = compile_machine(machine, state)
     rep = lockstep(machine, cm, state)
     assert rep.passed
@@ -203,8 +196,9 @@ def _corpus_good_terms():
     """Guards and update entries from the two compiled examples,
     paired with >= 3 defined valuations each."""
     out = []
-    for machine, state in ((euclid_machine(), euclid_state(9, 6)),
-                           (doubling_machine(stop=4), doubling_state(stop=4))):
+    for name, bindings in (("euclid", {"a0": 9, "b0": 6}), ("doubling", {"stop": 4})):
+        sm = bundled(name)
+        machine, state = sm.machine(), sm.state(bindings)
         cm = compile_machine(machine, state)
         r = run(machine, state, 100)
         s0 = machine.initial_state(state)

@@ -26,22 +26,12 @@ from asmlc.asm import (
     successor,
 )
 from asmlc.normalize import normalize, to_program
-from asmlc.machines import (
-    clash_machine,
-    doubling_machine,
-    doubling_state,
-    euclid_machine,
-    euclid_state,
-    fail_machine,
-    small_state,
-)
 
-from conftest import counter_state, counter_vocabulary, random_program
+from conftest import bundled, counter_state, counter_vocabulary, random_program
 
 
 def test_eval_ground_strict_none():
-    voc = euclid_machine().voc
-    s = euclid_state(6, 0)
+    s = bundled("euclid").state({"a0": 6, "b0": 0})
     # rem is undefined at divisor 0; strictness propagates upward
     t = TApp("rem", (TApp("a0"), TApp("b0")))
     assert eval_ground(s, t) is None
@@ -55,18 +45,19 @@ def test_eval_ground_strict_none():
 
 def test_gcd_against_math_oracle_grid():
     # oracle: math.gcd, over the full 1..30 square
-    machine = euclid_machine()
+    sm = bundled("euclid")
+    machine = sm.machine()
     for a in range(1, 31):
         for b in range(1, 31):
-            r = run(machine, euclid_state(a, b), 500)
+            r = run(machine, sm.state({"a0": a, "b0": b}), 500)
             assert r.kind == "implicit-halt"
             assert r.outcome.outputs["a"] == math.gcd(a, b)
 
 
 def test_gcd_trajectory_matches_hand_simulation():
     # oracle: direct simultaneous-assignment simulation in Python
-    machine = euclid_machine()
-    r = run(machine, euclid_state(36, 24), 100)
+    sm = bundled("euclid")
+    r = run(sm.machine(), sm.state({"a0": 36, "b0": 24}), 100)
     expect = []
     a, b = 36, 24
     expect.append((a, b))
@@ -78,12 +69,12 @@ def test_gcd_trajectory_matches_hand_simulation():
 
 
 def test_fail_and_clash_outcomes():
-    mf = fail_machine()
-    rf = run(mf, small_state(mf), 10)
+    sf = bundled("fail")
+    rf = run(sf.machine(), sf.state({}), 10)
     assert rf.kind == "fail" and len(rf.trajectory) == 1
 
-    mc = clash_machine()
-    rc = run(mc, small_state(mc), 10)
+    sc = bundled("clash")
+    rc = run(sc.machine(), sc.state({}), 10)
     assert rc.kind == "clash" and len(rc.trajectory) == 1
 
 
@@ -111,9 +102,8 @@ def test_fail_takes_precedence_over_clash_and_halt():
 
 def test_undefined_update_argument_fails():
     # rem(a0, b0) with b0 = 0 is undefined: the step fails
-    machine = euclid_machine()
-    voc = machine.voc
-    s = machine.initial_state(euclid_state(3, 0))
+    sm = bundled("euclid")
+    s = sm.machine().initial_state(sm.state({"a0": 3, "b0": 0}))
     prog = Update("a", (), TApp("rem", (TApp("a"), TApp("zero"))))
     assert successor(s, prog).kind == "fail"
 
@@ -127,8 +117,8 @@ def test_implicit_halt_when_no_update_active():
 
 
 def test_doubling_machine_tabulates():
-    machine = doubling_machine(stop=4)
-    r = run(machine, doubling_state(stop=4), 50)
+    sm = bundled("doubling")
+    r = run(sm.machine(), sm.state({"stop": 4}), 50)
     assert r.kind == "halt"
     f = r.outcome.outputs["f"]
     for i in range(4):
@@ -139,15 +129,16 @@ def test_doubling_machine_tabulates():
 
 
 def test_initial_dynamics_from_init_rules():
-    machine = doubling_machine()
-    s0 = doubling_state()
+    sm = bundled("doubling")
+    machine = sm.machine()
+    s0 = sm.state({"stop": 4})
     tables = initial_dynamics(machine.voc, s0, machine.init)
     assert tables["i"] == {(): 0}
     assert tables["f"] == {(i,): i for i in range(9)}
 
 
 def test_program_symbols():
-    machine = euclid_machine()
+    machine = bundled("euclid").machine()
     assert set(program_symbols(machine.program)) == {"lt", "zero", "b", "a", "rem"}
 
 

@@ -1,11 +1,11 @@
 import json
-from pathlib import Path
 
 import pytest
 
 from asmlc.cli import main
 
-MACHINES = Path(__file__).resolve().parent.parent / "machines"
+from conftest import BUNDLED_COSTS, MACHINES
+
 EUCLID = str(MACHINES / "euclid.asm")
 DOUBLING = str(MACHINES / "doubling.asm")
 
@@ -109,6 +109,73 @@ def test_verify_below_minima_is_one_error_line(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: requested (K,L)=(23,7) below the minima (23,8)\n"
+
+
+def test_verify_outside_carrier_is_one_error_line(capsys):
+    # the grid reaches b0 = 61, outside euclid's 0..60
+    code, out, err = run_cli_err(capsys, "verify", EUCLID, "--grid", "61")
+    assert code == 1
+    assert out == ""
+    assert err == "error: input b0 = 61 is outside the carrier of Nat\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("run", EUCLID, "--input", "zz=3"),
+     "zz is not an input of this machine (inputs: a0, b0)"),
+    (("run", EUCLID, "--input", "a0=100"),
+     "input a0 = 100 is outside the carrier of Nat"),
+    (("run", EUCLID, "--input", "a0=true"),
+     "input a0 = True is outside the carrier of Nat"),
+    (("verify", EUCLID, "--input", "a0=100", "--input", "b0=3"),
+     "input a0 = 100 is outside the carrier of Nat"),
+], ids=["unknown-name", "run-out-of-range", "bool-for-nat", "verify-out-of-range"])
+def test_bad_input_is_one_error_line(capsys, argv, message):
+    code, out, err = run_cli_err(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+NO_DYNAMICS = """\
+sort Nat = 0..4
+static zero : -> Nat = builtin zero
+program:
+  halt
+"""
+
+UNDEFINED_INIT = """\
+sort Nat = 0..4
+static zero : -> Nat = builtin zero
+static rem : Nat Nat -> Nat = builtin rem
+dynamic c : -> Nat output
+init c = rem(zero, zero)
+program:
+  halt
+"""
+
+
+@pytest.mark.parametrize("command, source, message", [
+    ("compile", NO_DYNAMICS, "machine has no dynamic symbols"),
+    ("compile", UNDEFINED_INIT, "dynamic constant c has no defined initial value"),
+    ("verify", UNDEFINED_INIT, "dynamic constant c has no defined initial value"),
+], ids=["no-dynamics", "undefined-init", "verify-undefined-init"])
+def test_compile_error_is_one_error_line(capsys, tmp_path, command, source, message):
+    path = tmp_path / "m.asm"
+    path.write_text(source)
+    code, out, err = run_cli_err(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("path", sorted(MACHINES.glob("*.asm")), ids=lambda p: p.stem)
+def test_verify_every_bundled_machine(capsys, path):
+    # --grid only takes effect on a machine with inputs
+    code, out = run_cli(capsys, "verify", str(path), "--grid", "3")
+    assert code == 0
+    K, L = BUNDLED_COSTS[path.stem][1]
+    assert out.splitlines()[0] == f"(K, L) = ({K}, {L})"
+    assert out.splitlines()[-1].endswith(f"runs in lockstep at ({K}, {L})")
 
 
 def test_verify_input_dependent_program(capsys):

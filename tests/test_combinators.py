@@ -30,11 +30,10 @@ from asmlc.lambda_f import (
     reduce_leftmost_f,
     standard_bool_signature,
 )
-from asmlc.machines import doubling_machine, doubling_state, euclid_machine, euclid_state
 from asmlc.reduction import Status, beta_step, leftmost_redex, reduce_leftmost
 from asmlc.terms import Abs, App, Var, alpha_eq, app
 
-from conftest import random_closed_term
+from conftest import bundled, random_closed_term
 
 
 def traced_block(t, theta, slots, sig, max_steps=100_000) -> BlockResult:
@@ -237,8 +236,9 @@ def test_resident_f_redex_rejected(nat_sig):
 def test_block_matches_traced_block_on_machine_probes(name):
     """Certification through the engine gives the traced loop's blocks
     on the default probes of the bundled machines."""
-    machine, state = {"euclid": (euclid_machine(), euclid_state(6, 4)),
-                      "doubling": (doubling_machine(stop=4), doubling_state(stop=4))}[name]
+    sm = bundled(name)
+    machine = sm.machine()
+    state = sm.state({"euclid": {"a0": 6, "b0": 4}, "doubling": {"stop": 4}}[name])
     cm = compile_machine(machine, state)
     slots = [s.as_slot() for s in cm.slots]
     probes = _default_probes(machine, state, cm.slots)

@@ -15,25 +15,16 @@ from asmlc.compiler import (
 from asmlc.combinators import reduce_one_block, static_f_work
 from asmlc.engine import advance_term, signature_table
 from asmlc.lambda_f import Value, code_term
-from asmlc.machines import (
-    clash_machine,
-    doubling_machine,
-    doubling_state,
-    euclid_machine,
-    euclid_state,
-    fail_machine,
-    small_state,
-)
 from asmlc.terms import app
 
-from conftest import counter_family
+from conftest import BUNDLED_COSTS, bundled, counter_family
 
 
 @pytest.fixture(scope="module")
 def euclid():
-    machine = euclid_machine()
-    cm = compile_machine(machine, euclid_state(1, 1))
-    return machine, cm
+    sm = bundled("euclid")
+    machine = sm.machine()
+    return machine, compile_machine(machine, sm.state({"a0": 1, "b0": 1}))
 
 
 def _run_compiled(cm, state, max_rounds=200):
@@ -64,38 +55,40 @@ def test_manifest_contents(euclid):
 def test_compiled_gcd_matches_math_oracle(euclid):
     machine, cm = euclid
     for a, b in ((4, 6), (9, 9), (35, 21), (17, 5), (60, 48)):
-        d, _ = _run_compiled(cm, euclid_state(a, b))
+        d, _ = _run_compiled(cm, bundled("euclid").state({"a0": a, "b0": b}))
         assert d.kind == "success"
         assert d.outputs["a"].payload == math.gcd(a, b)
 
 
 def test_success_exit_in_exact_final_block(euclid):
     machine, cm = euclid
-    d, counts = _run_compiled(cm, euclid_state(8, 6))
+    d, counts = _run_compiled(cm, bundled("euclid").state({"a0": 8, "b0": 6}))
     assert d.kind == "success"
     assert counts == (cm.K, cm.L)  # the exit lands inside one block
 
 
 def test_fail_machine_compiles_to_fail_code():
-    machine = fail_machine()
-    cm = compile_machine(machine, small_state(machine))
-    d, counts = _run_compiled(cm, small_state(machine))
+    sm = bundled("fail")
+    state = sm.state({})
+    cm = compile_machine(sm.machine(), state)
+    d, counts = _run_compiled(cm, state)
     assert d.kind == "fail"
     assert counts == (cm.K, cm.L)
 
 
 def test_clash_machine_compiles_to_clash_code():
-    machine = clash_machine()
-    cm = compile_machine(machine, small_state(machine))
-    d, counts = _run_compiled(cm, small_state(machine))
+    sm = bundled("clash")
+    state = sm.state({})
+    cm = compile_machine(sm.machine(), state)
+    d, counts = _run_compiled(cm, state)
     assert d.kind == "clash"
     assert counts == (cm.K, cm.L)
 
 
 def test_delta_machine_tabulates():
-    machine = doubling_machine(stop=4)
-    state = doubling_state(stop=4)
-    cm = compile_machine(machine, state)
+    sm = bundled("doubling")
+    state = sm.state({"stop": 4})
+    cm = compile_machine(sm.machine(), state)
     d, _ = _run_compiled(cm, state)
     assert d.kind == "success"
     delta = delta_as_map(d.outputs["f"])
@@ -105,21 +98,21 @@ def test_delta_machine_tabulates():
 
 
 def test_headroom_requests_exact():
-    machine = euclid_machine()
-    base = compile_machine(machine, euclid_state(1, 1))
-    cm = compile_machine(machine, euclid_state(1, 1),
-                         K=base.K + 3, L=base.L + 2)
+    sm = bundled("euclid")
+    machine, state = sm.machine(), sm.state({"a0": 1, "b0": 1})
+    base = compile_machine(machine, state)
+    cm = compile_machine(machine, state, K=base.K + 3, L=base.L + 2)
     assert (cm.K, cm.L) == (base.K + 3, base.L + 2)
     base_cost = base.manifest()["cost"]
     moved = {k for k, v in cm.manifest()["cost"].items() if v != base_cost[k]}
     assert moved == {"pad_K", "pad_L"}
-    d, counts = _run_compiled(cm, euclid_state(10, 4))
+    d, counts = _run_compiled(cm, sm.state({"a0": 10, "b0": 4}))
     assert d.kind == "success" and counts == (cm.K, cm.L)
 
 
 def test_decode_running_state(euclid):
     machine, cm = euclid
-    state = euclid_state(6, 4)
+    state = bundled("euclid").state({"a0": 6, "b0": 4})
     table = signature_table(cm.sig)
     t, beta, f, _ = advance_term(cm.initial_term(state), table, cm.K + cm.L)
     d = decode_result(t, cm)
@@ -127,11 +120,14 @@ def test_decode_running_state(euclid):
     assert [v.payload for v in d.values] == [4, 2]  # (a, b) after one step
 
 
+def _bundled_case(name: str):
+    sm = bundled(name)
+    return sm.machine(), sm.state(BUNDLED_COSTS[name][0])
+
+
 FORMULA_CASES = {
-    "euclid": (lambda: (euclid_machine(), euclid_state(1, 1)), (23, 8)),
-    "doubling": (lambda: (doubling_machine(), doubling_state()), (27, 65)),
-    "fail": (lambda: (fail_machine(), small_state(fail_machine())), (18, 0)),
-    "clash": (lambda: (clash_machine(), small_state(clash_machine())), (22, 0)),
+    **{name: (lambda name=name: _bundled_case(name), kl)
+       for name, (_, kl) in BUNDLED_COSTS.items()},
     **{f"counter-{n}": (lambda n=n: counter_family(n), None) for n in range(1, 6)},
 }
 

@@ -5,26 +5,20 @@ from asmlc.compiler import compile_machine
 from asmlc.cosim import decoration_audit, lockstep, render_audit
 from asmlc.lambda_f import FFunction, FSignature
 from asmlc.terms import App, Var, lam
-from asmlc.machines import (
-    clash_machine,
-    doubling_machine,
-    doubling_state,
-    euclid_machine,
-    euclid_state,
-    fail_machine,
-    small_state,
-)
+
+from conftest import bundled
 
 
 @pytest.fixture(scope="module")
 def euclid_cm():
-    machine = euclid_machine()
-    return machine, compile_machine(machine, euclid_state(1, 1))
+    sm = bundled("euclid")
+    machine = sm.machine()
+    return machine, compile_machine(machine, sm.state({"a0": 1, "b0": 1}))
 
 
 def test_lockstep_gcd(euclid_cm):
     machine, cm = euclid_cm
-    rep = lockstep(machine, cm, euclid_state(36, 24))
+    rep = lockstep(machine, cm, bundled("euclid").state({"a0": 36, "b0": 24}))
     assert rep.passed
     assert all(r.match for r in rep.rounds)
     assert all((r.beta_count, r.f_count) == (cm.K, cm.L) for r in rep.rounds)
@@ -35,22 +29,23 @@ def test_lockstep_small_grid(euclid_cm):
     machine, cm = euclid_cm
     for a in range(1, 8):
         for b in range(1, 8):
-            assert lockstep(machine, cm, euclid_state(a, b)).passed
+            assert lockstep(machine, cm, bundled("euclid").state({"a0": a, "b0": b})).passed
 
 
 def test_lockstep_fail_and_clash():
-    for mk, kind in ((fail_machine, "fail"), (clash_machine, "clash")):
-        machine = mk()
-        cm = compile_machine(machine, small_state(machine))
-        rep = lockstep(machine, cm, small_state(machine))
+    for kind in ("fail", "clash"):
+        sm = bundled(kind)
+        machine, state = sm.machine(), sm.state({})
+        cm = compile_machine(machine, state)
+        rep = lockstep(machine, cm, state)
         assert rep.passed
         assert len(rep.rounds) == 1
         assert rep.rounds[0].kind == kind
 
 
 def test_lockstep_delta_machine():
-    machine = doubling_machine(stop=4)
-    state = doubling_state(stop=4)
+    sm = bundled("doubling")
+    machine, state = sm.machine(), sm.state({"stop": 4})
     cm = compile_machine(machine, state)
     rep = lockstep(machine, cm, state)
     assert rep.passed
@@ -59,13 +54,14 @@ def test_lockstep_delta_machine():
 
 def test_lockstep_detects_wrong_constants():
     # a deliberately mis-budgeted run must be flagged, not passed
-    machine = euclid_machine()
-    cm = compile_machine(machine, euclid_state(1, 1))
+    sm = bundled("euclid")
+    machine = sm.machine()
+    cm = compile_machine(machine, sm.state({"a0": 1, "b0": 1}))
     broken = type(cm.combinator)(
         cm.combinator.theta, cm.K + 1, cm.L, cm.combinator.slots,
         cm.combinator.branches, cm.combinator.K_min, cm.combinator.L_min)
     bad = type(cm)(cm.machine, cm.guarded, broken, cm.slots, cm.sig, cm.outputs)
-    rep = lockstep(machine, bad, euclid_state(6, 4))
+    rep = lockstep(machine, bad, sm.state({"a0": 6, "b0": 4}))
     assert not rep.passed
     last = rep.rounds[-1]
     assert not last.match and last.kind == "undecodable"
@@ -80,7 +76,7 @@ def test_lockstep_reports_state_mismatch(euclid_cm):
         Update("b", (), TApp("rem", (TApp("a"), TApp("b")))),
     )))
     other = Machine(machine.voc, program, machine.init)
-    rep = lockstep(other, cm, euclid_state(6, 4))
+    rep = lockstep(other, cm, bundled("euclid").state({"a0": 6, "b0": 4}))
     assert not rep.passed
     last = rep.rounds[-1]
     assert (last.index, last.kind, last.match) == (1, "running", False)
@@ -93,7 +89,7 @@ def test_lockstep_reports_undefined_application(euclid_cm):
     functions["rem"] = FFunction("rem", ("Nat", "Nat"), "Nat", lambda a, b: None)
     bad = type(cm)(cm.machine, cm.guarded, cm.combinator, cm.slots,
                    FSignature(functions), cm.outputs)
-    rep = lockstep(machine, bad, euclid_state(6, 4))
+    rep = lockstep(machine, bad, bundled("euclid").state({"a0": 6, "b0": 4}))
     assert rep.verdict == "fail"
     last = rep.rounds[-1]
     assert (last.index, last.kind, last.match) == (1, "undefined", False)
@@ -110,7 +106,7 @@ def test_lockstep_note_bounds_the_block_search(euclid_cm):
         looping, cm.K, cm.L, cm.combinator.slots,
         cm.combinator.branches, cm.combinator.K_min, cm.combinator.L_min)
     bad = type(cm)(cm.machine, cm.guarded, broken, cm.slots, cm.sig, cm.outputs)
-    rep = lockstep(machine, bad, euclid_state(6, 4))
+    rep = lockstep(machine, bad, bundled("euclid").state({"a0": 6, "b0": 4}))
     last = rep.rounds[-1]
     assert (last.index, last.kind, last.match) == (1, "undecodable", False)
     assert f"no block boundary within {4 * (cm.K + cm.L)} steps" in last.note

@@ -8,7 +8,6 @@ from asmlc.good_terms import (
     GVar,
     check_good,
     const_count,
-    from_asm_term,
     reduce_cost,
     semantics,
     substitute_codes,
@@ -16,10 +15,12 @@ from asmlc.good_terms import (
     variables,
 )
 from asmlc.lambda_f import BOOL, FSignature, Value, reduce_leftmost_f, match_code
-from asmlc.machines import euclid_machine
 from asmlc.asm import TApp
+from asmlc.compiler import G_TRUE, Translator, lower_signature, make_slots
 from asmlc.reduction import Status
 from asmlc.terms import Const
+
+from conftest import bundled
 
 
 @pytest.fixture
@@ -88,10 +89,17 @@ def test_to_term_structure():
     assert term.fun == Const("not")
 
 
-def test_from_asm_term():
-    machine = euclid_machine()
-    g = from_asm_term(TApp("lt", (TApp("zero"), TApp("b"))), machine.voc)
+def test_translator_turns_dynamic_constants_into_variables():
+    sm = bundled("euclid")
+    machine = sm.machine()
+    slots = make_slots(machine.voc)
+    sig, partials = lower_signature(machine.voc, sm.state({}), slots)
+    tr = Translator(machine.voc, machine.init, {s.symbol: s for s in slots}, partials)
+    tr._sig = sig
+    g, defined = tr.value_and_def(TApp("lt", (TApp("zero"), TApp("b"))))
     assert isinstance(g, GApp) and g.symbol == "lt"
-    # dynamic constants become variables; static leaves stay symbols
-    kinds = {v.name for v in variables(g)}
-    assert kinds == {"b"}
+    # dynamic constants become variables; variable-free static leaves
+    # fold to their codes; lt and zero are total, so no guard is needed
+    assert {v.name for v in variables(g)} == {"b"}
+    assert g.args[0] == GCode(Value("Nat", 0))
+    assert defined == G_TRUE

@@ -1,11 +1,16 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module,
+and every name a module defines at top level is referred to somewhere."""
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "asmlc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "asmlc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# Where a reference counts: the package, its tests and both benchmarks.
+SCANNED = ("src", "tests", "benchmarks", "perfbench")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -19,3 +24,41 @@ def test_no_unused_imports(path):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert not imported - used, f"unused imports in {path.name}: {sorted(imported - used)}"
+
+
+def _top_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+@functools.cache
+def _referenced() -> frozenset:
+    """Every name read, imported or looked up by attribute in a scanned
+    file, and every string that is an identifier: perfbench's tracer
+    finds the functions it wraps by name."""
+    out = set()
+    for path in (p for d in SCANNED for p in (ROOT / d).rglob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, ast.alias):
+                out.add(n.name)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                    and n.value.isidentifier():
+                out.add(n.value)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_top_level_names(path):
+    names = {n for n in _top_level_names(ast.parse(path.read_text()))
+             if not (n.startswith("__") and n.endswith("__"))}
+    unreferenced = sorted(names - _referenced())
+    assert not unreferenced, f"nothing refers to {path.name}: {unreferenced}"

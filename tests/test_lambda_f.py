@@ -4,14 +4,13 @@ from asmlc.lambda_f import (
     BOOL,
     FALSE_TERM,
     TRUE_TERM,
+    DeltaType,
     FSignature,
     UndefinedApplication,
     Value,
     bool_term,
     code_term,
-    contains_f_redex,
     delta_semantics,
-    DeltaSignature,
     f_redexes,
     f_step,
     install_delta,
@@ -93,7 +92,7 @@ def test_normal_form_predicate(sig):
     assert is_normal_form(TRUE_TERM, sig)
     assert not is_normal_form(App(Const("not"), TRUE_TERM), sig)
     assert not is_normal_form(App(Abs("x", Var("x")), Var("y")), sig)
-    assert not contains_f_redex(TRUE_TERM, sig)
+    assert leftmost_f_redex(TRUE_TERM, sig) is None
 
 
 def test_leftmost_f_redex_prefix_order(sig):
@@ -118,8 +117,7 @@ def test_delta_semantics_oracle():
 
 
 def test_install_delta_and_reduce(sig):
-    ds = DeltaSignature()
-    d = ds.add("cell", ("Nat",), "Nat")
+    d = DeltaType("cell", ("Nat",), "Nat")
     install_delta(sig, d, totalize_default=0)
     empty = Code(Value(d.list_datatype, ()))
     t = app(Const(d.op_name("Add")), empty, Code(Value("Nat", 1)), Code(Value("Nat", 5)))

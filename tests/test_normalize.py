@@ -1,5 +1,4 @@
 from itertools import product
-from pathlib import Path
 
 from asmlc.asm import FailI, HaltI, If, Par, Skip, TApp, Update
 from asmlc.normalize import (
@@ -12,9 +11,8 @@ from asmlc.normalize import (
     to_program,
     true_guard_count,
 )
-from asmlc.sourcefmt import parse_source
 
-from conftest import counter_state, counter_vocabulary, random_program
+from conftest import bundled, counter_state, counter_vocabulary, random_program
 
 
 def test_guards_are_full_conjunctions_and_exclusive():
@@ -86,12 +84,8 @@ def test_guard_term_shape():
     assert g.head in ("and", "not", "lt")
 
 
-MACHINES = Path(__file__).resolve().parent.parent / "machines"
-
-
 def test_normal_form_guards_share_prefixes(rng):
-    progs = [parse_source((MACHINES / name).read_text()).machine().program
-             for name in ("euclid.asm", "doubling.asm")]
+    progs = [bundled(name).machine().program for name in ("euclid", "doubling")]
     progs += [random_program(rng, 4) for _ in range(25)]  # test_08's shape
     shared = 0
     for prog in progs:

@@ -1,5 +1,4 @@
 import math
-from pathlib import Path
 
 import pytest
 
@@ -10,7 +9,7 @@ from asmlc.sourcefmt import (
     print_source,
 )
 
-MACHINES = Path(__file__).resolve().parent.parent / "machines"
+from conftest import MACHINES
 
 EUCLID = (MACHINES / "euclid.asm").read_text()
 DOUBLING = (MACHINES / "doubling.asm").read_text()
@@ -39,6 +38,25 @@ def test_inputs_default_to_first_carrier_element():
     r = run(sm.machine(), sm.state({}), 50)  # a0 = b0 = 0
     assert r.kind == "implicit-halt"
     assert r.outcome.outputs["a"] == 0
+
+
+def test_state_rejects_bad_bindings():
+    sm = parse_source("""
+sort Color = {red, green}
+input c : Color
+input flag : Bool
+dynamic d : -> Color
+init d = c
+program:
+  skip
+""")
+    assert sm.state({"c": "green", "flag": False}).statics["c"]() == "green"
+    for bindings, message in (({"x": 1}, "x is not an input of this machine (inputs: c, flag)"),
+                              ({"c": "blue"}, "input c = 'blue' is outside the carrier of Color"),
+                              ({"flag": 1}, "input flag = 1 is outside the carrier of Bool")):
+        with pytest.raises(SourceError) as e:
+            sm.state(bindings)
+        assert str(e.value) == message
 
 
 def test_printer_roundtrip():
