@@ -50,6 +50,8 @@ def _bindings(pairs: list[str]) -> dict:
 
 
 def _show(v) -> str:
+    if v is None:
+        return "undefined"
     if v is True:
         return "true"
     if v is False:
@@ -77,16 +79,17 @@ def cmd_run(args) -> int:
     machine = sm.machine()
     state = sm.state(_bindings(args.input))
     result = asm_run(machine, state, args.max_steps)
+    constants = {s.name for s in machine.voc.symbols.values() if s.arity == 0}
     for i, st in enumerate(result.trajectory):
         snap = ", ".join(
-            f"{name}={_show(table[()] if set(table) == {()} else table)}"
+            f"{name}={_show(table.get(()) if name in constants else table)}"
             for name, table in sorted(st.dynamics.items()))
         print(f"step {i}: {snap}")
     print(f"outcome: {result.kind}")
-    if result.outcome is not None and result.outcome.outputs:
-        for name, v in sorted(result.outcome.outputs.items()):
-            print(f"output {name} = {_show(v)}")
-    return 0 if result.kind != "diverged" else 1
+    outputs = result.outcome.outputs or {}
+    for name, v in sorted(outputs.items()):
+        print(f"output {name} = {_show(v)}")
+    return 1 if result.kind == "diverged" or None in outputs.values() else 0
 
 
 def cmd_normalize(args) -> int:

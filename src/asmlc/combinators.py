@@ -42,7 +42,6 @@ from .terms import (
     Var,
     alpha_eq,
     app,
-    free_vars,
     lam,
 )
 
@@ -51,7 +50,7 @@ def curry_fixpoint(f: Term) -> Term:
     """(λx.f(xx))(λx.f(xx)); one leftmost beta step yields f applied to
     the fixpoint itself."""
     x = "x"
-    while x in free_vars(f):
+    while x in f.fv:
         x += "'"
     half = Abs(x, App(f, App(Var(x), Var(x))))
     return App(half, half)
@@ -232,8 +231,8 @@ def _build_theta(
     guards = [to_term(b.guard) for b in branches]
     body = app(case_n(len(branches)), *branch_terms, *guards)
     g = lam([w] + names, body)
-    if free_vars(g):
-        raise ValueError(f"combinator body has stray free variables: {free_vars(g)}")
+    if g.fv:
+        raise ValueError(f"combinator body has stray free variables: {g.fv}")
     return curry_fixpoint(g)
 
 

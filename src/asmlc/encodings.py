@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .reduction import Status, reduce_leftmost
-from .terms import Abs, App, Term, Var, app, free_vars, lam
+from .terms import Abs, App, Term, Var, app, lam
 from .lambda_f import FALSE_TERM, TRUE_TERM, bool_term, match_bool
 
 I_TERM: Term = Abs("u", Var("u"))
@@ -34,7 +34,7 @@ def _fresh_binder(base: str, avoid: frozenset[str]) -> str:
 
 def tup(*items: Term) -> Term:
     """The tuple term: one binder applied to all components."""
-    z = _fresh_binder("z", frozenset().union(*(free_vars(u) for u in items)) if items else frozenset())
+    z = _fresh_binder("z", frozenset().union(*(u.fv for u in items)))
     return Abs(z, app(Var(z), *items))
 
 

@@ -12,19 +12,17 @@ candidate is the prefix carrying exactly ``arity`` arguments (so an
 over-applied ``(f a b) c`` still fires), and the only beta candidate is
 ``h a1`` when ``h`` is an abstraction.
 
-Within one call the engine keeps three memos keyed by ``id``:
-
-- subterms already found to contain no F-redex;
-- subterms already found beta-normal;
-- free-variable sets.
-
-Both redex properties are inherited by every subterm, and a step
-rebuilds only the path from the root to the redex plus the contractum,
-so a memo hit covers a whole subtree the step left untouched.
-Substitution consults the free-variable memo and returns every subterm
-in which the variable is not free unchanged, closed terms included.
-Every memo stores the node itself, so no ``id`` is reused while the memo
-lives, and the memos live for one call only.
+The search prunes by the facts each node carries (``terms``): a node
+without ``beta`` holds no beta redex, and a node without ``const`` holds
+no F-redex.  Substitution returns every subterm in which the variable
+is not in ``fv`` unchanged, closed terms included.  Whether a node with
+``const`` holds an F-redex depends on the signature table, so within one
+call the engine keeps one memo, keyed by ``id``, of the subterms already
+found to contain no F-redex.  That property is inherited by every
+subterm, and a step rebuilds only the path from the root to the redex
+plus the contractum, so a memo hit covers a whole subtree the step left
+untouched.  The memo stores the node itself, so no ``id`` is reused
+while it lives, and it lives for one call only.
 
 ``KERNEL_NAME`` names the implementation for benchmark records.
 """
@@ -40,8 +38,6 @@ STATUS_NORMAL = 0
 STATUS_RAN = 1
 STATUS_UNDEFINED = 2
 _STATUS_BOUNDARY = 3
-
-_EMPTY: frozenset = frozenset()
 
 
 def signature_table(sig: FSignature) -> dict:
@@ -70,52 +66,47 @@ def _unwind(t: App) -> tuple[list, Term]:
     return spine, t
 
 
+def _subst(t: Term, name: str, repl: Term) -> Term:
+    """Capture-avoiding ``t[repl/name]``."""
+    if name not in t.fv:
+        return t
+    tp = type(t)
+    if tp is Var:
+        return repl
+    if tp is App:
+        return App(_subst(t.fun, name, repl), _subst(t.arg, name, repl))
+    binder, body = t.binder, t.body
+    if binder in repl.fv:
+        fresh = fresh_name(binder)
+        body = _subst(body, binder, Var(fresh))
+        binder = fresh
+    return Abs(binder, _subst(body, name, repl))
+
+
+def _beta_step(t: Term):
+    """``t`` with its leftmost beta redex contracted, or None."""
+    if not t.beta:
+        return None
+    if type(t) is Abs:
+        return Abs(t.binder, _beta_step(t.body))
+    spine, head = _unwind(t)
+    n = len(spine)
+    if type(head) is Abs:
+        return _rebuild(spine, n - 1, _subst(head.body, head.binder, spine[n - 1].arg))
+    # The head is no abstraction, so some argument holds the redex.
+    for i in range(n - 1, -1, -1):
+        node = spine[i]
+        if node.arg.beta:
+            return _rebuild(spine, i, App(node.fun, _beta_step(node.arg)))
+
+
 class _Reducer:
-    """Leftmost F-step and beta step over one signature table, sharing
-    the memos of one call."""
+    """Leftmost F-step over one signature table, with the F-redex-free
+    memo of one call."""
 
     def __init__(self, table: dict):
         self.table = table
         self.f_free: dict = {}  # id -> node with no F-redex inside
-        self.beta_normal: dict = {}  # id -> node with no beta redex inside
-        self.fv: dict = {}  # id -> (node, free variables)
-
-    def free(self, t: Term) -> frozenset:
-        hit = self.fv.get(id(t))
-        if hit is not None:
-            return hit[1]
-        tp = type(t)
-        if tp is Var:
-            out = frozenset((t.name,))
-        elif tp is Abs:
-            out = self.free(t.body)
-            if t.binder in out:
-                out = out - {t.binder}
-        elif tp is App:
-            a = self.free(t.fun)
-            b = self.free(t.arg)
-            out = a | b if a and b else a or b
-        else:
-            out = _EMPTY
-        self.fv[id(t)] = (t, out)
-        return out
-
-    def subst(self, t: Term, name: str, repl: Term, repl_free: frozenset) -> Term:
-        """Capture-avoiding ``t[repl/name]``."""
-        if name not in self.free(t):
-            return t
-        tp = type(t)
-        if tp is Var:
-            return repl
-        if tp is App:
-            return App(self.subst(t.fun, name, repl, repl_free),
-                       self.subst(t.arg, name, repl, repl_free))
-        binder, body = t.binder, t.body
-        if binder in repl_free:
-            fresh = fresh_name(binder)
-            body = self.subst(body, binder, Var(fresh), frozenset((fresh,)))
-            binder = fresh
-        return Abs(binder, self.subst(body, name, repl, repl_free))
 
     def _fire(self, head: Const, entry: tuple, spine: list, n: int):
         """The contractum of the prefix ``head a1 ... a_arity`` of the
@@ -147,7 +138,7 @@ class _Reducer:
 
     def f_step(self, t: Term):
         """``t`` with its leftmost F-redex contracted, or None."""
-        if id(t) in self.f_free:
+        if not t.const or id(t) in self.f_free:
             return None
         tp = type(t)
         if tp is App:
@@ -184,34 +175,6 @@ class _Reducer:
         self.f_free[id(t)] = t
         return None
 
-    def beta_step(self, t: Term):
-        """``t`` with its leftmost beta redex contracted, or None."""
-        if id(t) in self.beta_normal:
-            return None
-        tp = type(t)
-        if tp is App:
-            spine, head = _unwind(t)
-            n = len(spine)
-            if type(head) is Abs:
-                arg = spine[n - 1].arg
-                body = self.subst(head.body, head.binder, arg, self.free(arg))
-                return _rebuild(spine, n - 1, body)
-            for i in range(n - 1, -1, -1):
-                node = spine[i]
-                new = self.beta_step(node.arg)
-                if new is not None:
-                    return _rebuild(spine, i, App(node.fun, new))
-            beta_normal = self.beta_normal
-            for node in spine:
-                beta_normal[id(node)] = node
-            return None
-        if tp is Abs:
-            new = self.beta_step(t.body)
-            if new is not None:
-                return Abs(t.binder, new)
-        self.beta_normal[id(t)] = t
-        return None
-
 
 def _advance(t: Term, sig_table: dict, max_steps: int, boundary=None):
     """The shared reduction loop: up to ``max_steps`` F-first leftmost
@@ -234,7 +197,7 @@ def _advance(t: Term, sig_table: dict, max_steps: int, boundary=None):
             raise
         is_beta = new is None
         if is_beta:
-            new = r.beta_step(t)
+            new = _beta_step(t)
             if new is None:
                 return t, beta, f, STATUS_NORMAL
         if beta + f == max_steps:

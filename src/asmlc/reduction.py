@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
-from .terms import Abs, App, Term, Var, canonical, free_vars, term_size
+from .terms import Abs, App, Term, Var, canonical, term_size
 
 sys.setrecursionlimit(100_000)
 
@@ -104,7 +104,7 @@ def fresh_name(base: str) -> str:
 
 def substitute(body: Term, var: str, replacement: Term) -> Term:
     """Capture-avoiding substitution body[replacement/var]."""
-    repl_free = free_vars(replacement)
+    repl_free = replacement.fv
 
     def walk(t: Term) -> Term:
         if isinstance(t, Var):
@@ -112,7 +112,7 @@ def substitute(body: Term, var: str, replacement: Term) -> Term:
         if isinstance(t, App):
             return App(walk(t.fun), walk(t.arg))
         if isinstance(t, Abs):
-            if t.binder == var or var not in free_vars(t.body):
+            if t.binder == var or var not in t.body.fv:
                 return t
             if t.binder in repl_free:
                 fresh = fresh_name(t.binder)

@@ -1,16 +1,28 @@
 """Untyped lambda terms with constants and opaque value codes.
 
-Term trees are immutable; all helpers below are pure.  Alpha-equivalence
-is decided through a canonical renaming of binders (position-indexed),
-so canonical terms can be hashed and compared structurally.
+Term nodes are immutable: assigning to or deleting any attribute raises
+``dataclasses.FrozenInstanceError``.  Equality, hashing and ``repr`` are
+those of frozen dataclasses over the fields.  Each node also carries
+three facts, computed once when it is built from its children's facts
+and kept out of equality, hashing and ``repr``:
+
+- ``fv``: the frozenset of its free variables;
+- ``beta``: whether it contains a beta redex;
+- ``const``: whether it contains a ``Const`` node.
+
+Alpha-equivalence is decided through a canonical renaming of binders
+(position-indexed), so canonical terms can be hashed and compared
+structurally.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterator, NamedTuple
 
 
 BOOL = "Bool"
+
+_EMPTY: frozenset = frozenset()
 
 
 class Value(NamedTuple):
@@ -26,42 +38,139 @@ class Value(NamedTuple):
 
 
 class Term:
+    """Base of the node classes.  ``__match_args__`` lists each class's
+    fields.  Constructors write their slots through the slot descriptors
+    (bound once per class below), since ``__setattr__`` refuses."""
+
     __slots__ = ()
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-@dataclass(frozen=True, slots=True)
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
 class Var(Term):
-    name: str
+    __slots__ = ("name", "fv")
+    __match_args__ = ("name",)
+    beta = const = False
+
+    def __init__(self, name: str):
+        _var_name(self, name)
+        _var_fv(self, frozenset((name,)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True, slots=True)
 class Abs(Term):
-    binder: str
-    body: Term
+    __slots__ = ("binder", "body", "fv", "beta", "const")
+    __match_args__ = ("binder", "body")
+
+    def __init__(self, binder: str, body: Term):
+        _abs_binder(self, binder)
+        _abs_body(self, body)
+        fv = body.fv
+        if binder in fv:
+            fv = fv - {binder} or _EMPTY
+        _abs_fv(self, fv)
+        _abs_beta(self, body.beta)
+        _abs_const(self, body.const)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.binder, self.body) == (other.binder, other.body)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.binder, self.body))
 
 
-@dataclass(frozen=True, slots=True)
 class App(Term):
-    fun: Term
-    arg: Term
+    __slots__ = ("fun", "arg", "fv", "beta", "const")
+    __match_args__ = ("fun", "arg")
+
+    def __init__(self, fun: Term, arg: Term):
+        _app_fun(self, fun)
+        _app_arg(self, arg)
+        a = fun.fv
+        b = arg.fv
+        _app_fv(self, a | b if a and b else a or b)
+        _app_beta(self, fun.beta or arg.beta or fun.__class__ is Abs)
+        _app_const(self, fun.const or arg.const)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.fun, self.arg) == (other.fun, other.arg)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.fun, self.arg))
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Term):
-    symbol: str
+    __slots__ = ("symbol",)
+    __match_args__ = ("symbol",)
+    fv = _EMPTY
+    beta = False
+    const = True
+
+    def __init__(self, symbol: str):
+        _const_symbol(self, symbol)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.symbol == other.symbol
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.symbol,))
 
 
-@dataclass(frozen=True, slots=True)
 class Code(Term):
     """Opaque code of a datatype element: never a redex, never entered
     by substitution.  Booleans have no Code nodes: their codes are the
     lambda booleans, so that guard results can select branches."""
 
-    value: Value
+    __slots__ = ("value",)
+    __match_args__ = ("value",)
+    fv = _EMPTY
+    beta = const = False
 
-    def __post_init__(self):
-        if self.value.datatype == BOOL:
+    def __init__(self, value: Value):
+        if value.datatype == BOOL:
             raise ValueError("Boolean values must be lambda booleans, not Code nodes")
+        _code_value(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
+
+_var_name, _var_fv = Var.name.__set__, Var.fv.__set__
+_abs_binder, _abs_body = Abs.binder.__set__, Abs.body.__set__
+_abs_fv, _abs_beta, _abs_const = Abs.fv.__set__, Abs.beta.__set__, Abs.const.__set__
+_app_fun, _app_arg = App.fun.__set__, App.arg.__set__
+_app_fv, _app_beta, _app_const = App.fv.__set__, App.beta.__set__, App.const.__set__
+_const_symbol = Const.symbol.__set__
+_code_value = Code.value.__set__
 
 
 def lam(binders, body: Term) -> Term:
@@ -98,20 +207,6 @@ def subterms(t: Term) -> Iterator[Term]:
         elif isinstance(s, App):
             stack.append(s.arg)
             stack.append(s.fun)
-
-
-def free_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Abs):
-        return free_vars(t.body) - {t.binder}
-    if isinstance(t, App):
-        return free_vars(t.fun) | free_vars(t.arg)
-    return frozenset()
-
-
-def is_closed(t: Term) -> bool:
-    return not free_vars(t)
 
 
 def canonical(t: Term) -> Term:

@@ -7,8 +7,6 @@ import math
 import random
 import time
 
-import pytest
-
 from asmlc.asm import run
 from asmlc.combinators import PadSpec, curry_fixpoint, pad
 from asmlc.compiler import compile_machine, decode_result, delta_as_map

@@ -168,6 +168,14 @@ def test_compile_error_is_one_error_line(capsys, tmp_path, command, source, mess
     assert err == f"error: {message}\n"
 
 
+def test_run_shows_undefined_constant(capsys, tmp_path):
+    path = tmp_path / "m.asm"
+    path.write_text(UNDEFINED_INIT.replace("  halt", "  skip"))
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == 1
+    assert out == "step 0: c=undefined\noutcome: implicit-halt\noutput c = undefined\n"
+
+
 @pytest.mark.parametrize("path", sorted(MACHINES.glob("*.asm")), ids=lambda p: p.stem)
 def test_verify_every_bundled_machine(capsys, path):
     # --grid only takes effect on a machine with inputs

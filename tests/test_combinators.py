@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from asmlc import combinators
@@ -20,7 +18,6 @@ from asmlc.good_terms import GApp, GCode, GVar
 from asmlc.compiler import _default_probes, compile_machine
 from asmlc.lambda_f import (
     BOOL,
-    FSignature,
     UndefinedApplication,
     Value,
     code_term,

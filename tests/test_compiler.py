@@ -3,18 +3,14 @@ import math
 import pytest
 
 from asmlc.compiler import (
-    CLASH_CODE,
-    FAIL_CODE,
-    SUCCESS_CODE,
     _default_probes,
     compile_machine,
     decode_result,
     delta_as_map,
-    make_slots,
 )
 from asmlc.combinators import reduce_one_block, static_f_work
 from asmlc.engine import advance_term, signature_table
-from asmlc.lambda_f import Value, code_term
+from asmlc.lambda_f import code_term
 from asmlc.terms import app
 
 from conftest import BUNDLED_COSTS, bundled, counter_family

@@ -1,7 +1,5 @@
 import itertools
 
-import pytest
-
 from asmlc.encodings import (
     BOOL_DATATYPE,
     PRED,

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module,
-and every name a module defines at top level is referred to somewhere."""
+"""Every name a module of the package or a test module imports is used
+in that module, and every name a module of the package defines at top
+level is referred to somewhere."""
 import ast
 import functools
 from pathlib import Path
@@ -9,11 +10,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "asmlc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # Where a reference counts: the package, its tests and both benchmarks.
 SCANNED = ("src", "tests", "benchmarks", "perfbench")
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     imported = set()

@@ -1,5 +1,9 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +17,6 @@ from asmlc.terms import (
     alpha_eq,
     app,
     canonical,
-    free_vars,
-    is_closed,
     lam,
     spine,
     subterms,
@@ -34,11 +36,97 @@ def test_constructors_and_helpers():
 
 def test_free_vars_and_closedness():
     t = Abs("x", App(Var("x"), Var("y")))
-    assert free_vars(t) == {"y"}
-    assert not is_closed(t)
-    assert is_closed(Abs("y", t))
-    assert is_closed(Const("f"))
-    assert is_closed(Code(Value("Nat", 3)))
+    assert t.fv == {"y"}
+    assert Abs("y", t).fv == frozenset()
+    assert Const("f").fv == frozenset()
+    assert Code(Value("Nat", 3)).fv == frozenset()
+
+
+# Reference definitions of the node facts, by recursion over the fields.
+
+def _ref_fv(t):
+    if isinstance(t, Var):
+        return {t.name}
+    if isinstance(t, Abs):
+        return _ref_fv(t.body) - {t.binder}
+    if isinstance(t, App):
+        return _ref_fv(t.fun) | _ref_fv(t.arg)
+    return set()
+
+
+def _ref_beta(t):
+    if isinstance(t, Abs):
+        return _ref_beta(t.body)
+    if isinstance(t, App):
+        return isinstance(t.fun, Abs) or _ref_beta(t.fun) or _ref_beta(t.arg)
+    return False
+
+
+def _ref_const(t):
+    if isinstance(t, Const):
+        return True
+    if isinstance(t, Abs):
+        return _ref_const(t.body)
+    if isinstance(t, App):
+        return _ref_const(t.fun) or _ref_const(t.arg)
+    return False
+
+
+_ATOMS = (Const("f"), Const("g"), Code(Value("Nat", 2)), Code(Value("Sym", "s")))
+
+
+def _splice(rng, t):
+    """``t`` with some variable leaves replaced by constants and codes."""
+    if isinstance(t, Var):
+        return rng.choice(_ATOMS) if rng.random() < 0.3 else t
+    if isinstance(t, Abs):
+        return Abs(t.binder, _splice(rng, t.body))
+    return App(_splice(rng, t.fun), _splice(rng, t.arg))
+
+
+def test_node_facts_match_reference_definitions(rng):
+    for i in range(300):
+        t = random_term(rng, rng.randint(1, 14))
+        if i % 3:
+            t = _splice(rng, t)
+        for s in subterms(t):
+            assert s.fv == _ref_fv(s)
+            assert s.beta is _ref_beta(s)
+            assert s.const is _ref_const(s)
+
+
+_FIELDS = [
+    (Var("x"), ("name",)),
+    (Abs("x", Var("x")), ("binder", "body")),
+    (App(Var("x"), Const("f")), ("fun", "arg")),
+    (Const("f"), ("symbol",)),
+    (Code(Value("Nat", 1)), ("value",)),
+]
+
+
+@pytest.mark.parametrize("node, fields", _FIELDS, ids=[type(n).__name__ for n, _ in _FIELDS])
+def test_nodes_are_immutable(node, fields):
+    for name in (*fields, "fv", "beta", "const", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, Var("y"))
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, name)
+
+
+def test_equality_hash_and_repr_are_structural():
+    def build():
+        return App(Abs("x", app(Var("x"), Const("f"))), Code(Value("Nat", 3)))
+
+    s, t = build(), build()
+    assert s is not t and s == t and hash(s) == hash(t)
+    assert len({s, t, canonical(s)}) == 2
+    assert pickle.loads(pickle.dumps(s)) == s == copy.deepcopy(s)
+    assert Var("x") != Const("x") and Const("x") != Var("x")
+    assert Abs("x", Var("x")) != Abs("y", Var("y"))
+    assert repr(App(Var("x"), Abs("y", Var("y")))) == (
+        "App(fun=Var(name='x'), arg=Abs(binder='y', body=Var(name='y')))")
+    assert repr(Code(Value("Nat", 3))) == (
+        "Code(value=Value(datatype='Nat', payload=3))")
 
 
 def test_alpha_equivalence():
