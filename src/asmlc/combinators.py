@@ -118,21 +118,25 @@ ExitPart = GoodTerm | Term
 @dataclass(frozen=True)
 class UpdateBranch:
     """Guarded simultaneous update: slot j's next value is updates[j]
-    evaluated on the current slot values."""
+    evaluated on the current slot values.  ``label`` names the branch in
+    reports."""
 
     guard: GoodTerm
     updates: tuple[GoodTerm, ...]
+    label: str = ""
 
 
 @dataclass(frozen=True)
 class ExitBranch:
     """Guarded exit.  ``parts`` are good terms over the slots or closed
     F-redex-free lambda terms; a single part is emitted bare unless
-    ``tuple_form`` forces the tuple wrapper."""
+    ``tuple_form`` forces the tuple wrapper.  ``label`` names the branch
+    in reports."""
 
     guard: GoodTerm
     parts: tuple[ExitPart, ...]
     tuple_form: bool = False
+    label: str = ""
 
     def __post_init__(self):
         if not self.parts:

@@ -10,9 +10,11 @@ terms, and hand the ordered branch list to the combinator builder.
 
 Guard order mirrors the step semantics: fail (explicit fail, or an
 active update evaluating to undefined), then clash, then halt (explicit
-or empty active set), then one branch per update clause.  Exits land on
-the distinguished normal forms: success is the tuple of the numeral 1
-with the outputs, fail is the numeral 2, clash the numeral 3.
+or empty active set), then one branch per update clause.  Branches
+that can never fire are left out: those whose guard folds to false, and
+all that follow a guard that folds to true.  Exits land on the
+distinguished normal forms: success is the tuple of the numeral 1 with
+the outputs, fail is the numeral 2, clash the numeral 3.
 """
 from __future__ import annotations
 
@@ -56,7 +58,11 @@ SUCCESS_CODE, FAIL_CODE, CLASH_CODE = 1, 2, 3
 
 # ---------------------------------------------------------------------------
 # Good-term Boolean algebra with constant folding (keeps ground Boolean
-# structure out of theta, so no resident F-redexes appear).
+# structure out of theta, so no resident F-redexes appear).  Besides the
+# constants it applies complement (a and not a = false, a or not a =
+# true), idempotence (a and a = a, a or a = a) and double negation.
+# These are exact because every guard evaluates, under the totalized
+# semantics, to a lambda boolean.
 
 G_TRUE = GCode(Value(BOOL, True))
 G_FALSE = GCode(Value(BOOL, False))
@@ -66,12 +72,21 @@ def _is_const(g: GoodTerm, v: bool) -> bool:
     return isinstance(g, GCode) and g.value == Value(BOOL, v)
 
 
+def _negates(a: GoodTerm, b: GoodTerm) -> bool:
+    """Whether ``a`` is ``not(b)``."""
+    return isinstance(a, GApp) and a.symbol == "not" and a.args[0] == b
+
+
 def gand(a: GoodTerm, b: GoodTerm) -> GoodTerm:
     if _is_const(a, True):
         return b
     if _is_const(b, True):
         return a
     if _is_const(a, False) or _is_const(b, False):
+        return G_FALSE
+    if a == b:
+        return a
+    if _negates(a, b) or _negates(b, a):
         return G_FALSE
     return GApp("and", (a, b))
 
@@ -83,6 +98,10 @@ def gor(a: GoodTerm, b: GoodTerm) -> GoodTerm:
         return a
     if _is_const(a, True) or _is_const(b, True):
         return G_TRUE
+    if a == b:
+        return a
+    if _negates(a, b) or _negates(b, a):
+        return G_TRUE
     return GApp("or", (a, b))
 
 
@@ -91,7 +110,12 @@ def gnot(a: GoodTerm) -> GoodTerm:
         return G_FALSE
     if _is_const(a, False):
         return G_TRUE
+    if isinstance(a, GApp) and a.symbol == "not":
+        return a.args[0]
     return GApp("not", (a,))
+
+
+_ALGEBRA = {"and": gand, "or": gor, "not": gnot}
 
 
 def gconj(parts: Sequence[GoodTerm]) -> GoodTerm:
@@ -241,12 +265,16 @@ class Translator:
     def _fold(self, g: GoodTerm) -> GoodTerm:
         """Fold variable-free subtrees to codes so theta carries no
         resident F-redex; uses the totalized semantics, which is exact
-        wherever the definedness guards let the value matter."""
+        wherever the definedness guards let the value matter.  The
+        connectives are rebuilt through the Boolean algebra, so a code
+        folded beneath one simplifies it too."""
         if isinstance(g, GApp):
             args = tuple(self._fold(a) for a in g.args)
             if all(isinstance(a, GCode) for a in args):
                 f = self._sig.functions[g.symbol]
                 return GCode(f.apply(tuple(a.value for a in args)))
+            if g.symbol in _ALGEBRA:
+                return _ALGEBRA[g.symbol](*args)
             return GApp(g.symbol, args)
         return g
 
@@ -336,8 +364,7 @@ class CompiledMachine:
             "exit_codes": {"success": SUCCESS_CODE, "fail": FAIL_CODE,
                            "clash": CLASH_CODE},
             "branches": len(c.branches),
-            "guard_order": ["fail", "clash", "halt"]
-            + [f"clause-{i}" for i in range(len(c.branches) - 3)],
+            "guard_order": [b.label for b in c.branches],
         }
 
 
@@ -463,21 +490,31 @@ def compile_machine(
 
     fold = tr._fold
     branches: list[Branch] = [
-        ExitBranch(fold(rho_fail), (nat(FAIL_CODE),)),
-        ExitBranch(fold(rho_clash), (nat(CLASH_CODE),)),
+        ExitBranch(fold(rho_fail), (nat(FAIL_CODE),), label="fail"),
+        ExitBranch(fold(rho_clash), (nat(CLASH_CODE),), label="clash"),
         ExitBranch(fold(rho_halt),
                    tuple(fold(p) if isinstance(p, GoodTerm) else p
                          for p in success_parts),
-                   tuple_form=True),
+                   tuple_form=True, label="halt"),
     ]
-    for cl, g in update_clauses:
+    for i, (cl, g) in enumerate(zip(gp.clauses, clause_guards)):
         ups = _clause_updates(cl)
-        row = tuple(fold(_slot_update(tr, info, ups)) for info in slots)
-        branches.append(UpdateBranch(fold(g), row))
+        if ups:
+            row = tuple(fold(_slot_update(tr, info, ups)) for info in slots)
+            branches.append(UpdateBranch(fold(g), row, label=f"clause-{i}"))
+    # case_n selects the first true guard, so neither a guard that folds
+    # to false nor any branch after one that folds to true can fire;
+    # leaving them out saves their selection and F-work on every step
+    kept: list[Branch] = []
+    for b in branches:
+        if not _is_const(b.guard, False):
+            kept.append(b)
+            if _is_const(b.guard, True):
+                break
 
     compiled_slots = [s.as_slot() for s in slots]
     probes = _default_probes(machine, state, slots)
-    cc = build_branch_combinator(branches, compiled_slots, sig, probes, K, L)
+    cc = build_branch_combinator(kept, compiled_slots, sig, probes, K, L)
     return CompiledMachine(machine, gp, cc, tuple(slots), sig, outputs)
 
 

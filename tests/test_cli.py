@@ -77,15 +77,15 @@ def test_compile_manifest(capsys):
     assert [s["symbol"] for s in manifest["slots"]] == ["a", "b"]
     assert manifest["K"] >= manifest["K_min"]
     cost = manifest["cost"]
-    assert cost["unfold"] + cost["load"] + cost["select"] + cost["pad_K"] == manifest["K"] == 23
+    assert cost["unfold"] + cost["load"] + cost["select"] + cost["pad_K"] == manifest["K"] == 19
     assert sum(cost["F_branches"]) + cost["pad_L"] == manifest["L"] == 8
 
 
 def test_compile_below_minima_is_one_error_line(capsys):
-    code, out, err = run_cli_err(capsys, "compile", EUCLID, "--headroom-K", "20")
+    code, out, err = run_cli_err(capsys, "compile", EUCLID, "--headroom-K", "18")
     assert code == 1
     assert out == ""
-    assert err == "error: requested (K,L)=(20,8) below the minima (23,8)\n"
+    assert err == "error: requested (K,L)=(18,8) below the minima (19,8)\n"
 
 
 def test_compile_term_printable(capsys):
@@ -108,7 +108,7 @@ def test_verify_below_minima_is_one_error_line(capsys):
                                  "--headroom-L", "7")
     assert code == 1
     assert out == ""
-    assert err == "error: requested (K,L)=(23,7) below the minima (23,8)\n"
+    assert err == "error: requested (K,L)=(19,7) below the minima (19,8)\n"
 
 
 def test_verify_outside_carrier_is_one_error_line(capsys):

@@ -1,17 +1,27 @@
+import itertools
 import math
+import random
 
 import pytest
 
+from asmlc.asm import BUILTINS
 from asmlc.compiler import (
+    G_FALSE,
+    G_TRUE,
     _default_probes,
     compile_machine,
     decode_result,
     delta_as_map,
+    gand,
+    gnot,
+    gor,
 )
 from asmlc.combinators import reduce_one_block, static_f_work
 from asmlc.engine import advance_term, signature_table
-from asmlc.lambda_f import code_term
-from asmlc.terms import app
+from asmlc.good_terms import GApp, GVar, const_count, semantics
+from asmlc.lambda_f import BOOL, FSignature, Value, code_term
+from asmlc.sourcefmt import parse_source
+from asmlc.terms import app, term_size
 
 from conftest import BUNDLED_COSTS, bundled, counter_family
 
@@ -45,7 +55,8 @@ def test_manifest_contents(euclid):
     m = cm.manifest()
     assert m["K"] == cm.K and m["L"] == cm.L
     assert m["exit_codes"] == {"success": 1, "fail": 2, "clash": 3}
-    assert m["guard_order"][:3] == ["fail", "clash", "halt"]
+    assert m["guard_order"] == ["fail", "halt", "clause-0"]
+    assert len(m["cost"]["F_branches"]) == m["branches"] == 3
 
 
 def test_compiled_gcd_matches_math_oracle(euclid):
@@ -149,3 +160,97 @@ def test_cost_formula_equals_measurement(name):
     cost = cm.manifest()["cost"]
     assert cost["unfold"] + cost["load"] + cost["select"] + cost["pad_K"] == c.K
     assert sum(cost["F_branches"]) + cost["pad_L"] == c.L
+
+
+def _bool_pair(rng: random.Random, names, depth: int):
+    """A random Boolean good term over ``names``, built twice: from bare
+    GApp nodes, and through gand/gor/gnot.  The right operand of a binary
+    node is often the left one or its negation, so that the identities
+    get something to fire on."""
+    if depth == 0 or rng.random() < 0.25:
+        leaf = rng.choice([G_TRUE, G_FALSE, *(GVar(n, BOOL) for n in names)])
+        return leaf, leaf
+    a_raw, a = _bool_pair(rng, names, depth - 1)
+    op = rng.choice(["and", "or", "not"])
+    if op == "not":
+        return GApp("not", (a_raw,)), gnot(a)
+    roll = rng.random()
+    if roll < 0.25:
+        b_raw, b = a_raw, a
+    elif roll < 0.5:
+        b_raw, b = GApp("not", (a_raw,)), gnot(a)
+    else:
+        b_raw, b = _bool_pair(rng, names, depth - 1)
+    return GApp(op, (a_raw, b_raw)), (gand if op == "and" else gor)(a, b)
+
+
+def test_boolean_algebra_keeps_semantics():
+    sig = FSignature()
+    for name, arity in (("and", 2), ("or", 2), ("not", 1)):
+        sig.add(name, (BOOL,) * arity, BOOL, BUILTINS[name])
+    rng = random.Random(20261018)
+    saved = 0
+    for i in range(400):
+        names = ["x", "y", "z"][:2 + i % 2]
+        raw, simple = _bool_pair(rng, names, 4)
+        assert const_count(simple) <= const_count(raw)
+        saved += const_count(raw) - const_count(simple)
+        for bits in itertools.product((True, False), repeat=len(names)):
+            val = {n: Value(BOOL, b) for n, b in zip(names, bits)}
+            assert semantics(simple, sig, val) == semantics(raw, sig, val)
+    assert saved > 0
+
+
+def test_boolean_identities():
+    a = GApp("lt", (GVar("x", "Nat"), GVar("y", "Nat")))
+    assert gand(a, gnot(a)) == gand(gnot(a), a) == G_FALSE
+    assert gor(a, gnot(a)) == gor(gnot(a), a) == G_TRUE
+    assert gand(a, a) == gor(a, a) == a
+    assert gnot(gnot(a)) == a
+
+
+def test_every_compiled_branch_can_fire():
+    # no guard folds to false, and none but the last folds to true
+    cases = [_bundled_case(name) for name in BUNDLED_COSTS]
+    cases += [counter_family(n) for n in range(1, 6)]
+    for machine, state in cases:
+        branches = compile_machine(machine, state).combinator.branches
+        assert all(b.guard != G_FALSE for b in branches)
+        assert all(b.guard != G_TRUE for b in branches[:-1])
+
+
+# Two updates of c with one value: the clash guard folds to false only
+# once the equality of the two values is folded to a code.
+EQUAL_WRITES = """\
+sort Nat = 0..4
+static zero : -> Nat = builtin zero
+static succ : Nat -> Nat = builtin succ
+dynamic c : -> Nat output
+init c = zero
+program:
+  if eq_Nat(c, 0) then
+    par {
+      c := succ(zero)
+      c := 1
+    }
+"""
+
+
+def test_equal_writes_leave_out_the_clash_branch():
+    sm = parse_source(EQUAL_WRITES)
+    state = sm.state({})
+    cm = compile_machine(sm.machine(), state)
+    assert cm.manifest()["guard_order"] == ["halt", "clause-0"]
+    d, counts = _run_compiled(cm, state)
+    assert d.kind == "success" and d.outputs["c"].payload == 1
+    assert counts == (cm.K, cm.L)
+
+
+def test_doubling_budget_same_at_every_stop():
+    # the program mentions the input, so each stop is its own compile
+    sm = bundled("doubling")
+    shapes = set()
+    for stop in range(1, 9):
+        cm = compile_machine(sm.machine(), sm.state({"stop": stop}))
+        shapes.add((cm.K, cm.L, term_size(cm.theta)))
+    assert shapes == {(*BUNDLED_COSTS["doubling"][1], 407)}
