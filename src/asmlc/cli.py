@@ -155,7 +155,11 @@ def cmd_verify(args) -> int:
 
 def cmd_encode(args) -> int:
     if args.kind == "nat":
-        print(print_term(nat(int(args.value))))
+        try:
+            term = nat(int(args.value))
+        except ValueError:
+            raise SystemExit("error: nat value must be a natural number")
+        print(print_term(term))
         return 0
     if args.kind == "bool":
         if args.value not in ("true", "false"):
@@ -261,9 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a machine, an input or a compile the program
-    rejects ends in one ``error:`` line on stderr and exit status 1."""
+    """Run one subcommand; a negative ``--grid`` or ``--max-steps``, and
+    a machine, an input or a compile the program rejects, end in one
+    ``error:`` line on stderr and exit status 1."""
     args = build_parser().parse_args(argv)
+    for option in ("grid", "max_steps"):
+        value = getattr(args, option, 0)
+        if value < 0:
+            print(f"error: --{option.replace('_', '-')} must be at least 0, got {value}",
+                  file=sys.stderr)
+            return 1
     try:
         return args.fn(args)
     except (CompileError, SourceError) as exc:

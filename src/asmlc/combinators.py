@@ -1,7 +1,12 @@
-"""Fixpoint and padding toolbox: the Curry fixed point, padding terms
-with exact (K, L) reduction budgets, and combinators that advance a
+"""Fixpoint and padding toolbox: the Curry fixed point, the padding term
+with an exact (K, L) reduction budget, and combinators that advance a
 tuple of value slots by one guarded-update step at a constant, exact
 (K, L) cost per step.
+
+The one pad, ``pad(K, L)``, keeps its F-work under a binder: it holds
+no F-redex until reduction feeds it the code nu1, so the copies of it
+that sit under the fixpoint stay inert, and its steps come in the order
+beta^(K-2) F^L beta^2.  Its least beta count is 3.
 
 Cost anatomy of one step of a branch combinator with k slots and n
 branches, built with internal padding (K', L'):
@@ -14,8 +19,8 @@ branches, built with internal padding (K', L'):
 
 Because the F-work happens before the selection, both counts are
 independent of the valuation and of which branch fires.  The minima
-come from this formula, at the least padding the F-redex-free pad
-allows (K' = 3, L' = 0): K_min = k + 4n + 5 and L_min = N.  A compile
+come from this formula, at the least padding the pad allows
+(K' = 3, L' = 0): K_min = k + 4n + 5 and L_min = N.  A compile
 builds theta once, with the padding that lands on the requested budget,
 and one measurement of that theta on the probe valuations must equal
 the formula; lockstep then checks every round against it.
@@ -29,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .encodings import I_TERM, case_n, identity_chain
+from .encodings import case_n, identity_chain
 from .engine import _STATUS_BOUNDARY, STATUS_NORMAL, _advance, signature_table
 from .good_terms import GoodTerm, const_count, to_term
 from .lambda_f import BOOL, FSignature, code_term, f_redexes, match_code
@@ -40,7 +45,6 @@ from .terms import (
     Term,
     Value,
     Var,
-    alpha_eq,
     app,
     lam,
 )
@@ -62,48 +66,24 @@ _OMEGA = "not"
 _NU1 = Value(BOOL, True)
 
 
-@dataclass(frozen=True)
-class PadSpec:
-    """Target beta count K and F count L for a padding term."""
+def pad(K: int, L: int) -> Term:
+    """A term P such that F-first leftmost reduction of P X t1...tk
+    reaches X t1...tk after exactly K beta steps and L F-steps, in the
+    order beta^(K-2) F^L beta^2.
 
-    K: int
-    L: int
-
-
-def pad(spec: PadSpec, f_redex_free: bool = False) -> Term:
-    """A term P such that leftmost reduction of P X t1...tk reaches
-    X t1...tk after exactly spec.K beta steps and spec.L F-steps.
-
-    Default variant: the F-work sits in an omega chain over the nu1
-    code, so under the F-first strategy all L F-steps fire strictly
-    before the K beta steps — but the pad itself contains F-redexes.
-
-    ``f_redex_free``: the omega chain is closed under a binder, so the
-    pad contains no F-redex until reduction feeds it nu1; the F-steps
-    then land mid-way through the beta steps.  Needed wherever the pad
-    sits under the fixpoint (a resident F-redex would be contracted out
-    of band).  Requires K >= 3.
+    The omega chain is closed under a binder, so the pad contains no
+    F-redex until reduction feeds it nu1: theta carries copies of the
+    pad under the fixpoint, where a resident F-redex would be contracted
+    out of band.  Requires K >= 3.
     """
-    K, L = spec.K, spec.L
-
-    def omega_chain(t: Term) -> Term:
-        for _ in range(L):
-            t = App(Const(_OMEGA), t)
-        return t
-
+    if K < 3:
+        raise ValueError("padding needs K >= 3")
+    chain: Term = Var("z")
+    for _ in range(L):
+        chain = App(Const(_OMEGA), chain)
     discard = lam(["x", "y"], Var("y"))
-    if f_redex_free:
-        if K < 3:
-            raise ValueError("F-redex-free padding needs K >= 3")
-        core = App(Abs("z", App(discard, omega_chain(Var("z")))), code_term(_NU1))
-        return identity_chain(K - 3, core)
-    if L == 0:
-        if K < 1:
-            raise ValueError("padding needs K >= 1")
-        return identity_chain(K - 1, I_TERM)
-    if K < 2:
-        raise ValueError("padding with F-work needs K >= 2")
-    return identity_chain(K - 2, App(discard, omega_chain(code_term(_NU1))))
+    core = App(Abs("z", App(discard, chain)), code_term(_NU1))
+    return identity_chain(K - 3, core)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +175,7 @@ def static_f_work(branches: Sequence[Branch]) -> int:
     return sum(branch_f_work(b) for b in branches)
 
 
-# The least beta count of the F-redex-free pad.
+# The least beta count of the pad.
 _MIN_PAD_K = 3
 
 
@@ -218,7 +198,7 @@ def _build_theta(
     w = "w"
     while w in names:
         w += "'"
-    padding = pad(PadSpec(k_prime, l_prime), f_redex_free=True)
+    padding = pad(k_prime, l_prime)
     branch_terms: list[Term] = []
     for b in branches:
         if isinstance(b, UpdateBranch):
@@ -271,15 +251,12 @@ def _peel(t: Term, slots: Sequence[Slot]) -> Optional[tuple[Term, tuple[Value, .
 
 def decode_state(t: Term, theta: Term, slots: Sequence[Slot]) -> Optional[tuple[Value, ...]]:
     """Decode ``theta code...code`` into slot values, else None.  The
-    head is compared with theta structurally first and up to alpha only
-    when that fails."""
+    head is compared with theta by ``==``, which is exact for the reason
+    ``reduce_one_block`` gives."""
     peeled = _peel(t, slots)
-    if peeled is None:
+    if peeled is None or peeled[0] != theta:
         return None
-    head, vals = peeled
-    if head != theta and not alpha_eq(head, theta):
-        return None
-    return vals
+    return peeled[1]
 
 
 def reduce_one_block(

@@ -34,7 +34,6 @@ from .asm import (
     TypedTerm,
     Update,
     Vocabulary,
-    initial_dynamics,
     run_from_state,
     _carrier_grid,
 )
@@ -49,7 +48,7 @@ from .combinators import (
 )
 from .encodings import match_nat, nat
 from .good_terms import GApp, GCode, GoodTerm, GVar
-from .lambda_f import BOOL, DeltaType, FSignature, Value, install_delta
+from .lambda_f import BOOL, DeltaType, FSignature, Value, code_term, install_delta
 from .normalize import Clause, GuardedProgram, normalize
 from .terms import Abs, App, Term, Var, app
 
@@ -216,6 +215,38 @@ def make_slots(voc: Vocabulary) -> list[SlotInfo]:
     return out
 
 
+def slot_values_for_state(slots: Sequence[SlotInfo], state: State,
+                          initial: State) -> tuple[Value, ...]:
+    """Slot codes describing ``state`` (delta slots: the tuples where
+    the table differs from or extends the initial table, in sorted
+    order)."""
+    vals = []
+    for info in slots:
+        table = state.dynamics[info.symbol]
+        if info.representation == "value":
+            vals.append(Value(info.datatype, table[()]))
+        else:
+            init_table = initial.dynamics[info.symbol]
+            seq = tuple(
+                k + (v,)
+                for k, v in sorted(table.items(), key=repr)
+                if init_table.get(k) != v
+            )
+            vals.append(Value(info.datatype, seq))
+    return tuple(vals)
+
+
+def initial_values(slots: Sequence[SlotInfo], initial: State) -> tuple[Value, ...]:
+    """Slot codes for a freshly initialized state: plain values for
+    constants (which must be defined), empty difference lists for
+    function-sorted symbols."""
+    for info in slots:
+        if info.representation == "value" and () not in initial.dynamics[info.symbol]:
+            raise CompileError(
+                f"dynamic constant {info.symbol} has no defined initial value")
+    return slot_values_for_state(slots, initial, initial)
+
+
 # ---------------------------------------------------------------------------
 # Term translation: TypedTerm -> (value good term, definedness good term)
 
@@ -226,6 +257,7 @@ class Translator:
     init: dict[str, InitRule]
     slots: dict[str, SlotInfo]
     partials: set[str]
+    sig: FSignature
 
     def value_and_def(self, t: TypedTerm, env: Optional[dict[str, GoodTerm]] = None):
         if isinstance(t, TVar):
@@ -271,14 +303,12 @@ class Translator:
         if isinstance(g, GApp):
             args = tuple(self._fold(a) for a in g.args)
             if all(isinstance(a, GCode) for a in args):
-                f = self._sig.functions[g.symbol]
+                f = self.sig.functions[g.symbol]
                 return GCode(f.apply(tuple(a.value for a in args)))
             if g.symbol in _ALGEBRA:
                 return _ALGEBRA[g.symbol](*args)
             return GApp(g.symbol, args)
         return g
-
-    _sig: FSignature = None  # set by the compiler before translation
 
 
 # ---------------------------------------------------------------------------
@@ -306,45 +336,9 @@ class CompiledMachine:
     def L(self) -> int:
         return self.combinator.L
 
-    def initial_values(self, state: State) -> tuple[Value, ...]:
-        """Slot codes for a freshly initialized state: plain values for
-        constants (which must be defined), empty difference lists for
-        function-sorted symbols."""
-        tables = initial_dynamics(self.machine.voc, state, self.machine.init)
-        vals = []
-        for info in self.slots:
-            if info.representation == "value":
-                if () not in tables[info.symbol]:
-                    raise CompileError(
-                        f"dynamic constant {info.symbol} has no defined initial value")
-                vals.append(Value(info.datatype, tables[info.symbol][()]))
-            else:
-                vals.append(Value(info.datatype, ()))
-        return tuple(vals)
-
     def initial_term(self, state: State) -> Term:
-        from .lambda_f import code_term
-
-        return app(self.theta, *(code_term(v) for v in self.initial_values(state)))
-
-    def slot_values_for_state(self, state: State, initial: State) -> tuple[Value, ...]:
-        """Slot codes describing ``state`` (delta slots: the tuples where
-        the table differs from or extends the initial table, in sorted
-        order).  Used to seed probe valuations."""
-        vals = []
-        for info in self.slots:
-            table = state.dynamics[info.symbol]
-            if info.representation == "value":
-                vals.append(Value(info.datatype, table[()]))
-            else:
-                init_table = initial.dynamics[info.symbol]
-                seq = tuple(
-                    k + (v,)
-                    for k, v in sorted(table.items(), key=repr)
-                    if init_table.get(k) != v
-                )
-                vals.append(Value(info.datatype, seq))
-        return tuple(vals)
+        initial = initial_values(self.slots, self.machine.initial_state(state))
+        return app(self.theta, *(code_term(v) for v in initial))
 
     def manifest(self) -> dict:
         c = self.combinator
@@ -450,8 +444,7 @@ def compile_machine(
         raise CompileError("machine has no dynamic symbols")
     gp = normalize(machine.program)
     sig, partials = lower_signature(voc, state, slots)
-    tr = Translator(voc, machine.init, {s.symbol: s for s in slots}, partials)
-    tr._sig = sig
+    tr = Translator(voc, machine.init, {s.symbol: s for s in slots}, partials, sig)
 
     clause_guards = [_clause_guard(tr, cl) for cl in gp.clauses]
     update_clauses = [
@@ -522,13 +515,12 @@ def _default_probes(machine, state, slots):
     """Probe valuations from a 4-step run of the machine itself.  Raises
     CompileError first when a dynamic constant has no defined initial
     value, since no slot code can stand for it."""
-    cm_like = CompiledMachine(machine, None, None, tuple(slots), None, ())
-    cm_like.initial_values(state)
     s0 = machine.initial_state(state)
+    initial_values(slots, s0)
     r = run_from_state(s0, machine.program, 4)
     probes = []
     for st in r.trajectory:
-        vals = cm_like.slot_values_for_state(st, s0)
+        vals = slot_values_for_state(slots, st, s0)
         probes.append({info.symbol: v for info, v in zip(slots, vals)})
     return probes
 

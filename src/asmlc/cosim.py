@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .asm import Machine, State, run
-from .combinators import PadSpec, curry_fixpoint, pad, reduce_one_block
+from .combinators import curry_fixpoint, pad, reduce_one_block
 from .compiler import CompiledMachine, DecodeError, decode_result, delta_as_map
 from .encodings import (
     PRED,
@@ -21,8 +21,7 @@ from .encodings import (
     projection_cost,
 )
 from .engine import STATUS_UNDEFINED, advance_term, signature_table
-from .lambda_f import UndefinedApplication, reduce_leftmost_f
-from .reduction import reduce_leftmost
+from .lambda_f import UndefinedApplication, reduce_leftmost_f, standard_bool_signature
 from .terms import Abs, App, Term, Var, alpha_eq, app
 
 
@@ -199,13 +198,13 @@ def decoration_audit() -> list[AuditRow]:
     # Curry fixed point: one step to f applied to the fixpoint.
     f = Abs("v", App(Var("v"), Var("v")))
     theta = curry_fixpoint(f)
-    r = reduce_leftmost(theta, 1)
-    measured = r.trace.beta_count if alpha_eq(r.term, App(f, theta)) else -1
+    t, beta, _, _ = advance_term(theta, {}, 1)
+    measured = beta if alpha_eq(t, App(f, theta)) else -1
     rows.append(AuditRow("curry-fixpoint", "", "1", str(measured), measured == 1))
 
     # Tuple projections: 1+k.
     for k in range(1, 6):
-        costs = {projection_cost(k, i).beta_count for i in range(1, k + 1)}
+        costs = {projection_cost(k, i) for i in range(1, k + 1)}
         m = costs.pop() if len(costs) == 1 else -1
         rows.append(AuditRow("projection", f"k={k}", str(1 + k), str(m), m == 1 + k))
 
@@ -218,7 +217,7 @@ def decoration_audit() -> list[AuditRow]:
     # Branch selector: published 3n; this selector costs 4n and buys
     # branch independence under one-redex-per-step counting.
     for n in range(1, 7):
-        costs = {case_cost(n, i).beta_count for i in range(1, n + 1)}
+        costs = {case_cost(n, i) for i in range(1, n + 1)}
         m = costs.pop() if len(costs) == 1 else -1
         rows.append(AuditRow("case", f"n={n}", str(3 * n), str(m),
                              m == 3 * n, _CONVENTION_NOTE if m != 3 * n else ""))
@@ -235,16 +234,15 @@ def decoration_audit() -> list[AuditRow]:
                              steps == claimed,
                              "" if steps == claimed else _CONVENTION_NOTE))
 
-    # Padding: exact by construction, L F-steps strictly first.
-    from .lambda_f import standard_bool_signature
-
+    # Padding: exact by construction.  The pad holds no F-redex until
+    # its first K-2 beta steps feed the code nu1 to its omega chain, so
+    # its L F-steps fall between those and the last 2 beta steps.
     sig = standard_bool_signature()
     for K, L in ((3, 0), (4, 2), (6, 3)):
-        p = pad(PadSpec(K, L))
-        r = reduce_leftmost_f(App(p, Var("x")), sig, 1000)
+        r = reduce_leftmost_f(App(pad(K, L), Var("x")), sig, 1000)
         m = (r.trace.beta_count, r.trace.f_count)
         kinds = [s.kind for s in r.trace.steps]
-        ordered = kinds == ["f"] * L + ["beta"] * K
+        ordered = kinds == ["beta"] * (K - 2) + ["f"] * L + ["beta"] * 2
         rows.append(AuditRow("padding", f"K={K},L={L}", f"({K},{L})",
                              str(m), m == (K, L) and ordered and r.term == Var("x")))
     return rows

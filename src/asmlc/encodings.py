@@ -1,17 +1,16 @@
 """Canonical lambda encodings: booleans, tuples and projections,
-naturals, branch selectors, and the Scott encoder for inductive
-datatypes — each with measured-cost certificates.
+naturals and branch selectors, with the measured cost of projection and
+selection.
 
-Costs are measured under the strict one-redex-per-step convention of
-the reduction kernel; ``CostCertificate`` records what a construction
-actually costs, and re-measuring must reproduce it exactly.
+Costs are measured by the counting engine under the strict
+one-redex-per-step convention, with no constant in the terms, so every
+step is a beta step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .reduction import Status, reduce_leftmost
+from .engine import STATUS_NORMAL, advance_term
 from .terms import Abs, App, Term, Var, app, lam
 from .lambda_f import FALSE_TERM, TRUE_TERM, bool_term, match_bool
 
@@ -98,111 +97,28 @@ def case_n(n: int) -> Term:
     return lam(ys + zs, body)
 
 
-@dataclass(frozen=True)
-class CostCertificate:
-    combinator: str
-    parameters: tuple
-    beta_count: int
-    f_count: int
-
-
 def measure_beta(t: Term, max_steps: int = 100_000) -> tuple[Term, int]:
     """Leftmost-normalize and return (normal form, beta count)."""
-    r = reduce_leftmost(t, max_steps)
-    if r.status is not Status.NORMAL:
+    nf, beta, _, status = advance_term(t, {}, max_steps)
+    if status != STATUS_NORMAL:
         raise RuntimeError("measurement did not reach normal form")
-    return r.term, r.trace.beta_count
+    return nf, beta
 
 
-def projection_cost(k: int, i: int) -> CostCertificate:
-    """Certify the cost of extracting component i from a k-tuple."""
+def projection_cost(k: int, i: int) -> int:
+    """The measured beta count of extracting component i from a k-tuple."""
     xs = [Var(f"v{j}") for j in range(1, k + 1)]
     nf, steps = measure_beta(App(tup(*xs), proj(k, i)))
     if nf != xs[i - 1]:
         raise RuntimeError("projection returned the wrong component")
-    return CostCertificate("projection", (k, i), steps, 0)
+    return steps
 
 
-def case_cost(n: int, i: int) -> CostCertificate:
-    """Certify the cost of case_n firing at position i."""
+def case_cost(n: int, i: int) -> int:
+    """The measured beta count of case_n firing at position i."""
     branches = [Var(f"m{j}") for j in range(1, n + 1)]
     flags = [bool_term(j == i) for j in range(1, n + 1)]
     nf, steps = measure_beta(app(case_n(n), *branches, *flags))
     if nf != branches[i - 1]:
         raise RuntimeError("case selector returned the wrong branch")
-    return CostCertificate("case", (n, i), steps, 0)
-
-
-# ---------------------------------------------------------------------------
-# Scott encoding of inductive datatypes.
-
-
-@dataclass(frozen=True)
-class Constructor:
-    name: str
-    arity: int
-
-
-@dataclass(frozen=True)
-class DatatypeDef:
-    """A free inductive datatype given by its ordered constructors.
-
-    Values are constructor trees ``(name, (subvalue, ...))``.
-    """
-
-    name: str
-    constructors: tuple[Constructor, ...]
-
-    def __post_init__(self):
-        names = [c.name for c in self.constructors]
-        if len(names) != len(set(names)):
-            raise ValueError("duplicate constructor names")
-
-    def index(self, cname: str) -> int:
-        for i, c in enumerate(self.constructors):
-            if c.name == cname:
-                return i
-        raise ValueError(f"unknown constructor {cname} of {self.name}")
-
-
-def encode_payload(d: DatatypeDef, payload) -> Term:
-    """The Scott code of a constructor tree: a case-abstraction whose
-    selected arm is applied to the encoded children."""
-    cname, subs = payload
-    i = d.index(cname)
-    c = d.constructors[i]
-    if len(subs) != c.arity:
-        raise ValueError(f"{cname} expects {c.arity} arguments, got {len(subs)}")
-    alphas = [f"a{j}" for j in range(1, len(d.constructors) + 1)]
-    return lam(alphas, app(Var(alphas[i]), *(encode_payload(d, s) for s in subs)))
-
-
-def decode_payload(d: DatatypeDef, t: Term):
-    """Invert encode_payload up to alpha, or return None."""
-    alphas = []
-    while isinstance(t, Abs) and len(alphas) < len(d.constructors):
-        alphas.append(t.binder)
-        t = t.body
-    if len(alphas) != len(d.constructors):
-        return None
-    args = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fun
-    args.reverse()
-    if not isinstance(t, Var) or t.name not in alphas:
-        return None
-    i = alphas.index(t.name)
-    c = d.constructors[i]
-    if len(args) != c.arity:
-        return None
-    subs = []
-    for a in args:
-        s = decode_payload(d, a)
-        if s is None:
-            return None
-        subs.append(s)
-    return (c.name, tuple(subs))
-
-
-BOOL_DATATYPE = DatatypeDef("Bool", (Constructor("true", 0), Constructor("false", 0)))
+    return steps

@@ -6,6 +6,10 @@ is an F-redex and contracts in one step to the code of the semantic
 result.  Codes of the Boolean datatype are the lambda booleans
 ``\\x y.x`` / ``\\x y.y`` so that guard results can drive beta selection;
 codes of every other datatype are opaque Code nodes.
+
+``reduce_leftmost_f`` is the one traced driver, and the reference the
+counting engine is tested against; under a signature with no function
+it is plain leftmost beta reduction.
 """
 from __future__ import annotations
 
@@ -257,11 +261,11 @@ def delta_semantics(op: str, args: tuple):
         raise ValueError(f"unknown delta operation {op}")
 
 
-def install_delta(sig: FSignature, d: DeltaType, totalize_default=None) -> None:
+def install_delta(sig: FSignature, d: DeltaType, totalize_default) -> None:
     """Register the five delta constants for ``d`` into ``sig``.
 
-    ``totalize_default``: when given, V returns it instead of being
-    undefined (used by the compiler, which guards every lookup).
+    V returns ``totalize_default`` where it is undefined: the compiler
+    guards every lookup, so that value never matters.
     """
     L = d.list_datatype
     m = len(d.arg_datatypes)
@@ -274,9 +278,7 @@ def install_delta(sig: FSignature, d: DeltaType, totalize_default=None) -> None:
 
     def v_fn(seq, *key):
         out = delta_semantics("V", (seq, tuple(key)))
-        if out is None:
-            return totalize_default
-        return out
+        return totalize_default if out is None else out
 
     def add_fn(seq, *tup):
         return delta_semantics("Add", (seq, tuple(tup)))

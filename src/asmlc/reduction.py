@@ -1,8 +1,11 @@
-"""Beta reduction: redex addressing, substitution, leftmost strategy,
-bounded exhaustive confluence checking.
+"""Beta reduction: redex addressing, substitution, the leftmost beta
+redex, the step records of a traced reduction, and bounded exhaustive
+confluence checking.
 
-Step granularity is strict: one step contracts exactly one redex.
-Every driver takes a step budget; divergence is a reported outcome.
+Step granularity is strict: one step contracts exactly one redex.  The
+traced driver is ``lambda_f.reduce_leftmost_f``; with a signature that
+holds no function it is leftmost beta reduction.  It takes a step
+budget, and divergence is a reported outcome.
 """
 from __future__ import annotations
 
@@ -151,21 +154,6 @@ def beta_step(t: Term, at: Addr) -> Term:
         raise NotARedex(at)
     contracted = substitute(redex.fun.body, redex.fun.binder, redex.arg)
     return replace_at(t, at, contracted)
-
-
-def reduce_leftmost(t: Term, max_steps: int) -> ReduceResult:
-    """Iterated leftmost beta reduction, recording every step."""
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    steps: list[Step] = []
-    for _ in range(max_steps):
-        at = leftmost_redex(t)
-        if at is None:
-            return ReduceResult(t, Trace(tuple(steps)), Status.NORMAL)
-        t = beta_step(t, at)
-        steps.append(Step("beta", at, t))
-    status = Status.NORMAL if leftmost_redex(t) is None else Status.BUDGET
-    return ReduceResult(t, Trace(tuple(steps)), status)
 
 
 class ConfluenceInconclusive(ReductionError):

@@ -8,20 +8,16 @@ import random
 import time
 
 from asmlc.asm import run
-from asmlc.combinators import PadSpec, curry_fixpoint, pad
-from asmlc.compiler import compile_machine, decode_result, delta_as_map
+from asmlc.combinators import curry_fixpoint, pad
+from asmlc.compiler import compile_machine, decode_result, delta_as_map, slot_values_for_state
 from asmlc.cosim import decoration_audit, lockstep
 from asmlc.encodings import match_nat, projection_cost
 from asmlc.engine import STATUS_NORMAL, advance_term, signature_table
 from asmlc.good_terms import reduce_cost, semantics, variables
-from asmlc.lambda_f import reduce_leftmost_f, standard_bool_signature
+from asmlc.lambda_f import FSignature, f_redexes, reduce_leftmost_f, standard_bool_signature
 from asmlc.normalize import check_equivalence, normalize, to_program
-from asmlc.reduction import (
-    ConfluenceInconclusive,
-    check_confluence_bounded,
-    reduce_leftmost,
-)
-from asmlc.terms import App, Var, alpha_eq
+from asmlc.reduction import ConfluenceInconclusive, Status, check_confluence_bounded
+from asmlc.terms import App, Var, alpha_eq, app
 
 from conftest import (
     bundled,
@@ -119,19 +115,22 @@ def test_04_delta_fidelity_lockstep():
 
 
 def test_05_padding_exact_and_ordered():
-    """pad(K, L) costs exactly L F-steps strictly before K beta steps
-    for every K in 3..8, L in 0..4."""
+    """pad(K, L) holds no resident F-redex, passes extra arguments
+    through, and costs exactly K beta steps and L F-steps in the order
+    beta^(K-2) F^L beta^2, for every K in 3..8, L in 0..4."""
     sig = standard_bool_signature()
+    extra = (Var("u"), Var("v"))
     checked = 0
     for K in range(3, 9):
         for L in range(0, 5):
-            p = pad(PadSpec(K, L))
-            r = reduce_leftmost_f(App(p, Var("x")), sig, 10_000)
-            assert r.term == Var("x")
+            p = pad(K, L)
+            assert f_redexes(p, sig) == [], (K, L)
+            r = reduce_leftmost_f(app(p, Var("x"), *extra), sig, 10_000)
+            assert r.status is Status.NORMAL and r.term == app(Var("x"), *extra)
             kinds = [s.kind for s in r.trace.steps]
-            assert kinds == ["f"] * L + ["beta"] * K, (K, L, kinds)
+            assert kinds == ["beta"] * (K - 2) + ["f"] * L + ["beta"] * 2, (K, L, kinds)
             checked += 1
-    print(f"\nPASS: {checked} pads exact, F-steps strictly first")
+    print(f"\nPASS: {checked} pads exact and F-redex-free, F-steps after K-2 beta steps")
 
 
 def test_06_fixpoint_single_step():
@@ -141,7 +140,7 @@ def test_06_fixpoint_single_step():
     for _ in range(25):
         f = random_closed_term(rng, rng.randint(1, 10))
         theta = curry_fixpoint(f)
-        r = reduce_leftmost(theta, 1)
+        r = reduce_leftmost_f(theta, FSignature(), 1)
         assert r.trace.beta_count == 1
         assert alpha_eq(r.term, App(f, theta))
     print("\nPASS: 25 random closed fixpoints unfold in exactly 1 step")
@@ -152,7 +151,7 @@ def test_07_projection_costs():
     for k up to 5."""
     for k in range(1, 6):
         for i in range(1, k + 1):
-            assert projection_cost(k, i).beta_count == 1 + k
+            assert projection_cost(k, i) == 1 + k
     print("\nPASS: all projections for k <= 5 cost exactly 1 + k")
 
 
@@ -202,7 +201,7 @@ def _corpus_good_terms():
         s0 = machine.initial_state(state)
         valuations = []
         for st in r.trajectory:
-            vals = cm.slot_values_for_state(st, s0)
+            vals = slot_values_for_state(cm.slots, st, s0)
             valuations.append({i.symbol: v for i, v in zip(cm.slots, vals)})
         terms = []
         for b in cm.combinator.branches:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -20,6 +21,10 @@ def run_cli_err(capsys, *argv):
         code = main(list(argv))
     except SystemExit as e:
         code = e.code
+        if isinstance(code, str):
+            # what the interpreter does with a message: print it, exit 1
+            print(code, file=sys.stderr)
+            code = 1
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -131,6 +136,32 @@ def test_verify_outside_carrier_is_one_error_line(capsys):
 ], ids=["unknown-name", "run-out-of-range", "bool-for-nat", "verify-out-of-range"])
 def test_bad_input_is_one_error_line(capsys, argv, message):
     code, out, err = run_cli_err(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", EUCLID, "--grid", "-3"), "--grid must be at least 0, got -3"),
+    (("run", EUCLID, "--max-steps", "-1"), "--max-steps must be at least 0, got -1"),
+    (("verify", EUCLID, "--max-steps", "-1"), "--max-steps must be at least 0, got -1"),
+    (("trace", r"(\x. x x) (\x. x x)", "--max-steps", "-1"),
+     "--max-steps must be at least 0, got -1"),
+], ids=["verify-grid", "run-max-steps", "verify-max-steps", "trace-max-steps"])
+def test_negative_count_is_one_error_line(capsys, argv, message):
+    code, out, err = run_cli_err(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind, value, message", [
+    ("nat", "-1", "nat value must be a natural number"),
+    ("nat", "abc", "nat value must be a natural number"),
+    ("bool", "maybe", "bool value must be true or false"),
+], ids=["nat-negative", "nat-not-a-number", "bool-unknown"])
+def test_encode_bad_value_is_one_error_line(capsys, kind, value, message):
+    code, out, err = run_cli_err(capsys, "encode", kind, value)
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"

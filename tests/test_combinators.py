@@ -4,7 +4,6 @@ from asmlc import combinators
 from asmlc.combinators import (
     BlockResult,
     ExitBranch,
-    PadSpec,
     Slot,
     UpdateBranch,
     build_branch_combinator,
@@ -18,6 +17,7 @@ from asmlc.good_terms import GApp, GCode, GVar
 from asmlc.compiler import _default_probes, compile_machine
 from asmlc.lambda_f import (
     BOOL,
+    FSignature,
     UndefinedApplication,
     Value,
     code_term,
@@ -27,7 +27,7 @@ from asmlc.lambda_f import (
     reduce_leftmost_f,
     standard_bool_signature,
 )
-from asmlc.reduction import Status, beta_step, leftmost_redex, reduce_leftmost
+from asmlc.reduction import Status, beta_step, leftmost_redex
 from asmlc.terms import Abs, App, Var, alpha_eq, app
 
 from conftest import bundled, random_closed_term
@@ -35,7 +35,7 @@ from conftest import bundled, random_closed_term
 
 def traced_block(t, theta, slots, sig, max_steps=100_000) -> BlockResult:
     """Reference block loop: one traced F-first leftmost step at a time,
-    decoding the boundary (up to alpha) after every step."""
+    decoding the boundary after every step."""
     beta = f = 0
     for _ in range(max_steps):
         at = leftmost_f_redex(t, sig)
@@ -86,7 +86,7 @@ def nat_sig():
 def test_curry_fixpoint_single_step():
     f = Abs("v", App(Var("v"), Var("v")))
     theta = curry_fixpoint(f)
-    r = reduce_leftmost(theta, 1)
+    r = reduce_leftmost_f(theta, FSignature(), 1)
     assert alpha_eq(r.term, App(f, theta))
     assert r.trace.beta_count == 1
 
@@ -95,39 +95,33 @@ def test_curry_fixpoint_random_closed(rng):
     for _ in range(15):
         f = random_closed_term(rng, rng.randint(1, 8))
         theta = curry_fixpoint(f)
-        r = reduce_leftmost(theta, 1)
+        r = reduce_leftmost_f(theta, FSignature(), 1)
         assert alpha_eq(r.term, App(f, theta))
 
 
 def test_pad_exact_costs():
+    """pad(K, L) holds no resident F-redex and costs exactly (K, L), in
+    the order beta^(K-2) F^L beta^2; below K = 3 there is no pad."""
     sig = standard_bool_signature()
     for K in range(3, 7):
         for L in range(0, 4):
-            p = pad(PadSpec(K, L))
-            r = reduce_leftmost_f(App(p, Var("x")), sig, 1000)
-            assert r.status is Status.NORMAL and r.term == Var("x")
-            assert (r.trace.beta_count, r.trace.f_count) == (K, L)
-            kinds = [s.kind for s in r.trace.steps]
-            assert kinds == ["f"] * L + ["beta"] * K
-
-
-def test_pad_passes_through_extra_arguments():
-    sig = standard_bool_signature()
-    p = pad(PadSpec(4, 1))
-    t = app(p, Var("x"), Var("u"), Var("v"))
-    r = reduce_leftmost_f(t, sig, 1000)
-    assert r.term == app(Var("x"), Var("u"), Var("v"))
-
-
-def test_f_redex_free_pad_variant():
-    sig = standard_bool_signature()
-    for K in range(3, 7):
-        for L in range(0, 4):
-            p = pad(PadSpec(K, L), f_redex_free=True)
+            p = pad(K, L)
             assert f_redexes(p, sig) == []
             r = reduce_leftmost_f(App(p, Var("x")), sig, 1000)
             assert r.status is Status.NORMAL and r.term == Var("x")
             assert (r.trace.beta_count, r.trace.f_count) == (K, L)
+            kinds = [s.kind for s in r.trace.steps]
+            assert kinds == ["beta"] * (K - 2) + ["f"] * L + ["beta"] * 2
+    with pytest.raises(ValueError):
+        pad(2, 0)
+
+
+def test_pad_passes_through_extra_arguments():
+    sig = standard_bool_signature()
+    p = pad(4, 1)
+    t = app(p, Var("x"), Var("u"), Var("v"))
+    r = reduce_leftmost_f(t, sig, 1000)
+    assert r.term == app(Var("x"), Var("u"), Var("v"))
 
 
 def _counter(nat_sig, **kw):

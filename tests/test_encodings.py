@@ -1,16 +1,9 @@
-import itertools
-
 from asmlc.encodings import (
-    BOOL_DATATYPE,
     PRED,
     SUCC,
     ZERO_TEST,
-    Constructor,
-    DatatypeDef,
     case_cost,
     case_n,
-    decode_payload,
-    encode_payload,
     identity_chain,
     match_nat,
     measure_beta,
@@ -19,9 +12,8 @@ from asmlc.encodings import (
     projection_cost,
     tup,
 )
-from asmlc.lambda_f import FALSE_TERM, TRUE_TERM, bool_term, match_bool
-from asmlc.reduction import reduce_leftmost
-from asmlc.terms import App, Var, alpha_eq, app
+from asmlc.lambda_f import TRUE_TERM, FSignature, bool_term, reduce_leftmost_f
+from asmlc.terms import App, Var, app
 
 
 def test_nat_roundtrip():
@@ -40,7 +32,7 @@ def test_tuple_projection_semantics():
 def test_projection_cost_is_one_plus_k():
     for k in range(1, 6):
         for i in range(1, k + 1):
-            assert projection_cost(k, i).beta_count == 1 + k
+            assert projection_cost(k, i) == 1 + k
 
 
 def test_identity_chain_cost():
@@ -81,7 +73,7 @@ def test_case_selects_marked_branch():
 
 def test_case_cost_uniform_4n():
     for n in range(1, 7):
-        costs = {case_cost(n, i).beta_count for i in range(1, n + 1)}
+        costs = {case_cost(n, i) for i in range(1, n + 1)}
         assert costs == {4 * n}
 
 
@@ -91,31 +83,6 @@ def test_case_discarded_branches_never_fire():
     diverging = Var("boom")
     branches = [Var("keep"), diverging]
     flags = [bool_term(True), bool_term(False)]
-    r = reduce_leftmost(app(case_n(2), *branches, *flags), 8 + 10)
+    r = reduce_leftmost_f(app(case_n(2), *branches, *flags), FSignature(), 8 + 10)
     assert r.term == Var("keep")
 
-
-_TREE = DatatypeDef("Tree", (Constructor("leaf", 0), Constructor("node", 2)))
-
-
-def _trees(depth):
-    if depth == 0:
-        yield ("leaf", ())
-        return
-    yield from _trees(depth - 1)
-    for a, b in itertools.product(_trees(depth - 1), repeat=2):
-        yield ("node", (a, b))
-
-
-def test_scott_roundtrip_trees():
-    for v in itertools.islice(_trees(2), 40):
-        assert decode_payload(_TREE, encode_payload(_TREE, v)) == v
-
-
-def test_scott_bool_matches_lambda_bool():
-    # the two-constructor zero-arity datatype coincides with the
-    # lambda booleans
-    t = encode_payload(BOOL_DATATYPE, ("true", ()))
-    f = encode_payload(BOOL_DATATYPE, ("false", ()))
-    assert alpha_eq(t, TRUE_TERM) and alpha_eq(f, FALSE_TERM)
-    assert match_bool(t) is True

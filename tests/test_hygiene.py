@@ -1,8 +1,10 @@
 """Every name a module of the package or a test module imports is used
-in that module, and every name a module of the package defines at top
-level is referred to somewhere."""
+in that module, every name a module of the package defines at top level
+is referred to somewhere, and every function the benchmark's tracer
+wraps by name still exists."""
 import ast
 import functools
+import importlib
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,25 @@ def test_no_unreferenced_top_level_names(path):
              if not (n.startswith("__") and n.endswith("__"))}
     unreferenced = sorted(names - _referenced())
     assert not unreferenced, f"nothing refers to {path.name}: {unreferenced}"
+
+
+# Trace targets whose functions left the engine with the tuple format;
+# the tracer reports them absent.
+RETIRED_TARGETS = {"engine.to_tuple", "engine.from_tuple"}
+
+
+def test_trace_targets_exist():
+    """perfbench/tracing.py finds what it wraps by module and name, and
+    perfbench/compare.py pairs runs by engine.KERNEL_NAME; read TARGETS
+    from the source, without running the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    missing = []
+    for entry in targets.elts:
+        name, home, attr = (ast.literal_eval(e) for e in entry.elts[:3])
+        if name not in RETIRED_TARGETS and not callable(
+                getattr(importlib.import_module(home), attr, None)):
+            missing.append(f"{home}.{attr}")
+    assert not missing, f"trace targets missing: {missing}"
+    assert hasattr(importlib.import_module("asmlc.engine"), "KERNEL_NAME")

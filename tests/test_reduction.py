@@ -12,10 +12,10 @@ from asmlc.reduction import (
     check_confluence_bounded,
     is_beta_redex,
     leftmost_redex,
-    reduce_leftmost,
     substitute,
     subterm_at,
 )
+from asmlc.lambda_f import FSignature, reduce_leftmost_f
 from asmlc.terms import Abs, App, Var, alpha_eq, app, lam
 
 from conftest import random_term
@@ -52,14 +52,14 @@ def test_leftmost_order_is_prefix_order():
 def test_one_redex_per_step_counting():
     # S K K x -> x in exactly 3 + 2 steps (oracle: hand reduction)
     t = app(S, K, K, Var("v"))
-    r = reduce_leftmost(t, 100)
+    r = reduce_leftmost_f(t, FSignature(), 100)
     assert r.status is Status.NORMAL
     assert r.term == Var("v")
     assert r.trace.beta_count == 5
 
 
 def test_budget_exhaustion_on_divergent_term():
-    r = reduce_leftmost(OMEGA, 25)
+    r = reduce_leftmost_f(OMEGA, FSignature(), 25)
     assert r.status is Status.BUDGET
     assert r.trace.beta_count == 25
     assert alpha_eq(r.term, OMEGA)
@@ -68,7 +68,7 @@ def test_budget_exhaustion_on_divergent_term():
 def test_leftmost_escapes_argument_divergence():
     # K v Omega discards the divergent argument under leftmost reduction
     t = app(K, Var("v"), OMEGA)
-    r = reduce_leftmost(t, 100)
+    r = reduce_leftmost_f(t, FSignature(), 100)
     assert r.status is Status.NORMAL
     assert r.term == Var("v")
 
