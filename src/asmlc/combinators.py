@@ -8,19 +8,25 @@ no F-redex until reduction feeds it the code nu1, so the copies of it
 that sit under the fixpoint stay inert, and its steps come in the order
 beta^(K-2) F^L beta^2.  Its least beta count is 3.
 
+Theta selects its branch in place (``encodings.select_first``): the
+guards of branches 1..n-1 sit at the head of its body, and the last
+branch is the else-arm.  Its guard must be the constant true, so the
+last branch fires exactly when every earlier guard is false; the
+compiler's branch list is exhaustive, which lets it set that guard.
+
 Cost anatomy of one step of a branch combinator with k slots and n
 branches, built with internal padding (K', L'):
 
     beta = 1 (fixpoint unfold) + (k+1) (argument loading)
-           + 4n (branch selection) + K' (padding)
-    F    = N (every constant node of every guard and every branch body,
-           fired eagerly by the F-first strategy before selection)
-           + L' (padding)
+           + 2(n-1) (branch selection) + K' (padding)
+    F    = N (every constant node of guards 1..n-1 and of every branch
+           body, fired eagerly by the F-first strategy before
+           selection) + L' (padding)
 
 Because the F-work happens before the selection, both counts are
 independent of the valuation and of which branch fires.  The minima
 come from this formula, at the least padding the pad allows
-(K' = 3, L' = 0): K_min = k + 4n + 5 and L_min = N.  A compile
+(K' = 3, L' = 0): K_min = k + 2n + 3 and L_min = N.  A compile
 builds theta once, with the padding that lands on the requested budget,
 and one measurement of that theta on the probe valuations must equal
 the formula; lockstep then checks every round against it.
@@ -34,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .encodings import case_n, identity_chain
+from .encodings import identity_chain, select_first
 from .engine import _STATUS_BOUNDARY, STATUS_NORMAL, _advance, signature_table
-from .good_terms import GoodTerm, const_count, to_term
+from .good_terms import GCode, GoodTerm, const_count, to_term
 from .lambda_f import BOOL, FSignature, code_term, f_redexes, match_code
 from .terms import (
     Abs,
@@ -161,7 +167,9 @@ def _part_consts(p: ExitPart) -> int:
 
 
 def branch_f_work(b: Branch) -> int:
-    """N_i: constant nodes of one guard and its branch body."""
+    """N_i: constant nodes of one guard and its branch body.  The last
+    guard is the constant true, with no constant node, and theta leaves
+    it out."""
     if isinstance(b, UpdateBranch):
         body = sum(const_count(u) for u in b.updates)
     else:
@@ -178,12 +186,15 @@ def static_f_work(branches: Sequence[Branch]) -> int:
 # The least beta count of the pad.
 _MIN_PAD_K = 3
 
+# The guard of the last branch, which theta selects as the else-arm.
+_ELSE_GUARD = GCode(Value(BOOL, True))
+
 
 def step_cost(k: int, branches: Sequence[Branch], pad_K: int, pad_L: int) -> dict:
     """The parts of one step's cost with k slots and internal padding
     (pad_K, pad_L): K is unfold + load + select + pad_K, and L is the
     sum of F_branches plus pad_L."""
-    return {"unfold": 1, "load": k + 1, "select": 4 * len(branches),
+    return {"unfold": 1, "load": k + 1, "select": 2 * (len(branches) - 1),
             "pad_K": pad_K, "F_branches": [branch_f_work(b) for b in branches],
             "pad_L": pad_L}
 
@@ -212,8 +223,8 @@ def _build_theta(
                 z = "z"
                 payload = Abs(z, app(Var(z), *(_part_term(p) for p in b.parts)))
             branch_terms.append(App(padding, payload))
-    guards = [to_term(b.guard) for b in branches]
-    body = app(case_n(len(branches)), *branch_terms, *guards)
+    guards = [to_term(b.guard) for b in branches[:-1]]
+    body = select_first(guards, branch_terms)
     g = lam([w] + names, body)
     if g.fv:
         raise ValueError(f"combinator body has stray free variables: {g.fv}")
@@ -319,7 +330,12 @@ def build_branch_combinator(
     """Build theta for an ordered guarded-branch list with an exact
     per-step cost (K, L).
 
-    The minima come from the cost formula: K_min = k + 4n + 5 and
+    The branches are in priority order, and the last one is the
+    else-arm: its guard must be the constant true (ValueError
+    otherwise), so the list is exhaustive and the last branch fires
+    exactly when every earlier guard is false.
+
+    The minima come from the cost formula: K_min = k + 2n + 3 and
     L_min = N (``static_f_work``).  With K/L omitted the minima are
     used; otherwise internal padding is raised to land exactly on the
     requested budget, and a request below the minima is rejected.
@@ -329,6 +345,9 @@ def build_branch_combinator(
     """
     if not branches:
         raise ValueError("need at least one branch")
+    if branches[-1].guard != _ELSE_GUARD:
+        raise ValueError("the last branch is the else-arm: its guard must "
+                         "be the constant true")
     if not probes:
         raise ValueError("need at least one probe valuation")
     least = step_cost(len(slots), branches, _MIN_PAD_K, 0)

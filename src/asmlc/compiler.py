@@ -12,13 +12,14 @@ Guard order mirrors the step semantics: fail (explicit fail, or an
 active update evaluating to undefined), then clash, then halt (explicit
 or empty active set), then one branch per update clause.  Branches
 that can never fire are left out: those whose guard folds to false, and
-all that follow a guard that folds to true.  Exits land on the
+all that follow a guard that folds to true.  The last branch kept is
+theta's untested else-arm, its guard set to true.  Exits land on the
 distinguished normal forms: success is the tuple of the numeral 1 with
 the outputs, fail is the numeral 2, clash the numeral 3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .asm import (
@@ -495,7 +496,7 @@ def compile_machine(
         if ups:
             row = tuple(fold(_slot_update(tr, info, ups)) for info in slots)
             branches.append(UpdateBranch(fold(g), row, label=f"clause-{i}"))
-    # case_n selects the first true guard, so neither a guard that folds
+    # theta selects the first true guard, so neither a guard that folds
     # to false nor any branch after one that folds to true can fire;
     # leaving them out saves their selection and F-work on every step
     kept: list[Branch] = []
@@ -504,6 +505,12 @@ def compile_machine(
             kept.append(b)
             if _is_const(b.guard, True):
                 break
+    # The list is exhaustive: the halt guard holds not(or of the update
+    # guards), so some guard is true under every valuation, and a left
+    # out branch is never the first true one.  So whenever every earlier
+    # kept guard is false, the last kept guard is true, and theta can
+    # take that branch as its else-arm without testing it.
+    kept[-1] = replace(kept[-1], guard=G_TRUE)
 
     compiled_slots = [s.as_slot() for s in slots]
     probes = _default_probes(machine, state, slots)

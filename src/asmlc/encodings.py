@@ -1,6 +1,6 @@
 """Canonical lambda encodings: booleans, tuples and projections,
-naturals and branch selectors, with the measured cost of projection and
-selection.
+naturals and the in-place branch selector, with the measured cost of
+projection and selection.
 
 Costs are measured by the counting engine under the strict
 one-redex-per-step convention, with no constant in the terms, so every
@@ -8,7 +8,7 @@ step is a beta step.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from .engine import STATUS_NORMAL, advance_term
 from .terms import Abs, App, Term, Var, app, lam
@@ -79,22 +79,24 @@ SUCC: Term = lam(["n", "z"], app(Var("z"), FALSE_TERM, Var("n")))
 PRED: Term = Abs("z", App(Var("z"), FALSE_TERM))
 
 
-def case_n(n: int) -> Term:
-    """Branch selector: applied to n branch terms then n booleans whose
-    first True sits at position i, leftmost reduction returns branch i.
+def select_first(guards: Sequence[Term], branches: Sequence[Term]) -> Term:
+    """In-place branch selection over n branches and n-1 Boolean guards:
 
-    Cost is 4n beta steps for every firing position: 2n to load the
-    arguments, 2 per skipped False, 2 to select, and an identity chain
-    of length 2(n-i) inside branch i equalizes the remainder.
+        g1 (I^{2(n-2)} B1) (g2 (I^{2(n-3)} B2) (... (g_{n-1} B_{n-1} B_n)))
+
+    Leftmost reduction returns the branch of the first true guard, and
+    the last branch, the else-arm, when every guard is false.  Cost is
+    2(n-1) beta steps for every firing position i: 2 per skipped False,
+    2 to select, and the identity chain of length 2(n-1-i) inside branch
+    i equalizes the remainder.  The else-arm pays 2 per guard instead.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    ys = [f"y{j}" for j in range(1, n + 1)]
-    zs = [f"z{j}" for j in range(1, n + 1)]
-    body = I_TERM  # dummy else-arm of the last test
-    for j in range(n, 0, -1):
-        body = app(Var(zs[j - 1]), identity_chain(2 * (n - j), Var(ys[j - 1])), body)
-    return lam(ys + zs, body)
+    n = len(branches)
+    if n < 1 or len(guards) != n - 1:
+        raise ValueError("need n >= 1 branches and n - 1 guards")
+    body = branches[-1]
+    for i in range(n - 2, -1, -1):
+        body = app(guards[i], identity_chain(2 * (n - 2 - i), branches[i]), body)
+    return body
 
 
 def measure_beta(t: Term, max_steps: int = 100_000) -> tuple[Term, int]:
@@ -114,11 +116,12 @@ def projection_cost(k: int, i: int) -> int:
     return steps
 
 
-def case_cost(n: int, i: int) -> int:
-    """The measured beta count of case_n firing at position i."""
+def selection_cost(n: int, i: int) -> int:
+    """The measured beta count of ``select_first`` over n branches
+    returning branch i."""
     branches = [Var(f"m{j}") for j in range(1, n + 1)]
-    flags = [bool_term(j == i) for j in range(1, n + 1)]
-    nf, steps = measure_beta(app(case_n(n), *branches, *flags))
+    guards = [bool_term(j == i) for j in range(1, n)]
+    nf, steps = measure_beta(select_first(guards, branches))
     if nf != branches[i - 1]:
-        raise RuntimeError("case selector returned the wrong branch")
+        raise RuntimeError("selection returned the wrong branch")
     return steps

@@ -77,7 +77,7 @@ def _subst(t: Term, name: str, repl: Term) -> Term:
         return App(_subst(t.fun, name, repl), _subst(t.arg, name, repl))
     binder, body = t.binder, t.body
     if binder in repl.fv:
-        fresh = fresh_name(binder)
+        fresh = fresh_name(binder, body.fv | repl.fv)
         body = _subst(body, binder, Var(fresh))
         binder = fresh
     return Abs(binder, _subst(body, name, repl))

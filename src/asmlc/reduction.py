@@ -9,7 +9,6 @@ budget, and divergence is a reported outcome.
 """
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -21,8 +20,6 @@ sys.setrecursionlimit(100_000)
 
 # An address is a path of child selectors from the root.
 Addr = tuple[str, ...]
-
-_fresh_counter = itertools.count()
 
 
 class ReductionError(Exception):
@@ -101,8 +98,15 @@ def is_beta_redex(t: Term) -> bool:
     return isinstance(t, App) and isinstance(t.fun, Abs)
 
 
-def fresh_name(base: str) -> str:
-    return f"{base.split('$')[0]}${next(_fresh_counter)}"
+def fresh_name(base: str, avoid: frozenset[str]) -> str:
+    """The first ``base$k`` (k = 0, 1, ...) not in ``avoid``, where
+    ``base`` drops any ``$k`` suffix.  Renaming a binder to it is
+    deterministic: it depends only on the terms involved."""
+    base = base.split("$")[0]
+    k = 0
+    while f"{base}${k}" in avoid:
+        k += 1
+    return f"{base}${k}"
 
 
 def substitute(body: Term, var: str, replacement: Term) -> Term:
@@ -118,7 +122,7 @@ def substitute(body: Term, var: str, replacement: Term) -> Term:
             if t.binder == var or var not in t.body.fv:
                 return t
             if t.binder in repl_free:
-                fresh = fresh_name(t.binder)
+                fresh = fresh_name(t.binder, t.body.fv | repl_free)
                 renamed = substitute(t.body, t.binder, Var(fresh))
                 return Abs(fresh, walk(renamed))
             return Abs(t.binder, walk(t.body))

@@ -131,25 +131,39 @@ def parse_term(s: str) -> Term:
 
 
 def print_term(t: Term) -> str:
-    return _print(t, 0)
-
-
-def _print(t: Term, prec: int) -> str:
-    # prec 0: top, 1: application position (fun), 2: argument position
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return "#" + t.symbol
-    if isinstance(t, Code):
-        return f"[{t.value.datatype}:{t.value.payload!r}]"
-    if isinstance(t, Abs):
-        binders = []
-        while isinstance(t, Abs):
-            binders.append(t.binder)
-            t = t.body
-        s = f"\\{' '.join(binders)}. {_print(t, 0)}"
-        return f"({s})" if prec > 0 else s
-    if isinstance(t, App):
-        s = f"{_print(t.fun, 1)} {_print(t.arg, 2)}"
-        return f"({s})" if prec > 1 else s
-    raise TypeError(f"not a term: {t!r}")
+    """The text of ``t``; an explicit stack of pending pieces keeps deep
+    terms off the Python call stack."""
+    out: list[str] = []
+    # pending items: a literal string, or (term, prec) where prec 0 is
+    # top, 1 application position (fun), 2 argument position
+    stack: list = [(t, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, prec = item
+        if isinstance(t, Var):
+            out.append(t.name)
+        elif isinstance(t, Const):
+            out.append("#" + t.symbol)
+        elif isinstance(t, Code):
+            out.append(f"[{t.value.datatype}:{t.value.payload!r}]")
+        elif isinstance(t, Abs):
+            binders = []
+            while isinstance(t, Abs):
+                binders.append(t.binder)
+                t = t.body
+            if prec > 0:
+                out.append("(")
+                stack.append(")")
+            out.append(f"\\{' '.join(binders)}. ")
+            stack.append((t, 0))
+        elif isinstance(t, App):
+            if prec > 1:
+                out.append("(")
+                stack.append(")")
+            stack += ((t.arg, 2), " ", (t.fun, 1))
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return "".join(out)

@@ -36,10 +36,10 @@ def bundled(name: str) -> SourceMachine:
 
 
 # Inputs to compile each bundled machine at, and its (K, L) there.
-BUNDLED_COSTS = {"euclid": ({"a0": 1, "b0": 1}, (19, 8)),
-                 "doubling": ({"stop": 4}, (19, 17)),
-                 "fail": ({}, (10, 0)),
-                 "clash": ({}, (10, 0))}
+BUNDLED_COSTS = {"euclid": ({"a0": 1, "b0": 1}, (11, 7)),
+                 "doubling": ({"stop": 4}, (11, 15)),
+                 "fail": ({}, (6, 0)),
+                 "clash": ({}, (6, 0))}
 
 
 def random_term(rng: random.Random, size: int, pool=("a", "b", "c")) -> Term:

@@ -243,6 +243,9 @@ def test_11_decoration_audit():
     assert all(r.match for r in by_name["curry-fixpoint"])
     assert all(r.match for r in by_name["projection"])
     assert all(r.match for r in by_name["padding"])
+    # theta's selector: 2(n-1) against the published 3n, with its note
+    for n, r in enumerate(by_name["case"], 1):
+        assert r.measured == str(2 * (n - 1)) and "else-arm" in r.note
     for name in ("if-then-else", "case", "zero-test-on-0",
                  "zero-test-on-succ", "succ", "pred"):
         assert name in by_name  # recorded

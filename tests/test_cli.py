@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,15 +85,15 @@ def test_compile_manifest(capsys):
     assert [s["symbol"] for s in manifest["slots"]] == ["a", "b"]
     assert manifest["K"] >= manifest["K_min"]
     cost = manifest["cost"]
-    assert cost["unfold"] + cost["load"] + cost["select"] + cost["pad_K"] == manifest["K"] == 19
-    assert sum(cost["F_branches"]) + cost["pad_L"] == manifest["L"] == 8
+    assert cost["unfold"] + cost["load"] + cost["select"] + cost["pad_K"] == manifest["K"] == 11
+    assert sum(cost["F_branches"]) + cost["pad_L"] == manifest["L"] == 7
 
 
 def test_compile_below_minima_is_one_error_line(capsys):
-    code, out, err = run_cli_err(capsys, "compile", EUCLID, "--headroom-K", "18")
+    code, out, err = run_cli_err(capsys, "compile", EUCLID, "--headroom-K", "10")
     assert code == 1
     assert out == ""
-    assert err == "error: requested (K,L)=(18,8) below the minima (19,8)\n"
+    assert err == "error: requested (K,L)=(10,7) below the minima (11,7)\n"
 
 
 def test_compile_term_printable(capsys):
@@ -110,10 +113,10 @@ def test_verify_grid(capsys):
 
 def test_verify_below_minima_is_one_error_line(capsys):
     code, out, err = run_cli_err(capsys, "verify", EUCLID, "--grid", "2",
-                                 "--headroom-L", "7")
+                                 "--headroom-L", "6")
     assert code == 1
     assert out == ""
-    assert err == "error: requested (K,L)=(19,7) below the minima (19,8)\n"
+    assert err == "error: requested (K,L)=(11,6) below the minima (11,7)\n"
 
 
 def test_verify_outside_carrier_is_one_error_line(capsys):
@@ -231,6 +234,19 @@ def test_encode_decode_roundtrip(capsys):
     code, out3 = run_cli(capsys, "encode", "bool", "false")
     code, out4 = run_cli(capsys, "decode", out3.strip())
     assert out4.strip() == "bool false"
+
+
+def test_encode_deep_numeral_prints():
+    # a numeral nested 200k deep; the printer once overflowed the
+    # Python stack on it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    r = subprocess.run([sys.executable, "-m", "asmlc.cli", "encode", "nat", "200000"],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout.startswith("\\z. z (\\x y. y) (\\z. z (\\x y. y)")
+    assert r.stdout.count("(\\z. ") == 200_000
 
 
 def test_decode_rejects_garbage(capsys):

@@ -173,7 +173,7 @@ def test_cost_formula_cross_check_fires(nat_sig, monkeypatch):
     """A formula that disagrees with the measured theta is an error."""
     real = combinators.static_f_work
     monkeypatch.setattr(combinators, "static_f_work", lambda bs: real(bs) + 1)
-    with pytest.raises(RuntimeError, match=r"\(K,L\)=\(10, 2\).*measures \(10, 1\)"):
+    with pytest.raises(RuntimeError, match=r"\(K,L\)=\(6, 2\).*measures \(6, 1\)"):
         _counter(nat_sig)
 
 
@@ -181,12 +181,11 @@ def test_conditional_combinator_exits(nat_sig):
     # count up to 3, then exit with the final value
     slots = [Slot("c", "Nat")]
     guard_run = GApp("lt", (GVar("c", "Nat"), GCode(Value("Nat", 3))))
-    guard_done = GApp("not", (guard_run,))
     phi = GApp("plus", (GVar("c", "Nat"), GCode(Value("Nat", 1))))
     gamma = GVar("c", "Nat")
     probes = [{"c": Value("Nat", i)} for i in range(4)]
     cc = build_branch_combinator(
-        [UpdateBranch(guard_run, (phi,)), ExitBranch(guard_done, (gamma,))],
+        [UpdateBranch(guard_run, (phi,)), ExitBranch(TRUE_GUARD, (gamma,))],
         slots, nat_sig, probes)
     _assert_probes_agree(cc, slots, nat_sig, probes)
     t = App(cc.theta, code_term(Value("Nat", 0)))
@@ -218,9 +217,23 @@ def test_resident_f_redex_rejected(nat_sig):
     bad_guard = GApp("lt", (GCode(Value("Nat", 0)), GCode(Value("Nat", 1))))
     phi = GVar("c", "Nat")
     probes = [{"c": Value("Nat", 0)}]
-    with pytest.raises(ValueError):
-        build_branch_combinator([UpdateBranch(bad_guard, (phi,))],
+    with pytest.raises(ValueError, match="resident F-redex"):
+        build_branch_combinator([UpdateBranch(bad_guard, (phi,)),
+                                 UpdateBranch(TRUE_GUARD, (phi,))],
                                 slots, nat_sig, probes)
+
+
+def test_last_guard_must_be_constant_true(nat_sig):
+    # the last branch is the else-arm, so any other last guard is refused
+    slots = [Slot("c", "Nat")]
+    phi = GVar("c", "Nat")
+    probes = [{"c": Value("Nat", 0)}]
+    lt3 = GApp("lt", (GVar("c", "Nat"), GCode(Value("Nat", 3))))
+    for last in (lt3, GCode(Value(BOOL, False))):
+        with pytest.raises(ValueError, match="else-arm"):
+            build_branch_combinator([UpdateBranch(TRUE_GUARD, (phi,)),
+                                     UpdateBranch(last, (phi,))],
+                                    slots, nat_sig, probes)
 
 
 @pytest.mark.parametrize("name", ["euclid", "doubling"])

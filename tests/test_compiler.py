@@ -57,6 +57,7 @@ def test_manifest_contents(euclid):
     assert m["exit_codes"] == {"success": 1, "fail": 2, "clash": 3}
     assert m["guard_order"] == ["fail", "halt", "clause-0"]
     assert len(m["cost"]["F_branches"]) == m["branches"] == 3
+    assert m["cost"]["F_branches"] == [4, 2, 1]
 
 
 def test_compiled_gcd_matches_math_oracle(euclid):
@@ -141,13 +142,13 @@ FORMULA_CASES = {
 
 @pytest.mark.parametrize("name", list(FORMULA_CASES))
 def test_cost_formula_equals_measurement(name):
-    """K_min = k + 4n + 5 and L_min = N, a default compile measures
+    """K_min = k + 2n + 3 and L_min = N, a default compile measures
     exactly that on its probes, and the manifest's parts sum to it."""
     make, want = FORMULA_CASES[name]
     machine, state = make()
     cm = compile_machine(machine, state)
     c = cm.combinator
-    assert c.K_min == c.k + 4 * len(c.branches) + 5
+    assert c.K_min == c.k + 2 * len(c.branches) + 3
     assert c.L_min == static_f_work(c.branches)
     assert (c.K, c.L) == (c.K_min, c.L_min)
     if want is not None:
@@ -217,6 +218,7 @@ def test_every_compiled_branch_can_fire():
         branches = compile_machine(machine, state).combinator.branches
         assert all(b.guard != G_FALSE for b in branches)
         assert all(b.guard != G_TRUE for b in branches[:-1])
+        assert branches[-1].guard == G_TRUE  # the else-arm
 
 
 # Two updates of c with one value: the clash guard folds to false only
@@ -253,4 +255,4 @@ def test_doubling_budget_same_at_every_stop():
     for stop in range(1, 9):
         cm = compile_machine(sm.machine(), sm.state({"stop": stop}))
         shapes.add((cm.K, cm.L, term_size(cm.theta)))
-    assert shapes == {(*BUNDLED_COSTS["doubling"][1], 407)}
+    assert shapes == {(*BUNDLED_COSTS["doubling"][1], 325)}

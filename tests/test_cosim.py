@@ -121,6 +121,16 @@ def test_audit_exact_rows():
     assert pads and all(r.match for r in pads)
 
 
+def test_audit_case_rows_measure_thetas_selector():
+    # published 3n; theta's in-place selector costs 2(n-1), and the note
+    # says why
+    rows = [r for r in decoration_audit() if r.name == "case"]
+    assert [r.parameters for r in rows] == [f"n={n}" for n in range(1, 7)]
+    for n, r in enumerate(rows, 1):
+        assert (r.claimed, r.measured, r.match) == (str(3 * n), str(2 * (n - 1)), False)
+        assert "in place" in r.note and "else-arm" in r.note
+
+
 def test_audit_convention_rows_carry_note():
     for r in decoration_audit():
         if not r.match:

@@ -1,19 +1,22 @@
+import pytest
+
 from asmlc.encodings import (
     PRED,
     SUCC,
     ZERO_TEST,
-    case_cost,
-    case_n,
     identity_chain,
     match_nat,
     measure_beta,
     nat,
     proj,
     projection_cost,
+    select_first,
+    selection_cost,
     tup,
 )
 from asmlc.lambda_f import TRUE_TERM, FSignature, bool_term, reduce_leftmost_f
-from asmlc.terms import App, Var, app
+from asmlc.reduction import Status
+from asmlc.terms import Abs, App, Var, app
 
 
 def test_nat_roundtrip():
@@ -62,27 +65,43 @@ def test_succ_pred():
     assert len(costs_s) == 1 and len(costs_p) == 1
 
 
+def _marked(n, i, other):
+    """select_first over n branches whose guards mark branch i: branch i
+    is ``keep``, every other branch is ``other(j)``."""
+    branches = [Var("keep") if j == i else other(j) for j in range(1, n + 1)]
+    guards = [bool_term(j == i) for j in range(1, n)]
+    return select_first(guards, branches)
+
+
 def test_case_selects_marked_branch():
-    for n in range(1, 6):
-        for i in range(1, n + 1):
-            branches = [Var(f"m{j}") for j in range(1, n + 1)]
-            flags = [bool_term(j == i) for j in range(1, n + 1)]
-            nf, _ = measure_beta(app(case_n(n), *branches, *flags))
-            assert nf == branches[i - 1]
-
-
-def test_case_cost_uniform_4n():
     for n in range(1, 7):
-        costs = {case_cost(n, i) for i in range(1, n + 1)}
-        assert costs == {4 * n}
+        for i in range(1, n + 1):
+            nf, _ = measure_beta(_marked(n, i, lambda j: Var(f"m{j}")))
+            assert nf == Var("keep")
+
+
+def test_case_cost_uniform_2n_minus_2():
+    for n in range(1, 7):
+        costs = {selection_cost(n, i) for i in range(1, n + 1)}
+        assert costs == {2 * (n - 1)}
+
+
+def test_select_first_needs_one_guard_fewer_than_branches():
+    with pytest.raises(ValueError):
+        select_first([], [])
+    with pytest.raises(ValueError):
+        select_first([bool_term(True)], [Var("m")])
+
+
+OMEGA = App(Abs("d", App(Var("d"), Var("d"))), Abs("d", App(Var("d"), Var("d"))))
 
 
 def test_case_discarded_branches_never_fire():
-    # a divergent term in a non-selected branch must not be touched
-    omega = App(*(2 * [App(Var("d"), Var("d"))]))
-    diverging = Var("boom")
-    branches = [Var("keep"), diverging]
-    flags = [bool_term(True), bool_term(False)]
-    r = reduce_leftmost_f(app(case_n(2), *branches, *flags), FSignature(), 8 + 10)
-    assert r.term == Var("keep")
-
+    # every branch not selected is the divergent Omega: selection that
+    # reduced one would run out of budget instead of reaching ``keep``
+    for n in range(1, 7):
+        for i in range(1, n + 1):
+            r = reduce_leftmost_f(_marked(n, i, lambda j: OMEGA), FSignature(),
+                                  2 * (n - 1) + 10)
+            assert r.status is Status.NORMAL and r.term == Var("keep")
+            assert r.trace.beta_count == 2 * (n - 1)

@@ -18,7 +18,7 @@ from asmlc.lambda_f import (
 )
 from asmlc.reduction import Status
 from asmlc.syntax import TermSyntaxError, parse_term
-from asmlc.terms import Abs, App, Code, Const, Var, alpha_eq, app
+from asmlc.terms import Abs, App, Code, Const, Var, app
 
 from conftest import random_term
 
@@ -27,12 +27,12 @@ _STATUS = {Status.NORMAL: STATUS_NORMAL, Status.BUDGET: STATUS_RAN,
 
 
 def _assert_agrees(t, sig, budget):
-    """The engine and the traced reducer agree on the result term (up to
-    alpha), the counts and the status."""
+    """The engine and the traced reducer agree on the result term, down
+    to the fresh binder names, the counts and the status."""
     slow = reduce_leftmost_f(t, sig, budget)
     fast_t, beta, f, status = advance_term(t, signature_table(sig), budget)
     assert (beta, f) == (slow.trace.beta_count, slow.trace.f_count)
-    assert alpha_eq(fast_t, slow.term)
+    assert fast_t == slow.term
     assert status == _STATUS[slow.status]
 
 

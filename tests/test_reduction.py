@@ -16,6 +16,7 @@ from asmlc.reduction import (
     subterm_at,
 )
 from asmlc.lambda_f import FSignature, reduce_leftmost_f
+from asmlc.syntax import parse_term
 from asmlc.terms import Abs, App, Var, alpha_eq, app, lam
 
 from conftest import random_term
@@ -32,6 +33,19 @@ def test_substitute_capture_avoiding():
     r = substitute(t, "x", Var("y"))
     assert isinstance(r, Abs) and r.binder != "y"
     assert r.body == App(Var("y"), Var(r.binder))
+
+
+def test_fresh_names_are_deterministic():
+    # renaming picks the first free base$k, so the same reduction run
+    # twice in one process gives equal terms, not just alpha-equal ones
+    t = parse_term(r"(\x y. x y) (\z. y)")
+    a = reduce_leftmost_f(t, FSignature(), 10)
+    b = reduce_leftmost_f(t, FSignature(), 10)
+    assert a.term == b.term == Abs("y$0", Var("y"))
+    # the first free name: y$0 is taken by the replacement, y$1 by the body
+    y0, y1, y2 = Var("y$0"), Var("y$1"), Var("y$2")
+    r = substitute(Abs("y", app(Var("x"), Var("y"), y1)), "x", App(Var("y"), y0))
+    assert r == Abs("y$2", app(Var("y"), y0, y2, y1))
 
 
 def test_substitute_shadowing():

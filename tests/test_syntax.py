@@ -66,3 +66,40 @@ def test_roundtrip_with_constants_and_codes():
     t = app(Const("and"), Code(Value("Nat", 5)),
             Abs("x", App(Var("x"), Const("not"))))
     assert parse_term(print_term(t)) == t
+
+
+def _recursive_print(t, prec=0):
+    """The former recursive printer, kept as the oracle."""
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Const):
+        return "#" + t.symbol
+    if isinstance(t, Code):
+        return f"[{t.value.datatype}:{t.value.payload!r}]"
+    if isinstance(t, Abs):
+        binders = []
+        while isinstance(t, Abs):
+            binders.append(t.binder)
+            t = t.body
+        s = f"\\{' '.join(binders)}. {_recursive_print(t, 0)}"
+        return f"({s})" if prec > 0 else s
+    s = f"{_recursive_print(t.fun, 1)} {_recursive_print(t.arg, 2)}"
+    return f"({s})" if prec > 1 else s
+
+
+def test_print_matches_recursive_oracle(rng):
+    leaves = (Const("succ"), Code(Value("Nat", 3)), Code(Value("Pair", (1, "a"))))
+    for _ in range(300):
+        t = random_term(rng, rng.randint(1, 40))
+        for u in (t, App(rng.choice(leaves), t), Abs("a", App(t, rng.choice(leaves)))):
+            assert print_term(u) == _recursive_print(u)
+
+
+def test_print_deep_left_spine():
+    # deeper than the recursion limit the package sets (100k frames),
+    # which the recursive printer spent one frame a level on; the CLI
+    # tests print a right-nested numeral 200k deep
+    left = Var("x")
+    for _ in range(120_000):
+        left = App(left, Var("y"))
+    assert print_term(left) == "x" + " y" * 120_000
