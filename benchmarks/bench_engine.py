@@ -35,8 +35,8 @@ from asmlc.terms import term_size
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 DOUBLING_STOPS = range(1, 9)
-# Passes over the doubling stops per timing: at (K, L) = (11, 15) one
-# pass takes about 0.027 s (Python 3.11, 2 CPUs), so ten take about as
+# Passes over the doubling stops per timing: at (K, L) = (8, 15) one
+# pass takes about 0.015 s (Python 3.11, 2 CPUs), so ten take about as
 # long as one or two euclid passes.
 DOUBLING_REPS = 10
 

@@ -65,8 +65,10 @@ def _show(v) -> str:
 
 
 def _compile(machine, state, args):
-    """``compile_machine`` at the requested budget; a budget below the
-    minima, or a machine the compiler rejects, ends in one error line."""
+    """``compile_machine`` at the requested budget.  A budget below the
+    minima, an L above L_min at K = K_min (the error names the least K
+    for that L), or a machine the compiler rejects ends in one error
+    line."""
     try:
         return compile_machine(machine, state, K=args.headroom_K, L=args.headroom_L)
     except ValueError as exc:

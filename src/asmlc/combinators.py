@@ -1,12 +1,6 @@
-"""Fixpoint and padding toolbox: the Curry fixed point, the padding term
-with an exact (K, L) reduction budget, and combinators that advance a
-tuple of value slots by one guarded-update step at a constant, exact
-(K, L) cost per step.
-
-The one pad, ``pad(K, L)``, keeps its F-work under a binder: it holds
-no F-redex until reduction feeds it the code nu1, so the copies of it
-that sit under the fixpoint stay inert, and its steps come in the order
-beta^(K-2) F^L beta^2.  Its least beta count is 3.
+"""Fixpoint toolbox: the Curry fixed point, and combinators that
+advance a tuple of value slots by one guarded-update step at a constant,
+exact (K, L) cost per step.
 
 Theta selects its branch in place (``encodings.select_first``): the
 guards of branches 1..n-1 sit at the head of its body, and the last
@@ -14,22 +8,36 @@ branch is the else-arm.  Its guard must be the constant true, so the
 last branch fires exactly when every earlier guard is false; the
 compiler's branch list is exhaustive, which lets it set that guard.
 
+Theta pads once, at the head of its body.  With internal padding
+(K', 0) the body is ``I^{K'} B``, B the selection over bare branches:
+an update branch is ``w u1..uk`` and an exit branch its payload.  With
+L' > 0 one discard binding releases the F-steps:
+
+    I^{K'-1} ((lambda d. B) (not^{L'-1} (e x1)))
+
+where ``e x1`` is a Boolean test of the first slot that the signature
+already holds: ``eq_<sort> x1 x1`` for a value slot, ``F_<symbol> x1``
+for a difference-list slot.  x1 is bound inside theta, so the chain is
+no resident F-redex; loading the slot releases its L' F-steps, and
+dropping it costs one beta.  So F-padding needs K' >= 1.
+
 Cost anatomy of one step of a branch combinator with k slots and n
 branches, built with internal padding (K', L'):
 
     beta = 1 (fixpoint unfold) + (k+1) (argument loading)
-           + 2(n-1) (branch selection) + K' (padding)
+           + 2(n-1) (branch selection) + K' (padding: the identity
+           chain, plus the discard beta when L' > 0)
     F    = N (every constant node of guards 1..n-1 and of every branch
            body, fired eagerly by the F-first strategy before
            selection) + L' (padding)
 
 Because the F-work happens before the selection, both counts are
 independent of the valuation and of which branch fires.  The minima
-come from this formula, at the least padding the pad allows
-(K' = 3, L' = 0): K_min = k + 2n + 3 and L_min = N.  A compile
-builds theta once, with the padding that lands on the requested budget,
-and one measurement of that theta on the probe valuations must equal
-the formula; lockstep then checks every round against it.
+come from this formula at K' = L' = 0: K_min = k + 2n and L_min = N;
+a budget with L > L_min needs K >= K_min + 1.  A compile builds theta
+once, with the padding that lands on the requested budget, and one
+measurement of that theta on the probe valuations must equal the
+formula; lockstep then checks every round against it.
 
 Measurement (``reduce_one_block``) runs the counting engine's shared
 loop and stops at the first block boundary: the term is theta applied
@@ -40,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .encodings import identity_chain, select_first
+from .encodings import identity_chain, select_first, tup
 from .engine import _STATUS_BOUNDARY, STATUS_NORMAL, _advance, signature_table
 from .good_terms import GCode, GoodTerm, const_count, to_term
 from .lambda_f import BOOL, FSignature, code_term, f_redexes, match_code
@@ -64,32 +72,6 @@ def curry_fixpoint(f: Term) -> Term:
         x += "'"
     half = Abs(x, App(f, App(Var(x), Var(x))))
     return App(half, half)
-
-
-# The pad's F-work: a chain of the unary Boolean constant omega over
-# the code of nu1.
-_OMEGA = "not"
-_NU1 = Value(BOOL, True)
-
-
-def pad(K: int, L: int) -> Term:
-    """A term P such that F-first leftmost reduction of P X t1...tk
-    reaches X t1...tk after exactly K beta steps and L F-steps, in the
-    order beta^(K-2) F^L beta^2.
-
-    The omega chain is closed under a binder, so the pad contains no
-    F-redex until reduction feeds it nu1: theta carries copies of the
-    pad under the fixpoint, where a resident F-redex would be contracted
-    out of band.  Requires K >= 3.
-    """
-    if K < 3:
-        raise ValueError("padding needs K >= 3")
-    chain: Term = Var("z")
-    for _ in range(L):
-        chain = App(Const(_OMEGA), chain)
-    discard = lam(["x", "y"], Var("y"))
-    core = App(Abs("z", App(discard, chain)), code_term(_NU1))
-    return identity_chain(K - 3, core)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +136,7 @@ class CompiledCombinator:
 
     def cost(self) -> dict:
         """The parts of (K, L) by the formula in the module docstring."""
-        return step_cost(self.k, self.branches,
-                         _MIN_PAD_K + self.K - self.K_min, self.L - self.L_min)
+        return step_cost(self.k, self.branches, self.K - self.K_min, self.L - self.L_min)
 
 
 def _part_term(p: ExitPart) -> Term:
@@ -183,9 +164,6 @@ def static_f_work(branches: Sequence[Branch]) -> int:
     return sum(branch_f_work(b) for b in branches)
 
 
-# The least beta count of the pad.
-_MIN_PAD_K = 3
-
 # The guard of the last branch, which theta selects as the else-arm.
 _ELSE_GUARD = GCode(Value(BOOL, True))
 
@@ -199,9 +177,25 @@ def step_cost(k: int, branches: Sequence[Branch], pad_K: int, pad_L: int) -> dic
             "pad_L": pad_L}
 
 
+def _slot_test(slots: Sequence[Slot], sig: FSignature) -> Term:
+    """``e x1``: a Boolean test of the first slot that ``sig`` holds,
+    ``eq_<sort> x1 x1`` for a value slot or ``F_<symbol> x1`` for a
+    difference-list slot (``lambda_f.install_delta``'s name)."""
+    if slots:
+        x = slots[0]
+        for name in (f"eq_{x.datatype}", f"F_{x.name}"):
+            f = sig.get(name)
+            if f is not None and f.result_datatype == BOOL and \
+                    set(f.arg_datatypes) == {x.datatype}:
+                return app(Const(name), *[Var(x.name)] * f.arity)
+    raise ValueError("F-padding needs a Boolean test of the first slot "
+                     "in the signature")
+
+
 def _build_theta(
     branches: Sequence[Branch],
     slots: Sequence[Slot],
+    sig: FSignature,
     k_prime: int,
     l_prime: int,
 ) -> Term:
@@ -209,23 +203,28 @@ def _build_theta(
     w = "w"
     while w in names:
         w += "'"
-    padding = pad(k_prime, l_prime)
     branch_terms: list[Term] = []
     for b in branches:
         if isinstance(b, UpdateBranch):
             if len(b.updates) != len(slots):
                 raise ValueError("update row length must equal the slot count")
-            branch_terms.append(app(padding, Var(w), *(to_term(u) for u in b.updates)))
+            branch_terms.append(app(Var(w), *(to_term(u) for u in b.updates)))
+        elif len(b.parts) == 1 and not b.tuple_form:
+            branch_terms.append(_part_term(b.parts[0]))
         else:
-            if len(b.parts) == 1 and not b.tuple_form:
-                payload = _part_term(b.parts[0])
-            else:
-                z = "z"
-                payload = Abs(z, app(Var(z), *(_part_term(p) for p in b.parts)))
-            branch_terms.append(App(padding, payload))
+            branch_terms.append(tup(*(_part_term(p) for p in b.parts)))
     guards = [to_term(b.guard) for b in branches[:-1]]
     body = select_first(guards, branch_terms)
-    g = lam([w] + names, body)
+    if l_prime:
+        chain = _slot_test(slots, sig)
+        for _ in range(l_prime - 1):
+            chain = App(Const("not"), chain)
+        d = "d"
+        while d in names or d == w:
+            d += "'"
+        body = App(Abs(d, body), chain)
+        k_prime -= 1
+    g = lam([w] + names, identity_chain(k_prime, body))
     if g.fv:
         raise ValueError(f"combinator body has stray free variables: {g.fv}")
     return curry_fixpoint(g)
@@ -335,10 +334,11 @@ def build_branch_combinator(
     otherwise), so the list is exhaustive and the last branch fires
     exactly when every earlier guard is false.
 
-    The minima come from the cost formula: K_min = k + 2n + 3 and
-    L_min = N (``static_f_work``).  With K/L omitted the minima are
-    used; otherwise internal padding is raised to land exactly on the
-    requested budget, and a request below the minima is rejected.
+    The minima come from the cost formula: K_min = k + 2n and
+    L_min = N (``static_f_work``).  L defaults to L_min, and K to the
+    least K for that L: K_min, plus the discard beta when L > L_min.
+    Internal padding lands exactly on the requested budget; a request
+    below the minima, or with L > L_min at K = K_min, is rejected.
     Theta is built once, and one measurement of it on every probe
     valuation must equal the formula (RuntimeError otherwise); lockstep
     checks every round against the same (K, L).
@@ -350,14 +350,17 @@ def build_branch_combinator(
                          "be the constant true")
     if not probes:
         raise ValueError("need at least one probe valuation")
-    least = step_cost(len(slots), branches, _MIN_PAD_K, 0)
-    k_min = least["unfold"] + least["load"] + least["select"] + least["pad_K"]
+    least = step_cost(len(slots), branches, 0, 0)
+    k_min = least["unfold"] + least["load"] + least["select"]
     l_min = static_f_work(branches)
-    K = k_min if K is None else K
     L = l_min if L is None else L
+    k_least = k_min + (L > l_min)
+    K = k_least if K is None else K
     if K < k_min or L < l_min:
         raise ValueError(f"requested (K,L)=({K},{L}) below the minima ({k_min},{l_min})")
-    theta = _build_theta(branches, slots, _MIN_PAD_K + K - k_min, L - l_min)
+    if K < k_least:
+        raise ValueError(f"requested (K,L)=({K},{L}): the least K for L={L} is {k_least}")
+    theta = _build_theta(branches, slots, sig, K - k_min, L - l_min)
     if f_redexes(theta, sig):
         raise ValueError("combinator body contains a resident F-redex; "
                          "fold ground constant subterms to codes first")

@@ -437,8 +437,8 @@ def compile_machine(
     """Compile; ``state`` supplies carriers and static semantics.  The
     resulting theta is input-independent as long as the program body
     does not mention input constants (inputs enter through the initial
-    slot codes only).  (K, L) is the requested per-step budget, the
-    minima when omitted."""
+    slot codes only).  (K, L) is the requested per-step budget: L
+    defaults to L_min, and K to the least K for that L."""
     voc = machine.voc
     slots = make_slots(voc)
     if not slots:

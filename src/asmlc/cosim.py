@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .asm import Machine, State, run
-from .combinators import curry_fixpoint, pad, reduce_one_block
+from .combinators import curry_fixpoint, reduce_one_block
 from .compiler import CompiledMachine, DecodeError, decode_result, delta_as_map
 from .encodings import (
     PRED,
@@ -21,7 +21,7 @@ from .encodings import (
     selection_cost,
 )
 from .engine import STATUS_UNDEFINED, advance_term, signature_table
-from .lambda_f import UndefinedApplication, reduce_leftmost_f, standard_bool_signature
+from .lambda_f import UndefinedApplication
 from .terms import Abs, App, Term, Var, alpha_eq, app
 
 
@@ -235,18 +235,6 @@ def decoration_audit() -> list[AuditRow]:
         rows.append(AuditRow(name, "", str(claimed), str(steps),
                              steps == claimed,
                              "" if steps == claimed else _CONVENTION_NOTE))
-
-    # Padding: exact by construction.  The pad holds no F-redex until
-    # its first K-2 beta steps feed the code nu1 to its omega chain, so
-    # its L F-steps fall between those and the last 2 beta steps.
-    sig = standard_bool_signature()
-    for K, L in ((3, 0), (4, 2), (6, 3)):
-        r = reduce_leftmost_f(App(pad(K, L), Var("x")), sig, 1000)
-        m = (r.trace.beta_count, r.trace.f_count)
-        kinds = [s.kind for s in r.trace.steps]
-        ordered = kinds == ["beta"] * (K - 2) + ["f"] * L + ["beta"] * 2
-        rows.append(AuditRow("padding", f"K={K},L={L}", f"({K},{L})",
-                             str(m), m == (K, L) and ordered and r.term == Var("x")))
     return rows
 
 

@@ -36,10 +36,10 @@ def bundled(name: str) -> SourceMachine:
 
 
 # Inputs to compile each bundled machine at, and its (K, L) there.
-BUNDLED_COSTS = {"euclid": ({"a0": 1, "b0": 1}, (11, 7)),
-                 "doubling": ({"stop": 4}, (11, 15)),
-                 "fail": ({}, (6, 0)),
-                 "clash": ({}, (6, 0))}
+BUNDLED_COSTS = {"euclid": ({"a0": 1, "b0": 1}, (8, 7)),
+                 "doubling": ({"stop": 4}, (8, 15)),
+                 "fail": ({}, (3, 0)),
+                 "clash": ({}, (3, 0))}
 
 
 def random_term(rng: random.Random, size: int, pool=("a", "b", "c")) -> Term:

@@ -7,17 +7,25 @@ import math
 import random
 import time
 
+import pytest
+
 from asmlc.asm import run
-from asmlc.combinators import curry_fixpoint, pad
-from asmlc.compiler import compile_machine, decode_result, delta_as_map, slot_values_for_state
+from asmlc.combinators import curry_fixpoint, reduce_one_block
+from asmlc.compiler import (
+    _default_probes,
+    compile_machine,
+    decode_result,
+    delta_as_map,
+    slot_values_for_state,
+)
 from asmlc.cosim import decoration_audit, lockstep
 from asmlc.encodings import match_nat, projection_cost
 from asmlc.engine import STATUS_NORMAL, advance_term, signature_table
 from asmlc.good_terms import reduce_cost, semantics, variables
-from asmlc.lambda_f import FSignature, f_redexes, reduce_leftmost_f, standard_bool_signature
+from asmlc.lambda_f import FSignature, code_term, f_redexes, reduce_leftmost_f
 from asmlc.normalize import check_equivalence, normalize, to_program
-from asmlc.reduction import ConfluenceInconclusive, Status, check_confluence_bounded
-from asmlc.terms import App, Var, alpha_eq, app
+from asmlc.reduction import ConfluenceInconclusive, check_confluence_bounded
+from asmlc.terms import App, alpha_eq, app
 
 from conftest import (
     bundled,
@@ -114,23 +122,43 @@ def test_04_delta_fidelity_lockstep():
           f"({len(delta)} entries) at ({cm.K}, {cm.L}) in {elapsed:.2f}s")
 
 
-def test_05_padding_exact_and_ordered():
-    """pad(K, L) holds no resident F-redex, passes extra arguments
-    through, and costs exactly K beta steps and L F-steps in the order
-    beta^(K-2) F^L beta^2, for every K in 3..8, L in 0..4."""
-    sig = standard_bool_signature()
-    extra = (Var("u"), Var("v"))
-    checked = 0
-    for K in range(3, 9):
-        for L in range(0, 5):
-            p = pad(K, L)
-            assert f_redexes(p, sig) == [], (K, L)
-            r = reduce_leftmost_f(app(p, Var("x"), *extra), sig, 10_000)
-            assert r.status is Status.NORMAL and r.term == app(Var("x"), *extra)
-            kinds = [s.kind for s in r.trace.steps]
-            assert kinds == ["beta"] * (K - 2) + ["f"] * L + ["beta"] * 2, (K, L, kinds)
-            checked += 1
-    print(f"\nPASS: {checked} pads exact and F-redex-free, F-steps after K-2 beta steps")
+def test_05_padding_exact_or_refused():
+    """Theta's padding, through compile_machine on euclid (a value first
+    slot) and doubling (a difference-list first slot): for K' in 0..5
+    and L' in 0..4, a compile at (K_min+K', L_min+L') holds no resident
+    F-redex and takes exactly that budget from every probe, and the
+    traced reducer agrees on the first; it is refused exactly when
+    K' = 0 < L'."""
+    checked = refused = 0
+    for name, inputs in (("euclid", {"a0": 6, "b0": 4}), ("doubling", {"stop": 4})):
+        sm = bundled(name)
+        machine, state = sm.machine(), sm.state(inputs)
+        base = compile_machine(machine, state)
+        slots = [s.as_slot() for s in base.slots]
+        probes = _default_probes(machine, state, base.slots)
+        for dk in range(6):
+            for dl in range(5):
+                K, L = base.K + dk, base.L + dl
+                if dk == 0 < dl:
+                    with pytest.raises(ValueError, match=f"least K for L={L} is {K + 1}$"):
+                        compile_machine(machine, state, K, L)
+                    refused += 1
+                    continue
+                cm = compile_machine(machine, state, K, L)
+                assert (cm.K, cm.L) == (K, L)
+                assert f_redexes(cm.theta, cm.sig) == [], (name, dk, dl)
+                starts = [app(cm.theta, *(code_term(val[s.name]) for s in slots))
+                          for val in probes]
+                for start in starts:
+                    b = reduce_one_block(start, cm.theta, slots, cm.sig)
+                    assert (b.beta_count, b.f_count) == (K, L), (name, dk, dl)
+                r = reduce_leftmost_f(starts[0], cm.sig, K + L)
+                assert (r.trace.beta_count, r.trace.f_count) == (K, L)
+                assert decode_result(r.term, cm).kind == "running"
+                checked += 1
+    assert (checked, refused) == (52, 8)
+    print(f"\nPASS: {checked} padded compiles exact on every probe, "
+          f"{refused} F-padding requests at K_min refused")
 
 
 def test_06_fixpoint_single_step():
@@ -242,7 +270,6 @@ def test_11_decoration_audit():
         by_name.setdefault(r.name, []).append(r)
     assert all(r.match for r in by_name["curry-fixpoint"])
     assert all(r.match for r in by_name["projection"])
-    assert all(r.match for r in by_name["padding"])
     # theta's selector: 2(n-1) against the published 3n, with its note
     for n, r in enumerate(by_name["case"], 1):
         assert r.measured == str(2 * (n - 1)) and "else-arm" in r.note
@@ -251,8 +278,8 @@ def test_11_decoration_audit():
         assert name in by_name  # recorded
         for r in by_name[name]:
             assert r.match or r.note  # mismatches carry the note
-    print(f"\nPASS: audit has {len(rows)} rows; fixpoint/projection/"
-          "padding exact, convention rows annotated")
+    print(f"\nPASS: audit has {len(rows)} rows; fixpoint/projection "
+          "exact, convention rows annotated")
 
 
 def test_12_step_budget_growth_curve():

@@ -85,15 +85,33 @@ def test_compile_manifest(capsys):
     assert [s["symbol"] for s in manifest["slots"]] == ["a", "b"]
     assert manifest["K"] >= manifest["K_min"]
     cost = manifest["cost"]
-    assert cost["unfold"] + cost["load"] + cost["select"] + cost["pad_K"] == manifest["K"] == 11
+    assert cost["unfold"] + cost["load"] + cost["select"] + cost["pad_K"] == manifest["K"] == 8
     assert sum(cost["F_branches"]) + cost["pad_L"] == manifest["L"] == 7
 
 
 def test_compile_below_minima_is_one_error_line(capsys):
-    code, out, err = run_cli_err(capsys, "compile", EUCLID, "--headroom-K", "10")
+    code, out, err = run_cli_err(capsys, "compile", EUCLID, "--headroom-K", "7")
     assert code == 1
     assert out == ""
-    assert err == "error: requested (K,L)=(10,7) below the minima (11,7)\n"
+    assert err == "error: requested (K,L)=(7,7) below the minima (8,7)\n"
+
+
+@pytest.mark.parametrize("cmd", ["compile", "verify"])
+def test_f_padding_at_least_k_is_one_error_line(capsys, cmd):
+    # L above L_min needs one beta more than K_min, for the discard binding
+    code, out, err = run_cli_err(capsys, cmd, EUCLID, "--headroom-K", "8",
+                                 "--headroom-L", "9")
+    assert code == 1
+    assert out == ""
+    assert err == "error: requested (K,L)=(8,9): the least K for L=9 is 9\n"
+
+
+def test_compile_headroom_l_alone_takes_least_k(capsys):
+    code, out = run_cli(capsys, "compile", EUCLID, "--headroom-L", "9")
+    assert code == 0
+    manifest = json.loads(out)
+    assert (manifest["K"], manifest["L"]) == (9, 9)
+    assert (manifest["cost"]["pad_K"], manifest["cost"]["pad_L"]) == (1, 2)
 
 
 def test_compile_term_printable(capsys):
@@ -116,7 +134,7 @@ def test_verify_below_minima_is_one_error_line(capsys):
                                  "--headroom-L", "6")
     assert code == 1
     assert out == ""
-    assert err == "error: requested (K,L)=(11,6) below the minima (11,7)\n"
+    assert err == "error: requested (K,L)=(8,6) below the minima (8,7)\n"
 
 
 def test_verify_outside_carrier_is_one_error_line(capsys):
@@ -257,7 +275,7 @@ def test_decode_rejects_garbage(capsys):
 def test_audit(capsys):
     code, out = run_cli(capsys, "audit")
     assert code == 0
-    assert "curry-fixpoint" in out and "padding" in out
+    assert "curry-fixpoint" in out and "projection" in out
 
 
 def test_trace_counts(capsys):

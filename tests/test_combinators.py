@@ -9,7 +9,6 @@ from asmlc.combinators import (
     build_branch_combinator,
     curry_fixpoint,
     decode_state,
-    pad,
     reduce_one_block,
     static_f_work,
 )
@@ -21,13 +20,12 @@ from asmlc.lambda_f import (
     UndefinedApplication,
     Value,
     code_term,
-    f_redexes,
     f_step,
     leftmost_f_redex,
     reduce_leftmost_f,
     standard_bool_signature,
 )
-from asmlc.reduction import Status, beta_step, leftmost_redex
+from asmlc.reduction import beta_step, leftmost_redex
 from asmlc.terms import Abs, App, Var, alpha_eq, app
 
 from conftest import bundled, random_closed_term
@@ -99,31 +97,6 @@ def test_curry_fixpoint_random_closed(rng):
         assert alpha_eq(r.term, App(f, theta))
 
 
-def test_pad_exact_costs():
-    """pad(K, L) holds no resident F-redex and costs exactly (K, L), in
-    the order beta^(K-2) F^L beta^2; below K = 3 there is no pad."""
-    sig = standard_bool_signature()
-    for K in range(3, 7):
-        for L in range(0, 4):
-            p = pad(K, L)
-            assert f_redexes(p, sig) == []
-            r = reduce_leftmost_f(App(p, Var("x")), sig, 1000)
-            assert r.status is Status.NORMAL and r.term == Var("x")
-            assert (r.trace.beta_count, r.trace.f_count) == (K, L)
-            kinds = [s.kind for s in r.trace.steps]
-            assert kinds == ["beta"] * (K - 2) + ["f"] * L + ["beta"] * 2
-    with pytest.raises(ValueError):
-        pad(2, 0)
-
-
-def test_pad_passes_through_extra_arguments():
-    sig = standard_bool_signature()
-    p = pad(4, 1)
-    t = app(p, Var("x"), Var("u"), Var("v"))
-    r = reduce_leftmost_f(t, sig, 1000)
-    assert r.term == app(Var("x"), Var("u"), Var("v"))
-
-
 def _counter(nat_sig, **kw):
     # one slot, incremented by one on every step
     slots = [Slot("c", "Nat")]
@@ -155,12 +128,26 @@ def test_static_f_work_counts_all_branches(nat_sig):
 
 def test_requested_headroom_is_exact(nat_sig):
     cc0, slots = _counter(nat_sig)
-    for dk, dl in ((0, 0), (2, 0), (0, 3), (4, 2)):
+    # F-padding spends one beta on its discard binding, so L above L_min
+    # at K = K_min is refused
+    with pytest.raises(ValueError, match=f"the least K for L={cc0.L_min + 3} "
+                                         f"is {cc0.K_min + 1}"):
+        _counter(nat_sig, K=cc0.K_min, L=cc0.L_min + 3)
+    for dk, dl in ((0, 0), (2, 0), (1, 3), (4, 2)):
         cc, _ = _counter(nat_sig, K=cc0.K_min + dk, L=cc0.L_min + dl)
         assert (cc.K, cc.L) == (cc0.K_min + dk, cc0.L_min + dl)
         t = App(cc.theta, code_term(Value("Nat", 1)))
         b = block(t, cc.theta, slots, nat_sig)
         assert (b.beta_count, b.f_count) == (cc.K, cc.L)
+
+
+def test_f_padding_needs_a_test_of_the_first_slot(nat_sig):
+    # without eq_Nat there is no Boolean test of the slot to pad over
+    sig = FSignature({name: f for name, f in nat_sig.functions.items() if name != "eq_Nat"})
+    cc0, _ = _counter(sig)
+    _counter(sig, K=cc0.K_min + 2)
+    with pytest.raises(ValueError, match="Boolean test of the first slot"):
+        _counter(sig, K=cc0.K_min + 1, L=cc0.L_min + 1)
 
 
 def test_headroom_below_minimum_rejected(nat_sig):
@@ -173,7 +160,7 @@ def test_cost_formula_cross_check_fires(nat_sig, monkeypatch):
     """A formula that disagrees with the measured theta is an error."""
     real = combinators.static_f_work
     monkeypatch.setattr(combinators, "static_f_work", lambda bs: real(bs) + 1)
-    with pytest.raises(RuntimeError, match=r"\(K,L\)=\(6, 2\).*measures \(6, 1\)"):
+    with pytest.raises(RuntimeError, match=r"\(K,L\)=\(3, 2\).*measures \(3, 1\)"):
         _counter(nat_sig)
 
 

@@ -142,13 +142,13 @@ FORMULA_CASES = {
 
 @pytest.mark.parametrize("name", list(FORMULA_CASES))
 def test_cost_formula_equals_measurement(name):
-    """K_min = k + 2n + 3 and L_min = N, a default compile measures
+    """K_min = k + 2n and L_min = N, a default compile measures
     exactly that on its probes, and the manifest's parts sum to it."""
     make, want = FORMULA_CASES[name]
     machine, state = make()
     cm = compile_machine(machine, state)
     c = cm.combinator
-    assert c.K_min == c.k + 2 * len(c.branches) + 3
+    assert c.K_min == c.k + 2 * len(c.branches)
     assert c.L_min == static_f_work(c.branches)
     assert (c.K, c.L) == (c.K_min, c.L_min)
     if want is not None:
@@ -255,4 +255,4 @@ def test_doubling_budget_same_at_every_stop():
     for stop in range(1, 9):
         cm = compile_machine(sm.machine(), sm.state({"stop": stop}))
         shapes.add((cm.K, cm.L, term_size(cm.theta)))
-    assert shapes == {(*BUNDLED_COSTS["doubling"][1], 325)}
+    assert shapes == {(*BUNDLED_COSTS["doubling"][1], 259)}
