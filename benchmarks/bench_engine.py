@@ -2,14 +2,27 @@
 
 Compiles ``machines/euclid.asm`` and ``machines/doubling.asm`` through
 ``sourcefmt``, then drives each compiled term through whole trajectories
-with ``engine.advance_term(t, table, K + L)``, one call per machine step,
-as lockstep does.  euclid runs every input pair in 1..N under one
-compile; doubling runs every stop in 1..8 and is compiled once per
-stop, because its program mentions the input.  One doubling pass is
-far shorter than one euclid pass, so a timing runs the 8 doubling
-trajectories ``DOUBLING_REPS`` times.  Compiling and decoding stay
-outside the timed region.  The best of R timings gives the steps per
-second.
+with ``engine.advance_term(t, cm.table, K + L, cm.theta_free)``, one call
+per machine step, as lockstep does: every round starts from the engine
+table and theta's F-free nodes that the compiled machine keeps.  euclid
+runs every input pair in 1..N under one compile; doubling runs every
+stop in 1..8 and is compiled once per stop, because its program
+mentions the input.  One doubling pass is far shorter than one euclid
+pass, so a timing runs the 8 doubling trajectories ``DOUBLING_REPS``
+times.  Compiling, building the initial terms and decoding stay outside
+the timed region.  The best of R timings gives the steps per second.
+
+One more, untimed pass counts F-search visits: the nodes with ``const``
+and not in the F-redex-free memo that the reducer's search walks
+(``engine._Reducer.f_step`` and, where it exists, the F-phase walk
+``_contract``) are called on, counted by wrapping both in this process.
+A call the memo or the ``const`` fact prunes costs no visit, wherever
+the walk makes that check.  The count is deterministic, so
+``visits_per_step`` compares checkouts where timings are too noisy to.
+
+A checkout whose compiled machine keeps no table (from before theta's
+scan was kept) builds the table once per trajectory, as its lockstep
+did.
 
     PYTHONPATH=src python3 benchmarks/bench_engine.py [--grid N] [--repeat R]
         [--label NAME] [--json BENCH_engine.json]
@@ -28,6 +41,7 @@ import platform
 import time
 from pathlib import Path
 
+from asmlc import engine
 from asmlc.compiler import compile_machine
 from asmlc.engine import STATUS_RAN, advance_term, signature_table
 from asmlc.sourcefmt import parse_source
@@ -46,16 +60,17 @@ def _load(name: str):
 
 
 def _cases(grid: int) -> dict:
-    """machine name -> list of (compiled machine, input state)."""
+    """machine name -> list of (compiled machine, initial term)."""
     euclid = _load("euclid")
     cm = compile_machine(euclid.machine(), euclid.state({"a0": 1, "b0": 1}))
-    out = {"euclid": [(cm, euclid.state({"a0": a, "b0": b}))
+    out = {"euclid": [(cm, cm.initial_term(euclid.state({"a0": a, "b0": b})))
                       for a in range(1, grid + 1) for b in range(1, grid + 1)]}
     doubling = _load("doubling")
     once = []
     for stop in DOUBLING_STOPS:
         state = doubling.state({"stop": stop})
-        once.append((compile_machine(doubling.machine(), state), state))
+        cm = compile_machine(doubling.machine(), state)
+        once.append((cm, cm.initial_term(state)))
     out["doubling"] = once * DOUBLING_REPS
     return out
 
@@ -63,16 +78,44 @@ def _cases(grid: int) -> dict:
 def _run(cases) -> tuple[int, int]:
     """(engine steps, machine steps) over every trajectory."""
     steps = rounds = 0
-    for cm, state in cases:
-        table = signature_table(cm.sig)
+    for cm, t in cases:
+        if hasattr(cm, "theta_free"):
+            table, memo = cm.table, (cm.theta_free,)
+        else:  # a checkout from before compiled machines kept them
+            table, memo = signature_table(cm.sig), ()
         budget = cm.K + cm.L
-        t = cm.initial_term(state)
         status = STATUS_RAN
         while status == STATUS_RAN:
-            t, beta, f, status = advance_term(t, table, budget)
+            t, beta, f, status = advance_term(t, table, budget, *memo)
             steps += beta + f
             rounds += 1
     return steps, rounds
+
+
+def count_visits(cases) -> int:
+    """F-search visits over every trajectory, counted in one pass with
+    the reducer's search walks wrapped (module docstring)."""
+    reducer = engine._Reducer
+    originals = {name: fn for name in ("f_step", "_contract")
+                 if (fn := reducer.__dict__.get(name)) is not None}
+    visits = 0
+
+    def counted(fn):
+        def walk(self, t):
+            nonlocal visits
+            if t.const and id(t) not in self.f_free:
+                visits += 1
+            return fn(self, t)
+        return walk
+
+    try:
+        for name, fn in originals.items():
+            setattr(reducer, name, counted(fn))
+        _run(cases)
+    finally:
+        for name, fn in originals.items():
+            setattr(reducer, name, fn)
+    return visits
 
 
 def bench(cases, repeat: int) -> dict:
@@ -86,8 +129,10 @@ def bench(cases, repeat: int) -> dict:
             raise RuntimeError(f"step counts drifted from {counts} to {got}")
         counts = got
     steps, rounds = counts
+    visits = count_visits(cases)
     return {"trajectories": len(cases), "rounds": rounds, "steps": steps,
-            "best_s": round(best, 4), "steps_per_s": round(steps / best)}
+            "best_s": round(best, 4), "steps_per_s": round(steps / best),
+            "f_search_visits": visits, "visits_per_step": round(visits / steps, 2)}
 
 
 def main() -> None:
@@ -113,7 +158,8 @@ def main() -> None:
         record["machines"][name] = row
         print(f"{name:>9}: (K, L) = ({row['K']}, {row['L']}), {row['trajectories']} runs, "
               f"{row['steps']} steps in {row['best_s']:.3f}s "
-              f"({row['steps_per_s']:,} steps/s, best of {args.repeat})")
+              f"({row['steps_per_s']:,} steps/s, best of {args.repeat}), "
+              f"{row['visits_per_step']} F-search visits per step")
     if args.json:
         data = json.loads(args.json.read_text()) if args.json.exists() else {}
         data[args.label] = record

@@ -42,16 +42,25 @@ formula; lockstep then checks every round against it.
 Measurement (``reduce_one_block``) runs the counting engine's shared
 loop and stops at the first block boundary: the term is theta applied
 to one code per slot, with theta compared by structural equality.
+
+Theta must hold no resident F-redex: one would fire once, at the first
+step, and never again, so no constant per-step cost could hold.  The
+builder checks this with the engine's own search (``engine.scan``),
+whose memo of theta's F-free nodes the combinator keeps with the
+engine table.  Every certification block and lockstep round starts from
+that memo, so no round searches theta again; and since theta holds no
+F-redex, a boundary term is F-normal, which lets the engine test the
+boundary once per F-phase.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .encodings import identity_chain, select_first, tup
-from .engine import _STATUS_BOUNDARY, STATUS_NORMAL, _advance, signature_table
+from .engine import _STATUS_BOUNDARY, STATUS_NORMAL, _advance, scan, signature_table
 from .good_terms import GCode, GoodTerm, const_count, to_term
-from .lambda_f import BOOL, FSignature, code_term, f_redexes, match_code
+from .lambda_f import BOOL, FSignature, code_term, match_code
 from .terms import (
     Abs,
     App,
@@ -129,6 +138,10 @@ class CompiledCombinator:
     branches: tuple[Branch, ...]
     K_min: int
     L_min: int
+    # The engine table of the signature theta was built over, and the
+    # memo of the residency scan: theta's nodes with no F-redex under it.
+    table: Optional[dict] = field(default=None, compare=False, repr=False)
+    theta_free: Optional[dict] = field(default=None, compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -275,16 +288,22 @@ def reduce_one_block(
     slots: Sequence[Slot],
     sig: FSignature,
     max_steps: int = 100_000,
+    table: Optional[dict] = None,
+    theta_free: Optional[dict] = None,
 ) -> BlockResult:
     """Reduce F-first leftmost until the term is again theta applied to
     slot codes, or until normal form (an exit).
 
     Runs the engine's shared loop and checks the boundary after every
-    step: peel one slot code per slot, then compare what remains with
-    theta by ``==``.  Structural equality is exact here because theta is
-    closed: substitution never enters a closed term, so the engine never
-    renames a binder inside theta's copies.  Raises RuntimeError when
-    the block does not complete within ``max_steps`` and
+    F-phase and every beta step: peel one slot code per slot, then
+    compare what remains with theta by ``==``.  A term inside an F-phase
+    holds an F-redex and a boundary term holds none (module docstring),
+    so no boundary falls inside a phase.  Structural equality is exact
+    here because theta is closed: substitution never enters a closed
+    term, so the engine never renames a binder inside theta's copies.
+    ``table`` and ``theta_free`` are the combinator's; the table is
+    built from ``sig`` when not given.  Raises RuntimeError when the
+    block does not complete within ``max_steps`` and
     UndefinedApplication when a partial function is applied outside its
     domain.
     """
@@ -292,7 +311,9 @@ def reduce_one_block(
         peeled = _peel(s, slots)
         return peeled is not None and peeled[0] == theta
 
-    t, beta, f, status = _advance(t, signature_table(sig), max_steps, at_boundary)
+    if table is None:
+        table = signature_table(sig)
+    t, beta, f, status = _advance(t, table, max_steps, at_boundary, theta_free)
     if status == STATUS_NORMAL:
         return BlockResult(t, beta, f, "exit", None)
     if status == _STATUS_BOUNDARY:
@@ -306,12 +327,14 @@ def _certify(
     sig: FSignature,
     probes: Sequence[dict[str, Value]],
     want: tuple[int, int],
+    table: dict,
+    theta_free: dict,
 ) -> None:
     """Measure one block of theta from every probe valuation; each must
     cost exactly ``want``."""
     for val in probes:
         start = app(theta, *(code_term(val[s.name]) for s in slots))
-        block = reduce_one_block(start, theta, slots, sig)
+        block = reduce_one_block(start, theta, slots, sig, table=table, theta_free=theta_free)
         got = (block.beta_count, block.f_count)
         if got != want:
             raise RuntimeError(f"cost formula gives (K,L)={want} but theta "
@@ -339,9 +362,10 @@ def build_branch_combinator(
     least K for that L: K_min, plus the discard beta when L > L_min.
     Internal padding lands exactly on the requested budget; a request
     below the minima, or with L > L_min at K = K_min, is rejected.
-    Theta is built once, and one measurement of it on every probe
-    valuation must equal the formula (RuntimeError otherwise); lockstep
-    checks every round against the same (K, L).
+    Theta is built once and must hold no resident F-redex (ValueError
+    otherwise); one measurement of it on every probe valuation must
+    equal the formula (RuntimeError otherwise); lockstep checks every
+    round against the same (K, L).
     """
     if not branches:
         raise ValueError("need at least one branch")
@@ -361,8 +385,11 @@ def build_branch_combinator(
     if K < k_least:
         raise ValueError(f"requested (K,L)=({K},{L}): the least K for L={L} is {k_least}")
     theta = _build_theta(branches, slots, sig, K - k_min, L - l_min)
-    if f_redexes(theta, sig):
+    table = signature_table(sig)
+    resident, theta_free = scan(theta, table)
+    if resident:
         raise ValueError("combinator body contains a resident F-redex; "
                          "fold ground constant subterms to codes first")
-    _certify(theta, slots, sig, probes, (K, L))
-    return CompiledCombinator(theta, K, L, tuple(slots), tuple(branches), k_min, l_min)
+    _certify(theta, slots, sig, probes, (K, L), table, theta_free)
+    return CompiledCombinator(theta, K, L, tuple(slots), tuple(branches), k_min, l_min,
+                              table, theta_free)

@@ -19,7 +19,7 @@ the outputs, fail is the numeral 2, clash the numeral 3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .asm import (
@@ -48,6 +48,7 @@ from .combinators import (
     decode_state,
 )
 from .encodings import match_nat, nat
+from .engine import scan, signature_table
 from .good_terms import GApp, GCode, GoodTerm, GVar
 from .lambda_f import BOOL, DeltaType, FSignature, Value, code_term, install_delta
 from .normalize import Clause, GuardedProgram, normalize
@@ -324,6 +325,18 @@ class CompiledMachine:
     slots: tuple[SlotInfo, ...]
     sig: FSignature
     outputs: tuple[Symbol, ...]
+    # The engine table of ``sig`` and theta's nodes with no F-redex under
+    # it, which every lockstep round starts from.  ``compile_machine``
+    # passes the combinator's; a machine assembled without them scans
+    # theta under its own ``sig``.
+    table: Optional[dict] = field(default=None, compare=False, repr=False)
+    theta_free: Optional[dict] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.table is None:
+            table = signature_table(self.sig)
+            object.__setattr__(self, "table", table)
+            object.__setattr__(self, "theta_free", scan(self.theta, table)[1])
 
     @property
     def theta(self) -> Term:
@@ -515,7 +528,7 @@ def compile_machine(
     compiled_slots = [s.as_slot() for s in slots]
     probes = _default_probes(machine, state, slots)
     cc = build_branch_combinator(kept, compiled_slots, sig, probes, K, L)
-    return CompiledMachine(machine, gp, cc, tuple(slots), sig, outputs)
+    return CompiledMachine(machine, gp, cc, tuple(slots), sig, outputs, cc.table, cc.theta_free)
 
 
 def _default_probes(machine, state, slots):

@@ -9,7 +9,13 @@ from dataclasses import dataclass
 
 from .asm import Machine, State, run
 from .combinators import curry_fixpoint, reduce_one_block
-from .compiler import CompiledMachine, DecodeError, decode_result, delta_as_map
+from .compiler import (
+    CompiledMachine,
+    DecodeError,
+    decode_result,
+    delta_as_map,
+    initial_values,
+)
 from .encodings import (
     PRED,
     SUCC,
@@ -20,8 +26,8 @@ from .encodings import (
     projection_cost,
     selection_cost,
 )
-from .engine import STATUS_UNDEFINED, advance_term, signature_table
-from .lambda_f import UndefinedApplication
+from .engine import STATUS_UNDEFINED, advance_term
+from .lambda_f import UndefinedApplication, code_term
 from .terms import Abs, App, Term, Var, alpha_eq, app
 
 
@@ -104,7 +110,7 @@ def _block_note(t: Term, cm: CompiledMachine) -> str:
     limit = _NOTE_ROUNDS * (cm.K + cm.L)
     try:
         block = reduce_one_block(t, cm.theta, [s.as_slot() for s in cm.slots], cm.sig,
-                                 max_steps=limit)
+                                 max_steps=limit, table=cm.table, theta_free=cm.theta_free)
     except RuntimeError:
         return f"no block boundary within {limit} steps of the round's start"
     except UndefinedApplication as exc:
@@ -122,12 +128,13 @@ def lockstep(machine: Machine, cm: CompiledMachine, state: State,
     says why in its note: the step counts are off, the decoded state or
     outputs differ from the machine's, the term cannot be decoded, or a
     partial function was applied outside its domain (kind
-    "undefined")."""
+    "undefined").  A failed round makes the verdict "fail", even in a
+    run cut at ``max_steps``; a cut run whose rounds all match is
+    "inconclusive"."""
     result = run(machine, state, max_steps)
     initial = result.trajectory[0]
     K, L = cm.K, cm.L
-    sig_table = signature_table(cm.sig)
-    t = cm.initial_term(state)
+    t = app(cm.theta, *(code_term(v) for v in initial_values(cm.slots, initial)))
     rounds: list[RoundRecord] = []
     ok = True
 
@@ -140,7 +147,7 @@ def lockstep(machine: Machine, cm: CompiledMachine, state: State,
 
     for i, (want_kind, want_state) in enumerate(expected, start=1):
         start = t
-        t, beta, f, status = advance_term(start, sig_table, K + L)
+        t, beta, f, status = advance_term(start, cm.table, K + L, cm.theta_free)
         if status == STATUS_UNDEFINED:
             rounds.append(RoundRecord(i, beta, f, "undefined", False,
                                       f"undefined application after (beta, F) = {(beta, f)}"))
@@ -169,7 +176,7 @@ def lockstep(machine: Machine, cm: CompiledMachine, state: State,
             ok = False
             break
 
-    verdict = verdict_hint or ("pass" if ok else "fail")
+    verdict = "fail" if not ok else (verdict_hint or "pass")
     term_outcome = rounds[-1].kind if rounds else "none"
     return LockstepReport(K, L, tuple(rounds), result.kind, term_outcome, verdict)
 

@@ -12,21 +12,51 @@ candidate is the prefix carrying exactly ``arity`` arguments (so an
 over-applied ``(f a b) c`` still fires), and the only beta candidate is
 ``h a1`` when ``h`` is an abstraction.
 
+F-phases in one pass.  Under the F-first strategy the F-steps come in
+phases: every F-redex of the term, and every one those contractions
+create, is contracted before the next beta step.  An F-contraction
+replaces a constant applied to codes by a code, so it erases and copies
+no other redex, and the only redex it can create is a constant
+application at an ancestor that now has codes for all its arguments.
+The F-rules are orthogonal (Klop, *Combinatory Reduction Systems*,
+1980), so every order that contracts all the F-redexes of a phase ends
+in the same term after the same number of steps.  ``_Reducer.f_phase``
+contracts a whole phase in one post-order pass, arguments before the
+application they complete, and counts one F-step per contraction.  The
+loop keeps the pass only when its count fits the remaining budget and
+no firing in it was undefined.  Otherwise it takes single leftmost
+F-steps from the term before the pass, so a budget that ends inside a
+phase, STATUS_UNDEFINED and ``reached`` are exactly those of the traced
+reducer.  A pass that contracts nothing shows the term F-normal, so the
+beta step follows without a second search.
+
+A stop predicate (``boundary``) is tested once after a phase, not after
+each of its steps.  That is exact as long as the predicate holds only of
+F-normal terms, since every term inside a phase holds an F-redex.
+Certification's boundary, theta applied to slot codes, is one: theta
+holds no resident F-redex (the builder checks with ``scan``), and
+neither the application of theta nor a code is an F-redex.
+
 The search prunes by the facts each node carries (``terms``): a node
 without ``beta`` holds no beta redex, and a node without ``const`` holds
 no F-redex.  Substitution returns every subterm in which the variable
 is not in ``fv`` unchanged, closed terms included.  Whether a node with
-``const`` holds an F-redex depends on the signature table, so within one
-call the engine keeps one memo, keyed by ``id``, of the subterms already
-found to contain no F-redex.  That property is inherited by every
-subterm, and a step rebuilds only the path from the root to the redex
-plus the contractum, so a memo hit covers a whole subtree the step left
-untouched.  The memo stores the node itself, so no ``id`` is reused
-while it lives, and it lives for one call only.
+``const`` holds an F-redex depends on the signature table, so a call
+keeps one memo, keyed by ``id``, of the subterms already found to
+contain no F-redex under its table.  That property is inherited by
+every subterm, and a step rebuilds only the path from the root to the
+redex plus the contractum, so a memo hit covers a whole subtree the step
+left untouched.  The memo stores the node itself, so no ``id`` is reused
+while it lives.  A call starts from a copy of the nodes the caller
+passes as ``f_free``, such as ``scan``'s of theta: the compiled machine
+keeps that scan, so no round or certification block searches theta
+again, and the copy dies with the call.
 
 ``KERNEL_NAME`` names the implementation for benchmark records.
 """
 from __future__ import annotations
+
+from typing import Optional
 
 from .lambda_f import BOOL, FALSE_TERM, TRUE_TERM, FSignature, UndefinedApplication
 from .reduction import fresh_name
@@ -101,20 +131,21 @@ def _beta_step(t: Term):
 
 
 class _Reducer:
-    """Leftmost F-step over one signature table, with the F-redex-free
-    memo of one call."""
+    """F-redex search and contraction over one signature table, with the
+    F-redex-free memo of one call."""
 
-    def __init__(self, table: dict):
+    def __init__(self, table: dict, f_free: Optional[dict] = None):
         self.table = table
-        self.f_free: dict = {}  # id -> node with no F-redex inside
+        self.f_free: dict = dict(f_free) if f_free else {}  # id -> node with no F-redex
+        self.fired = 0
 
-    def _fire(self, head: Const, entry: tuple, spine: list, n: int):
-        """The contractum of the prefix ``head a1 ... a_arity`` of the
-        spine, or None when an argument is not a code of its datatype.
-        Raises UndefinedApplication outside the function's domain."""
+    def _fire(self, head: Const, entry: tuple, args: list):
+        """The contractum of ``head`` applied to the first ``arity`` of
+        ``args``, or None when one of them is not a code of its
+        datatype.  Raises UndefinedApplication outside the function's
+        domain."""
         payloads = []
-        for k, dt in enumerate(entry[1], 1):
-            a = spine[n - k].arg
+        for a, dt in zip(args, entry[1]):
             if dt == BOOL:
                 if type(a) is not Abs or type(a.body) is not Abs or type(a.body.body) is not Var:
                     return None
@@ -148,7 +179,7 @@ class _Reducer:
             if ht is Const:
                 entry = self.table.get(head.symbol)
                 if entry is not None and entry[0] <= n:
-                    new = self._fire(head, entry, spine, n)
+                    new = self._fire(head, entry, [spine[n - k].arg for k in range(1, entry[0] + 1)])
                     if new is not None:
                         return _rebuild(spine, n - entry[0], new)
             elif ht is Abs:
@@ -171,22 +202,88 @@ class _Reducer:
         elif tp is Const:
             entry = self.table.get(t.symbol)
             if entry is not None and entry[0] == 0:
-                return self._fire(t, entry, [], 0)
+                return self._fire(t, entry, [])
         self.f_free[id(t)] = t
         return None
 
+    def f_phase(self, t: Term) -> tuple[Term, int]:
+        """``t`` with every F-redex contracted, including those the
+        contractions create, and the number of contractions: one pass
+        (module docstring).  Raises UndefinedApplication when a firing
+        falls outside its function's domain."""
+        self.fired = 0
+        if t.const and id(t) not in self.f_free:
+            t = self._contract(t)
+        return t, self.fired
 
-def _advance(t: Term, sig_table: dict, max_steps: int, boundary=None):
-    """The shared reduction loop: up to ``max_steps`` F-first leftmost
-    steps, stopping early at a normal form or, when ``boundary`` is
-    given, at the first term after a step for which it holds.
+    def _contract(self, t: Term) -> Term:
+        """``f_phase``'s post-order walk from a node with ``const`` that
+        the memo lacks, counting into ``fired``.  It prunes each child
+        the same way before it descends."""
+        f_free = self.f_free
+        tp = type(t)
+        if tp is App:
+            spine, head = _unwind(t)
+            n = len(spine)
+            ht = type(head)
+            new = head
+            if ht is Abs:
+                body = head.body
+                if body.const and id(body) not in f_free:
+                    body = self._contract(body)
+                    if body is not head.body:
+                        new = Abs(head.binder, body)
+            same = new is head
+            args = []
+            for i in range(n - 1, -1, -1):
+                a = spine[i].arg
+                if a.const and id(a) not in f_free:
+                    b = self._contract(a)
+                    if b is not a:
+                        same = False
+                        a = b
+                args.append(a)
+            first = 0
+            if ht is Const:
+                entry = self.table.get(head.symbol)
+                if entry is not None and entry[0] <= n:
+                    out = self._fire(head, entry, args)
+                    if out is not None:
+                        self.fired += 1
+                        new, first, same = out, entry[0], False
+            if not same:
+                for i in range(first, n):
+                    new = App(new, args[i])
+                t = new
+        elif tp is Abs:
+            body = t.body
+            if body.const and id(body) not in f_free:
+                body = self._contract(body)
+                if body is not t.body:
+                    t = Abs(t.binder, body)
+        elif tp is Const:
+            entry = self.table.get(t.symbol)
+            if entry is not None and entry[0] == 0:
+                self.fired += 1
+                return self._fire(t, entry, [])
+        if t.const:
+            f_free[id(t)] = t
+        return t
 
-    Returns (term, beta_count, f_count, status).  An undefined leftmost
-    F-redex within the budget raises UndefinedApplication carrying
-    ``reached`` = (term before it, beta_count, f_count).
-    """
+def scan(t: Term, sig_table: dict) -> tuple[bool, dict]:
+    """Search ``t`` once for an F-redex under ``sig_table``: whether it
+    holds one (an undefined one included), and the memo of its nodes
+    found to hold none, by ``id``, for ``advance_term``'s ``f_free``."""
     r = _Reducer(sig_table)
-    beta = f = 0
+    try:
+        found = r.f_step(t) is not None
+    except UndefinedApplication:
+        found = True
+    return found, r.f_free
+
+
+def _stepwise(r: _Reducer, t: Term, beta: int, f: int, max_steps: int, boundary):
+    """``_advance`` by single leftmost steps from (t, beta, f)."""
     while True:
         try:
             new = r.f_step(t)
@@ -211,8 +308,48 @@ def _advance(t: Term, sig_table: dict, max_steps: int, boundary=None):
             return t, beta, f, _STATUS_BOUNDARY
 
 
-def advance_term(t: Term, sig_table: dict, max_steps: int):
+def _advance(t: Term, sig_table: dict, max_steps: int, boundary=None,
+             f_free: Optional[dict] = None):
+    """The shared reduction loop: up to ``max_steps`` F-first leftmost
+    steps, stopping early at a normal form or, when ``boundary`` is
+    given, at the first term after a step for which it holds.  The
+    boundary is tested after each F-phase and each beta step, so it must
+    hold only of F-normal terms (module docstring).  ``f_free`` holds
+    nodes known to contain no F-redex under ``sig_table``, by ``id``.
+
+    Returns (term, beta_count, f_count, status).  An undefined leftmost
+    F-redex within the budget raises UndefinedApplication carrying
+    ``reached`` = (term before it, beta_count, f_count).
+    """
+    r = _Reducer(sig_table, f_free)
+    beta = f = 0
+    while True:
+        try:
+            new, count = r.f_phase(t)
+        except UndefinedApplication:
+            return _stepwise(r, t, beta, f, max_steps, boundary)
+        if count:
+            if count > max_steps - beta - f:
+                return _stepwise(r, t, beta, f, max_steps, boundary)
+            t = new
+            f += count
+            if boundary is not None and boundary(t):
+                return t, beta, f, _STATUS_BOUNDARY
+        new = _beta_step(t)
+        if new is None:
+            return t, beta, f, STATUS_NORMAL
+        if beta + f == max_steps:
+            return t, beta, f, STATUS_RAN
+        t = new
+        beta += 1
+        if boundary is not None and boundary(t):
+            return t, beta, f, _STATUS_BOUNDARY
+
+
+def advance_term(t: Term, sig_table: dict, max_steps: int, f_free: Optional[dict] = None):
     """Advance ``t`` by up to ``max_steps`` F-first leftmost steps.
+    ``f_free`` maps ``id`` to nodes known to hold no F-redex under
+    ``sig_table`` (``scan``'s memo); the call reads a copy of it.
 
     Returns (term, beta_count, f_count, status): STATUS_NORMAL when a
     normal form was reached within the budget, STATUS_RAN when the
@@ -221,6 +358,6 @@ def advance_term(t: Term, sig_table: dict, max_steps: int):
     is the one before that step).
     """
     try:
-        return _advance(t, sig_table, max_steps)
+        return _advance(t, sig_table, max_steps, f_free=f_free)
     except UndefinedApplication as exc:
         return (*exc.reached, STATUS_UNDEFINED)

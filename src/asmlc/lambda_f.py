@@ -138,7 +138,8 @@ def _f_redex_here(t: Term, sig: FSignature) -> Optional[tuple[FFunction, tuple[V
 
 def f_redexes(t: Term, sig: FSignature) -> list[Addr]:
     """All F-redex addresses, in prefix order.  Distinct F-redexes are
-    disjoint subterms."""
+    disjoint subterms.  The tests check ``engine.scan``, the residency
+    check of the combinator builder, against it."""
     out: list[Addr] = []
     stack: list[tuple[Term, Addr]] = [(t, ())]
     while stack:

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from asmlc import cli
 from asmlc.cli import main
 
 from conftest import BUNDLED_COSTS, MACHINES
@@ -127,6 +129,20 @@ def test_verify_grid(capsys):
     assert code == 0
     assert "verified 16/16 runs" in out
     assert out.splitlines()[0].startswith("(K, L) = (")
+
+
+def test_verify_cut_run_with_a_failed_round_prints_fail(capsys, monkeypatch):
+    # a compile whose budget is one beta larger than its theta takes, and
+    # a run cut at --max-steps: the failed round makes the verdict fail
+    def one_beta_over(machine, state, K=None, L=None):
+        cm = compile_machine(machine, state, K=K, L=L)
+        return replace(cm, combinator=replace(cm.combinator, K=cm.K + 1))
+
+    compile_machine = cli.compile_machine
+    monkeypatch.setattr(cli, "compile_machine", one_beta_over)
+    code, out = run_cli(capsys, "verify", DOUBLING, "--input", "stop=4", "--max-steps", "2")
+    assert code == 1
+    assert "FAIL [stop=4]: fail (machine diverged, term undecodable)" in out
 
 
 def test_verify_below_minima_is_one_error_line(capsys):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -101,6 +102,20 @@ def test_lockstep_detects_wrong_constants():
     assert not last.match and last.kind == "undecodable"
     # the note names the block's real cost and the wrong budget
     assert f"({cm.K}, {cm.L})" in last.note and f"({cm.K + 1}, {cm.L})" in last.note
+
+
+def test_lockstep_cut_run_with_a_failed_round_fails():
+    # the machine is cut at max_steps, but round 1 already failed: a
+    # failed round decides the verdict, not the cut
+    sm = bundled("doubling")
+    machine, state = sm.machine(), sm.state({"stop": 4})
+    cm = compile_machine(machine, state)
+    bad = replace(cm, combinator=replace(cm.combinator, K=cm.K + 1))
+    rep = lockstep(machine, bad, state, max_steps=2)
+    assert rep.asm_outcome == "diverged"
+    assert rep.verdict == "fail"
+    last = rep.rounds[-1]
+    assert (last.index, last.kind, last.match) == (1, "undecodable", False)
 
 
 def test_lockstep_reports_state_mismatch(euclid_cm):

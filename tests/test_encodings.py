@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from asmlc.encodings import (
@@ -23,6 +25,17 @@ def test_nat_roundtrip():
     for n in range(12):
         assert match_nat(nat(n)) == n
     assert match_nat(TRUE_TERM) is None
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_nat_restores_the_collector_state(enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert match_nat(nat(30)) == 30
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_tuple_projection_semantics():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from asmlc.engine import (
@@ -5,20 +7,23 @@ from asmlc.engine import (
     STATUS_RAN,
     STATUS_UNDEFINED,
     advance_term,
+    scan,
     signature_table,
 )
+from asmlc.good_terms import GApp, GCode, GVar, to_term
 from asmlc.lambda_f import (
     BOOL,
     FALSE_TERM,
     TRUE_TERM,
     FSignature,
     Value,
+    f_redexes,
     reduce_leftmost_f,
     standard_bool_signature,
 )
 from asmlc.reduction import Status
 from asmlc.syntax import TermSyntaxError, parse_term
-from asmlc.terms import Abs, App, Code, Const, Var, app
+from asmlc.terms import Abs, App, Code, Const, Term, Var, app, lam
 
 from conftest import random_term
 
@@ -95,3 +100,107 @@ def test_substitution_keeps_closed_subterms():
     out, beta, f, status = advance_term(t, {}, 1)
     assert (beta, f, status) == (1, 0, STATUS_NORMAL)
     assert out.fun.fun is big and out.arg is big
+
+
+def _nat_sig() -> FSignature:
+    sig = standard_bool_signature()
+    sig.add("zero", (), "Nat", lambda: 0)
+    sig.add("succ", ("Nat",), "Nat", lambda n: n + 1)
+    sig.add("half", ("Nat",), "Nat", lambda n: n // 2 if n % 2 == 0 else None)
+    sig.add("plus", ("Nat", "Nat"), "Nat", lambda a, b: a + b)
+    sig.add("eq", ("Nat", "Nat"), BOOL, lambda a, b: a == b)
+    sig.add("lt", ("Nat", "Nat"), BOOL, lambda a, b: a < b)
+    return sig
+
+
+def _n(n: int) -> Code:
+    return Code(Value("Nat", n))
+
+
+_x, _y = Var("x"), Var("y")
+_succ, _half, _plus, _eq = Const("succ"), Const("half"), Const("plus"), Const("eq")
+
+# Terms whose F-phases the engine contracts in one pass, each reduced at
+# every budget from 0 to 25 against the traced reducer.
+F_PHASE_TERMS = {
+    # succ fires, then half is undefined: the phase stops after one F-step
+    "undefined-mid-phase": app(_plus, App(_succ, _n(1)), App(_half, _n(3))),
+    # half is undefined only on the code its argument's firing makes
+    "undefined-at-ancestor": App(_half, App(_succ, _n(2))),
+    # one beta, then a phase of three F-steps that most budgets cut
+    "budget-inside-phase": App(Abs("x", app(_plus, App(_succ, _x), App(_succ, _x))), _n(1)),
+    # each firing completes the application above it, down to a selection
+    "created-at-ancestor": app(_eq, app(_plus, App(_succ, Const("zero")), App(_half, _n(4))),
+                               _n(3), Var("a"), Var("b")),
+    # the prefix with arity arguments fires, the rest stay applied
+    "over-applied": app(Const("and"), TRUE_TERM, App(Const("not"), FALSE_TERM), Var("a"), Var("b")),
+    "nullary": Abs("y", app(Const("zero"), _y, App(_succ, Const("zero")))),
+    # a beta step turns an argument into a code, completing succ
+    "beta-in-argument": App(_succ, App(Abs("x", _x), App(_succ, _n(1)))),
+    # a beta step moves a constant into head position
+    "beta-in-head": app(Abs("f", App(Var("f"), App(_succ, _n(1)))), _half),
+    # phases between the beta steps of a two-slot load
+    "two-phases": app(lam(["x", "y"], app(_plus, App(_succ, _x), app(_plus, _y, _y))),
+                      App(_succ, _n(0)), App(_half, _n(2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(F_PHASE_TERMS))
+def test_kernel_matches_traced_reducer_at_every_budget(name):
+    sig = _nat_sig()
+    for budget in range(26):
+        _assert_agrees(F_PHASE_TERMS[name], sig, budget)
+
+
+def test_undefined_mid_phase_reports_the_term_before_it():
+    out, beta, f, status = advance_term(F_PHASE_TERMS["undefined-mid-phase"],
+                                        signature_table(_nat_sig()), 25)
+    assert (beta, f, status) == (0, 1, STATUS_UNDEFINED)
+    assert out == app(_plus, _n(2), App(_half, _n(3)))
+
+
+_ARITY = {"zero": 0, "succ": 1, "half": 1, "plus": 2, "eq": 2, "not": 1, "and": 2}
+
+
+def random_f_term(rng: random.Random, depth: int) -> Term:
+    """A random term rich in F-work: constant applications (sometimes
+    over-applied) nested under beta redexes and abstractions, over
+    codes, booleans and the variables a, b, c."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.15:
+        return rng.choice([_n(rng.randrange(4)), TRUE_TERM, FALSE_TERM, Const("zero"),
+                           Var(rng.choice("abc")), Const(rng.choice(list(_ARITY)))])
+    if roll < 0.6:
+        c = rng.choice(list(_ARITY))
+        n = _ARITY[c] + (rng.random() < 0.15)
+        return app(Const(c), *(random_f_term(rng, depth - 1) for _ in range(n)))
+    if roll < 0.85:
+        return App(Abs(rng.choice("abc"), random_f_term(rng, depth - 1)),
+                   random_f_term(rng, depth - 1))
+    return Abs(rng.choice("abc"), random_f_term(rng, depth - 1))
+
+
+def test_kernel_matches_traced_reducer_on_random_f_phases(rng):
+    sig = _nat_sig()
+    for _ in range(120):
+        t = random_f_term(rng, rng.randint(2, 5))
+        for budget in range(26):
+            _assert_agrees(t, sig, budget)
+
+
+def test_scan_finds_what_the_traced_search_finds(rng):
+    sig = _nat_sig()
+    table = signature_table(sig)
+    for _ in range(300):
+        t = random_f_term(rng, rng.randint(1, 5))
+        assert scan(t, table)[0] == bool(f_redexes(t, sig))
+    # a ground guard, which the combinator builder refuses as a resident
+    # F-redex, and the same guard over a slot variable
+    ground = to_term(GApp("lt", (GCode(Value("Nat", 0)), GCode(Value("Nat", 1)))))
+    over_slot = to_term(GApp("lt", (GVar("c", "Nat"), GCode(Value("Nat", 1)))))
+    assert scan(Abs("c", app(ground, Var("c"), Var("c"))), table)[0]
+    resident, f_free = scan(Abs("c", app(over_slot, Var("c"), Var("c"))), table)
+    assert not resident
+    assert all(not f_redexes(node, sig) for node in f_free.values())
+    # an undefined application is resident too
+    assert scan(Abs("c", App(_half, _n(3))), table)[0]
