@@ -140,8 +140,8 @@ class CompiledCombinator:
     L_min: int
     # The engine table of the signature theta was built over, and the
     # memo of the residency scan: theta's nodes with no F-redex under it.
-    table: Optional[dict] = field(default=None, compare=False, repr=False)
-    theta_free: Optional[dict] = field(default=None, compare=False, repr=False)
+    table: dict = field(compare=False, repr=False)
+    theta_free: dict = field(compare=False, repr=False)
 
     @property
     def k(self) -> int:

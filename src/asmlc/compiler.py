@@ -19,7 +19,7 @@ the outputs, fail is the numeral 2, clash the numeral 3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .asm import (
@@ -48,7 +48,6 @@ from .combinators import (
     decode_state,
 )
 from .encodings import match_nat, nat
-from .engine import scan, signature_table
 from .good_terms import GApp, GCode, GoodTerm, GVar
 from .lambda_f import BOOL, DeltaType, FSignature, Value, code_term, install_delta
 from .normalize import Clause, GuardedProgram, normalize
@@ -325,18 +324,6 @@ class CompiledMachine:
     slots: tuple[SlotInfo, ...]
     sig: FSignature
     outputs: tuple[Symbol, ...]
-    # The engine table of ``sig`` and theta's nodes with no F-redex under
-    # it, which every lockstep round starts from.  ``compile_machine``
-    # passes the combinator's; a machine assembled without them scans
-    # theta under its own ``sig``.
-    table: Optional[dict] = field(default=None, compare=False, repr=False)
-    theta_free: Optional[dict] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.table is None:
-            table = signature_table(self.sig)
-            object.__setattr__(self, "table", table)
-            object.__setattr__(self, "theta_free", scan(self.theta, table)[1])
 
     @property
     def theta(self) -> Term:
@@ -350,9 +337,20 @@ class CompiledMachine:
     def L(self) -> int:
         return self.combinator.L
 
+    @property
+    def table(self) -> dict:
+        return self.combinator.table
+
+    @property
+    def theta_free(self) -> dict:
+        return self.combinator.theta_free
+
     def initial_term(self, state: State) -> Term:
-        initial = initial_values(self.slots, self.machine.initial_state(state))
-        return app(self.theta, *(code_term(v) for v in initial))
+        return self.term_of(self.machine.initial_state(state))
+
+    def term_of(self, initial: State) -> Term:
+        """Theta applied to the slot codes of an initialised state."""
+        return app(self.theta, *(code_term(v) for v in initial_values(self.slots, initial)))
 
     def manifest(self) -> dict:
         c = self.combinator
@@ -528,7 +526,7 @@ def compile_machine(
     compiled_slots = [s.as_slot() for s in slots]
     probes = _default_probes(machine, state, slots)
     cc = build_branch_combinator(kept, compiled_slots, sig, probes, K, L)
-    return CompiledMachine(machine, gp, cc, tuple(slots), sig, outputs, cc.table, cc.theta_free)
+    return CompiledMachine(machine, gp, cc, tuple(slots), sig, outputs)
 
 
 def _default_probes(machine, state, slots):

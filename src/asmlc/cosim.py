@@ -9,13 +9,7 @@ from dataclasses import dataclass
 
 from .asm import Machine, State, run
 from .combinators import curry_fixpoint, reduce_one_block
-from .compiler import (
-    CompiledMachine,
-    DecodeError,
-    decode_result,
-    delta_as_map,
-    initial_values,
-)
+from .compiler import CompiledMachine, DecodeError, decode_result, delta_as_map
 from .encodings import (
     PRED,
     SUCC,
@@ -27,7 +21,7 @@ from .encodings import (
     selection_cost,
 )
 from .engine import STATUS_UNDEFINED, advance_term
-from .lambda_f import UndefinedApplication, code_term
+from .lambda_f import UndefinedApplication
 from .terms import Abs, App, Term, Var, alpha_eq, app
 
 
@@ -134,7 +128,7 @@ def lockstep(machine: Machine, cm: CompiledMachine, state: State,
     result = run(machine, state, max_steps)
     initial = result.trajectory[0]
     K, L = cm.K, cm.L
-    t = app(cm.theta, *(code_term(v) for v in initial_values(cm.slots, initial)))
+    t = cm.term_of(initial)
     rounds: list[RoundRecord] = []
     ok = True
 

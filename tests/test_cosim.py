@@ -6,6 +6,7 @@ import pytest
 from asmlc.asm import If, InitRule, Machine, Par, TApp, Update
 from asmlc.compiler import compile_machine
 from asmlc.cosim import decoration_audit, lockstep, render_audit
+from asmlc.engine import scan, signature_table
 from asmlc.lambda_f import FFunction, FSignature
 from asmlc.terms import App, Var, lam
 
@@ -92,10 +93,7 @@ def test_lockstep_detects_wrong_constants():
     sm = bundled("euclid")
     machine = sm.machine()
     cm = compile_machine(machine, sm.state({"a0": 1, "b0": 1}))
-    broken = type(cm.combinator)(
-        cm.combinator.theta, cm.K + 1, cm.L, cm.combinator.slots,
-        cm.combinator.branches, cm.combinator.K_min, cm.combinator.L_min)
-    bad = type(cm)(cm.machine, cm.guarded, broken, cm.slots, cm.sig, cm.outputs)
+    bad = replace(cm, combinator=replace(cm.combinator, K=cm.K + 1))
     rep = lockstep(machine, bad, sm.state({"a0": 6, "b0": 4}))
     assert not rep.passed
     last = rep.rounds[-1]
@@ -136,8 +134,9 @@ def test_lockstep_reports_undefined_application(euclid_cm):
     machine, cm = euclid_cm
     functions = dict(cm.sig.functions)
     functions["rem"] = FFunction("rem", ("Nat", "Nat"), "Nat", lambda a, b: None)
-    bad = type(cm)(cm.machine, cm.guarded, cm.combinator, cm.slots,
-                   FSignature(functions), cm.outputs)
+    sig = FSignature(functions)
+    # the engine reduces under the combinator's table, so it moves with the signature
+    bad = replace(cm, sig=sig, combinator=replace(cm.combinator, table=signature_table(sig)))
     rep = lockstep(machine, bad, bundled("euclid").state({"a0": 6, "b0": 4}))
     assert rep.verdict == "fail"
     last = rep.rounds[-1]
@@ -151,10 +150,8 @@ def test_lockstep_note_bounds_the_block_search(euclid_cm):
     machine, cm = euclid_cm
     omega = App(lam(["z"], App(Var("z"), Var("z"))), lam(["z"], App(Var("z"), Var("z"))))
     looping = lam([f"s{i}" for i in range(len(cm.slots))], omega)
-    broken = type(cm.combinator)(
-        looping, cm.K, cm.L, cm.combinator.slots,
-        cm.combinator.branches, cm.combinator.K_min, cm.combinator.L_min)
-    bad = type(cm)(cm.machine, cm.guarded, broken, cm.slots, cm.sig, cm.outputs)
+    broken = replace(cm.combinator, theta=looping, theta_free=scan(looping, cm.table)[1])
+    bad = replace(cm, combinator=broken)
     rep = lockstep(machine, bad, bundled("euclid").state({"a0": 6, "b0": 4}))
     last = rep.rounds[-1]
     assert (last.index, last.kind, last.match) == (1, "undecodable", False)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from asmlc.compiler import compile_machine
 from asmlc.engine import (
     STATUS_NORMAL,
     STATUS_RAN,
@@ -25,20 +26,37 @@ from asmlc.reduction import Status
 from asmlc.syntax import TermSyntaxError, parse_term
 from asmlc.terms import Abs, App, Code, Const, Term, Var, app, lam
 
-from conftest import random_term
+from conftest import BUNDLED_COSTS, bundled, random_term
 
 _STATUS = {Status.NORMAL: STATUS_NORMAL, Status.BUDGET: STATUS_RAN,
            Status.UNDEFINED: STATUS_UNDEFINED}
 
 
-def _assert_agrees(t, sig, budget):
+def _assert_agrees(t, sig, budget, memo_roots=()):
     """The engine and the traced reducer agree on the result term, down
-    to the fresh binder names, the counts and the status."""
+    to the fresh binder names, the counts and the status: without a
+    memo, and seeded with ``scan``'s memo of each of ``memo_roots``,
+    nodes shared with ``t``."""
     slow = reduce_leftmost_f(t, sig, budget)
-    fast_t, beta, f, status = advance_term(t, signature_table(sig), budget)
-    assert (beta, f) == (slow.trace.beta_count, slow.trace.f_count)
-    assert fast_t == slow.term
-    assert status == _STATUS[slow.status]
+    table = signature_table(sig)
+    for f_free in (None, *(scan(root, table)[1] for root in memo_roots)):
+        fast_t, beta, f, status = advance_term(t, table, budget, f_free)
+        assert (beta, f) == (slow.trace.beta_count, slow.trace.f_count)
+        assert fast_t == slow.term
+        assert status == _STATUS[slow.status]
+
+
+def _nodes(t: Term) -> list[Term]:
+    """Every node of ``t``, itself first."""
+    out, todo = [], [t]
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        if isinstance(node, App):
+            todo += (node.arg, node.fun)
+        elif isinstance(node, Abs):
+            todo.append(node.body)
+    return out
 
 
 def test_bool_codes_rejected_in_tuples():
@@ -65,7 +83,7 @@ def test_kernel_matches_traced_reducer_on_random_terms(rng):
             t = App(Abs("w", t), rng.choice(atoms))
         if i % 4 == 1:  # a constant whose arguments arrive by reduction
             t = app(Const(rng.choice(["and", "or"])), t, rng.choice(atoms), rng.choice(atoms))
-        _assert_agrees(t, sig, rng.randint(0, 30))
+        _assert_agrees(t, sig, rng.randint(0, 30), rng.sample(_nodes(t), 2))
 
 
 def test_kernel_matches_traced_reducer_on_nullary_constants():
@@ -148,8 +166,9 @@ F_PHASE_TERMS = {
 @pytest.mark.parametrize("name", sorted(F_PHASE_TERMS))
 def test_kernel_matches_traced_reducer_at_every_budget(name):
     sig = _nat_sig()
+    t = F_PHASE_TERMS[name]
     for budget in range(26):
-        _assert_agrees(F_PHASE_TERMS[name], sig, budget)
+        _assert_agrees(t, sig, budget, _nodes(t))
 
 
 def test_undefined_mid_phase_reports_the_term_before_it():
@@ -184,8 +203,25 @@ def test_kernel_matches_traced_reducer_on_random_f_phases(rng):
     sig = _nat_sig()
     for _ in range(120):
         t = random_f_term(rng, rng.randint(2, 5))
+        roots = [rng.choice(_nodes(t))]
         for budget in range(26):
-            _assert_agrees(t, sig, budget)
+            _assert_agrees(t, sig, budget, roots)
+
+
+@pytest.mark.parametrize("name", ["doubling", "euclid"])
+def test_kernel_with_theta_memo_matches_traced_reducer(name):
+    """Rounds from theta applied to codes, seeded with the compiled
+    machine's memo of theta, agree with the traced reducer at every
+    budget up to two rounds."""
+    sm = bundled(name)
+    inputs, _ = BUNDLED_COSTS[name]
+    cm = compile_machine(sm.machine(), sm.state(inputs))
+    t = cm.initial_term(sm.state(inputs))
+    for budget in range(2 * (cm.K + cm.L) + 1):
+        slow = reduce_leftmost_f(t, cm.sig, budget)
+        got = advance_term(t, cm.table, budget, cm.theta_free)
+        assert got == (slow.term, slow.trace.beta_count, slow.trace.f_count,
+                       _STATUS[slow.status])
 
 
 def test_scan_finds_what_the_traced_search_finds(rng):
