@@ -13,12 +13,14 @@ times.  Compiling, building the initial terms and decoding stay outside
 the timed region.  The best of R timings gives the steps per second.
 
 One more, untimed pass counts F-search visits: the nodes with ``const``
-and not in the F-redex-free memo that the reducer's search walks
-(``engine._Reducer.f_step`` and, where it exists, the F-phase walk
-``_contract``) are called on, counted by wrapping both in this process.
-A call the memo or the ``const`` fact prunes costs no visit, wherever
-the walk makes that check.  The count is deterministic, so
-``visits_per_step`` compares checkouts where timings are too noisy to.
+and not in the F-redex-free memo that the reducer's F-redex walk
+``engine._Reducer._contract`` is called on, counted by wrapping it in
+this process (a checkout from before the walk was the only one also
+has ``_Reducer.f_step``, wrapped the same way).  A call the memo or
+the ``const`` fact prunes costs no visit, wherever the walk makes that
+check.  The count is deterministic, so ``visits_per_step`` compares
+checkouts where timings are too noisy to.  A checkout with neither walk
+raises, rather than record no visits.
 
 A checkout whose compiled machine keeps no table (from before theta's
 scan was kept) builds the table once per trajectory, as its lockstep
@@ -98,6 +100,8 @@ def count_visits(cases) -> int:
     reducer = engine._Reducer
     originals = {name: fn for name in ("f_step", "_contract")
                  if (fn := reducer.__dict__.get(name)) is not None}
+    if not originals:
+        raise RuntimeError("engine._Reducer has no F-redex walk to count")
     visits = 0
 
     def counted(fn):

@@ -286,9 +286,8 @@ def reduce_one_block(
     t: Term,
     theta: Term,
     slots: Sequence[Slot],
-    sig: FSignature,
+    table: dict,
     max_steps: int = 100_000,
-    table: Optional[dict] = None,
     theta_free: Optional[dict] = None,
 ) -> BlockResult:
     """Reduce F-first leftmost until the term is again theta applied to
@@ -301,8 +300,9 @@ def reduce_one_block(
     so no boundary falls inside a phase.  Structural equality is exact
     here because theta is closed: substitution never enters a closed
     term, so the engine never renames a binder inside theta's copies.
-    ``table`` and ``theta_free`` are the combinator's; the table is
-    built from ``sig`` when not given.  Raises RuntimeError when the
+    ``table`` is the engine table of the signature
+    (``engine.signature_table``) and ``theta_free`` the combinator's memo
+    of theta (``engine.scan``).  Raises RuntimeError when the
     block does not complete within ``max_steps`` and
     UndefinedApplication when a partial function is applied outside its
     domain.
@@ -311,8 +311,6 @@ def reduce_one_block(
         peeled = _peel(s, slots)
         return peeled is not None and peeled[0] == theta
 
-    if table is None:
-        table = signature_table(sig)
     t, beta, f, status = _advance(t, table, max_steps, at_boundary, theta_free)
     if status == STATUS_NORMAL:
         return BlockResult(t, beta, f, "exit", None)
@@ -324,7 +322,6 @@ def reduce_one_block(
 def _certify(
     theta: Term,
     slots: Sequence[Slot],
-    sig: FSignature,
     probes: Sequence[dict[str, Value]],
     want: tuple[int, int],
     table: dict,
@@ -334,7 +331,7 @@ def _certify(
     cost exactly ``want``."""
     for val in probes:
         start = app(theta, *(code_term(val[s.name]) for s in slots))
-        block = reduce_one_block(start, theta, slots, sig, table=table, theta_free=theta_free)
+        block = reduce_one_block(start, theta, slots, table, theta_free=theta_free)
         got = (block.beta_count, block.f_count)
         if got != want:
             raise RuntimeError(f"cost formula gives (K,L)={want} but theta "
@@ -390,6 +387,6 @@ def build_branch_combinator(
     if resident:
         raise ValueError("combinator body contains a resident F-redex; "
                          "fold ground constant subterms to codes first")
-    _certify(theta, slots, sig, probes, (K, L), table, theta_free)
+    _certify(theta, slots, probes, (K, L), table, theta_free)
     return CompiledCombinator(theta, K, L, tuple(slots), tuple(branches), k_min, l_min,
                               table, theta_free)

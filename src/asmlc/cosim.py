@@ -103,8 +103,8 @@ def _block_note(t: Term, cm: CompiledMachine) -> str:
     reaches a boundary costs no more than that to diagnose."""
     limit = _NOTE_ROUNDS * (cm.K + cm.L)
     try:
-        block = reduce_one_block(t, cm.theta, [s.as_slot() for s in cm.slots], cm.sig,
-                                 max_steps=limit, table=cm.table, theta_free=cm.theta_free)
+        block = reduce_one_block(t, cm.theta, [s.as_slot() for s in cm.slots], cm.table,
+                                 max_steps=limit, theta_free=cm.theta_free)
     except RuntimeError:
         return f"no block boundary within {limit} steps of the round's start"
     except UndefinedApplication as exc:

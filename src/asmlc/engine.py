@@ -12,23 +12,31 @@ candidate is the prefix carrying exactly ``arity`` arguments (so an
 over-applied ``(f a b) c`` still fires), and the only beta candidate is
 ``h a1`` when ``h`` is an abstraction.
 
-F-phases in one pass.  Under the F-first strategy the F-steps come in
+F-phases in one walk.  Under the F-first strategy the F-steps come in
 phases: every F-redex of the term, and every one those contractions
 create, is contracted before the next beta step.  An F-contraction
 replaces a constant applied to codes by a code, so it erases and copies
 no other redex, and the only redex it can create is a constant
 application at an ancestor that now has codes for all its arguments.
-The F-rules are orthogonal (Klop, *Combinatory Reduction Systems*,
-1980), so every order that contracts all the F-redexes of a phase ends
-in the same term after the same number of steps.  ``_Reducer.f_phase``
-contracts a whole phase in one post-order pass, arguments before the
-application they complete, and counts one F-step per contraction.  The
-loop keeps the pass only when its count fits the remaining budget and
-no firing in it was undefined.  Otherwise it takes single leftmost
-F-steps from the term before the pass, so a budget that ends inside a
-phase, STATUS_UNDEFINED and ``reached`` are exactly those of the traced
-reducer.  A pass that contracts nothing shows the term F-normal, so the
-beta step follows without a second search.
+F-redexes never nest, since a redex's arguments are codes, so the
+redexes of a term are disjoint (the F-rules are orthogonal: Klop,
+*Combinatory Reduction Systems*, 1980).  ``_Reducer.f_phase`` walks the
+term once in leftmost order: on each spine an abstraction head's body
+first; for a constant head the ``arity`` arguments it needs, then the
+head, which fires when they are codes, then the extra arguments; else
+the arguments left to right.  A redex is leftmost when the walk reaches
+it: every redex before it is contracted, its contractum is a code, and
+a redex that contractum completes is an ancestor, reached when the walk
+returns there, before any argument to its right.  An over-applied head
+fires before its extra arguments, as the prefix carrying ``arity``
+arguments precedes them in prefix order.  So the walk fires exactly the
+traced reducer's F-steps in its order, one F-step per contraction, and
+it can stop after any of them: at the remaining budget, or before an
+undefined firing.  After a stop it fires and memoizes nothing more and
+rebuilds only the path to the root, so the term, the counts,
+STATUS_UNDEFINED and ``reached`` are those of the traced reducer.  A
+complete phase leaves the term F-normal, so the beta step follows
+without a second search.
 
 A stop predicate (``boundary``) is tested once after a phase, not after
 each of its steps.  That is exact as long as the predicate holds only of
@@ -113,10 +121,8 @@ def _subst(t: Term, name: str, repl: Term) -> Term:
     return Abs(binder, _subst(body, name, repl))
 
 
-def _beta_step(t: Term):
-    """``t`` with its leftmost beta redex contracted, or None."""
-    if not t.beta:
-        return None
+def _beta_step(t: Term) -> Term:
+    """``t``, which holds a beta redex, with its leftmost one contracted."""
     if type(t) is Abs:
         return Abs(t.binder, _beta_step(t.body))
     spine, head = _unwind(t)
@@ -131,19 +137,20 @@ def _beta_step(t: Term):
 
 
 class _Reducer:
-    """F-redex search and contraction over one signature table, with the
-    F-redex-free memo of one call."""
+    """The F-redex walk over one signature table, with the F-redex-free
+    memo of one call."""
 
     def __init__(self, table: dict, f_free: Optional[dict] = None):
         self.table = table
         self.f_free: dict = dict(f_free) if f_free else {}  # id -> node with no F-redex
-        self.fired = 0
+        self.fired = self.limit = 0
+        self.stop = None
 
     def _fire(self, head: Const, entry: tuple, args: list):
         """The contractum of ``head`` applied to the first ``arity`` of
-        ``args``, or None when one of them is not a code of its
-        datatype.  Raises UndefinedApplication outside the function's
-        domain."""
+        ``args``, counted in ``fired``; None when one of them is not a
+        code of its datatype, or when the walk stops here (``stop``):
+        at ``limit``, or outside the function's domain."""
         payloads = []
         for a, dt in zip(args, entry[1]):
             if dt == BOOL:
@@ -160,66 +167,37 @@ class _Reducer:
                 payloads.append(a.value.payload)
             else:
                 return None
+        if self.fired == self.limit:
+            self.stop = STATUS_RAN
+            return None
         out = entry[3](*payloads)
         if out is None:
-            raise UndefinedApplication(head.symbol, tuple(payloads))
+            self.stop = UndefinedApplication(head.symbol, tuple(payloads))
+            return None
+        self.fired += 1
         if entry[2] == BOOL:
             return TRUE_TERM if out else FALSE_TERM
         return Code(Value(entry[2], out))
 
-    def f_step(self, t: Term):
-        """``t`` with its leftmost F-redex contracted, or None."""
-        if not t.const or id(t) in self.f_free:
-            return None
-        tp = type(t)
-        if tp is App:
-            spine, head = _unwind(t)
-            n = len(spine)
-            ht = type(head)
-            if ht is Const:
-                entry = self.table.get(head.symbol)
-                if entry is not None and entry[0] <= n:
-                    new = self._fire(head, entry, [spine[n - k].arg for k in range(1, entry[0] + 1)])
-                    if new is not None:
-                        return _rebuild(spine, n - entry[0], new)
-            elif ht is Abs:
-                new = self.f_step(head.body)
-                if new is not None:
-                    return _rebuild(spine, n, Abs(head.binder, new))
-            for i in range(n - 1, -1, -1):
-                node = spine[i]
-                new = self.f_step(node.arg)
-                if new is not None:
-                    return _rebuild(spine, i, App(node.fun, new))
-            f_free = self.f_free
-            for node in spine:
-                f_free[id(node)] = node
-            return None
-        if tp is Abs:
-            new = self.f_step(t.body)
-            if new is not None:
-                return Abs(t.binder, new)
-        elif tp is Const:
-            entry = self.table.get(t.symbol)
-            if entry is not None and entry[0] == 0:
-                return self._fire(t, entry, [])
-        self.f_free[id(t)] = t
-        return None
+    def f_phase(self, t: Term, limit: int):
+        """Contract the F-redexes of ``t`` in leftmost order, those the
+        contractions create included, firing at most ``limit``.
 
-    def f_phase(self, t: Term) -> tuple[Term, int]:
-        """``t`` with every F-redex contracted, including those the
-        contractions create, and the number of contractions: one pass
-        (module docstring).  Raises UndefinedApplication when a firing
-        falls outside its function's domain."""
-        self.fired = 0
+        Returns (term, fired, stop).  ``stop`` is None when the phase is
+        complete, STATUS_RAN when a redex remains at the limit, and the
+        UndefinedApplication when the next firing falls outside its
+        function's domain; the term is then the one after ``fired``
+        steps."""
+        self.fired, self.limit, self.stop = 0, limit, None
         if t.const and id(t) not in self.f_free:
             t = self._contract(t)
-        return t, self.fired
+        return t, self.fired, self.stop
 
     def _contract(self, t: Term) -> Term:
-        """``f_phase``'s post-order walk from a node with ``const`` that
-        the memo lacks, counting into ``fired``.  It prunes each child
-        the same way before it descends."""
+        """``f_phase``'s walk from a node with ``const`` that the memo
+        lacks (module docstring).  It prunes each child the same way
+        before it descends, and memoizes each node it finishes before a
+        stop."""
         f_free = self.f_free
         tp = type(t)
         if tp is App:
@@ -227,30 +205,38 @@ class _Reducer:
             n = len(spine)
             ht = type(head)
             new = head
+            fire = -1  # how many arguments the head fires on
             if ht is Abs:
                 body = head.body
                 if body.const and id(body) not in f_free:
                     body = self._contract(body)
                     if body is not head.body:
                         new = Abs(head.binder, body)
-            same = new is head
+            elif ht is Const:
+                entry = self.table.get(head.symbol)
+                if entry is not None and entry[0] <= n:
+                    fire = entry[0]
+            at = n - 1 - fire  # the spine index of the first extra argument
+            same, first, walk = new is head, 0, self.stop is None
             args = []
             for i in range(n - 1, -1, -1):
+                if i == at and walk:
+                    out = self._fire(head, entry, args)
+                    if out is not None:
+                        new, first, same = out, fire, False
+                    walk = self.stop is None
                 a = spine[i].arg
-                if a.const and id(a) not in f_free:
+                if walk and a.const and id(a) not in f_free:
                     b = self._contract(a)
                     if b is not a:
                         same = False
                         a = b
+                    walk = self.stop is None
                 args.append(a)
-            first = 0
-            if ht is Const:
-                entry = self.table.get(head.symbol)
-                if entry is not None and entry[0] <= n:
-                    out = self._fire(head, entry, args)
-                    if out is not None:
-                        self.fired += 1
-                        new, first, same = out, entry[0], False
+            if fire == n and walk:
+                out = self._fire(head, entry, args)
+                if out is not None:
+                    new, first, same = out, fire, False
             if not same:
                 for i in range(first, n):
                     new = App(new, args[i])
@@ -264,48 +250,21 @@ class _Reducer:
         elif tp is Const:
             entry = self.table.get(t.symbol)
             if entry is not None and entry[0] == 0:
-                self.fired += 1
-                return self._fire(t, entry, [])
-        if t.const:
+                out = self._fire(t, entry, [])
+                if out is not None:
+                    return out
+        if t.const and self.stop is None:
             f_free[id(t)] = t
         return t
+
 
 def scan(t: Term, sig_table: dict) -> tuple[bool, dict]:
     """Search ``t`` once for an F-redex under ``sig_table``: whether it
     holds one (an undefined one included), and the memo of its nodes
     found to hold none, by ``id``, for ``advance_term``'s ``f_free``."""
     r = _Reducer(sig_table)
-    try:
-        found = r.f_step(t) is not None
-    except UndefinedApplication:
-        found = True
-    return found, r.f_free
-
-
-def _stepwise(r: _Reducer, t: Term, beta: int, f: int, max_steps: int, boundary):
-    """``_advance`` by single leftmost steps from (t, beta, f)."""
-    while True:
-        try:
-            new = r.f_step(t)
-        except UndefinedApplication as exc:
-            if beta + f == max_steps:
-                return t, beta, f, STATUS_RAN
-            exc.reached = (t, beta, f)
-            raise
-        is_beta = new is None
-        if is_beta:
-            new = _beta_step(t)
-            if new is None:
-                return t, beta, f, STATUS_NORMAL
-        if beta + f == max_steps:
-            return t, beta, f, STATUS_RAN
-        t = new
-        if is_beta:
-            beta += 1
-        else:
-            f += 1
-        if boundary is not None and boundary(t):
-            return t, beta, f, _STATUS_BOUNDARY
+    stop = r.f_phase(t, 0)[2]
+    return stop is not None, r.f_free
 
 
 def _advance(t: Term, sig_table: dict, max_steps: int, boundary=None,
@@ -324,23 +283,21 @@ def _advance(t: Term, sig_table: dict, max_steps: int, boundary=None,
     r = _Reducer(sig_table, f_free)
     beta = f = 0
     while True:
-        try:
-            new, count = r.f_phase(t)
-        except UndefinedApplication:
-            return _stepwise(r, t, beta, f, max_steps, boundary)
-        if count:
-            if count > max_steps - beta - f:
-                return _stepwise(r, t, beta, f, max_steps, boundary)
-            t = new
-            f += count
-            if boundary is not None and boundary(t):
-                return t, beta, f, _STATUS_BOUNDARY
-        new = _beta_step(t)
-        if new is None:
+        t, count, stop = r.f_phase(t, max_steps - beta - f)
+        f += count
+        if stop == STATUS_RAN:
+            return t, beta, f, STATUS_RAN
+        if stop is not None:
+            stop.reached = (t, beta, f)
+            raise stop
+        if count and boundary is not None and boundary(t):
+            return t, beta, f, _STATUS_BOUNDARY
+        # the term is F-normal now, so without a beta redex it is normal
+        if not t.beta:
             return t, beta, f, STATUS_NORMAL
         if beta + f == max_steps:
             return t, beta, f, STATUS_RAN
-        t = new
+        t = _beta_step(t)
         beta += 1
         if boundary is not None and boundary(t):
             return t, beta, f, _STATUS_BOUNDARY

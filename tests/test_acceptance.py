@@ -150,7 +150,7 @@ def test_05_padding_exact_or_refused():
                 starts = [app(cm.theta, *(code_term(val[s.name]) for s in slots))
                           for val in probes]
                 for start in starts:
-                    b = reduce_one_block(start, cm.theta, slots, cm.sig)
+                    b = reduce_one_block(start, cm.theta, slots, cm.table)
                     assert (b.beta_count, b.f_count) == (K, L), (name, dk, dl)
                 r = reduce_leftmost_f(starts[0], cm.sig, K + L)
                 assert (r.trace.beta_count, r.trace.f_count) == (K, L)

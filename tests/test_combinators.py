@@ -12,6 +12,7 @@ from asmlc.combinators import (
     reduce_one_block,
     static_f_work,
 )
+from asmlc.engine import signature_table
 from asmlc.good_terms import GApp, GCode, GVar
 from asmlc.compiler import _default_probes, compile_machine
 from asmlc.lambda_f import (
@@ -54,7 +55,7 @@ def traced_block(t, theta, slots, sig, max_steps=100_000) -> BlockResult:
 
 def block(t, theta, slots, sig) -> BlockResult:
     """reduce_one_block, checked against the traced reference loop."""
-    got = reduce_one_block(t, theta, slots, sig)
+    got = reduce_one_block(t, theta, slots, signature_table(sig))
     want = traced_block(t, theta, slots, sig)
     assert (got.kind, got.beta_count, got.f_count, got.values) == (
         want.kind, want.beta_count, want.f_count, want.values)
@@ -244,5 +245,5 @@ def test_block_reraises_undefined_application(nat_sig):
                                  slots, nat_sig, [{"c": Value("Nat", 4)}])
     t = App(cc.theta, code_term(Value("Nat", 3)))
     with pytest.raises(UndefinedApplication) as info:
-        reduce_one_block(t, cc.theta, slots, nat_sig)
+        reduce_one_block(t, cc.theta, slots, cc.table)
     assert (info.value.symbol, info.value.args) == ("half", (3,))

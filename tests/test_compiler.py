@@ -156,7 +156,7 @@ def test_cost_formula_equals_measurement(name):
     slots = [s.as_slot() for s in cm.slots]
     for val in _default_probes(machine, state, cm.slots):
         start = app(c.theta, *(code_term(val[s.name]) for s in slots))
-        b = reduce_one_block(start, c.theta, slots, cm.sig)
+        b = reduce_one_block(start, c.theta, slots, cm.table)
         assert (b.beta_count, b.f_count) == (c.K_min, c.L_min)
     cost = cm.manifest()["cost"]
     assert cost["unfold"] + cost["load"] + cost["select"] + cost["pad_K"] == c.K

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from asmlc import engine
 from asmlc.compiler import compile_machine
 from asmlc.engine import (
     STATUS_NORMAL,
@@ -152,6 +153,10 @@ F_PHASE_TERMS = {
                                _n(3), Var("a"), Var("b")),
     # the prefix with arity arguments fires, the rest stay applied
     "over-applied": app(Const("and"), TRUE_TERM, App(Const("not"), FALSE_TERM), Var("a"), Var("b")),
+    # the head fires before the redex in its extra argument
+    "over-applied-extra-redex": app(_succ, _n(1), App(_succ, _n(2))),
+    # the head fires before its extra argument turns out undefined
+    "over-applied-undefined-extra": app(_half, _n(2), App(_half, _n(3))),
     "nullary": Abs("y", app(Const("zero"), _y, App(_succ, Const("zero")))),
     # a beta step turns an argument into a code, completing succ
     "beta-in-argument": App(_succ, App(Abs("x", _x), App(_succ, _n(1)))),
@@ -224,12 +229,30 @@ def test_kernel_with_theta_memo_matches_traced_reducer(name):
                        _STATUS[slow.status])
 
 
+def test_round_builds_no_beta_step_past_its_budget(monkeypatch):
+    """One euclid round of K + L steps builds exactly its K beta steps:
+    the round ends on the budget before it builds the next one."""
+    sm = bundled("euclid")
+    inputs, _ = BUNDLED_COSTS["euclid"]
+    cm = compile_machine(sm.machine(), sm.state(inputs))
+    t = cm.initial_term(sm.state(inputs))
+    built = []
+    beta_step = engine._beta_step
+    monkeypatch.setattr(engine, "_beta_step", lambda s: built.append(s) or beta_step(s))
+    assert advance_term(t, cm.table, cm.K + cm.L, cm.theta_free)[1:] == (cm.K, cm.L, STATUS_RAN)
+    assert len(built) == cm.K
+
+
 def test_scan_finds_what_the_traced_search_finds(rng):
     sig = _nat_sig()
     table = signature_table(sig)
     for _ in range(300):
         t = random_f_term(rng, rng.randint(1, 5))
-        assert scan(t, table)[0] == bool(f_redexes(t, sig))
+        resident, f_free = scan(t, table)
+        assert resident == bool(f_redexes(t, sig))
+        # the search stops at the first redex and memoizes none of the
+        # nodes that hold it, which later calls would then skip
+        assert all(not f_redexes(node, sig) for node in f_free.values())
     # a ground guard, which the combinator builder refuses as a resident
     # F-redex, and the same guard over a slot variable
     ground = to_term(GApp("lt", (GCode(Value("Nat", 0)), GCode(Value("Nat", 1)))))
