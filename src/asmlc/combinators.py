@@ -35,9 +35,12 @@ Because the F-work happens before the selection, both counts are
 independent of the valuation and of which branch fires.  The minima
 come from this formula at K' = L' = 0: K_min = k + 2n and L_min = N;
 a budget with L > L_min needs K >= K_min + 1.  A compile builds theta
-once, with the padding that lands on the requested budget, and one
-measurement of that theta on the probe valuations must equal the
-formula; lockstep then checks every round against it.
+once, with the padding that lands on the requested budget, and
+certifies it (``certify``) by one abstract block: theta applied to one
+abstract code per slot, forked at each guard it selects on, so one path
+per branch.  Every path must cost exactly the formula, which then holds
+from every valuation, and no machine step is run; lockstep checks every
+round against the same (K, L).
 
 Measurement (``reduce_one_block``) runs the counting engine's shared
 loop and stops at the first block boundary: the term is theta applied
@@ -47,8 +50,8 @@ Theta must hold no resident F-redex: one would fire once, at the first
 step, and never again, so no constant per-step cost could hold.  The
 builder checks this with the engine's own search (``engine.scan``),
 whose memo of theta's F-free nodes the combinator keeps with the
-engine table.  Every certification block and lockstep round starts from
-that memo, so no round searches theta again; and since theta holds no
+engine table.  The certificate and every lockstep round start from that
+memo, so no round searches theta again; and since theta holds no
 F-redex, a boundary term is F-normal, which lets the engine test the
 boundary once per F-phase.
 """
@@ -58,19 +61,20 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .encodings import identity_chain, select_first, tup
-from .engine import _STATUS_BOUNDARY, STATUS_NORMAL, _advance, scan, signature_table
-from .good_terms import GCode, GoodTerm, const_count, to_term
-from .lambda_f import BOOL, FSignature, code_term, match_code
-from .terms import (
-    Abs,
-    App,
-    Const,
-    Term,
-    Value,
-    Var,
-    app,
-    lam,
+from .engine import (
+    _STATUS_BOUNDARY,
+    _STATUS_FORK,
+    STATUS_NORMAL,
+    STATUS_RAN,
+    _advance,
+    _rebuild,
+    _unwind,
+    scan,
+    signature_table,
 )
+from .good_terms import GCode, GoodTerm, const_count, to_term
+from .lambda_f import BOOL, UNKNOWN_BOOL, FSignature, bool_term, match_code
+from .terms import Abs, App, Const, Term, Unknown, Value, Var, app, lam
 
 
 def curry_fixpoint(f: Term) -> Term:
@@ -130,6 +134,16 @@ class Slot:
 
 
 @dataclass(frozen=True)
+class Certificate:
+    """What certifying theta's (K, L) took: the paths of its abstract
+    block, one per branch that theta's selection can reach, and the
+    engine steps over all of them, each shared prefix counted once."""
+
+    paths: int
+    steps: int
+
+
+@dataclass(frozen=True)
 class CompiledCombinator:
     theta: Term
     K: int
@@ -142,6 +156,7 @@ class CompiledCombinator:
     # memo of the residency scan: theta's nodes with no F-redex under it.
     table: dict = field(compare=False, repr=False)
     theta_free: dict = field(compare=False, repr=False)
+    certificate: Certificate = field(compare=False)
 
     @property
     def k(self) -> int:
@@ -319,30 +334,94 @@ def reduce_one_block(
     raise RuntimeError("block did not complete within the step budget")
 
 
-def _certify(
+def _slot_code(t: Term, datatype: str) -> bool:
+    """Whether ``t`` is a code or an abstract code of ``datatype``."""
+    if type(t) is Unknown:
+        return t.datatype == datatype
+    if t is UNKNOWN_BOOL:
+        return datatype == BOOL
+    return match_code(t, datatype) is not None
+
+
+def _path_name(path: tuple[bool, ...], labels: Sequence[str]) -> str:
+    """The fork choices of a path, and the branch of ``labels`` they
+    select when they have the shape of theta's selection: false i times
+    then true selects branch i, false before every guard the last."""
+    text = "path (" + ", ".join("true" if c else "false" for c in path) + ")"
+    i = path.index(True) if True in path else len(path)
+    if (i == len(path) - 1 or i == len(path) == len(labels) - 1) \
+            and i < len(labels) and labels[i]:
+        text += f", branch {labels[i]}"
+    return text
+
+
+def certify(
     theta: Term,
     slots: Sequence[Slot],
-    probes: Sequence[dict[str, Value]],
     want: tuple[int, int],
     table: dict,
     theta_free: dict,
-) -> None:
-    """Measure one block of theta from every probe valuation; each must
-    cost exactly ``want``."""
-    for val in probes:
-        start = app(theta, *(code_term(val[s.name]) for s in slots))
-        block = reduce_one_block(start, theta, slots, table, theta_free=theta_free)
-        got = (block.beta_count, block.f_count)
-        if got != want:
-            raise RuntimeError(f"cost formula gives (K,L)={want} but theta "
-                               f"measures {got} from probe {val}")
+    labels: Sequence[str] = (),
+) -> Certificate:
+    """Certify that one block of theta costs exactly ``want`` = (K, L)
+    from every valuation of its slots, by one abstract block.
+
+    The block starts from theta applied to one abstract code per slot
+    and runs the engine's shared loop (abstract interpretation, Cousot
+    and Cousot 1977).  A constant with an abstract argument fires as
+    one F-step to an abstract code, and the loop stops with a fork where
+    the next beta step would contract the abstract Boolean applied to
+    its arguments, which is where a concrete block contracts TRUE or
+    FALSE.  The fork must be the head of the term; the run then goes on
+    from both TRUE and FALSE in its place, rebuilding only that spine.
+    Theta's in-place selection makes that one path per branch it can
+    reach.  Every concrete block follows one of the paths, so the paths
+    cover every valuation on which each firing is defined.
+
+    Each path must reach theta applied to slot codes (abstract or not),
+    or a normal form, at exactly ``want``; a RuntimeError names the
+    first path that does not, with the branch from ``labels`` (the
+    branches in theta's order) that it selects.
+    """
+    def at_boundary(s: Term) -> bool:
+        for slot in reversed(slots):
+            if type(s) is not App or not _slot_code(s.arg, slot.datatype):
+                return False
+            s = s.fun
+        return s == theta
+
+    budget = want[0] + want[1]
+    start = app(theta, *(UNKNOWN_BOOL if s.datatype == BOOL else Unknown(s.datatype)
+                         for s in slots))
+    todo = [(start, 0, 0, ())]
+    paths = steps = 0
+    while todo:
+        t, beta, f, path = todo.pop()
+        t, b, g, status = _advance(t, table, budget - beta - f, at_boundary, theta_free)
+        beta, f, steps = beta + b, f + g, steps + b + g
+        if status == _STATUS_FORK:
+            spine, head = _unwind(t)
+            if head is not UNKNOWN_BOOL:
+                raise RuntimeError(f"theta selects on an unknown Boolean off the head "
+                                   f"of the term on {_path_name(path, labels)}")
+            for choice in (False, True):
+                todo.append((_rebuild(spine, len(spine), bool_term(choice)), beta, f,
+                             path + (choice,)))
+            continue
+        if status == STATUS_RAN:
+            raise RuntimeError(f"cost formula gives (K,L)={want} but theta takes more "
+                               f"than {budget} steps on {_path_name(path, labels)}")
+        if (beta, f) != want:
+            raise RuntimeError(f"cost formula gives (K,L)={want} but theta measures "
+                               f"{(beta, f)} on {_path_name(path, labels)}")
+        paths += 1
+    return Certificate(paths, steps)
 
 
 def build_branch_combinator(
     branches: Sequence[Branch],
     slots: Sequence[Slot],
     sig: FSignature,
-    probes: Sequence[dict[str, Value]],
     K: Optional[int] = None,
     L: Optional[int] = None,
 ) -> CompiledCombinator:
@@ -360,8 +439,9 @@ def build_branch_combinator(
     Internal padding lands exactly on the requested budget; a request
     below the minima, or with L > L_min at K = K_min, is rejected.
     Theta is built once and must hold no resident F-redex (ValueError
-    otherwise); one measurement of it on every probe valuation must
-    equal the formula (RuntimeError otherwise); lockstep checks every
+    otherwise).  Its abstract block (``certify``) must cost exactly the
+    formula's (K, L) on every path, so from every valuation
+    (RuntimeError otherwise, naming the branch); lockstep checks every
     round against the same (K, L).
     """
     if not branches:
@@ -369,8 +449,6 @@ def build_branch_combinator(
     if branches[-1].guard != _ELSE_GUARD:
         raise ValueError("the last branch is the else-arm: its guard must "
                          "be the constant true")
-    if not probes:
-        raise ValueError("need at least one probe valuation")
     least = step_cost(len(slots), branches, 0, 0)
     k_min = least["unfold"] + least["load"] + least["select"]
     l_min = static_f_work(branches)
@@ -387,6 +465,7 @@ def build_branch_combinator(
     if resident:
         raise ValueError("combinator body contains a resident F-redex; "
                          "fold ground constant subterms to codes first")
-    _certify(theta, slots, probes, (K, L), table, theta_free)
+    cert = certify(theta, slots, (K, L), table, theta_free,
+                   [b.label for b in branches])
     return CompiledCombinator(theta, K, L, tuple(slots), tuple(branches), k_min, l_min,
-                              table, theta_free)
+                              table, theta_free, cert)

@@ -35,7 +35,6 @@ from .asm import (
     TypedTerm,
     Update,
     Vocabulary,
-    run_from_state,
     _carrier_grid,
 )
 from .combinators import (
@@ -523,24 +522,10 @@ def compile_machine(
     # take that branch as its else-arm without testing it.
     kept[-1] = replace(kept[-1], guard=G_TRUE)
 
-    compiled_slots = [s.as_slot() for s in slots]
-    probes = _default_probes(machine, state, slots)
-    cc = build_branch_combinator(kept, compiled_slots, sig, probes, K, L)
+    # no slot code can stand for an undefined initial value
+    initial_values(slots, machine.initial_state(state))
+    cc = build_branch_combinator(kept, [s.as_slot() for s in slots], sig, K, L)
     return CompiledMachine(machine, gp, cc, tuple(slots), sig, outputs)
-
-
-def _default_probes(machine, state, slots):
-    """Probe valuations from a 4-step run of the machine itself.  Raises
-    CompileError first when a dynamic constant has no defined initial
-    value, since no slot code can stand for it."""
-    s0 = machine.initial_state(state)
-    initial_values(slots, s0)
-    r = run_from_state(s0, machine.program, 4)
-    probes = []
-    for st in r.trajectory:
-        vals = slot_values_for_state(slots, st, s0)
-        probes.append({info.symbol: v for info, v in zip(slots, vals)})
-    return probes
 
 
 # ---------------------------------------------------------------------------

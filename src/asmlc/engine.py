@@ -47,8 +47,11 @@ neither the application of theta nor a code is an F-redex.
 
 The search prunes by the facts each node carries (``terms``): a node
 without ``beta`` holds no beta redex, and a node without ``const`` holds
-no F-redex.  Substitution returns every subterm in which the variable
-is not in ``fv`` unchanged, closed terms included.  Whether a node with
+no F-redex.  A constant whose prefix of ``arity`` arguments has a free
+variable is not tried either: a redex's arguments are codes or lambda
+booleans, all closed, so no F-step makes that prefix a redex.
+Substitution returns every subterm in which the variable is not in
+``fv`` unchanged, closed terms included.  Whether a node with
 ``const`` holds an F-redex depends on the signature table, so a call
 keeps one memo, keyed by ``id``, of the subterms already found to
 contain no F-redex under its table.  That property is inherited by
@@ -57,8 +60,20 @@ redex plus the contractum, so a memo hit covers a whole subtree the step
 left untouched.  The memo stores the node itself, so no ``id`` is reused
 while it lives.  A call starts from a copy of the nodes the caller
 passes as ``f_free``, such as ``scan``'s of theta: the compiled machine
-keeps that scan, so no round or certification block searches theta
-again, and the copy dies with the call.
+keeps that scan, so no round or certificate path searches theta again,
+and the copy dies with the call.
+
+Abstract codes.  The certificate of a compiled term
+(``combinators.certify``) reduces theta applied to abstract codes
+(``terms.Unknown``, and ``lambda_f.UNKNOWN_BOOL`` for Booleans).  A
+constant applied to codes of which one at least is abstract fires as one
+F-step without calling its function; its contractum is an abstract code
+of the result datatype.  The beta step whose leftmost redex applies the
+abstract Boolean is not taken: ``_advance`` stops before it with a fork,
+at the step where a concrete term contracts TRUE or FALSE applied to
+its arguments.  Both checks sit where a concrete term does not go, past
+``_fire``'s failed match and on a head that is an abstraction, so they
+cost concrete reduction one type or identity test.
 
 ``KERNEL_NAME`` names the implementation for benchmark records.
 """
@@ -66,9 +81,17 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .lambda_f import BOOL, FALSE_TERM, TRUE_TERM, FSignature, UndefinedApplication
+from .lambda_f import (
+    BOOL,
+    FALSE_TERM,
+    TRUE_TERM,
+    UNKNOWN_BOOL,
+    FSignature,
+    UndefinedApplication,
+    match_bool,
+)
 from .reduction import fresh_name
-from .terms import Abs, App, Code, Const, Term, Value, Var
+from .terms import Abs, App, Code, Const, Term, Unknown, Value, Var
 
 KERNEL_NAME = "pure-python"
 
@@ -76,6 +99,11 @@ STATUS_NORMAL = 0
 STATUS_RAN = 1
 STATUS_UNDEFINED = 2
 _STATUS_BOUNDARY = 3
+_STATUS_FORK = 4
+
+
+class _Fork(Exception):
+    """The leftmost beta redex applies the abstract Boolean."""
 
 
 def signature_table(sig: FSignature) -> dict:
@@ -128,6 +156,8 @@ def _beta_step(t: Term) -> Term:
     spine, head = _unwind(t)
     n = len(spine)
     if type(head) is Abs:
+        if head is UNKNOWN_BOOL:
+            raise _Fork
         return _rebuild(spine, n - 1, _subst(head.body, head.binder, spine[n - 1].arg))
     # The head is no abstraction, so some argument holds the redex.
     for i in range(n - 1, -1, -1):
@@ -155,7 +185,7 @@ class _Reducer:
         for a, dt in zip(args, entry[1]):
             if dt == BOOL:
                 if type(a) is not Abs or type(a.body) is not Abs or type(a.body.body) is not Var:
-                    return None
+                    return self._fire_unknown(entry, args) if a is UNKNOWN_BOOL else None
                 v = a.body.body.name
                 if v == a.body.binder:
                     payloads.append(False)
@@ -166,7 +196,7 @@ class _Reducer:
             elif type(a) is Code and a.value.datatype == dt:
                 payloads.append(a.value.payload)
             else:
-                return None
+                return self._fire_unknown(entry, args) if type(a) is Unknown else None
         if self.fired == self.limit:
             self.stop = STATUS_RAN
             return None
@@ -178,6 +208,26 @@ class _Reducer:
         if entry[2] == BOOL:
             return TRUE_TERM if out else FALSE_TERM
         return Code(Value(entry[2], out))
+
+    def _fire_unknown(self, entry: tuple, args: list):
+        """``_fire`` when an argument is an abstract code: when every
+        argument is a code or an abstract code of its datatype, one
+        counted firing to an abstract code of the result datatype,
+        without calling the function; else None."""
+        for a, dt in zip(args, entry[1]):
+            if type(a) is Unknown:
+                if a.datatype != dt:
+                    return None
+            elif dt == BOOL:
+                if a is not UNKNOWN_BOOL and match_bool(a) is None:
+                    return None
+            elif type(a) is not Code or a.value.datatype != dt:
+                return None
+        if self.fired == self.limit:
+            self.stop = STATUS_RAN
+            return None
+        self.fired += 1
+        return UNKNOWN_BOOL if entry[2] == BOOL else Unknown(entry[2])
 
     def f_phase(self, t: Term, limit: int):
         """Contract the F-redexes of ``t`` in leftmost order, those the
@@ -213,8 +263,11 @@ class _Reducer:
                     if body is not head.body:
                         new = Abs(head.binder, body)
             elif ht is Const:
+                # a prefix with a free variable has an argument that no
+                # F-step turns into a code, so the head cannot fire
                 entry = self.table.get(head.symbol)
-                if entry is not None and entry[0] <= n:
+                if entry is not None and entry[0] <= n and (
+                        entry[0] == 0 or not spine[n - entry[0]].fv):
                     fire = entry[0]
             at = n - 1 - fire  # the spine index of the first extra argument
             same, first, walk = new is head, 0, self.stop is None
@@ -276,9 +329,12 @@ def _advance(t: Term, sig_table: dict, max_steps: int, boundary=None,
     hold only of F-normal terms (module docstring).  ``f_free`` holds
     nodes known to contain no F-redex under ``sig_table``, by ``id``.
 
-    Returns (term, beta_count, f_count, status).  An undefined leftmost
-    F-redex within the budget raises UndefinedApplication carrying
-    ``reached`` = (term before it, beta_count, f_count).
+    Returns (term, beta_count, f_count, status); the status is
+    ``_STATUS_FORK`` when the next step would contract the abstract
+    Boolean applied to an argument, and the term is the one before it.
+    An undefined leftmost F-redex within the budget raises
+    UndefinedApplication carrying ``reached`` = (term before it,
+    beta_count, f_count).
     """
     r = _Reducer(sig_table, f_free)
     beta = f = 0
@@ -297,7 +353,10 @@ def _advance(t: Term, sig_table: dict, max_steps: int, boundary=None,
             return t, beta, f, STATUS_NORMAL
         if beta + f == max_steps:
             return t, beta, f, STATUS_RAN
-        t = _beta_step(t)
+        try:
+            t = _beta_step(t)
+        except _Fork:
+            return t, beta, f, _STATUS_FORK
         beta += 1
         if boundary is not None and boundary(t):
             return t, beta, f, _STATUS_BOUNDARY

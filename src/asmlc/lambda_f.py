@@ -29,10 +29,15 @@ from .reduction import (
     subterm_at,
     replace_at,
 )
-from .terms import BOOL, Abs, App, Code, Const, Term, Value, Var, lam, spine
+from .terms import BOOL, Abs, App, Code, Const, Term, Unknown, Value, Var, lam, spine
 
 TRUE_TERM: Term = lam(["x", "y"], Var("x"))
 FALSE_TERM: Term = lam(["x", "y"], Var("y"))
+# The abstract Boolean, ``\x y.?``: shaped like the lambda booleans, so
+# that applying it is a beta redex, where the engine stops with a fork
+# instead of contracting it.  One node stands for every unknown Boolean,
+# as every fork is resolved on its own.
+UNKNOWN_BOOL: Term = lam(["x", "y"], Unknown(BOOL))
 
 
 def bool_term(b: bool) -> Term:

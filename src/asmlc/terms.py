@@ -164,6 +164,29 @@ class Code(Term):
         return hash((self.value,))
 
 
+class Unknown(Term):
+    """Abstract code: some element of ``datatype``, which one unknown.
+    Only the certificate of a compiled term (``combinators.certify``)
+    builds these, Booleans included; like a Code it is closed and holds
+    no redex."""
+
+    __slots__ = ("datatype",)
+    __match_args__ = ("datatype",)
+    fv = _EMPTY
+    beta = const = False
+
+    def __init__(self, datatype: str):
+        _unknown_datatype(self, datatype)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.datatype == other.datatype
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.datatype,))
+
+
 _var_name, _var_fv = Var.name.__set__, Var.fv.__set__
 _abs_binder, _abs_body = Abs.binder.__set__, Abs.body.__set__
 _abs_fv, _abs_beta, _abs_const = Abs.fv.__set__, Abs.beta.__set__, Abs.const.__set__
@@ -171,6 +194,7 @@ _app_fun, _app_arg = App.fun.__set__, App.arg.__set__
 _app_fv, _app_beta, _app_const = App.fv.__set__, App.beta.__set__, App.const.__set__
 _const_symbol = Const.symbol.__set__
 _code_value = Code.value.__set__
+_unknown_datatype = Unknown.datatype.__set__
 
 
 def lam(binders, body: Term) -> Term:

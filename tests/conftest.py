@@ -1,5 +1,6 @@
-"""Shared random generators for terms, programs, and states, and the
-loader of the bundled machines."""
+"""Shared random generators for terms, programs, and states, the loader
+of the bundled machines, and the concrete probe blocks that cross-check
+the compiler's abstract certificate."""
 from __future__ import annotations
 
 import functools
@@ -22,9 +23,13 @@ from asmlc.asm import (
     TApp,
     Update,
     Vocabulary,
+    run_from_state,
 )
+from asmlc.combinators import BlockResult, reduce_one_block
+from asmlc.compiler import CompiledMachine, slot_values_for_state
+from asmlc.lambda_f import code_term
 from asmlc.sourcefmt import SourceMachine, parse_source
-from asmlc.terms import Abs, App, Term, Var
+from asmlc.terms import Abs, App, Term, Var, app
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
@@ -40,6 +45,28 @@ BUNDLED_COSTS = {"euclid": ({"a0": 1, "b0": 1}, (8, 7)),
                  "doubling": ({"stop": 4}, (8, 15)),
                  "fail": ({}, (3, 0)),
                  "clash": ({}, (3, 0))}
+
+
+def machine_probes(machine: Machine, state: State, slots) -> list[dict]:
+    """Probe valuations, slot name to code value, of the states of a
+    4-step run of the machine itself: concrete starts from which a test
+    measures blocks, to cross-check the compiler's abstract certificate
+    (``combinators.certify``) against plain measurement."""
+    s0 = machine.initial_state(state)
+    r = run_from_state(s0, machine.program, 4)
+    return [{info.symbol: v for info, v in zip(slots, slot_values_for_state(slots, st, s0))}
+            for st in r.trajectory]
+
+
+def probe_blocks(cm: CompiledMachine, probes) -> list[tuple[Term, BlockResult]]:
+    """One concrete block of ``cm``'s theta from each probe valuation,
+    each with the term it starts from."""
+    slots = [s.as_slot() for s in cm.slots]
+    out = []
+    for val in probes:
+        start = app(cm.theta, *(code_term(val[s.name]) for s in slots))
+        out.append((start, reduce_one_block(start, cm.theta, slots, cm.table)))
+    return out
 
 
 def random_term(rng: random.Random, size: int, pool=("a", "b", "c")) -> Term:

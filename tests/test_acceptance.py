@@ -10,9 +10,8 @@ import time
 import pytest
 
 from asmlc.asm import run
-from asmlc.combinators import curry_fixpoint, reduce_one_block
+from asmlc.combinators import curry_fixpoint
 from asmlc.compiler import (
-    _default_probes,
     compile_machine,
     decode_result,
     delta_as_map,
@@ -22,16 +21,18 @@ from asmlc.cosim import decoration_audit, lockstep
 from asmlc.encodings import match_nat, projection_cost
 from asmlc.engine import STATUS_NORMAL, advance_term, signature_table
 from asmlc.good_terms import reduce_cost, semantics, variables
-from asmlc.lambda_f import FSignature, code_term, f_redexes, reduce_leftmost_f
+from asmlc.lambda_f import FSignature, f_redexes, reduce_leftmost_f
 from asmlc.normalize import check_equivalence, normalize, to_program
 from asmlc.reduction import ConfluenceInconclusive, check_confluence_bounded
-from asmlc.terms import App, alpha_eq, app
+from asmlc.terms import App, alpha_eq
 
 from conftest import (
     bundled,
     counter_family,
     counter_state,
     counter_vocabulary,
+    machine_probes,
+    probe_blocks,
     random_closed_term,
     random_program,
     random_term,
@@ -134,8 +135,7 @@ def test_05_padding_exact_or_refused():
         sm = bundled(name)
         machine, state = sm.machine(), sm.state(inputs)
         base = compile_machine(machine, state)
-        slots = [s.as_slot() for s in base.slots]
-        probes = _default_probes(machine, state, base.slots)
+        probes = machine_probes(machine, state, base.slots)
         for dk in range(6):
             for dl in range(5):
                 K, L = base.K + dk, base.L + dl
@@ -147,12 +147,10 @@ def test_05_padding_exact_or_refused():
                 cm = compile_machine(machine, state, K, L)
                 assert (cm.K, cm.L) == (K, L)
                 assert f_redexes(cm.theta, cm.sig) == [], (name, dk, dl)
-                starts = [app(cm.theta, *(code_term(val[s.name]) for s in slots))
-                          for val in probes]
-                for start in starts:
-                    b = reduce_one_block(start, cm.theta, slots, cm.table)
+                blocks = probe_blocks(cm, probes)
+                for _, b in blocks:
                     assert (b.beta_count, b.f_count) == (K, L), (name, dk, dl)
-                r = reduce_leftmost_f(starts[0], cm.sig, K + L)
+                r = reduce_leftmost_f(blocks[0][0], cm.sig, K + L)
                 assert (r.trace.beta_count, r.trace.f_count) == (K, L)
                 assert decode_result(r.term, cm).kind == "running"
                 checked += 1

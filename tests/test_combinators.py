@@ -7,16 +7,20 @@ from asmlc.combinators import (
     Slot,
     UpdateBranch,
     build_branch_combinator,
+    certify,
     curry_fixpoint,
     decode_state,
     reduce_one_block,
     static_f_work,
 )
-from asmlc.engine import signature_table
+from asmlc.encodings import identity_chain
+from asmlc.engine import scan, signature_table
 from asmlc.good_terms import GApp, GCode, GVar
-from asmlc.compiler import _default_probes, compile_machine
+from asmlc.compiler import compile_machine
 from asmlc.lambda_f import (
     BOOL,
+    FALSE_TERM,
+    TRUE_TERM,
     FSignature,
     UndefinedApplication,
     Value,
@@ -27,9 +31,9 @@ from asmlc.lambda_f import (
     standard_bool_signature,
 )
 from asmlc.reduction import beta_step, leftmost_redex
-from asmlc.terms import Abs, App, Var, alpha_eq, app
+from asmlc.terms import Abs, App, Code, Var, alpha_eq, app, lam
 
-from conftest import bundled, random_closed_term
+from conftest import bundled, machine_probes, random_closed_term
 
 
 def traced_block(t, theta, slots, sig, max_steps=100_000) -> BlockResult:
@@ -104,7 +108,7 @@ def _counter(nat_sig, **kw):
     phi = GApp("plus", (GVar("c", "Nat"), GCode(Value("Nat", 1))))
     probes = [{"c": Value("Nat", i)} for i in range(3)]
     cc = build_branch_combinator([UpdateBranch(TRUE_GUARD, (phi,))],
-                                 slots, nat_sig, probes, **kw)
+                                 slots, nat_sig, **kw)
     _assert_probes_agree(cc, slots, nat_sig, probes)
     return cc, slots
 
@@ -163,6 +167,10 @@ def test_cost_formula_cross_check_fires(nat_sig, monkeypatch):
     monkeypatch.setattr(combinators, "static_f_work", lambda bs: real(bs) + 1)
     with pytest.raises(RuntimeError, match=r"\(K,L\)=\(3, 2\).*measures \(3, 1\)"):
         _counter(nat_sig)
+    # a compile names the branch of the first path that is off
+    sm = bundled("euclid")
+    with pytest.raises(RuntimeError, match=r"measures \(8, 7\) on path \(true\), branch "):
+        compile_machine(sm.machine(), sm.state({"a0": 6, "b0": 4}))
 
 
 def test_conditional_combinator_exits(nat_sig):
@@ -174,7 +182,7 @@ def test_conditional_combinator_exits(nat_sig):
     probes = [{"c": Value("Nat", i)} for i in range(4)]
     cc = build_branch_combinator(
         [UpdateBranch(guard_run, (phi,)), ExitBranch(TRUE_GUARD, (gamma,))],
-        slots, nat_sig, probes)
+        slots, nat_sig)
     _assert_probes_agree(cc, slots, nat_sig, probes)
     t = App(cc.theta, code_term(Value("Nat", 0)))
     seen = []
@@ -204,36 +212,35 @@ def test_resident_f_redex_rejected(nat_sig):
     slots = [Slot("c", "Nat")]
     bad_guard = GApp("lt", (GCode(Value("Nat", 0)), GCode(Value("Nat", 1))))
     phi = GVar("c", "Nat")
-    probes = [{"c": Value("Nat", 0)}]
     with pytest.raises(ValueError, match="resident F-redex"):
         build_branch_combinator([UpdateBranch(bad_guard, (phi,)),
                                  UpdateBranch(TRUE_GUARD, (phi,))],
-                                slots, nat_sig, probes)
+                                slots, nat_sig)
 
 
 def test_last_guard_must_be_constant_true(nat_sig):
     # the last branch is the else-arm, so any other last guard is refused
     slots = [Slot("c", "Nat")]
     phi = GVar("c", "Nat")
-    probes = [{"c": Value("Nat", 0)}]
     lt3 = GApp("lt", (GVar("c", "Nat"), GCode(Value("Nat", 3))))
     for last in (lt3, GCode(Value(BOOL, False))):
         with pytest.raises(ValueError, match="else-arm"):
             build_branch_combinator([UpdateBranch(TRUE_GUARD, (phi,)),
                                      UpdateBranch(last, (phi,))],
-                                    slots, nat_sig, probes)
+                                    slots, nat_sig)
 
 
 @pytest.mark.parametrize("name", ["euclid", "doubling"])
 def test_block_matches_traced_block_on_machine_probes(name):
-    """Certification through the engine gives the traced loop's blocks
-    on the default probes of the bundled machines."""
+    """Concrete blocks through the engine are the traced loop's blocks
+    and cost the certified (K, L) on probe states of the bundled
+    machines."""
     sm = bundled(name)
     machine = sm.machine()
     state = sm.state({"euclid": {"a0": 6, "b0": 4}, "doubling": {"stop": 4}}[name])
     cm = compile_machine(machine, state)
     slots = [s.as_slot() for s in cm.slots]
-    probes = _default_probes(machine, state, cm.slots)
+    probes = machine_probes(machine, state, cm.slots)
     _assert_probes_agree(cm.combinator, slots, cm.sig, probes)
 
 
@@ -241,9 +248,82 @@ def test_block_reraises_undefined_application(nat_sig):
     nat_sig.add("half", ("Nat",), "Nat", lambda n: n // 2 if n % 2 == 0 else None)
     slots = [Slot("c", "Nat")]
     phi = GApp("half", (GVar("c", "Nat"),))
-    cc = build_branch_combinator([UpdateBranch(TRUE_GUARD, (phi,))],
-                                 slots, nat_sig, [{"c": Value("Nat", 4)}])
+    cc = build_branch_combinator([UpdateBranch(TRUE_GUARD, (phi,))], slots, nat_sig)
     t = App(cc.theta, code_term(Value("Nat", 3)))
     with pytest.raises(UndefinedApplication) as info:
         reduce_one_block(t, cc.theta, slots, cc.table)
     assert (info.value.symbol, info.value.args) == ("half", (3,))
+
+
+def test_certificate_has_one_path_per_branch(nat_sig):
+    """Certifying the counter and the exit combinator takes one abstract
+    path per branch, each the length of a block, and calls no function:
+    a compile over functions that raise when called still certifies."""
+    cc, _ = _counter(nat_sig)
+    assert (cc.certificate.paths, cc.certificate.steps) == (1, cc.K + cc.L)
+
+    def boom(*args):
+        raise AssertionError("certification called a semantic function")
+
+    sig = FSignature()
+    for name, f in nat_sig.functions.items():
+        sig.add(name, f.arg_datatypes, f.result_datatype, boom)
+    slots = [Slot("c", "Nat")]
+    guard_run = GApp("lt", (GVar("c", "Nat"), GCode(Value("Nat", 3))))
+    phi = GApp("plus", (GVar("c", "Nat"), GCode(Value("Nat", 1))))
+    cc = build_branch_combinator(
+        [UpdateBranch(guard_run, (phi,), label="run"),
+         ExitBranch(TRUE_GUARD, (GVar("c", "Nat"),), label="exit")], slots, sig)
+    assert cc.certificate.paths == 2
+    # the two paths share the block up to the fork on the guard
+    assert cc.K + cc.L < cc.certificate.steps < 2 * (cc.K + cc.L)
+
+
+def _bool_slot_theta(m: int):
+    """A hand-built theta over one Bool slot b that keeps b as it is:
+    ``b (w TRUE) (I^m (w FALSE))``, so a block from b = false costs m
+    more beta steps than one from b = true."""
+    w, b = Var("w"), Var("b")
+    body = app(b, App(w, TRUE_TERM), identity_chain(m, App(w, FALSE_TERM)))
+    return curry_fixpoint(lam(["w", "b"], body))
+
+
+def test_bool_dependent_cost_fails_certification():
+    """A theta whose beta cost depends on a Bool slot fails its
+    certificate, naming the path that is off and the branch it selects.
+    The old probe set, the states of a short run from b = false,
+    measures only the false path and would have passed it."""
+    theta = _bool_slot_theta(1)
+    slots = [Slot("b", BOOL)]
+    table = signature_table(FSignature())
+    theta_free = scan(theta, table)[1]
+    # unfold, load w and b, select: 5 beta steps, plus 1 on the false path
+    t = App(theta, FALSE_TERM)
+    for _ in range(5):
+        b = reduce_one_block(t, theta, slots, table, theta_free=theta_free)
+        assert (b.kind, b.values, b.beta_count, b.f_count) == (
+            "state", (Value(BOOL, False),), 6, 0)
+        t = b.term
+    with pytest.raises(RuntimeError, match=r"\(K,L\)=\(6, 0\) but theta measures "
+                                           r"\(5, 0\) on path \(true\)$"):
+        certify(theta, slots, (6, 0), table, theta_free)
+    with pytest.raises(RuntimeError, match=r"takes more than 5 steps on path \(false\), "
+                                           r"branch keep-false$"):
+        certify(theta, slots, (5, 0), table, theta_free, ["keep-true", "keep-false"])
+    # with no cost difference both paths hold
+    even = _bool_slot_theta(0)
+    cert = certify(even, slots, (5, 0), table, scan(even, table)[1])
+    assert (cert.paths, cert.steps) == (2, 3 + 2 * 2)
+
+
+def test_selection_off_the_head_is_refused():
+    """A fork on an unknown Boolean that is not the head of the term is
+    refused: rebuilding only the root spine could not resolve it."""
+    w, b = Var("w"), Var("b")
+    head = Code(Value("Nat", 0))
+    theta = curry_fixpoint(lam(["w", "b"], App(head, app(b, App(w, TRUE_TERM),
+                                                         App(w, FALSE_TERM)))))
+    table = signature_table(FSignature())
+    with pytest.raises(RuntimeError, match=r"off the head of the term on path \(\)$"):
+        certify(theta, [Slot("b", BOOL)], (5, 0), table, scan(theta, table)[1])
+

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from asmlc import asm
 from asmlc.asm import BUILTINS
+from asmlc.cli import main
 from asmlc.compiler import (
     G_FALSE,
     G_TRUE,
-    _default_probes,
     compile_machine,
     decode_result,
     delta_as_map,
@@ -16,14 +17,21 @@ from asmlc.compiler import (
     gnot,
     gor,
 )
-from asmlc.combinators import reduce_one_block, static_f_work
+from asmlc.combinators import static_f_work
 from asmlc.engine import advance_term, signature_table
 from asmlc.good_terms import GApp, GVar, const_count, semantics
-from asmlc.lambda_f import BOOL, FSignature, Value, code_term
+from asmlc.lambda_f import BOOL, FSignature, Value
 from asmlc.sourcefmt import parse_source
-from asmlc.terms import app, term_size
+from asmlc.terms import term_size
 
-from conftest import BUNDLED_COSTS, bundled, counter_family
+from conftest import (
+    BUNDLED_COSTS,
+    MACHINES,
+    bundled,
+    counter_family,
+    machine_probes,
+    probe_blocks,
+)
 
 
 @pytest.fixture(scope="module")
@@ -142,8 +150,9 @@ FORMULA_CASES = {
 
 @pytest.mark.parametrize("name", list(FORMULA_CASES))
 def test_cost_formula_equals_measurement(name):
-    """K_min = k + 2n and L_min = N, a default compile measures
-    exactly that on its probes, and the manifest's parts sum to it."""
+    """K_min = k + 2n and L_min = N, a default compile's certificate
+    has one path per branch, the compiled theta measures exactly that
+    on its probes, and the manifest's parts sum to it."""
     make, want = FORMULA_CASES[name]
     machine, state = make()
     cm = compile_machine(machine, state)
@@ -153,14 +162,32 @@ def test_cost_formula_equals_measurement(name):
     assert (c.K, c.L) == (c.K_min, c.L_min)
     if want is not None:
         assert (c.K_min, c.L_min) == want
-    slots = [s.as_slot() for s in cm.slots]
-    for val in _default_probes(machine, state, cm.slots):
-        start = app(c.theta, *(code_term(val[s.name]) for s in slots))
-        b = reduce_one_block(start, c.theta, slots, cm.table)
+    assert c.certificate.paths == len(c.branches)
+    for _, b in probe_blocks(cm, machine_probes(machine, state, cm.slots)):
         assert (b.beta_count, b.f_count) == (c.K_min, c.L_min)
     cost = cm.manifest()["cost"]
     assert cost["unfold"] + cost["load"] + cost["select"] + cost["pad_K"] == c.K
     assert sum(cost["F_branches"]) + cost["pad_L"] == c.L
+
+
+def test_compile_runs_no_machine_step(monkeypatch, capsys):
+    """``asmlc compile`` on every bundled machine, and compiling
+    ``counter_family(1..5)``, call no interpreter step: the certificate
+    is abstract, and only the initial state is built.  A machine run
+    counts its steps."""
+    calls = []
+    successor = asm.successor
+    monkeypatch.setattr(asm, "successor", lambda s, p: calls.append(1) or successor(s, p))
+    for path in sorted(MACHINES.glob("*.asm")):
+        assert main(["compile", str(path), "--term"]) == 0
+    cases = [counter_family(n) for n in range(1, 6)]
+    for machine, state in cases:
+        compile_machine(machine, state)
+    capsys.readouterr()
+    assert calls == []
+    machine, state = cases[0]
+    asm.run(machine, state, 3)
+    assert calls
 
 
 def _bool_pair(rng: random.Random, names, depth: int):

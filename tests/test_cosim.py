@@ -46,8 +46,9 @@ RANDOM_PROGRAMS = 50
 def test_random_programs_lockstep():
     """Random counter-vocabulary programs of depth 2-4, each compiled at
     its minima and at (K_min+1, L_min+1), which pads through the discard
-    binding: no run fails, and a run is inconclusive only when the
-    machine diverged and every round matched."""
+    binding: each certificate has one path per kept branch, no run
+    fails, and a run is inconclusive only when the machine diverged and
+    every round matched."""
     rng = random.Random(1108)
     voc = counter_vocabulary()
     state = counter_state(voc, 0, 0)
@@ -59,6 +60,8 @@ def test_random_programs_lockstep():
         least = compile_machine(machine, state)
         padded = compile_machine(machine, state, least.K + 1, least.L + 1)
         for cm in (least, padded):
+            # one abstract path per branch theta keeps
+            assert cm.combinator.certificate.paths == len(cm.combinator.branches)
             rep = lockstep(machine, cm, state, max_steps=30)
             assert rep.verdict != "fail", (prog, cm.K, cm.L, rep.rounds[-1])
             if rep.verdict == "inconclusive":

@@ -5,6 +5,7 @@ import pytest
 from asmlc import engine
 from asmlc.compiler import compile_machine
 from asmlc.engine import (
+    _STATUS_FORK,
     STATUS_NORMAL,
     STATUS_RAN,
     STATUS_UNDEFINED,
@@ -17,6 +18,7 @@ from asmlc.lambda_f import (
     BOOL,
     FALSE_TERM,
     TRUE_TERM,
+    UNKNOWN_BOOL,
     FSignature,
     Value,
     f_redexes,
@@ -25,7 +27,7 @@ from asmlc.lambda_f import (
 )
 from asmlc.reduction import Status
 from asmlc.syntax import TermSyntaxError, parse_term
-from asmlc.terms import Abs, App, Code, Const, Term, Var, app, lam
+from asmlc.terms import Abs, App, Code, Const, Term, Unknown, Var, app, lam
 
 from conftest import BUNDLED_COSTS, bundled, random_term
 
@@ -263,3 +265,67 @@ def test_scan_finds_what_the_traced_search_finds(rng):
     assert all(not f_redexes(node, sig) for node in f_free.values())
     # an undefined application is resident too
     assert scan(Abs("c", App(_half, _n(3))), table)[0]
+
+
+def test_abstract_codes_fire_without_calling_the_function():
+    """A constant applied to codes, one at least abstract, fires as one
+    F-step to an abstract code of its result datatype, and never calls
+    its function; a wrong datatype or an argument that is no code keeps
+    it from firing."""
+    def boom(*args):
+        raise AssertionError("an abstract firing called the function")
+
+    table = {"plus": (2, ("Nat", "Nat"), "Nat", boom),
+             "lt": (2, ("Nat", "Nat"), BOOL, boom),
+             "and": (2, (BOOL, BOOL), BOOL, boom)}
+    u = Unknown("Nat")
+    t = app(Const("and"), app(Const("lt"), u, _n(1)),
+            app(Const("lt"), app(Const("plus"), _n(2), u), u))
+    assert advance_term(t, table, 10) == (UNKNOWN_BOOL, 0, 4, STATUS_NORMAL)
+    assert advance_term(app(Const("and"), TRUE_TERM, UNKNOWN_BOOL), table, 10) == (
+        UNKNOWN_BOOL, 0, 1, STATUS_NORMAL)
+    assert advance_term(app(Const("plus"), u, _n(1)), table, 10)[1:] == (0, 1, STATUS_NORMAL)
+    # the budget stops an abstract firing like a concrete one
+    assert advance_term(t, table, 2)[1:] == (0, 2, STATUS_RAN)
+    for stuck in (app(Const("plus"), Unknown("Int"), _n(1)),
+                  app(Const("plus"), u, Abs("y", Var("y"))),
+                  app(Const("and"), UNKNOWN_BOOL, u)):
+        assert advance_term(stuck, table, 10) == (stuck, 0, 0, STATUS_NORMAL)
+
+
+def test_loop_forks_before_applying_the_abstract_boolean():
+    """The loop stops with a fork, before the beta step, where the
+    leftmost redex applies the abstract Boolean, wherever it sits; a
+    bare abstract Boolean is normal."""
+    pick = app(UNKNOWN_BOOL, Var("a"), Var("b"))
+    cases = [(pick, pick, 0), (App(Var("f"), pick), App(Var("f"), pick), 0),
+             (Abs("z", pick), Abs("z", pick), 0),
+             # the identity applied to the pick is the leftmost redex
+             (App(Abs("v", Var("v")), pick), pick, 1)]
+    for t, stop, beta in cases:
+        assert engine._advance(t, {}, 5) == (stop, beta, 0, _STATUS_FORK)
+    assert advance_term(App(Var("f"), UNKNOWN_BOOL), {}, 5)[1:] == (0, 0, STATUS_NORMAL)
+
+
+@pytest.mark.parametrize("name", ["euclid", "doubling"])
+def test_fire_is_tried_only_on_closed_prefixes(name, monkeypatch):
+    """A compile and a lockstep run never try to fire a constant whose
+    arguments hold a free variable, and every try fires."""
+    tried, fired = [], []
+    fire = engine._Reducer._fire
+
+    def counted(self, head, entry, args):
+        tried.append(all(not a.fv for a in args))
+        out = fire(self, head, entry, args)
+        fired.append(out is not None)
+        return out
+
+    monkeypatch.setattr(engine._Reducer, "_fire", counted)
+    sm = bundled(name)
+    inputs, _ = BUNDLED_COSTS[name]
+    cm = compile_machine(sm.machine(), sm.state(inputs))
+    t = cm.initial_term(sm.state(inputs))
+    for _ in range(3):
+        t = advance_term(t, cm.table, cm.K + cm.L, cm.theta_free)[0]
+    assert tried and all(tried)
+    assert all(fired)

@@ -12,6 +12,7 @@ from asmlc.terms import (
     App,
     Code,
     Const,
+    Unknown,
     Value,
     Var,
     alpha_eq,
@@ -101,6 +102,7 @@ _FIELDS = [
     (App(Var("x"), Const("f")), ("fun", "arg")),
     (Const("f"), ("symbol",)),
     (Code(Value("Nat", 1)), ("value",)),
+    (Unknown("Nat"), ("datatype",)),
 ]
 
 
@@ -127,6 +129,10 @@ def test_equality_hash_and_repr_are_structural():
         "App(fun=Var(name='x'), arg=Abs(binder='y', body=Var(name='y')))")
     assert repr(Code(Value("Nat", 3))) == (
         "Code(value=Value(datatype='Nat', payload=3))")
+    assert Unknown("Nat") == Unknown("Nat") != Unknown("Bool")
+    assert hash(Unknown("Nat")) == hash(Unknown("Nat"))
+    assert repr(Unknown("Nat")) == "Unknown(datatype='Nat')"
+    assert not (Unknown("Nat").fv or Unknown("Nat").beta or Unknown("Nat").const)
 
 
 def test_alpha_equivalence():
