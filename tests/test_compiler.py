@@ -18,6 +18,7 @@ from asmlc.compiler import (
     gor,
 )
 from asmlc.combinators import static_f_work
+from asmlc.cosim import lockstep
 from asmlc.engine import advance_term, signature_table
 from asmlc.good_terms import GApp, GVar, const_count, semantics
 from asmlc.lambda_f import BOOL, FSignature, Value
@@ -283,3 +284,48 @@ def test_doubling_budget_same_at_every_stop():
         cm = compile_machine(sm.machine(), sm.state({"stop": stop}))
         shapes.add((cm.K, cm.L, term_size(cm.theta)))
     assert shapes == {(*BUNDLED_COSTS["doubling"][1], 259)}
+
+
+# A Bool slot that the program reads as a guard and writes back negated,
+# so the certificate carries an abstract Boolean across its boundary.
+TOGGLE = """\
+sort Nat = 0..9
+static zero : -> Nat = builtin zero
+static succ : Nat -> Nat = builtin succ
+static lt : Nat Nat -> Bool = builtin lt
+input stop : Nat
+dynamic flag : -> Bool output
+dynamic n : -> Nat output
+dynamic seen : -> Nat output
+init flag = lt(zero, zero)
+init n = zero
+init seen = zero
+program:
+  par {
+    if lt(n, stop) then
+      par {
+        flag := not(flag)
+        n := succ(n)
+        if flag then
+          seen := succ(seen)
+      }
+    if not(lt(n, stop)) then
+      halt
+  }
+"""
+
+
+def test_bool_slot_certifies_and_runs_in_lockstep():
+    """A machine with a Bool slot, which theta tests as a guard, writes as a
+    Bool value and pads over (its first slot), certifies with one path
+    per branch and runs in lockstep at the minima and with padding."""
+    sm = parse_source(TOGGLE)
+    for stop in (0, 3, 4):
+        state = sm.state({"stop": stop})
+        least = compile_machine(sm.machine(), state)
+        assert [s.datatype for s in least.slots] == [BOOL, "Nat", "Nat"]
+        for cm in (least, compile_machine(sm.machine(), state, least.K + 2, least.L + 3)):
+            assert cm.combinator.certificate.paths == len(cm.combinator.branches)
+            rep = lockstep(sm.machine(), cm, state)
+            assert rep.passed, rep.rounds[-1]
+            assert len(rep.rounds) == stop + 1
