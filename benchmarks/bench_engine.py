@@ -26,6 +26,16 @@ A checkout whose compiled machine keeps no table (from before theta's
 scan was kept) builds the table once per trajectory, as its lockstep
 did.
 
+The kernel records above call ``advance_term`` without a round memo,
+so every round is reduced.  The ``lockstep_grid`` record times what
+``asmlc verify --grid N`` does on euclid: ``cosim.lockstep`` over every
+input pair in 1..N under one compile, with its round memo when the
+checkout has one.  Each timing starts from a fresh compile, outside the
+timed region, so no timing reads a memo an earlier one filled.  One
+more, untimed pass counts engine runs, the calls of ``engine._advance``
+(wrapped in this process), against lockstep rounds; a checkout without
+the memo runs the engine once per round.
+
     PYTHONPATH=src python3 benchmarks/bench_engine.py [--grid N] [--repeat R]
         [--label NAME] [--json BENCH_engine.json]
 
@@ -45,6 +55,7 @@ from pathlib import Path
 
 from asmlc import engine
 from asmlc.compiler import compile_machine
+from asmlc.cosim import lockstep
 from asmlc.engine import STATUS_RAN, advance_term, signature_table
 from asmlc.sourcefmt import parse_source
 from asmlc.terms import term_size
@@ -139,6 +150,48 @@ def bench(cases, repeat: int) -> dict:
             "f_search_visits": visits, "visits_per_step": round(visits / steps, 2)}
 
 
+def lockstep_grid(grid: int, repeat: int) -> dict:
+    """euclid's grid through lockstep under one compile (module
+    docstring)."""
+    euclid = _load("euclid")
+    machine = euclid.machine()
+    base = euclid.state({"a0": 1, "b0": 1})
+    states = [euclid.state({"a0": a, "b0": b})
+              for a in range(1, grid + 1) for b in range(1, grid + 1)]
+
+    def one_pass(cm) -> int:
+        rounds = 0
+        for s in states:
+            rep = lockstep(machine, cm, s)
+            if not rep.passed:
+                raise RuntimeError(f"lockstep {rep.verdict} from {s.dynamics}")
+            rounds += len(rep.rounds)
+        return rounds
+
+    best = float("inf")
+    for _ in range(repeat):
+        cm = compile_machine(machine, base)
+        t0 = time.perf_counter()
+        rounds = one_pass(cm)
+        best = min(best, time.perf_counter() - t0)
+    runs = 0
+    advance = engine._advance
+
+    def counted(*args, **kwargs):
+        nonlocal runs
+        runs += 1
+        return advance(*args, **kwargs)
+
+    cm = compile_machine(machine, base)
+    engine._advance = counted
+    try:
+        one_pass(cm)
+    finally:
+        engine._advance = advance
+    return {"cases": len(states), "rounds": rounds, "engine_runs": runs,
+            "best_s": round(best, 4), "rounds_per_s": round(rounds / best)}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--grid", type=int, default=12,
@@ -164,6 +217,10 @@ def main() -> None:
               f"{row['steps']} steps in {row['best_s']:.3f}s "
               f"({row['steps_per_s']:,} steps/s, best of {args.repeat}), "
               f"{row['visits_per_step']} F-search visits per step")
+    row = record["lockstep_grid"] = lockstep_grid(args.grid, args.repeat)
+    print(f"lockstep grid {args.grid}: {row['cases']} runs, {row['rounds']} rounds, "
+          f"{row['engine_runs']} engine runs in {row['best_s']:.3f}s "
+          f"({row['rounds_per_s']:,} rounds/s, best of {args.repeat})")
     if args.json:
         data = json.loads(args.json.read_text()) if args.json.exists() else {}
         data[args.label] = record

@@ -8,6 +8,7 @@ through evaluation.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -267,13 +268,9 @@ def initial_dynamics(voc: Vocabulary, s: State, init: InitMap) -> dict[str, dict
 
 
 def _carrier_grid(s: State, sorts: tuple[str, ...]):
-    if not sorts:
-        yield ()
-        return
-    head, rest = sorts[0], sorts[1:]
-    for v in s.carriers[head]:
-        for tail in _carrier_grid(s, rest):
-            yield (v,) + tail
+    """Every argument tuple over the carriers of ``sorts``, the first
+    sort outermost; one empty tuple for no sorts."""
+    return itertools.product(*(s.carriers[sort] for sort in sorts))
 
 
 def check_initial(voc: Vocabulary, s: State, init: InitMap) -> None:

@@ -157,6 +157,10 @@ class CompiledCombinator:
     table: dict = field(compare=False, repr=False)
     theta_free: dict = field(compare=False, repr=False)
     certificate: Certificate = field(compare=False)
+    # Lockstep's round memo (engine module docstring): start term to
+    # result under this table and budget.  Not an init field, so a
+    # combinator made by dataclasses.replace starts with an empty one.
+    round_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def k(self) -> int:

@@ -344,6 +344,10 @@ class CompiledMachine:
     def theta_free(self) -> dict:
         return self.combinator.theta_free
 
+    @property
+    def round_memo(self) -> dict:
+        return self.combinator.round_memo
+
     def initial_term(self, state: State) -> Term:
         return self.term_of(self.machine.initial_state(state))
 

@@ -124,7 +124,12 @@ def lockstep(machine: Machine, cm: CompiledMachine, state: State,
     partial function was applied outside its domain (kind
     "undefined").  A failed round makes the verdict "fail", even in a
     run cut at ``max_steps``; a cut run whose rounds all match is
-    "inconclusive"."""
+    "inconclusive".
+
+    Every round advances through the compiled machine's round memo
+    (``engine.advance_term``), so a round that starts from a term an
+    earlier round of any run under ``cm`` started from is looked up, not
+    reduced again; its counts and result are those of the reduction."""
     result = run(machine, state, max_steps)
     initial = result.trajectory[0]
     K, L = cm.K, cm.L
@@ -141,7 +146,8 @@ def lockstep(machine: Machine, cm: CompiledMachine, state: State,
 
     for i, (want_kind, want_state) in enumerate(expected, start=1):
         start = t
-        t, beta, f, status = advance_term(start, cm.table, K + L, cm.theta_free)
+        t, beta, f, status = advance_term(start, cm.table, K + L, cm.theta_free,
+                                          cm.round_memo)
         if status == STATUS_UNDEFINED:
             rounds.append(RoundRecord(i, beta, f, "undefined", False,
                                       f"undefined application after (beta, F) = {(beta, f)}"))

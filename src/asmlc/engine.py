@@ -75,6 +75,25 @@ its arguments.  Both checks sit where a concrete term does not go, past
 ``_fire``'s failed match and on a head that is an abstraction, so they
 cost concrete reduction one type or identity test.
 
+Round memo.  The result of ``advance_term`` is a function of its
+arguments: the reduction is deterministic, and ``fresh_name`` renames a
+binder by the terms involved alone, so a structurally equal start term
+ends in an equal term with equal counts and status (the builtin
+functions give equal results on equal payloads).  A caller that
+advances many terms under one table and one budget, as lockstep does
+under a compiled machine, can pass a ``memo`` dict keyed by the start
+term; a repeated round is then one dict lookup (memo functions: Michie
+1968, "Memo functions and machine learning").  The key is structural,
+so it covers equal copies, not only the same node; hashing is cheap
+because ``App`` and ``Abs`` cache their hash (``terms``), so theta is
+hashed once and a round start hashes only its fresh spine.  The memo
+sits inside ``advance_term``, not in its callers, so a wrapper around
+``advance_term`` (a tracer counting its calls and steps) still sees one
+call per round with that round's counts.  The memo holds one entry per
+distinct start term and lives as long as its owner; the compiled
+combinator owns lockstep's (``combinators.CompiledCombinator``), and a
+combinator derived by ``dataclasses.replace`` starts with an empty one.
+
 ``KERNEL_NAME`` names the implementation for benchmark records.
 """
 from __future__ import annotations
@@ -362,7 +381,8 @@ def _advance(t: Term, sig_table: dict, max_steps: int, boundary=None,
             return t, beta, f, _STATUS_BOUNDARY
 
 
-def advance_term(t: Term, sig_table: dict, max_steps: int, f_free: Optional[dict] = None):
+def advance_term(t: Term, sig_table: dict, max_steps: int, f_free: Optional[dict] = None,
+                 memo: Optional[dict] = None):
     """Advance ``t`` by up to ``max_steps`` F-first leftmost steps.
     ``f_free`` maps ``id`` to nodes known to hold no F-redex under
     ``sig_table`` (``scan``'s memo); the call reads a copy of it.
@@ -372,8 +392,21 @@ def advance_term(t: Term, sig_table: dict, max_steps: int, f_free: Optional[dict
     budget was consumed and a redex remains, STATUS_UNDEFINED when the
     next step applies a partial function outside its domain (the term
     is the one before that step).
+
+    ``memo``, when given, maps start terms to results (module
+    docstring, "Round memo"): a start term found there returns its
+    stored result without a step, and a new one is reduced once and
+    stored.  One memo serves one ``sig_table`` and one ``max_steps``.
+    Without a memo no term is hashed.
     """
+    if memo is not None:
+        hit = memo.get(t)
+        if hit is not None:
+            return hit
     try:
-        return _advance(t, sig_table, max_steps, f_free=f_free)
+        out = _advance(t, sig_table, max_steps, f_free=f_free)
     except UndefinedApplication as exc:
-        return (*exc.reached, STATUS_UNDEFINED)
+        out = (*exc.reached, STATUS_UNDEFINED)
+    if memo is not None:
+        memo[t] = out
+    return out

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .asm import (
@@ -185,7 +186,7 @@ class SourceMachine:
                 continue
             decl = next((d for d in self.statics if d.name == sym.name), None)
             fn = _semantics(sym, decl, bindings, carriers)
-            statics[sym.name] = _clip(fn, carriers[sym.result_sort])
+            statics[sym.name] = _clip(fn, _carrier_set(carriers[sym.result_sort]))
         return State(voc, carriers, statics, {})
 
 
@@ -227,9 +228,14 @@ def _semantics(sym: Symbol, decl: Optional[StaticDecl], bindings, carriers):
     raise ValueError(f"bad static implementation {decl.impl!r}")
 
 
-def _clip(fn, carrier):
-    allowed = set(carrier)
+@lru_cache(maxsize=64)
+def _carrier_set(carrier: tuple) -> frozenset:
+    """A carrier as a set, shared by every static and state over it: a
+    grid of states would otherwise hold one set per static per state."""
+    return frozenset(carrier)
 
+
+def _clip(fn, allowed: frozenset):
     def wrapped(*a):
         v = fn(*a)
         return v if v is None or v in allowed else None

@@ -10,6 +10,14 @@ and kept out of equality, hashing and ``repr``:
 - ``beta``: whether it contains a beta redex;
 - ``const``: whether it contains a ``Const`` node.
 
+``App`` and ``Abs`` cache their structural hash, ``hash((fun, arg))``
+or ``hash((binder, body))``, in a ``_hash`` slot on first use, so a
+term shared by many keys (theta, in the engine's round memo) is hashed
+once and a new term costs only the nodes built since.  The cache is a
+value, not a field: it is kept out of equality, ``repr`` and pickling
+(string hashes differ between processes), and like the fields it
+cannot be assigned or deleted.
+
 Alpha-equivalence is decided through a canonical renaming of binders
 (position-indexed), so canonical terms can be hashed and compared
 structurally.
@@ -77,7 +85,7 @@ class Var(Term):
 
 
 class Abs(Term):
-    __slots__ = ("binder", "body", "fv", "beta", "const")
+    __slots__ = ("binder", "body", "fv", "beta", "const", "_hash")
     __match_args__ = ("binder", "body")
 
     def __init__(self, binder: str, body: Term):
@@ -96,11 +104,16 @@ class Abs(Term):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.binder, self.body))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.binder, self.body))
+            _abs_hash(self, h)
+            return h
 
 
 class App(Term):
-    __slots__ = ("fun", "arg", "fv", "beta", "const")
+    __slots__ = ("fun", "arg", "fv", "beta", "const", "_hash")
     __match_args__ = ("fun", "arg")
 
     def __init__(self, fun: Term, arg: Term):
@@ -118,7 +131,12 @@ class App(Term):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.fun, self.arg))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.fun, self.arg))
+            _app_hash(self, h)
+            return h
 
 
 class Const(Term):
@@ -190,8 +208,10 @@ class Unknown(Term):
 _var_name, _var_fv = Var.name.__set__, Var.fv.__set__
 _abs_binder, _abs_body = Abs.binder.__set__, Abs.body.__set__
 _abs_fv, _abs_beta, _abs_const = Abs.fv.__set__, Abs.beta.__set__, Abs.const.__set__
+_abs_hash = Abs._hash.__set__
 _app_fun, _app_arg = App.fun.__set__, App.arg.__set__
 _app_fv, _app_beta, _app_const = App.fv.__set__, App.beta.__set__, App.const.__set__
+_app_hash = App._hash.__set__
 _const_symbol = Const.symbol.__set__
 _code_value = Code.value.__set__
 _unknown_datatype = Unknown.datatype.__set__

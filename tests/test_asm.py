@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -5,6 +6,7 @@ import pytest
 
 from asmlc.asm import (
     EvaluatedUpdate,
+    _carrier_grid,
     FailI,
     HaltI,
     If,
@@ -135,6 +137,25 @@ def test_initial_dynamics_from_init_rules():
     tables = initial_dynamics(machine.voc, s0, machine.init)
     assert tables["i"] == {(): 0}
     assert tables["f"] == {(i,): i for i in range(9)}
+
+
+def _recursive_grid(s, sorts):
+    """The argument grid as a recursive generator, first sort outermost."""
+    if not sorts:
+        yield ()
+        return
+    for v in s.carriers[sorts[0]]:
+        for tail in _recursive_grid(s, sorts[1:]):
+            yield (v,) + tail
+
+
+def test_carrier_grid_order():
+    s = counter_state(counter_vocabulary(), 0, 0)
+    for n in range(4):
+        for sorts in itertools.product(("Bool", "Nat"), repeat=n):
+            assert list(_carrier_grid(s, sorts)) == list(_recursive_grid(s, sorts))
+    assert list(_carrier_grid(s, ())) == [()]
+    assert list(_carrier_grid(s, ("Nat", "Bool")))[:3] == [(0, True), (0, False), (1, True)]
 
 
 def test_program_symbols():

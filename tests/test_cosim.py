@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from asmlc import engine
 from asmlc.asm import If, InitRule, Machine, Par, TApp, Update
 from asmlc.compiler import compile_machine
 from asmlc.cosim import decoration_audit, lockstep, render_audit
@@ -36,6 +37,60 @@ def test_lockstep_small_grid(euclid_cm):
             assert lockstep(machine, cm, bundled("euclid").state({"a0": a, "b0": b})).passed
 
 
+def test_round_memo_reduces_each_distinct_round_once(monkeypatch):
+    """euclid over the 12x12 grid under one compile, twice: every report
+    equals that of a fresh compile for its case; the first pass reduces
+    156 distinct round starts for its 482 rounds, the second none."""
+    sm = bundled("euclid")
+    machine = sm.machine()
+    cases = [sm.state({"a0": a, "b0": b}) for a in range(1, 13) for b in range(1, 13)]
+    fresh = [lockstep(machine, compile_machine(machine, s), s).rounds for s in cases]
+    cm = compile_machine(machine, sm.state({"a0": 1, "b0": 1}))
+    runs = [0]
+    advance = engine._advance
+
+    def counted(*args, **kwargs):
+        runs[0] += 1
+        return advance(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_advance", counted)
+    for want_runs in (156, 0):
+        runs[0] = 0
+        got = [lockstep(machine, cm, s).rounds for s in cases]
+        assert got == fresh
+        assert sum(map(len, got)) == 482
+        assert runs[0] == want_runs
+    assert len(cm.round_memo) == 156
+
+
+def test_replaced_combinator_starts_with_an_empty_memo(euclid_cm):
+    """A combinator derived by dataclasses.replace from a warm one, with
+    another budget or another table, starts with an empty round memo and
+    reports what the same replacement of a cold compile reports."""
+    machine, cm = euclid_cm
+    sm = bundled("euclid")
+    state = sm.state({"a0": 6, "b0": 4})
+    assert lockstep(machine, cm, state).passed and cm.round_memo
+    functions = dict(cm.sig.functions)
+    functions["rem"] = FFunction("rem", ("Nat", "Nat"), "Nat", lambda a, b: None)
+    undefined_rem = FSignature(functions)
+
+    def budget(c):
+        return replace(c, combinator=replace(c.combinator, K=c.K + 1))
+
+    def table(c):
+        return replace(c, sig=undefined_rem,
+                       combinator=replace(c.combinator, table=signature_table(undefined_rem)))
+
+    for derive in (budget, table):
+        warm = derive(cm)
+        assert warm.round_memo == {} and warm.round_memo is not cm.round_memo
+        cold = derive(compile_machine(machine, sm.state({"a0": 1, "b0": 1})))
+        rep = lockstep(machine, warm, state)
+        assert not rep.passed
+        assert rep == lockstep(machine, cold, state)
+
+
 # The first RANDOM_PROGRAMS programs of the seeded stream, none left
 # out; the count keeps the test near half a second.  Later programs of
 # the stream have normal forms with thousands of constant nodes, whose
@@ -64,6 +119,8 @@ def test_random_programs_lockstep():
             assert cm.combinator.certificate.paths == len(cm.combinator.branches)
             rep = lockstep(machine, cm, state, max_steps=30)
             assert rep.verdict != "fail", (prog, cm.K, cm.L, rep.rounds[-1])
+            # the rerun reads its rounds from the memo the first run filled
+            assert lockstep(machine, cm, state, max_steps=30) == rep
             if rep.verdict == "inconclusive":
                 assert rep.asm_outcome == "diverged"
                 assert all(r.match for r in rep.rounds)

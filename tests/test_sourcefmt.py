@@ -151,3 +151,23 @@ program:
     r = run(sm.machine(), sm.state({}), 5)
     g = r.outcome.outputs["g"]
     assert g[(1, 2)] == 2 and g[(2, 1)] == 1
+
+
+def test_statics_clip_through_one_set_per_carrier():
+    """A static's value outside its result carrier reads as undefined,
+    and the statics of every state test membership in one shared set
+    per carrier, not one set per static per state."""
+    sm = parse_source("""
+sort Nat = 0..3
+static s : Nat -> Nat = builtin succ
+static lt : Nat Nat -> Bool = builtin lt
+dynamic d : -> Nat
+init d = s(0)
+program:
+  skip
+""")
+    states = [sm.state(), sm.state()]
+    assert states[0].statics["s"](2) == 3 and states[0].statics["s"](3) is None
+    sets = {id(cell.cell_contents) for st in states for fn in st.statics.values()
+            for cell in fn.__closure__ if isinstance(cell.cell_contents, frozenset)}
+    assert len(sets) == 2  # Nat and Bool

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asmlc.compiler import compile_machine
+from asmlc.engine import STATUS_NORMAL, STATUS_RAN, advance_term
 from asmlc.terms import (
     Abs,
     App,
     Code,
     Const,
+    Term,
     Unknown,
     Value,
     Var,
@@ -24,7 +27,7 @@ from asmlc.terms import (
     term_size,
 )
 
-from conftest import random_closed_term, random_term
+from conftest import BUNDLED_COSTS, bundled, random_closed_term, random_term
 
 
 def test_constructors_and_helpers():
@@ -115,11 +118,12 @@ def test_nodes_are_immutable(node, fields):
             delattr(node, name)
 
 
-def test_equality_hash_and_repr_are_structural():
-    def build():
-        return App(Abs("x", app(Var("x"), Const("f"))), Code(Value("Nat", 3)))
+def _build():
+    return App(Abs("x", app(Var("x"), Const("f"))), Code(Value("Nat", 3)))
 
-    s, t = build(), build()
+
+def test_equality_hash_and_repr_are_structural():
+    s, t = _build(), _build()
     assert s is not t and s == t and hash(s) == hash(t)
     assert len({s, t, canonical(s)}) == 2
     assert pickle.loads(pickle.dumps(s)) == s == copy.deepcopy(s)
@@ -133,6 +137,60 @@ def test_equality_hash_and_repr_are_structural():
     assert hash(Unknown("Nat")) == hash(Unknown("Nat"))
     assert repr(Unknown("Nat")) == "Unknown(datatype='Nat')"
     assert not (Unknown("Nat").fv or Unknown("Nat").beta or Unknown("Nat").const)
+
+
+def test_cached_hash_is_the_structural_hash():
+    s = _build()
+    h = hash(s)
+    assert s._hash == h and s.fun._hash == hash(s.fun)
+    assert hash(s) == h == hash((s.fun, s.arg))
+    fresh = _build()
+    assert hash(fresh) == h == hash((fresh.fun, fresh.arg))
+    assert hash(s.fun) == hash((s.fun.binder, s.fun.body))
+
+
+@pytest.mark.parametrize("node", [_build(), _build().fun], ids=["App", "Abs"])
+def test_hash_cache_cannot_be_assigned_or_deleted(node):
+    for _ in range(2):  # before and after the cache is filled
+        with pytest.raises(FrozenInstanceError):
+            node._hash = 0
+        with pytest.raises(FrozenInstanceError):
+            del node._hash
+        hash(node)
+    assert node._hash == hash(node)
+
+
+def test_hash_cache_stays_out_of_pickling_and_repr():
+    s = _build()
+    h = hash(s)
+    for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        with pytest.raises(AttributeError):
+            copied._hash  # rebuilt, not copied
+        assert copied == s and hash(copied) == h
+    assert "_hash" not in repr(s)
+
+
+def test_advance_without_a_memo_hashes_no_term(monkeypatch):
+    """Rounds of the compiled euclid machine advance without hashing a
+    term unless a round memo is passed."""
+    sm = bundled("euclid")
+    inputs, _ = BUNDLED_COSTS["euclid"]
+    cm = compile_machine(sm.machine(), sm.state(inputs))
+    t = cm.initial_term(sm.state({"a0": 36, "b0": 24}))
+
+    def refuse(self):
+        raise AssertionError(f"hashed {type(self).__name__}")
+
+    for cls in (Term, *Term.__subclasses__()):
+        monkeypatch.setattr(cls, "__hash__", refuse)
+    start, statuses = t, []
+    for _ in range(3):
+        t, beta, f, status = advance_term(t, cm.table, cm.K + cm.L, cm.theta_free)
+        assert (beta, f) == (cm.K, cm.L)
+        statuses.append(status)
+    assert statuses == [STATUS_RAN, STATUS_RAN, STATUS_NORMAL]
+    with pytest.raises(AssertionError, match="hashed App"):
+        advance_term(start, cm.table, cm.K + cm.L, cm.theta_free, {})
 
 
 def test_alpha_equivalence():
