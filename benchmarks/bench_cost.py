@@ -6,9 +6,18 @@ counters updated in parallel, from the same file).  For each it records
 the minima K_min and L_min, the size of theta in nodes, the branch
 count, the manifest's guard order and F-work per branch, and what
 certifying (K, L) took in one compile: the engine steps of
-certification, counted at ``combinators._advance`` (the loop that both
-the abstract certificate and the older probe blocks run through), and
-the certificate's path count (absent from a checkout without one).
+certification, counted at ``combinators._advance`` (the engine loop
+the certificate runs), and the certificate's path count (absent from a
+checkout without one).
+
+The ``random-1108`` record compiles, each at its minima, the first 120
+programs of the seeded stream that ``tests/test_cosim.py``'s
+``test_random_programs_lockstep`` draws (seed 1108, the same draws,
+init choices included).  It holds the largest K+L, with its (K, L) and
+program index, and the sums over the 120 of K+L, L, theta's nodes and
+certification's engine steps: the baseline for a theta whose cost
+follows the program rather than its normal form.
+
 Every figure is deterministic, so one run of a checkout is its record.
 
     PYTHONPATH=src python3 benchmarks/bench_cost.py [--label NAME]
@@ -22,18 +31,28 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from conftest import BUNDLED_COSTS, bundled, counter_family
+from conftest import (
+    BUNDLED_COSTS,
+    bundled,
+    counter_family,
+    counter_state,
+    counter_vocabulary,
+    random_program,
+)
 
 from asmlc import combinators
+from asmlc.asm import InitRule, Machine, TApp
 from asmlc.compiler import compile_machine
 from asmlc.terms import term_size
 
 COUNTERS = range(1, 6)
+RANDOM_SEED, RANDOM_PROGRAMS = 1108, 120
 
 
 def _cases() -> dict:
@@ -65,6 +84,25 @@ def _counted_compile(machine, state):
     return cm, sum(steps)
 
 
+def _random_record() -> dict:
+    """The ``random-1108`` record (module docstring)."""
+    rng = random.Random(RANDOM_SEED)
+    voc = counter_vocabulary()
+    state = counter_state(voc, 0, 0)
+    sums = dict.fromkeys(("K_plus_L", "L", "theta_nodes", "certify_steps"), 0)
+    largest = None
+    for i in range(RANDOM_PROGRAMS):
+        prog = random_program(rng, rng.randint(2, 4))
+        init = {s: InitRule((), TApp(rng.choice(("zero", "one", "two")))) for s in ("p", "q")}
+        cm, steps = _counted_compile(Machine(voc, prog, init), state)
+        for key, value in (("K_plus_L", cm.K + cm.L), ("L", cm.L),
+                           ("theta_nodes", term_size(cm.theta)), ("certify_steps", steps)):
+            sums[key] += value
+        if largest is None or cm.K + cm.L > largest["K_plus_L"]:
+            largest = {"index": i, "K": cm.K, "L": cm.L, "K_plus_L": cm.K + cm.L}
+    return {"seed": RANDOM_SEED, "programs": RANDOM_PROGRAMS, "largest": largest, "sum": sums}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", default="current", help="record name in --json")
@@ -88,6 +126,12 @@ def main() -> None:
               f"theta {row['theta_nodes']} nodes, {row['branches']} branches "
               f"{row['guard_order']}, certified in {steps} engine steps"
               + (f", {cert.paths} paths" if cert is not None else ""))
+    rec = record[f"random-{RANDOM_SEED}"] = _random_record()
+    big, total = rec["largest"], rec["sum"]
+    print(f"random-{RANDOM_SEED}: {RANDOM_PROGRAMS} programs, largest (K, L) = "
+          f"({big['K']}, {big['L']}) at index {big['index']}; sums K+L {total['K_plus_L']}, "
+          f"L {total['L']}, theta {total['theta_nodes']} nodes, "
+          f"certified in {total['certify_steps']} engine steps")
     if args.json:
         data = json.loads(args.json.read_text()) if args.json.exists() else {}
         data[args.label] = record

@@ -273,15 +273,6 @@ def _carrier_grid(s: State, sorts: tuple[str, ...]):
     return itertools.product(*(s.carriers[sort] for sort in sorts))
 
 
-def check_initial(voc: Vocabulary, s: State, init: InitMap) -> None:
-    """Verify that the state's dynamic tables equal their initialization
-    rules pointwise."""
-    expected = initial_dynamics(voc, s, init)
-    for name, table in expected.items():
-        if s.dynamics.get(name, {}) != table:
-            raise ValueError(f"state is not initial for dynamic symbol {name}")
-
-
 # ---------------------------------------------------------------------------
 # Programs
 
@@ -499,6 +490,4 @@ class Machine:
 
 def run(machine: Machine, base: State, max_steps: int) -> RunResult:
     check_program(machine.voc, machine.program)
-    s = machine.initial_state(base)
-    check_initial(machine.voc, s, machine.init)
-    return run_from_state(s, machine.program, max_steps)
+    return run_from_state(machine.initial_state(base), machine.program, max_steps)

@@ -45,7 +45,6 @@ def _bindings(pairs: list[str]) -> dict:
                 out[name] = int(raw)
             except ValueError:
                 out[name] = raw
-        continue
     return out
 
 
@@ -117,14 +116,18 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     sm = _load(args.file)
     machine = sm.machine()
-    base = sm.state(_bindings(args.input))
+    given = _bindings(args.input)
+    base = sm.state(given)
     inputs = sorted(s.name for s in machine.voc.symbols.values()
                     if s.kind == "static" and s.is_input)
     if args.grid and inputs:
-        grids = [range(1, args.grid + 1)] * len(inputs)
+        # 1..N over a numeric range, else the first N values of the carrier
+        carriers = [base.carriers[machine.voc.symbols[name].result_sort] for name in inputs]
+        grids = [range(1, args.grid + 1) if all(type(v) is int for v in c) else c[:args.grid]
+                 for c in carriers]
         cases = [dict(zip(inputs, combo)) for combo in itertools.product(*grids)]
     else:
-        cases = [_bindings(args.input)]
+        cases = [given]
     states = [sm.state(binding) for binding in cases]  # every binding checked up front
     cm = _compile(machine, base, args)
     print(f"(K, L) = ({cm.K}, {cm.L})")
@@ -145,7 +148,7 @@ def cmd_verify(args) -> int:
         rep = lockstep(machine, cmx, state, args.max_steps)
         if not rep.passed:
             failures += 1
-            shown = ", ".join(f"{k}={v}" for k, v in sorted(binding.items()))
+            shown = ", ".join(f"{k}={_show(v)}" for k, v in sorted(binding.items()))
             print(f"FAIL [{shown}]: {rep.verdict} "
                   f"(machine {rep.asm_outcome}, term {rep.term_outcome})")
             if rep.rounds and rep.rounds[-1].note:
@@ -218,6 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "and verify the compilation in lockstep.")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def budget_options(p):
+        for x, steps in (("K", "beta"), ("L", "constant (F)")):
+            p.add_argument(f"--headroom-{x}", type=int, default=None, metavar=x,
+                           help=f"{steps} steps per machine step: {x} itself, "
+                                f"not an amount above {x}_min")
+
     def machine_cmd(name, help_, fn):
         p = sub.add_parser(name, help=help_)
         p.add_argument("file", help="machine source file")
@@ -232,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                 cmd_normalize)
 
     p = machine_cmd("compile", "compile and print the manifest", cmd_compile)
-    p.add_argument("--headroom-K", type=int, default=None, metavar="K")
-    p.add_argument("--headroom-L", type=int, default=None, metavar="L")
+    budget_options(p)
     p.add_argument("--term", action="store_true",
                    help="also print the compiled term")
 
@@ -241,10 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
                     cmd_verify)
     p.add_argument("--input", action="append", default=[], metavar="NAME=VALUE")
     p.add_argument("--grid", type=int, default=0, metavar="N",
-                   help="verify every input assignment in 1..N")
+                   help="verify every input assignment: 1..N for an input over "
+                        "a numeric range, else the first N values of its carrier")
     p.add_argument("--max-steps", type=int, default=10_000)
-    p.add_argument("--headroom-K", type=int, default=None, metavar="K")
-    p.add_argument("--headroom-L", type=int, default=None, metavar="L")
+    budget_options(p)
 
     p = sub.add_parser("encode", help="print the term encoding a value")
     p.add_argument("kind", choices=["nat", "bool"])

@@ -42,9 +42,11 @@ per branch.  Every path must cost exactly the formula, which then holds
 from every valuation, and no machine step is run; lockstep checks every
 round against the same (K, L).
 
-Measurement (``reduce_one_block``) runs the counting engine's shared
-loop and stops at the first block boundary: the term is theta applied
-to one code per slot, with theta compared by structural equality.
+One driver (``blocks``) runs every block, abstract or concrete, to the
+next boundary (``decode_state``, the only boundary test) or a normal
+form, forking on an abstract Boolean: the certificate runs it from
+abstract codes, and a failed lockstep round's note from the round's
+start.
 
 Theta must hold no resident F-redex: one would fire once, at the first
 step, and never again, so no constant per-step cost could hold.  The
@@ -62,9 +64,7 @@ from typing import Optional, Sequence
 
 from .encodings import identity_chain, select_first, tup
 from .engine import (
-    _STATUS_BOUNDARY,
     _STATUS_FORK,
-    STATUS_NORMAL,
     STATUS_RAN,
     _advance,
     _rebuild,
@@ -262,89 +262,66 @@ def _build_theta(
     return curry_fixpoint(g)
 
 
-@dataclass(frozen=True)
-class BlockResult:
-    """One lockstep block: the term at the boundary, its exact cost,
-    and whether the boundary is a new state or an exit normal form."""
-
-    term: Term
-    beta_count: int
-    f_count: int
-    kind: str  # "state" | "exit"
-    values: Optional[tuple[Value, ...]]  # decoded slots when kind == "state"
-
-
-def _peel(t: Term, slots: Sequence[Slot]) -> Optional[tuple[Term, tuple[Value, ...]]]:
-    """Peel exactly one application per slot off ``t``, each argument a
-    code of its slot's datatype: (what remains, slot values), else None.
-    (theta itself is an application, so the full spine would
-    over-unwind.)"""
-    vals: list[Value] = []
+def decode_state(t: Term, theta: Term, slots: Sequence[Slot]) -> Optional[tuple]:
+    """The slot values of ``t`` when it is theta applied to one code per
+    slot, else None: the block boundary.  An abstract code of the slot's
+    datatype stands for itself.  One application per slot is peeled
+    (theta is an application too), and the rest compared with theta by
+    ``==``, exact as theta is closed: the engine never renames a binder
+    inside a copy of it."""
+    vals = []
     for s in reversed(slots):
         if type(t) is not App:
             return None
-        v = match_code(t.arg, s.datatype)
+        a, dt = t.arg, s.datatype
+        v = match_code(a, dt)
         if v is None:
-            return None
+            if not (type(a) is Unknown and a.datatype == dt
+                    or a is UNKNOWN_BOOL and dt == BOOL):
+                return None
+            v = a
         vals.append(v)
         t = t.fun
-    return t, tuple(reversed(vals))
-
-
-def decode_state(t: Term, theta: Term, slots: Sequence[Slot]) -> Optional[tuple[Value, ...]]:
-    """Decode ``theta code...code`` into slot values, else None.  The
-    head is compared with theta by ``==``, which is exact for the reason
-    ``reduce_one_block`` gives."""
-    peeled = _peel(t, slots)
-    if peeled is None or peeled[0] != theta:
+    if t != theta:
         return None
-    return peeled[1]
+    vals.reverse()
+    return tuple(vals)
 
 
-def reduce_one_block(
-    t: Term,
-    theta: Term,
-    slots: Sequence[Slot],
-    table: dict,
-    max_steps: int = 100_000,
-    theta_free: Optional[dict] = None,
-) -> BlockResult:
-    """Reduce F-first leftmost until the term is again theta applied to
-    slot codes, or until normal form (an exit).
+def blocks(start: Term, theta: Term, slots: Sequence[Slot], table: dict,
+           theta_free: Optional[dict], budget: int) -> tuple[list, int]:
+    """Reduce ``start`` F-first leftmost, through the engine's shared
+    loop, to the next block boundary or a normal form, within ``budget``
+    steps.  Where the next beta step would contract the abstract Boolean
+    at the head of the term, the run forks: it goes on from FALSE and
+    from TRUE in its place, rebuilding only that spine.  A concrete
+    start has the one path ``()``.
 
-    Runs the engine's shared loop and checks the boundary after every
-    F-phase and every beta step: peel one slot code per slot, then
-    compare what remains with theta by ``==``.  A term inside an F-phase
-    holds an F-redex and a boundary term holds none (module docstring),
-    so no boundary falls inside a phase.  Structural equality is exact
-    here because theta is closed: substitution never enters a closed
-    term, so the engine never renames a binder inside theta's copies.
-    ``table`` is the engine table of the signature
-    (``engine.signature_table``) and ``theta_free`` the combinator's memo
-    of theta (``engine.scan``).  Raises RuntimeError when the
-    block does not complete within ``max_steps`` and
-    UndefinedApplication when a partial function is applied outside its
-    domain.
-    """
+    Returns the end of every path, in the order reached, as (path,
+    term, beta, F, engine status: a boundary, STATUS_NORMAL, STATUS_RAN
+    at the budget, or a fork off the head); and the engine steps over
+    all paths, each shared prefix counted once.  ``table`` and
+    ``theta_free`` are the combinator's (``engine.scan``).  Raises
+    UndefinedApplication where the engine does."""
     def at_boundary(s: Term) -> bool:
-        peeled = _peel(s, slots)
-        return peeled is not None and peeled[0] == theta
+        return decode_state(s, theta, slots) is not None
 
-    t, beta, f, status = _advance(t, table, max_steps, at_boundary, theta_free)
-    if status == STATUS_NORMAL:
-        return BlockResult(t, beta, f, "exit", None)
-    if status == _STATUS_BOUNDARY:
-        return BlockResult(t, beta, f, "state", _peel(t, slots)[1])
-    raise RuntimeError("block did not complete within the step budget")
-
-
-def _slot_code(t: Term, datatype: str) -> bool:
-    """Whether ``t`` is a code or an abstract code of ``datatype``."""
-    if type(t) is Unknown:
-        return t.datatype == datatype
-    if t is UNKNOWN_BOOL:
-        return datatype == BOOL
-    return match_code(t, datatype) is not None
+    ends = []
+    todo = [(start, 0, 0, ())]
+    steps = 0
+    while todo:
+        t, beta, f, path = todo.pop()
+        t, b, g, status = _advance(t, table, budget - beta - f, at_boundary, theta_free)
+        beta, f, steps = beta + b, f + g, steps + b + g
+        if status == _STATUS_FORK:
+            spine, head = _unwind(t)
+            if head is UNKNOWN_BOOL:
+                for choice in (False, True):
+                    todo.append((_rebuild(spine, len(spine), bool_term(choice)), beta, f,
+                                 path + (choice,)))
+                continue
+        ends.append((path, t, beta, f, status))
+    return ends, steps
 
 
 def _path_name(path: tuple[bool, ...], labels: Sequence[str]) -> str:
@@ -370,56 +347,34 @@ def certify(
     """Certify that one block of theta costs exactly ``want`` = (K, L)
     from every valuation of its slots, by one abstract block.
 
-    The block starts from theta applied to one abstract code per slot
-    and runs the engine's shared loop (abstract interpretation, Cousot
-    and Cousot 1977).  A constant with an abstract argument fires as
-    one F-step to an abstract code, and the loop stops with a fork where
-    the next beta step would contract the abstract Boolean applied to
-    its arguments, which is where a concrete block contracts TRUE or
-    FALSE.  The fork must be the head of the term; the run then goes on
-    from both TRUE and FALSE in its place, rebuilding only that spine.
-    Theta's in-place selection makes that one path per branch it can
-    reach.  Every concrete block follows one of the paths, so the paths
-    cover every valuation on which each firing is defined.
+    The block runs through ``blocks`` from theta applied to one
+    abstract code per slot (abstract interpretation, Cousot and Cousot
+    1977).  A constant with an abstract argument fires as one F-step to
+    an abstract code, and the run forks where a concrete block contracts
+    TRUE or FALSE, so theta's in-place selection gives one path per
+    branch it can reach.  Every concrete block follows one of the paths,
+    so they cover every valuation on which each firing is defined.
 
-    Each path must reach theta applied to slot codes (abstract or not),
-    or a normal form, at exactly ``want``; a RuntimeError names the
-    first path that does not, with the branch from ``labels`` (the
-    branches in theta's order) that it selects.
+    Each path must reach a boundary or a normal form at exactly
+    ``want``, forking only at the head; a RuntimeError names the first
+    path that does not, with the branch of ``labels`` (the branches in
+    theta's order) that it selects.
     """
-    def at_boundary(s: Term) -> bool:
-        for slot in reversed(slots):
-            if type(s) is not App or not _slot_code(s.arg, slot.datatype):
-                return False
-            s = s.fun
-        return s == theta
-
     budget = want[0] + want[1]
     start = app(theta, *(UNKNOWN_BOOL if s.datatype == BOOL else Unknown(s.datatype)
                          for s in slots))
-    todo = [(start, 0, 0, ())]
-    paths = steps = 0
-    while todo:
-        t, beta, f, path = todo.pop()
-        t, b, g, status = _advance(t, table, budget - beta - f, at_boundary, theta_free)
-        beta, f, steps = beta + b, f + g, steps + b + g
+    ends, steps = blocks(start, theta, slots, table, theta_free, budget)
+    for path, _, beta, f, status in ends:
         if status == _STATUS_FORK:
-            spine, head = _unwind(t)
-            if head is not UNKNOWN_BOOL:
-                raise RuntimeError(f"theta selects on an unknown Boolean off the head "
-                                   f"of the term on {_path_name(path, labels)}")
-            for choice in (False, True):
-                todo.append((_rebuild(spine, len(spine), bool_term(choice)), beta, f,
-                             path + (choice,)))
+            error = "theta selects on an unknown Boolean off the head of the term"
+        elif status == STATUS_RAN:
+            error = f"cost formula gives (K,L)={want} but theta takes more than {budget} steps"
+        elif (beta, f) != want:
+            error = f"cost formula gives (K,L)={want} but theta measures {(beta, f)}"
+        else:
             continue
-        if status == STATUS_RAN:
-            raise RuntimeError(f"cost formula gives (K,L)={want} but theta takes more "
-                               f"than {budget} steps on {_path_name(path, labels)}")
-        if (beta, f) != want:
-            raise RuntimeError(f"cost formula gives (K,L)={want} but theta measures "
-                               f"{(beta, f)} on {_path_name(path, labels)}")
-        paths += 1
-    return Certificate(paths, steps)
+        raise RuntimeError(f"{error} on {_path_name(path, labels)}")
+    return Certificate(len(ends), steps)
 
 
 def build_branch_combinator(

@@ -548,7 +548,7 @@ class DecodeError(Exception):
 
 
 def decode_result(t: Term, cm: CompiledMachine) -> DecodedResult:
-    vals = decode_state(t, cm.theta, [s.as_slot() for s in cm.slots])
+    vals = decode_state(t, cm.theta, cm.combinator.slots)
     if vals is not None:
         return DecodedResult("running", values=vals)
     n = match_nat(t)

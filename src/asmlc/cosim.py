@@ -1,14 +1,16 @@
 """Lockstep verification: run the machine and its compiled term side by
 side, advancing the term by exactly K+L reductions per machine step and
-comparing decoded snapshots; plus the decoration audit comparing
-published reduction counts against measured ones.
+comparing decoded snapshots slot by slot; plus the decoration audit
+comparing published reduction counts against measured ones.  A round
+that ends on no decodable term is diagnosed by the certificate's block
+driver (``combinators.blocks``) from the round's start.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .asm import Machine, State, run
-from .combinators import curry_fixpoint, reduce_one_block
+from .combinators import blocks, curry_fixpoint
 from .compiler import CompiledMachine, DecodeError, decode_result, delta_as_map
 from .encodings import (
     PRED,
@@ -20,7 +22,7 @@ from .encodings import (
     projection_cost,
     selection_cost,
 )
-from .engine import STATUS_UNDEFINED, advance_term
+from .engine import STATUS_RAN, STATUS_UNDEFINED, advance_term
 from .lambda_f import UndefinedApplication
 from .terms import Abs, App, Term, Var, alpha_eq, app
 
@@ -52,64 +54,50 @@ class LockstepReport:
 _EXIT_OF = {"halt": "success", "implicit-halt": "success",
             "fail": "fail", "clash": "clash"}
 
-# A failed round's diagnostic block search stops after this many rounds' budget.
+# A failed round's diagnostic block run stops after this many rounds' budget.
 _NOTE_ROUNDS = 4
 
 
-def _state_diff(cm: CompiledMachine, decoded, asm_state: State, initial: State) -> str:
-    """The first slot where decoded slot codes and the machine state
-    disagree, described, or "" when they agree.  Plain slots agree
-    exactly; difference-list slots agree as maps over the initial tables
+def _slot_diff(what: str, decoded, tables: dict, initial: State) -> str:
+    """The first slot where the decoded codes and the machine's tables
+    disagree, described after ``what``, or "" when they agree.
+    ``decoded`` holds (slot, code) pairs.  A plain slot agrees when its
+    payload is the machine's value; a difference-list slot must be a
+    functional list, and agrees as a map over the initial table
     (grid-free: both sides are finite tables)."""
-    for info, got in zip(cm.slots, decoded):
-        table = asm_state.dynamics[info.symbol]
+    for info, got in decoded:
+        name, table = info.symbol, tables[info.symbol]
         if info.representation == "value":
-            if got.datatype != info.datatype or table.get(()) != got.payload:
-                return (f"state mismatch: slot {info.symbol} is {got.payload!r} in the term, "
-                        f"{table.get(())!r} in the machine")
-        else:
-            diff = delta_as_map(got)
-            if len(diff) != len(got.payload):
-                return f"state mismatch: slot {info.symbol} holds a non-functional list {got.payload!r}"
-            merged = dict(initial.dynamics[info.symbol])
-            merged.update(diff)
-            if merged != table:
-                return (f"state mismatch: slot {info.symbol} is {merged!r} in the term, "
-                        f"{table!r} in the machine")
-    return ""
-
-
-def _outputs_diff(cm: CompiledMachine, decoded: dict, asm_outputs: dict,
-                  initial: State) -> str:
-    for info in cm.slots:
-        if info.symbol not in decoded:
-            continue
-        got = decoded[info.symbol]
-        want = asm_outputs[info.symbol]
-        if info.representation == "value":
+            want = table.get(())
+            if got.datatype == info.datatype and got.payload == want:
+                continue
             got = got.payload
         else:
-            merged = dict(initial.dynamics[info.symbol])
-            merged.update(delta_as_map(got))
-            got = merged
-        if got != want:
-            return f"output mismatch: {info.symbol} is {got!r} in the term, {want!r} in the machine"
+            want = table
+            diff = delta_as_map(got)
+            if len(diff) != len(got.payload):
+                return f"{what} {name} holds a non-functional list {got.payload!r}"
+            got = dict(initial.dynamics[name])
+            got.update(diff)
+            if got == want:
+                continue
+        return f"{what} {name} is {got!r} in the term, {want!r} in the machine"
     return ""
 
 
 def _block_note(t: Term, cm: CompiledMachine) -> str:
-    """What one certification block from ``t`` costs, against (K, L).
-    The search is cut at a few rounds' budget, so a term that never
-    reaches a boundary costs no more than that to diagnose."""
+    """What the block from ``t`` costs (``combinators.blocks``), against
+    (K, L).  The run is cut at a few rounds' budget, so a term that
+    never reaches a boundary costs no more than that to diagnose."""
     limit = _NOTE_ROUNDS * (cm.K + cm.L)
     try:
-        block = reduce_one_block(t, cm.theta, [s.as_slot() for s in cm.slots], cm.table,
-                                 max_steps=limit, theta_free=cm.theta_free)
-    except RuntimeError:
-        return f"no block boundary within {limit} steps of the round's start"
+        ((_, _, beta, f, status),), _ = blocks(t, cm.theta, cm.combinator.slots, cm.table,
+                                               cm.theta_free, limit)
     except UndefinedApplication as exc:
         return f"no block boundary from the round's start ({exc})"
-    got = (block.beta_count, block.f_count)
+    if status == STATUS_RAN:
+        return f"no block boundary within {limit} steps of the round's start"
+    got = (beta, f)
     if got == (cm.K, cm.L):
         return f"the block takes (beta, F) = {got} as budgeted"
     return f"counts off: the block takes (beta, F) = {got}, want {(cm.K, cm.L)}"
@@ -120,8 +108,10 @@ def lockstep(machine: Machine, cm: CompiledMachine, state: State,
     """One round per machine step; the final round must land on the
     exit normal form within the same (K, L) budget.  A failed round
     says why in its note: the step counts are off, the decoded state or
-    outputs differ from the machine's, the term cannot be decoded, or a
-    partial function was applied outside its domain (kind
+    outputs differ from the machine's (the first slot that differs),
+    the term cannot be decoded (with what the block from the round's
+    start costs, run through ``combinators.blocks`` as the certificate
+    is), or a partial function was applied outside its domain (kind
     "undefined").  A failed round makes the verdict "fail", even in a
     run cut at ``max_steps``; a cut run whose rounds all match is
     "inconclusive".
@@ -166,9 +156,14 @@ def lockstep(machine: Machine, cm: CompiledMachine, state: State,
         elif d.kind != want_kind:
             note = f"outcome mismatch: the term reached {d.kind}, the machine {want_kind}"
         elif d.kind == "running":
-            note = _state_diff(cm, d.values, want_state, initial)
+            note = _slot_diff("state mismatch: slot", zip(cm.slots, d.values),
+                              want_state.dynamics, initial)
         elif d.kind == "success":
-            note = _outputs_diff(cm, d.outputs, result.outcome.outputs, initial)
+            # the machine's outputs are the tables of the state it halted in
+            note = _slot_diff("output mismatch:",
+                              ((s, d.outputs[s.symbol]) for s in cm.slots
+                               if s.symbol in d.outputs),
+                              result.trajectory[-1].dynamics, initial)
         else:
             note = ""
         rounds.append(RoundRecord(i, beta, f, d.kind, not note, note))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import random
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -25,8 +26,9 @@ from asmlc.asm import (
     Vocabulary,
     run_from_state,
 )
-from asmlc.combinators import BlockResult, reduce_one_block
+from asmlc.combinators import blocks, decode_state
 from asmlc.compiler import CompiledMachine, slot_values_for_state
+from asmlc.engine import STATUS_NORMAL, STATUS_RAN
 from asmlc.lambda_f import code_term
 from asmlc.sourcefmt import SourceMachine, parse_source
 from asmlc.terms import Abs, App, Term, Var, app
@@ -58,14 +60,38 @@ def machine_probes(machine: Machine, state: State, slots) -> list[dict]:
             for st in r.trajectory]
 
 
-def probe_blocks(cm: CompiledMachine, probes) -> list[tuple[Term, BlockResult]]:
+class Block(NamedTuple):
+    """One concrete block: the term at its end, its exact cost, and
+    whether the end is a new state or an exit normal form."""
+
+    term: Term
+    beta_count: int
+    f_count: int
+    kind: str  # "state" | "exit"
+    values: Optional[tuple]  # decoded slots when kind == "state"
+
+
+def measure_block(start: Term, theta: Term, slots, table: dict, theta_free=None,
+                  max_steps: int = 100_000) -> Block:
+    """The one path of ``combinators.blocks`` from a concrete start.
+    Raises RuntimeError when the block does not complete within
+    ``max_steps``."""
+    ((_, t, beta, f, status),), _ = blocks(start, theta, slots, table, theta_free, max_steps)
+    if status == STATUS_RAN:
+        raise RuntimeError("block did not complete within the step budget")
+    if status == STATUS_NORMAL:
+        return Block(t, beta, f, "exit", None)
+    return Block(t, beta, f, "state", decode_state(t, theta, slots))
+
+
+def probe_blocks(cm: CompiledMachine, probes) -> list[tuple[Term, Block]]:
     """One concrete block of ``cm``'s theta from each probe valuation,
     each with the term it starts from."""
-    slots = [s.as_slot() for s in cm.slots]
+    slots = cm.combinator.slots
     out = []
     for val in probes:
         start = app(cm.theta, *(code_term(val[s.name]) for s in slots))
-        out.append((start, reduce_one_block(start, cm.theta, slots, cm.table)))
+        out.append((start, measure_block(start, cm.theta, slots, cm.table)))
     return out
 
 

@@ -260,6 +260,34 @@ def test_verify_input_dependent_program(capsys):
     assert "verified 3/3 runs" in out
 
 
+# Inputs over an enumeration and over Bool, read only by init rules.
+NON_NUMERIC_INPUTS = """\
+sort Col = {red, green, blue}
+sort Nat = 0..3
+static zero : -> Nat = builtin zero
+static succ : Nat -> Nat = builtin succ
+input c0 : Col
+input go : Bool
+dynamic c : -> Col output
+dynamic g : -> Bool output
+dynamic n : -> Nat
+init c = c0
+init g = go
+init n = zero
+program:
+  if eq_Nat(n, zero) then n := succ(n) else halt
+"""
+
+
+def test_verify_grid_over_non_numeric_inputs(capsys, tmp_path):
+    # --grid 2 takes the first two elements of Col and both Booleans
+    path = tmp_path / "m.asm"
+    path.write_text(NON_NUMERIC_INPUTS)
+    code, out = run_cli(capsys, "verify", str(path), "--grid", "2")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("verified 4/4 runs in lockstep")
+
+
 def test_encode_decode_roundtrip(capsys):
     code, out = run_cli(capsys, "encode", "nat", "7")
     assert code == 0

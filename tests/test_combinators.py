@@ -2,7 +2,6 @@ import pytest
 
 from asmlc import combinators
 from asmlc.combinators import (
-    BlockResult,
     ExitBranch,
     Slot,
     UpdateBranch,
@@ -10,7 +9,6 @@ from asmlc.combinators import (
     certify,
     curry_fixpoint,
     decode_state,
-    reduce_one_block,
     static_f_work,
 )
 from asmlc.encodings import identity_chain
@@ -21,22 +19,24 @@ from asmlc.lambda_f import (
     BOOL,
     FALSE_TERM,
     TRUE_TERM,
+    UNKNOWN_BOOL,
     FSignature,
     UndefinedApplication,
     Value,
     code_term,
     f_step,
     leftmost_f_redex,
+    match_code,
     reduce_leftmost_f,
     standard_bool_signature,
 )
 from asmlc.reduction import beta_step, leftmost_redex
-from asmlc.terms import Abs, App, Code, Var, alpha_eq, app, lam
+from asmlc.terms import Abs, App, Code, Unknown, Var, alpha_eq, app, lam
 
-from conftest import bundled, machine_probes, random_closed_term
+from conftest import Block, bundled, machine_probes, measure_block, random_closed_term
 
 
-def traced_block(t, theta, slots, sig, max_steps=100_000) -> BlockResult:
+def traced_block(t, theta, slots, sig, max_steps=100_000) -> Block:
     """Reference block loop: one traced F-first leftmost step at a time,
     decoding the boundary after every step."""
     beta = f = 0
@@ -48,18 +48,19 @@ def traced_block(t, theta, slots, sig, max_steps=100_000) -> BlockResult:
         else:
             at = leftmost_redex(t)
             if at is None:
-                return BlockResult(t, beta, f, "exit", None)
+                return Block(t, beta, f, "exit", None)
             t = beta_step(t, at)
             beta += 1
         vals = decode_state(t, theta, slots)
         if vals is not None:
-            return BlockResult(t, beta, f, "state", vals)
+            return Block(t, beta, f, "state", vals)
     raise RuntimeError("block did not complete within the step budget")
 
 
-def block(t, theta, slots, sig) -> BlockResult:
-    """reduce_one_block, checked against the traced reference loop."""
-    got = reduce_one_block(t, theta, slots, signature_table(sig))
+def block(t, theta, slots, sig) -> Block:
+    """One block through ``combinators.blocks``, checked against the
+    traced reference loop."""
+    got = measure_block(t, theta, slots, signature_table(sig))
     want = traced_block(t, theta, slots, sig)
     assert (got.kind, got.beta_count, got.f_count, got.values) == (
         want.kind, want.beta_count, want.f_count, want.values)
@@ -195,7 +196,6 @@ def test_conditional_combinator_exits(nat_sig):
         t = b.term
     assert seen == [1, 2, 3]
     assert b.kind == "exit"
-    from asmlc.lambda_f import match_code
     assert match_code(b.term, "Nat") == Value("Nat", 3)
 
 
@@ -204,6 +204,28 @@ def test_decode_state_rejects_partial_application(nat_sig):
     assert decode_state(cc.theta, cc.theta, slots) is None
     good = App(cc.theta, code_term(Value("Nat", 2)))
     assert decode_state(good, cc.theta, slots) == (Value("Nat", 2),)
+
+
+def test_decode_state_accepts_abstract_codes_only_of_their_slot():
+    """The block boundary: theta applied to one code per slot gives the
+    slot values, an abstract code of the slot's datatype standing for
+    itself; anything else gives None."""
+    theta = _bool_slot_theta(0)
+    slots = [Slot("c", "Nat"), Slot("b", BOOL)]
+    two, nat_, bool_ = Code(Value("Nat", 2)), Unknown("Nat"), Unknown(BOOL)
+    assert decode_state(app(theta, two, TRUE_TERM), theta, slots) == (
+        Value("Nat", 2), Value(BOOL, True))
+    for c, b in ((nat_, UNKNOWN_BOOL), (nat_, bool_), (two, UNKNOWN_BOOL), (nat_, FALSE_TERM)):
+        assert decode_state(app(theta, c, b), theta, slots) == (
+            match_code(c, "Nat") or c, match_code(b, BOOL) or b)
+    for c, b in ((Unknown("Col"), TRUE_TERM), (UNKNOWN_BOOL, TRUE_TERM), (bool_, TRUE_TERM),
+                 (two, nat_), (two, Unknown("Col")), (Code(Value("Col", 2)), TRUE_TERM),
+                 (two, Code(Value("Nat", 1)))):
+        assert decode_state(app(theta, c, b), theta, slots) is None
+    # theta must be the head, under exactly one application per slot
+    assert decode_state(app(_bool_slot_theta(1), two, TRUE_TERM), theta, slots) is None
+    assert decode_state(App(theta, two), theta, slots) is None
+    assert decode_state(app(theta, two, TRUE_TERM, TRUE_TERM), theta, slots) is None
 
 
 def test_resident_f_redex_rejected(nat_sig):
@@ -251,7 +273,7 @@ def test_block_reraises_undefined_application(nat_sig):
     cc = build_branch_combinator([UpdateBranch(TRUE_GUARD, (phi,))], slots, nat_sig)
     t = App(cc.theta, code_term(Value("Nat", 3)))
     with pytest.raises(UndefinedApplication) as info:
-        reduce_one_block(t, cc.theta, slots, cc.table)
+        measure_block(t, cc.theta, slots, cc.table)
     assert (info.value.symbol, info.value.args) == ("half", (3,))
 
 
@@ -300,7 +322,7 @@ def test_bool_dependent_cost_fails_certification():
     # unfold, load w and b, select: 5 beta steps, plus 1 on the false path
     t = App(theta, FALSE_TERM)
     for _ in range(5):
-        b = reduce_one_block(t, theta, slots, table, theta_free=theta_free)
+        b = measure_block(t, theta, slots, table, theta_free)
         assert (b.kind, b.values, b.beta_count, b.f_count) == (
             "state", (Value(BOOL, False),), 6, 0)
         t = b.term

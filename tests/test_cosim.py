@@ -6,9 +6,9 @@ import pytest
 from asmlc import engine
 from asmlc.asm import If, InitRule, Machine, Par, TApp, Update
 from asmlc.compiler import compile_machine
-from asmlc.cosim import decoration_audit, lockstep, render_audit
+from asmlc.cosim import _slot_diff, decoration_audit, lockstep, render_audit
 from asmlc.engine import scan, signature_table
-from asmlc.lambda_f import FFunction, FSignature
+from asmlc.lambda_f import FFunction, FSignature, Value
 from asmlc.terms import App, Var, lam
 
 from conftest import bundled, counter_state, counter_vocabulary, random_program
@@ -188,6 +188,32 @@ def test_lockstep_reports_state_mismatch(euclid_cm):
     last = rep.rounds[-1]
     assert (last.index, last.kind, last.match) == (1, "running", False)
     assert "slot a" in last.note and "4" in last.note and "6" in last.note
+
+
+def test_one_slot_comparison_for_states_and_outputs():
+    """Decoded states and decoded outputs go through one slot comparison:
+    a plain slot by its payload, a difference-list slot as a map over
+    the initial table, which must come from a functional list; so a
+    non-functional output list is reported as a state's is."""
+    sm = bundled("doubling")
+    machine, state = sm.machine(), sm.state({"stop": 4})
+    cm = compile_machine(machine, state)
+    initial = machine.initial_state(state)
+    f, i = cm.slots
+    tables = initial.dynamics
+    same = ((f, Value("L_f", ())), (i, Value("Nat", 0)))
+    moved = ((f, Value("L_f", ((1, 2),))), (i, Value("Nat", 0)))
+    twice = ((f, Value("L_f", ((1, 2), (1, 3)))), (i, Value("Nat", 0)))
+    for what in ("state mismatch: slot", "output mismatch:"):
+        assert _slot_diff(what, same, tables, initial) == ""
+        assert _slot_diff(what, ((i, Value("Nat", 3)),), tables, initial) == (
+            f"{what} i is 3 in the term, 0 in the machine")
+        merged = dict(tables["f"])
+        merged[(1,)] = 2
+        assert _slot_diff(what, moved, tables, initial) == (
+            f"{what} f is {merged!r} in the term, {tables['f']!r} in the machine")
+        assert _slot_diff(what, twice, tables, initial) == (
+            f"{what} f holds a non-functional list ((1, 2), (1, 3))")
 
 
 def test_lockstep_reports_undefined_application(euclid_cm):

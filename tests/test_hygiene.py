@@ -68,23 +68,32 @@ def test_no_unreferenced_top_level_names(path):
     assert not unreferenced, f"nothing refers to {path.name}: {unreferenced}"
 
 
-# Trace targets whose functions left the engine with the tuple format;
-# the tracer reports them absent.
-RETIRED_TARGETS = {"engine.to_tuple", "engine.from_tuple"}
+# Trace targets whose functions left the package, which the tracer
+# reports absent: the engine's tuple format, and the concrete block
+# function that "combinators.certify" wraps, which certification
+# stopped calling when it became one abstract block.
+RETIRED_TARGETS = {"engine.to_tuple", "engine.from_tuple", "combinators.certify"}
 
 
 def test_trace_targets_exist():
     """perfbench/tracing.py finds what it wraps by module and name, and
     perfbench/compare.py pairs runs by engine.KERNEL_NAME; read TARGETS
-    from the source, without running the benchmark."""
+    from the source, without running the benchmark.  A retired target
+    must really be gone, so the list hides no target that exists."""
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
     targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                    and [t.id for t in node.targets] == ["TARGETS"])
-    missing = []
+    missing, present, retired = [], [], set()
     for entry in targets.elts:
         name, home, attr = (ast.literal_eval(e) for e in entry.elts[:3])
-        if name not in RETIRED_TARGETS and not callable(
-                getattr(importlib.import_module(home), attr, None)):
+        exists = callable(getattr(importlib.import_module(home), attr, None))
+        if name in RETIRED_TARGETS:
+            retired.add(name)
+            if exists:
+                present.append(f"{home}.{attr}")
+        elif not exists:
             missing.append(f"{home}.{attr}")
     assert not missing, f"trace targets missing: {missing}"
+    assert not present, f"retired trace targets still exist: {present}"
+    assert retired == RETIRED_TARGETS, f"not trace targets: {RETIRED_TARGETS - retired}"
     assert hasattr(importlib.import_module("asmlc.engine"), "KERNEL_NAME")
