@@ -9,8 +9,9 @@ through evaluation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
+
+from .records import Checked, Frozen
 
 BOOL_SORT = "Bool"
 
@@ -43,8 +44,7 @@ CONNECTIVES = {"not": 1, "and": 2, "or": 2}
 # Vocabulary
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     name: str
     kind: str  # "static" | "dynamic"
     arg_sorts: tuple[str, ...]
@@ -57,12 +57,15 @@ class Symbol:
         return len(self.arg_sorts)
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class _VocabularyFields(NamedTuple):
     sorts: tuple[str, ...]
     symbols: dict[str, Symbol]
 
-    def __post_init__(self):
+
+class Vocabulary(Checked, _VocabularyFields):
+    __slots__ = ()
+
+    def _check(self):
         if BOOL_SORT not in self.sorts:
             raise ValueError("vocabulary must include the Bool sort")
         for sym in self.symbols.values():
@@ -91,24 +94,48 @@ class Vocabulary:
 # Terms over the vocabulary
 
 
-class TypedTerm:
+class TypedTerm(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class TVar(TypedTerm):
     """A term variable (used in initialization terms), with its sort."""
 
-    name: str
-    sort: str
+    __slots__ = __match_args__ = ("name", "sort")
+
+    def __init__(self, name: str, sort: str):
+        _tvar_name(self, name)
+        _tvar_sort(self, sort)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.sort) == (other.name, other.sort)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.sort))
 
 
-@dataclass(frozen=True, slots=True)
 class TApp(TypedTerm):
     """A symbol applied to argument terms (arity 0: a constant)."""
 
-    head: str
-    args: tuple[TypedTerm, ...] = ()
+    __slots__ = __match_args__ = ("head", "args")
+
+    def __init__(self, head: str, args: tuple[TypedTerm, ...] = ()):
+        _tapp_head(self, head)
+        _tapp_args(self, args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.head, self.args) == (other.head, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.head, self.args))
+
+
+_tvar_name, _tvar_sort = TVar.name.__set__, TVar.sort.__set__
+_tapp_head, _tapp_args = TApp.head.__set__, TApp.args.__set__
 
 
 def term_sort(voc: Vocabulary, t: TypedTerm) -> str:
@@ -138,23 +165,27 @@ def is_static_term(voc: Vocabulary, t: TypedTerm) -> bool:
 # States
 
 
-@dataclass(frozen=True)
-class State:
-    """Carriers per sort; static interpretations as partial callables on
-    payloads; dynamic interpretations as finite tables (missing entry =
-    undefined)."""
-
+class _StateFields(NamedTuple):
     voc: Vocabulary
     carriers: dict[str, tuple]
     statics: dict[str, Callable]
     dynamics: dict[str, dict[tuple, object]]
 
-    def __post_init__(self):
+
+class State(Checked, _StateFields):
+    """Carriers per sort; static interpretations as partial callables on
+    payloads; dynamic interpretations as finite tables (missing entry =
+    undefined)."""
+
+    __slots__ = ()
+
+    def _check(self):
         if tuple(self.carriers.get(BOOL_SORT, ())) not in ((True, False), (False, True)):
             raise ValueError("Bool carrier must be {True, False}")
 
     def with_dynamics(self, dynamics: dict[str, dict[tuple, object]]) -> "State":
-        return State(self.voc, self.carriers, self.statics, dynamics)
+        # The carriers are this state's, checked when it was built.
+        return tuple.__new__(State, (self.voc, self.carriers, self.statics, dynamics))
 
     def digest(self) -> tuple:
         """Hashable snapshot of the dynamic part, for trajectory
@@ -237,8 +268,7 @@ def _init_var_names(ell: int) -> list[str]:
     return [f"x{j}" for j in range(1, ell + 1)]
 
 
-@dataclass(frozen=True)
-class InitRule:
+class InitRule(NamedTuple):
     """ξ/J entry for one dynamic symbol: variable-position map sigma and
     a static-only term over variables x1..x_len(sigma)."""
 
@@ -277,42 +307,81 @@ def _carrier_grid(s: State, sorts: tuple[str, ...]):
 # Programs
 
 
-class Program:
+class Program(Frozen):
+    """Base of the program nodes.  The class is part of ``==``, so the
+    fieldless ``Skip()``, ``HaltI()`` and ``FailI()`` are pairwise
+    unequal (``normalize`` tells instructions apart by ``==``)."""
+
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Skip(Program):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class HaltI(Program):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class FailI(Program):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Update(Program):
-    symbol: str
-    args: tuple[TypedTerm, ...]
-    rhs: TypedTerm
+    __slots__ = __match_args__ = ("symbol", "args", "rhs")
+
+    def __init__(self, symbol: str, args: tuple[TypedTerm, ...], rhs: TypedTerm):
+        _update_symbol(self, symbol)
+        _update_args(self, args)
+        _update_rhs(self, rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.symbol, self.args, self.rhs)
+                    == (other.symbol, other.args, other.rhs))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.symbol, self.args, self.rhs))
 
 
-@dataclass(frozen=True, slots=True)
 class If(Program):
-    cond: TypedTerm
-    then: Program
-    orelse: Program = Skip()
+    __slots__ = __match_args__ = ("cond", "then", "orelse")
+
+    def __init__(self, cond: TypedTerm, then: Program, orelse: Program = Skip()):
+        _if_cond(self, cond)
+        _if_then(self, then)
+        _if_orelse(self, orelse)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.cond, self.then, self.orelse)
+                    == (other.cond, other.then, other.orelse))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.cond, self.then, self.orelse))
 
 
-@dataclass(frozen=True, slots=True)
 class Par(Program):
-    blocks: tuple[Program, ...]
+    __slots__ = __match_args__ = ("blocks",)
+
+    def __init__(self, blocks: tuple[Program, ...]):
+        _par_blocks(self, blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.blocks == other.blocks
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.blocks,))
+
+
+_update_symbol, _update_args = Update.symbol.__set__, Update.args.__set__
+_update_rhs = Update.rhs.__set__
+_if_cond, _if_then, _if_orelse = If.cond.__set__, If.then.__set__, If.orelse.__set__
+_par_blocks = Par.blocks.__set__
 
 
 def check_program(voc: Vocabulary, p: Program) -> None:
@@ -351,8 +420,7 @@ def program_symbols(p: Program) -> Iterable[str]:
             yield from program_symbols(b)
 
 
-@dataclass(frozen=True)
-class EvaluatedUpdate:
+class EvaluatedUpdate(NamedTuple):
     symbol: str
     args: tuple
     value: object
@@ -381,8 +449,7 @@ def detect_clash(updates: list[EvaluatedUpdate]):
 # Step outcomes and runs
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     kind: str  # continue|halt|implicit-halt|fail|clash
     next_state: Optional[State] = None
     outputs: Optional[dict] = None
@@ -454,8 +521,7 @@ def successor(s: State, p: Program) -> Outcome:
     return Outcome("continue", next_state=s.with_dynamics(dynamics))
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     outcome: Outcome  # final outcome, or kind "diverged" at the cutoff
     trajectory: tuple[State, ...]
     steps: int
@@ -476,8 +542,7 @@ def run_from_state(s: State, p: Program, max_steps: int) -> RunResult:
     return RunResult(Outcome("diverged"), tuple(trajectory), max_steps)
 
 
-@dataclass(frozen=True)
-class Machine:
+class Machine(NamedTuple):
     voc: Vocabulary
     program: Program
     init: InitMap

@@ -60,7 +60,7 @@ boundary once per F-phase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .encodings import identity_chain, select_first, tup
 from .engine import (
@@ -74,6 +74,7 @@ from .engine import (
 )
 from .good_terms import GCode, GoodTerm, const_count, to_term
 from .lambda_f import BOOL, UNKNOWN_BOOL, FSignature, bool_term, match_code
+from .records import Checked
 from .terms import Abs, App, Const, Term, Unknown, Value, Var, app, lam
 
 
@@ -96,8 +97,7 @@ def curry_fixpoint(f: Term) -> Term:
 ExitPart = GoodTerm | Term
 
 
-@dataclass(frozen=True)
-class UpdateBranch:
+class UpdateBranch(NamedTuple):
     """Guarded simultaneous update: slot j's next value is updates[j]
     evaluated on the current slot values.  ``label`` names the branch in
     reports."""
@@ -107,19 +107,22 @@ class UpdateBranch:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class ExitBranch:
-    """Guarded exit.  ``parts`` are good terms over the slots or closed
-    F-redex-free lambda terms; a single part is emitted bare unless
-    ``tuple_form`` forces the tuple wrapper.  ``label`` names the branch
-    in reports."""
-
+class _ExitBranchFields(NamedTuple):
     guard: GoodTerm
     parts: tuple[ExitPart, ...]
     tuple_form: bool = False
     label: str = ""
 
-    def __post_init__(self):
+
+class ExitBranch(Checked, _ExitBranchFields):
+    """Guarded exit.  ``parts`` are good terms over the slots or closed
+    F-redex-free lambda terms; a single part is emitted bare unless
+    ``tuple_form`` forces the tuple wrapper.  ``label`` names the branch
+    in reports."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not self.parts:
             raise ValueError("exit branch needs at least one part")
 
@@ -127,14 +130,12 @@ class ExitBranch:
 Branch = UpdateBranch | ExitBranch
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     name: str
     datatype: str
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """What certifying theta's (K, L) took: the paths of its abstract
     block, one per branch that theta's selection can reach, and the
     engine steps over all of them, each shared prefix counted once."""

@@ -19,8 +19,8 @@ the outputs, fail is the numeral 2, clash the numeral 3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 from .asm import (
     BUILTINS,
@@ -50,6 +50,7 @@ from .encodings import match_nat, nat
 from .good_terms import GApp, GCode, GoodTerm, GVar
 from .lambda_f import BOOL, DeltaType, FSignature, Value, code_term, install_delta
 from .normalize import Clause, GuardedProgram, normalize
+from .records import Fields
 from .terms import Abs, App, Term, Var, app
 
 SUCCESS_CODE, FAIL_CODE, CLASH_CODE = 1, 2, 3
@@ -135,8 +136,7 @@ def gdisj(parts: Sequence[GoodTerm]) -> GoodTerm:
 # Slots
 
 
-@dataclass(frozen=True)
-class SlotInfo:
+class SlotInfo(NamedTuple):
     symbol: str
     representation: str  # "value" | "delta"
     datatype: str  # sort name, or the delta-list datatype
@@ -251,13 +251,16 @@ def initial_values(slots: Sequence[SlotInfo], initial: State) -> tuple[Value, ..
 # Term translation: TypedTerm -> (value good term, definedness good term)
 
 
-@dataclass
-class Translator:
-    voc: Vocabulary
-    init: dict[str, InitRule]
-    slots: dict[str, SlotInfo]
-    partials: set[str]
-    sig: FSignature
+class Translator(Fields):
+    __match_args__ = ("voc", "init", "slots", "partials", "sig")
+
+    def __init__(self, voc: Vocabulary, init: dict[str, InitRule],
+                 slots: dict[str, SlotInfo], partials: set[str], sig: FSignature):
+        self.voc = voc
+        self.init = init
+        self.slots = slots
+        self.partials = partials
+        self.sig = sig
 
     def value_and_def(self, t: TypedTerm, env: Optional[dict[str, GoodTerm]] = None):
         if isinstance(t, TVar):
@@ -524,7 +527,7 @@ def compile_machine(
     # out branch is never the first true one.  So whenever every earlier
     # kept guard is false, the last kept guard is true, and theta can
     # take that branch as its else-arm without testing it.
-    kept[-1] = replace(kept[-1], guard=G_TRUE)
+    kept[-1] = kept[-1]._replace(guard=G_TRUE)
 
     # no slot code can stand for an undefined initial value
     initial_values(slots, machine.initial_state(state))
@@ -536,8 +539,7 @@ def compile_machine(
 # Result decoding
 
 
-@dataclass(frozen=True)
-class DecodedResult:
+class DecodedResult(NamedTuple):
     kind: str  # "running" | "success" | "fail" | "clash"
     values: Optional[tuple[Value, ...]] = None  # slots when running
     outputs: Optional[dict] = None  # decoded outputs on success

@@ -7,7 +7,7 @@ driver (``combinators.blocks``) from the round's start.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .asm import Machine, State, run
 from .combinators import blocks, curry_fixpoint
@@ -27,8 +27,7 @@ from .lambda_f import UndefinedApplication
 from .terms import Abs, App, Term, Var, alpha_eq, app
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     index: int
     beta_count: int
     f_count: int
@@ -37,8 +36,7 @@ class RoundRecord:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class LockstepReport:
+class LockstepReport(NamedTuple):
     K: int
     L: int
     rounds: tuple[RoundRecord, ...]
@@ -180,8 +178,7 @@ def lockstep(machine: Machine, cm: CompiledMachine, state: State,
 # Decoration audit
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     name: str
     parameters: str
     claimed: str

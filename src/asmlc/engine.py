@@ -85,8 +85,8 @@ under a compiled machine, can pass a ``memo`` dict keyed by the start
 term; a repeated round is then one dict lookup (memo functions: Michie
 1968, "Memo functions and machine learning").  The key is structural,
 so it covers equal copies, not only the same node; hashing is cheap
-because ``App`` and ``Abs`` cache their hash (``terms``), so theta is
-hashed once and a round start hashes only its fresh spine.  The memo
+because ``App``, ``Abs`` and ``Code`` cache their hash (``terms``), so
+theta is hashed once and a round start hashes only its fresh nodes.  The memo
 sits inside ``advance_term``, not in its callers, so a wrapper around
 ``advance_term`` (a tracer counting its calls and steps) still sees one
 call per round with that round's counts.  The memo holds one entry per

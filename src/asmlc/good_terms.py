@@ -8,34 +8,69 @@ the node count, independent of the substituted values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .lambda_f import FSignature, UndefinedApplication, code_term, match_code
+from .records import Frozen
 from .reduction import Status
 from .terms import Const, Term, Value, Var, app
 from . import lambda_f
 
 
-class GoodTerm:
+class GoodTerm(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class GVar(GoodTerm):
-    name: str
-    datatype: str
+    __slots__ = __match_args__ = ("name", "datatype")
+
+    def __init__(self, name: str, datatype: str):
+        _gvar_name(self, name)
+        _gvar_datatype(self, datatype)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.datatype) == (other.name, other.datatype)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.datatype))
 
 
-@dataclass(frozen=True, slots=True)
 class GCode(GoodTerm):
-    value: Value
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: Value):
+        _gcode_value(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True, slots=True)
 class GApp(GoodTerm):
-    symbol: str
-    args: tuple[GoodTerm, ...] = ()
+    __slots__ = __match_args__ = ("symbol", "args")
+
+    def __init__(self, symbol: str, args: tuple[GoodTerm, ...] = ()):
+        _gapp_symbol(self, symbol)
+        _gapp_args(self, args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.symbol, self.args) == (other.symbol, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.symbol, self.args))
+
+
+_gvar_name, _gvar_datatype = GVar.name.__set__, GVar.datatype.__set__
+_gcode_value = GCode.value.__set__
+_gapp_symbol, _gapp_args = GApp.symbol.__set__, GApp.args.__set__
 
 
 def check_good(t: GoodTerm, sig: FSignature) -> str:

@@ -13,10 +13,10 @@ it is plain leftmost beta reduction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .asm import BUILTINS, CONNECTIVES
+from .records import Fields
 from .reduction import (
     Addr,
     ReduceResult,
@@ -82,8 +82,7 @@ class UndefinedApplication(ReductionError):
         self.args = args
 
 
-@dataclass(frozen=True)
-class FFunction:
+class FFunction(NamedTuple):
     name: str
     arg_datatypes: tuple[str, ...]
     result_datatype: str
@@ -100,11 +99,13 @@ class FFunction:
         return Value(self.result_datatype, out)
 
 
-@dataclass
-class FSignature:
+class FSignature(Fields):
     """A family of semantic functions indexed by constant name."""
 
-    functions: dict[str, FFunction] = field(default_factory=dict)
+    __match_args__ = ("functions",)
+
+    def __init__(self, functions: Optional[dict[str, FFunction]] = None):
+        self.functions = {} if functions is None else functions
 
     def add(self, name, arg_datatypes, result_datatype, fn) -> FFunction:
         if name in self.functions:
@@ -220,8 +221,7 @@ def reduce_leftmost_f(t: Term, sig: FSignature, max_steps: int) -> ReduceResult:
 # Delta lists: finite-difference state for dynamic functions.
 
 
-@dataclass(frozen=True)
-class DeltaType:
+class DeltaType(NamedTuple):
     """One tuple type epsilon = (arg datatypes..., result datatype) with
     its list datatype and the five operation names."""
 

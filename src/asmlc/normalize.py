@@ -10,9 +10,8 @@ with no instructions are dropped (they contribute nothing).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .asm import (
     FailI,
@@ -31,14 +30,12 @@ Literal = tuple[TypedTerm, bool]  # (condition, expected truth value)
 Instruction = Program  # Update | HaltI | FailI
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     literals: tuple[Literal, ...]
     instructions: tuple[Instruction, ...]
 
 
-@dataclass(frozen=True)
-class GuardedProgram:
+class GuardedProgram(NamedTuple):
     conditions: tuple[TypedTerm, ...]
     clauses: tuple[Clause, ...]
 

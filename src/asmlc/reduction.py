@@ -10,10 +10,10 @@ budget, and divergence is a reported outcome.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
+from .records import Frozen
 from .terms import Abs, App, Term, Var, canonical, term_size
 
 sys.setrecursionlimit(100_000)
@@ -38,16 +38,20 @@ class Status(Enum):
     UNDEFINED = "undefined-application"
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(NamedTuple):
     kind: str  # "beta" | "f"
     address: Addr
     after: Term
 
 
-@dataclass(frozen=True, slots=True)
-class Trace:
-    steps: tuple[Step, ...]
+class Trace(Frozen):
+    """A ``Frozen`` node rather than a record: its length is its number
+    of steps, which a ``NamedTuple``'s cannot be."""
+
+    __slots__ = __match_args__ = ("steps",)
+
+    def __init__(self, steps: tuple[Step, ...]):
+        _trace_steps(self, steps)
 
     @property
     def beta_count(self) -> int:
@@ -61,8 +65,10 @@ class Trace:
         return len(self.steps)
 
 
-@dataclass(frozen=True, slots=True)
-class ReduceResult:
+_trace_steps = Trace.steps.__set__
+
+
+class ReduceResult(NamedTuple):
     term: Term
     trace: Trace
     status: Status

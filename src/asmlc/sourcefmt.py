@@ -36,9 +36,8 @@ element.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .asm import (
     BOOL_SORT,
@@ -61,10 +60,10 @@ from .asm import (
     Vocabulary,
     check_program,
 )
+from .records import Fields
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     line: int
     column: int
     message: str
@@ -81,8 +80,7 @@ class SourceError(ValueError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class SortDecl:
+class SortDecl(NamedTuple):
     name: str
     lo: Optional[int] = None
     hi: Optional[int] = None
@@ -95,8 +93,7 @@ class SortDecl:
         return tuple(range(self.lo, self.hi + 1))
 
 
-@dataclass(frozen=True)
-class StaticDecl:
+class StaticDecl(NamedTuple):
     name: str
     arg_sorts: tuple[str, ...]
     result: str
@@ -104,16 +101,14 @@ class StaticDecl:
                  # | ("literal", value) | ("element", value)
 
 
-@dataclass(frozen=True)
-class DynamicDecl:
+class DynamicDecl(NamedTuple):
     name: str
     arg_sorts: tuple[str, ...]
     result: str
     output: bool
 
 
-@dataclass(frozen=True)
-class InitDecl:
+class InitDecl(NamedTuple):
     name: str
     params: tuple[str, ...]
     term: TypedTerm  # over TVar(param, sort)
@@ -124,15 +119,28 @@ class InitDecl:
 _INJECTED = {"true": 0, "false": 0, **CONNECTIVES}
 
 
-@dataclass
-class SourceMachine:
-    sorts: list[SortDecl]
-    statics: list[StaticDecl]
-    dynamics: list[DynamicDecl]
-    inits: list[InitDecl]
-    program: Program
+class SourceMachine(Fields):
+    """The declarations of one source file.  ``machine()`` and every
+    ``state()`` share one vocabulary, built from the declarations on
+    first use, so change no declaration after that."""
+
+    __match_args__ = ("sorts", "statics", "dynamics", "inits", "program")
+
+    def __init__(self, sorts: list[SortDecl], statics: list[StaticDecl],
+                 dynamics: list[DynamicDecl], inits: list[InitDecl], program: Program):
+        self.sorts = sorts
+        self.statics = statics
+        self.dynamics = dynamics
+        self.inits = inits
+        self.program = program
+        self._voc: Optional[Vocabulary] = None
 
     def vocabulary(self) -> Vocabulary:
+        if self._voc is None:
+            self._voc = self._build_vocabulary()
+        return self._voc
+
+    def _build_vocabulary(self) -> Vocabulary:
         names = [BOOL_SORT] + [s.name for s in self.sorts]
         symbols: dict[str, Symbol] = {}
         for st in self.statics:
@@ -254,12 +262,14 @@ _TOKEN = re.compile(
     r"|(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
 )
 
-@dataclass
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
+class _Tok(Fields):
+    __match_args__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _lex(src: str) -> list[_Tok]:
@@ -356,11 +366,14 @@ def parse_source(src: str) -> SourceMachine:
     return SourceMachine(sorts, statics, dynamics, inits, program)
 
 
-@dataclass
-class _Ctx:
-    sorts: list[SortDecl]
-    statics: list[StaticDecl]
-    dynamics: list[DynamicDecl]
+class _Ctx(Fields):
+    __match_args__ = ("sorts", "statics", "dynamics")
+
+    def __init__(self, sorts: list[SortDecl], statics: list[StaticDecl],
+                 dynamics: list[DynamicDecl]):
+        self.sorts = sorts
+        self.statics = statics
+        self.dynamics = dynamics
 
     def numeric_sort(self, p: _P, tok: _Tok) -> str:
         ranges = [s for s in self.sorts if not s.elements]

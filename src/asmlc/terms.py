@@ -1,22 +1,23 @@
 """Untyped lambda terms with constants and opaque value codes.
 
-Term nodes are immutable: assigning to or deleting any attribute raises
-``dataclasses.FrozenInstanceError``.  Equality, hashing and ``repr`` are
-those of frozen dataclasses over the fields.  Each node also carries
-three facts, computed once when it is built from its children's facts
-and kept out of equality, hashing and ``repr``:
+Term nodes are ``records.Frozen`` nodes: assigning to or deleting any
+attribute raises ``dataclasses.FrozenInstanceError``, and equality,
+hashing and ``repr`` are those of frozen dataclasses over the fields.
+Each node also carries three facts, computed once when it is built from
+its children's facts and kept out of equality, hashing and ``repr``:
 
 - ``fv``: the frozenset of its free variables;
 - ``beta``: whether it contains a beta redex;
 - ``const``: whether it contains a ``Const`` node.
 
-``App`` and ``Abs`` cache their structural hash, ``hash((fun, arg))``
-or ``hash((binder, body))``, in a ``_hash`` slot on first use, so a
-term shared by many keys (theta, in the engine's round memo) is hashed
-once and a new term costs only the nodes built since.  The cache is a
-value, not a field: it is kept out of equality, ``repr`` and pickling
-(string hashes differ between processes), and like the fields it
-cannot be assigned or deleted.
+``App``, ``Abs`` and ``Code`` cache their structural hash,
+``hash((fun, arg))``, ``hash((binder, body))`` or ``hash((value,))``,
+in a ``_hash`` slot on first use, so a term shared by many keys (theta,
+in the engine's round memo) is hashed once, a new term costs only the
+nodes built since, and a code's payload (a delta list can be long) is
+hashed once per node.  The cache is a value, not a field: it is kept
+out of equality, ``repr`` and pickling (string hashes differ between
+processes), and like the fields it cannot be assigned or deleted.
 
 Alpha-equivalence is decided through a canonical renaming of binders
 (position-indexed), so canonical terms can be hashed and compared
@@ -24,8 +25,9 @@ structurally.
 """
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from typing import Iterator, NamedTuple
+
+from .records import Frozen
 
 
 BOOL = "Bool"
@@ -45,25 +47,11 @@ class Value(NamedTuple):
     payload: object
 
 
-class Term:
-    """Base of the node classes.  ``__match_args__`` lists each class's
-    fields.  Constructors write their slots through the slot descriptors
-    (bound once per class below), since ``__setattr__`` refuses."""
+class Term(Frozen):
+    """Base of the node classes.  Constructors write their slots through
+    the slot descriptors bound once per class below."""
 
     __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
 class Var(Term):
@@ -163,7 +151,7 @@ class Code(Term):
     by substitution.  Booleans have no Code nodes: their codes are the
     lambda booleans, so that guard results can select branches."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
     __match_args__ = ("value",)
     fv = _EMPTY
     beta = const = False
@@ -179,7 +167,12 @@ class Code(Term):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value,))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.value,))
+            _code_hash(self, h)
+            return h
 
 
 class Unknown(Term):
@@ -213,7 +206,7 @@ _app_fun, _app_arg = App.fun.__set__, App.arg.__set__
 _app_fv, _app_beta, _app_const = App.fv.__set__, App.beta.__set__, App.const.__set__
 _app_hash = App._hash.__set__
 _const_symbol = Const.symbol.__set__
-_code_value = Code.value.__set__
+_code_value, _code_hash = Code.value.__set__, Code._hash.__set__
 _unknown_datatype = Unknown.datatype.__set__
 
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from collections import Counter
@@ -27,6 +28,8 @@ from asmlc.asm import (
     run,
     successor,
 )
+from asmlc.combinators import ExitBranch
+from asmlc.good_terms import GApp, GVar
 from asmlc.normalize import normalize, to_program
 
 from conftest import bundled, counter_state, counter_vocabulary, random_program
@@ -467,3 +470,36 @@ def test_successor_evaluates_each_node_once(rng):
             assert calls[name] == nodes[name], (name, calls[name], nodes[name])
         for name, n in calls.items():
             assert n <= nodes[name], (name, n, nodes[name])
+
+
+def test_fieldless_instructions_are_pairwise_unequal_and_truthy():
+    nodes = (Skip(), HaltI(), FailI())
+    for a, b in itertools.combinations(nodes, 2):
+        assert a != b and b != a and not a == b
+    for n in nodes:
+        assert n and n == type(n)() and hash(n) == hash(type(n)())
+    assert len(set(nodes)) == 3
+
+
+def test_record_checks_run_on_every_value_built_from_outside():
+    """Vocabulary, State and ExitBranch check their fields however they
+    are built: called, by _make or _replace, or copied."""
+    voc = counter_vocabulary()
+    s = counter_state(voc, 1, 2)
+    exit_branch = ExitBranch(GApp("true"), (GVar("a", "Nat"),))
+    bad = [
+        lambda: Vocabulary(("Nat",), {}),
+        lambda: Vocabulary._make((("Nat",), {})),
+        lambda: voc._replace(sorts=("Nat",)),
+        lambda: Vocabulary(voc.sorts, {"c": Symbol("c", "static", (), "Int")}),
+        lambda: Vocabulary(voc.sorts, {"c": Symbol("c", "static", (), "Nat", is_output=True)}),
+        lambda: State(voc, {"Bool": (True,)}, s.statics, s.dynamics),
+        lambda: s._replace(carriers={}),
+        lambda: ExitBranch(GApp("true"), ()),
+        lambda: exit_branch._replace(parts=()),
+    ]
+    for build in bad:
+        with pytest.raises(ValueError):
+            build()
+    assert s.with_dynamics({}).carriers is s.carriers
+    assert copy.deepcopy(s).dynamics == s.dynamics

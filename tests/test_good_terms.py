@@ -15,10 +15,10 @@ from asmlc.good_terms import (
     variables,
 )
 from asmlc.lambda_f import BOOL, FSignature, Value, reduce_leftmost_f, match_code
-from asmlc.asm import TApp
+from asmlc.asm import FailI, HaltI, Skip, TApp, TVar
 from asmlc.compiler import G_TRUE, Translator, lower_signature, make_slots
 from asmlc.reduction import Status
-from asmlc.terms import Const
+from asmlc.terms import Code, Const, Var
 
 from conftest import bundled
 
@@ -102,3 +102,19 @@ def test_translator_turns_dynamic_constants_into_variables():
     assert {v.name for v in variables(g)} == {"b"}
     assert g.args[0] == GCode(Value("Nat", 0))
     assert defined == G_TRUE
+
+
+def test_nodes_of_different_classes_with_the_same_fields_are_unequal():
+    v = Value("Nat", 1)
+    groups = [
+        (GVar("a", "Nat"), TVar("a", "Nat")),
+        (GApp("zero"), TApp("zero")),
+        (GApp("f", (GVar("a", "Nat"),)), TApp("f", (TVar("a", "Nat"),))),
+        (GCode(v), Code(v)),
+        (GVar("a", "Nat"), Var("a")),
+        (Skip(), HaltI(), FailI()),
+    ]
+    for group in groups:
+        for a, b in itertools.permutations(group, 2):
+            assert a != b and not a == b
+        assert len(set(group)) == len(group)

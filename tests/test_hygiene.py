@@ -1,13 +1,53 @@
 """Every name a module of the package or a test module imports is used
 in that module, every name a module of the package defines at top level
 is referred to somewhere, and every function the benchmark's tracer
-wraps by name still exists."""
+wraps by name still exists.  Only two classes of the package are
+dataclasses, and every other one keeps what a dataclass gave it: field
+names and order, construction, ``repr``, equality, hash and, unless it
+is a mutable helper, immutability."""
 import ast
 import functools
 import importlib
 from pathlib import Path
 
 import pytest
+
+from asmlc.asm import (
+    EvaluatedUpdate,
+    FailI,
+    HaltI,
+    If,
+    InitRule,
+    Machine,
+    Outcome,
+    Par,
+    RunResult,
+    Skip,
+    State,
+    Symbol,
+    TApp,
+    TVar,
+    Update,
+    Vocabulary,
+)
+from asmlc.combinators import Certificate, ExitBranch, Slot, UpdateBranch
+from asmlc.compiler import DecodedResult, SlotInfo, Translator
+from asmlc.cosim import AuditRow, LockstepReport, RoundRecord
+from asmlc.good_terms import GApp, GCode, GVar
+from asmlc.lambda_f import DeltaType, FFunction, FSignature
+from asmlc.normalize import Clause, GuardedProgram
+from asmlc.reduction import ReduceResult, Status, Step, Trace
+from asmlc.sourcefmt import (
+    Diagnostic,
+    DynamicDecl,
+    InitDecl,
+    SortDecl,
+    SourceMachine,
+    StaticDecl,
+    _Ctx,
+    _Tok,
+)
+from asmlc.terms import Value, Var
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "asmlc"
@@ -97,3 +137,155 @@ def test_trace_targets_exist():
     assert not present, f"retired trace targets still exist: {present}"
     assert retired == RETIRED_TARGETS, f"not trace targets: {RETIRED_TARGETS - retired}"
     assert hasattr(importlib.import_module("asmlc.engine"), "KERNEL_NAME")
+
+
+# The classes that keep @dataclass: they use dataclasses.replace, fields
+# left out of ==, and an init=False field.  Every other decorated class
+# costs about 1 ms of every start-up, spent writing its methods.
+KEPT_DATACLASSES = {"CompiledCombinator", "CompiledMachine"}
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Name) and node.id == "dataclass"
+            or isinstance(node, ast.Attribute) and node.attr == "dataclass")
+
+
+def test_only_the_kept_classes_are_dataclasses():
+    decorated = {f"{path.name}:{node.name}"
+                 for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ClassDef)
+                 and any(map(_is_dataclass_decorator, node.decorator_list))}
+    extra = sorted(d for d in decorated if d.split(":")[1] not in KEPT_DATACLASSES)
+    assert not extra, f"classes that generate dataclass code at import: {extra}"
+
+
+_VOC = Vocabulary(("Bool",), {})
+# One factory and the repr a dataclass gave its instance, per class.
+_CLASSES = [
+    (lambda: Symbol("c", "dynamic", ("Nat",), "Nat", is_output=True),
+     "Symbol(name='c', kind='dynamic', arg_sorts=('Nat',), result_sort='Nat', "
+     "is_input=False, is_output=True)"),
+    (lambda: Vocabulary(("Bool",), {}), "Vocabulary(sorts=('Bool',), symbols={})"),
+    (lambda: TVar("x1", "Nat"), "TVar(name='x1', sort='Nat')"),
+    (lambda: TApp("succ", (TVar("x1", "Nat"),)),
+     "TApp(head='succ', args=(TVar(name='x1', sort='Nat'),))"),
+    (lambda: State(_VOC, {"Bool": (True, False)}, {}, {}),
+     "State(voc=Vocabulary(sorts=('Bool',), symbols={}), carriers={'Bool': (True, False)}, "
+     "statics={}, dynamics={})"),
+    (lambda: InitRule((1,), TVar("x1", "Nat")),
+     "InitRule(sigma=(1,), term=TVar(name='x1', sort='Nat'))"),
+    (Skip, "Skip()"),
+    (HaltI, "HaltI()"),
+    (FailI, "FailI()"),
+    (lambda: Update("c", (), TApp("zero")),
+     "Update(symbol='c', args=(), rhs=TApp(head='zero', args=()))"),
+    (lambda: If(TApp("true"), HaltI()),
+     "If(cond=TApp(head='true', args=()), then=HaltI(), orelse=Skip())"),
+    (lambda: Par((HaltI(), FailI())), "Par(blocks=(HaltI(), FailI()))"),
+    (lambda: EvaluatedUpdate("c", (), 0, Update("c", (), TApp("zero"))),
+     "EvaluatedUpdate(symbol='c', args=(), value=0, source=Update(symbol='c', args=(), "
+     "rhs=TApp(head='zero', args=())))"),
+    (lambda: Outcome("halt", outputs={"c": 0}),
+     "Outcome(kind='halt', next_state=None, outputs={'c': 0}, reason=None, witness=None)"),
+    (lambda: RunResult(Outcome("diverged"), (), 3),
+     "RunResult(outcome=Outcome(kind='diverged', next_state=None, outputs=None, "
+     "reason=None, witness=None), trajectory=(), steps=3)"),
+    (lambda: Machine(_VOC, Skip(), {}),
+     "Machine(voc=Vocabulary(sorts=('Bool',), symbols={}), program=Skip(), init={})"),
+    (lambda: UpdateBranch(GApp("true"), (GVar("a", "Nat"),), label="step"),
+     "UpdateBranch(guard=GApp(symbol='true', args=()), "
+     "updates=(GVar(name='a', datatype='Nat'),), label='step')"),
+    (lambda: ExitBranch(GApp("true"), (GVar("a", "Nat"),)),
+     "ExitBranch(guard=GApp(symbol='true', args=()), "
+     "parts=(GVar(name='a', datatype='Nat'),), tuple_form=False, label='')"),
+    (lambda: Slot("a", "Nat"), "Slot(name='a', datatype='Nat')"),
+    (lambda: Certificate(2, 21), "Certificate(paths=2, steps=21)"),
+    (lambda: SlotInfo("a", "value", "Nat", "Nat"),
+     "SlotInfo(symbol='a', representation='value', datatype='Nat', sort='Nat', delta=None)"),
+    (lambda: Translator(_VOC, {}, {}, set(), FSignature()),
+     "Translator(voc=Vocabulary(sorts=('Bool',), symbols={}), init={}, slots={}, "
+     "partials=set(), sig=FSignature(functions={}))"),
+    (lambda: DecodedResult("fail"), "DecodedResult(kind='fail', values=None, outputs=None)"),
+    (lambda: RoundRecord(1, 8, 7, "running", True),
+     "RoundRecord(index=1, beta_count=8, f_count=7, kind='running', match=True, note='')"),
+    (lambda: LockstepReport(8, 7, (), "halt", "success", "pass"),
+     "LockstepReport(K=8, L=7, rounds=(), asm_outcome='halt', term_outcome='success', "
+     "verdict='pass')"),
+    (lambda: AuditRow("nat", "n=3", "1", "1", True),
+     "AuditRow(name='nat', parameters='n=3', claimed='1', measured='1', match=True, note='')"),
+    (lambda: GVar("a", "Nat"), "GVar(name='a', datatype='Nat')"),
+    (lambda: GCode(Value("Nat", 1)), "GCode(value=Value(datatype='Nat', payload=1))"),
+    (lambda: GApp("zero"), "GApp(symbol='zero', args=())"),
+    (lambda: FFunction("neg", ("Int",), "Int", abs),
+     "FFunction(name='neg', arg_datatypes=('Int',), result_datatype='Int', "
+     "fn=<built-in function abs>)"),
+    (FSignature, "FSignature(functions={})"),
+    (lambda: DeltaType("f", ("Nat",), "Nat"),
+     "DeltaType(name='f', arg_datatypes=('Nat',), result_datatype='Nat')"),
+    (lambda: Clause(((TApp("true"), False),), (HaltI(),)),
+     "Clause(literals=((TApp(head='true', args=()), False),), instructions=(HaltI(),))"),
+    (lambda: GuardedProgram((TApp("true"),), ()),
+     "GuardedProgram(conditions=(TApp(head='true', args=()),), clauses=())"),
+    (lambda: Step("beta", ("fun",), Var("x")),
+     "Step(kind='beta', address=('fun',), after=Var(name='x'))"),
+    (lambda: Trace((Step("f", (), Var("x")),)),
+     "Trace(steps=(Step(kind='f', address=(), after=Var(name='x')),))"),
+    (lambda: ReduceResult(Var("x"), Trace(()), Status.NORMAL),
+     "ReduceResult(term=Var(name='x'), trace=Trace(steps=()), status=<Status.NORMAL: 'normal'>)"),
+    (lambda: Diagnostic(1, 2, "bad"), "Diagnostic(line=1, column=2, message='bad')"),
+    (lambda: SortDecl("Nat", 0, 3), "SortDecl(name='Nat', lo=0, hi=3, elements=())"),
+    (lambda: StaticDecl("stop", (), "Nat", ("input",)),
+     "StaticDecl(name='stop', arg_sorts=(), result='Nat', impl=('input',))"),
+    (lambda: DynamicDecl("c", (), "Nat", False),
+     "DynamicDecl(name='c', arg_sorts=(), result='Nat', output=False)"),
+    (lambda: InitDecl("c", ("x",), TVar("x", "Nat")),
+     "InitDecl(name='c', params=('x',), term=TVar(name='x', sort='Nat'))"),
+    (lambda: SourceMachine([], [], [], [], Skip()),
+     "SourceMachine(sorts=[], statics=[], dynamics=[], inits=[], program=Skip())"),
+    (lambda: _Tok("ident", "x", 1, 2), "_Tok(kind='ident', text='x', line=1, col=2)"),
+    (lambda: _Ctx([], [], []), "_Ctx(sorts=[], statics=[], dynamics=[])"),
+]
+_IDS = [type(make()).__name__ for make, _ in _CLASSES]
+MUTABLE_HELPERS = {"Translator", "FSignature", "SourceMachine", "_Tok", "_Ctx"}
+
+
+def test_the_table_holds_every_converted_class():
+    defined = {node.name for path in MODULES for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    assert set(_IDS) <= defined and len(_IDS) == 45
+    assert not KEPT_DATACLASSES & set(_IDS)
+
+
+@pytest.mark.parametrize("make, expected", _CLASSES, ids=_IDS)
+def test_class_keeps_repr_construction_equality_and_hash(make, expected):
+    obj = make()
+    assert repr(obj) == expected
+    fields = obj.__match_args__
+    values = tuple(getattr(obj, f) for f in fields)
+    assert make() == obj == type(obj)(*values) == type(obj)(**dict(zip(fields, values)))
+    assert obj != object()
+    if type(obj).__name__ in MUTABLE_HELPERS:
+        with pytest.raises(TypeError):
+            hash(obj)
+        return
+    try:
+        structural = hash(values)
+    except TypeError:  # a dict field
+        with pytest.raises(TypeError):
+            hash(obj)
+    else:
+        assert hash(obj) == structural == hash(make())
+
+
+@pytest.mark.parametrize("make, expected", _CLASSES, ids=_IDS)
+def test_class_refuses_assignment_unless_a_mutable_helper(make, expected):
+    obj = make()
+    if type(obj).__name__ in MUTABLE_HELPERS:
+        obj.extra = 1
+        return
+    for name in obj.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    assert repr(obj) == expected

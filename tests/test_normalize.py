@@ -37,6 +37,14 @@ def test_empty_clauses_dropped():
     assert gp.clauses == ()
 
 
+def test_fieldless_instructions_stay_apart():
+    """normalize tells instructions apart by ==, and HaltI() and FailI()
+    have no fields: both stay in the one clause."""
+    gp = normalize(Par((HaltI(), FailI())))
+    assert gp.conditions == ()
+    assert [cl.instructions for cl in gp.clauses] == [(HaltI(), FailI())]
+
+
 def test_normalized_program_equivalent_on_examples():
     voc = counter_vocabulary()
     states = [counter_state(voc, p, q) for p in range(4) for q in range(4)]

@@ -33,6 +33,14 @@ def test_parse_and_run_doubling():
     assert all(f[(i,)] == 2 * i for i in range(3))
 
 
+def test_machine_and_states_share_one_vocabulary():
+    sm = parse_source(EUCLID)
+    voc = sm.machine().voc
+    a, b = sm.state({"a0": 3, "b0": 2}), sm.state({"a0": 5, "b0": 4})
+    assert voc is a.voc is b.voc is sm.vocabulary()
+    assert a.statics["a0"]() == 3 and b.statics["a0"]() == 5
+
+
 def test_inputs_default_to_first_carrier_element():
     sm = parse_source(EUCLID)
     r = run(sm.machine(), sm.state({}), 50)  # a0 = b0 = 0

@@ -142,14 +142,16 @@ def test_equality_hash_and_repr_are_structural():
 def test_cached_hash_is_the_structural_hash():
     s = _build()
     h = hash(s)
-    assert s._hash == h and s.fun._hash == hash(s.fun)
+    assert s._hash == h and s.fun._hash == hash(s.fun) and s.arg._hash == hash(s.arg)
     assert hash(s) == h == hash((s.fun, s.arg))
     fresh = _build()
     assert hash(fresh) == h == hash((fresh.fun, fresh.arg))
     assert hash(s.fun) == hash((s.fun.binder, s.fun.body))
+    assert hash(s.arg) == hash((s.arg.value,)) == hash(fresh.arg)
 
 
-@pytest.mark.parametrize("node", [_build(), _build().fun], ids=["App", "Abs"])
+@pytest.mark.parametrize("node", [_build(), _build().fun, _build().arg],
+                         ids=["App", "Abs", "Code"])
 def test_hash_cache_cannot_be_assigned_or_deleted(node):
     for _ in range(2):  # before and after the cache is filled
         with pytest.raises(FrozenInstanceError):
@@ -161,13 +163,13 @@ def test_hash_cache_cannot_be_assigned_or_deleted(node):
 
 
 def test_hash_cache_stays_out_of_pickling_and_repr():
-    s = _build()
-    h = hash(s)
-    for copied in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
-        with pytest.raises(AttributeError):
-            copied._hash  # rebuilt, not copied
-        assert copied == s and hash(copied) == h
-    assert "_hash" not in repr(s)
+    for node in (_build(), _build().fun, _build().arg):
+        h = hash(node)
+        for copied in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node)):
+            with pytest.raises(AttributeError):
+                copied._hash  # rebuilt, not copied
+            assert copied == node and hash(copied) == h
+        assert "_hash" not in repr(node)
 
 
 def test_advance_without_a_memo_hashes_no_term(monkeypatch):
