@@ -10,17 +10,17 @@ compiled again in every process):
 - ``asmlc compile machines/euclid.asm``: the console script's entry
   point, ``asmlc.cli.main``, on the bundled euclid machine.
 
-The commands run in turn, R rounds of all three, so that drift in the
+The commands run in turn, 21 rounds of all three, so that drift in the
 machine's load spreads evenly over them; each command's time is the
 wall clock of its whole process, and the record keeps the median and
-quartiles over the R runs.  One more fresh process counts the classes
+quartiles over the 21 runs.  One more fresh process counts the classes
 that ``dataclasses`` processes while ``asmlc.cli`` is imported (by
 wrapping ``dataclasses._process_class``): each costs about 1 ms of
 generated and ``exec``-ed methods, and the count is deterministic, so
 it compares checkouts where the timings are noisy.
 
-    PYTHONPATH=src python3 benchmarks/bench_startup.py [--runs R]
-        [--label NAME] [--json BENCH_startup.json]
+    PYTHONPATH=src python3 benchmarks/bench_startup.py [--label NAME]
+        [--json BENCH_startup.json]
 
 With ``--json`` the record is merged into that file under ``--label``,
 so runs of two checkouts (point PYTHONPATH at each one's ``src``) sit
@@ -47,7 +47,7 @@ COMMANDS = {
         "-c", "import sys; from asmlc.cli import main; sys.exit(main())",
         "compile", str(EUCLID)],
 }
-MIN_RUNS = 15
+RUNS = 21
 
 # Run in a fresh process: prints the dataclasses processed during the
 # import of asmlc.cli, and where the package was imported from.
@@ -70,11 +70,11 @@ def _run(argv: list[str]) -> float:
     return time.perf_counter() - t0
 
 
-def bench(runs: int) -> dict:
+def bench() -> dict:
     times: dict[str, list[float]] = {name: [] for name in COMMANDS}
     for name, argv in COMMANDS.items():  # warm the file cache, untimed
         _run(argv)
-    for _ in range(runs):
+    for _ in range(RUNS):
         for name, argv in COMMANDS.items():
             times[name].append(_run(argv))
     out = {}
@@ -93,26 +93,22 @@ def dataclass_count() -> tuple[list[str], Path]:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--runs", type=int, default=21,
-                    help=f"rounds of the three commands, at least {MIN_RUNS} (default 21)")
     ap.add_argument("--label", default="current", help="record name in --json")
     ap.add_argument("--json", type=Path, help="merge the record into this file")
     args = ap.parse_args()
-    if args.runs < MIN_RUNS:
-        ap.error(f"--runs must be at least {MIN_RUNS}")
 
     names, package = dataclass_count()
     record = {"python": platform.python_version(),
-              "nproc": len(os.sched_getaffinity(0)), "runs": args.runs,
+              "nproc": len(os.sched_getaffinity(0)), "runs": RUNS,
               "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
               "bytecode_cached": (package / "__pycache__").is_dir(),
               "dataclasses_processed": len(names), "dataclasses": names,
-              "commands": bench(args.runs)}
+              "commands": bench()}
     print(f"dataclasses processed while importing asmlc.cli: {len(names)}")
     for name, row in record["commands"].items():
         print(f"{name:>34}: median {row['median_s'] * 1000:.1f} ms "
               f"(quartiles {row['q1_s'] * 1000:.1f}-{row['q3_s'] * 1000:.1f} ms, "
-              f"{args.runs} runs)")
+              f"{RUNS} runs)")
     if args.json:
         data = json.loads(args.json.read_text()) if args.json.exists() else {}
         data[args.label] = record

@@ -107,14 +107,6 @@ class TVar(TypedTerm):
         _tvar_name(self, name)
         _tvar_sort(self, sort)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.sort) == (other.name, other.sort)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.sort))
-
 
 class TApp(TypedTerm):
     """A symbol applied to argument terms (arity 0: a constant)."""
@@ -124,14 +116,6 @@ class TApp(TypedTerm):
     def __init__(self, head: str, args: tuple[TypedTerm, ...] = ()):
         _tapp_head(self, head)
         _tapp_args(self, args)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.head, self.args) == (other.head, other.args)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.head, self.args))
 
 
 _tvar_name, _tvar_sort = TVar.name.__set__, TVar.sort.__set__
@@ -335,15 +319,6 @@ class Update(Program):
         _update_args(self, args)
         _update_rhs(self, rhs)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.symbol, self.args, self.rhs)
-                    == (other.symbol, other.args, other.rhs))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.symbol, self.args, self.rhs))
-
 
 class If(Program):
     __slots__ = __match_args__ = ("cond", "then", "orelse")
@@ -353,29 +328,12 @@ class If(Program):
         _if_then(self, then)
         _if_orelse(self, orelse)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.cond, self.then, self.orelse)
-                    == (other.cond, other.then, other.orelse))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.cond, self.then, self.orelse))
-
 
 class Par(Program):
     __slots__ = __match_args__ = ("blocks",)
 
     def __init__(self, blocks: tuple[Program, ...]):
         _par_blocks(self, blocks)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.blocks == other.blocks
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.blocks,))
 
 
 _update_symbol, _update_args = Update.symbol.__set__, Update.args.__set__

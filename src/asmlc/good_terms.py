@@ -28,28 +28,12 @@ class GVar(GoodTerm):
         _gvar_name(self, name)
         _gvar_datatype(self, datatype)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.datatype) == (other.name, other.datatype)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.datatype))
-
 
 class GCode(GoodTerm):
     __slots__ = __match_args__ = ("value",)
 
     def __init__(self, value: Value):
         _gcode_value(self, value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
 
 
 class GApp(GoodTerm):
@@ -58,14 +42,6 @@ class GApp(GoodTerm):
     def __init__(self, symbol: str, args: tuple[GoodTerm, ...] = ()):
         _gapp_symbol(self, symbol)
         _gapp_args(self, args)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.symbol, self.args) == (other.symbol, other.args)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.symbol, self.args))
 
 
 _gvar_name, _gvar_datatype = GVar.name.__set__, GVar.datatype.__set__

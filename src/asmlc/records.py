@@ -17,18 +17,26 @@ class on ``Frozen`` or ``Fields`` lists its fields, in order, in
   attribute raises ``dataclasses.FrozenInstanceError``; hash and
   pickling go over the fields, as a frozen dataclass's do.
   Constructors write their slots through the slot descriptors, since
-  ``__setattr__`` refuses, and a class on a hot path writes its own
-  ``__eq__`` and ``__hash__``.
+  ``__setattr__`` refuses.
 - ``Checked``: the first base of a ``NamedTuple`` record that checks its
   fields in ``_check``, where a dataclass had ``__post_init__``.
 """
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
+from operator import attrgetter
 
 
-def _values(self) -> tuple:
-    return tuple(getattr(self, f) for f in self.__match_args__)
+def _getter(fields: tuple[str, ...]):
+    """A function from an instance to the tuple of its ``fields``, read
+    by ``operator.attrgetter`` where it can: ``normalize`` compares
+    instructions and conditions by ``==`` in its inner loop."""
+    if len(fields) > 1:
+        return attrgetter(*fields)
+    if fields:
+        get = attrgetter(fields[0])
+        return lambda self: (get(self),)
+    return lambda self: ()
 
 
 class Fields:
@@ -36,13 +44,18 @@ class Fields:
     __match_args__: tuple[str, ...] = ()
     __hash__ = None
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = staticmethod(_getter(cls.__match_args__))
+
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return _values(self) == _values(other)
+            values = self._values
+            return values(self) == values(other)
         return NotImplemented
 
 
@@ -56,10 +69,10 @@ class Frozen(Fields):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __hash__(self):
-        return hash(_values(self))
+        return hash(self._values(self))
 
     def __reduce__(self):
-        return type(self), _values(self)
+        return type(self), self._values(self)
 
 
 class Checked:

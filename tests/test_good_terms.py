@@ -15,7 +15,7 @@ from asmlc.good_terms import (
     variables,
 )
 from asmlc.lambda_f import BOOL, FSignature, Value, reduce_leftmost_f, match_code
-from asmlc.asm import FailI, HaltI, Skip, TApp, TVar
+from asmlc.asm import FailI, HaltI, If, Par, Skip, TApp, TVar, Update
 from asmlc.compiler import G_TRUE, Translator, lower_signature, make_slots
 from asmlc.reduction import Status
 from asmlc.terms import Code, Const, Var
@@ -118,3 +118,28 @@ def test_nodes_of_different_classes_with_the_same_fields_are_unequal():
         for a, b in itertools.permutations(group, 2):
             assert a != b and not a == b
         assert len(set(group)) == len(group)
+
+
+def test_nodes_differing_in_one_field_are_unequal():
+    """Equality and hash read every field, in nodes of one, two and
+    three fields alike."""
+    zero, one = TApp("zero"), TApp("1")
+    pairs = [
+        (TVar("a", "Nat"), TVar("b", "Nat")),
+        (TVar("a", "Nat"), TVar("a", "Bool")),
+        (TApp("f", (zero,)), TApp("g", (zero,))),
+        (TApp("f", (zero,)), TApp("f", (one,))),
+        (Update("p", (), zero), Update("q", (), zero)),
+        (Update("p", (zero,), zero), Update("p", (one,), zero)),
+        (Update("p", (), zero), Update("p", (), one)),
+        (If(zero, Skip()), If(one, Skip())),
+        (If(zero, Skip()), If(zero, HaltI())),
+        (If(zero, Skip()), If(zero, Skip(), FailI())),
+        (Par((Skip(),)), Par((HaltI(),))),
+        (GVar("a", "Nat"), GVar("a", "Bool")),
+        (GApp("f", (GVar("a", "Nat"),)), GApp("f", (GVar("b", "Nat"),))),
+        (GCode(Value("Nat", 1)), GCode(Value("Nat", 2))),
+    ]
+    for a, b in pairs:
+        assert a != b and not a == b
+        assert len({a, b}) == 2
