@@ -5,12 +5,14 @@ Compiles ``machines/euclid.asm`` and ``machines/doubling.asm`` through
 with ``engine.advance_term(t, cm.table, K + L, cm.theta_free)``, one call
 per machine step, as lockstep does: every round starts from the engine
 table and theta's F-free nodes that the compiled machine keeps.  euclid
-runs every input pair in 1..N under one compile; doubling runs every
-stop in 1..8 and is compiled once per stop, because its program
-mentions the input.  One doubling pass is far shorter than one euclid
-pass, so a timing runs the 8 doubling trajectories ``DOUBLING_REPS``
-times.  Compiling, building the initial terms and decoding stay outside
-the timed region.  The best of R timings gives the steps per second.
+runs every input pair in 1..N under one compile.  doubling runs every
+stop in 1..8 under one compile too: its program reads ``stop``, which
+each case binds in theta (``CompiledMachine.with_inputs``; a checkout
+without it compiles once per stop).  One doubling pass is far shorter
+than one euclid pass, so a timing runs the 8 doubling trajectories
+``DOUBLING_REPS`` times.  Compiling, binding, building the initial terms
+and decoding stay outside the timed region.  The best of R timings gives
+the steps per second.
 
 One more, untimed pass counts F-search visits: the nodes with ``const``
 and not in the F-redex-free memo that the reducer's F-redex walk
@@ -36,6 +38,11 @@ more, untimed pass counts engine runs, the calls of ``engine._advance``
 (wrapped in this process), against lockstep rounds; a checkout without
 the memo runs the engine once per round.
 
+The ``verify_doubling`` record runs ``asmlc verify machines/doubling.asm
+--grid 8`` in this process (``cli.main``, output discarded): the theta
+builds it makes, counted at the ``build_branch_combinator`` that
+``asmlc.compiler`` binds, and its best-of-R time.
+
     PYTHONPATH=src python3 benchmarks/bench_engine.py [--grid N] [--repeat R]
         [--label NAME] [--json BENCH_engine.json]
 
@@ -47,13 +54,15 @@ checkouts that claim the same (K, L).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import time
 from pathlib import Path
 
-from asmlc import engine
+from asmlc import cli, compiler, engine
 from asmlc.compiler import compile_machine
 from asmlc.cosim import lockstep
 from asmlc.engine import STATUS_RAN, advance_term, signature_table
@@ -79,11 +88,14 @@ def _cases(grid: int) -> dict:
     out = {"euclid": [(cm, cm.initial_term(euclid.state({"a0": a, "b0": b})))
                       for a in range(1, grid + 1) for b in range(1, grid + 1)]}
     doubling = _load("doubling")
+    machine = doubling.machine()
+    cm = compile_machine(machine, doubling.state({}))
     once = []
     for stop in DOUBLING_STOPS:
         state = doubling.state({"stop": stop})
-        cm = compile_machine(doubling.machine(), state)
-        once.append((cm, cm.initial_term(state)))
+        inst = (cm.with_inputs(state) if hasattr(cm, "with_inputs")
+                else compile_machine(machine, state))
+        once.append((inst, inst.initial_term(state)))
     out["doubling"] = once * DOUBLING_REPS
     return out
 
@@ -192,6 +204,35 @@ def lockstep_grid(grid: int, repeat: int) -> dict:
             "best_s": round(best, 4), "rounds_per_s": round(rounds / best)}
 
 
+def verify_doubling(repeat: int) -> dict:
+    """``asmlc verify`` on doubling's grid 8 (module docstring)."""
+    argv = ["verify", str(MACHINES / "doubling.asm"), "--grid", "8"]
+
+    def verify() -> float:
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise RuntimeError(f"verify exited with {code}")
+        return time.perf_counter() - t0
+
+    builds = 0
+    build = compiler.build_branch_combinator
+
+    def counted(*args, **kwargs):
+        nonlocal builds
+        builds += 1
+        return build(*args, **kwargs)
+
+    compiler.build_branch_combinator = counted
+    try:
+        verify()
+    finally:
+        compiler.build_branch_combinator = build
+    best = min(verify() for _ in range(repeat))
+    return {"theta_builds": builds, "best_s": round(best, 4)}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--grid", type=int, default=12,
@@ -221,6 +262,9 @@ def main() -> None:
     print(f"lockstep grid {args.grid}: {row['cases']} runs, {row['rounds']} rounds, "
           f"{row['engine_runs']} engine runs in {row['best_s']:.3f}s "
           f"({row['rounds_per_s']:,} rounds/s, best of {args.repeat})")
+    row = record["verify_doubling"] = verify_doubling(args.repeat)
+    print(f"verify doubling --grid 8: {row['theta_builds']} theta builds, "
+          f"{row['best_s']:.4f}s (best of {args.repeat})")
     if args.json:
         data = json.loads(args.json.read_text()) if args.json.exists() else {}
         data[args.label] = record

@@ -69,8 +69,8 @@ class Vocabulary(Checked, _VocabularyFields):
         if BOOL_SORT not in self.sorts:
             raise ValueError("vocabulary must include the Bool sort")
         for sym in self.symbols.values():
-            if sym.is_input and sym.kind != "static":
-                raise ValueError(f"input symbol {sym.name} must be static")
+            if sym.is_input and (sym.kind != "static" or sym.arg_sorts):
+                raise ValueError(f"input symbol {sym.name} must be a static constant")
             if sym.is_output and sym.kind != "dynamic":
                 raise ValueError(f"output symbol {sym.name} must be dynamic")
             for s in sym.arg_sorts + (sym.result_sort,):
@@ -360,22 +360,6 @@ def check_program(voc: Vocabulary, p: Program) -> None:
     elif isinstance(p, Par):
         for b in p.blocks:
             check_program(voc, b)
-
-
-def program_symbols(p: Program) -> Iterable[str]:
-    """Every vocabulary symbol the program body mentions."""
-    if isinstance(p, Update):
-        yield p.symbol
-        for a in p.args:
-            yield from term_symbols(a)
-        yield from term_symbols(p.rhs)
-    elif isinstance(p, If):
-        yield from term_symbols(p.cond)
-        yield from program_symbols(p.then)
-        yield from program_symbols(p.orelse)
-    elif isinstance(p, Par):
-        for b in p.blocks:
-            yield from program_symbols(b)
 
 
 class EvaluatedUpdate(NamedTuple):

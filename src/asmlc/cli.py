@@ -10,7 +10,7 @@ import itertools
 import json
 import sys
 
-from .asm import program_symbols, run as asm_run
+from .asm import run as asm_run
 from .compiler import CompileError, compile_machine
 from .cosim import decoration_audit, lockstep, render_audit
 from .encodings import match_nat, nat
@@ -131,21 +131,9 @@ def cmd_verify(args) -> int:
     states = [sm.state(binding) for binding in cases]  # every binding checked up front
     cm = _compile(machine, base, args)
     print(f"(K, L) = ({cm.K}, {cm.L})")
-    # Input constants mentioned in the program body get folded into the
-    # compiled term, so such machines are recompiled per assignment (and
-    # must land on the same step counts every time).
-    input_dependent = bool(set(inputs) & set(program_symbols(machine.program)))
     failures = 0
     for binding, state in zip(cases, states):
-        if input_dependent:
-            cmx = _compile(machine, state, args)
-            if (cmx.K, cmx.L) != (cm.K, cm.L):
-                print(f"FAIL: step counts drifted to ({cmx.K}, {cmx.L})")
-                failures += 1
-                continue
-        else:
-            cmx = cm
-        rep = lockstep(machine, cmx, state, args.max_steps)
+        rep = lockstep(machine, cm, state, args.max_steps)
         if not rep.passed:
             failures += 1
             shown = ", ".join(f"{k}={_show(v)}" for k, v in sorted(binding.items()))

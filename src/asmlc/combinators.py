@@ -55,10 +55,14 @@ whose memo of theta's F-free nodes the combinator keeps with the
 engine table.  The certificate and every lockstep round start from that
 memo, so no round searches theta again; and since theta holds no
 F-redex, a boundary term is F-normal, which lets the engine test the
-boundary once per F-phase.
+boundary once per F-phase.  A machine's inputs are free in theta:
+``instantiate`` binds them and folds the constant nodes over inputs and
+codes alone, which N leaves out, and the certificate binds each input to
+an abstract code.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -68,6 +72,8 @@ from .engine import (
     STATUS_RAN,
     _advance,
     _rebuild,
+    _Reducer,
+    _subst,
     _unwind,
     scan,
     signature_table,
@@ -158,6 +164,10 @@ class CompiledCombinator:
     table: dict = field(compare=False, repr=False)
     theta_free: dict = field(compare=False, repr=False)
     certificate: Certificate = field(compare=False)
+    # The inputs free in theta as built (template), and their codes in theta.
+    inputs: tuple[Slot, ...]
+    template: Term = field(compare=False, repr=False)
+    binding: tuple[Value, ...]
     # Lockstep's round memo (engine module docstring): start term to
     # result under this table and budget.  Not an init field, so a
     # combinator made by dataclasses.replace starts with an empty one.
@@ -169,44 +179,39 @@ class CompiledCombinator:
 
     def cost(self) -> dict:
         """The parts of (K, L) by the formula in the module docstring."""
-        return step_cost(self.k, self.branches, self.K - self.K_min, self.L - self.L_min)
+        return step_cost(self.k, self.branches, self.K - self.K_min, self.L - self.L_min,
+                         frozenset(s.name for s in self.inputs))
 
 
 def _part_term(p: ExitPart) -> Term:
     return to_term(p) if isinstance(p, GoodTerm) else p
 
 
-def _part_consts(p: ExitPart) -> int:
-    return const_count(p) if isinstance(p, GoodTerm) else 0
+def branch_f_work(b: Branch, inputs: frozenset = frozenset()) -> int:
+    """N_i: constant nodes of one guard and its branch body, less those
+    over ``inputs`` and codes alone.  The last guard is the constant
+    true, with no constant node, and theta leaves it out."""
+    parts = b.updates if isinstance(b, UpdateBranch) else b.parts
+    return sum(const_count(p, inputs) for p in (b.guard, *parts) if isinstance(p, GoodTerm))
 
 
-def branch_f_work(b: Branch) -> int:
-    """N_i: constant nodes of one guard and its branch body.  The last
-    guard is the constant true, with no constant node, and theta leaves
-    it out."""
-    if isinstance(b, UpdateBranch):
-        body = sum(const_count(u) for u in b.updates)
-    else:
-        body = sum(_part_consts(p) for p in b.parts)
-    return const_count(b.guard) + body
-
-
-def static_f_work(branches: Sequence[Branch]) -> int:
+def static_f_work(branches: Sequence[Branch], inputs: frozenset = frozenset()) -> int:
     """N: constant nodes over all guards and branch bodies — the F-cost
     the F-first strategy pays on every step regardless of selection."""
-    return sum(branch_f_work(b) for b in branches)
+    return sum(branch_f_work(b, inputs) for b in branches)
 
 
 # The guard of the last branch, which theta selects as the else-arm.
 _ELSE_GUARD = GCode(Value(BOOL, True))
 
 
-def step_cost(k: int, branches: Sequence[Branch], pad_K: int, pad_L: int) -> dict:
+def step_cost(k: int, branches: Sequence[Branch], pad_K: int, pad_L: int,
+              inputs: frozenset = frozenset()) -> dict:
     """The parts of one step's cost with k slots and internal padding
     (pad_K, pad_L): K is unfold + load + select + pad_K, and L is the
     sum of F_branches plus pad_L."""
     return {"unfold": 1, "load": k + 1, "select": 2 * (len(branches) - 1),
-            "pad_K": pad_K, "F_branches": [branch_f_work(b) for b in branches],
+            "pad_K": pad_K, "F_branches": [branch_f_work(b, inputs) for b in branches],
             "pad_L": pad_L}
 
 
@@ -228,13 +233,14 @@ def _slot_test(slots: Sequence[Slot], sig: FSignature) -> Term:
 def _build_theta(
     branches: Sequence[Branch],
     slots: Sequence[Slot],
+    inputs: frozenset,
     sig: FSignature,
     k_prime: int,
     l_prime: int,
 ) -> Term:
     names = [s.name for s in slots]
     w = "w"
-    while w in names:
+    while w in names or w in inputs:
         w += "'"
     branch_terms: list[Term] = []
     for b in branches:
@@ -253,14 +259,34 @@ def _build_theta(
         for _ in range(l_prime - 1):
             chain = App(Const("not"), chain)
         d = "d"
-        while d in names or d == w:
+        while d in names or d in inputs or d == w:
             d += "'"
         body = App(Abs(d, body), chain)
         k_prime -= 1
     g = lam([w] + names, identity_chain(k_prime, body))
-    if g.fv:
-        raise ValueError(f"combinator body has stray free variables: {g.fv}")
+    if g.fv - inputs:
+        raise ValueError(f"combinator body has stray free variables: {g.fv - inputs}")
     return curry_fixpoint(g)
+
+
+def instantiate(template: Term, codes: dict[str, Term], table: dict) -> tuple[Term, dict]:
+    """Theta with each input bound to its closed code in ``codes``, and
+    ``scan``'s memo of it: one substitution, then one uncounted F-phase,
+    whose walk memoizes every constant node it leaves.  Both run on one
+    ``half`` of the fixpoint ``half half``, which so stays shared.  The
+    phase runs to its end: a compiled signature's functions are total."""
+    half = template.fun
+    for name, code in codes.items():
+        half = _subst(half, name, code)
+    r = _Reducer(table)
+    half = r.f_phase(half, sys.maxsize)[0]
+    theta = App(half, half)
+    r.f_free[id(theta)] = theta
+    return theta, r.f_free
+
+
+def _abstract_code(s: Slot) -> Term:
+    return UNKNOWN_BOOL if s.datatype == BOOL else Unknown(s.datatype)
 
 
 def decode_state(t: Term, theta: Term, slots: Sequence[Slot]) -> Optional[tuple]:
@@ -362,8 +388,7 @@ def certify(
     theta's order) that it selects.
     """
     budget = want[0] + want[1]
-    start = app(theta, *(UNKNOWN_BOOL if s.datatype == BOOL else Unknown(s.datatype)
-                         for s in slots))
+    start = app(theta, *map(_abstract_code, slots))
     ends, steps = blocks(start, theta, slots, table, theta_free, budget)
     for path, _, beta, f, status in ends:
         if status == _STATUS_FORK:
@@ -384,9 +409,10 @@ def build_branch_combinator(
     sig: FSignature,
     K: Optional[int] = None,
     L: Optional[int] = None,
+    inputs: Sequence[Slot] = (),
 ) -> CompiledCombinator:
     """Build theta for an ordered guarded-branch list with an exact
-    per-step cost (K, L).
+    per-step cost (K, L), free in the ``inputs`` that the branches read.
 
     The branches are in priority order, and the last one is the
     else-arm: its guard must be the constant true (ValueError
@@ -400,18 +426,19 @@ def build_branch_combinator(
     below the minima, or with L > L_min at K = K_min, is rejected.
     Theta is built once and must hold no resident F-redex (ValueError
     otherwise).  Its abstract block (``certify``) must cost exactly the
-    formula's (K, L) on every path, so from every valuation
-    (RuntimeError otherwise, naming the branch); lockstep checks every
-    round against the same (K, L).
+    formula's (K, L) on every path, so from every valuation and every
+    input binding (RuntimeError otherwise, naming the branch); lockstep
+    checks every round against the same (K, L).
     """
     if not branches:
         raise ValueError("need at least one branch")
     if branches[-1].guard != _ELSE_GUARD:
         raise ValueError("the last branch is the else-arm: its guard must "
                          "be the constant true")
+    names = frozenset(s.name for s in inputs)
     least = step_cost(len(slots), branches, 0, 0)
     k_min = least["unfold"] + least["load"] + least["select"]
-    l_min = static_f_work(branches)
+    l_min = static_f_work(branches, names)
     L = l_min if L is None else L
     k_least = k_min + (L > l_min)
     K = k_least if K is None else K
@@ -419,13 +446,15 @@ def build_branch_combinator(
         raise ValueError(f"requested (K,L)=({K},{L}) below the minima ({k_min},{l_min})")
     if K < k_least:
         raise ValueError(f"requested (K,L)=({K},{L}): the least K for L={L} is {k_least}")
-    theta = _build_theta(branches, slots, sig, K - k_min, L - l_min)
+    theta = _build_theta(branches, slots, names, sig, K - k_min, L - l_min)
     table = signature_table(sig)
     resident, theta_free = scan(theta, table)
     if resident:
         raise ValueError("combinator body contains a resident F-redex; "
                          "fold ground constant subterms to codes first")
-    cert = certify(theta, slots, (K, L), table, theta_free,
-                   [b.label for b in branches])
+    inputs = tuple(s for s in inputs if s.name in theta.fv)
+    abstract, free = (instantiate(theta, {s.name: _abstract_code(s) for s in inputs}, table)
+                      if inputs else (theta, theta_free))
+    cert = certify(abstract, slots, (K, L), table, free, [b.label for b in branches])
     return CompiledCombinator(theta, K, L, tuple(slots), tuple(branches), k_min, l_min,
-                              table, theta_free, cert)
+                              table, theta_free, cert, inputs, theta, ())

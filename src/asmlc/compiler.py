@@ -19,7 +19,7 @@ the outputs, fail is the numeral 2, clash the numeral 3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 from .asm import (
@@ -44,12 +44,13 @@ from .combinators import (
     Slot,
     UpdateBranch,
     build_branch_combinator,
+    instantiate,
     decode_state,
 )
 from .encodings import match_nat, nat
 from .good_terms import GApp, GCode, GoodTerm, GVar
 from .lambda_f import BOOL, DeltaType, FSignature, Value, code_term, install_delta
-from .normalize import Clause, GuardedProgram, normalize
+from .normalize import Clause, normalize
 from .records import Fields
 from .terms import Abs, App, Term, Var, app
 
@@ -172,7 +173,7 @@ def lower_signature(voc: Vocabulary, state: State, slots: Sequence[SlotInfo]) ->
     sig = FSignature()
     partials: set[str] = set()
     for sym in voc.symbols.values():
-        if sym.kind != "static":
+        if sym.kind != "static" or sym.is_input:
             continue
         fn = state.statics[sym.name]
         if _static_total_on_grid(state, sym):
@@ -268,6 +269,8 @@ class Translator(Fields):
                 raise CompileError(f"unbound term variable {t.name}")
             return env[t.name], G_TRUE
         sym = self.voc.symbol(t.head)
+        if sym.is_input:  # a variable of theta (CompiledMachine.with_inputs)
+            return GVar(sym.name, sym.result_sort), G_TRUE
         vals, defs = [], []
         for a in t.args:
             v, d = self.value_and_def(a, env)
@@ -321,7 +324,6 @@ class Translator(Fields):
 @dataclass(frozen=True)
 class CompiledMachine:
     machine: Machine
-    guarded: GuardedProgram
     combinator: CompiledCombinator
     slots: tuple[SlotInfo, ...]
     sig: FSignature
@@ -350,6 +352,17 @@ class CompiledMachine:
     @property
     def round_memo(self) -> dict:
         return self.combinator.round_memo
+
+    def with_inputs(self, state: State) -> CompiledMachine:
+        """The instance, with its own round memo, whose theta binds each
+        input to its value in ``state``; ``self`` if it binds those."""
+        c = self.combinator
+        binding = tuple(Value(s.datatype, state.statics[s.name]()) for s in c.inputs)
+        if binding == c.binding:
+            return self
+        theta, free = instantiate(c.template, {s.name: code_term(v)
+                                               for s, v in zip(c.inputs, binding)}, c.table)
+        return replace(self, combinator=replace(c, theta=theta, theta_free=free, binding=binding))
 
     def initial_term(self, state: State) -> Term:
         return self.term_of(self.machine.initial_state(state))
@@ -451,11 +464,11 @@ def compile_machine(
     K: Optional[int] = None,
     L: Optional[int] = None,
 ) -> CompiledMachine:
-    """Compile; ``state`` supplies carriers and static semantics.  The
-    resulting theta is input-independent as long as the program body
-    does not mention input constants (inputs enter through the initial
-    slot codes only).  (K, L) is the requested per-step budget: L
-    defaults to L_min, and K to the least K for that L."""
+    """Compile; ``state`` supplies carriers and static semantics.  Theta
+    is built once, with every input the program reads free, and the
+    result is its instance for ``state``'s inputs (``with_inputs``).
+    (K, L) is the requested per-step budget: L defaults to L_min, and K
+    to the least K for that L."""
     voc = machine.voc
     slots = make_slots(voc)
     if not slots:
@@ -531,8 +544,9 @@ def compile_machine(
 
     # no slot code can stand for an undefined initial value
     initial_values(slots, machine.initial_state(state))
-    cc = build_branch_combinator(kept, [s.as_slot() for s in slots], sig, K, L)
-    return CompiledMachine(machine, gp, cc, tuple(slots), sig, outputs)
+    inputs = [Slot(s.name, s.result_sort) for s in voc.symbols.values() if s.is_input]
+    cc = build_branch_combinator(kept, [s.as_slot() for s in slots], sig, K, L, inputs)
+    return CompiledMachine(machine, cc, tuple(slots), sig, outputs).with_inputs(state)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,9 @@ def lockstep(machine: Machine, cm: CompiledMachine, state: State,
     Every round advances through the compiled machine's round memo
     (``engine.advance_term``), so a round that starts from a term an
     earlier round of any run under ``cm`` started from is looked up, not
-    reduced again; its counts and result are those of the reduction."""
+    reduced again; its counts and result are those of the reduction.
+    The rounds run ``cm.with_inputs(state)``."""
+    cm = cm.with_inputs(state)
     result = run(machine, state, max_steps)
     initial = result.trajectory[0]
     K, L = cm.K, cm.L

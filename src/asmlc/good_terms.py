@@ -74,11 +74,14 @@ def to_term(t: GoodTerm) -> Term:
     return app(Const(t.symbol), *(to_term(a) for a in t.args))
 
 
-def const_count(t: GoodTerm) -> int:
-    """Number of constant nodes: the exact F-cost of full reduction."""
-    if isinstance(t, GApp):
-        return 1 + sum(const_count(a) for a in t.args)
-    return 0
+def const_count(t: GoodTerm, inputs: frozenset = frozenset()) -> int:
+    """Number of constant nodes: the exact F-cost of full reduction.
+    A node whose variables are all in ``inputs``, one at least, is left
+    out: binding the inputs folds it first (``combinators.instantiate``)."""
+    if not isinstance(t, GApp):
+        return 0
+    names = {v.name for v in variables(t)} if inputs else ()
+    return (not names or not names <= inputs) + sum(const_count(a, inputs) for a in t.args)
 
 
 def variables(t: GoodTerm) -> list[GVar]:

@@ -225,10 +225,12 @@ def _corpus_good_terms():
         cm = compile_machine(machine, state)
         r = run(machine, state, 100)
         s0 = machine.initial_state(state)
+        # the terms read the inputs too, bound to the state's values
+        inputs = {s.name: v for s, v in zip(cm.combinator.inputs, cm.combinator.binding)}
         valuations = []
         for st in r.trajectory:
             vals = slot_values_for_state(cm.slots, st, s0)
-            valuations.append({i.symbol: v for i, v in zip(cm.slots, vals)})
+            valuations.append({**inputs, **{i.symbol: v for i, v in zip(cm.slots, vals)}})
         terms = []
         for b in cm.combinator.branches:
             terms.append(b.guard)

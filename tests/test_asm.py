@@ -24,7 +24,6 @@ from asmlc.asm import (
     detect_clash,
     eval_ground,
     initial_dynamics,
-    program_symbols,
     run,
     successor,
 )
@@ -159,11 +158,6 @@ def test_carrier_grid_order():
             assert list(_carrier_grid(s, sorts)) == list(_recursive_grid(s, sorts))
     assert list(_carrier_grid(s, ())) == [()]
     assert list(_carrier_grid(s, ("Nat", "Bool")))[:3] == [(0, True), (0, False), (1, True)]
-
-
-def test_program_symbols():
-    machine = bundled("euclid").machine()
-    assert set(program_symbols(machine.program)) == {"lt", "zero", "b", "a", "rem"}
 
 
 def test_check_program_rejects_ill_sorted():
@@ -493,6 +487,8 @@ def test_record_checks_run_on_every_value_built_from_outside():
         lambda: voc._replace(sorts=("Nat",)),
         lambda: Vocabulary(voc.sorts, {"c": Symbol("c", "static", (), "Int")}),
         lambda: Vocabulary(voc.sorts, {"c": Symbol("c", "static", (), "Nat", is_output=True)}),
+        # an input is a constant: theta reads it as one variable
+        lambda: Vocabulary(voc.sorts, {"c": Symbol("c", "static", ("Nat",), "Nat", is_input=True)}),
         lambda: State(voc, {"Bool": (True,)}, s.statics, s.dynamics),
         lambda: s._replace(carriers={}),
         lambda: ExitBranch(GApp("true"), ()),

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from asmlc import cli
+from asmlc import cli, compiler
 from asmlc.cli import main
 
 from conftest import BUNDLED_COSTS, MACHINES
@@ -286,6 +286,56 @@ def test_verify_grid_over_non_numeric_inputs(capsys, tmp_path):
     code, out = run_cli(capsys, "verify", str(path), "--grid", "2")
     assert code == 0
     assert out.splitlines()[-1].startswith("verified 4/4 runs in lockstep")
+
+
+# Programs that read an input: a Bool input in a guard, a bare Bool
+# input as the guard, a partial static over an input, and inputs named
+# like theta's own binders w and d (padded over L, so theta binds d).
+INPUT_GUARD = """\
+sort Nat = 0..{top}
+static zero : -> Nat = builtin zero
+static succ : Nat -> Nat = builtin succ
+{inputs}
+dynamic n : -> Nat output
+init n = zero
+program:
+  if {guard} then {then} else {orelse}
+"""
+
+
+@pytest.mark.parametrize("top, inputs, guard, then, orelse, grid, budget, runs", [
+    pytest.param("3", "input go : Bool", "and(go, eq_Nat(n, zero))", "n := succ(n)", "halt",
+                 "2", (), 2, id="bool-input"),
+    pytest.param("3", "input go : Bool", "go", "n := succ(n)", "halt",
+                 "2", (), 2, id="bare-bool-input"),
+    pytest.param("8", "input stop : Nat", "eq_Nat(n, succ(stop))", "halt", "n := succ(n)",
+                 "8", (), 8, id="partial-static-over-input"),
+    pytest.param("4", "input w : Nat\ninput d : Nat", "or(eq_Nat(n, w), eq_Nat(n, d))", "halt",
+                 "n := succ(n)", "4", ("--headroom-K", "9", "--headroom-L", "12"), 16,
+                 id="inputs-w-and-d"),
+])
+def test_verify_grid_binds_the_inputs_that_the_program_reads(
+        capsys, tmp_path, top, inputs, guard, then, orelse, grid, budget, runs):
+    path = tmp_path / "m.asm"
+    path.write_text(INPUT_GUARD.format(top=top, inputs=inputs, guard=guard, then=then,
+                                       orelse=orelse))
+    code, out = run_cli(capsys, "verify", str(path), "--grid", grid, *budget)
+    assert code == 0, out
+    lines = out.splitlines()
+    kl = lines[0].removeprefix("(K, L) = ")
+    assert lines[1:] == [f"verified {runs}/{runs} runs in lockstep at {kl}"]
+
+
+def test_verify_builds_theta_once(capsys, monkeypatch):
+    # each case binds doubling's stop in the one theta
+    calls = []
+    build = compiler.build_branch_combinator
+    monkeypatch.setattr(compiler, "build_branch_combinator",
+                        lambda *a: calls.append(a) or build(*a))
+    code, out = run_cli(capsys, "verify", DOUBLING, "--grid", "8")
+    assert code == 0
+    assert out.splitlines()[-1] == "verified 8/8 runs in lockstep at (8, 15)"
+    assert len(calls) == 1
 
 
 def test_encode_decode_roundtrip(capsys):

@@ -9,6 +9,7 @@ from asmlc.combinators import (
     certify,
     curry_fixpoint,
     decode_state,
+    instantiate,
     static_f_work,
 )
 from asmlc.encodings import identity_chain
@@ -165,7 +166,7 @@ def test_headroom_below_minimum_rejected(nat_sig):
 def test_cost_formula_cross_check_fires(nat_sig, monkeypatch):
     """A formula that disagrees with the measured theta is an error."""
     real = combinators.static_f_work
-    monkeypatch.setattr(combinators, "static_f_work", lambda bs: real(bs) + 1)
+    monkeypatch.setattr(combinators, "static_f_work", lambda *a: real(*a) + 1)
     with pytest.raises(RuntimeError, match=r"\(K,L\)=\(3, 2\).*measures \(3, 1\)"):
         _counter(nat_sig)
     # a compile names the branch of the first path that is off
@@ -238,6 +239,35 @@ def test_resident_f_redex_rejected(nat_sig):
         build_branch_combinator([UpdateBranch(bad_guard, (phi,)),
                                  UpdateBranch(TRUE_GUARD, (phi,))],
                                 slots, nat_sig)
+
+
+def test_inputs_stay_free_and_bind_uncounted(nat_sig):
+    """Inputs named like theta's own binders w and d stay free in theta,
+    padded over L as well.  N leaves out ``plus(w, d)``, which binding
+    folds, so every binding of the inputs runs at the certified (K, L)."""
+    slots = [Slot("c", "Nat")]
+    c = GVar("c", "Nat")
+    bound = GApp("plus", (GVar("w", "Nat"), GVar("d", "Nat")))
+    phi = GApp("plus", (c, GCode(Value("Nat", 1))))
+    branches = [UpdateBranch(GApp("lt", (c, bound)), (phi,)), ExitBranch(TRUE_GUARD, (c,))]
+    inputs = [Slot("w", "Nat"), Slot("d", "Nat"), Slot("unread", "Nat")]
+    least = build_branch_combinator(branches, slots, nat_sig, inputs=inputs)
+    assert (least.K_min, least.L_min) == (5, 2)
+    cc = build_branch_combinator(branches, slots, nat_sig, least.K + 1, least.L + 2, inputs)
+    assert cc.theta.fv == {"w", "d"} and cc.theta is cc.template
+    assert [s.name for s in cc.inputs] == ["w", "d"] and cc.binding == ()
+    assert cc.certificate.paths == 2
+    assert cc.cost()["F_branches"] == [2, 0]
+    for w, d in ((0, 0), (1, 2), (3, 1)):
+        theta, free = instantiate(cc.template, {"w": code_term(Value("Nat", w)),
+                                                "d": code_term(Value("Nat", d))}, cc.table)
+        assert not theta.fv and free.keys() == scan(theta, cc.table)[1].keys()
+        t = App(theta, code_term(Value("Nat", 0)))
+        for _ in range(w + d + 1):
+            b = block(t, theta, slots, nat_sig)
+            assert (b.beta_count, b.f_count) == (cc.K, cc.L)
+            t = b.term
+        assert b.kind == "exit" and match_code(t, "Nat") == Value("Nat", w + d)
 
 
 def test_last_guard_must_be_constant_true(nat_sig):

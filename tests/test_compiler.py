@@ -19,7 +19,7 @@ from asmlc.compiler import (
 )
 from asmlc.combinators import static_f_work
 from asmlc.cosim import lockstep
-from asmlc.engine import advance_term, signature_table
+from asmlc.engine import advance_term, scan, signature_table
 from asmlc.good_terms import GApp, GVar, const_count, semantics
 from asmlc.lambda_f import BOOL, FSignature, Value
 from asmlc.sourcefmt import parse_source
@@ -277,13 +277,37 @@ def test_equal_writes_leave_out_the_clash_branch():
 
 
 def test_doubling_budget_same_at_every_stop():
-    # the program mentions the input, so each stop is its own compile
     sm = bundled("doubling")
     shapes = set()
     for stop in range(1, 9):
         cm = compile_machine(sm.machine(), sm.state({"stop": stop}))
         shapes.add((cm.K, cm.L, term_size(cm.theta)))
     assert shapes == {(*BUNDLED_COSTS["doubling"][1], 259)}
+
+
+def test_one_theta_binds_every_stop():
+    """Doubling's theta is built with ``stop`` free.  Its instance for
+    each stop is the theta that a compile at that stop returns, with
+    ``scan``'s memo, and lockstep binds its own state's stop.  euclid's
+    theta reads no input, so it has one instance."""
+    sm = bundled("doubling")
+    machine = sm.machine()
+    cm = compile_machine(machine, sm.state({}))
+    assert [s.name for s in cm.combinator.inputs] == ["stop"]
+    assert cm.combinator.template.fv == {"stop"} and not cm.theta.fv
+    for stop in range(0, 9):
+        state = sm.state({"stop": stop})
+        inst = cm.with_inputs(state)
+        assert inst.theta == compile_machine(machine, state).theta
+        assert inst.theta_free.keys() == scan(inst.theta, inst.table)[1].keys()
+        assert inst.with_inputs(state) is inst
+        assert (inst.K, inst.L) == (cm.K, cm.L)
+        assert lockstep(machine, cm, state).passed
+    assert cm.with_inputs(sm.state({"stop": 0})) is cm
+    sm = bundled("euclid")
+    cm = compile_machine(sm.machine(), sm.state({"a0": 1, "b0": 1}))
+    assert cm.combinator.inputs == () and cm.combinator.template is cm.theta
+    assert cm.with_inputs(sm.state({"a0": 6, "b0": 4})) is cm
 
 
 # A Bool slot that the program reads as a guard and writes back negated,

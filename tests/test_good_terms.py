@@ -71,6 +71,17 @@ def test_const_count_is_f_cost(sig):
         assert match_code(r.term, BOOL) == semantics(t, sig, val)
 
 
+def test_const_count_leaves_out_nodes_over_inputs_alone():
+    x, stop = GVar("x", "Nat"), GVar("stop", "Nat")
+    one = GCode(Value("Nat", 1))
+    t = GApp("lt", (x, GApp("plus", (stop, one))))
+    assert const_count(t) == 2
+    assert const_count(t, frozenset({"stop"})) == 1
+    assert const_count(t, frozenset({"x", "stop"})) == 0
+    # a node over codes alone still counts
+    assert const_count(GApp("plus", (one, one)), frozenset({"stop"})) == 1
+
+
 def test_reduce_cost_value_independent(sig):
     t = _lt_term()
     vals = [{"x": Value("Nat", x), "y": Value("Nat", y)}
