@@ -7,8 +7,7 @@ the minima K_min and L_min, the size of theta in nodes, the branch
 count, the manifest's guard order and F-work per branch, and what
 certifying (K, L) took in one compile: the engine steps of
 certification, counted at ``combinators._advance`` (the engine loop
-the certificate runs), and the certificate's path count (absent from a
-checkout without one).
+the certificate runs), and the certificate's path count.
 
 The ``random-1108`` record compiles, each at its minima, the first 120
 programs of the seeded stream that ``tests/test_cosim.py``'s
@@ -117,15 +116,12 @@ def main() -> None:
                "theta_nodes": term_size(cm.theta), "branches": m["branches"],
                "guard_order": m["guard_order"],
                "F_branches": m["cost"]["F_branches"],
-               "certify_steps": steps}
-        cert = getattr(cm.combinator, "certificate", None)
-        if cert is not None:
-            row["certify_paths"] = cert.paths
+               "certify_steps": steps, "certify_paths": cm.certificate.paths}
         record[name] = row
         print(f"{name:>10}: (K_min, L_min) = ({row['K_min']}, {row['L_min']}), "
               f"theta {row['theta_nodes']} nodes, {row['branches']} branches "
-              f"{row['guard_order']}, certified in {steps} engine steps"
-              + (f", {cert.paths} paths" if cert is not None else ""))
+              f"{row['guard_order']}, certified in {steps} engine steps, "
+              f"{row['certify_paths']} paths")
     rec = record[f"random-{RANDOM_SEED}"] = _random_record()
     big, total = rec["largest"], rec["sum"]
     print(f"random-{RANDOM_SEED}: {RANDOM_PROGRAMS} programs, largest (K, L) = "

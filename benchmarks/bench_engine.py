@@ -2,41 +2,33 @@
 
 Compiles ``machines/euclid.asm`` and ``machines/doubling.asm`` through
 ``sourcefmt``, then drives each compiled term through whole trajectories
-with ``engine.advance_term(t, cm.table, K + L, cm.theta_free)``, one call
-per machine step, as lockstep does: every round starts from the engine
-table and theta's F-free nodes that the compiled machine keeps.  euclid
-runs every input pair in 1..N under one compile.  doubling runs every
-stop in 1..8 under one compile too: its program reads ``stop``, which
-each case binds in theta (``CompiledMachine.with_inputs``; a checkout
-without it compiles once per stop).  One doubling pass is far shorter
-than one euclid pass, so a timing runs the 8 doubling trajectories
-``DOUBLING_REPS`` times.  Compiling, binding, building the initial terms
-and decoding stay outside the timed region.  The best of R timings gives
-the steps per second.
+with ``engine.advance_term(t, cm.sig, K + L, cm.theta_free)``, one call
+per machine step, as lockstep does: every round starts from the
+signature and theta's F-free nodes that the compiled machine keeps.
+euclid runs every input pair in 1..N under one compile.  doubling runs
+every stop in 1..8 under one compile too: its program reads ``stop``,
+which each case binds in theta (``CompiledMachine.with_inputs``).  One
+doubling pass is far shorter than one euclid pass, so a timing runs the
+8 doubling trajectories ``DOUBLING_REPS`` times.  Compiling, binding,
+building the initial terms and decoding stay outside the timed region.
+The best of R timings gives the steps per second.
 
 One more, untimed pass counts F-search visits: the nodes with ``const``
 and not in the F-redex-free memo that the reducer's F-redex walk
 ``engine._Reducer._contract`` is called on, counted by wrapping it in
-this process (a checkout from before the walk was the only one also
-has ``_Reducer.f_step``, wrapped the same way).  A call the memo or
-the ``const`` fact prunes costs no visit, wherever the walk makes that
-check.  The count is deterministic, so ``visits_per_step`` compares
-checkouts where timings are too noisy to.  A checkout with neither walk
-raises, rather than record no visits.
-
-A checkout whose compiled machine keeps no table (from before theta's
-scan was kept) builds the table once per trajectory, as its lockstep
-did.
+this process.  A call the memo or the ``const`` fact prunes costs no
+visit, wherever the walk makes that check.  The count is deterministic,
+so ``visits_per_step`` compares checkouts where timings are too noisy
+to.
 
 The kernel records above call ``advance_term`` without a round memo,
 so every round is reduced.  The ``lockstep_grid`` record times what
 ``asmlc verify --grid N`` does on euclid: ``cosim.lockstep`` over every
-input pair in 1..N under one compile, with its round memo when the
-checkout has one.  Each timing starts from a fresh compile, outside the
-timed region, so no timing reads a memo an earlier one filled.  One
-more, untimed pass counts engine runs, the calls of ``engine._advance``
-(wrapped in this process), against lockstep rounds; a checkout without
-the memo runs the engine once per round.
+input pair in 1..N under one compile, with its round memo.  Each timing
+starts from a fresh compile, outside the timed region, so no timing
+reads a memo an earlier one filled.  One more, untimed pass counts
+engine runs, the calls of ``engine._advance`` (wrapped in this
+process), against lockstep rounds.
 
 The ``verify_doubling`` record runs ``asmlc verify machines/doubling.asm
 --grid 8`` in this process (``cli.main``, output discarded): the theta
@@ -65,7 +57,7 @@ from pathlib import Path
 from asmlc import cli, compiler, engine
 from asmlc.compiler import compile_machine
 from asmlc.cosim import lockstep
-from asmlc.engine import STATUS_RAN, advance_term, signature_table
+from asmlc.engine import STATUS_RAN, advance_term
 from asmlc.sourcefmt import parse_source
 from asmlc.terms import term_size
 
@@ -93,8 +85,7 @@ def _cases(grid: int) -> dict:
     once = []
     for stop in DOUBLING_STOPS:
         state = doubling.state({"stop": stop})
-        inst = (cm.with_inputs(state) if hasattr(cm, "with_inputs")
-                else compile_machine(machine, state))
+        inst = cm.with_inputs(state)
         once.append((inst, inst.initial_term(state)))
     out["doubling"] = once * DOUBLING_REPS
     return out
@@ -104,14 +95,10 @@ def _run(cases) -> tuple[int, int]:
     """(engine steps, machine steps) over every trajectory."""
     steps = rounds = 0
     for cm, t in cases:
-        if hasattr(cm, "theta_free"):
-            table, memo = cm.table, (cm.theta_free,)
-        else:  # a checkout from before compiled machines kept them
-            table, memo = signature_table(cm.sig), ()
         budget = cm.K + cm.L
         status = STATUS_RAN
         while status == STATUS_RAN:
-            t, beta, f, status = advance_term(t, table, budget, *memo)
+            t, beta, f, status = advance_term(t, cm.sig, budget, cm.theta_free)
             steps += beta + f
             rounds += 1
     return steps, rounds
@@ -119,29 +106,22 @@ def _run(cases) -> tuple[int, int]:
 
 def count_visits(cases) -> int:
     """F-search visits over every trajectory, counted in one pass with
-    the reducer's search walks wrapped (module docstring)."""
+    the reducer's search walk wrapped (module docstring)."""
     reducer = engine._Reducer
-    originals = {name: fn for name in ("f_step", "_contract")
-                 if (fn := reducer.__dict__.get(name)) is not None}
-    if not originals:
-        raise RuntimeError("engine._Reducer has no F-redex walk to count")
+    contract = reducer._contract
     visits = 0
 
-    def counted(fn):
-        def walk(self, t):
-            nonlocal visits
-            if t.const and id(t) not in self.f_free:
-                visits += 1
-            return fn(self, t)
-        return walk
+    def walk(self, t):
+        nonlocal visits
+        if t.const and id(t) not in self.f_free:
+            visits += 1
+        return contract(self, t)
 
+    reducer._contract = walk
     try:
-        for name, fn in originals.items():
-            setattr(reducer, name, counted(fn))
         _run(cases)
     finally:
-        for name, fn in originals.items():
-            setattr(reducer, name, fn)
+        reducer._contract = contract
     return visits
 
 

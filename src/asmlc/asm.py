@@ -12,8 +12,7 @@ import itertools
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .records import Checked, Frozen
-
-BOOL_SORT = "Bool"
+from .terms import BOOL
 
 # The payload semantics of the builtin statics, each written once here.
 # Source files name them (``static rem : Nat Nat -> Nat = builtin rem``);
@@ -66,7 +65,7 @@ class Vocabulary(Checked, _VocabularyFields):
     __slots__ = ()
 
     def _check(self):
-        if BOOL_SORT not in self.sorts:
+        if BOOL not in self.sorts:
             raise ValueError("vocabulary must include the Bool sort")
         for sym in self.symbols.values():
             if sym.is_input and (sym.kind != "static" or sym.arg_sorts):
@@ -164,7 +163,7 @@ class State(Checked, _StateFields):
     __slots__ = ()
 
     def _check(self):
-        if tuple(self.carriers.get(BOOL_SORT, ())) not in ((True, False), (False, True)):
+        if tuple(self.carriers.get(BOOL, ())) not in ((True, False), (False, True)):
             raise ValueError("Bool carrier must be {True, False}")
 
     def with_dynamics(self, dynamics: dict[str, dict[tuple, object]]) -> "State":
@@ -269,8 +268,6 @@ def initial_dynamics(voc: Vocabulary, s: State, init: InitMap) -> dict[str, dict
     out: dict[str, dict[tuple, object]] = {}
     for sym in voc.dynamics():
         rule = init[sym.name]
-        if not is_static_term(voc, rule.term):
-            raise ValueError(f"initialization of {sym.name} uses non-static symbols")
         fn = lift_interpretation(s, rule.term, rule.sigma, sym.arity)
         table: dict[tuple, object] = {}
         for args in _carrier_grid(s, sym.arg_sorts):
@@ -353,7 +350,7 @@ def check_program(voc: Vocabulary, p: Program) -> None:
         if term_sort(voc, p.rhs) != sym.result_sort:
             raise ValueError(f"ill-sorted update value for {p.symbol}")
     elif isinstance(p, If):
-        if term_sort(voc, p.cond) != BOOL_SORT:
+        if term_sort(voc, p.cond) != BOOL:
             raise ValueError("condition must be Boolean")
         check_program(voc, p.then)
         check_program(voc, p.orelse)
@@ -484,10 +481,24 @@ def run_from_state(s: State, p: Program, max_steps: int) -> RunResult:
     return RunResult(Outcome("diverged"), tuple(trajectory), max_steps)
 
 
-class Machine(NamedTuple):
+class _MachineFields(NamedTuple):
     voc: Vocabulary
     program: Program
     init: InitMap
+
+
+class Machine(Checked, _MachineFields):
+    """A program over a vocabulary, with the initialization rules of its
+    dynamic symbols.  Built well-sorted, with static-only rules, so a
+    run need not check either again."""
+
+    __slots__ = ()
+
+    def _check(self):
+        check_program(self.voc, self.program)
+        for name, rule in self.init.items():
+            if not is_static_term(self.voc, rule.term):
+                raise ValueError(f"initialization of {name} uses non-static symbols")
 
     def initial_state(self, base: State) -> State:
         """Fill the dynamic tables of ``base`` from the initialization
@@ -496,5 +507,4 @@ class Machine(NamedTuple):
 
 
 def run(machine: Machine, base: State, max_steps: int) -> RunResult:
-    check_program(machine.voc, machine.program)
     return run_from_state(machine.initial_state(base), machine.program, max_steps)

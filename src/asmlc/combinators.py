@@ -51,8 +51,8 @@ start.
 Theta must hold no resident F-redex: one would fire once, at the first
 step, and never again, so no constant per-step cost could hold.  The
 builder checks this with the engine's own search (``engine.scan``),
-whose memo of theta's F-free nodes the combinator keeps with the
-engine table.  The certificate and every lockstep round start from that
+whose memo of theta's F-free nodes the combinator keeps with its
+signature.  The certificate and every lockstep round start from that
 memo, so no round searches theta again; and since theta holds no
 F-redex, a boundary term is F-normal, which lets the engine test the
 boundary once per F-phase.  A machine's inputs are free in theta:
@@ -66,7 +66,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .encodings import identity_chain, select_first, tup
+from .encodings import _fresh_binder, identity_chain, select_first, tup
 from .engine import (
     _STATUS_FORK,
     STATUS_RAN,
@@ -76,10 +76,9 @@ from .engine import (
     _subst,
     _unwind,
     scan,
-    signature_table,
 )
 from .good_terms import GCode, GoodTerm, const_count, to_term
-from .lambda_f import BOOL, UNKNOWN_BOOL, FSignature, bool_term, match_code
+from .lambda_f import BOOL, UNKNOWN_BOOL, DeltaType, FSignature, bool_term, match_code
 from .records import Checked
 from .terms import Abs, App, Const, Term, Unknown, Value, Var, app, lam
 
@@ -87,9 +86,7 @@ from .terms import Abs, App, Const, Term, Unknown, Value, Var, app, lam
 def curry_fixpoint(f: Term) -> Term:
     """(λx.f(xx))(λx.f(xx)); one leftmost beta step yields f applied to
     the fixpoint itself."""
-    x = "x"
-    while x in f.fv:
-        x += "'"
+    x = _fresh_binder("x", f.fv)
     half = Abs(x, App(f, App(Var(x), Var(x))))
     return App(half, half)
 
@@ -137,8 +134,19 @@ Branch = UpdateBranch | ExitBranch
 
 
 class Slot(NamedTuple):
+    """One argument of theta.  A value slot (``delta`` None) holds a
+    code of ``datatype``; a difference-list slot holds a code of
+    ``datatype``, the list datatype of ``delta``, standing for a
+    function whose values are of ``delta.result_datatype``."""
+
     name: str
     datatype: str
+    delta: Optional[DeltaType] = None
+
+    @property
+    def sort(self) -> str:
+        """The sort of the slot's symbol's values."""
+        return self.datatype if self.delta is None else self.delta.result_datatype
 
 
 class Certificate(NamedTuple):
@@ -152,6 +160,12 @@ class Certificate(NamedTuple):
 
 @dataclass(frozen=True)
 class CompiledCombinator:
+    """The record of one build, each fact held once: theta, its budget
+    (K, L) and minima, its slots and branches, the signature it runs
+    under with the scan's memo of theta, its certificate, and the inputs
+    it binds.  ``compiler.CompiledMachine`` extends it with the machine
+    and its outputs."""
+
     theta: Term
     K: int
     L: int
@@ -159,9 +173,9 @@ class CompiledCombinator:
     branches: tuple[Branch, ...]
     K_min: int
     L_min: int
-    # The engine table of the signature theta was built over, and the
-    # memo of the residency scan: theta's nodes with no F-redex under it.
-    table: dict = field(compare=False, repr=False)
+    # The signature theta was built over, and the memo of the residency
+    # scan: theta's nodes with no F-redex under it.
+    sig: FSignature = field(compare=False, repr=False)
     theta_free: dict = field(compare=False, repr=False)
     certificate: Certificate = field(compare=False)
     # The inputs free in theta as built (template), and their codes in theta.
@@ -169,8 +183,8 @@ class CompiledCombinator:
     template: Term = field(compare=False, repr=False)
     binding: tuple[Value, ...]
     # Lockstep's round memo (engine module docstring): start term to
-    # result under this table and budget.  Not an init field, so a
-    # combinator made by dataclasses.replace starts with an empty one.
+    # result under this signature and budget.  Not an init field, so a
+    # record made by dataclasses.replace starts with an empty one.
     round_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -201,8 +215,9 @@ def static_f_work(branches: Sequence[Branch], inputs: frozenset = frozenset()) -
     return sum(branch_f_work(b, inputs) for b in branches)
 
 
-# The guard of the last branch, which theta selects as the else-arm.
-_ELSE_GUARD = GCode(Value(BOOL, True))
+# The constant true: the guard of the last branch, which theta selects
+# as the else-arm.
+G_TRUE = GCode(Value(BOOL, True))
 
 
 def step_cost(k: int, branches: Sequence[Branch], pad_K: int, pad_L: int,
@@ -239,9 +254,7 @@ def _build_theta(
     l_prime: int,
 ) -> Term:
     names = [s.name for s in slots]
-    w = "w"
-    while w in names or w in inputs:
-        w += "'"
+    w = _fresh_binder("w", inputs.union(names))
     branch_terms: list[Term] = []
     for b in branches:
         if isinstance(b, UpdateBranch):
@@ -258,9 +271,7 @@ def _build_theta(
         chain = _slot_test(slots, sig)
         for _ in range(l_prime - 1):
             chain = App(Const("not"), chain)
-        d = "d"
-        while d in names or d in inputs or d == w:
-            d += "'"
+        d = _fresh_binder("d", inputs.union(names, (w,)))
         body = App(Abs(d, body), chain)
         k_prime -= 1
     g = lam([w] + names, identity_chain(k_prime, body))
@@ -269,7 +280,7 @@ def _build_theta(
     return curry_fixpoint(g)
 
 
-def instantiate(template: Term, codes: dict[str, Term], table: dict) -> tuple[Term, dict]:
+def instantiate(template: Term, codes: dict[str, Term], sig: FSignature) -> tuple[Term, dict]:
     """Theta with each input bound to its closed code in ``codes``, and
     ``scan``'s memo of it: one substitution, then one uncounted F-phase,
     whose walk memoizes every constant node it leaves.  Both run on one
@@ -278,7 +289,7 @@ def instantiate(template: Term, codes: dict[str, Term], table: dict) -> tuple[Te
     half = template.fun
     for name, code in codes.items():
         half = _subst(half, name, code)
-    r = _Reducer(table)
+    r = _Reducer(sig)
     half = r.f_phase(half, sys.maxsize)[0]
     theta = App(half, half)
     r.f_free[id(theta)] = theta
@@ -315,7 +326,7 @@ def decode_state(t: Term, theta: Term, slots: Sequence[Slot]) -> Optional[tuple]
     return tuple(vals)
 
 
-def blocks(start: Term, theta: Term, slots: Sequence[Slot], table: dict,
+def blocks(start: Term, theta: Term, slots: Sequence[Slot], sig: FSignature,
            theta_free: Optional[dict], budget: int) -> tuple[list, int]:
     """Reduce ``start`` F-first leftmost, through the engine's shared
     loop, to the next block boundary or a normal form, within ``budget``
@@ -327,7 +338,7 @@ def blocks(start: Term, theta: Term, slots: Sequence[Slot], table: dict,
     Returns the end of every path, in the order reached, as (path,
     term, beta, F, engine status: a boundary, STATUS_NORMAL, STATUS_RAN
     at the budget, or a fork off the head); and the engine steps over
-    all paths, each shared prefix counted once.  ``table`` and
+    all paths, each shared prefix counted once.  ``sig`` and
     ``theta_free`` are the combinator's (``engine.scan``).  Raises
     UndefinedApplication where the engine does."""
     def at_boundary(s: Term) -> bool:
@@ -338,7 +349,7 @@ def blocks(start: Term, theta: Term, slots: Sequence[Slot], table: dict,
     steps = 0
     while todo:
         t, beta, f, path = todo.pop()
-        t, b, g, status = _advance(t, table, budget - beta - f, at_boundary, theta_free)
+        t, b, g, status = _advance(t, sig, budget - beta - f, at_boundary, theta_free)
         beta, f, steps = beta + b, f + g, steps + b + g
         if status == _STATUS_FORK:
             spine, head = _unwind(t)
@@ -367,7 +378,7 @@ def certify(
     theta: Term,
     slots: Sequence[Slot],
     want: tuple[int, int],
-    table: dict,
+    sig: FSignature,
     theta_free: dict,
     labels: Sequence[str] = (),
 ) -> Certificate:
@@ -389,7 +400,7 @@ def certify(
     """
     budget = want[0] + want[1]
     start = app(theta, *map(_abstract_code, slots))
-    ends, steps = blocks(start, theta, slots, table, theta_free, budget)
+    ends, steps = blocks(start, theta, slots, sig, theta_free, budget)
     for path, _, beta, f, status in ends:
         if status == _STATUS_FORK:
             error = "theta selects on an unknown Boolean off the head of the term"
@@ -432,7 +443,7 @@ def build_branch_combinator(
     """
     if not branches:
         raise ValueError("need at least one branch")
-    if branches[-1].guard != _ELSE_GUARD:
+    if branches[-1].guard != G_TRUE:
         raise ValueError("the last branch is the else-arm: its guard must "
                          "be the constant true")
     names = frozenset(s.name for s in inputs)
@@ -447,14 +458,13 @@ def build_branch_combinator(
     if K < k_least:
         raise ValueError(f"requested (K,L)=({K},{L}): the least K for L={L} is {k_least}")
     theta = _build_theta(branches, slots, names, sig, K - k_min, L - l_min)
-    table = signature_table(sig)
-    resident, theta_free = scan(theta, table)
+    resident, theta_free = scan(theta, sig)
     if resident:
         raise ValueError("combinator body contains a resident F-redex; "
                          "fold ground constant subterms to codes first")
     inputs = tuple(s for s in inputs if s.name in theta.fv)
-    abstract, free = (instantiate(theta, {s.name: _abstract_code(s) for s in inputs}, table)
+    abstract, free = (instantiate(theta, {s.name: _abstract_code(s) for s in inputs}, sig)
                       if inputs else (theta, theta_free))
-    cert = certify(abstract, slots, (K, L), table, free, [b.label for b in branches])
+    cert = certify(abstract, slots, (K, L), sig, free, [b.label for b in branches])
     return CompiledCombinator(theta, K, L, tuple(slots), tuple(branches), k_min, l_min,
-                              table, theta_free, cert, inputs, theta, ())
+                              sig, theta_free, cert, inputs, theta, ())

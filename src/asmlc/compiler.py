@@ -19,7 +19,7 @@ the outputs, fail is the numeral 2, clash the numeral 3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional, Sequence
 
 from .asm import (
@@ -38,6 +38,7 @@ from .asm import (
     _carrier_grid,
 )
 from .combinators import (
+    G_TRUE,
     Branch,
     CompiledCombinator,
     ExitBranch,
@@ -65,7 +66,6 @@ SUCCESS_CODE, FAIL_CODE, CLASH_CODE = 1, 2, 3
 # These are exact because every guard evaluates, under the totalized
 # semantics, to a lambda boolean.
 
-G_TRUE = GCode(Value(BOOL, True))
 G_FALSE = GCode(Value(BOOL, False))
 
 
@@ -133,21 +133,6 @@ def gdisj(parts: Sequence[GoodTerm]) -> GoodTerm:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Slots
-
-
-class SlotInfo(NamedTuple):
-    symbol: str
-    representation: str  # "value" | "delta"
-    datatype: str  # sort name, or the delta-list datatype
-    sort: str  # result sort of the symbol
-    delta: Optional[DeltaType] = None
-
-    def as_slot(self) -> Slot:
-        return Slot(self.symbol, self.datatype)
-
-
 class CompileError(Exception):
     pass
 
@@ -165,7 +150,7 @@ def _default(state: State, sort: str):
     return state.carriers[sort][0]
 
 
-def lower_signature(voc: Vocabulary, state: State, slots: Sequence[SlotInfo]) -> tuple[FSignature, set[str]]:
+def lower_signature(voc: Vocabulary, state: State, slots: Sequence[Slot]) -> tuple[FSignature, set[str]]:
     """Constant signature for the compiled term: totalized statics,
     definedness predicates for partial ones, Boolean connectives,
     per-sort equality and selection, and delta operations per
@@ -199,52 +184,54 @@ def lower_signature(voc: Vocabulary, state: State, slots: Sequence[SlotInfo]) ->
             sig.add(f"eq_{sort}", (sort, sort), BOOL, BUILTINS["eq"])
         if sig.get(f"ite_{sort}") is None:
             sig.add(f"ite_{sort}", (BOOL, sort, sort), sort, lambda c, a, b: a if c else b)
-    for info in slots:
-        if info.delta is not None:
-            install_delta(sig, info.delta, totalize_default=_default(state, info.sort))
+    for slot in slots:
+        if slot.delta is not None:
+            install_delta(sig, slot.delta, totalize_default=_default(state, slot.sort))
     return sig, partials
 
 
-def make_slots(voc: Vocabulary) -> list[SlotInfo]:
+def make_slots(voc: Vocabulary) -> list[Slot]:
+    """One slot per dynamic symbol: a value slot for a constant, a
+    difference-list slot for a function."""
     out = []
     for sym in voc.dynamics():
         if sym.arity == 0:
-            out.append(SlotInfo(sym.name, "value", sym.result_sort, sym.result_sort))
+            out.append(Slot(sym.name, sym.result_sort))
         else:
             d = DeltaType(sym.name, sym.arg_sorts, sym.result_sort)
-            out.append(SlotInfo(sym.name, "delta", d.list_datatype, sym.result_sort, d))
+            out.append(Slot(sym.name, d.list_datatype, d))
     return out
 
 
-def slot_values_for_state(slots: Sequence[SlotInfo], state: State,
+def slot_values_for_state(slots: Sequence[Slot], state: State,
                           initial: State) -> tuple[Value, ...]:
     """Slot codes describing ``state`` (delta slots: the tuples where
     the table differs from or extends the initial table, in sorted
     order)."""
     vals = []
-    for info in slots:
-        table = state.dynamics[info.symbol]
-        if info.representation == "value":
-            vals.append(Value(info.datatype, table[()]))
+    for slot in slots:
+        table = state.dynamics[slot.name]
+        if slot.delta is None:
+            vals.append(Value(slot.datatype, table[()]))
         else:
-            init_table = initial.dynamics[info.symbol]
+            init_table = initial.dynamics[slot.name]
             seq = tuple(
                 k + (v,)
                 for k, v in sorted(table.items(), key=repr)
                 if init_table.get(k) != v
             )
-            vals.append(Value(info.datatype, seq))
+            vals.append(Value(slot.datatype, seq))
     return tuple(vals)
 
 
-def initial_values(slots: Sequence[SlotInfo], initial: State) -> tuple[Value, ...]:
+def initial_values(slots: Sequence[Slot], initial: State) -> tuple[Value, ...]:
     """Slot codes for a freshly initialized state: plain values for
     constants (which must be defined), empty difference lists for
     function-sorted symbols."""
-    for info in slots:
-        if info.representation == "value" and () not in initial.dynamics[info.symbol]:
+    for slot in slots:
+        if slot.delta is None and () not in initial.dynamics[slot.name]:
             raise CompileError(
-                f"dynamic constant {info.symbol} has no defined initial value")
+                f"dynamic constant {slot.name} has no defined initial value")
     return slot_values_for_state(slots, initial, initial)
 
 
@@ -256,7 +243,7 @@ class Translator(Fields):
     __match_args__ = ("voc", "init", "slots", "partials", "sig")
 
     def __init__(self, voc: Vocabulary, init: dict[str, InitRule],
-                 slots: dict[str, SlotInfo], partials: set[str], sig: FSignature):
+                 slots: dict[str, Slot], partials: set[str], sig: FSignature):
         self.voc = voc
         self.init = init
         self.slots = slots
@@ -282,16 +269,16 @@ class Translator(Fields):
             mydef = (GApp("def_" + t.head, tuple(vals))
                      if t.head in self.partials else G_TRUE)
             return self._fold(value), gand(argdef, self._fold(mydef))
-        info = self.slots[sym.name]
-        if info.representation == "value":
-            return GVar(sym.name, info.datatype), argdef
+        slot = self.slots[sym.name]
+        if slot.delta is None:
+            return GVar(sym.name, slot.datatype), argdef
         # function-sorted dynamic symbol: look up the delta list, fall
         # back to the initialization term
-        delta = GVar(sym.name, info.datatype)
+        delta = GVar(sym.name, slot.datatype)
         ival, idef = self.init_value_and_def(sym.name, vals)
-        present = GApp(info.delta.op_name("B"), (delta, *vals))
-        lookup = GApp(info.delta.op_name("V"), (delta, *vals))
-        value = GApp(f"ite_{info.sort}", (present, lookup, ival))
+        present = GApp(slot.delta.op_name("B"), (delta, *vals))
+        lookup = GApp(slot.delta.op_name("V"), (delta, *vals))
+        value = GApp(f"ite_{slot.sort}", (present, lookup, ival))
         mydef = gand(argdef, gor(present, idef))
         return value, mydef
 
@@ -322,74 +309,51 @@ class Translator(Fields):
 
 
 @dataclass(frozen=True)
-class CompiledMachine:
+class CompiledMachine(CompiledCombinator):
+    """The compiled combinator of ``machine``, one slot per dynamic
+    symbol, with the output symbols that a success exit carries."""
+
     machine: Machine
-    combinator: CompiledCombinator
-    slots: tuple[SlotInfo, ...]
-    sig: FSignature
     outputs: tuple[Symbol, ...]
-
-    @property
-    def theta(self) -> Term:
-        return self.combinator.theta
-
-    @property
-    def K(self) -> int:
-        return self.combinator.K
-
-    @property
-    def L(self) -> int:
-        return self.combinator.L
-
-    @property
-    def table(self) -> dict:
-        return self.combinator.table
-
-    @property
-    def theta_free(self) -> dict:
-        return self.combinator.theta_free
-
-    @property
-    def round_memo(self) -> dict:
-        return self.combinator.round_memo
 
     def with_inputs(self, state: State) -> CompiledMachine:
         """The instance, with its own round memo, whose theta binds each
         input to its value in ``state``; ``self`` if it binds those."""
-        c = self.combinator
-        binding = tuple(Value(s.datatype, state.statics[s.name]()) for s in c.inputs)
-        if binding == c.binding:
+        binding = tuple(Value(s.datatype, state.statics[s.name]()) for s in self.inputs)
+        if binding == self.binding:
             return self
-        theta, free = instantiate(c.template, {s.name: code_term(v)
-                                               for s, v in zip(c.inputs, binding)}, c.table)
-        return replace(self, combinator=replace(c, theta=theta, theta_free=free, binding=binding))
+        codes = {s.name: code_term(v) for s, v in zip(self.inputs, binding)}
+        theta, free = instantiate(self.template, codes, self.sig)
+        return replace(self, theta=theta, theta_free=free, binding=binding)
 
     def initial_term(self, state: State) -> Term:
         return self.term_of(self.machine.initial_state(state))
 
     def term_of(self, initial: State) -> Term:
-        """Theta applied to the slot codes of an initialised state."""
-        return app(self.theta, *(code_term(v) for v in initial_values(self.slots, initial)))
+        """Theta, bound to the inputs of the initialised state
+        ``initial`` (``with_inputs``), applied to its slot codes."""
+        theta = self.with_inputs(initial).theta
+        return app(theta, *(code_term(v) for v in initial_values(self.slots, initial)))
 
     def manifest(self) -> dict:
-        c = self.combinator
         return {
-            "K": c.K,
-            "L": c.L,
-            "K_total": c.K + c.L,
-            "K_min": c.K_min,
-            "L_min": c.L_min,
-            "cost": c.cost(),
+            "K": self.K,
+            "L": self.L,
+            "K_total": self.K + self.L,
+            "K_min": self.K_min,
+            "L_min": self.L_min,
+            "cost": self.cost(),
             "slots": [
-                {"symbol": s.symbol, "representation": s.representation,
+                {"symbol": s.name,
+                 "representation": "value" if s.delta is None else "delta",
                  "datatype": s.datatype, "sort": s.sort}
                 for s in self.slots
             ],
             "outputs": [s.name for s in self.outputs],
             "exit_codes": {"success": SUCCESS_CODE, "fail": FAIL_CODE,
                            "clash": CLASH_CODE},
-            "branches": len(c.branches),
-            "guard_order": [b.label for b in c.branches],
+            "branches": len(self.branches),
+            "guard_order": [b.label for b in self.branches],
         }
 
 
@@ -434,24 +398,24 @@ def _clause_clash(tr: Translator, voc: Vocabulary, updates: list[Update]) -> Goo
     return gdisj(terms)
 
 
-def _slot_update(tr: Translator, info: SlotInfo, updates: list[Update]) -> GoodTerm:
-    mine = [u for u in updates if u.symbol == info.symbol]
+def _slot_update(tr: Translator, slot: Slot, updates: list[Update]) -> GoodTerm:
+    mine = [u for u in updates if u.symbol == slot.name]
     if not mine:
-        return GVar(info.symbol, info.datatype)
-    if info.representation == "value":
+        return GVar(slot.name, slot.datatype)
+    if slot.delta is None:
         return tr.value_and_def(mine[0].rhs)[0]
     # delta slot: remove the currently visible tuple for each updated
     # location (read from the accumulated list, so repeated writes to
     # one location keep the list functional), then append the new one
-    acc: GoodTerm = GVar(info.symbol, info.datatype)
-    d = info.delta
+    acc: GoodTerm = GVar(slot.name, slot.datatype)
+    d = slot.delta
     for u in mine:
         arg_vals = [tr.value_and_def(a)[0] for a in u.args]
         rhs = tr.value_and_def(u.rhs)[0]
         present = GApp(d.op_name("B"), (acc, *arg_vals))
         lookup = GApp(d.op_name("V"), (acc, *arg_vals))
-        ival, _ = tr.init_value_and_def(info.symbol, arg_vals)
-        current = GApp(f"ite_{info.sort}", (present, lookup, ival))
+        ival, _ = tr.init_value_and_def(slot.name, arg_vals)
+        current = GApp(f"ite_{slot.sort}", (present, lookup, ival))
         acc = GApp(d.op_name("Add"),
                    (GApp(d.op_name("Del"), (acc, *arg_vals, current)),
                     *arg_vals, rhs))
@@ -475,7 +439,7 @@ def compile_machine(
         raise CompileError("machine has no dynamic symbols")
     gp = normalize(machine.program)
     sig, partials = lower_signature(voc, state, slots)
-    tr = Translator(voc, machine.init, {s.symbol: s for s in slots}, partials, sig)
+    tr = Translator(voc, machine.init, {s.name: s for s in slots}, partials, sig)
 
     clause_guards = [_clause_guard(tr, cl) for cl in gp.clauses]
     update_clauses = [
@@ -509,8 +473,7 @@ def compile_machine(
     outputs = tuple(voc.outputs())
     success_parts: list = [nat(SUCCESS_CODE)]
     for sym in outputs:
-        info = tr.slots[sym.name]
-        success_parts.append(GVar(sym.name, info.datatype))
+        success_parts.append(GVar(sym.name, tr.slots[sym.name].datatype))
 
     fold = tr._fold
     branches: list[Branch] = [
@@ -524,7 +487,7 @@ def compile_machine(
     for i, (cl, g) in enumerate(zip(gp.clauses, clause_guards)):
         ups = _clause_updates(cl)
         if ups:
-            row = tuple(fold(_slot_update(tr, info, ups)) for info in slots)
+            row = tuple(fold(_slot_update(tr, slot, ups)) for slot in slots)
             branches.append(UpdateBranch(fold(g), row, label=f"clause-{i}"))
     # theta selects the first true guard, so neither a guard that folds
     # to false nor any branch after one that folds to true can fire;
@@ -545,8 +508,9 @@ def compile_machine(
     # no slot code can stand for an undefined initial value
     initial_values(slots, machine.initial_state(state))
     inputs = [Slot(s.name, s.result_sort) for s in voc.symbols.values() if s.is_input]
-    cc = build_branch_combinator(kept, [s.as_slot() for s in slots], sig, K, L, inputs)
-    return CompiledMachine(machine, cc, tuple(slots), sig, outputs).with_inputs(state)
+    cc = build_branch_combinator(kept, slots, sig, K, L, inputs)
+    return CompiledMachine(*(getattr(cc, f.name) for f in fields(cc) if f.init),
+                           machine, outputs).with_inputs(state)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +528,7 @@ class DecodeError(Exception):
 
 
 def decode_result(t: Term, cm: CompiledMachine) -> DecodedResult:
-    vals = decode_state(t, cm.theta, cm.combinator.slots)
+    vals = decode_state(t, cm.theta, cm.slots)
     if vals is not None:
         return DecodedResult("running", values=vals)
     n = match_nat(t)
@@ -595,8 +559,8 @@ def _match_success(t: Term, cm: CompiledMachine) -> Optional[dict]:
         return None
     out = {}
     for a, sym in zip(args[1:], cm.outputs):
-        info = next(s for s in cm.slots if s.symbol == sym.name)
-        v = match_code(a, info.datatype)
+        slot = next(s for s in cm.slots if s.name == sym.name)
+        v = match_code(a, slot.datatype)
         if v is None:
             return None
         out[sym.name] = v

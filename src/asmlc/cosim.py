@@ -23,7 +23,7 @@ from .encodings import (
     selection_cost,
 )
 from .engine import STATUS_RAN, STATUS_UNDEFINED, advance_term
-from .lambda_f import UndefinedApplication
+from .lambda_f import FSignature, UndefinedApplication
 from .terms import Abs, App, Term, Var, alpha_eq, app
 
 
@@ -63,11 +63,11 @@ def _slot_diff(what: str, decoded, tables: dict, initial: State) -> str:
     payload is the machine's value; a difference-list slot must be a
     functional list, and agrees as a map over the initial table
     (grid-free: both sides are finite tables)."""
-    for info, got in decoded:
-        name, table = info.symbol, tables[info.symbol]
-        if info.representation == "value":
+    for slot, got in decoded:
+        name, table = slot.name, tables[slot.name]
+        if slot.delta is None:
             want = table.get(())
-            if got.datatype == info.datatype and got.payload == want:
+            if got.datatype == slot.datatype and got.payload == want:
                 continue
             got = got.payload
         else:
@@ -89,7 +89,7 @@ def _block_note(t: Term, cm: CompiledMachine) -> str:
     never reaches a boundary costs no more than that to diagnose."""
     limit = _NOTE_ROUNDS * (cm.K + cm.L)
     try:
-        ((_, _, beta, f, status),), _ = blocks(t, cm.theta, cm.combinator.slots, cm.table,
+        ((_, _, beta, f, status),), _ = blocks(t, cm.theta, cm.slots, cm.sig,
                                                cm.theta_free, limit)
     except UndefinedApplication as exc:
         return f"no block boundary from the round's start ({exc})"
@@ -136,7 +136,7 @@ def lockstep(machine: Machine, cm: CompiledMachine, state: State,
 
     for i, (want_kind, want_state) in enumerate(expected, start=1):
         start = t
-        t, beta, f, status = advance_term(start, cm.table, K + L, cm.theta_free,
+        t, beta, f, status = advance_term(start, cm.sig, K + L, cm.theta_free,
                                           cm.round_memo)
         if status == STATUS_UNDEFINED:
             rounds.append(RoundRecord(i, beta, f, "undefined", False,
@@ -161,8 +161,8 @@ def lockstep(machine: Machine, cm: CompiledMachine, state: State,
         elif d.kind == "success":
             # the machine's outputs are the tables of the state it halted in
             note = _slot_diff("output mismatch:",
-                              ((s, d.outputs[s.symbol]) for s in cm.slots
-                               if s.symbol in d.outputs),
+                              ((s, d.outputs[s.name]) for s in cm.slots
+                               if s.name in d.outputs),
                               result.trajectory[-1].dynamics, initial)
         else:
             note = ""
@@ -201,7 +201,7 @@ def decoration_audit() -> list[AuditRow]:
     # Curry fixed point: one step to f applied to the fixpoint.
     f = Abs("v", App(Var("v"), Var("v")))
     theta = curry_fixpoint(f)
-    t, beta, _, _ = advance_term(theta, {}, 1)
+    t, beta, _, _ = advance_term(theta, FSignature(), 1)
     measured = beta if alpha_eq(t, App(f, theta)) else -1
     rows.append(AuditRow("curry-fixpoint", "", "1", str(measured), measured == 1))
 

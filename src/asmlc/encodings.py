@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .engine import STATUS_NORMAL, advance_term
 from .terms import Abs, App, Term, Var, app, lam
-from .lambda_f import FALSE_TERM, TRUE_TERM, bool_term, match_bool
+from .lambda_f import FALSE_TERM, TRUE_TERM, FSignature, bool_term, match_bool
 
 I_TERM: Term = Abs("u", Var("u"))
 
@@ -113,7 +113,7 @@ def select_first(guards: Sequence[Term], branches: Sequence[Term]) -> Term:
 
 def measure_beta(t: Term, max_steps: int = 100_000) -> tuple[Term, int]:
     """Leftmost-normalize and return (normal form, beta count)."""
-    nf, beta, _, status = advance_term(t, {}, max_steps)
+    nf, beta, _, status = advance_term(t, FSignature(), max_steps)
     if status != STATUS_NORMAL:
         raise RuntimeError("measurement did not reach normal form")
     return nf, beta

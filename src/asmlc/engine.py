@@ -52,9 +52,9 @@ variable is not tried either: a redex's arguments are codes or lambda
 booleans, all closed, so no F-step makes that prefix a redex.
 Substitution returns every subterm in which the variable is not in
 ``fv`` unchanged, closed terms included.  Whether a node with
-``const`` holds an F-redex depends on the signature table, so a call
-keeps one memo, keyed by ``id``, of the subterms already found to
-contain no F-redex under its table.  That property is inherited by
+``const`` holds an F-redex depends on the signature, so a call keeps
+one memo, keyed by ``id``, of the subterms already found to contain no
+F-redex under its signature.  That property is inherited by
 every subterm, and a step rebuilds only the path from the root to the
 redex plus the contractum, so a memo hit covers a whole subtree the step
 left untouched.  The memo stores the node itself, so no ``id`` is reused
@@ -80,7 +80,7 @@ arguments: the reduction is deterministic, and ``fresh_name`` renames a
 binder by the terms involved alone, so a structurally equal start term
 ends in an equal term with equal counts and status (the builtin
 functions give equal results on equal payloads).  A caller that
-advances many terms under one table and one budget, as lockstep does
+advances many terms under one signature and one budget, as lockstep does
 under a compiled machine, can pass a ``memo`` dict keyed by the start
 term; a repeated round is then one dict lookup (memo functions: Michie
 1968, "Memo functions and machine learning").  The key is structural,
@@ -91,8 +91,8 @@ sits inside ``advance_term``, not in its callers, so a wrapper around
 ``advance_term`` (a tracer counting its calls and steps) still sees one
 call per round with that round's counts.  The memo holds one entry per
 distinct start term and lives as long as its owner; the compiled
-combinator owns lockstep's (``combinators.CompiledCombinator``), and a
-combinator derived by ``dataclasses.replace`` starts with an empty one.
+machine owns lockstep's (``compiler.CompiledMachine``), and a record
+derived by ``dataclasses.replace`` starts with an empty one.
 
 ``KERNEL_NAME`` names the implementation for benchmark records.
 """
@@ -105,6 +105,7 @@ from .lambda_f import (
     FALSE_TERM,
     TRUE_TERM,
     UNKNOWN_BOOL,
+    FFunction,
     FSignature,
     UndefinedApplication,
     match_bool,
@@ -123,15 +124,6 @@ _STATUS_FORK = 4
 
 class _Fork(Exception):
     """The leftmost beta redex applies the abstract Boolean."""
-
-
-def signature_table(sig: FSignature) -> dict:
-    """Lower an FSignature to the engine's dict form
-    ``name -> (arity, arg_datatypes, result_datatype, fn)``."""
-    return {
-        name: (f.arity, f.arg_datatypes, f.result_datatype, f.fn)
-        for name, f in sig.functions.items()
-    }
 
 
 def _rebuild(spine: list, i: int, new: Term) -> Term:
@@ -186,16 +178,17 @@ def _beta_step(t: Term) -> Term:
 
 
 class _Reducer:
-    """The F-redex walk over one signature table, with the F-redex-free
-    memo of one call."""
+    """The F-redex walk over one signature, with the F-redex-free memo
+    of one call.  It reads each ``FFunction`` by index: arity at 0,
+    argument datatypes at 1, result datatype at 2, function at 3."""
 
-    def __init__(self, table: dict, f_free: Optional[dict] = None):
-        self.table = table
+    def __init__(self, sig: FSignature, f_free: Optional[dict] = None):
+        self.functions = sig.functions
         self.f_free: dict = dict(f_free) if f_free else {}  # id -> node with no F-redex
         self.fired = self.limit = 0
         self.stop = None
 
-    def _fire(self, head: Const, entry: tuple, args: list):
+    def _fire(self, head: Const, entry: FFunction, args: list):
         """The contractum of ``head`` applied to the first ``arity`` of
         ``args``, counted in ``fired``; None when one of them is not a
         code of its datatype, or when the walk stops here (``stop``):
@@ -228,7 +221,7 @@ class _Reducer:
             return TRUE_TERM if out else FALSE_TERM
         return Code(Value(entry[2], out))
 
-    def _fire_unknown(self, entry: tuple, args: list):
+    def _fire_unknown(self, entry: FFunction, args: list):
         """``_fire`` when an argument is an abstract code: when every
         argument is a code or an abstract code of its datatype, one
         counted firing to an abstract code of the result datatype,
@@ -284,7 +277,7 @@ class _Reducer:
             elif ht is Const:
                 # a prefix with a free variable has an argument that no
                 # F-step turns into a code, so the head cannot fire
-                entry = self.table.get(head.symbol)
+                entry = self.functions.get(head.symbol)
                 if entry is not None and entry[0] <= n and (
                         entry[0] == 0 or not spine[n - entry[0]].fv):
                     fire = entry[0]
@@ -320,7 +313,7 @@ class _Reducer:
                 if body is not t.body:
                     t = Abs(t.binder, body)
         elif tp is Const:
-            entry = self.table.get(t.symbol)
+            entry = self.functions.get(t.symbol)
             if entry is not None and entry[0] == 0:
                 out = self._fire(t, entry, [])
                 if out is not None:
@@ -330,23 +323,23 @@ class _Reducer:
         return t
 
 
-def scan(t: Term, sig_table: dict) -> tuple[bool, dict]:
-    """Search ``t`` once for an F-redex under ``sig_table``: whether it
-    holds one (an undefined one included), and the memo of its nodes
-    found to hold none, by ``id``, for ``advance_term``'s ``f_free``."""
-    r = _Reducer(sig_table)
+def scan(t: Term, sig: FSignature) -> tuple[bool, dict]:
+    """Search ``t`` once for an F-redex under ``sig``: whether it holds
+    one (an undefined one included), and the memo of its nodes found to
+    hold none, by ``id``, for ``advance_term``'s ``f_free``."""
+    r = _Reducer(sig)
     stop = r.f_phase(t, 0)[2]
     return stop is not None, r.f_free
 
 
-def _advance(t: Term, sig_table: dict, max_steps: int, boundary=None,
+def _advance(t: Term, sig: FSignature, max_steps: int, boundary=None,
              f_free: Optional[dict] = None):
     """The shared reduction loop: up to ``max_steps`` F-first leftmost
     steps, stopping early at a normal form or, when ``boundary`` is
     given, at the first term after a step for which it holds.  The
     boundary is tested after each F-phase and each beta step, so it must
     hold only of F-normal terms (module docstring).  ``f_free`` holds
-    nodes known to contain no F-redex under ``sig_table``, by ``id``.
+    nodes known to contain no F-redex under ``sig``, by ``id``.
 
     Returns (term, beta_count, f_count, status); the status is
     ``_STATUS_FORK`` when the next step would contract the abstract
@@ -355,7 +348,7 @@ def _advance(t: Term, sig_table: dict, max_steps: int, boundary=None,
     UndefinedApplication carrying ``reached`` = (term before it,
     beta_count, f_count).
     """
-    r = _Reducer(sig_table, f_free)
+    r = _Reducer(sig, f_free)
     beta = f = 0
     while True:
         t, count, stop = r.f_phase(t, max_steps - beta - f)
@@ -381,11 +374,11 @@ def _advance(t: Term, sig_table: dict, max_steps: int, boundary=None,
             return t, beta, f, _STATUS_BOUNDARY
 
 
-def advance_term(t: Term, sig_table: dict, max_steps: int, f_free: Optional[dict] = None,
+def advance_term(t: Term, sig: FSignature, max_steps: int, f_free: Optional[dict] = None,
                  memo: Optional[dict] = None):
     """Advance ``t`` by up to ``max_steps`` F-first leftmost steps.
     ``f_free`` maps ``id`` to nodes known to hold no F-redex under
-    ``sig_table`` (``scan``'s memo); the call reads a copy of it.
+    ``sig`` (``scan``'s memo); the call reads a copy of it.
 
     Returns (term, beta_count, f_count, status): STATUS_NORMAL when a
     normal form was reached within the budget, STATUS_RAN when the
@@ -396,7 +389,7 @@ def advance_term(t: Term, sig_table: dict, max_steps: int, f_free: Optional[dict
     ``memo``, when given, maps start terms to results (module
     docstring, "Round memo"): a start term found there returns its
     stored result without a step, and a new one is reduced once and
-    stored.  One memo serves one ``sig_table`` and one ``max_steps``.
+    stored.  One memo serves one ``sig`` and one ``max_steps``.
     Without a memo no term is hashed.
     """
     if memo is not None:
@@ -404,7 +397,7 @@ def advance_term(t: Term, sig_table: dict, max_steps: int, f_free: Optional[dict
         if hit is not None:
             return hit
     try:
-        out = _advance(t, sig_table, max_steps, f_free=f_free)
+        out = _advance(t, sig, max_steps, f_free=f_free)
     except UndefinedApplication as exc:
         out = (*exc.reached, STATUS_UNDEFINED)
     if memo is not None:

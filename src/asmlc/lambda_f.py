@@ -83,14 +83,16 @@ class UndefinedApplication(ReductionError):
 
 
 class FFunction(NamedTuple):
-    name: str
+    """One semantic function.  The engine reads its fields by index on
+    every constant head it meets (``engine._Reducer``), so their order
+    is part of the engine's contract: arity, argument datatypes, result
+    datatype, function."""
+
+    arity: int
     arg_datatypes: tuple[str, ...]
     result_datatype: str
     fn: Callable  # payload args -> payload, or None when undefined
-
-    @property
-    def arity(self) -> int:
-        return len(self.arg_datatypes)
+    name: str
 
     def apply(self, args: tuple[Value, ...]) -> Value:
         out = self.fn(*(a.payload for a in args))
@@ -110,7 +112,8 @@ class FSignature(Fields):
     def add(self, name, arg_datatypes, result_datatype, fn) -> FFunction:
         if name in self.functions:
             raise ValueError(f"duplicate function {name}")
-        f = FFunction(name, tuple(arg_datatypes), result_datatype, fn)
+        arg_datatypes = tuple(arg_datatypes)
+        f = FFunction(len(arg_datatypes), arg_datatypes, result_datatype, fn, name)
         self.functions[name] = f
         return f
 

@@ -2,9 +2,11 @@
 ``dataclasses``.
 
 ``dataclasses`` writes and ``exec``s the source of every method it adds,
-about 1 ms a class at every start-up.  Only ``CompiledCombinator`` and
-``CompiledMachine`` keep the decorator, for ``dataclasses.replace`` and
-their fields kept out of ``==``.  Value records are ``NamedTuple``s.  A
+about 1 ms a class at every start-up.  Only the compile record keeps the
+decorator: ``CompiledCombinator`` and its subclass ``CompiledMachine``,
+for ``dataclasses.replace``, their fields kept out of ``==``, and the
+round memo, a field that a replaced record starts empty.  Value records
+are ``NamedTuple``s.  A
 class on ``Frozen`` or ``Fields`` lists its fields, in order, in
 ``__match_args__``, and gets the methods that need only that list:
 

@@ -40,7 +40,6 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .asm import (
-    BOOL_SORT,
     BUILTINS,
     CONNECTIVES,
     FailI,
@@ -58,9 +57,9 @@ from .asm import (
     TypedTerm,
     Update,
     Vocabulary,
-    check_program,
 )
 from .records import Fields
+from .terms import BOOL
 
 
 class Diagnostic(NamedTuple):
@@ -141,16 +140,16 @@ class SourceMachine(Fields):
         return self._voc
 
     def _build_vocabulary(self) -> Vocabulary:
-        names = [BOOL_SORT] + [s.name for s in self.sorts]
+        names = [BOOL] + [s.name for s in self.sorts]
         symbols: dict[str, Symbol] = {}
         for st in self.statics:
             symbols[st.name] = Symbol(st.name, "static", st.arg_sorts, st.result,
                                       is_input=st.impl[0] == "input")
         for name, arity in _INJECTED.items():
             symbols.setdefault(name, Symbol(name, "static",
-                                            (BOOL_SORT,) * arity, BOOL_SORT))
+                                            (BOOL,) * arity, BOOL))
         for s in names:
-            symbols.setdefault(f"eq_{s}", Symbol(f"eq_{s}", "static", (s, s), BOOL_SORT))
+            symbols.setdefault(f"eq_{s}", Symbol(f"eq_{s}", "static", (s, s), BOOL))
         for d in self.dynamics:
             symbols[d.name] = Symbol(d.name, "dynamic", d.arg_sorts, d.result,
                                      is_output=d.output)
@@ -164,9 +163,7 @@ class SourceMachine(Fields):
         for d in self.dynamics:
             if d.name not in init:
                 raise SourceError([Diagnostic(0, 0, f"dynamic symbol {d.name} has no init rule")])
-        m = Machine(voc, self.program, init)
-        check_program(voc, self.program)
-        return m
+        return Machine(voc, self.program, init)
 
     def state(self, bindings: Optional[dict[str, object]] = None) -> State:
         """The state that binds the input constants to ``bindings``.
@@ -174,7 +171,7 @@ class SourceMachine(Fields):
         for a value outside its input's carrier."""
         bindings = bindings or {}
         voc = self.vocabulary()
-        carriers: dict[str, tuple] = {BOOL_SORT: (True, False)}
+        carriers: dict[str, tuple] = {BOOL: (True, False)}
         for s in self.sorts:
             carriers[s.name] = s.carrier
         inputs = {d.name: d.result for d in self.statics if d.impl[0] == "input"}
@@ -185,7 +182,7 @@ class SourceMachine(Fields):
                     f"(inputs: {', '.join(inputs) or 'none'})"))])
             sort = inputs[name]
             # True == 1, so a Bool must not pass for a number or back
-            if isinstance(value, bool) != (sort == BOOL_SORT) or value not in carriers[sort]:
+            if isinstance(value, bool) != (sort == BOOL) or value not in carriers[sort]:
                 raise SourceError([Diagnostic(0, 0, (
                     f"input {name} = {value!r} is outside the carrier of {sort}"))])
         statics: dict = {}
@@ -530,7 +527,7 @@ def _known_symbol(ctx: _Ctx, name: str) -> bool:
         return True
     if name in _INJECTED:
         return True
-    sorts = [BOOL_SORT] + [s.name for s in ctx.sorts]
+    sorts = [BOOL] + [s.name for s in ctx.sorts]
     return name in (f"eq_{s}" for s in sorts)
 
 

@@ -29,7 +29,7 @@ from asmlc.asm import (
 from asmlc.combinators import blocks, decode_state
 from asmlc.compiler import CompiledMachine, slot_values_for_state
 from asmlc.engine import STATUS_NORMAL, STATUS_RAN
-from asmlc.lambda_f import code_term
+from asmlc.lambda_f import FSignature, code_term
 from asmlc.sourcefmt import SourceMachine, parse_source
 from asmlc.terms import Abs, App, Term, Var, app
 
@@ -56,7 +56,7 @@ def machine_probes(machine: Machine, state: State, slots) -> list[dict]:
     (``combinators.certify``) against plain measurement."""
     s0 = machine.initial_state(state)
     r = run_from_state(s0, machine.program, 4)
-    return [{info.symbol: v for info, v in zip(slots, slot_values_for_state(slots, st, s0))}
+    return [{s.name: v for s, v in zip(slots, slot_values_for_state(slots, st, s0))}
             for st in r.trajectory]
 
 
@@ -71,12 +71,12 @@ class Block(NamedTuple):
     values: Optional[tuple]  # decoded slots when kind == "state"
 
 
-def measure_block(start: Term, theta: Term, slots, table: dict, theta_free=None,
+def measure_block(start: Term, theta: Term, slots, sig: FSignature, theta_free=None,
                   max_steps: int = 100_000) -> Block:
     """The one path of ``combinators.blocks`` from a concrete start.
     Raises RuntimeError when the block does not complete within
     ``max_steps``."""
-    ((_, t, beta, f, status),), _ = blocks(start, theta, slots, table, theta_free, max_steps)
+    ((_, t, beta, f, status),), _ = blocks(start, theta, slots, sig, theta_free, max_steps)
     if status == STATUS_RAN:
         raise RuntimeError("block did not complete within the step budget")
     if status == STATUS_NORMAL:
@@ -87,11 +87,10 @@ def measure_block(start: Term, theta: Term, slots, table: dict, theta_free=None,
 def probe_blocks(cm: CompiledMachine, probes) -> list[tuple[Term, Block]]:
     """One concrete block of ``cm``'s theta from each probe valuation,
     each with the term it starts from."""
-    slots = cm.combinator.slots
     out = []
     for val in probes:
-        start = app(cm.theta, *(code_term(val[s.name]) for s in slots))
-        out.append((start, measure_block(start, cm.theta, slots, cm.table)))
+        start = app(cm.theta, *(code_term(val[s.name]) for s in cm.slots))
+        out.append((start, measure_block(start, cm.theta, cm.slots, cm.sig)))
     return out
 
 

@@ -19,7 +19,7 @@ from asmlc.compiler import (
 )
 from asmlc.cosim import decoration_audit, lockstep
 from asmlc.encodings import match_nat, projection_cost
-from asmlc.engine import STATUS_NORMAL, advance_term, signature_table
+from asmlc.engine import STATUS_NORMAL, advance_term
 from asmlc.good_terms import reduce_cost, semantics, variables
 from asmlc.lambda_f import FSignature, f_redexes, reduce_leftmost_f
 from asmlc.normalize import check_equivalence, normalize, to_program
@@ -81,8 +81,7 @@ def test_03_fail_and_clash_exit_codes():
         sm = bundled(want_kind)
         machine, state = sm.machine(), sm.state({})
         cm = compile_machine(machine, state)
-        table = signature_table(cm.sig)
-        t, beta, f, status = advance_term(cm.initial_term(state), table,
+        t, beta, f, status = advance_term(cm.initial_term(state), cm.sig,
                                           cm.K + cm.L)
         assert (beta, f) == (cm.K, cm.L)
         assert status == STATUS_NORMAL
@@ -105,10 +104,9 @@ def test_04_delta_fidelity_lockstep():
     assert rep.passed
 
     # explicit fidelity check on the decoded final output
-    table = signature_table(cm.sig)
     t = cm.initial_term(state)
     for _ in range(len(rep.rounds)):
-        t, *_ = advance_term(t, table, cm.K + cm.L)
+        t, *_ = advance_term(t, cm.sig, cm.K + cm.L)
     d = decode_result(t, cm)
     assert d.kind == "success"
     delta = delta_as_map(d.outputs["f"])
@@ -226,13 +224,13 @@ def _corpus_good_terms():
         r = run(machine, state, 100)
         s0 = machine.initial_state(state)
         # the terms read the inputs too, bound to the state's values
-        inputs = {s.name: v for s, v in zip(cm.combinator.inputs, cm.combinator.binding)}
+        inputs = {s.name: v for s, v in zip(cm.inputs, cm.binding)}
         valuations = []
         for st in r.trajectory:
             vals = slot_values_for_state(cm.slots, st, s0)
-            valuations.append({**inputs, **{i.symbol: v for i, v in zip(cm.slots, vals)}})
+            valuations.append({**inputs, **{s.name: v for s, v in zip(cm.slots, vals)}})
         terms = []
-        for b in cm.combinator.branches:
+        for b in cm.branches:
             terms.append(b.guard)
             if hasattr(b, "updates"):
                 terms.extend(b.updates)
@@ -290,7 +288,7 @@ def test_12_step_budget_growth_curve():
         machine, state = counter_family(n)
         cm = compile_machine(machine, state)
         size = n  # dynamic symbols; guards/updates grow linearly with n
-        curve.append((size, cm.combinator.K_min))
+        curve.append((size, cm.K_min))
         # sanity: the family actually runs and stays in lockstep
         assert lockstep(machine, cm, state).passed
     kmins = [k for _, k in curve]

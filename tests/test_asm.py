@@ -11,6 +11,8 @@ from asmlc.asm import (
     FailI,
     HaltI,
     If,
+    InitRule,
+    Machine,
     Outcome,
     Par,
     Skip,
@@ -476,10 +478,11 @@ def test_fieldless_instructions_are_pairwise_unequal_and_truthy():
 
 
 def test_record_checks_run_on_every_value_built_from_outside():
-    """Vocabulary, State and ExitBranch check their fields however they
-    are built: called, by _make or _replace, or copied."""
+    """Vocabulary, State, Machine and ExitBranch check their fields
+    however they are built: called, by _make or _replace, or copied."""
     voc = counter_vocabulary()
     s = counter_state(voc, 1, 2)
+    machine = Machine(voc, Skip(), {c: InitRule((), TApp("zero")) for c in ("p", "q")})
     exit_branch = ExitBranch(GApp("true"), (GVar("a", "Nat"),))
     bad = [
         lambda: Vocabulary(("Nat",), {}),
@@ -491,6 +494,9 @@ def test_record_checks_run_on_every_value_built_from_outside():
         lambda: Vocabulary(voc.sorts, {"c": Symbol("c", "static", ("Nat",), "Nat", is_input=True)}),
         lambda: State(voc, {"Bool": (True,)}, s.statics, s.dynamics),
         lambda: s._replace(carriers={}),
+        # an ill-sorted program, and an init rule that reads a dynamic symbol
+        lambda: Machine(voc, If(TApp("zero"), Skip()), machine.init),
+        lambda: machine._replace(init={"p": InitRule((), TApp("q"))}),
         lambda: ExitBranch(GApp("true"), ()),
         lambda: exit_branch._replace(parts=()),
     ]

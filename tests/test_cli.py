@@ -136,7 +136,7 @@ def test_verify_cut_run_with_a_failed_round_prints_fail(capsys, monkeypatch):
     # a run cut at --max-steps: the failed round makes the verdict fail
     def one_beta_over(machine, state, K=None, L=None):
         cm = compile_machine(machine, state, K=K, L=L)
-        return replace(cm, combinator=replace(cm.combinator, K=cm.K + 1))
+        return replace(cm, K=cm.K + 1)
 
     compile_machine = cli.compile_machine
     monkeypatch.setattr(cli, "compile_machine", one_beta_over)

@@ -2,6 +2,7 @@ import pytest
 
 from asmlc import combinators
 from asmlc.combinators import (
+    G_TRUE,
     ExitBranch,
     Slot,
     UpdateBranch,
@@ -13,7 +14,7 @@ from asmlc.combinators import (
     static_f_work,
 )
 from asmlc.encodings import identity_chain
-from asmlc.engine import scan, signature_table
+from asmlc.engine import scan
 from asmlc.good_terms import GApp, GCode, GVar
 from asmlc.compiler import compile_machine
 from asmlc.lambda_f import (
@@ -61,7 +62,7 @@ def traced_block(t, theta, slots, sig, max_steps=100_000) -> Block:
 def block(t, theta, slots, sig) -> Block:
     """One block through ``combinators.blocks``, checked against the
     traced reference loop."""
-    got = measure_block(t, theta, slots, signature_table(sig))
+    got = measure_block(t, theta, slots, sig)
     want = traced_block(t, theta, slots, sig)
     assert (got.kind, got.beta_count, got.f_count, got.values) == (
         want.kind, want.beta_count, want.f_count, want.values)
@@ -69,14 +70,11 @@ def block(t, theta, slots, sig) -> Block:
     return got
 
 
-def _assert_probes_agree(cc, slots, sig, probes):
+def _assert_probes_agree(cc, probes):
     for val in probes:
-        start = app(cc.theta, *(code_term(val[s.name]) for s in slots))
-        b = block(start, cc.theta, slots, sig)
+        start = app(cc.theta, *(code_term(val[s.name]) for s in cc.slots))
+        b = block(start, cc.theta, cc.slots, cc.sig)
         assert (b.beta_count, b.f_count) == (cc.K, cc.L)
-
-
-TRUE_GUARD = GCode(Value(BOOL, True))
 
 
 @pytest.fixture
@@ -109,9 +107,9 @@ def _counter(nat_sig, **kw):
     slots = [Slot("c", "Nat")]
     phi = GApp("plus", (GVar("c", "Nat"), GCode(Value("Nat", 1))))
     probes = [{"c": Value("Nat", i)} for i in range(3)]
-    cc = build_branch_combinator([UpdateBranch(TRUE_GUARD, (phi,))],
+    cc = build_branch_combinator([UpdateBranch(G_TRUE, (phi,))],
                                  slots, nat_sig, **kw)
-    _assert_probes_agree(cc, slots, nat_sig, probes)
+    _assert_probes_agree(cc, probes)
     return cc, slots
 
 
@@ -183,9 +181,9 @@ def test_conditional_combinator_exits(nat_sig):
     gamma = GVar("c", "Nat")
     probes = [{"c": Value("Nat", i)} for i in range(4)]
     cc = build_branch_combinator(
-        [UpdateBranch(guard_run, (phi,)), ExitBranch(TRUE_GUARD, (gamma,))],
+        [UpdateBranch(guard_run, (phi,)), ExitBranch(G_TRUE, (gamma,))],
         slots, nat_sig)
-    _assert_probes_agree(cc, slots, nat_sig, probes)
+    _assert_probes_agree(cc, probes)
     t = App(cc.theta, code_term(Value("Nat", 0)))
     seen = []
     for _ in range(10):
@@ -237,7 +235,7 @@ def test_resident_f_redex_rejected(nat_sig):
     phi = GVar("c", "Nat")
     with pytest.raises(ValueError, match="resident F-redex"):
         build_branch_combinator([UpdateBranch(bad_guard, (phi,)),
-                                 UpdateBranch(TRUE_GUARD, (phi,))],
+                                 UpdateBranch(G_TRUE, (phi,))],
                                 slots, nat_sig)
 
 
@@ -249,7 +247,7 @@ def test_inputs_stay_free_and_bind_uncounted(nat_sig):
     c = GVar("c", "Nat")
     bound = GApp("plus", (GVar("w", "Nat"), GVar("d", "Nat")))
     phi = GApp("plus", (c, GCode(Value("Nat", 1))))
-    branches = [UpdateBranch(GApp("lt", (c, bound)), (phi,)), ExitBranch(TRUE_GUARD, (c,))]
+    branches = [UpdateBranch(GApp("lt", (c, bound)), (phi,)), ExitBranch(G_TRUE, (c,))]
     inputs = [Slot("w", "Nat"), Slot("d", "Nat"), Slot("unread", "Nat")]
     least = build_branch_combinator(branches, slots, nat_sig, inputs=inputs)
     assert (least.K_min, least.L_min) == (5, 2)
@@ -260,8 +258,8 @@ def test_inputs_stay_free_and_bind_uncounted(nat_sig):
     assert cc.cost()["F_branches"] == [2, 0]
     for w, d in ((0, 0), (1, 2), (3, 1)):
         theta, free = instantiate(cc.template, {"w": code_term(Value("Nat", w)),
-                                                "d": code_term(Value("Nat", d))}, cc.table)
-        assert not theta.fv and free.keys() == scan(theta, cc.table)[1].keys()
+                                                "d": code_term(Value("Nat", d))}, cc.sig)
+        assert not theta.fv and free.keys() == scan(theta, cc.sig)[1].keys()
         t = App(theta, code_term(Value("Nat", 0)))
         for _ in range(w + d + 1):
             b = block(t, theta, slots, nat_sig)
@@ -277,7 +275,7 @@ def test_last_guard_must_be_constant_true(nat_sig):
     lt3 = GApp("lt", (GVar("c", "Nat"), GCode(Value("Nat", 3))))
     for last in (lt3, GCode(Value(BOOL, False))):
         with pytest.raises(ValueError, match="else-arm"):
-            build_branch_combinator([UpdateBranch(TRUE_GUARD, (phi,)),
+            build_branch_combinator([UpdateBranch(G_TRUE, (phi,)),
                                      UpdateBranch(last, (phi,))],
                                     slots, nat_sig)
 
@@ -291,19 +289,17 @@ def test_block_matches_traced_block_on_machine_probes(name):
     machine = sm.machine()
     state = sm.state({"euclid": {"a0": 6, "b0": 4}, "doubling": {"stop": 4}}[name])
     cm = compile_machine(machine, state)
-    slots = [s.as_slot() for s in cm.slots]
-    probes = machine_probes(machine, state, cm.slots)
-    _assert_probes_agree(cm.combinator, slots, cm.sig, probes)
+    _assert_probes_agree(cm, machine_probes(machine, state, cm.slots))
 
 
 def test_block_reraises_undefined_application(nat_sig):
     nat_sig.add("half", ("Nat",), "Nat", lambda n: n // 2 if n % 2 == 0 else None)
     slots = [Slot("c", "Nat")]
     phi = GApp("half", (GVar("c", "Nat"),))
-    cc = build_branch_combinator([UpdateBranch(TRUE_GUARD, (phi,))], slots, nat_sig)
+    cc = build_branch_combinator([UpdateBranch(G_TRUE, (phi,))], slots, nat_sig)
     t = App(cc.theta, code_term(Value("Nat", 3)))
     with pytest.raises(UndefinedApplication) as info:
-        measure_block(t, cc.theta, slots, cc.table)
+        measure_block(t, cc.theta, slots, cc.sig)
     assert (info.value.symbol, info.value.args) == ("half", (3,))
 
 
@@ -325,7 +321,7 @@ def test_certificate_has_one_path_per_branch(nat_sig):
     phi = GApp("plus", (GVar("c", "Nat"), GCode(Value("Nat", 1))))
     cc = build_branch_combinator(
         [UpdateBranch(guard_run, (phi,), label="run"),
-         ExitBranch(TRUE_GUARD, (GVar("c", "Nat"),), label="exit")], slots, sig)
+         ExitBranch(G_TRUE, (GVar("c", "Nat"),), label="exit")], slots, sig)
     assert cc.certificate.paths == 2
     # the two paths share the block up to the fork on the guard
     assert cc.K + cc.L < cc.certificate.steps < 2 * (cc.K + cc.L)
@@ -347,24 +343,24 @@ def test_bool_dependent_cost_fails_certification():
     measures only the false path and would have passed it."""
     theta = _bool_slot_theta(1)
     slots = [Slot("b", BOOL)]
-    table = signature_table(FSignature())
-    theta_free = scan(theta, table)[1]
+    sig = FSignature()
+    theta_free = scan(theta, sig)[1]
     # unfold, load w and b, select: 5 beta steps, plus 1 on the false path
     t = App(theta, FALSE_TERM)
     for _ in range(5):
-        b = measure_block(t, theta, slots, table, theta_free)
+        b = measure_block(t, theta, slots, sig, theta_free)
         assert (b.kind, b.values, b.beta_count, b.f_count) == (
             "state", (Value(BOOL, False),), 6, 0)
         t = b.term
     with pytest.raises(RuntimeError, match=r"\(K,L\)=\(6, 0\) but theta measures "
                                            r"\(5, 0\) on path \(true\)$"):
-        certify(theta, slots, (6, 0), table, theta_free)
+        certify(theta, slots, (6, 0), sig, theta_free)
     with pytest.raises(RuntimeError, match=r"takes more than 5 steps on path \(false\), "
                                            r"branch keep-false$"):
-        certify(theta, slots, (5, 0), table, theta_free, ["keep-true", "keep-false"])
+        certify(theta, slots, (5, 0), sig, theta_free, ["keep-true", "keep-false"])
     # with no cost difference both paths hold
     even = _bool_slot_theta(0)
-    cert = certify(even, slots, (5, 0), table, scan(even, table)[1])
+    cert = certify(even, slots, (5, 0), sig, scan(even, sig)[1])
     assert (cert.paths, cert.steps) == (2, 3 + 2 * 2)
 
 
@@ -375,7 +371,7 @@ def test_selection_off_the_head_is_refused():
     head = Code(Value("Nat", 0))
     theta = curry_fixpoint(lam(["w", "b"], App(head, app(b, App(w, TRUE_TERM),
                                                          App(w, FALSE_TERM)))))
-    table = signature_table(FSignature())
+    sig = FSignature()
     with pytest.raises(RuntimeError, match=r"off the head of the term on path \(\)$"):
-        certify(theta, [Slot("b", BOOL)], (5, 0), table, scan(theta, table)[1])
+        certify(theta, [Slot("b", BOOL)], (5, 0), sig, scan(theta, sig)[1])
 

@@ -19,7 +19,7 @@ from asmlc.compiler import (
 )
 from asmlc.combinators import static_f_work
 from asmlc.cosim import lockstep
-from asmlc.engine import advance_term, scan, signature_table
+from asmlc.engine import advance_term, scan
 from asmlc.good_terms import GApp, GVar, const_count, semantics
 from asmlc.lambda_f import BOOL, FSignature, Value
 from asmlc.sourcefmt import parse_source
@@ -43,10 +43,9 @@ def euclid():
 
 
 def _run_compiled(cm, state, max_rounds=200):
-    table = signature_table(cm.sig)
     t = cm.initial_term(state)
     for _ in range(max_rounds):
-        t, beta, f, _ = advance_term(t, table, cm.K + cm.L)
+        t, beta, f, _ = advance_term(t, cm.sig, cm.K + cm.L)
         d = decode_result(t, cm)
         if d.kind != "running":
             return d, (beta, f)
@@ -55,8 +54,8 @@ def _run_compiled(cm, state, max_rounds=200):
 
 def test_slots_in_declaration_order(euclid):
     machine, cm = euclid
-    assert [s.symbol for s in cm.slots] == ["a", "b"]
-    assert all(s.representation == "value" for s in cm.slots)
+    assert [s.name for s in cm.slots] == ["a", "b"]
+    assert all(s.delta is None for s in cm.slots)
 
 
 def test_manifest_contents(euclid):
@@ -130,8 +129,7 @@ def test_headroom_requests_exact():
 def test_decode_running_state(euclid):
     machine, cm = euclid
     state = bundled("euclid").state({"a0": 6, "b0": 4})
-    table = signature_table(cm.sig)
-    t, beta, f, _ = advance_term(cm.initial_term(state), table, cm.K + cm.L)
+    t, beta, f, _ = advance_term(cm.initial_term(state), cm.sig, cm.K + cm.L)
     d = decode_result(t, cm)
     assert d.kind == "running"
     assert [v.payload for v in d.values] == [4, 2]  # (a, b) after one step
@@ -156,17 +154,16 @@ def test_cost_formula_equals_measurement(name):
     on its probes, and the manifest's parts sum to it."""
     make, want = FORMULA_CASES[name]
     machine, state = make()
-    cm = compile_machine(machine, state)
-    c = cm.combinator
+    c = compile_machine(machine, state)
     assert c.K_min == c.k + 2 * len(c.branches)
     assert c.L_min == static_f_work(c.branches)
     assert (c.K, c.L) == (c.K_min, c.L_min)
     if want is not None:
         assert (c.K_min, c.L_min) == want
     assert c.certificate.paths == len(c.branches)
-    for _, b in probe_blocks(cm, machine_probes(machine, state, cm.slots)):
+    for _, b in probe_blocks(c, machine_probes(machine, state, c.slots)):
         assert (b.beta_count, b.f_count) == (c.K_min, c.L_min)
-    cost = cm.manifest()["cost"]
+    cost = c.manifest()["cost"]
     assert cost["unfold"] + cost["load"] + cost["select"] + cost["pad_K"] == c.K
     assert sum(cost["F_branches"]) + cost["pad_L"] == c.L
 
@@ -243,7 +240,7 @@ def test_every_compiled_branch_can_fire():
     cases = [_bundled_case(name) for name in BUNDLED_COSTS]
     cases += [counter_family(n) for n in range(1, 6)]
     for machine, state in cases:
-        branches = compile_machine(machine, state).combinator.branches
+        branches = compile_machine(machine, state).branches
         assert all(b.guard != G_FALSE for b in branches)
         assert all(b.guard != G_TRUE for b in branches[:-1])
         assert branches[-1].guard == G_TRUE  # the else-arm
@@ -293,21 +290,44 @@ def test_one_theta_binds_every_stop():
     sm = bundled("doubling")
     machine = sm.machine()
     cm = compile_machine(machine, sm.state({}))
-    assert [s.name for s in cm.combinator.inputs] == ["stop"]
-    assert cm.combinator.template.fv == {"stop"} and not cm.theta.fv
+    assert [s.name for s in cm.inputs] == ["stop"]
+    assert cm.template.fv == {"stop"} and not cm.theta.fv
     for stop in range(0, 9):
         state = sm.state({"stop": stop})
         inst = cm.with_inputs(state)
         assert inst.theta == compile_machine(machine, state).theta
-        assert inst.theta_free.keys() == scan(inst.theta, inst.table)[1].keys()
+        assert inst.theta_free.keys() == scan(inst.theta, inst.sig)[1].keys()
         assert inst.with_inputs(state) is inst
         assert (inst.K, inst.L) == (cm.K, cm.L)
         assert lockstep(machine, cm, state).passed
     assert cm.with_inputs(sm.state({"stop": 0})) is cm
     sm = bundled("euclid")
     cm = compile_machine(sm.machine(), sm.state({"a0": 1, "b0": 1}))
-    assert cm.combinator.inputs == () and cm.combinator.template is cm.theta
+    assert cm.inputs == () and cm.template is cm.theta
     assert cm.with_inputs(sm.state({"a0": 6, "b0": 4})) is cm
+
+
+def test_initial_term_binds_the_inputs_of_its_state():
+    """``initial_term`` starts theta bound to its own state's inputs,
+    not to those of the compile: doubling compiled at stop 3 and started
+    at stop 5 takes 6 rounds of (K, L) to success, and its difference
+    list merges to the table the machine halts with."""
+    sm = bundled("doubling")
+    machine = sm.machine()
+    cm = compile_machine(machine, sm.state({"stop": 3}))
+    state = sm.state({"stop": 5})
+    inst = cm.with_inputs(state)
+    t = cm.initial_term(state)
+    for rounds in range(1, 10):
+        t, beta, f, _ = advance_term(t, cm.sig, cm.K + cm.L)
+        assert (beta, f) == (cm.K, cm.L)
+        d = decode_result(t, inst)
+        if d.kind != "running":
+            break
+    assert (d.kind, rounds) == ("success", 6)
+    merged = dict(machine.initial_state(state).dynamics["f"])
+    merged.update(delta_as_map(d.outputs["f"]))
+    assert asm.run(machine, state, 10).outcome.outputs == {"f": merged}
 
 
 # A Bool slot that the program reads as a guard and writes back negated,
@@ -349,7 +369,7 @@ def test_bool_slot_certifies_and_runs_in_lockstep():
         least = compile_machine(sm.machine(), state)
         assert [s.datatype for s in least.slots] == [BOOL, "Nat", "Nat"]
         for cm in (least, compile_machine(sm.machine(), state, least.K + 2, least.L + 3)):
-            assert cm.combinator.certificate.paths == len(cm.combinator.branches)
+            assert cm.certificate.paths == len(cm.branches)
             rep = lockstep(sm.machine(), cm, state)
             assert rep.passed, rep.rounds[-1]
             assert len(rep.rounds) == stop + 1

@@ -7,8 +7,8 @@ from asmlc import engine
 from asmlc.asm import If, InitRule, Machine, Par, TApp, Update
 from asmlc.compiler import compile_machine
 from asmlc.cosim import _slot_diff, decoration_audit, lockstep, render_audit
-from asmlc.engine import scan, signature_table
-from asmlc.lambda_f import FFunction, FSignature, Value
+from asmlc.engine import scan
+from asmlc.lambda_f import FSignature, Value
 from asmlc.terms import App, Var, lam
 
 from conftest import bundled, counter_state, counter_vocabulary, random_program
@@ -64,25 +64,25 @@ def test_round_memo_reduces_each_distinct_round_once(monkeypatch):
 
 
 def test_replaced_combinator_starts_with_an_empty_memo(euclid_cm):
-    """A combinator derived by dataclasses.replace from a warm one, with
-    another budget or another table, starts with an empty round memo and
-    reports what the same replacement of a cold compile reports."""
+    """A compiled machine derived by dataclasses.replace from a warm one,
+    with another budget or another signature, starts with an empty round
+    memo and reports what the same replacement of a cold compile
+    reports."""
     machine, cm = euclid_cm
     sm = bundled("euclid")
     state = sm.state({"a0": 6, "b0": 4})
     assert lockstep(machine, cm, state).passed and cm.round_memo
     functions = dict(cm.sig.functions)
-    functions["rem"] = FFunction("rem", ("Nat", "Nat"), "Nat", lambda a, b: None)
+    functions["rem"] = functions["rem"]._replace(fn=lambda a, b: None)
     undefined_rem = FSignature(functions)
 
     def budget(c):
-        return replace(c, combinator=replace(c.combinator, K=c.K + 1))
+        return replace(c, K=c.K + 1)
 
-    def table(c):
-        return replace(c, sig=undefined_rem,
-                       combinator=replace(c.combinator, table=signature_table(undefined_rem)))
+    def signature(c):
+        return replace(c, sig=undefined_rem)
 
-    for derive in (budget, table):
+    for derive in (budget, signature):
         warm = derive(cm)
         assert warm.round_memo == {} and warm.round_memo is not cm.round_memo
         cold = derive(compile_machine(machine, sm.state({"a0": 1, "b0": 1})))
@@ -116,7 +116,7 @@ def test_random_programs_lockstep():
         padded = compile_machine(machine, state, least.K + 1, least.L + 1)
         for cm in (least, padded):
             # one abstract path per branch theta keeps
-            assert cm.combinator.certificate.paths == len(cm.combinator.branches)
+            assert cm.certificate.paths == len(cm.branches)
             rep = lockstep(machine, cm, state, max_steps=30)
             assert rep.verdict != "fail", (prog, cm.K, cm.L, rep.rounds[-1])
             # the rerun reads its rounds from the memo the first run filled
@@ -153,7 +153,7 @@ def test_lockstep_detects_wrong_constants():
     sm = bundled("euclid")
     machine = sm.machine()
     cm = compile_machine(machine, sm.state({"a0": 1, "b0": 1}))
-    bad = replace(cm, combinator=replace(cm.combinator, K=cm.K + 1))
+    bad = replace(cm, K=cm.K + 1)
     rep = lockstep(machine, bad, sm.state({"a0": 6, "b0": 4}))
     assert not rep.passed
     last = rep.rounds[-1]
@@ -168,7 +168,7 @@ def test_lockstep_cut_run_with_a_failed_round_fails():
     sm = bundled("doubling")
     machine, state = sm.machine(), sm.state({"stop": 4})
     cm = compile_machine(machine, state)
-    bad = replace(cm, combinator=replace(cm.combinator, K=cm.K + 1))
+    bad = replace(cm, K=cm.K + 1)
     rep = lockstep(machine, bad, state, max_steps=2)
     assert rep.asm_outcome == "diverged"
     assert rep.verdict == "fail"
@@ -219,10 +219,8 @@ def test_one_slot_comparison_for_states_and_outputs():
 def test_lockstep_reports_undefined_application(euclid_cm):
     machine, cm = euclid_cm
     functions = dict(cm.sig.functions)
-    functions["rem"] = FFunction("rem", ("Nat", "Nat"), "Nat", lambda a, b: None)
-    sig = FSignature(functions)
-    # the engine reduces under the combinator's table, so it moves with the signature
-    bad = replace(cm, sig=sig, combinator=replace(cm.combinator, table=signature_table(sig)))
+    functions["rem"] = functions["rem"]._replace(fn=lambda a, b: None)
+    bad = replace(cm, sig=FSignature(functions))
     rep = lockstep(machine, bad, bundled("euclid").state({"a0": 6, "b0": 4}))
     assert rep.verdict == "fail"
     last = rep.rounds[-1]
@@ -236,8 +234,7 @@ def test_lockstep_note_bounds_the_block_search(euclid_cm):
     machine, cm = euclid_cm
     omega = App(lam(["z"], App(Var("z"), Var("z"))), lam(["z"], App(Var("z"), Var("z"))))
     looping = lam([f"s{i}" for i in range(len(cm.slots))], omega)
-    broken = replace(cm.combinator, theta=looping, theta_free=scan(looping, cm.table)[1])
-    bad = replace(cm, combinator=broken)
+    bad = replace(cm, theta=looping, theta_free=scan(looping, cm.sig)[1])
     rep = lockstep(machine, bad, bundled("euclid").state({"a0": 6, "b0": 4}))
     last = rep.rounds[-1]
     assert (last.index, last.kind, last.match) == (1, "undecodable", False)

@@ -11,7 +11,6 @@ from asmlc.engine import (
     STATUS_UNDEFINED,
     advance_term,
     scan,
-    signature_table,
 )
 from asmlc.good_terms import GApp, GCode, GVar, to_term
 from asmlc.lambda_f import (
@@ -41,9 +40,8 @@ def _assert_agrees(t, sig, budget, memo_roots=()):
     memo, and seeded with ``scan``'s memo of each of ``memo_roots``,
     nodes shared with ``t``."""
     slow = reduce_leftmost_f(t, sig, budget)
-    table = signature_table(sig)
-    for f_free in (None, *(scan(root, table)[1] for root in memo_roots)):
-        fast_t, beta, f, status = advance_term(t, table, budget, f_free)
+    for f_free in (None, *(scan(root, sig)[1] for root in memo_roots)):
+        fast_t, beta, f, status = advance_term(t, sig, budget, f_free)
         assert (beta, f) == (slow.trace.beta_count, slow.trace.f_count)
         assert fast_t == slow.term
         assert status == _STATUS[slow.status]
@@ -106,7 +104,7 @@ def test_kernel_undefined_application():
     sig.add("half", ("Nat",), "Nat", lambda n: n // 2 if n % 2 == 0 else None)
     t = App(Abs("x", App(Const("half"), Var("x"))), Code(Value("Nat", 3)))
     for budget, want in ((0, STATUS_RAN), (1, STATUS_RAN), (2, STATUS_UNDEFINED)):
-        out, beta, f, status = advance_term(t, signature_table(sig), budget)
+        out, beta, f, status = advance_term(t, sig, budget)
         assert status == want
         assert (beta, f) == (min(budget, 1), 0)
     assert out == App(Const("half"), Code(Value("Nat", 3)))  # the term before the step
@@ -118,7 +116,7 @@ def test_substitution_keeps_closed_subterms():
     returned as is."""
     big = app(Const("c"), *(Abs("v", Var("v")) for _ in range(5)))
     t = App(Abs("x", app(Var("x"), Var("x"), big)), big)
-    out, beta, f, status = advance_term(t, {}, 1)
+    out, beta, f, status = advance_term(t, FSignature(), 1)
     assert (beta, f, status) == (1, 0, STATUS_NORMAL)
     assert out.fun.fun is big and out.arg is big
 
@@ -180,7 +178,7 @@ def test_kernel_matches_traced_reducer_at_every_budget(name):
 
 def test_undefined_mid_phase_reports_the_term_before_it():
     out, beta, f, status = advance_term(F_PHASE_TERMS["undefined-mid-phase"],
-                                        signature_table(_nat_sig()), 25)
+                                        _nat_sig(), 25)
     assert (beta, f, status) == (0, 1, STATUS_UNDEFINED)
     assert out == app(_plus, _n(2), App(_half, _n(3)))
 
@@ -226,7 +224,7 @@ def test_kernel_with_theta_memo_matches_traced_reducer(name):
     t = cm.initial_term(sm.state(inputs))
     for budget in range(2 * (cm.K + cm.L) + 1):
         slow = reduce_leftmost_f(t, cm.sig, budget)
-        got = advance_term(t, cm.table, budget, cm.theta_free)
+        got = advance_term(t, cm.sig, budget, cm.theta_free)
         assert got == (slow.term, slow.trace.beta_count, slow.trace.f_count,
                        _STATUS[slow.status])
 
@@ -241,16 +239,15 @@ def test_round_builds_no_beta_step_past_its_budget(monkeypatch):
     built = []
     beta_step = engine._beta_step
     monkeypatch.setattr(engine, "_beta_step", lambda s: built.append(s) or beta_step(s))
-    assert advance_term(t, cm.table, cm.K + cm.L, cm.theta_free)[1:] == (cm.K, cm.L, STATUS_RAN)
+    assert advance_term(t, cm.sig, cm.K + cm.L, cm.theta_free)[1:] == (cm.K, cm.L, STATUS_RAN)
     assert len(built) == cm.K
 
 
 def test_scan_finds_what_the_traced_search_finds(rng):
     sig = _nat_sig()
-    table = signature_table(sig)
     for _ in range(300):
         t = random_f_term(rng, rng.randint(1, 5))
-        resident, f_free = scan(t, table)
+        resident, f_free = scan(t, sig)
         assert resident == bool(f_redexes(t, sig))
         # the search stops at the first redex and memoizes none of the
         # nodes that hold it, which later calls would then skip
@@ -259,12 +256,12 @@ def test_scan_finds_what_the_traced_search_finds(rng):
     # F-redex, and the same guard over a slot variable
     ground = to_term(GApp("lt", (GCode(Value("Nat", 0)), GCode(Value("Nat", 1)))))
     over_slot = to_term(GApp("lt", (GVar("c", "Nat"), GCode(Value("Nat", 1)))))
-    assert scan(Abs("c", app(ground, Var("c"), Var("c"))), table)[0]
-    resident, f_free = scan(Abs("c", app(over_slot, Var("c"), Var("c"))), table)
+    assert scan(Abs("c", app(ground, Var("c"), Var("c"))), sig)[0]
+    resident, f_free = scan(Abs("c", app(over_slot, Var("c"), Var("c"))), sig)
     assert not resident
     assert all(not f_redexes(node, sig) for node in f_free.values())
     # an undefined application is resident too
-    assert scan(Abs("c", App(_half, _n(3))), table)[0]
+    assert scan(Abs("c", App(_half, _n(3))), sig)[0]
 
 
 def test_abstract_codes_fire_without_calling_the_function():
@@ -275,22 +272,23 @@ def test_abstract_codes_fire_without_calling_the_function():
     def boom(*args):
         raise AssertionError("an abstract firing called the function")
 
-    table = {"plus": (2, ("Nat", "Nat"), "Nat", boom),
-             "lt": (2, ("Nat", "Nat"), BOOL, boom),
-             "and": (2, (BOOL, BOOL), BOOL, boom)}
+    sig = FSignature()
+    sig.add("plus", ("Nat", "Nat"), "Nat", boom)
+    sig.add("lt", ("Nat", "Nat"), BOOL, boom)
+    sig.add("and", (BOOL, BOOL), BOOL, boom)
     u = Unknown("Nat")
     t = app(Const("and"), app(Const("lt"), u, _n(1)),
             app(Const("lt"), app(Const("plus"), _n(2), u), u))
-    assert advance_term(t, table, 10) == (UNKNOWN_BOOL, 0, 4, STATUS_NORMAL)
-    assert advance_term(app(Const("and"), TRUE_TERM, UNKNOWN_BOOL), table, 10) == (
+    assert advance_term(t, sig, 10) == (UNKNOWN_BOOL, 0, 4, STATUS_NORMAL)
+    assert advance_term(app(Const("and"), TRUE_TERM, UNKNOWN_BOOL), sig, 10) == (
         UNKNOWN_BOOL, 0, 1, STATUS_NORMAL)
-    assert advance_term(app(Const("plus"), u, _n(1)), table, 10)[1:] == (0, 1, STATUS_NORMAL)
+    assert advance_term(app(Const("plus"), u, _n(1)), sig, 10)[1:] == (0, 1, STATUS_NORMAL)
     # the budget stops an abstract firing like a concrete one
-    assert advance_term(t, table, 2)[1:] == (0, 2, STATUS_RAN)
+    assert advance_term(t, sig, 2)[1:] == (0, 2, STATUS_RAN)
     for stuck in (app(Const("plus"), Unknown("Int"), _n(1)),
                   app(Const("plus"), u, Abs("y", Var("y"))),
                   app(Const("and"), UNKNOWN_BOOL, u)):
-        assert advance_term(stuck, table, 10) == (stuck, 0, 0, STATUS_NORMAL)
+        assert advance_term(stuck, sig, 10) == (stuck, 0, 0, STATUS_NORMAL)
 
 
 def test_loop_forks_before_applying_the_abstract_boolean():
@@ -303,8 +301,9 @@ def test_loop_forks_before_applying_the_abstract_boolean():
              # the identity applied to the pick is the leftmost redex
              (App(Abs("v", Var("v")), pick), pick, 1)]
     for t, stop, beta in cases:
-        assert engine._advance(t, {}, 5) == (stop, beta, 0, _STATUS_FORK)
-    assert advance_term(App(Var("f"), UNKNOWN_BOOL), {}, 5)[1:] == (0, 0, STATUS_NORMAL)
+        assert engine._advance(t, FSignature(), 5) == (stop, beta, 0, _STATUS_FORK)
+    assert advance_term(App(Var("f"), UNKNOWN_BOOL), FSignature(), 5)[1:] == (
+        0, 0, STATUS_NORMAL)
 
 
 @pytest.mark.parametrize("name", ["euclid", "doubling"])
@@ -326,6 +325,6 @@ def test_fire_is_tried_only_on_closed_prefixes(name, monkeypatch):
     cm = compile_machine(sm.machine(), sm.state(inputs))
     t = cm.initial_term(sm.state(inputs))
     for _ in range(3):
-        t = advance_term(t, cm.table, cm.K + cm.L, cm.theta_free)[0]
+        t = advance_term(t, cm.sig, cm.K + cm.L, cm.theta_free)[0]
     assert tried and all(tried)
     assert all(fired)

@@ -105,7 +105,7 @@ def test_translator_turns_dynamic_constants_into_variables():
     machine = sm.machine()
     slots = make_slots(machine.voc)
     sig, partials = lower_signature(machine.voc, sm.state({}), slots)
-    tr = Translator(machine.voc, machine.init, {s.symbol: s for s in slots}, partials, sig)
+    tr = Translator(machine.voc, machine.init, {s.name: s for s in slots}, partials, sig)
     g, defined = tr.value_and_def(TApp("lt", (TApp("zero"), TApp("b"))))
     assert isinstance(g, GApp) and g.symbol == "lt"
     # dynamic constants become variables; variable-free static leaves

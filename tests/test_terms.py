@@ -187,12 +187,12 @@ def test_advance_without_a_memo_hashes_no_term(monkeypatch):
         monkeypatch.setattr(cls, "__hash__", refuse)
     start, statuses = t, []
     for _ in range(3):
-        t, beta, f, status = advance_term(t, cm.table, cm.K + cm.L, cm.theta_free)
+        t, beta, f, status = advance_term(t, cm.sig, cm.K + cm.L, cm.theta_free)
         assert (beta, f) == (cm.K, cm.L)
         statuses.append(status)
     assert statuses == [STATUS_RAN, STATUS_RAN, STATUS_NORMAL]
     with pytest.raises(AssertionError, match="hashed App"):
-        advance_term(start, cm.table, cm.K + cm.L, cm.theta_free, {})
+        advance_term(start, cm.sig, cm.K + cm.L, cm.theta_free, {})
 
 
 def test_alpha_equivalence():
