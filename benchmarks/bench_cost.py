@@ -7,7 +7,10 @@ the minima K_min and L_min, the size of theta in nodes, the branch
 count, the manifest's guard order and F-work per branch, and what
 certifying (K, L) took in one compile: the engine steps of
 certification, counted at ``combinators._advance`` (the engine loop
-the certificate runs), and the certificate's path count.
+the certificate runs), the certificate's path count, and
+``theta_sha256``, the SHA-256 of the printed theta and template
+(``syntax.print_term``), so that two checkouts that build the same
+terms record the same digest.
 
 The ``random-1108`` record compiles, each at its minima, the first 120
 programs of the seeded stream that ``tests/test_cosim.py``'s
@@ -15,7 +18,8 @@ programs of the seeded stream that ``tests/test_cosim.py``'s
 init choices included).  It holds the largest K+L, with its (K, L) and
 program index, and the sums over the 120 of K+L, L, theta's nodes and
 certification's engine steps: the baseline for a theta whose cost
-follows the program rather than its normal form.
+follows the program rather than its normal form.  Its ``theta_sha256``
+covers the printed theta and template of all 120 compiles, in order.
 
 Every figure is deterministic, so one run of a checkout is its record.
 
@@ -29,6 +33,7 @@ side by side.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import sys
@@ -48,6 +53,7 @@ from conftest import (
 from asmlc import combinators
 from asmlc.asm import InitRule, Machine, TApp
 from asmlc.compiler import compile_machine
+from asmlc.syntax import print_term
 from asmlc.terms import term_size
 
 COUNTERS = range(1, 6)
@@ -83,6 +89,12 @@ def _counted_compile(machine, state):
     return cm, sum(steps)
 
 
+def _hash_terms(digest, cm) -> None:
+    """Feed the printed theta and template of ``cm`` to ``digest``."""
+    for t in (cm.theta, cm.template):
+        digest.update(print_term(t).encode() + b"\n")
+
+
 def _random_record() -> dict:
     """The ``random-1108`` record (module docstring)."""
     rng = random.Random(RANDOM_SEED)
@@ -90,16 +102,19 @@ def _random_record() -> dict:
     state = counter_state(voc, 0, 0)
     sums = dict.fromkeys(("K_plus_L", "L", "theta_nodes", "certify_steps"), 0)
     largest = None
+    digest = hashlib.sha256()
     for i in range(RANDOM_PROGRAMS):
         prog = random_program(rng, rng.randint(2, 4))
         init = {s: InitRule((), TApp(rng.choice(("zero", "one", "two")))) for s in ("p", "q")}
         cm, steps = _counted_compile(Machine(voc, prog, init), state)
+        _hash_terms(digest, cm)
         for key, value in (("K_plus_L", cm.K + cm.L), ("L", cm.L),
                            ("theta_nodes", term_size(cm.theta)), ("certify_steps", steps)):
             sums[key] += value
         if largest is None or cm.K + cm.L > largest["K_plus_L"]:
             largest = {"index": i, "K": cm.K, "L": cm.L, "K_plus_L": cm.K + cm.L}
-    return {"seed": RANDOM_SEED, "programs": RANDOM_PROGRAMS, "largest": largest, "sum": sums}
+    return {"seed": RANDOM_SEED, "programs": RANDOM_PROGRAMS, "largest": largest, "sum": sums,
+            "theta_sha256": digest.hexdigest()}
 
 
 def main() -> None:
@@ -112,11 +127,14 @@ def main() -> None:
     for name, (machine, state) in _cases().items():
         cm, steps = _counted_compile(machine, state)
         m = cm.manifest()
+        digest = hashlib.sha256()
+        _hash_terms(digest, cm)
         row = {"K_min": m["K_min"], "L_min": m["L_min"],
                "theta_nodes": term_size(cm.theta), "branches": m["branches"],
                "guard_order": m["guard_order"],
                "F_branches": m["cost"]["F_branches"],
-               "certify_steps": steps, "certify_paths": cm.certificate.paths}
+               "certify_steps": steps, "certify_paths": cm.certificate.paths,
+               "theta_sha256": digest.hexdigest()}
         record[name] = row
         print(f"{name:>10}: (K_min, L_min) = ({row['K_min']}, {row['L_min']}), "
               f"theta {row['theta_nodes']} nodes, {row['branches']} branches "

@@ -489,12 +489,15 @@ class _MachineFields(NamedTuple):
 
 class Machine(Checked, _MachineFields):
     """A program over a vocabulary, with the initialization rules of its
-    dynamic symbols.  Built well-sorted, with static-only rules, so a
-    run need not check either again."""
+    dynamic symbols.  Built well-sorted, with one static-only rule per
+    dynamic symbol, so a run need not check any of these again."""
 
     __slots__ = ()
 
     def _check(self):
+        for sym in self.voc.dynamics():
+            if sym.name not in self.init:
+                raise ValueError(f"dynamic symbol {sym.name} has no init rule")
         check_program(self.voc, self.program)
         for name, rule in self.init.items():
             if not is_static_term(self.voc, rule.term):

@@ -77,8 +77,8 @@ from .engine import (
     _unwind,
     scan,
 )
-from .good_terms import GCode, GoodTerm, const_count, to_term
-from .lambda_f import BOOL, UNKNOWN_BOOL, DeltaType, FSignature, bool_term, match_code
+from .good_terms import const_count
+from .lambda_f import BOOL, TRUE_TERM, UNKNOWN_BOOL, DeltaType, FSignature, bool_term, match_code
 from .records import Checked
 from .terms import Abs, App, Const, Term, Unknown, Value, Var, app, lam
 
@@ -95,33 +95,28 @@ def curry_fixpoint(f: Term) -> Term:
 # Branch combinators
 
 
-# ``|`` unions, not typing.Union: typing caches each Union it builds, and
-# that cache would keep every copy of this module a re-import leaves behind.
-ExitPart = GoodTerm | Term
-
-
 class UpdateBranch(NamedTuple):
     """Guarded simultaneous update: slot j's next value is updates[j]
     evaluated on the current slot values.  ``label`` names the branch in
     reports."""
 
-    guard: GoodTerm
-    updates: tuple[GoodTerm, ...]
+    guard: Term
+    updates: tuple[Term, ...]
     label: str = ""
 
 
 class _ExitBranchFields(NamedTuple):
-    guard: GoodTerm
-    parts: tuple[ExitPart, ...]
+    guard: Term
+    parts: tuple[Term, ...]
     tuple_form: bool = False
     label: str = ""
 
 
 class ExitBranch(Checked, _ExitBranchFields):
-    """Guarded exit.  ``parts`` are good terms over the slots or closed
-    F-redex-free lambda terms; a single part is emitted bare unless
-    ``tuple_form`` forces the tuple wrapper.  ``label`` names the branch
-    in reports."""
+    """Guarded exit.  ``parts`` are good terms over the slots, or other
+    lambda terms with no F-redex such as numerals; a single part is
+    emitted bare unless ``tuple_form`` forces the tuple wrapper.
+    ``label`` names the branch in reports."""
 
     __slots__ = ()
 
@@ -197,27 +192,18 @@ class CompiledCombinator:
                          frozenset(s.name for s in self.inputs))
 
 
-def _part_term(p: ExitPart) -> Term:
-    return to_term(p) if isinstance(p, GoodTerm) else p
-
-
 def branch_f_work(b: Branch, inputs: frozenset = frozenset()) -> int:
     """N_i: constant nodes of one guard and its branch body, less those
     over ``inputs`` and codes alone.  The last guard is the constant
     true, with no constant node, and theta leaves it out."""
     parts = b.updates if isinstance(b, UpdateBranch) else b.parts
-    return sum(const_count(p, inputs) for p in (b.guard, *parts) if isinstance(p, GoodTerm))
+    return sum(const_count(p, inputs) for p in (b.guard, *parts))
 
 
 def static_f_work(branches: Sequence[Branch], inputs: frozenset = frozenset()) -> int:
     """N: constant nodes over all guards and branch bodies — the F-cost
     the F-first strategy pays on every step regardless of selection."""
     return sum(branch_f_work(b, inputs) for b in branches)
-
-
-# The constant true: the guard of the last branch, which theta selects
-# as the else-arm.
-G_TRUE = GCode(Value(BOOL, True))
 
 
 def step_cost(k: int, branches: Sequence[Branch], pad_K: int, pad_L: int,
@@ -260,12 +246,12 @@ def _build_theta(
         if isinstance(b, UpdateBranch):
             if len(b.updates) != len(slots):
                 raise ValueError("update row length must equal the slot count")
-            branch_terms.append(app(Var(w), *(to_term(u) for u in b.updates)))
+            branch_terms.append(app(Var(w), *b.updates))
         elif len(b.parts) == 1 and not b.tuple_form:
-            branch_terms.append(_part_term(b.parts[0]))
+            branch_terms.append(b.parts[0])
         else:
-            branch_terms.append(tup(*(_part_term(p) for p in b.parts)))
-    guards = [to_term(b.guard) for b in branches[:-1]]
+            branch_terms.append(tup(*b.parts))
+    guards = [b.guard for b in branches[:-1]]
     body = select_first(guards, branch_terms)
     if l_prime:
         chain = _slot_test(slots, sig)
@@ -443,7 +429,7 @@ def build_branch_combinator(
     """
     if not branches:
         raise ValueError("need at least one branch")
-    if branches[-1].guard != G_TRUE:
+    if branches[-1].guard != TRUE_TERM:
         raise ValueError("the last branch is the else-arm: its guard must "
                          "be the constant true")
     names = frozenset(s.name for s in inputs)

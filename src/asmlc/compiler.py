@@ -5,8 +5,9 @@ Pipeline: normalize the program into exclusive guarded clauses, lower
 the vocabulary into a constant signature (statics totalized, with
 definedness predicates for the partial ones, plus Boolean/equality/
 selection builtins and delta-list operations for dynamic symbols of
-positive arity), translate every guard, update and exit into good
-terms, and hand the ordered branch list to the combinator builder.
+positive arity), translate every guard, update and exit into lambda
+terms over the slots (``good_terms``), and hand the ordered branch
+list to the combinator builder.
 
 Guard order mirrors the step semantics: fail (explicit fail, or an
 active update evaluating to undefined), then clash, then halt (explicit
@@ -38,7 +39,6 @@ from .asm import (
     _carrier_grid,
 )
 from .combinators import (
-    G_TRUE,
     Branch,
     CompiledCombinator,
     ExitBranch,
@@ -49,85 +49,90 @@ from .combinators import (
     decode_state,
 )
 from .encodings import match_nat, nat
-from .good_terms import GApp, GCode, GoodTerm, GVar
-from .lambda_f import BOOL, DeltaType, FSignature, Value, code_term, install_delta
+from .lambda_f import (
+    BOOL,
+    FALSE_TERM,
+    TRUE_TERM,
+    DeltaType,
+    FSignature,
+    Value,
+    code_term,
+    install_delta,
+    match_code,
+)
 from .normalize import Clause, normalize
 from .records import Fields
-from .terms import Abs, App, Term, Var, app
+from .terms import Abs, App, Const, Term, Var, app
 
 SUCCESS_CODE, FAIL_CODE, CLASH_CODE = 1, 2, 3
 
 
 # ---------------------------------------------------------------------------
-# Good-term Boolean algebra with constant folding (keeps ground Boolean
-# structure out of theta, so no resident F-redexes appear).  Besides the
-# constants it applies complement (a and not a = false, a or not a =
-# true), idempotence (a and a = a, a or a = a) and double negation.
-# These are exact because every guard evaluates, under the totalized
-# semantics, to a lambda boolean.
+# Boolean algebra over guard terms with constant folding (keeps ground
+# Boolean structure out of theta, so no resident F-redexes appear).
+# Besides the constants it applies complement (a and not a = false, a or
+# not a = true), idempotence (a and a = a, a or a = a) and double
+# negation.  These are exact because every guard evaluates, under the
+# totalized semantics, to a lambda boolean.
 
-G_FALSE = GCode(Value(BOOL, False))
-
-
-def _is_const(g: GoodTerm, v: bool) -> bool:
-    return isinstance(g, GCode) and g.value == Value(BOOL, v)
+_NOT = Const("not")
 
 
-def _negates(a: GoodTerm, b: GoodTerm) -> bool:
+def _negates(a: Term, b: Term) -> bool:
     """Whether ``a`` is ``not(b)``."""
-    return isinstance(a, GApp) and a.symbol == "not" and a.args[0] == b
+    return type(a) is App and a.fun == _NOT and a.arg == b
 
 
-def gand(a: GoodTerm, b: GoodTerm) -> GoodTerm:
-    if _is_const(a, True):
+def gand(a: Term, b: Term) -> Term:
+    if a == TRUE_TERM:
         return b
-    if _is_const(b, True):
+    if b == TRUE_TERM:
         return a
-    if _is_const(a, False) or _is_const(b, False):
-        return G_FALSE
+    if a == FALSE_TERM or b == FALSE_TERM:
+        return FALSE_TERM
     if a == b:
         return a
     if _negates(a, b) or _negates(b, a):
-        return G_FALSE
-    return GApp("and", (a, b))
+        return FALSE_TERM
+    return app(Const("and"), a, b)
 
 
-def gor(a: GoodTerm, b: GoodTerm) -> GoodTerm:
-    if _is_const(a, False):
+def gor(a: Term, b: Term) -> Term:
+    if a == FALSE_TERM:
         return b
-    if _is_const(b, False):
+    if b == FALSE_TERM:
         return a
-    if _is_const(a, True) or _is_const(b, True):
-        return G_TRUE
+    if a == TRUE_TERM or b == TRUE_TERM:
+        return TRUE_TERM
     if a == b:
         return a
     if _negates(a, b) or _negates(b, a):
-        return G_TRUE
-    return GApp("or", (a, b))
+        return TRUE_TERM
+    return app(Const("or"), a, b)
 
 
-def gnot(a: GoodTerm) -> GoodTerm:
-    if _is_const(a, True):
-        return G_FALSE
-    if _is_const(a, False):
-        return G_TRUE
-    if isinstance(a, GApp) and a.symbol == "not":
-        return a.args[0]
-    return GApp("not", (a,))
+def gnot(a: Term) -> Term:
+    if a == TRUE_TERM:
+        return FALSE_TERM
+    if a == FALSE_TERM:
+        return TRUE_TERM
+    if type(a) is App and a.fun == _NOT:
+        return a.arg
+    return App(_NOT, a)
 
 
 _ALGEBRA = {"and": gand, "or": gor, "not": gnot}
 
 
-def gconj(parts: Sequence[GoodTerm]) -> GoodTerm:
-    out = G_TRUE
+def gconj(parts: Sequence[Term]) -> Term:
+    out = TRUE_TERM
     for p in parts:
         out = gand(out, p)
     return out
 
 
-def gdisj(parts: Sequence[GoodTerm]) -> GoodTerm:
-    out = G_FALSE
+def gdisj(parts: Sequence[Term]) -> Term:
+    out = FALSE_TERM
     for p in parts:
         out = gor(out, p)
     return out
@@ -236,7 +241,7 @@ def initial_values(slots: Sequence[Slot], initial: State) -> tuple[Value, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Term translation: TypedTerm -> (value good term, definedness good term)
+# Term translation: TypedTerm -> (value term, definedness term)
 
 
 class Translator(Fields):
@@ -250,14 +255,14 @@ class Translator(Fields):
         self.partials = partials
         self.sig = sig
 
-    def value_and_def(self, t: TypedTerm, env: Optional[dict[str, GoodTerm]] = None):
+    def value_and_def(self, t: TypedTerm, env: Optional[dict[str, Term]] = None):
         if isinstance(t, TVar):
             if env is None or t.name not in env:
                 raise CompileError(f"unbound term variable {t.name}")
-            return env[t.name], G_TRUE
+            return env[t.name], TRUE_TERM
         sym = self.voc.symbol(t.head)
         if sym.is_input:  # a variable of theta (CompiledMachine.with_inputs)
-            return GVar(sym.name, sym.result_sort), G_TRUE
+            return Var(sym.name), TRUE_TERM
         vals, defs = [], []
         for a in t.args:
             v, d = self.value_and_def(a, env)
@@ -265,43 +270,40 @@ class Translator(Fields):
             defs.append(d)
         argdef = gconj(defs)
         if sym.kind == "static":
-            value: GoodTerm = GApp(t.head, tuple(vals))
-            mydef = (GApp("def_" + t.head, tuple(vals))
-                     if t.head in self.partials else G_TRUE)
-            return self._fold(value), gand(argdef, self._fold(mydef))
+            mydef = (self.apply("def_" + t.head, vals)
+                     if t.head in self.partials else TRUE_TERM)
+            return self.apply(t.head, vals), gand(argdef, mydef)
         slot = self.slots[sym.name]
         if slot.delta is None:
-            return GVar(sym.name, slot.datatype), argdef
+            return Var(sym.name), argdef
         # function-sorted dynamic symbol: look up the delta list, fall
         # back to the initialization term
-        delta = GVar(sym.name, slot.datatype)
+        delta = Var(sym.name)
         ival, idef = self.init_value_and_def(sym.name, vals)
-        present = GApp(slot.delta.op_name("B"), (delta, *vals))
-        lookup = GApp(slot.delta.op_name("V"), (delta, *vals))
-        value = GApp(f"ite_{slot.sort}", (present, lookup, ival))
-        mydef = gand(argdef, gor(present, idef))
-        return value, mydef
+        present = self.apply(slot.delta.op_name("B"), (delta, *vals))
+        lookup = self.apply(slot.delta.op_name("V"), (delta, *vals))
+        value = self.apply(f"ite_{slot.sort}", (present, lookup, ival))
+        return value, gand(argdef, gor(present, idef))
 
-    def init_value_and_def(self, dyn_name: str, arg_vals: Sequence[GoodTerm]):
+    def init_value_and_def(self, dyn_name: str, arg_vals: Sequence[Term]):
         rule = self.init[dyn_name]
         env = {f"x{j+1}": arg_vals[rule.sigma[j] - 1] for j in range(len(rule.sigma))}
         return self.value_and_def(rule.term, env)
 
-    def _fold(self, g: GoodTerm) -> GoodTerm:
-        """Fold variable-free subtrees to codes so theta carries no
-        resident F-redex; uses the totalized semantics, which is exact
+    def apply(self, symbol: str, args: Sequence[Term]) -> Term:
+        """The constant ``symbol`` applied to ``args``, folded to its code
+        when every argument is a code, so theta carries no resident
+        F-redex; the fold uses the totalized semantics, which is exact
         wherever the definedness guards let the value matter.  The
-        connectives are rebuilt through the Boolean algebra, so a code
-        folded beneath one simplifies it too."""
-        if isinstance(g, GApp):
-            args = tuple(self._fold(a) for a in g.args)
-            if all(isinstance(a, GCode) for a in args):
-                f = self.sig.functions[g.symbol]
-                return GCode(f.apply(tuple(a.value for a in args)))
-            if g.symbol in _ALGEBRA:
-                return _ALGEBRA[g.symbol](*args)
-            return GApp(g.symbol, args)
-        return g
+        connectives go through the Boolean algebra, so a code beneath
+        one simplifies it too."""
+        f = self.sig.functions[symbol]
+        vals = tuple(match_code(a, dt) for a, dt in zip(args, f.arg_datatypes))
+        if None not in vals:
+            return code_term(f.apply(vals))
+        if symbol in _ALGEBRA:
+            return _ALGEBRA[symbol](*args)
+        return app(Const(symbol), *args)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +359,7 @@ class CompiledMachine(CompiledCombinator):
         }
 
 
-def _clause_guard(tr: Translator, cl: Clause) -> GoodTerm:
+def _clause_guard(tr: Translator, cl: Clause) -> Term:
     """A_i: every literal defined and matching its expected value."""
     parts = []
     for cond, want in cl.literals:
@@ -370,7 +372,7 @@ def _clause_updates(cl: Clause) -> list[Update]:
     return [u for u in cl.instructions if isinstance(u, Update)]
 
 
-def _update_def(tr: Translator, u: Update) -> GoodTerm:
+def _update_def(tr: Translator, u: Update) -> Term:
     parts = []
     for a in u.args:
         parts.append(tr.value_and_def(a)[1])
@@ -378,7 +380,7 @@ def _update_def(tr: Translator, u: Update) -> GoodTerm:
     return gconj(parts)
 
 
-def _clause_clash(tr: Translator, voc: Vocabulary, updates: list[Update]) -> GoodTerm:
+def _clause_clash(tr: Translator, voc: Vocabulary, updates: list[Update]) -> Term:
     terms = []
     for i in range(len(updates)):
         for j in range(i + 1, len(updates)):
@@ -387,10 +389,10 @@ def _clause_clash(tr: Translator, voc: Vocabulary, updates: list[Update]) -> Goo
                 continue
             sym = voc.symbol(u.symbol)
             same_args = gconj([
-                GApp(f"eq_{s}", (tr.value_and_def(x)[0], tr.value_and_def(y)[0]))
+                tr.apply(f"eq_{s}", (tr.value_and_def(x)[0], tr.value_and_def(y)[0]))
                 for x, y, s in zip(u.args, v.args, sym.arg_sorts)
             ])
-            diff_val = gnot(GApp(
+            diff_val = gnot(tr.apply(
                 f"eq_{sym.result_sort}",
                 (tr.value_and_def(u.rhs)[0], tr.value_and_def(v.rhs)[0]),
             ))
@@ -398,27 +400,27 @@ def _clause_clash(tr: Translator, voc: Vocabulary, updates: list[Update]) -> Goo
     return gdisj(terms)
 
 
-def _slot_update(tr: Translator, slot: Slot, updates: list[Update]) -> GoodTerm:
+def _slot_update(tr: Translator, slot: Slot, updates: list[Update]) -> Term:
     mine = [u for u in updates if u.symbol == slot.name]
     if not mine:
-        return GVar(slot.name, slot.datatype)
+        return Var(slot.name)
     if slot.delta is None:
         return tr.value_and_def(mine[0].rhs)[0]
     # delta slot: remove the currently visible tuple for each updated
     # location (read from the accumulated list, so repeated writes to
     # one location keep the list functional), then append the new one
-    acc: GoodTerm = GVar(slot.name, slot.datatype)
+    acc: Term = Var(slot.name)
     d = slot.delta
     for u in mine:
         arg_vals = [tr.value_and_def(a)[0] for a in u.args]
         rhs = tr.value_and_def(u.rhs)[0]
-        present = GApp(d.op_name("B"), (acc, *arg_vals))
-        lookup = GApp(d.op_name("V"), (acc, *arg_vals))
+        present = tr.apply(d.op_name("B"), (acc, *arg_vals))
+        lookup = tr.apply(d.op_name("V"), (acc, *arg_vals))
         ival, _ = tr.init_value_and_def(slot.name, arg_vals)
-        current = GApp(f"ite_{slot.sort}", (present, lookup, ival))
-        acc = GApp(d.op_name("Add"),
-                   (GApp(d.op_name("Del"), (acc, *arg_vals, current)),
-                    *arg_vals, rhs))
+        current = tr.apply(f"ite_{slot.sort}", (present, lookup, ival))
+        acc = tr.apply(d.op_name("Add"),
+                       (tr.apply(d.op_name("Del"), (acc, *arg_vals, current)),
+                        *arg_vals, rhs))
     return acc
 
 
@@ -471,39 +473,32 @@ def compile_machine(
     rho_halt = gor(explicit_halt, implicit_halt)
 
     outputs = tuple(voc.outputs())
-    success_parts: list = [nat(SUCCESS_CODE)]
-    for sym in outputs:
-        success_parts.append(GVar(sym.name, tr.slots[sym.name].datatype))
-
-    fold = tr._fold
+    success_parts = (nat(SUCCESS_CODE), *(Var(sym.name) for sym in outputs))
     branches: list[Branch] = [
-        ExitBranch(fold(rho_fail), (nat(FAIL_CODE),), label="fail"),
-        ExitBranch(fold(rho_clash), (nat(CLASH_CODE),), label="clash"),
-        ExitBranch(fold(rho_halt),
-                   tuple(fold(p) if isinstance(p, GoodTerm) else p
-                         for p in success_parts),
-                   tuple_form=True, label="halt"),
+        ExitBranch(rho_fail, (nat(FAIL_CODE),), label="fail"),
+        ExitBranch(rho_clash, (nat(CLASH_CODE),), label="clash"),
+        ExitBranch(rho_halt, success_parts, tuple_form=True, label="halt"),
     ]
     for i, (cl, g) in enumerate(zip(gp.clauses, clause_guards)):
         ups = _clause_updates(cl)
         if ups:
-            row = tuple(fold(_slot_update(tr, slot, ups)) for slot in slots)
-            branches.append(UpdateBranch(fold(g), row, label=f"clause-{i}"))
+            row = tuple(_slot_update(tr, slot, ups) for slot in slots)
+            branches.append(UpdateBranch(g, row, label=f"clause-{i}"))
     # theta selects the first true guard, so neither a guard that folds
     # to false nor any branch after one that folds to true can fire;
     # leaving them out saves their selection and F-work on every step
     kept: list[Branch] = []
     for b in branches:
-        if not _is_const(b.guard, False):
+        if b.guard != FALSE_TERM:
             kept.append(b)
-            if _is_const(b.guard, True):
+            if b.guard == TRUE_TERM:
                 break
     # The list is exhaustive: the halt guard holds not(or of the update
     # guards), so some guard is true under every valuation, and a left
     # out branch is never the first true one.  So whenever every earlier
     # kept guard is false, the last kept guard is true, and theta can
     # take that branch as its else-arm without testing it.
-    kept[-1] = kept[-1]._replace(guard=G_TRUE)
+    kept[-1] = kept[-1]._replace(guard=TRUE_TERM)
 
     # no slot code can stand for an undefined initial value
     initial_values(slots, machine.initial_state(state))
@@ -543,8 +538,6 @@ def decode_result(t: Term, cm: CompiledMachine) -> DecodedResult:
 
 
 def _match_success(t: Term, cm: CompiledMachine) -> Optional[dict]:
-    from .lambda_f import match_code
-
     if not isinstance(t, Abs):
         return None
     body = t.body

@@ -13,7 +13,7 @@ it is plain leftmost beta reduction.
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .asm import BUILTINS, CONNECTIVES
 from .records import Fields
@@ -145,37 +145,26 @@ def _f_redex_here(t: Term, sig: FSignature) -> Optional[tuple[FFunction, tuple[V
     return f, tuple(vals)
 
 
-def f_redexes(t: Term, sig: FSignature) -> list[Addr]:
-    """All F-redex addresses, in prefix order.  Distinct F-redexes are
+def f_redexes(t: Term, sig: FSignature) -> Iterator[Addr]:
+    """F-redex addresses in prefix order.  Distinct F-redexes are
     disjoint subterms.  The tests check ``engine.scan``, the residency
     check of the combinator builder, against it."""
-    out: list[Addr] = []
     stack: list[tuple[Term, Addr]] = [(t, ())]
     while stack:
         s, at = stack.pop()
         if _f_redex_here(s, sig) is not None:
-            out.append(at)
+            yield at
             continue  # arguments are codes: nothing below can be a redex
         if isinstance(s, App):
             stack.append((s.arg, at + ("arg",)))
             stack.append((s.fun, at + ("fun",)))
         elif isinstance(s, Abs):
             stack.append((s.body, at + ("body",)))
-    return out
 
 
 def leftmost_f_redex(t: Term, sig: FSignature) -> Optional[Addr]:
-    stack: list[tuple[Term, Addr]] = [(t, ())]
-    while stack:
-        s, at = stack.pop()
-        if _f_redex_here(s, sig) is not None:
-            return at
-        if isinstance(s, App):
-            stack.append((s.arg, at + ("arg",)))
-            stack.append((s.fun, at + ("fun",)))
-        elif isinstance(s, Abs):
-            stack.append((s.body, at + ("body",)))
-    return None
+    """Address of the leftmost F-redex (prefix order), or None."""
+    return next(f_redexes(t, sig), None)
 
 
 def f_step(t: Term, at: Addr, sig: FSignature) -> Term:

@@ -138,14 +138,3 @@ def check_equivalence(p: Program, q: Program, states: list[State], max_steps: in
         run_signature(s, p, max_steps) == run_signature(s, q, max_steps)
         for s in states
     )
-
-
-def true_guard_count(s: State, gp: GuardedProgram) -> int:
-    from .asm import eval_ground
-
-    n = 0
-    for cl in gp.clauses:
-        vals = [eval_ground(s, c) for c, _ in cl.literals]
-        if all(v == want for v, (_, want) in zip(vals, cl.literals)):
-            n += 1
-    return n

@@ -156,14 +156,15 @@ class SourceMachine(Fields):
         return Vocabulary(tuple(names), symbols)
 
     def machine(self) -> Machine:
-        voc = self.vocabulary()
+        """The machine; raises SourceError where ``asm.Machine`` rejects
+        it (an ill-sorted program, a dynamic symbol with no init rule)."""
         init: dict[str, InitRule] = {}
         for decl in self.inits:
             init[decl.name] = _init_rule(decl)
-        for d in self.dynamics:
-            if d.name not in init:
-                raise SourceError([Diagnostic(0, 0, f"dynamic symbol {d.name} has no init rule")])
-        return Machine(voc, self.program, init)
+        try:
+            return Machine(self.vocabulary(), self.program, init)
+        except ValueError as exc:
+            raise SourceError([Diagnostic(0, 0, str(exc))]) from None
 
     def state(self, bindings: Optional[dict[str, object]] = None) -> State:
         """The state that binds the input constants to ``bindings``.

@@ -20,7 +20,7 @@ from asmlc.compiler import (
 from asmlc.cosim import decoration_audit, lockstep
 from asmlc.encodings import match_nat, projection_cost
 from asmlc.engine import STATUS_NORMAL, advance_term
-from asmlc.good_terms import reduce_cost, semantics, variables
+from asmlc.good_terms import reduce_cost, semantics
 from asmlc.lambda_f import FSignature, f_redexes, reduce_leftmost_f
 from asmlc.normalize import check_equivalence, normalize, to_program
 from asmlc.reduction import ConfluenceInconclusive, check_confluence_bounded
@@ -144,7 +144,7 @@ def test_05_padding_exact_or_refused():
                     continue
                 cm = compile_machine(machine, state, K, L)
                 assert (cm.K, cm.L) == (K, L)
-                assert f_redexes(cm.theta, cm.sig) == [], (name, dk, dl)
+                assert list(f_redexes(cm.theta, cm.sig)) == [], (name, dk, dl)
                 blocks = probe_blocks(cm, probes)
                 for _, b in blocks:
                     assert (b.beta_count, b.f_count) == (K, L), (name, dk, dl)
@@ -245,7 +245,7 @@ def test_10_good_term_cost_value_independence():
     total = 0
     for cm, terms, valuations in _corpus_good_terms():
         for g in terms:
-            if not variables(g):
+            if not g.fv:
                 continue  # ground terms were folded to codes
             defined = [v for v in valuations
                        if semantics(g, cm.sig, v) is not None]

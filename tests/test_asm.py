@@ -30,8 +30,9 @@ from asmlc.asm import (
     successor,
 )
 from asmlc.combinators import ExitBranch
-from asmlc.good_terms import GApp, GVar
+from asmlc.lambda_f import TRUE_TERM
 from asmlc.normalize import normalize, to_program
+from asmlc.terms import Var
 
 from conftest import bundled, counter_state, counter_vocabulary, random_program
 
@@ -483,7 +484,7 @@ def test_record_checks_run_on_every_value_built_from_outside():
     voc = counter_vocabulary()
     s = counter_state(voc, 1, 2)
     machine = Machine(voc, Skip(), {c: InitRule((), TApp("zero")) for c in ("p", "q")})
-    exit_branch = ExitBranch(GApp("true"), (GVar("a", "Nat"),))
+    exit_branch = ExitBranch(TRUE_TERM, (Var("a"),))
     bad = [
         lambda: Vocabulary(("Nat",), {}),
         lambda: Vocabulary._make((("Nat",), {})),
@@ -494,10 +495,12 @@ def test_record_checks_run_on_every_value_built_from_outside():
         lambda: Vocabulary(voc.sorts, {"c": Symbol("c", "static", ("Nat",), "Nat", is_input=True)}),
         lambda: State(voc, {"Bool": (True,)}, s.statics, s.dynamics),
         lambda: s._replace(carriers={}),
-        # an ill-sorted program, and an init rule that reads a dynamic symbol
+        # an ill-sorted program, an init rule that reads a dynamic symbol,
+        # and dynamic symbols with no init rule
         lambda: Machine(voc, If(TApp("zero"), Skip()), machine.init),
         lambda: machine._replace(init={"p": InitRule((), TApp("q"))}),
-        lambda: ExitBranch(GApp("true"), ()),
+        lambda: Machine(voc, Skip(), {}),
+        lambda: ExitBranch(TRUE_TERM, ()),
         lambda: exit_branch._replace(parts=()),
     ]
     for build in bad:

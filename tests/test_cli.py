@@ -221,12 +221,24 @@ program:
   halt
 """
 
+ILL_SORTED = """\
+sort Nat = 0..4
+static zero : -> Nat = builtin zero
+dynamic c : -> Nat output
+init c = zero
+program:
+  if zero then c := zero
+"""
+
 
 @pytest.mark.parametrize("command, source, message", [
     ("compile", NO_DYNAMICS, "machine has no dynamic symbols"),
     ("compile", UNDEFINED_INIT, "dynamic constant c has no defined initial value"),
     ("verify", UNDEFINED_INIT, "dynamic constant c has no defined initial value"),
-], ids=["no-dynamics", "undefined-init", "verify-undefined-init"])
+    ("compile", ILL_SORTED, "condition must be Boolean"),
+    ("run", UNDEFINED_INIT.replace("init c = rem(zero, zero)\n", ""),
+     "dynamic symbol c has no init rule"),
+], ids=["no-dynamics", "undefined-init", "verify-undefined-init", "ill-sorted", "no-init-rule"])
 def test_compile_error_is_one_error_line(capsys, tmp_path, command, source, message):
     path = tmp_path / "m.asm"
     path.write_text(source)

@@ -2,7 +2,6 @@ import pytest
 
 from asmlc import combinators
 from asmlc.combinators import (
-    G_TRUE,
     ExitBranch,
     Slot,
     UpdateBranch,
@@ -15,7 +14,6 @@ from asmlc.combinators import (
 )
 from asmlc.encodings import identity_chain
 from asmlc.engine import scan
-from asmlc.good_terms import GApp, GCode, GVar
 from asmlc.compiler import compile_machine
 from asmlc.lambda_f import (
     BOOL,
@@ -33,7 +31,7 @@ from asmlc.lambda_f import (
     standard_bool_signature,
 )
 from asmlc.reduction import beta_step, leftmost_redex
-from asmlc.terms import Abs, App, Code, Unknown, Var, alpha_eq, app, lam
+from asmlc.terms import Abs, App, Code, Const, Unknown, Var, alpha_eq, app, lam
 
 from conftest import Block, bundled, machine_probes, measure_block, random_closed_term
 
@@ -105,9 +103,9 @@ def test_curry_fixpoint_random_closed(rng):
 def _counter(nat_sig, **kw):
     # one slot, incremented by one on every step
     slots = [Slot("c", "Nat")]
-    phi = GApp("plus", (GVar("c", "Nat"), GCode(Value("Nat", 1))))
+    phi = app(Const("plus"), Var("c"), Code(Value("Nat", 1)))
     probes = [{"c": Value("Nat", i)} for i in range(3)]
-    cc = build_branch_combinator([UpdateBranch(G_TRUE, (phi,))],
+    cc = build_branch_combinator([UpdateBranch(TRUE_TERM, (phi,))],
                                  slots, nat_sig, **kw)
     _assert_probes_agree(cc, probes)
     return cc, slots
@@ -125,8 +123,8 @@ def test_update_combinator_lockstep(nat_sig):
 
 
 def test_static_f_work_counts_all_branches(nat_sig):
-    guard = GApp("lt", (GVar("c", "Nat"), GCode(Value("Nat", 3))))
-    phi = GApp("plus", (GVar("c", "Nat"), GCode(Value("Nat", 1))))
+    guard = app(Const("lt"), Var("c"), Code(Value("Nat", 3)))
+    phi = app(Const("plus"), Var("c"), Code(Value("Nat", 1)))
     branch = UpdateBranch(guard, (phi,))
     assert static_f_work([branch]) == 2  # lt and plus nodes
 
@@ -176,12 +174,12 @@ def test_cost_formula_cross_check_fires(nat_sig, monkeypatch):
 def test_conditional_combinator_exits(nat_sig):
     # count up to 3, then exit with the final value
     slots = [Slot("c", "Nat")]
-    guard_run = GApp("lt", (GVar("c", "Nat"), GCode(Value("Nat", 3))))
-    phi = GApp("plus", (GVar("c", "Nat"), GCode(Value("Nat", 1))))
-    gamma = GVar("c", "Nat")
+    guard_run = app(Const("lt"), Var("c"), Code(Value("Nat", 3)))
+    phi = app(Const("plus"), Var("c"), Code(Value("Nat", 1)))
+    gamma = Var("c")
     probes = [{"c": Value("Nat", i)} for i in range(4)]
     cc = build_branch_combinator(
-        [UpdateBranch(guard_run, (phi,)), ExitBranch(G_TRUE, (gamma,))],
+        [UpdateBranch(guard_run, (phi,)), ExitBranch(TRUE_TERM, (gamma,))],
         slots, nat_sig)
     _assert_probes_agree(cc, probes)
     t = App(cc.theta, code_term(Value("Nat", 0)))
@@ -231,11 +229,11 @@ def test_resident_f_redex_rejected(nat_sig):
     # a guard with a ground F-redex (constant applied to codes) must be
     # folded before building; the builder refuses otherwise
     slots = [Slot("c", "Nat")]
-    bad_guard = GApp("lt", (GCode(Value("Nat", 0)), GCode(Value("Nat", 1))))
-    phi = GVar("c", "Nat")
+    bad_guard = app(Const("lt"), Code(Value("Nat", 0)), Code(Value("Nat", 1)))
+    phi = Var("c")
     with pytest.raises(ValueError, match="resident F-redex"):
         build_branch_combinator([UpdateBranch(bad_guard, (phi,)),
-                                 UpdateBranch(G_TRUE, (phi,))],
+                                 UpdateBranch(TRUE_TERM, (phi,))],
                                 slots, nat_sig)
 
 
@@ -244,10 +242,10 @@ def test_inputs_stay_free_and_bind_uncounted(nat_sig):
     padded over L as well.  N leaves out ``plus(w, d)``, which binding
     folds, so every binding of the inputs runs at the certified (K, L)."""
     slots = [Slot("c", "Nat")]
-    c = GVar("c", "Nat")
-    bound = GApp("plus", (GVar("w", "Nat"), GVar("d", "Nat")))
-    phi = GApp("plus", (c, GCode(Value("Nat", 1))))
-    branches = [UpdateBranch(GApp("lt", (c, bound)), (phi,)), ExitBranch(G_TRUE, (c,))]
+    c = Var("c")
+    bound = app(Const("plus"), Var("w"), Var("d"))
+    phi = app(Const("plus"), c, Code(Value("Nat", 1)))
+    branches = [UpdateBranch(app(Const("lt"), c, bound), (phi,)), ExitBranch(TRUE_TERM, (c,))]
     inputs = [Slot("w", "Nat"), Slot("d", "Nat"), Slot("unread", "Nat")]
     least = build_branch_combinator(branches, slots, nat_sig, inputs=inputs)
     assert (least.K_min, least.L_min) == (5, 2)
@@ -271,11 +269,11 @@ def test_inputs_stay_free_and_bind_uncounted(nat_sig):
 def test_last_guard_must_be_constant_true(nat_sig):
     # the last branch is the else-arm, so any other last guard is refused
     slots = [Slot("c", "Nat")]
-    phi = GVar("c", "Nat")
-    lt3 = GApp("lt", (GVar("c", "Nat"), GCode(Value("Nat", 3))))
-    for last in (lt3, GCode(Value(BOOL, False))):
+    phi = Var("c")
+    lt3 = app(Const("lt"), Var("c"), Code(Value("Nat", 3)))
+    for last in (lt3, FALSE_TERM):
         with pytest.raises(ValueError, match="else-arm"):
-            build_branch_combinator([UpdateBranch(G_TRUE, (phi,)),
+            build_branch_combinator([UpdateBranch(TRUE_TERM, (phi,)),
                                      UpdateBranch(last, (phi,))],
                                     slots, nat_sig)
 
@@ -295,8 +293,8 @@ def test_block_matches_traced_block_on_machine_probes(name):
 def test_block_reraises_undefined_application(nat_sig):
     nat_sig.add("half", ("Nat",), "Nat", lambda n: n // 2 if n % 2 == 0 else None)
     slots = [Slot("c", "Nat")]
-    phi = GApp("half", (GVar("c", "Nat"),))
-    cc = build_branch_combinator([UpdateBranch(G_TRUE, (phi,))], slots, nat_sig)
+    phi = app(Const("half"), Var("c"))
+    cc = build_branch_combinator([UpdateBranch(TRUE_TERM, (phi,))], slots, nat_sig)
     t = App(cc.theta, code_term(Value("Nat", 3)))
     with pytest.raises(UndefinedApplication) as info:
         measure_block(t, cc.theta, slots, cc.sig)
@@ -317,11 +315,11 @@ def test_certificate_has_one_path_per_branch(nat_sig):
     for name, f in nat_sig.functions.items():
         sig.add(name, f.arg_datatypes, f.result_datatype, boom)
     slots = [Slot("c", "Nat")]
-    guard_run = GApp("lt", (GVar("c", "Nat"), GCode(Value("Nat", 3))))
-    phi = GApp("plus", (GVar("c", "Nat"), GCode(Value("Nat", 1))))
+    guard_run = app(Const("lt"), Var("c"), Code(Value("Nat", 3)))
+    phi = app(Const("plus"), Var("c"), Code(Value("Nat", 1)))
     cc = build_branch_combinator(
         [UpdateBranch(guard_run, (phi,), label="run"),
-         ExitBranch(G_TRUE, (GVar("c", "Nat"),), label="exit")], slots, sig)
+         ExitBranch(TRUE_TERM, (Var("c"),), label="exit")], slots, sig)
     assert cc.certificate.paths == 2
     # the two paths share the block up to the fork on the guard
     assert cc.K + cc.L < cc.certificate.steps < 2 * (cc.K + cc.L)

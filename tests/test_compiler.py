@@ -8,8 +8,6 @@ from asmlc import asm
 from asmlc.asm import BUILTINS
 from asmlc.cli import main
 from asmlc.compiler import (
-    G_FALSE,
-    G_TRUE,
     compile_machine,
     decode_result,
     delta_as_map,
@@ -20,10 +18,10 @@ from asmlc.compiler import (
 from asmlc.combinators import static_f_work
 from asmlc.cosim import lockstep
 from asmlc.engine import advance_term, scan
-from asmlc.good_terms import GApp, GVar, const_count, semantics
-from asmlc.lambda_f import BOOL, FSignature, Value
+from asmlc.good_terms import const_count, semantics
+from asmlc.lambda_f import BOOL, FALSE_TERM, TRUE_TERM, FSignature, Value
 from asmlc.sourcefmt import parse_source
-from asmlc.terms import term_size
+from asmlc.terms import App, Const, Var, app, term_size
 
 from conftest import (
     BUNDLED_COSTS,
@@ -190,24 +188,24 @@ def test_compile_runs_no_machine_step(monkeypatch, capsys):
 
 def _bool_pair(rng: random.Random, names, depth: int):
     """A random Boolean good term over ``names``, built twice: from bare
-    GApp nodes, and through gand/gor/gnot.  The right operand of a binary
+    constant applications, and through gand/gor/gnot.  The right operand of a binary
     node is often the left one or its negation, so that the identities
     get something to fire on."""
     if depth == 0 or rng.random() < 0.25:
-        leaf = rng.choice([G_TRUE, G_FALSE, *(GVar(n, BOOL) for n in names)])
+        leaf = rng.choice([TRUE_TERM, FALSE_TERM, *(Var(n) for n in names)])
         return leaf, leaf
     a_raw, a = _bool_pair(rng, names, depth - 1)
     op = rng.choice(["and", "or", "not"])
     if op == "not":
-        return GApp("not", (a_raw,)), gnot(a)
+        return App(Const("not"), a_raw), gnot(a)
     roll = rng.random()
     if roll < 0.25:
         b_raw, b = a_raw, a
     elif roll < 0.5:
-        b_raw, b = GApp("not", (a_raw,)), gnot(a)
+        b_raw, b = App(Const("not"), a_raw), gnot(a)
     else:
         b_raw, b = _bool_pair(rng, names, depth - 1)
-    return GApp(op, (a_raw, b_raw)), (gand if op == "and" else gor)(a, b)
+    return app(Const(op), a_raw, b_raw), (gand if op == "and" else gor)(a, b)
 
 
 def test_boolean_algebra_keeps_semantics():
@@ -228,9 +226,9 @@ def test_boolean_algebra_keeps_semantics():
 
 
 def test_boolean_identities():
-    a = GApp("lt", (GVar("x", "Nat"), GVar("y", "Nat")))
-    assert gand(a, gnot(a)) == gand(gnot(a), a) == G_FALSE
-    assert gor(a, gnot(a)) == gor(gnot(a), a) == G_TRUE
+    a = app(Const("lt"), Var("x"), Var("y"))
+    assert gand(a, gnot(a)) == gand(gnot(a), a) == FALSE_TERM
+    assert gor(a, gnot(a)) == gor(gnot(a), a) == TRUE_TERM
     assert gand(a, a) == gor(a, a) == a
     assert gnot(gnot(a)) == a
 
@@ -241,9 +239,9 @@ def test_every_compiled_branch_can_fire():
     cases += [counter_family(n) for n in range(1, 6)]
     for machine, state in cases:
         branches = compile_machine(machine, state).branches
-        assert all(b.guard != G_FALSE for b in branches)
-        assert all(b.guard != G_TRUE for b in branches[:-1])
-        assert branches[-1].guard == G_TRUE  # the else-arm
+        assert all(b.guard != FALSE_TERM for b in branches)
+        assert all(b.guard != TRUE_TERM for b in branches[:-1])
+        assert branches[-1].guard == TRUE_TERM  # the else-arm
 
 
 # Two updates of c with one value: the clash guard folds to false only

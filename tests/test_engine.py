@@ -12,7 +12,6 @@ from asmlc.engine import (
     advance_term,
     scan,
 )
-from asmlc.good_terms import GApp, GCode, GVar, to_term
 from asmlc.lambda_f import (
     BOOL,
     FALSE_TERM,
@@ -248,18 +247,18 @@ def test_scan_finds_what_the_traced_search_finds(rng):
     for _ in range(300):
         t = random_f_term(rng, rng.randint(1, 5))
         resident, f_free = scan(t, sig)
-        assert resident == bool(f_redexes(t, sig))
+        assert resident == bool(list(f_redexes(t, sig)))
         # the search stops at the first redex and memoizes none of the
         # nodes that hold it, which later calls would then skip
-        assert all(not f_redexes(node, sig) for node in f_free.values())
+        assert all(not list(f_redexes(node, sig)) for node in f_free.values())
     # a ground guard, which the combinator builder refuses as a resident
     # F-redex, and the same guard over a slot variable
-    ground = to_term(GApp("lt", (GCode(Value("Nat", 0)), GCode(Value("Nat", 1)))))
-    over_slot = to_term(GApp("lt", (GVar("c", "Nat"), GCode(Value("Nat", 1)))))
+    ground = app(Const("lt"), Code(Value("Nat", 0)), Code(Value("Nat", 1)))
+    over_slot = app(Const("lt"), Var("c"), Code(Value("Nat", 1)))
     assert scan(Abs("c", app(ground, Var("c"), Var("c"))), sig)[0]
     resident, f_free = scan(Abs("c", app(over_slot, Var("c"), Var("c"))), sig)
     assert not resident
-    assert all(not f_redexes(node, sig) for node in f_free.values())
+    assert all(not list(f_redexes(node, sig)) for node in f_free.values())
     # an undefined application is resident too
     assert scan(Abs("c", App(_half, _n(3))), sig)[0]
 

@@ -2,23 +2,20 @@ import itertools
 
 import pytest
 
-from asmlc.good_terms import (
-    GApp,
-    GCode,
-    GVar,
-    check_good,
-    const_count,
-    reduce_cost,
-    semantics,
-    substitute_codes,
-    to_term,
-    variables,
+from asmlc.good_terms import const_count, reduce_cost, semantics
+from asmlc.lambda_f import (
+    BOOL,
+    TRUE_TERM,
+    FSignature,
+    Value,
+    code_term,
+    match_code,
+    reduce_leftmost_f,
 )
-from asmlc.lambda_f import BOOL, FSignature, Value, reduce_leftmost_f, match_code
 from asmlc.asm import FailI, HaltI, If, Par, Skip, TApp, TVar, Update
-from asmlc.compiler import G_TRUE, Translator, lower_signature, make_slots
-from asmlc.reduction import Status
-from asmlc.terms import Code, Const, Var
+from asmlc.compiler import Translator, lower_signature, make_slots
+from asmlc.reduction import Status, substitute
+from asmlc.terms import App, Code, Const, Var, app
 
 from conftest import bundled
 
@@ -34,16 +31,18 @@ def sig():
 
 
 def _lt_term():
-    return GApp("lt", (GApp("plus", (GVar("x", "Nat"), GCode(Value("Nat", 1)))),
-                       GVar("y", "Nat")))
+    return app(Const("lt"), app(Const("plus"), Var("x"), Code(Value("Nat", 1))), Var("y"))
 
 
-def test_check_good_types(sig):
-    assert check_good(_lt_term(), sig) == BOOL
-    with pytest.raises(Exception):
-        check_good(GApp("lt", (GVar("x", "Nat"),)), sig)  # wrong arity
-    with pytest.raises(Exception):
-        check_good(GApp("not", (GVar("x", "Nat"),)), sig)  # wrong datatype
+def test_semantics_checks_arity_and_datatypes(sig):
+    val = {"x": Value("Nat", 0), "y": Value("Nat", 2)}
+    assert semantics(_lt_term(), sig, val) == Value(BOOL, True)
+    with pytest.raises(ValueError, match="lt expects 2 arguments"):
+        semantics(App(Const("lt"), Var("x")), sig, val)
+    with pytest.raises(ValueError, match="datatype mismatch under not"):
+        semantics(App(Const("not"), Var("x")), sig, val)
+    with pytest.raises(ValueError, match="unknown constant minus"):
+        semantics(app(Const("minus"), Var("x"), Var("y")), sig, val)
 
 
 def test_semantics_matches_python_oracle(sig):
@@ -54,7 +53,7 @@ def test_semantics_matches_python_oracle(sig):
 
 
 def test_semantics_none_on_partial_miss(sig):
-    t = GApp("half", (GVar("x", "Nat"),))
+    t = App(Const("half"), Var("x"))
     assert semantics(t, sig, {"x": Value("Nat", 3)}) is None
     assert semantics(t, sig, {"x": Value("Nat", 4)}) == Value("Nat", 2)
 
@@ -64,7 +63,8 @@ def test_const_count_is_f_cost(sig):
     assert const_count(t) == 2
     for x, y in itertools.product(range(3), repeat=2):
         val = {"x": Value("Nat", x), "y": Value("Nat", y)}
-        r = reduce_leftmost_f(substitute_codes(t, val), sig, 100)
+        closed = substitute(substitute(t, "x", code_term(val["x"])), "y", code_term(val["y"]))
+        r = reduce_leftmost_f(closed, sig, 100)
         assert r.status is Status.NORMAL
         assert r.trace.beta_count == 0
         assert r.trace.f_count == const_count(t)
@@ -72,14 +72,14 @@ def test_const_count_is_f_cost(sig):
 
 
 def test_const_count_leaves_out_nodes_over_inputs_alone():
-    x, stop = GVar("x", "Nat"), GVar("stop", "Nat")
-    one = GCode(Value("Nat", 1))
-    t = GApp("lt", (x, GApp("plus", (stop, one))))
+    x, stop = Var("x"), Var("stop")
+    one = Code(Value("Nat", 1))
+    t = app(Const("lt"), x, app(Const("plus"), stop, one))
     assert const_count(t) == 2
     assert const_count(t, frozenset({"stop"})) == 1
     assert const_count(t, frozenset({"x", "stop"})) == 0
     # a node over codes alone still counts
-    assert const_count(GApp("plus", (one, one)), frozenset({"stop"})) == 1
+    assert const_count(app(Const("plus"), one, one), frozenset({"stop"})) == 1
 
 
 def test_reduce_cost_value_independent(sig):
@@ -89,17 +89,6 @@ def test_reduce_cost_value_independent(sig):
     assert reduce_cost(t, sig, vals) == const_count(t)
 
 
-def test_variables_in_order():
-    t = _lt_term()
-    assert [v.name for v in variables(t)] == ["x", "y"]
-
-
-def test_to_term_structure():
-    t = GApp("not", (GCode(Value(BOOL, True)),))
-    term = to_term(t)
-    assert term.fun == Const("not")
-
-
 def test_translator_turns_dynamic_constants_into_variables():
     sm = bundled("euclid")
     machine = sm.machine()
@@ -107,22 +96,19 @@ def test_translator_turns_dynamic_constants_into_variables():
     sig, partials = lower_signature(machine.voc, sm.state({}), slots)
     tr = Translator(machine.voc, machine.init, {s.name: s for s in slots}, partials, sig)
     g, defined = tr.value_and_def(TApp("lt", (TApp("zero"), TApp("b"))))
-    assert isinstance(g, GApp) and g.symbol == "lt"
     # dynamic constants become variables; variable-free static leaves
     # fold to their codes; lt and zero are total, so no guard is needed
-    assert {v.name for v in variables(g)} == {"b"}
-    assert g.args[0] == GCode(Value("Nat", 0))
-    assert defined == G_TRUE
+    assert g == app(Const("lt"), Code(Value("Nat", 0)), Var("b"))
+    assert defined == TRUE_TERM
 
 
 def test_nodes_of_different_classes_with_the_same_fields_are_unequal():
     v = Value("Nat", 1)
     groups = [
-        (GVar("a", "Nat"), TVar("a", "Nat")),
-        (GApp("zero"), TApp("zero")),
-        (GApp("f", (GVar("a", "Nat"),)), TApp("f", (TVar("a", "Nat"),))),
-        (GCode(v), Code(v)),
-        (GVar("a", "Nat"), Var("a")),
+        (Var("a"), TVar("a", "Nat")),
+        (Const("zero"), TApp("zero")),
+        (App(Const("f"), Var("a")), TApp("f", (TVar("a", "Nat"),))),
+        (Code(v), v),
         (Skip(), HaltI(), FailI()),
     ]
     for group in groups:
@@ -147,9 +133,9 @@ def test_nodes_differing_in_one_field_are_unequal():
         (If(zero, Skip()), If(zero, HaltI())),
         (If(zero, Skip()), If(zero, Skip(), FailI())),
         (Par((Skip(),)), Par((HaltI(),))),
-        (GVar("a", "Nat"), GVar("a", "Bool")),
-        (GApp("f", (GVar("a", "Nat"),)), GApp("f", (GVar("b", "Nat"),))),
-        (GCode(Value("Nat", 1)), GCode(Value("Nat", 2))),
+        (Var("a"), Var("b")),
+        (App(Const("f"), Var("a")), App(Const("f"), Var("b"))),
+        (Code(Value("Nat", 1)), Code(Value("Nat", 2))),
     ]
     for a, b in pairs:
         assert a != b and not a == b

@@ -41,12 +41,12 @@ def test_bool_codes_are_lambda_booleans():
 
 def test_f_redex_detection_requires_full_arity_and_codes(sig):
     nt = Const("not")
-    assert f_redexes(App(nt, TRUE_TERM), sig) == [()]
-    assert f_redexes(nt, sig) == []  # under-applied
-    assert f_redexes(App(nt, Var("x")), sig) == []  # argument not a code
+    assert list(f_redexes(App(nt, TRUE_TERM), sig)) == [()]
+    assert list(f_redexes(nt, sig)) == []  # under-applied
+    assert list(f_redexes(App(nt, Var("x")), sig)) == []  # argument not a code
     # over-applied: the saturated prefix is still a redex
     over = app(Const("and"), TRUE_TERM, FALSE_TERM, TRUE_TERM)
-    assert f_redexes(over, sig) == [("fun",)]
+    assert list(f_redexes(over, sig)) == [("fun",)]
 
 
 def test_f_step_truth_tables(sig):

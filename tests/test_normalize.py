@@ -1,6 +1,6 @@
 from itertools import product
 
-from asmlc.asm import FailI, HaltI, If, Par, Skip, TApp, Update
+from asmlc.asm import FailI, HaltI, If, Par, Skip, TApp, Update, eval_ground
 from asmlc.normalize import (
     Clause,
     GuardedProgram,
@@ -9,10 +9,15 @@ from asmlc.normalize import (
     normalize,
     run_signature,
     to_program,
-    true_guard_count,
 )
 
 from conftest import bundled, counter_state, counter_vocabulary, random_program
+
+
+def true_guard_count(s, gp: GuardedProgram) -> int:
+    """How many clauses of ``gp`` hold in state ``s``."""
+    return sum(all(eval_ground(s, c) == want for c, want in cl.literals)
+               for cl in gp.clauses)
 
 
 def test_guards_are_full_conjunctions_and_exclusive():
