@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from .asm import run as asm_run
@@ -265,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; a negative ``--grid`` or ``--max-steps``, and
     a machine, an input or a compile the program rejects, end in one
-    ``error:`` line on stderr and exit status 1."""
+    ``error:`` line on stderr and exit status 1.  A reader that closes
+    stdout early ends the run with exit status 1 and no traceback."""
     args = build_parser().parse_args(argv)
     for option in ("grid", "max_steps"):
         value = getattr(args, option, 0)
@@ -274,9 +276,16 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 1
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
     except (CompileError, SourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # Python's documented recipe for SIGPIPE: point stdout at devnull,
+        # so the flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

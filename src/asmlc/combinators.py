@@ -77,10 +77,9 @@ from .engine import (
     _unwind,
     scan,
 )
-from .good_terms import const_count
 from .lambda_f import BOOL, TRUE_TERM, UNKNOWN_BOOL, DeltaType, FSignature, bool_term, match_code
 from .records import Checked
-from .terms import Abs, App, Const, Term, Unknown, Value, Var, app, lam
+from .terms import Abs, App, Const, Term, Unknown, Value, Var, app, lam, spine
 
 
 def curry_fixpoint(f: Term) -> Term:
@@ -190,6 +189,20 @@ class CompiledCombinator:
         """The parts of (K, L) by the formula in the module docstring."""
         return step_cost(self.k, self.branches, self.K - self.K_min, self.L - self.L_min,
                          frozenset(s.name for s in self.inputs))
+
+
+def const_count(t: Term, inputs: frozenset = frozenset()) -> int:
+    """Number of constant nodes: the exact F-cost of full reduction.
+    Once the variables of an abstraction-free composition of constants
+    carry codes, every node's arguments reduce to codes, so leftmost
+    reduction fires each node once: the cost is the node count, whatever
+    the values.  A node whose variables are all in ``inputs``, one at
+    least, is left out: binding the inputs folds it first
+    (``instantiate``)."""
+    head, args = spine(t)
+    if type(head) is not Const:
+        return 0
+    return (not t.fv or not t.fv <= inputs) + sum(const_count(a, inputs) for a in args)
 
 
 def branch_f_work(b: Branch, inputs: frozenset = frozenset()) -> int:

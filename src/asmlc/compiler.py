@@ -6,8 +6,8 @@ the vocabulary into a constant signature (statics totalized, with
 definedness predicates for the partial ones, plus Boolean/equality/
 selection builtins and delta-list operations for dynamic symbols of
 positive arity), translate every guard, update and exit into lambda
-terms over the slots (``good_terms``), and hand the ordered branch
-list to the combinator builder.
+terms over the slots, compositions of constants with no abstraction,
+and hand the ordered branch list to the combinator builder.
 
 Guard order mirrors the step semantics: fail (explicit fail, or an
 active update evaluating to undefined), then clash, then halt (explicit

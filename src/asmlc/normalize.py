@@ -11,7 +11,7 @@ with no instructions are dropped (they contribute nothing).
 from __future__ import annotations
 
 from itertools import product
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .asm import (
     FailI,
@@ -77,22 +77,12 @@ def normalize(p: Program) -> GuardedProgram:
     return GuardedProgram(tuple(conds), tuple(clauses))
 
 
-def guard_term(literals: tuple[Literal, ...]) -> Optional[TypedTerm]:
-    """The guard as one Boolean term; None for the empty conjunction."""
-    parts = [c if want else TApp("not", (c,)) for c, want in literals]
-    if not parts:
-        return None
-    t = parts[0]
-    for q in parts[1:]:
-        t = TApp("and", (t, q))
-    return t
-
-
 def to_program(gp: GuardedProgram) -> Program:
     """Re-materialize the guarded form as an ordinary program.
 
-    Each guard is ``==`` to ``guard_term(cl.literals)``, but the guards
-    form one DAG: one ``not`` node per negated condition and one ``and``
+    Each guard equals the left-nested ``and`` of its clause's literals,
+    a negative literal as ``not`` of its condition, but the guards form
+    one DAG: one ``not`` node per negated condition and one ``and``
     node per distinct literal prefix, so clauses that share a prefix
     share its node and ``successor`` evaluates it once per step."""
     negated: dict[int, TypedTerm] = {}  # id(condition) -> not(condition)

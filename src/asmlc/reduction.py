@@ -1,6 +1,5 @@
 """Beta reduction: redex addressing, substitution, the leftmost beta
-redex, the step records of a traced reduction, and bounded exhaustive
-confluence checking.
+redex, and the step records of a traced reduction.
 
 Step granularity is strict: one step contracts exactly one redex.  The
 traced driver is ``lambda_f.reduce_leftmost_f``; with a signature that
@@ -14,7 +13,7 @@ from enum import Enum
 from typing import Iterator, NamedTuple, Optional
 
 from .records import Frozen
-from .terms import Abs, App, Term, Var, canonical, term_size
+from .terms import Abs, App, Term, Var
 
 sys.setrecursionlimit(100_000)
 
@@ -165,42 +164,3 @@ def beta_step(t: Term, at: Addr) -> Term:
     contracted = substitute(redex.fun.body, redex.fun.binder, redex.arg)
     return replace_at(t, at, contracted)
 
-
-class ConfluenceInconclusive(ReductionError):
-    """Raised when the bounded enumerator hits its blowup guard."""
-
-
-def check_confluence_bounded(
-    t: Term, depth: int, size_cap: int = 2000, state_cap: int = 20000
-) -> bool:
-    """Enumerate all beta reduction sequences from ``t`` up to ``depth``
-    and check that all normal forms reached are alpha-equal.
-
-    Test oracle only; raises ConfluenceInconclusive on blowup.
-    """
-    frontier = {canonical(t)}
-    seen = set(frontier)
-    normal_forms: set[Term] = set()
-    for _ in range(depth):
-        nxt: set[Term] = set()
-        for s in frontier:
-            addrs = list(beta_redex_addresses(s))
-            if not addrs:
-                normal_forms.add(s)
-                continue
-            for at in addrs:
-                r = canonical(beta_step(s, at))
-                if term_size(r) > size_cap:
-                    raise ConfluenceInconclusive("term size cap exceeded")
-                if r not in seen:
-                    seen.add(r)
-                    nxt.add(r)
-            if len(seen) > state_cap:
-                raise ConfluenceInconclusive("state cap exceeded")
-        frontier = nxt
-        if not frontier:
-            break
-    for s in frontier:
-        if not list(beta_redex_addresses(s)):
-            normal_forms.add(s)
-    return len(normal_forms) <= 1

@@ -1,12 +1,13 @@
 """Shared random generators for terms, programs, and states, the loader
-of the bundled machines, and the concrete probe blocks that cross-check
-the compiler's abstract certificate."""
+of the bundled machines, the concrete probe blocks that cross-check
+the compiler's abstract certificate, and two oracles: the semantics and
+measured F-cost of constant compositions, and bounded confluence."""
 from __future__ import annotations
 
 import functools
 import random
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import pytest
 
@@ -29,9 +30,30 @@ from asmlc.asm import (
 from asmlc.combinators import blocks, decode_state
 from asmlc.compiler import CompiledMachine, slot_values_for_state
 from asmlc.engine import STATUS_NORMAL, STATUS_RAN
-from asmlc.lambda_f import FSignature, code_term
+from asmlc.lambda_f import (
+    FSignature,
+    UndefinedApplication,
+    code_term,
+    match_bool,
+    match_code,
+    reduce_leftmost_f,
+)
+from asmlc.reduction import ReductionError, Status, beta_redex_addresses, beta_step, substitute
 from asmlc.sourcefmt import SourceMachine, parse_source
-from asmlc.terms import Abs, App, Term, Var, app
+from asmlc.terms import (
+    BOOL,
+    Abs,
+    App,
+    Code,
+    Const,
+    Term,
+    Value,
+    Var,
+    app,
+    canonical,
+    spine,
+    term_size,
+)
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
@@ -92,6 +114,114 @@ def probe_blocks(cm: CompiledMachine, probes) -> list[tuple[Term, Block]]:
         start = app(cm.theta, *(code_term(val[s.name]) for s in cm.slots))
         out.append((start, measure_block(start, cm.theta, cm.slots, cm.sig)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the semantics and measured F-cost of constant compositions
+# over variables and codes (lambda terms with no abstraction), and
+# bounded exhaustive confluence.
+
+
+def semantics(t: Term, sig: FSignature, valuation: dict[str, Value]) -> Optional[Value]:
+    """Evaluate the composition; None when a partial function misses.
+    Raises ValueError on a constant applied to the wrong number of
+    arguments or to a value of the wrong datatype, and on an unknown
+    constant."""
+    if isinstance(t, Var):
+        return valuation[t.name]
+    if isinstance(t, Code):
+        return t.value
+    head, args = spine(t)
+    if type(head) is not Const:
+        b = match_bool(t)
+        if b is None:
+            raise ValueError(f"not a good term: {t!r}")
+        return Value(BOOL, b)
+    f = sig.get(head.symbol)
+    if f is None:
+        raise ValueError(f"unknown constant {head.symbol}")
+    if len(args) != f.arity:
+        raise ValueError(f"{head.symbol} expects {f.arity} arguments")
+    vals = []
+    for a, dt in zip(args, f.arg_datatypes):
+        v = semantics(a, sig, valuation)
+        if v is None:
+            return None
+        if v.datatype != dt:
+            raise ValueError(f"datatype mismatch under {head.symbol}")
+        vals.append(v)
+    try:
+        return f.apply(tuple(vals))
+    except UndefinedApplication:
+        return None
+
+
+def reduce_cost(t: Term, sig: FSignature, valuations: Iterable[dict[str, Value]]) -> int:
+    """Measure the F-cost of leftmost reduction of t[codes/variables]
+    across valuations where the semantics is defined.
+
+    Asserts: zero beta steps, result equals the semantics, and the same
+    F-count on every valuation; returns that count.
+    """
+    costs = set()
+    for val in valuations:
+        expected = semantics(t, sig, val)
+        if expected is None:
+            raise ValueError("reduce_cost requires a defined valuation")
+        closed = t
+        for name in t.fv:
+            closed = substitute(closed, name, code_term(val[name]))
+        r = reduce_leftmost_f(closed, sig, 10_000)
+        if r.status is not Status.NORMAL:
+            raise RuntimeError("good-term reduction did not normalize")
+        if r.trace.beta_count != 0:
+            raise RuntimeError("good-term reduction used a beta step")
+        if match_code(r.term, expected.datatype) != expected:
+            raise RuntimeError("good-term reduction disagrees with semantics")
+        costs.add(r.trace.f_count)
+    if len(costs) != 1:
+        raise RuntimeError(f"F-cost not value-independent: {sorted(costs)}")
+    return costs.pop()
+
+
+class ConfluenceInconclusive(ReductionError):
+    """Raised when the bounded enumerator hits its blowup guard."""
+
+
+def check_confluence_bounded(
+    t: Term, depth: int, size_cap: int = 2000, state_cap: int = 20000
+) -> bool:
+    """Enumerate all beta reduction sequences from ``t`` up to ``depth``
+    and check that all normal forms reached are alpha-equal.
+
+    Raises ConfluenceInconclusive on blowup.
+    """
+    frontier = {canonical(t)}
+    seen = set(frontier)
+    normal_forms: set[Term] = set()
+    for _ in range(depth):
+        nxt: set[Term] = set()
+        for s in frontier:
+            addrs = list(beta_redex_addresses(s))
+            if not addrs:
+                normal_forms.add(s)
+                continue
+            for at in addrs:
+                r = canonical(beta_step(s, at))
+                if term_size(r) > size_cap:
+                    raise ConfluenceInconclusive("term size cap exceeded")
+                if r not in seen:
+                    seen.add(r)
+                    nxt.add(r)
+            if len(seen) > state_cap:
+                raise ConfluenceInconclusive("state cap exceeded")
+        frontier = nxt
+        if not frontier:
+            break
+    for s in frontier:
+        if not list(beta_redex_addresses(s)):
+            normal_forms.add(s)
+    return len(normal_forms) <= 1
 
 
 def random_term(rng: random.Random, size: int, pool=("a", "b", "c")) -> Term:

@@ -20,14 +20,14 @@ from asmlc.compiler import (
 from asmlc.cosim import decoration_audit, lockstep
 from asmlc.encodings import match_nat, projection_cost
 from asmlc.engine import STATUS_NORMAL, advance_term
-from asmlc.good_terms import reduce_cost, semantics
 from asmlc.lambda_f import FSignature, f_redexes, reduce_leftmost_f
 from asmlc.normalize import check_equivalence, normalize, to_program
-from asmlc.reduction import ConfluenceInconclusive, check_confluence_bounded
 from asmlc.terms import App, alpha_eq
 
 from conftest import (
+    ConfluenceInconclusive,
     bundled,
+    check_confluence_bounded,
     counter_family,
     counter_state,
     counter_vocabulary,
@@ -36,6 +36,8 @@ from conftest import (
     random_closed_term,
     random_program,
     random_term,
+    reduce_cost,
+    semantics,
 )
 
 

@@ -360,17 +360,35 @@ def test_encode_decode_roundtrip(capsys):
     assert out4.strip() == "bool false"
 
 
-def test_encode_deep_numeral_prints():
-    # a numeral nested 200k deep; the printer once overflowed the
-    # Python stack on it
+def cli_process(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """Run the command line in a fresh interpreter on this checkout's
+    source."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-    r = subprocess.run([sys.executable, "-m", "asmlc.cli", "encode", "nat", "200000"],
-                       capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "asmlc.cli", *argv],
+                          text=True, env=env, timeout=120, **kwargs)
+
+
+def test_encode_deep_numeral_prints():
+    # a numeral nested 200k deep; the printer once overflowed the
+    # Python stack on it
+    r = cli_process("encode", "nat", "200000", capture_output=True)
     assert r.returncode == 0 and r.stderr == ""
     assert r.stdout.startswith("\\z. z (\\x y. y) (\\z. z (\\x y. y)")
     assert r.stdout.count("(\\z. ") == 200_000
+
+
+def test_closed_stdout_exits_without_traceback():
+    # as in `asmlc compile machines/euclid.asm --term | head -1`, but the
+    # reader is gone before the first write, so the pipe always breaks
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = cli_process("compile", EUCLID, "--term", stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert r.returncode == 1 and r.stderr == ""  # no traceback
 
 
 def test_decode_rejects_garbage(capsys):

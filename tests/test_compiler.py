@@ -15,10 +15,9 @@ from asmlc.compiler import (
     gnot,
     gor,
 )
-from asmlc.combinators import static_f_work
+from asmlc.combinators import const_count, static_f_work
 from asmlc.cosim import lockstep
 from asmlc.engine import advance_term, scan
-from asmlc.good_terms import const_count, semantics
 from asmlc.lambda_f import BOOL, FALSE_TERM, TRUE_TERM, FSignature, Value
 from asmlc.sourcefmt import parse_source
 from asmlc.terms import App, Const, Var, app, term_size
@@ -30,6 +29,7 @@ from conftest import (
     counter_family,
     machine_probes,
     probe_blocks,
+    semantics,
 )
 
 

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from asmlc.good_terms import const_count, reduce_cost, semantics
 from asmlc.lambda_f import (
     BOOL,
     TRUE_TERM,
@@ -13,11 +12,12 @@ from asmlc.lambda_f import (
     reduce_leftmost_f,
 )
 from asmlc.asm import FailI, HaltI, If, Par, Skip, TApp, TVar, Update
+from asmlc.combinators import const_count
 from asmlc.compiler import Translator, lower_signature, make_slots
 from asmlc.reduction import Status, substitute
 from asmlc.terms import App, Code, Const, Var, app
 
-from conftest import bundled
+from conftest import bundled, reduce_cost, semantics
 
 
 @pytest.fixture

@@ -1,10 +1,20 @@
 """Every name a module of the package or a test module imports is used
 in that module, every name a module of the package defines at top level
-is referred to somewhere, and every function the benchmark's tracer
-wraps by name still exists.  Only two classes of the package are
-dataclasses, and every other one keeps what a dataclass gave it: field
-names and order, construction, ``repr``, equality, hash and, unless it
-is a mutable helper, immutability."""
+is reached from what the package runs, and every function the
+benchmark's tracer wraps by name still exists.  Only two classes of the
+package are dataclasses, and every other one keeps what a dataclass
+gave it: field names and order, construction, ``repr``, equality, hash
+and, unless it is a mutable helper, immutability.
+
+Reachability is a walk over the package's top-level definitions.  It
+starts from ``main``, from every name the benchmarks refer to, and from
+the module-level statements of the package that define nothing, and it
+follows every name a reached definition refers to.  The tests are not
+roots, so code that only tests call belongs under ``tests/``.  The walk
+goes by name, not by module: a name reached anywhere reaches every
+definition with that name.  That over-approximation is deliberate; it
+keeps the walk free of import resolution, and it errs only towards
+passing."""
 import ast
 import functools
 import importlib
@@ -52,8 +62,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "asmlc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted((ROOT / "tests").glob("*.py"))
-# Where a reference counts: the package, its tests and both benchmarks.
-SCANNED = ("src", "tests", "benchmarks", "perfbench")
+# Where the reachability walk starts, besides ``main``: both benchmarks.
+BENCHMARKS = ("benchmarks", "perfbench")
 
 
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
@@ -69,42 +79,71 @@ def test_no_unused_imports(path):
     assert not imported - used, f"unused imports in {path.name}: {sorted(imported - used)}"
 
 
-def _top_level_names(tree: ast.Module):
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class
+    or the targets of an assignment; none for any other statement."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """Every name read, imported or looked up by attribute under
+    ``tree``, and every string that is an identifier: perfbench's tracer
+    finds the functions it wraps by name."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and n.value.isidentifier():
+            out.add(n.value)
+    return out
 
 
 @functools.cache
-def _referenced() -> frozenset:
-    """Every name read, imported or looked up by attribute in a scanned
-    file, and every string that is an identifier: perfbench's tracer
-    finds the functions it wraps by name."""
-    out = set()
-    for path in (p for d in SCANNED for p in (ROOT / d).rglob("*.py")):
-        for n in ast.walk(ast.parse(path.read_text())):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                out.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                out.add(n.attr)
-            elif isinstance(n, ast.alias):
-                out.add(n.name)
-            elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
-                    and n.value.isidentifier():
-                out.add(n.value)
-    return frozenset(out)
+def _reached() -> frozenset:
+    """The names the walk in the module docstring reaches.  A module-level
+    import defines the name it binds, which leads to the name it imports."""
+    roots = {"main"}
+    for path in (p for d in BENCHMARKS for p in (ROOT / d).glob("*.py")):
+        roots |= _referenced(ast.parse(path.read_text()))
+    definitions: dict[str, list[ast.AST]] = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for a in node.names:
+                    definitions.setdefault(a.asname or a.name, []).append(a)
+            elif names := _defined(node):
+                for name in names:
+                    definitions.setdefault(name, []).append(node)
+            else:
+                roots |= _referenced(node)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for node in definitions.get(name, ()):
+                todo.extend(_referenced(node))
+    return frozenset(reached)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unreferenced_top_level_names(path):
-    names = {n for n in _top_level_names(ast.parse(path.read_text()))
+    """Every top-level definition is reached from what the package runs;
+    dunders are exempt."""
+    names = {n for node in ast.parse(path.read_text()).body for n in _defined(node)
              if not (n.startswith("__") and n.endswith("__"))}
-    unreferenced = sorted(names - _referenced())
-    assert not unreferenced, f"nothing refers to {path.name}: {unreferenced}"
+    unreached = sorted(names - _reached())
+    assert not unreached, f"only tests reach {path.name}: {unreached}"
 
 
 # Trace targets whose functions left the package, which the tracer

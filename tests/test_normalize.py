@@ -1,11 +1,12 @@
 from itertools import product
+from typing import Optional
 
-from asmlc.asm import FailI, HaltI, If, Par, Skip, TApp, Update, eval_ground
+from asmlc.asm import FailI, HaltI, If, Par, Skip, TApp, TypedTerm, Update, eval_ground
 from asmlc.normalize import (
     Clause,
     GuardedProgram,
+    Literal,
     check_equivalence,
-    guard_term,
     normalize,
     run_signature,
     to_program,
@@ -18,6 +19,17 @@ def true_guard_count(s, gp: GuardedProgram) -> int:
     """How many clauses of ``gp`` hold in state ``s``."""
     return sum(all(eval_ground(s, c) == want for c, want in cl.literals)
                for cl in gp.clauses)
+
+
+def guard_term(literals: tuple[Literal, ...]) -> Optional[TypedTerm]:
+    """The guard as one Boolean term; None for the empty conjunction."""
+    parts = [c if want else TApp("not", (c,)) for c, want in literals]
+    if not parts:
+        return None
+    t = parts[0]
+    for q in parts[1:]:
+        t = TApp("and", (t, q))
+    return t
 
 
 def test_guards_are_full_conjunctions_and_exclusive():

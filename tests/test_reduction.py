@@ -5,11 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asmlc.reduction import (
-    ConfluenceInconclusive,
     Status,
     beta_redex_addresses,
     beta_step,
-    check_confluence_bounded,
     is_beta_redex,
     leftmost_redex,
     substitute,
@@ -19,7 +17,7 @@ from asmlc.lambda_f import FSignature, reduce_leftmost_f
 from asmlc.syntax import parse_term
 from asmlc.terms import Abs, App, Var, alpha_eq, app, lam
 
-from conftest import random_term
+from conftest import ConfluenceInconclusive, check_confluence_bounded, random_term
 
 I = Abs("x", Var("x"))
 K = lam(["x", "y"], Var("x"))

@@ -5,14 +5,57 @@ import pytest
 from asmlc.asm import run
 from asmlc.sourcefmt import (
     SourceError,
+    SourceMachine,
     parse_source,
-    print_source,
+    print_program,
+    print_typed_term,
 )
 
 from conftest import MACHINES
 
 EUCLID = (MACHINES / "euclid.asm").read_text()
 DOUBLING = (MACHINES / "doubling.asm").read_text()
+
+
+def print_source(sm: SourceMachine) -> str:
+    lines: list[str] = []
+    for s in sm.sorts:
+        if s.elements:
+            lines.append(f"sort {s.name} = {{{', '.join(s.elements)}}}")
+        else:
+            lines.append(f"sort {s.name} = {s.lo}..{s.hi}")
+    for st in sm.statics:
+        if st.impl[0] == "input":
+            lines.append(f"input {st.name} : {st.result}")
+        elif st.impl[0] == "builtin":
+            prof = " ".join(st.arg_sorts) + (" " if st.arg_sorts else "")
+            lines.append(f"static {st.name} : {prof}-> {st.result} = builtin {st.impl[1]}")
+        elif st.impl[0] == "table":
+            rows = ", ".join(
+                " ".join(_show_lit(x) for x in r[:-1]) + " -> " + _show_lit(r[-1])
+                for r in st.impl[1]
+            )
+            prof = " ".join(st.arg_sorts) + (" " if st.arg_sorts else "")
+            lines.append(f"static {st.name} : {prof}-> {st.result} = {{{rows}}}")
+        # literal/element constants are re-created by the parser
+    for d in sm.dynamics:
+        prof = " ".join(d.arg_sorts) + (" " if d.arg_sorts else "")
+        out = " output" if d.output else ""
+        lines.append(f"dynamic {d.name} : {prof}-> {d.result}{out}")
+    for ini in sm.inits:
+        params = f"({', '.join(ini.params)})" if ini.params else ""
+        lines.append(f"init {ini.name}{params} = {print_typed_term(ini.term)}")
+    lines.append("program:")
+    lines.append(print_program(sm.program, indent=1))
+    return "\n".join(lines) + "\n"
+
+
+def _show_lit(x) -> str:
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    return str(x)
 
 
 def test_parse_and_run_gcd():
