@@ -13,11 +13,16 @@ compiled again in every process):
 The commands run in turn, 21 rounds of all three, so that drift in the
 machine's load spreads evenly over them; each command's time is the
 wall clock of its whole process, and the record keeps the median and
-quartiles over the 21 runs.  One more fresh process counts the classes
-that ``dataclasses`` processes while ``asmlc.cli`` is imported (by
-wrapping ``dataclasses._process_class``): each costs about 1 ms of
-generated and ``exec``-ed methods, and the count is deterministic, so
-it compares checkouts where the timings are noisy.
+quartiles over the 21 runs.  One more fresh process imports
+``asmlc.cli`` and counts three things, all deterministic, so they
+compare checkouts where the timings are noisy:
+
+- the classes that ``dataclasses`` processes (by wrapping
+  ``dataclasses._process_class``): each costs about 1 ms of generated
+  and ``exec``-ed methods;
+- the ``asmlc`` modules loaded, the ``asmlc`` and ``asmlc.*`` entries
+  of ``sys.modules``;
+- the source lines of those modules' files.
 
     PYTHONPATH=src python3 benchmarks/bench_startup.py [--label NAME]
         [--json BENCH_startup.json]
@@ -50,9 +55,10 @@ COMMANDS = {
 RUNS = 21
 
 # Run in a fresh process: prints the dataclasses processed during the
-# import of asmlc.cli, and where the package was imported from.
+# import of asmlc.cli, the asmlc modules it loads and their source
+# lines, and where the package was imported from.
 COUNT = """
-import dataclasses, json
+import dataclasses, json, sys
 names = []
 process = dataclasses._process_class
 def counted(cls, *args, **kwargs):
@@ -60,7 +66,13 @@ def counted(cls, *args, **kwargs):
     return process(cls, *args, **kwargs)
 dataclasses._process_class = counted
 import asmlc.cli
-print(json.dumps({"names": names, "package": asmlc.__file__}))
+modules = [m for n, m in sys.modules.items() if n == "asmlc" or n.startswith("asmlc.")]
+lines = 0
+for m in modules:
+    with open(m.__file__, encoding="utf-8") as fh:
+        lines += len(fh.read().splitlines())
+print(json.dumps({"names": names, "modules": len(modules), "lines": lines,
+                  "package": asmlc.__file__}))
 """
 
 
@@ -84,11 +96,10 @@ def bench() -> dict:
     return out
 
 
-def dataclass_count() -> tuple[list[str], Path]:
+def import_counts() -> dict:
     proc = subprocess.run([sys.executable, "-c", COUNT], check=True,
                           capture_output=True, text=True)
-    found = json.loads(proc.stdout.splitlines()[-1])
-    return found["names"], Path(found["package"]).parent
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def main() -> None:
@@ -97,14 +108,18 @@ def main() -> None:
     ap.add_argument("--json", type=Path, help="merge the record into this file")
     args = ap.parse_args()
 
-    names, package = dataclass_count()
+    found = import_counts()
+    names = found["names"]
     record = {"python": platform.python_version(),
               "nproc": len(os.sched_getaffinity(0)), "runs": RUNS,
               "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
-              "bytecode_cached": (package / "__pycache__").is_dir(),
+              "bytecode_cached": (Path(found["package"]).parent / "__pycache__").is_dir(),
               "dataclasses_processed": len(names), "dataclasses": names,
+              "asmlc_modules": found["modules"], "asmlc_source_lines": found["lines"],
               "commands": bench()}
     print(f"dataclasses processed while importing asmlc.cli: {len(names)}")
+    print(f"asmlc modules loaded: {found['modules']}, "
+          f"with {found['lines']} source lines")
     for name, row in record["commands"].items():
         print(f"{name:>34}: median {row['median_s'] * 1000:.1f} ms "
               f"(quartiles {row['q1_s'] * 1000:.1f}-{row['q3_s'] * 1000:.1f} ms, "

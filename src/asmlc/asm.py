@@ -359,31 +359,6 @@ def check_program(voc: Vocabulary, p: Program) -> None:
             check_program(voc, b)
 
 
-class EvaluatedUpdate(NamedTuple):
-    symbol: str
-    args: tuple
-    value: object
-    source: Update
-
-
-def detect_clash(updates: list[EvaluatedUpdate]):
-    """A witness pair assigning different values to the same location,
-    or None.  Order-independent: the lexicographically first conflicting
-    location wins."""
-    by_loc: dict[tuple, EvaluatedUpdate] = {}
-    witnesses = []
-    for u in updates:
-        loc = (u.symbol, u.args)
-        prev = by_loc.get(loc)
-        if prev is None:
-            by_loc[loc] = u
-        elif prev.value != u.value:
-            witnesses.append((prev, u))
-    if not witnesses:
-        return None
-    return min(witnesses, key=lambda w: (w[0].symbol, repr(w[0].args)))
-
-
 # ---------------------------------------------------------------------------
 # Step outcomes and runs
 
@@ -393,7 +368,6 @@ class Outcome(NamedTuple):
     next_state: Optional[State] = None
     outputs: Optional[dict] = None
     reason: Optional[str] = None
-    witness: Optional[tuple] = None
 
 
 def _outputs(s: State) -> dict:
@@ -433,8 +407,10 @@ def successor(s: State, p: Program) -> Outcome:
     if fails:
         return Outcome("fail", reason="explicit-fail")
     # Arguments and right-hand sides are evaluated in the current state,
-    # in program order, up to the first undefined one.
-    evaluated: list[EvaluatedUpdate] = []
+    # in program order, up to the first undefined one.  A second, different
+    # value at a location is a clash, reported once every update is defined.
+    writes: dict[tuple, object] = {}
+    clash = False
     for u in updates:
         argv = []
         for a in u.args:
@@ -445,18 +421,17 @@ def successor(s: State, p: Program) -> Outcome:
         rhs = ev(u.rhs)
         if rhs is None:
             return Outcome("fail", reason="undefined-evaluation")
-        evaluated.append(EvaluatedUpdate(u.symbol, tuple(argv), rhs, u))
-    witness = detect_clash(evaluated)
-    if witness is not None:
-        w = tuple((u.symbol, u.args, u.value) for u in witness)
-        return Outcome("clash", witness=w)
+        if writes.setdefault((u.symbol, tuple(argv)), rhs) != rhs:
+            clash = True
+    if clash:
+        return Outcome("clash")
     if halts:
         return Outcome("halt", outputs=_outputs(s))
-    if not evaluated:
+    if not writes:
         return Outcome("implicit-halt", outputs=_outputs(s))
     dynamics = {name: dict(table) for name, table in s.dynamics.items()}
-    for u in evaluated:
-        dynamics[u.symbol][u.args] = u.value
+    for (symbol, args), value in writes.items():
+        dynamics[symbol][args] = value
     return Outcome("continue", next_state=s.with_dynamics(dynamics))
 
 

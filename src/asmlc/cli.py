@@ -13,12 +13,14 @@ import sys
 
 from .asm import run as asm_run
 from .compiler import CompileError, compile_machine
-from .cosim import decoration_audit, lockstep, render_audit
 from .encodings import match_nat, nat
-from .lambda_f import bool_term, match_bool, standard_bool_signature, reduce_leftmost_f
+from .engine import STATUS_NORMAL, STATUS_RAN, STATUS_UNDEFINED, advance_term
+from .lambda_f import bool_term, match_bool, standard_bool_signature
 from .normalize import normalize, to_program
 from .sourcefmt import SourceError, parse_source, print_program
-from .syntax import TermSyntaxError, parse_term, print_term
+
+# ``cosim`` and ``syntax`` are imported only by the subcommands that use
+# them, so the others do not load them.
 
 
 def _load(path: str):
@@ -110,11 +112,13 @@ def cmd_compile(args) -> int:
     cm = _compile(machine, state, args)
     print(json.dumps(cm.manifest(), indent=2))
     if args.term:
+        from .syntax import print_term
         print(print_term(cm.theta))
     return 0
 
 
 def cmd_verify(args) -> int:
+    from .cosim import lockstep
     sm = _load(args.file)
     machine = sm.machine()
     given = _bindings(args.input)
@@ -148,6 +152,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from .syntax import print_term
     if args.kind == "nat":
         try:
             term = nat(int(args.value))
@@ -164,6 +169,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    from .syntax import TermSyntaxError, parse_term
     try:
         t = parse_term(args.term)
     except TermSyntaxError as exc:
@@ -181,25 +187,36 @@ def cmd_decode(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .cosim import decoration_audit, render_audit
     rows = decoration_audit()
     print(render_audit(rows))
     bad = [r for r in rows if not r.match and not r.note]
     return 0 if not bad else 1
 
 
+_TRACE_STATUS = {STATUS_NORMAL: "normal", STATUS_RAN: "budget",
+                 STATUS_UNDEFINED: "undefined"}
+
+
 def cmd_trace(args) -> int:
+    """Run the engine one step at a time; the counts of each step give
+    its kind."""
+    from .syntax import TermSyntaxError, parse_term, print_term
     try:
         t = parse_term(args.term)
     except TermSyntaxError as exc:
         raise SystemExit(f"error: {exc}")
     sig = standard_bool_signature()
-    r = reduce_leftmost_f(t, sig, args.max_steps)
     print(f"0: {print_term(t)}")
-    for i, step in enumerate(r.trace.steps, start=1):
-        print(f"{i}: [{step.kind}] {print_term(step.after)}")
-    print(f"steps: {len(r.trace)} "
-          f"(beta {r.trace.beta_count}, f {r.trace.f_count}); "
-          f"status {r.status.name.lower()}")
+    kinds = []
+    status = STATUS_RAN if args.max_steps else advance_term(t, sig, 0)[3]
+    while status == STATUS_RAN and len(kinds) < args.max_steps:
+        t, beta, f, status = advance_term(t, sig, 1)
+        if beta + f:
+            kinds.append("beta" if beta else "f")
+            print(f"{len(kinds)}: [{kinds[-1]}] {print_term(t)}")
+    print(f"steps: {len(kinds)} (beta {kinds.count('beta')}, f {kinds.count('f')}); "
+          f"status {_TRACE_STATUS[status]}")
     return 0
 
 

@@ -2,8 +2,14 @@
 
 One step contracts the leftmost F-redex anywhere in the term, or, when
 there is none, the leftmost beta redex.  The engine records counts
-only; the traced reducer in ``reduction``/``lambda_f`` is the reference
-implementation and the test suite checks step-for-step agreement.
+only.  It is the package's one reducer: lockstep and certification run
+it, and ``asmlc trace`` runs it one step at a time, reading each step's
+kind from its counts.  The traced reducer in ``tests/traced.py``, which
+records the address of every step, is the reference implementation,
+and the test suite checks step-for-step agreement.
+
+Importing the engine raises the recursion limit to 100,000: its walks,
+and the traced reducer's, recurse once per level of the term.
 
 Redex search unwinds each application spine ``h a1 ... an`` once.  In
 prefix order the spine nodes come first, outermost first, then the head,
@@ -98,6 +104,7 @@ derived by ``dataclasses.replace`` starts with an empty one.
 """
 from __future__ import annotations
 
+import sys
 from typing import Optional
 
 from .lambda_f import (
@@ -110,8 +117,9 @@ from .lambda_f import (
     UndefinedApplication,
     match_bool,
 )
-from .reduction import fresh_name
 from .terms import Abs, App, Code, Const, Term, Unknown, Value, Var
+
+sys.setrecursionlimit(100_000)
 
 KERNEL_NAME = "pure-python"
 
@@ -141,6 +149,17 @@ def _unwind(t: App) -> tuple[list, Term]:
         spine.append(t)
         t = t.fun
     return spine, t
+
+
+def fresh_name(base: str, avoid: frozenset[str]) -> str:
+    """The first ``base$k`` (k = 0, 1, ...) not in ``avoid``, where
+    ``base`` drops any ``$k`` suffix.  Renaming a binder to it is
+    deterministic: it depends only on the terms involved."""
+    base = base.split("$")[0]
+    k = 0
+    while f"{base}${k}" in avoid:
+        k += 1
+    return f"{base}${k}"
 
 
 def _subst(t: Term, name: str, repl: Term) -> Term:

@@ -1,35 +1,20 @@
-"""Benign constants over datatypes: signatures, F-redexes, and the
-F-first leftmost strategy with double-decorated traces.
+"""Benign constants over datatypes: codes, signatures, and difference
+lists.
 
 A constant applied to exactly arity-many codes of the declared datatypes
 is an F-redex and contracts in one step to the code of the semantic
 result.  Codes of the Boolean datatype are the lambda booleans
 ``\\x y.x`` / ``\\x y.y`` so that guard results can drive beta selection;
-codes of every other datatype are opaque Code nodes.
-
-``reduce_leftmost_f`` is the one traced driver, and the reference the
-counting engine is tested against; under a signature with no function
-it is plain leftmost beta reduction.
+codes of every other datatype are opaque Code nodes.  The counting
+engine (``engine``) contracts F-redexes under a signature.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .asm import BUILTINS, CONNECTIVES
 from .records import Fields
-from .reduction import (
-    Addr,
-    ReduceResult,
-    ReductionError,
-    Status,
-    Step,
-    Trace,
-    beta_step,
-    leftmost_redex,
-    subterm_at,
-    replace_at,
-)
-from .terms import BOOL, Abs, App, Code, Const, Term, Unknown, Value, Var, lam, spine
+from .terms import BOOL, Abs, Code, Term, Unknown, Value, Var, lam
 
 TRUE_TERM: Term = lam(["x", "y"], Var("x"))
 FALSE_TERM: Term = lam(["x", "y"], Var("y"))
@@ -73,7 +58,7 @@ def match_code(t: Term, datatype: str) -> Optional[Value]:
     return None
 
 
-class UndefinedApplication(ReductionError):
+class UndefinedApplication(Exception):
     """A partial semantic function has no value on these arguments."""
 
     def __init__(self, symbol: str, args: tuple):
@@ -127,86 +112,6 @@ def standard_bool_signature() -> FSignature:
     for name, arity in CONNECTIVES.items():
         sig.add(name, (BOOL,) * arity, BOOL, BUILTINS[name])
     return sig
-
-
-def _f_redex_here(t: Term, sig: FSignature) -> Optional[tuple[FFunction, tuple[Value, ...]]]:
-    head, args = spine(t)
-    if not isinstance(head, Const):
-        return None
-    f = sig.get(head.symbol)
-    if f is None or len(args) != f.arity:
-        return None
-    vals = []
-    for a, dt in zip(args, f.arg_datatypes):
-        v = match_code(a, dt)
-        if v is None:
-            return None
-        vals.append(v)
-    return f, tuple(vals)
-
-
-def f_redexes(t: Term, sig: FSignature) -> Iterator[Addr]:
-    """F-redex addresses in prefix order.  Distinct F-redexes are
-    disjoint subterms.  The tests check ``engine.scan``, the residency
-    check of the combinator builder, against it."""
-    stack: list[tuple[Term, Addr]] = [(t, ())]
-    while stack:
-        s, at = stack.pop()
-        if _f_redex_here(s, sig) is not None:
-            yield at
-            continue  # arguments are codes: nothing below can be a redex
-        if isinstance(s, App):
-            stack.append((s.arg, at + ("arg",)))
-            stack.append((s.fun, at + ("fun",)))
-        elif isinstance(s, Abs):
-            stack.append((s.body, at + ("body",)))
-
-
-def leftmost_f_redex(t: Term, sig: FSignature) -> Optional[Addr]:
-    """Address of the leftmost F-redex (prefix order), or None."""
-    return next(f_redexes(t, sig), None)
-
-
-def f_step(t: Term, at: Addr, sig: FSignature) -> Term:
-    """Contract the F-redex at ``at``; raises UndefinedApplication when
-    the semantic function has no value there."""
-    redex = subterm_at(t, at)
-    hit = _f_redex_here(redex, sig)
-    if hit is None:
-        raise ReductionError(f"no F-redex at {at!r}")
-    f, vals = hit
-    return replace_at(t, at, code_term(f.apply(vals)))
-
-
-def is_normal_form(t: Term, sig: FSignature) -> bool:
-    return leftmost_redex(t) is None and leftmost_f_redex(t, sig) is None
-
-
-def reduce_leftmost_f(t: Term, sig: FSignature, max_steps: int) -> ReduceResult:
-    """F-first leftmost reduction with a full double-decorated trace.
-
-    Contracts the leftmost F-redex if one exists anywhere in the term,
-    else the leftmost beta redex.
-    """
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
-    steps: list[Step] = []
-    for _ in range(max_steps):
-        at = leftmost_f_redex(t, sig)
-        if at is not None:
-            try:
-                t = f_step(t, at, sig)
-            except UndefinedApplication:
-                return ReduceResult(t, Trace(tuple(steps)), Status.UNDEFINED)
-            steps.append(Step("f", at, t))
-            continue
-        at = leftmost_redex(t)
-        if at is None:
-            return ReduceResult(t, Trace(tuple(steps)), Status.NORMAL)
-        t = beta_step(t, at)
-        steps.append(Step("beta", at, t))
-    status = Status.NORMAL if is_normal_form(t, sig) else Status.BUDGET
-    return ReduceResult(t, Trace(tuple(steps)), status)
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,7 @@ from asmlc.lambda_f import (
     code_term,
     match_bool,
     match_code,
-    reduce_leftmost_f,
 )
-from asmlc.reduction import ReductionError, Status, beta_redex_addresses, beta_step, substitute
 from asmlc.sourcefmt import SourceMachine, parse_source
 from asmlc.terms import (
     BOOL,
@@ -53,6 +51,15 @@ from asmlc.terms import (
     canonical,
     spine,
     term_size,
+)
+
+from traced import (
+    ReductionError,
+    Status,
+    beta_redex_addresses,
+    beta_step,
+    reduce_leftmost_f,
+    substitute,
 )
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"

@@ -20,7 +20,7 @@ from asmlc.compiler import (
 from asmlc.cosim import decoration_audit, lockstep
 from asmlc.encodings import match_nat, projection_cost
 from asmlc.engine import STATUS_NORMAL, advance_term
-from asmlc.lambda_f import FSignature, f_redexes, reduce_leftmost_f
+from asmlc.lambda_f import FSignature
 from asmlc.normalize import check_equivalence, normalize, to_program
 from asmlc.terms import App, alpha_eq
 
@@ -39,6 +39,7 @@ from conftest import (
     reduce_cost,
     semantics,
 )
+from traced import f_redexes, reduce_leftmost_f
 
 
 def test_01_interpreter_gcd_grid():

@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from asmlc.asm import (
-    EvaluatedUpdate,
     _carrier_grid,
     FailI,
     HaltI,
@@ -23,7 +22,6 @@ from asmlc.asm import (
     Update,
     Vocabulary,
     check_program,
-    detect_clash,
     eval_ground,
     initial_dynamics,
     run,
@@ -241,7 +239,7 @@ def _two_walk_evaluate_updates(s, updates):
         rhs = eval_ground(s, u.rhs) if not bad else None
         if bad or rhs is None:
             return out, u
-        out.append(EvaluatedUpdate(u.symbol, tuple(argv), rhs, u))
+        out.append((u.symbol, tuple(argv), rhs))
     return out, None
 
 
@@ -261,17 +259,15 @@ def two_walk_successor(s, p):
     evaluated, bad = _two_walk_evaluate_updates(s, active)
     if bad is not None:
         return Outcome("fail", reason="undefined-evaluation")
-    witness = detect_clash(evaluated)
-    if witness is not None:
-        w = tuple((u.symbol, u.args, u.value) for u in witness)
-        return Outcome("clash", witness=w)
+    if any(a[:2] == b[:2] and a[2] != b[2] for a, b in itertools.combinations(evaluated, 2)):
+        return Outcome("clash")
     if halts:
         return Outcome("halt", outputs=_two_walk_outputs(s))
     if not evaluated:
         return Outcome("implicit-halt", outputs=_two_walk_outputs(s))
     dynamics = {name: dict(table) for name, table in s.dynamics.items()}
-    for u in evaluated:
-        dynamics[u.symbol][u.args] = u.value
+    for symbol, args, value in evaluated:
+        dynamics[symbol][args] = value
     return Outcome("continue", next_state=s.with_dynamics(dynamics))
 
 

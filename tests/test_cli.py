@@ -9,8 +9,12 @@ import pytest
 
 from asmlc import cli, compiler
 from asmlc.cli import main
+from asmlc.lambda_f import FALSE_TERM, TRUE_TERM, standard_bool_signature
+from asmlc.syntax import parse_term, print_term
+from asmlc.terms import Abs, App, Const, Var, app
 
 from conftest import BUNDLED_COSTS, MACHINES
+from traced import reduce_leftmost_f
 
 EUCLID = str(MACHINES / "euclid.asm")
 DOUBLING = str(MACHINES / "doubling.asm")
@@ -407,6 +411,54 @@ def test_trace_counts(capsys):
     assert code == 0
     assert "steps: 2 (beta 1, f 1)" in out
     assert "[f]" in out and "[beta]" in out
+
+
+_ARITY = {"not": 1, "and": 2, "or": 2}
+_OMEGA = r"(\x. x x) (\x. x x)"
+
+
+def _mixed_term(rng, depth, bound=()):
+    """A random closed term over lambda booleans, the connectives and
+    abstractions: connectives applied to their arguments, beta redexes,
+    a term applied to two more, and abstractions, nested ``depth`` deep."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.2:
+        return rng.choice([*map(Var, bound), TRUE_TERM, FALSE_TERM])
+    if roll < 0.5:
+        c = rng.choice(sorted(_ARITY))
+        return app(Const(c), *(_mixed_term(rng, depth - 1, bound) for _ in range(_ARITY[c])))
+    v = rng.choice("xyz")
+    if roll < 0.7:
+        return App(Abs(v, _mixed_term(rng, depth - 1, bound + (v,))),
+                   _mixed_term(rng, depth - 1, bound))
+    if roll < 0.85:
+        return app(*(_mixed_term(rng, depth - 1, bound) for _ in range(3)))
+    return Abs(v, _mixed_term(rng, depth - 1, bound + (v,)))
+
+
+def _traced_text(t, max_steps) -> str:
+    """What ``asmlc trace`` prints, rendered from the traced reducer."""
+    r = reduce_leftmost_f(t, standard_bool_signature(), max_steps)
+    lines = [f"0: {print_term(t)}"]
+    lines += [f"{i}: [{s.kind}] {print_term(s.after)}"
+              for i, s in enumerate(r.trace.steps, start=1)]
+    lines.append(f"steps: {len(r.trace)} (beta {r.trace.beta_count}, f {r.trace.f_count}); "
+                 f"status {r.status.name.lower()}")
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_prints_the_traced_reduction(capsys, rng):
+    """The engine, run one step at a time, prints the traced reducer's
+    trace: every step with its kind, the counts and the status."""
+    texts = [_OMEGA] + [print_term(_mixed_term(rng, rng.randint(1, 4))) for _ in range(60)]
+    statuses = set()
+    for text in texts:
+        for budget in (0, 1, 3, 50):
+            code, out = run_cli(capsys, "trace", text, "--max-steps", str(budget))
+            assert code == 0
+            assert out == _traced_text(parse_term(text), budget), (text, budget)
+            statuses.add(out.rsplit(" ", 1)[1].strip())
+    assert statuses == {"normal", "budget"}
 
 
 def test_deterministic_output(capsys):

@@ -24,16 +24,13 @@ from asmlc.lambda_f import (
     UndefinedApplication,
     Value,
     code_term,
-    f_step,
-    leftmost_f_redex,
     match_code,
-    reduce_leftmost_f,
     standard_bool_signature,
 )
-from asmlc.reduction import beta_step, leftmost_redex
 from asmlc.terms import Abs, App, Code, Const, Unknown, Var, alpha_eq, app, lam
 
 from conftest import Block, bundled, machine_probes, measure_block, random_closed_term
+from traced import beta_step, f_step, leftmost_f_redex, leftmost_redex, reduce_leftmost_f
 
 
 def traced_block(t, theta, slots, sig, max_steps=100_000) -> Block:

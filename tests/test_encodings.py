@@ -16,9 +16,10 @@ from asmlc.encodings import (
     selection_cost,
     tup,
 )
-from asmlc.lambda_f import TRUE_TERM, FSignature, bool_term, reduce_leftmost_f
-from asmlc.reduction import Status
+from asmlc.lambda_f import TRUE_TERM, FSignature, bool_term
 from asmlc.terms import Abs, App, Var, app
+
+from traced import Status, reduce_leftmost_f
 
 
 def test_nat_roundtrip():

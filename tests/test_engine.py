@@ -19,15 +19,13 @@ from asmlc.lambda_f import (
     UNKNOWN_BOOL,
     FSignature,
     Value,
-    f_redexes,
-    reduce_leftmost_f,
     standard_bool_signature,
 )
-from asmlc.reduction import Status
 from asmlc.syntax import TermSyntaxError, parse_term
 from asmlc.terms import Abs, App, Code, Const, Term, Unknown, Var, app, lam
 
 from conftest import BUNDLED_COSTS, bundled, random_term
+from traced import Status, f_redexes, reduce_leftmost_f
 
 _STATUS = {Status.NORMAL: STATUS_NORMAL, Status.BUDGET: STATUS_RAN,
            Status.UNDEFINED: STATUS_UNDEFINED}

@@ -9,15 +9,14 @@ from asmlc.lambda_f import (
     Value,
     code_term,
     match_code,
-    reduce_leftmost_f,
 )
 from asmlc.asm import FailI, HaltI, If, Par, Skip, TApp, TVar, Update
 from asmlc.combinators import const_count
 from asmlc.compiler import Translator, lower_signature, make_slots
-from asmlc.reduction import Status, substitute
 from asmlc.terms import App, Code, Const, Var, app
 
 from conftest import bundled, reduce_cost, semantics
+from traced import Status, reduce_leftmost_f, substitute
 
 
 @pytest.fixture

@@ -2,9 +2,10 @@
 in that module, every name a module of the package defines at top level
 is reached from what the package runs, and every function the
 benchmark's tracer wraps by name still exists.  Only two classes of the
-package are dataclasses, and every other one keeps what a dataclass
-gave it: field names and order, construction, ``repr``, equality, hash
-and, unless it is a mutable helper, immutability.
+package are dataclasses, and every other one, as every record of the
+traced reducer (``tests/traced.py``), keeps what a dataclass gave it:
+field names and order, construction, ``repr``, equality, hash and,
+unless it is a mutable helper, immutability.
 
 Reachability is a walk over the package's top-level definitions.  It
 starts from ``main``, from every name the benchmarks refer to, and from
@@ -23,7 +24,6 @@ from pathlib import Path
 import pytest
 
 from asmlc.asm import (
-    EvaluatedUpdate,
     FailI,
     HaltI,
     If,
@@ -45,7 +45,6 @@ from asmlc.compiler import DecodedResult, Translator
 from asmlc.cosim import AuditRow, LockstepReport, RoundRecord
 from asmlc.lambda_f import DeltaType, FFunction, FSignature
 from asmlc.normalize import Clause, GuardedProgram
-from asmlc.reduction import ReduceResult, Status, Step, Trace
 from asmlc.sourcefmt import (
     Diagnostic,
     DynamicDecl,
@@ -58,10 +57,13 @@ from asmlc.sourcefmt import (
 )
 from asmlc.terms import Const, Var
 
+from traced import ReduceResult, Status, Step, Trace
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "asmlc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+TRACED = ROOT / "tests" / "traced.py"
 # Where the reachability walk starts, besides ``main``: both benchmarks.
 BENCHMARKS = ("benchmarks", "perfbench")
 
@@ -147,24 +149,41 @@ def test_no_unreferenced_top_level_names(path):
 
 
 # Trace targets whose functions left the package, which the tracer
-# reports absent: the engine's tuple format, and the concrete block
+# reports absent: the engine's tuple format; the concrete block
 # function that "combinators.certify" wraps, which certification
-# stopped calling when it became one abstract block.
-RETIRED_TARGETS = {"engine.to_tuple", "engine.from_tuple", "combinators.certify"}
+# stopped calling when it became one abstract block; and the traced
+# reducer's searches and contractions, which moved to tests/traced.py
+# with the rest of the oracle, and whose home module "asmlc.reduction"
+# is gone.
+RETIRED_TARGETS = {"engine.to_tuple", "engine.from_tuple", "combinators.certify",
+                   "lambda_f.f_search", "lambda_f.f_contract",
+                   "reduction.beta_search", "reduction.beta_contract"}
+
+
+def _home(name: str):
+    """The module ``name``, or None when there is none: the tracer
+    reads a target in a module that is not loaded as absent."""
+    try:
+        return importlib.import_module(name)
+    except ModuleNotFoundError as exc:
+        if exc.name != name:
+            raise
+        return None
 
 
 def test_trace_targets_exist():
     """perfbench/tracing.py finds what it wraps by module and name, and
     perfbench/compare.py pairs runs by engine.KERNEL_NAME; read TARGETS
-    from the source, without running the benchmark.  A retired target
-    must really be gone, so the list hides no target that exists."""
+    from the source, without running the benchmark.  A target whose
+    home module is gone is absent.  A retired target must really be
+    gone, so the list hides no target that exists."""
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
     targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                    and [t.id for t in node.targets] == ["TARGETS"])
     missing, present, retired = [], [], set()
     for entry in targets.elts:
         name, home, attr = (ast.literal_eval(e) for e in entry.elts[:3])
-        exists = callable(getattr(importlib.import_module(home), attr, None))
+        exists = callable(getattr(_home(home), attr, None))
         if name in RETIRED_TARGETS:
             retired.add(name)
             if exists:
@@ -222,14 +241,11 @@ _CLASSES = [
     (lambda: If(TApp("true"), HaltI()),
      "If(cond=TApp(head='true', args=()), then=HaltI(), orelse=Skip())"),
     (lambda: Par((HaltI(), FailI())), "Par(blocks=(HaltI(), FailI()))"),
-    (lambda: EvaluatedUpdate("c", (), 0, Update("c", (), TApp("zero"))),
-     "EvaluatedUpdate(symbol='c', args=(), value=0, source=Update(symbol='c', args=(), "
-     "rhs=TApp(head='zero', args=())))"),
     (lambda: Outcome("halt", outputs={"c": 0}),
-     "Outcome(kind='halt', next_state=None, outputs={'c': 0}, reason=None, witness=None)"),
+     "Outcome(kind='halt', next_state=None, outputs={'c': 0}, reason=None)"),
     (lambda: RunResult(Outcome("diverged"), (), 3),
      "RunResult(outcome=Outcome(kind='diverged', next_state=None, outputs=None, "
-     "reason=None, witness=None), trajectory=(), steps=3)"),
+     "reason=None), trajectory=(), steps=3)"),
     (lambda: Machine(_VOC, Skip(), {}),
      "Machine(voc=Vocabulary(sorts=('Bool',), symbols={}), program=Skip(), init={})"),
     (lambda: UpdateBranch(Const("true"), (Var("a"),), label="step"),
@@ -286,9 +302,9 @@ MUTABLE_HELPERS = {"Translator", "FSignature", "SourceMachine", "_Tok", "_Ctx"}
 
 
 def test_the_table_holds_every_converted_class():
-    defined = {node.name for path in MODULES for node in ast.parse(path.read_text()).body
+    defined = {node.name for path in MODULES + [TRACED] for node in ast.parse(path.read_text()).body
                if isinstance(node, ast.ClassDef)}
-    assert set(_IDS) <= defined and len(_IDS) == 41
+    assert set(_IDS) <= defined and len(_IDS) == 40
     assert not KEPT_DATACLASSES & set(_IDS)
 
 

@@ -11,18 +11,14 @@ from asmlc.lambda_f import (
     bool_term,
     code_term,
     delta_semantics,
-    f_redexes,
-    f_step,
     install_delta,
-    is_normal_form,
-    leftmost_f_redex,
     match_bool,
     match_code,
-    reduce_leftmost_f,
     standard_bool_signature,
 )
-from asmlc.reduction import Status
 from asmlc.terms import Abs, App, Code, Const, Var, app
+
+from traced import Status, f_redexes, f_step, is_normal_form, leftmost_f_redex, reduce_leftmost_f
 
 
 @pytest.fixture

@@ -4,20 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asmlc.reduction import (
+from asmlc.lambda_f import FSignature
+from asmlc.syntax import parse_term
+from asmlc.terms import Abs, App, Var, alpha_eq, app, lam
+
+from conftest import ConfluenceInconclusive, check_confluence_bounded, random_term
+from traced import (
     Status,
     beta_redex_addresses,
     beta_step,
     is_beta_redex,
     leftmost_redex,
+    reduce_leftmost_f,
     substitute,
     subterm_at,
 )
-from asmlc.lambda_f import FSignature, reduce_leftmost_f
-from asmlc.syntax import parse_term
-from asmlc.terms import Abs, App, Var, alpha_eq, app, lam
-
-from conftest import ConfluenceInconclusive, check_confluence_bounded, random_term
 
 I = Abs("x", Var("x"))
 K = lam(["x", "y"], Var("x"))

@@ -1,21 +1,21 @@
-"""Beta reduction: redex addressing, substitution, the leftmost beta
-redex, and the step records of a traced reduction.
+"""The traced reducer: F-first leftmost reduction one redex at a time,
+with the address and kind of every step.  It is the oracle the counting
+engine (``asmlc.engine``) is tested against, step for step.
 
 Step granularity is strict: one step contracts exactly one redex.  The
-traced driver is ``lambda_f.reduce_leftmost_f``; with a signature that
-holds no function it is leftmost beta reduction.  It takes a step
-budget, and divergence is a reported outcome.
+traced driver is ``reduce_leftmost_f``; with a signature that holds no
+function it is leftmost beta reduction.  It takes a step budget, and
+divergence is a reported outcome.
 """
 from __future__ import annotations
 
-import sys
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional
 
-from .records import Frozen
-from .terms import Abs, App, Term, Var
-
-sys.setrecursionlimit(100_000)
+from asmlc.engine import fresh_name
+from asmlc.lambda_f import FFunction, FSignature, UndefinedApplication, code_term, match_code
+from asmlc.records import Frozen
+from asmlc.terms import Abs, App, Const, Term, Value, Var, spine
 
 # An address is a path of child selectors from the root.
 Addr = tuple[str, ...]
@@ -103,17 +103,6 @@ def is_beta_redex(t: Term) -> bool:
     return isinstance(t, App) and isinstance(t.fun, Abs)
 
 
-def fresh_name(base: str, avoid: frozenset[str]) -> str:
-    """The first ``base$k`` (k = 0, 1, ...) not in ``avoid``, where
-    ``base`` drops any ``$k`` suffix.  Renaming a binder to it is
-    deterministic: it depends only on the terms involved."""
-    base = base.split("$")[0]
-    k = 0
-    while f"{base}${k}" in avoid:
-        k += 1
-    return f"{base}${k}"
-
-
 def substitute(body: Term, var: str, replacement: Term) -> Term:
     """Capture-avoiding substitution body[replacement/var]."""
     repl_free = replacement.fv
@@ -164,3 +153,82 @@ def beta_step(t: Term, at: Addr) -> Term:
     contracted = substitute(redex.fun.body, redex.fun.binder, redex.arg)
     return replace_at(t, at, contracted)
 
+
+def _f_redex_here(t: Term, sig: FSignature) -> Optional[tuple[FFunction, tuple[Value, ...]]]:
+    head, args = spine(t)
+    if not isinstance(head, Const):
+        return None
+    f = sig.get(head.symbol)
+    if f is None or len(args) != f.arity:
+        return None
+    vals = []
+    for a, dt in zip(args, f.arg_datatypes):
+        v = match_code(a, dt)
+        if v is None:
+            return None
+        vals.append(v)
+    return f, tuple(vals)
+
+
+def f_redexes(t: Term, sig: FSignature) -> Iterator[Addr]:
+    """F-redex addresses in prefix order.  Distinct F-redexes are
+    disjoint subterms.  The tests check ``engine.scan``, the residency
+    check of the combinator builder, against it."""
+    stack: list[tuple[Term, Addr]] = [(t, ())]
+    while stack:
+        s, at = stack.pop()
+        if _f_redex_here(s, sig) is not None:
+            yield at
+            continue  # arguments are codes: nothing below can be a redex
+        if isinstance(s, App):
+            stack.append((s.arg, at + ("arg",)))
+            stack.append((s.fun, at + ("fun",)))
+        elif isinstance(s, Abs):
+            stack.append((s.body, at + ("body",)))
+
+
+def leftmost_f_redex(t: Term, sig: FSignature) -> Optional[Addr]:
+    """Address of the leftmost F-redex (prefix order), or None."""
+    return next(f_redexes(t, sig), None)
+
+
+def f_step(t: Term, at: Addr, sig: FSignature) -> Term:
+    """Contract the F-redex at ``at``; raises UndefinedApplication when
+    the semantic function has no value there."""
+    redex = subterm_at(t, at)
+    hit = _f_redex_here(redex, sig)
+    if hit is None:
+        raise ReductionError(f"no F-redex at {at!r}")
+    f, vals = hit
+    return replace_at(t, at, code_term(f.apply(vals)))
+
+
+def is_normal_form(t: Term, sig: FSignature) -> bool:
+    return leftmost_redex(t) is None and leftmost_f_redex(t, sig) is None
+
+
+def reduce_leftmost_f(t: Term, sig: FSignature, max_steps: int) -> ReduceResult:
+    """F-first leftmost reduction with a full double-decorated trace.
+
+    Contracts the leftmost F-redex if one exists anywhere in the term,
+    else the leftmost beta redex.
+    """
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    steps: list[Step] = []
+    for _ in range(max_steps):
+        at = leftmost_f_redex(t, sig)
+        if at is not None:
+            try:
+                t = f_step(t, at, sig)
+            except UndefinedApplication:
+                return ReduceResult(t, Trace(tuple(steps)), Status.UNDEFINED)
+            steps.append(Step("f", at, t))
+            continue
+        at = leftmost_redex(t)
+        if at is None:
+            return ReduceResult(t, Trace(tuple(steps)), Status.NORMAL)
+        t = beta_step(t, at)
+        steps.append(Step("beta", at, t))
+    status = Status.NORMAL if is_normal_form(t, sig) else Status.BUDGET
+    return ReduceResult(t, Trace(tuple(steps)), status)
