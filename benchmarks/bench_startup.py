@@ -1,9 +1,10 @@
 """Start-up cost of asmlc: what a fresh interpreter pays before any work.
 
 Times three commands, each run in a fresh interpreter process that
-inherits this one's environment (so ``PYTHONPATH`` picks the checkout,
-and ``PYTHONDONTWRITEBYTECODE`` decides whether the package's source is
-compiled again in every process):
+inherits this one's environment, except that its ``PYTHONPATH`` is one
+checkout's ``src`` (``checkouts.py``; ``PYTHONDONTWRITEBYTECODE``
+decides whether the package's source is compiled again in every
+process):
 
 - ``python3 -c pass``: the bare interpreter, for reference;
 - ``python3 -c "import asmlc.cli"``: importing the package;
@@ -13,9 +14,13 @@ compiled again in every process):
 The commands run in turn, 21 rounds of all three, so that drift in the
 machine's load spreads evenly over them; each command's time is the
 wall clock of its whole process, and the record keeps the median and
-quartiles over the 21 runs.  One more fresh process imports
-``asmlc.cli`` and counts three things, all deterministic, so they
-compare checkouts where the timings are noisy:
+quartiles over the 21 runs.  With ``--parent-src`` every round runs the
+three commands on this checkout and on the parent's, the two in an
+order that flips every round, so both sides see the same drift; the
+bare interpreter's time on each side shows how much that drift was.
+One more fresh process per side imports ``asmlc.cli`` and counts three
+things, all deterministic, so they compare checkouts where the timings
+are noisy:
 
 - the classes that ``dataclasses`` processes (by wrapping
   ``dataclasses._process_class``): each costs about 1 ms of generated
@@ -24,12 +29,11 @@ compare checkouts where the timings are noisy:
   of ``sys.modules``;
 - the source lines of those modules' files.
 
-    PYTHONPATH=src python3 benchmarks/bench_startup.py [--label NAME]
+    python3 benchmarks/bench_startup.py [--parent-src PATH]
         [--json BENCH_startup.json]
 
-With ``--json`` the record is merged into that file under ``--label``,
-so runs of two checkouts (point PYTHONPATH at each one's ``src``) sit
-side by side.
+With ``--json`` the record of each side is written to that file under
+its label, ``change`` (this checkout) and ``parent``.
 """
 from __future__ import annotations
 
@@ -37,14 +41,13 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
-import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-EUCLID = ROOT / "machines" / "euclid.asm"
+import checkouts
+
+EUCLID = checkouts.ROOT / "machines" / "euclid.asm"
 COMMANDS = {
     "python -c pass": ["-c", "pass"],
     "import asmlc.cli": ["-c", "import asmlc.cli"],
@@ -76,58 +79,64 @@ print(json.dumps({"names": names, "modules": len(modules), "lines": lines,
 """
 
 
-def _run(argv: list[str]) -> float:
+def _run(src: Path, argv: list[str]) -> float:
     t0 = time.perf_counter()
-    subprocess.run([sys.executable, *argv], check=True, stdout=subprocess.DEVNULL)
+    checkouts.run_python(src, argv, stdout=subprocess.DEVNULL)
     return time.perf_counter() - t0
 
 
-def bench() -> dict:
-    times: dict[str, list[float]] = {name: [] for name in COMMANDS}
-    for name, argv in COMMANDS.items():  # warm the file cache, untimed
-        _run(argv)
-    for _ in range(RUNS):
+def bench(sides: dict[str, Path]) -> dict[str, dict]:
+    """Side label -> command -> median and quartiles of its times."""
+    times = {label: {name: [] for name in COMMANDS} for label in sides}
+    for src in sides.values():  # warm the file cache, untimed
+        for argv in COMMANDS.values():
+            _run(src, argv)
+    for label, src in checkouts.alternate(sides, RUNS):
         for name, argv in COMMANDS.items():
-            times[name].append(_run(argv))
+            times[label][name].append(_run(src, argv))
     out = {}
-    for name, ts in times.items():
-        q1, median, q3 = statistics.quantiles(ts, n=4)
-        out[name] = {"median_s": round(median, 4), "q1_s": round(q1, 4), "q3_s": round(q3, 4)}
+    for label, by_name in times.items():
+        out[label] = {}
+        for name, ts in by_name.items():
+            q = checkouts.quartiles(ts)
+            out[label][name] = {"median_s": q["median"], "q1_s": q["q1"], "q3_s": q["q3"]}
     return out
 
 
-def import_counts() -> dict:
-    proc = subprocess.run([sys.executable, "-c", COUNT], check=True,
-                          capture_output=True, text=True)
+def import_counts(src: Path) -> dict:
+    proc = checkouts.run_python(src, ["-c", COUNT], capture_output=True, text=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", default="current", help="record name in --json")
-    ap.add_argument("--json", type=Path, help="merge the record into this file")
+    checkouts.add_parent_option(ap)
+    ap.add_argument("--json", type=Path, help="write the records to this file")
     args = ap.parse_args()
 
-    found = import_counts()
-    names = found["names"]
-    record = {"python": platform.python_version(),
-              "nproc": len(os.sched_getaffinity(0)), "runs": RUNS,
-              "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
-              "bytecode_cached": (Path(found["package"]).parent / "__pycache__").is_dir(),
-              "dataclasses_processed": len(names), "dataclasses": names,
-              "asmlc_modules": found["modules"], "asmlc_source_lines": found["lines"],
-              "commands": bench()}
-    print(f"dataclasses processed while importing asmlc.cli: {len(names)}")
-    print(f"asmlc modules loaded: {found['modules']}, "
-          f"with {found['lines']} source lines")
-    for name, row in record["commands"].items():
-        print(f"{name:>34}: median {row['median_s'] * 1000:.1f} ms "
-              f"(quartiles {row['q1_s'] * 1000:.1f}-{row['q3_s'] * 1000:.1f} ms, "
-              f"{RUNS} runs)")
+    sides = checkouts.sides(args.parent_src)
+    timed = bench(sides)
+    records = {}
+    for label, src in sides.items():
+        found = import_counts(src)
+        names = found["names"]
+        records[label] = {
+            "python": platform.python_version(),
+            "nproc": len(os.sched_getaffinity(0)), "runs": RUNS,
+            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+            "bytecode_cached": (Path(found["package"]).parent / "__pycache__").is_dir(),
+            "dataclasses_processed": len(names), "dataclasses": names,
+            "asmlc_modules": found["modules"], "asmlc_source_lines": found["lines"],
+            "commands": timed[label]}
+        print(f"{label}: dataclasses processed while importing asmlc.cli: "
+              f"{len(names)}; asmlc modules loaded: {found['modules']}, "
+              f"with {found['lines']} source lines")
+        for name, row in records[label]["commands"].items():
+            print(f"{name:>34}: median {row['median_s'] * 1000:.1f} ms "
+                  f"(quartiles {row['q1_s'] * 1000:.1f}-{row['q3_s'] * 1000:.1f} ms, "
+                  f"{RUNS} runs)")
     if args.json:
-        data = json.loads(args.json.read_text()) if args.json.exists() else {}
-        data[args.label] = record
-        args.json.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        args.json.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -158,7 +158,8 @@ class _StateFields(NamedTuple):
 class State(Checked, _StateFields):
     """Carriers per sort; static interpretations as partial callables on
     payloads; dynamic interpretations as finite tables (missing entry =
-    undefined)."""
+    undefined).  States of one run share the tables a step did not
+    write, so a table is never changed once its state is built."""
 
     __slots__ = ()
 
@@ -169,14 +170,6 @@ class State(Checked, _StateFields):
     def with_dynamics(self, dynamics: dict[str, dict[tuple, object]]) -> "State":
         # The carriers are this state's, checked when it was built.
         return tuple.__new__(State, (self.voc, self.carriers, self.statics, dynamics))
-
-    def digest(self) -> tuple:
-        """Hashable snapshot of the dynamic part, for trajectory
-        comparison."""
-        return tuple(
-            (name, tuple(sorted(self.dynamics[name].items())))
-            for name in sorted(self.dynamics)
-        )
 
 
 def eval_ground(s: State, t: TypedTerm, env: Optional[dict[str, object]] = None):
@@ -190,38 +183,51 @@ def eval_ground(s: State, t: TypedTerm, env: Optional[dict[str, object]] = None)
 
 def _evaluator(s: State, env: Optional[dict[str, object]]) -> Callable[[TypedTerm], object]:
     """``eval_ground`` in state ``s``, evaluating each term node at most
-    once.  The memo is keyed by ``id``, so it is only valid while every
-    term it has seen is alive: keep the evaluator for one term or one
-    step, never longer."""
-    symbol = s.voc.symbol
+    once.  A head names a static when ``s.statics`` has it, else a
+    dynamic table.  A nullary node (a dynamic constant or a nullary
+    static) is kept by head, so each nullary static runs at most once,
+    and as an argument it is read in place, with no call of ``ev``.
+    Compound nodes are memoized by ``id``, so the memo is only valid
+    while every term it has seen is alive: keep the evaluator for one
+    term or one step, never longer."""
     statics = s.statics
     dynamics = s.dynamics
-    memo: dict[int, object] = {}
+    memo: dict[int, object] = {}  # id(compound node) -> value
+    leaves: dict[str, object] = {}  # head of a nullary node -> value
+
+    def leaf(head: str):
+        fn = statics.get(head)
+        v = leaves[head] = fn() if fn is not None else dynamics[head].get(())
+        return v
 
     def ev(t: TypedTerm):
+        if t.__class__ is TVar:
+            if env is None or t.name not in env:
+                raise ValueError(f"unbound term variable {t.name}")
+            return env[t.name]
+        if not t.args:
+            v = leaves.get(t.head, _UNSEEN)
+            return v if v is not _UNSEEN else leaf(t.head)
         v = memo.get(id(t), _UNSEEN)
         if v is not _UNSEEN:
             return v
-        if isinstance(t, TVar):
-            if env is None or t.name not in env:
-                raise ValueError(f"unbound term variable {t.name}")
-            v = env[t.name]
-        else:
-            sym = symbol(t.head)
-            argv = []
-            for a in t.args:
+        argv = []
+        for a in t.args:
+            if a.__class__ is TApp and not a.args:
+                v = leaves.get(a.head, _UNSEEN)
+                if v is _UNSEEN:
+                    v = leaf(a.head)
+            else:
                 # A seen argument is read here, without a call.
                 v = memo.get(id(a), _UNSEEN)
                 if v is _UNSEEN:
                     v = ev(a)
-                if v is None:
-                    break
-                argv.append(v)
-            else:
-                if sym.kind == "static":
-                    v = statics[t.head](*argv)
-                else:
-                    v = dynamics[t.head].get(tuple(argv))
+            if v is None:
+                break
+            argv.append(v)
+        else:
+            fn = statics.get(t.head)
+            v = fn(*argv) if fn is not None else dynamics[t.head].get(tuple(argv))
         memo[id(t)] = v
         return v
 
@@ -383,26 +389,32 @@ def successor(s: State, p: Program) -> Outcome:
     node at most once.  An If whose condition is undefined contributes
     nothing.  Outcome precedence: fail (explicit, or an active update
     evaluating to undefined), then clash, then halt, then the empty
-    active set (implicit halt), then the updated state."""
+    active set (implicit halt), then the updated state.
+
+    The updated state copies only the tables the step writes; every
+    other table is the very dict of ``s``.  So consecutive states of a
+    run share their unwritten tables, and nothing may change a state's
+    table in place."""
     ev = _evaluator(s, None)
     updates: list[Update] = []
     halts = fails = False
     stack = [p]
     while stack:
         q = stack.pop()
-        if isinstance(q, If):
+        cls = q.__class__
+        if cls is If:
             c = ev(q.cond)
             if c is True:
                 stack.append(q.then)
             elif c is False:
                 stack.append(q.orelse)
-        elif isinstance(q, Par):
+        elif cls is Par:
             stack.extend(reversed(q.blocks))
-        elif isinstance(q, Update):
+        elif cls is Update:
             updates.append(q)
-        elif isinstance(q, HaltI):
+        elif cls is HaltI:
             halts = True
-        elif isinstance(q, FailI):
+        elif cls is FailI:
             fails = True
     if fails:
         return Outcome("fail", reason="explicit-fail")
@@ -429,9 +441,14 @@ def successor(s: State, p: Program) -> Outcome:
         return Outcome("halt", outputs=_outputs(s))
     if not writes:
         return Outcome("implicit-halt", outputs=_outputs(s))
-    dynamics = {name: dict(table) for name, table in s.dynamics.items()}
+    # A table is copied at its first write.
+    old = s.dynamics
+    dynamics = dict(old)
     for (symbol, args), value in writes.items():
-        dynamics[symbol][args] = value
+        table = dynamics[symbol]
+        if table is old[symbol]:
+            table = dynamics[symbol] = dict(table)
+        table[args] = value
     return Outcome("continue", next_state=s.with_dynamics(dynamics))
 
 

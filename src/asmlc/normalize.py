@@ -110,12 +110,15 @@ def to_program(gp: GuardedProgram) -> Program:
 
 
 def run_signature(s: State, p: Program, max_steps: int):
-    """Everything observable about a run, for equivalence checking."""
+    """Everything observable about a run, for equivalence checking.
+    Trajectory states compare by their dynamic tables: two states are
+    equal when they map the same names to equal tables, whatever order
+    the entries were written in."""
     r = run_from_state(s, p, max_steps)
     return (
         r.kind,
         r.steps,
-        tuple(st.digest() for st in r.trajectory),
+        tuple(st.dynamics for st in r.trajectory),
         r.outcome.reason,
         tuple(sorted(r.outcome.outputs.items())) if r.outcome.outputs else None,
     )

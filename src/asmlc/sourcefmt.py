@@ -29,9 +29,11 @@ and numeric literals become nullary static constants.  Builtin statics:
 zero, succ, plus, rem (undefined at divisor 0), lt, le; their semantics,
 and those of the injected symbols, are the table ``asm.BUILTINS``.
 Every builtin and table result is clipped to the carrier (out of range
-= undefined).  Input constants are bound when the state is built, to
-values of their carriers; unbound inputs default to the first carrier
-element.
+= undefined), except that of a Bool-valued builtin (lt, le, eq_<sort>,
+the connectives over Bool, true, false): it only returns True or False,
+which the Bool carrier always holds, so it is stored unwrapped.  Input
+constants are bound when the state is built, to values of their
+carriers; unbound inputs default to the first carrier element.
 """
 from __future__ import annotations
 
@@ -192,7 +194,9 @@ class SourceMachine(Fields):
                 continue
             decl = next((d for d in self.statics if d.name == sym.name), None)
             fn = _semantics(sym, decl, bindings, carriers)
-            statics[sym.name] = _clip(fn, _carrier_set(carriers[sym.result_sort]))
+            if not _always_bool(sym, decl):
+                fn = _clip(fn, _carrier_set(carriers[sym.result_sort]))
+            statics[sym.name] = fn
         return State(voc, carriers, statics, {})
 
 
@@ -209,6 +213,28 @@ def _init_rule(decl: InitDecl) -> InitRule:
     term = walk(decl.term)
     sigma = tuple(decl.params.index(v) + 1 for v in order)
     return InitRule(sigma, term)
+
+
+# The builtins whose every value is a Python bool, whatever their
+# arguments; ``and`` and ``or`` return one of their arguments, so they
+# join these only over Bool arguments.
+_BOOL_BUILTINS = frozenset({"lt", "le", "eq", "not", "true", "false"})
+
+
+def _always_bool(sym: Symbol, decl: Optional[StaticDecl]) -> bool:
+    """Whether ``sym`` is a builtin of result sort Bool that only ever
+    returns True or False, so clipping to the Bool carrier is the
+    identity on it."""
+    if sym.result_sort != BOOL:
+        return False
+    if decl is None:  # injected connective or equality
+        name = "eq" if sym.name.startswith("eq_") else sym.name
+    elif decl.impl[0] == "builtin":
+        name = decl.impl[1]
+    else:
+        return False
+    return name in _BOOL_BUILTINS or (
+        name in CONNECTIVES and all(a == BOOL for a in sym.arg_sorts))
 
 
 def _semantics(sym: Symbol, decl: Optional[StaticDecl], bindings, carriers):

@@ -30,6 +30,7 @@ from asmlc.asm import (
 from asmlc.combinators import ExitBranch
 from asmlc.lambda_f import TRUE_TERM
 from asmlc.normalize import normalize, to_program
+from asmlc.sourcefmt import parse_source
 from asmlc.terms import Var
 
 from conftest import bundled, counter_state, counter_vocabulary, random_program
@@ -131,6 +132,51 @@ def test_doubling_machine_tabulates():
     # untouched entries keep their initialized value f(x) = x
     for i in range(4, 9):
         assert f[(i,)] == i
+
+
+def test_run_states_keep_their_tables():
+    """A step copies only the tables it writes and shares the others
+    with the state before it; no later step changes the tables of an
+    earlier state.  Checked against deep copies taken as each state is
+    produced."""
+    sm = parse_source("""
+sort Nat = 0..5
+static succ : Nat -> Nat = builtin succ
+static lt : Nat Nat -> Bool = builtin lt
+dynamic c : -> Nat output
+dynamic f : Nat -> Nat
+dynamic g : Nat -> Nat
+init c = 0
+init f(x) = x
+init g(x) = succ(x)
+program:
+  if lt(c, 4) then
+    par {
+      c := succ(c)
+      f(c) := 5
+    }
+  else
+    halt
+""")
+    machine = sm.machine()
+    s = machine.initial_state(sm.state())
+    states, snapshots = [s], [copy.deepcopy(s.dynamics)]
+    while (out := successor(s, machine.program)).kind == "continue":
+        prev, s = s, out.next_state
+        assert s.dynamics["g"] is prev.dynamics["g"]  # unwritten: shared
+        assert s.dynamics["c"] is not prev.dynamics["c"]
+        assert s.dynamics["f"] is not prev.dynamics["f"]
+        states.append(s)
+        snapshots.append(copy.deepcopy(s.dynamics))
+        for st, snap in zip(states, snapshots):
+            assert st.dynamics == snap
+    assert out.kind == "halt" and len(states) == 5
+    for k, snap in enumerate(snapshots):
+        assert snap["c"] == {(): k}
+        assert snap["f"] == {(i,): 5 if i < k else i for i in range(6)}
+    r = run(machine, sm.state(), 10)
+    assert [st.dynamics for st in r.trajectory] == snapshots
+    assert all(st.dynamics["g"] is r.trajectory[0].dynamics["g"] for st in r.trajectory)
 
 
 def test_initial_dynamics_from_init_rules():

@@ -12,6 +12,8 @@ from asmlc.normalize import (
     to_program,
 )
 
+from asmlc.sourcefmt import parse_source
+
 from conftest import bundled, counter_state, counter_vocabulary, random_program
 
 
@@ -98,6 +100,68 @@ def test_run_signature_distinguishes():
     sig1 = run_signature(s, Update("p", (), TApp("q")), 10)
     sig2 = run_signature(s, Update("p", (), TApp("zero")), 10)
     assert sig1 != sig2
+
+
+_TABLE_HEADER = """
+sort Nat = 0..4
+static succ : Nat -> Nat = builtin succ
+static lt : Nat Nat -> Bool = builtin lt
+dynamic c : -> Nat output
+dynamic f : Nat -> Nat
+init c = 0
+init f(x) = x
+program:
+"""
+
+
+def test_check_equivalence_sees_one_table_entry_at_a_later_step():
+    """Two runs that differ only in f(1) of the fourth state: same
+    kind, steps, reason and outputs, and all other states equal."""
+    count = "if lt(c, 4) then c := succ(c) else halt"
+    detour = """if lt(c, 4) then
+  par {
+    c := succ(c)
+    if eq_Nat(c, 2) then f(1) := 3
+    if eq_Nat(c, 3) then f(1) := 1
+  }
+else
+  halt"""
+    sm = parse_source(_TABLE_HEADER + detour)
+    p, q = parse_source(_TABLE_HEADER + count).machine().program, sm.machine().program
+    s = sm.machine().initial_state(sm.state())
+    sig_p, sig_q = run_signature(s, p, 10), run_signature(s, q, 10)
+    assert sig_p[:2] + sig_p[3:] == sig_q[:2] + sig_q[3:]
+    differ = [k for k, (a, b) in enumerate(zip(sig_p[2], sig_q[2])) if a != b]
+    assert differ == [3]
+    assert sig_q[2][3]["f"] == {**sig_p[2][3]["f"], (1,): 3}
+    assert not check_equivalence(p, q, [s], 10)
+    assert check_equivalence(p, p, [s], 10) and check_equivalence(q, q, [s], 10)
+
+
+def _digest(st):
+    """The sorted snapshot of the dynamic tables that trajectories were
+    once compared by; kept as the oracle of state equality."""
+    return tuple((name, tuple(sorted(st.dynamics[name].items())))
+                 for name in sorted(st.dynamics))
+
+
+def test_run_signature_ignores_insertion_order():
+    """States whose tables are equal compare equal, whatever order their
+    names and entries were inserted in, as their sorted digests do."""
+    sm = parse_source(_TABLE_HEADER + "if lt(c, 2) then c := succ(c) else halt")
+    machine = sm.machine()
+    s = machine.initial_state(sm.state())
+    tables = s.dynamics
+    backwards = s.with_dynamics({name: dict(reversed(tables[name].items()))
+                                 for name in reversed(tables)})
+    assert list(backwards.dynamics) != list(tables)
+    assert list(backwards.dynamics["f"]) != list(tables["f"])
+    assert _digest(backwards) == _digest(s)
+    assert run_signature(backwards, machine.program, 5) == run_signature(s, machine.program, 5)
+    # and states that differ in one entry differ, as their digests do
+    changed = s.with_dynamics({**tables, "f": {**tables["f"], (4,): 0}})
+    assert _digest(changed) != _digest(s)
+    assert run_signature(changed, machine.program, 5) != run_signature(s, machine.program, 5)
 
 
 def test_guard_term_shape():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from asmlc.asm import run
+from asmlc.asm import BUILTINS, run
 from asmlc.sourcefmt import (
     SourceError,
     SourceMachine,
@@ -207,7 +207,8 @@ program:
 def test_statics_clip_through_one_set_per_carrier():
     """A static's value outside its result carrier reads as undefined,
     and the statics of every state test membership in one shared set
-    per carrier, not one set per static per state."""
+    per carrier, not one set per static per state.  A Bool-valued
+    builtin only returns True or False, so it is not clipped."""
     sm = parse_source("""
 sort Nat = 0..3
 static s : Nat -> Nat = builtin succ
@@ -219,6 +220,28 @@ program:
 """)
     states = [sm.state(), sm.state()]
     assert states[0].statics["s"](2) == 3 and states[0].statics["s"](3) is None
+    for st in states:
+        assert st.statics["s"](3) is None  # succ at the carrier's top
+        assert st.statics["lt"] is BUILTINS["lt"]
+        assert [st.statics["lt"](a, 2) for a in (1, 2)] == [True, False]
+        assert all(type(st.statics["lt"](a, b)) is bool
+                   for a in range(4) for b in range(4))
     sets = {id(cell.cell_contents) for st in states for fn in st.statics.values()
-            for cell in fn.__closure__ if isinstance(cell.cell_contents, frozenset)}
-    assert len(sets) == 2  # Nat and Bool
+            for cell in fn.__closure__ or () if isinstance(cell.cell_contents, frozenset)}
+    assert len(sets) == 1  # Nat; no Bool-valued static is clipped
+
+
+def test_connective_over_nat_arguments_stays_clipped():
+    """``and`` returns one of its arguments, so over Nat arguments it
+    can return a number; that static keeps its clipping to Bool."""
+    sm = parse_source("""
+sort Nat = 0..3
+static both : Nat Nat -> Bool = builtin and
+dynamic d : -> Nat
+init d = 0
+program:
+  skip
+""")
+    st = sm.state()
+    assert st.statics["both"](2, 3) is None
+    assert st.statics["and"] is BUILTINS["and"]  # the injected one, over Bool
