@@ -11,15 +11,20 @@ which each case binds in theta (``CompiledMachine.with_inputs``).  One
 doubling pass is far shorter than one euclid pass, so a timing runs the
 8 doubling trajectories ``DOUBLING_REPS`` times.  Compiling, binding,
 building the initial terms and decoding stay outside the timed region.
-The best of R timings gives the steps per second.
+A timing is the best of R passes in one process.
 
-One more, untimed pass counts F-search visits: the nodes with ``const``
-and not in the F-redex-free memo that the reducer's F-redex walk
-``engine._Reducer._contract`` is called on, counted by wrapping it in
-this process.  A call the memo or the ``const`` fact prunes costs no
-visit, wherever the walk makes that check.  The count is deterministic,
-so ``visits_per_step`` compares checkouts where timings are too noisy
-to.
+One more, untimed pass counts two things, both deterministic, so they
+compare checkouts where timings are too noisy to:
+
+- F-search visits: the nodes with ``const`` and not in the F-redex-free
+  memo that the reducer's F-redex walk ``engine._Reducer._contract`` is
+  called on, counted by wrapping it in this process.  A call the memo or
+  the ``const`` fact prunes costs no visit, wherever the walk makes that
+  check;
+- nodes built: the ``App`` and ``Abs`` nodes constructed, counted by
+  wrapping both classes' ``__init__`` in this process.  Every node the
+  engine builds, by substitution, by an F-phase's rebuilt paths or by a
+  beta step's, is one of these.
 
 The kernel records above call ``advance_term`` without a round memo,
 so every round is reduced.  The ``lockstep_grid`` record times what
@@ -35,13 +40,18 @@ The ``verify_doubling`` record runs ``asmlc verify machines/doubling.asm
 builds it makes, counted at the ``build_branch_combinator`` that
 ``asmlc.compiler`` binds, and its best-of-R time.
 
-    PYTHONPATH=src python3 benchmarks/bench_engine.py [--grid N] [--repeat R]
-        [--label NAME] [--json BENCH_engine.json]
+    python3 benchmarks/bench_engine.py [--parent-src PATH] [--grid N]
+        [--repeat R] [--json BENCH_engine.json]
 
-With ``--json`` the record is merged into that file under ``--label``,
-so runs of two checkouts (point PYTHONPATH at each one's ``src``) sit
-side by side.  Step counts are deterministic and must agree between
-checkouts that claim the same (K, L).
+All of the above runs in one fresh process that imports asmlc from
+one checkout's ``src`` (``checkouts.py``), ``ROUNDS`` processes in all.
+With ``--parent-src`` the processes alternate between this checkout and
+the parent's, ``ROUNDS`` of each, in an order that flips every round,
+so drift in the machine's load falls on both sides alike.  The record
+keeps, per side, the median and quartiles over the rounds of every
+timing and of the rate it gives, and the counters, which must repeat
+exactly between rounds.  Step and round counts must agree
+between the sides: both claim the same (K, L).
 """
 from __future__ import annotations
 
@@ -51,30 +61,29 @@ import io
 import json
 import os
 import platform
+import sys
 import time
 from pathlib import Path
 
-from asmlc import cli, compiler, engine
-from asmlc.compiler import compile_machine
-from asmlc.cosim import lockstep
-from asmlc.engine import STATUS_RAN, advance_term
-from asmlc.sourcefmt import parse_source
-from asmlc.terms import term_size
+import checkouts
 
-MACHINES = Path(__file__).resolve().parent.parent / "machines"
+MACHINES = checkouts.ROOT / "machines"
 DOUBLING_STOPS = range(1, 9)
 # Passes over the doubling stops per timing: at (K, L) = (8, 15) one
 # pass takes about 0.015 s (Python 3.11, 2 CPUs), so ten take about as
 # long as one or two euclid passes.
 DOUBLING_REPS = 10
+ROUNDS = 11  # processes of each side
 
 
 def _load(name: str):
+    from asmlc.sourcefmt import parse_source
     return parse_source((MACHINES / f"{name}.asm").read_text(encoding="utf-8"))
 
 
 def _cases(grid: int) -> dict:
     """machine name -> list of (compiled machine, initial term)."""
+    from asmlc.compiler import compile_machine
     euclid = _load("euclid")
     cm = compile_machine(euclid.machine(), euclid.state({"a0": 1, "b0": 1}))
     out = {"euclid": [(cm, cm.initial_term(euclid.state({"a0": a, "b0": b})))
@@ -93,6 +102,7 @@ def _cases(grid: int) -> dict:
 
 def _run(cases) -> tuple[int, int]:
     """(engine steps, machine steps) over every trajectory."""
+    from asmlc.engine import STATUS_RAN, advance_term
     steps = rounds = 0
     for cm, t in cases:
         budget = cm.K + cm.L
@@ -104,12 +114,16 @@ def _run(cases) -> tuple[int, int]:
     return steps, rounds
 
 
-def count_visits(cases) -> int:
-    """F-search visits over every trajectory, counted in one pass with
-    the reducer's search walk wrapped (module docstring)."""
+def count_work(cases) -> tuple[int, int]:
+    """(F-search visits, nodes built) over every trajectory, counted in
+    one pass with the reducer's search walk and the node constructors
+    wrapped (module docstring)."""
+    from asmlc import engine
+    from asmlc.terms import Abs, App
     reducer = engine._Reducer
     contract = reducer._contract
-    visits = 0
+    inits = {cls: cls.__init__ for cls in (App, Abs)}
+    visits = built = 0
 
     def walk(self, t):
         nonlocal visits
@@ -117,12 +131,23 @@ def count_visits(cases) -> int:
             visits += 1
         return contract(self, t)
 
+    def counted(init):
+        def build(self, *args):
+            nonlocal built
+            built += 1
+            init(self, *args)
+        return build
+
     reducer._contract = walk
+    for cls, init in inits.items():
+        cls.__init__ = counted(init)
     try:
         _run(cases)
     finally:
         reducer._contract = contract
-    return visits
+        for cls, init in inits.items():
+            cls.__init__ = init
+    return visits, built
 
 
 def bench(cases, repeat: int) -> dict:
@@ -136,15 +161,19 @@ def bench(cases, repeat: int) -> dict:
             raise RuntimeError(f"step counts drifted from {counts} to {got}")
         counts = got
     steps, rounds = counts
-    visits = count_visits(cases)
+    visits, built = count_work(cases)
     return {"trajectories": len(cases), "rounds": rounds, "steps": steps,
-            "best_s": round(best, 4), "steps_per_s": round(steps / best),
-            "f_search_visits": visits, "visits_per_step": round(visits / steps, 2)}
+            "best_s": best, "f_search_visits": visits,
+            "visits_per_step": round(visits / steps, 2), "nodes_built": built,
+            "nodes_built_per_step": round(built / steps, 2)}
 
 
 def lockstep_grid(grid: int, repeat: int) -> dict:
     """euclid's grid through lockstep under one compile (module
     docstring)."""
+    from asmlc import engine
+    from asmlc.compiler import compile_machine
+    from asmlc.cosim import lockstep
     euclid = _load("euclid")
     machine = euclid.machine()
     base = euclid.state({"a0": 1, "b0": 1})
@@ -180,12 +209,12 @@ def lockstep_grid(grid: int, repeat: int) -> dict:
         one_pass(cm)
     finally:
         engine._advance = advance
-    return {"cases": len(states), "rounds": rounds, "engine_runs": runs,
-            "best_s": round(best, 4), "rounds_per_s": round(rounds / best)}
+    return {"cases": len(states), "rounds": rounds, "engine_runs": runs, "best_s": best}
 
 
 def verify_doubling(repeat: int) -> dict:
     """``asmlc verify`` on doubling's grid 8 (module docstring)."""
+    from asmlc import cli, compiler
     argv = ["verify", str(MACHINES / "doubling.asm"), "--grid", "8"]
 
     def verify() -> float:
@@ -210,45 +239,112 @@ def verify_doubling(repeat: int) -> dict:
     finally:
         compiler.build_branch_combinator = build
     best = min(verify() for _ in range(repeat))
-    return {"theta_builds": builds, "best_s": round(best, 4)}
+    return {"theta_builds": builds, "best_s": best}
+
+
+def measure(grid: int, repeat: int) -> dict:
+    """Every record of one side, measured in this process."""
+    import asmlc
+    from asmlc.terms import term_size
+    out = {"package": asmlc.__file__, "machines": {}}
+    for name, cases in _cases(grid).items():
+        cm = cases[0][0]
+        out["machines"][name] = {"K": cm.K, "L": cm.L, "theta_nodes": term_size(cm.theta),
+                                 **bench(cases, repeat)}
+    out["lockstep_grid"] = lockstep_grid(grid, repeat)
+    out["verify_doubling"] = verify_doubling(repeat)
+    return out
+
+
+def summarize(rows: list[dict]) -> dict:
+    """One side's record from its rounds: every ``best_s`` becomes the
+    median and quartiles over the rounds, with the rate they give, and
+    every other figure, a counter, must repeat exactly."""
+    first = rows[0]
+    out = {}
+    for key, value in first.items():
+        if isinstance(value, dict):
+            out[key] = summarize([r[key] for r in rows])
+        elif key == "best_s":
+            times = [r[key] for r in rows]
+            out[key] = checkouts.quartiles(times)
+            for work in ("steps", "rounds"):
+                if work in first:
+                    out[f"{work}_per_s"] = checkouts.quartiles(
+                        [first[work] / t for t in times], 0)
+                    break
+        elif key != "package":
+            if any(r[key] != value for r in rows):
+                raise RuntimeError(f"{key} differs between rounds: {[r[key] for r in rows]}")
+            out[key] = value
+    return out
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    checkouts.add_parent_option(ap)
     ap.add_argument("--grid", type=int, default=12,
                     help="run euclid on every input pair in 1..N (default 12)")
     ap.add_argument("--repeat", type=int, default=5,
-                    help="timing repetitions, best of R (default 5)")
-    ap.add_argument("--label", default="current", help="record name in --json")
-    ap.add_argument("--json", type=Path, help="merge the record into this file")
+                    help="timings in each process, best of R (default 5)")
+    ap.add_argument("--json", type=Path, help="write the record to this file")
+    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.child:
+        print(json.dumps(measure(args.grid, args.repeat)))
+        return
+
+    sides = checkouts.sides(args.parent_src)
+    found: dict[str, list[dict]] = {label: [] for label in sides}
+    argv = [__file__, "--child", "--grid", str(args.grid), "--repeat", str(args.repeat)]
+    for label, src in checkouts.alternate(sides, ROUNDS):
+        proc = checkouts.run_python(src, argv, capture_output=True, text=True)
+        row = json.loads(proc.stdout.splitlines()[-1])
+        if Path(row["package"]).resolve().parent.parent != src:
+            sys.exit(f"{label}: asmlc was imported from {row['package']}, not {src}")
+        found[label].append(row)
+        print(f"{label:>7}: euclid {row['machines']['euclid']['best_s']:.4f} s, "
+              f"doubling {row['machines']['doubling']['best_s']:.4f} s, "
+              f"lockstep grid {row['lockstep_grid']['best_s']:.4f} s, "
+              f"verify doubling {row['verify_doubling']['best_s']:.4f} s", flush=True)
 
     record = {"python": platform.python_version(),
-              "nproc": len(os.sched_getaffinity(0)), "repeat": args.repeat,
-              "euclid_grid": args.grid,
+              "nproc": len(os.sched_getaffinity(0)), "rounds": ROUNDS,
+              "repeat": args.repeat, "euclid_grid": args.grid,
               "doubling_stops": [DOUBLING_STOPS[0], DOUBLING_STOPS[-1]],
               "doubling_reps": DOUBLING_REPS,
-              "machines": {}}
-    for name, cases in _cases(args.grid).items():
-        cm = cases[0][0]
-        row = {"K": cm.K, "L": cm.L, "theta_nodes": term_size(cm.theta),
-               **bench(cases, args.repeat)}
-        record["machines"][name] = row
-        print(f"{name:>9}: (K, L) = ({row['K']}, {row['L']}), {row['trajectories']} runs, "
-              f"{row['steps']} steps in {row['best_s']:.3f}s "
-              f"({row['steps_per_s']:,} steps/s, best of {args.repeat}), "
-              f"{row['visits_per_step']} F-search visits per step")
-    row = record["lockstep_grid"] = lockstep_grid(args.grid, args.repeat)
-    print(f"lockstep grid {args.grid}: {row['cases']} runs, {row['rounds']} rounds, "
-          f"{row['engine_runs']} engine runs in {row['best_s']:.3f}s "
-          f"({row['rounds_per_s']:,} rounds/s, best of {args.repeat})")
-    row = record["verify_doubling"] = verify_doubling(args.repeat)
-    print(f"verify doubling --grid 8: {row['theta_builds']} theta builds, "
-          f"{row['best_s']:.4f}s (best of {args.repeat})")
+              "sides": {label: summarize(rows) for label, rows in found.items()}}
+    work = {label: {name: (m["steps"], m["rounds"]) for name, m in side["machines"].items()}
+            for label, side in record["sides"].items()}
+    if "parent" in work and work["parent"] != work["change"]:
+        sys.exit(f"the sides count different steps and rounds: {work}")
+    for label, side in record["sides"].items():
+        for name, row in side["machines"].items():
+            rate = row["steps_per_s"]
+            print(f"{label:>7} {name:>9}: (K, L) = ({row['K']}, {row['L']}), "
+                  f"{row['trajectories']} runs, {row['steps']} steps, median "
+                  f"{rate['median']:,.0f} steps/s (quartiles {rate['q1']:,.0f}-"
+                  f"{rate['q3']:,.0f}); per step {row['visits_per_step']} F-search "
+                  f"visits, {row['nodes_built_per_step']} nodes built")
+        row = side["lockstep_grid"]
+        print(f"{label:>7} lockstep grid {args.grid}: {row['cases']} runs, "
+              f"{row['rounds']} rounds, {row['engine_runs']} engine runs, median "
+              f"{row['best_s']['median']:.4f} s")
+        row = side["verify_doubling"]
+        print(f"{label:>7} verify doubling --grid 8: {row['theta_builds']} theta builds, "
+              f"median {row['best_s']['median']:.4f} s")
+    if "parent" in record["sides"]:
+        change, parent = record["sides"]["change"], record["sides"]["parent"]
+        ratios = {f"{name}_steps_per_s": (change["machines"][name]["steps_per_s"]["median"]
+                                          / parent["machines"][name]["steps_per_s"]["median"])
+                  for name in change["machines"]}
+        for key in ("lockstep_grid", "verify_doubling"):
+            ratios[f"{key}_s"] = change[key]["best_s"]["median"] / parent[key]["best_s"]["median"]
+        record["change_over_parent"] = {key: round(r, 3) for key, r in ratios.items()}
+        print("change / parent medians: " + ", ".join(
+            f"{key} {r:.3f}" for key, r in record["change_over_parent"].items()))
     if args.json:
-        data = json.loads(args.json.read_text()) if args.json.exists() else {}
-        data[args.label] = record
-        args.json.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        args.json.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

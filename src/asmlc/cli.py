@@ -31,7 +31,7 @@ def _load(path: str):
         raise SystemExit(f"error: {exc}")
     except SourceError as exc:
         for d in exc.diagnostics:
-            print(f"{path}:{d}", file=sys.stderr)
+            print(f"error: {path}:{d}", file=sys.stderr)
         raise SystemExit(1)
 
 

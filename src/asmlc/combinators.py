@@ -281,13 +281,12 @@ def _build_theta(
 
 def instantiate(template: Term, codes: dict[str, Term], sig: FSignature) -> tuple[Term, dict]:
     """Theta with each input bound to its closed code in ``codes``, and
-    ``scan``'s memo of it: one substitution, then one uncounted F-phase,
-    whose walk memoizes every constant node it leaves.  Both run on one
-    ``half`` of the fixpoint ``half half``, which so stays shared.  The
-    phase runs to its end: a compiled signature's functions are total."""
-    half = template.fun
-    for name, code in codes.items():
-        half = _subst(half, name, code)
+    ``scan``'s memo of it: one simultaneous substitution, then one
+    uncounted F-phase, whose walk memoizes every constant node it
+    leaves.  Both run on one ``half`` of the fixpoint ``half half``,
+    which so stays shared.  The phase runs to its end: a compiled
+    signature's functions are total."""
+    half = _subst(template.fun, codes)
     r = _Reducer(sig)
     half = r.f_phase(half, sys.maxsize)[0]
     theta = App(half, half)

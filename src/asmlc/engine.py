@@ -51,13 +51,39 @@ Certification's boundary, theta applied to slot codes, is one: theta
 holds no resident F-redex (the builder checks with ``scan``), and
 neither the application of theta nor a code is an F-redex.
 
+Head runs.  Say the leftmost beta redex is the first of a head run
+``(lambda x1 ... xj. B) a1 ... aj``, j >= 2, every argument closed and
+every binder distinct, as in the argument load of theta applied to
+slot codes.  Then ``_advance`` contracts the whole run at once:
+``_beta_step`` substitutes every argument in one walk of ``B``, the loop
+runs one F-phase, limited to the budget left after the j beta steps,
+and counts j beta steps.  That is exact.  Each contractum in the run is
+an abstraction applied to the run's next argument, so until the last
+beta step the leftmost redex stays the run's next one, and an F-phase
+between them fires only inside the substituted body.  The arguments
+are closed and F-normal, and F-redexes never nest, so an F-step neither
+erases nor copies a variable occurrence or another redex: the F-steps
+fired between the loads are those a single F-phase fires after them, in
+another order, to the same F-normal term (Klop 1980, orthogonal rules;
+simultaneous substitution as in Abadi, Cardelli, Curien & Levy 1991,
+"Explicit substitutions").  The loop keeps the batched term only when
+its F-phase is complete.  When that phase stops, at the budget or
+before an undefined firing, the loop discards it and takes the single
+beta step from the saved term, as without batching, so a stop, its
+counts and ``reached`` are exact.  A run is batched only when no
+``boundary`` is given, because the boundary is tested after every beta
+step: lockstep rounds and ``advance_term`` batch, certification steps
+one redex at a time.  With closed arguments the substitution renames
+nothing; an open argument ends the run, and its single step renames a
+capturing binder as the traced reducer does.
+
 The search prunes by the facts each node carries (``terms``): a node
 without ``beta`` holds no beta redex, and a node without ``const`` holds
 no F-redex.  A constant whose prefix of ``arity`` arguments has a free
 variable is not tried either: a redex's arguments are codes or lambda
 booleans, all closed, so no F-step makes that prefix a redex.
-Substitution returns every subterm in which the variable is not in
-``fv`` unchanged, closed terms included.  Whether a node with
+Substitution returns every subterm in which no substituted variable is
+in ``fv`` unchanged, closed terms included.  Whether a node with
 ``const`` holds an F-redex depends on the signature, so a call keeps
 one memo, keyed by ``id``, of the subterms already found to contain no
 F-redex under its signature.  That property is inherited by
@@ -162,38 +188,80 @@ def fresh_name(base: str, avoid: frozenset[str]) -> str:
     return f"{base}${k}"
 
 
-def _subst(t: Term, name: str, repl: Term) -> Term:
-    """Capture-avoiding ``t[repl/name]``."""
-    if name not in t.fv:
-        return t
-    tp = type(t)
-    if tp is Var:
-        return repl
-    if tp is App:
-        return App(_subst(t.fun, name, repl), _subst(t.arg, name, repl))
-    binder, body = t.binder, t.body
-    if binder in repl.fv:
-        fresh = fresh_name(binder, body.fv | repl.fv)
-        body = _subst(body, binder, Var(fresh))
-        binder = fresh
-    return Abs(binder, _subst(body, name, repl))
+def _subst(t: Term, env: dict) -> Term:
+    """Capture-avoiding simultaneous substitution: ``t`` with every free
+    ``Var`` named in ``env`` replaced by its term.  A binder free in one
+    of those terms is renamed to ``fresh_name`` of the body's and their
+    free variables, first in a substitution of its own, so a single
+    substitution names its binders as the traced reducer's
+    ``substitute`` does.  With closed terms, as a head run's are,
+    nothing is renamed.  Every subterm that holds no variable named in
+    ``env`` is returned unchanged, closed terms included."""
+    names = frozenset(env)
+    avoid = frozenset().union(*(r.fv for r in env.values()))
+
+    def walk(t: Term) -> Term:  # t.fv meets names
+        tp = type(t)
+        if tp is Var:
+            return env[t.name]
+        if tp is App:
+            fun, arg = t.fun, t.arg
+            if not fun.fv.isdisjoint(names):
+                fun = walk(fun)
+            if not arg.fv.isdisjoint(names):
+                arg = walk(arg)
+            return App(fun, arg)
+        binder, body = t.binder, t.body
+        if binder in names:
+            return _subst(t, {name: r for name, r in env.items() if name != binder})
+        if binder in avoid:
+            fresh = fresh_name(binder, body.fv | avoid)
+            body = _subst(body, {binder: Var(fresh)})
+            binder = fresh
+        return Abs(binder, walk(body))
+
+    return t if t.fv.isdisjoint(names) else walk(t)
 
 
-def _beta_step(t: Term) -> Term:
-    """``t``, which holds a beta redex, with its leftmost one contracted."""
-    if type(t) is Abs:
-        return Abs(t.binder, _beta_step(t.body))
-    spine, head = _unwind(t)
-    n = len(spine)
-    if type(head) is Abs:
-        if head is UNKNOWN_BOOL:
-            raise _Fork
-        return _rebuild(spine, n - 1, _subst(head.body, head.binder, spine[n - 1].arg))
-    # The head is no abstraction, so some argument holds the redex.
-    for i in range(n - 1, -1, -1):
-        node = spine[i]
-        if node.arg.beta:
-            return _rebuild(spine, i, App(node.fun, _beta_step(node.arg)))
+def _beta_step(t: Term, most: int = 1) -> tuple[Term, int]:
+    """``t``, which holds a beta redex, with its leftmost one contracted,
+    and the number of redexes contracted.  Up to ``most`` - 1 more are
+    contracted with it when it starts a head run (module docstring,
+    "Head runs"): each next argument closed, each next binder new."""
+    path = []  # the Abs nodes and (spine, index) pairs above the redex
+    while True:
+        if type(t) is Abs:
+            path.append(t)
+            t = t.body
+            continue
+        spine, head = _unwind(t)
+        i = len(spine) - 1
+        if type(head) is Abs:
+            break
+        # The head is no abstraction, so some argument holds the redex.
+        while not spine[i].arg.beta:
+            i -= 1
+        path.append((spine, i))
+        t = spine[i].arg
+    if head is UNKNOWN_BOOL:
+        raise _Fork
+    a = spine[i].arg
+    env = {head.binder: a}
+    body = head.body
+    if not a.fv:
+        while (i and len(env) < most and type(body) is Abs and body is not UNKNOWN_BOOL
+               and body.binder not in env and not spine[i - 1].arg.fv):
+            i -= 1
+            env[body.binder] = spine[i].arg
+            body = body.body
+    new = _rebuild(spine, i, _subst(body, env))
+    for above in reversed(path):
+        if type(above) is Abs:
+            new = Abs(above.binder, new)
+        else:
+            spine, i = above
+            new = _rebuild(spine, i, App(spine[i].fun, new))
+    return new, len(env)
 
 
 class _Reducer:
@@ -357,7 +425,8 @@ def _advance(t: Term, sig: FSignature, max_steps: int, boundary=None,
     steps, stopping early at a normal form or, when ``boundary`` is
     given, at the first term after a step for which it holds.  The
     boundary is tested after each F-phase and each beta step, so it must
-    hold only of F-normal terms (module docstring).  ``f_free`` holds
+    hold only of F-normal terms; without one, head runs are contracted
+    at once (module docstring).  ``f_free`` holds
     nodes known to contain no F-redex under ``sig``, by ``id``.
 
     Returns (term, beta_count, f_count, status); the status is
@@ -382,12 +451,21 @@ def _advance(t: Term, sig: FSignature, max_steps: int, boundary=None,
         # the term is F-normal now, so without a beta redex it is normal
         if not t.beta:
             return t, beta, f, STATUS_NORMAL
-        if beta + f == max_steps:
+        left = max_steps - beta - f
+        if not left:
             return t, beta, f, STATUS_RAN
         try:
-            t = _beta_step(t)
+            new, j = _beta_step(t, left if boundary is None else 1)
         except _Fork:
             return t, beta, f, _STATUS_FORK
+        if j > 1:
+            # a head run: kept only when its one F-phase is complete
+            out, count, stop = r.f_phase(new, left - j)
+            if stop is None:
+                t, beta, f = out, beta + j, f + count
+                continue
+            new = _beta_step(t)[0]
+        t = new
         beta += 1
         if boundary is not None and boundary(t):
             return t, beta, f, _STATUS_BOUNDARY

@@ -27,13 +27,16 @@ Bool, its connectives (and/or/not, true/false) and one equality symbol
 per sort (eq_<sort>) are injected automatically.  Enumeration elements
 and numeric literals become nullary static constants.  Builtin statics:
 zero, succ, plus, rem (undefined at divisor 0), lt, le; their semantics,
-and those of the injected symbols, are the table ``asm.BUILTINS``.
-Every builtin and table result is clipped to the carrier (out of range
-= undefined), except that of a Bool-valued builtin (lt, le, eq_<sort>,
-the connectives over Bool, true, false): it only returns True or False,
-which the Bool carrier always holds, so it is stored unwrapped.  Input
-constants are bound when the state is built, to values of their
-carriers; unbound inputs default to the first carrier element.
+and those of the injected symbols, are the table ``asm.BUILTINS``.  A
+builtin's declaration must give it the arity of its function, and
+result sort Bool exactly when it returns a truth value (lt, le, eq, the
+connectives, true, false).  Every builtin and table result is clipped to
+the carrier (out of range = undefined), except that of a Bool-valued
+builtin (lt, le, eq_<sort>, the connectives over Bool, true, false): it
+only returns True or False, which the Bool carrier always holds, so it
+is stored unwrapped.  Input constants are bound when the state is
+built, to values of their carriers; unbound inputs default to the first
+carrier element.
 """
 from __future__ import annotations
 
@@ -217,7 +220,8 @@ def _init_rule(decl: InitDecl) -> InitRule:
 
 # The builtins whose every value is a Python bool, whatever their
 # arguments; ``and`` and ``or`` return one of their arguments, so they
-# join these only over Bool arguments.
+# join these only over Bool arguments.  With them, these are the
+# builtins a declaration must give result sort Bool.
 _BOOL_BUILTINS = frozenset({"lt", "le", "eq", "not", "true", "false"})
 
 
@@ -455,6 +459,12 @@ def _parse_static(p: _P, ctx: _Ctx) -> StaticDecl:
         b = p.ident("builtin name")
         if b not in BUILTINS:
             p.error(t, f"unknown builtin {b!r}")
+        arity = BUILTINS[b].__code__.co_argcount
+        boolean = b in _BOOL_BUILTINS or b in CONNECTIVES
+        if (len(args), result == BOOL) != (arity, boolean):
+            p.error(t, f"builtin {b} has arity {arity} and a "
+                       f"{'Bool' if boolean else 'non-Bool'} result, but {name} is "
+                       f"declared {' '.join(args + ('->', result))}")
         return StaticDecl(name, args, result, ("builtin", b))
     if t.kind == "{":
         rows = []

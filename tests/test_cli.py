@@ -242,14 +242,17 @@ program:
     ("compile", ILL_SORTED, "condition must be Boolean"),
     ("run", UNDEFINED_INIT.replace("init c = rem(zero, zero)\n", ""),
      "dynamic symbol c has no init rule"),
-], ids=["no-dynamics", "undefined-init", "verify-undefined-init", "ill-sorted", "no-init-rule"])
+    ("run", NO_DYNAMICS.replace("builtin zero", "builtin zero\nstatic f : Nat Nat -> Bool = builtin plus"),
+     "PATH:3:30: builtin plus has arity 2 and a non-Bool result, but f is declared Nat Nat -> Bool"),
+], ids=["no-dynamics", "undefined-init", "verify-undefined-init", "ill-sorted", "no-init-rule",
+        "builtin-misfit"])
 def test_compile_error_is_one_error_line(capsys, tmp_path, command, source, message):
     path = tmp_path / "m.asm"
     path.write_text(source)
     code, out, err = run_cli_err(capsys, command, str(path))
     assert code == 1
     assert out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: {message}\n".replace("PATH", str(path))
 
 
 def test_run_shows_undefined_constant(capsys, tmp_path):

@@ -133,7 +133,7 @@ def _n(n: int) -> Code:
     return Code(Value("Nat", n))
 
 
-_x, _y = Var("x"), Var("y")
+_x, _y, _z = Var("x"), Var("y"), Var("z")
 _succ, _half, _plus, _eq = Const("succ"), Const("half"), Const("plus"), Const("eq")
 
 # Terms whose F-phases the engine contracts in one pass, each reduced at
@@ -162,6 +162,27 @@ F_PHASE_TERMS = {
     # phases between the beta steps of a two-slot load
     "two-phases": app(lam(["x", "y"], app(_plus, App(_succ, _x), app(_plus, _y, _y))),
                       App(_succ, _n(0)), App(_half, _n(2))),
+    # head runs, which the engine contracts in one substitution and one
+    # F-phase when no budget or undefined firing stops that phase:
+    # three binders over closed arguments
+    "run-closed": app(lam(["x", "y", "z"], app(_plus, App(_succ, _x), app(_plus, _y, _z))),
+                      _n(1), App(_succ, _n(2)), _n(3)),
+    # an open argument ends the run; its step renames the binder z
+    # around it, and not the inner one, under which y is not free
+    "run-open-argument": app(lam(["x", "y", "z"], app(Var("f"), app(_plus, _x, _y), _z,
+                                                      Abs("z", App(_succ, _x)))),
+                             _n(1), Var("z"), _n(2)),
+    # a repeated binder ends the run; the inner x binds the second
+    # argument, and an abstraction in the body binds x again
+    "run-repeated-binder": app(lam(["x", "x", "y"], app(Var("f"), app(_plus, App(_succ, _x), _y),
+                                                        Abs("x", app(_plus, _x, _y)))),
+                               App(_succ, _n(0)), _n(2), _n(3)),
+    # half is undefined on the first argument, inside the run's one phase
+    "run-undefined-inside": app(lam(["x", "y"], app(_plus, App(_half, _x), App(_succ, _y))),
+                                _n(3), _n(1)),
+    # a run under an abstraction whose binder is free in the run's body
+    "run-under-abstraction": Abs("q", app(lam(["x", "y"], app(Var("q"), App(_succ, _x), _y)),
+                                          _n(1), App(_succ, _n(2)))),
 }
 
 
@@ -227,17 +248,25 @@ def test_kernel_with_theta_memo_matches_traced_reducer(name):
 
 
 def test_round_builds_no_beta_step_past_its_budget(monkeypatch):
-    """One euclid round of K + L steps builds exactly its K beta steps:
-    the round ends on the budget before it builds the next one."""
+    """One euclid round of K + L steps contracts exactly its K beta
+    redexes, in head runs: the round ends on the budget before it builds
+    the next one, and no run is contracted and then discarded."""
     sm = bundled("euclid")
     inputs, _ = BUNDLED_COSTS["euclid"]
     cm = compile_machine(sm.machine(), sm.state(inputs))
     t = cm.initial_term(sm.state(inputs))
-    built = []
+    runs = []
     beta_step = engine._beta_step
-    monkeypatch.setattr(engine, "_beta_step", lambda s: built.append(s) or beta_step(s))
+
+    def counted(s, most=1):
+        out = beta_step(s, most)
+        runs.append(out[1])
+        return out
+
+    monkeypatch.setattr(engine, "_beta_step", counted)
     assert advance_term(t, cm.sig, cm.K + cm.L, cm.theta_free)[1:] == (cm.K, cm.L, STATUS_RAN)
-    assert len(built) == cm.K
+    assert sum(runs) == cm.K
+    assert len(runs) < cm.K
 
 
 def test_scan_finds_what_the_traced_search_finds(rng):
@@ -296,7 +325,10 @@ def test_loop_forks_before_applying_the_abstract_boolean():
     cases = [(pick, pick, 0), (App(Var("f"), pick), App(Var("f"), pick), 0),
              (Abs("z", pick), Abs("z", pick), 0),
              # the identity applied to the pick is the leftmost redex
-             (App(Abs("v", Var("v")), pick), pick, 1)]
+             (App(Abs("v", Var("v")), pick), pick, 1),
+             # a head run ends where its next abstraction is the abstract Boolean
+             (app(Abs("v", UNKNOWN_BOOL), TRUE_TERM, _n(1), _n(2)),
+              app(UNKNOWN_BOOL, _n(1), _n(2)), 1)]
     for t, stop, beta in cases:
         assert engine._advance(t, FSignature(), 5) == (stop, beta, 0, _STATUS_FORK)
     assert advance_term(App(Var("f"), UNKNOWN_BOOL), FSignature(), 5)[1:] == (

@@ -176,6 +176,35 @@ program:
     assert "lt_missing" in str(e.value)
 
 
+@pytest.mark.parametrize("decl, message", [
+    ("static f : Nat Nat -> Bool = builtin plus",
+     "builtin plus has arity 2 and a non-Bool result, but f is declared Nat Nat -> Bool"),
+    ("static f : Nat -> Nat = builtin not",
+     "builtin not has arity 1 and a Bool result, but f is declared Nat -> Nat"),
+    ("static f : Nat -> Nat = builtin plus",
+     "builtin plus has arity 2 and a non-Bool result, but f is declared Nat -> Nat"),
+    ("static f : Nat -> Nat = builtin zero",
+     "builtin zero has arity 0 and a non-Bool result, but f is declared Nat -> Nat"),
+    ("static f : -> Bool = builtin lt",
+     "builtin lt has arity 2 and a Bool result, but f is declared -> Bool"),
+], ids=["bool-for-plus", "nat-for-not", "plus-arity", "zero-arity", "lt-arity"])
+def test_builtin_profile_must_fit_its_function(decl, message):
+    """A builtin declared with another arity, or with a Bool result where
+    its function returns none (or the converse), is refused where it is
+    declared, not run with values outside its carrier."""
+    src = f"""
+sort Nat = 0..3
+{decl}
+dynamic c : -> Nat
+init c = 0
+program:
+  skip
+"""
+    with pytest.raises(SourceError) as e:
+        parse_source(src)
+    assert str(e.value) == f"3:{decl.index('builtin') + 1}: {message}"
+
+
 def test_diagnostics_carry_positions():
     with pytest.raises(SourceError) as e:
         parse_source("sort Nat = 0..")
