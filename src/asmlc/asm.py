@@ -14,29 +14,49 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .records import Checked, Frozen
 from .terms import BOOL
 
-# The payload semantics of the builtin statics, each written once here.
-# Source files name them (``static rem : Nat Nat -> Nat = builtin rem``);
-# the Boolean connectives and one equality ``eq_<sort>`` per sort (with
-# the semantics of "eq") are in every vocabulary read from source, and
-# the compiler's constant signature falls back to them.
-BUILTINS: dict[str, Callable] = {
-    "zero": lambda: 0,
-    "succ": lambda a: a + 1,
-    "plus": lambda a, b: a + b,
-    "rem": lambda a, b: a % b if b != 0 else None,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "true": lambda: True,
-    "false": lambda: False,
-    "and": lambda a, b: a and b,
-    "or": lambda a, b: a or b,
-    "not": lambda a: not a,
-    "eq": lambda a, b: a == b,
-}
 
-# The Boolean connectives of BUILTINS and their arities; each maps
-# Bool^arity to Bool.
-CONNECTIVES = {"not": 1, "and": 2, "or": 2}
+class Builtin(NamedTuple):
+    """One builtin static: its payload function, its arity, whether its
+    arguments must be Bool, and whether its result is Bool (then the
+    function returns True or False on every argument it admits)."""
+
+    fn: Callable
+    arity: int
+    bool_args: bool
+    bool_result: bool
+
+    @property
+    def all_bool(self) -> bool:
+        """Bool^arity -> Bool: true, false and the connectives."""
+        return self.bool_args and self.bool_result
+
+    def profile(self, sort: str) -> tuple[tuple[str, ...], str]:
+        """Its argument and result sorts when every one that need not be
+        Bool is ``sort``."""
+        return ((BOOL if self.bool_args else sort,) * self.arity,
+                BOOL if self.bool_result else sort)
+
+
+# The one declaration of every builtin static.  Source files name them
+# (``static rem : Nat Nat -> Nat = builtin rem``); the all-Bool ones
+# (true, false and the connectives not, and, or) and one equality
+# ``eq_<sort>`` per sort (with the semantics of "eq") are in every
+# vocabulary read from source, and the compiler's constant signature
+# falls back to them.
+BUILTINS: dict[str, Builtin] = {
+    "zero": Builtin(lambda: 0, 0, False, False),
+    "succ": Builtin(lambda a: a + 1, 1, False, False),
+    "plus": Builtin(lambda a, b: a + b, 2, False, False),
+    "rem": Builtin(lambda a, b: a % b if b != 0 else None, 2, False, False),
+    "lt": Builtin(lambda a, b: a < b, 2, False, True),
+    "le": Builtin(lambda a, b: a <= b, 2, False, True),
+    "true": Builtin(lambda: True, 0, True, True),
+    "false": Builtin(lambda: False, 0, True, True),
+    "not": Builtin(lambda a: not a, 1, True, True),
+    "and": Builtin(lambda a, b: a and b, 2, True, True),
+    "or": Builtin(lambda a, b: a or b, 2, True, True),
+    "eq": Builtin(lambda a, b: a == b, 2, False, True),
+}
 
 
 # ---------------------------------------------------------------------------

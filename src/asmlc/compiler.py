@@ -25,7 +25,6 @@ from typing import NamedTuple, Optional, Sequence
 
 from .asm import (
     BUILTINS,
-    CONNECTIVES,
     FailI,
     HaltI,
     InitRule,
@@ -56,6 +55,7 @@ from .lambda_f import (
     DeltaType,
     FSignature,
     Value,
+    add_connectives,
     code_term,
     install_delta,
     match_code,
@@ -181,12 +181,11 @@ def lower_signature(voc: Vocabulary, state: State, slots: Sequence[Slot]) -> tup
 
             sig.add(sym.name, sym.arg_sorts, sym.result_sort, totalized)
             sig.add("def_" + sym.name, sym.arg_sorts, BOOL, defined)
-    for name, arity in CONNECTIVES.items():
-        if sig.get(name) is None:
-            sig.add(name, (BOOL,) * arity, BOOL, BUILTINS[name])
+    add_connectives(sig)
+    eq = BUILTINS["eq"]
     for sort in voc.sorts:
         if sig.get(f"eq_{sort}") is None:
-            sig.add(f"eq_{sort}", (sort, sort), BOOL, BUILTINS["eq"])
+            sig.add(f"eq_{sort}", *eq.profile(sort), eq.fn)
         if sig.get(f"ite_{sort}") is None:
             sig.add(f"ite_{sort}", (BOOL, sort, sort), sort, lambda c, a, b: a if c else b)
     for slot in slots:

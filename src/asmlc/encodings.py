@@ -1,6 +1,6 @@
-"""Canonical lambda encodings: booleans, tuples and projections,
-naturals and the in-place branch selector, with the measured cost of
-projection and selection.
+"""Canonical lambda encodings: tuples and projections, naturals and the
+in-place branch selector, with the measured cost of projection and
+selection.  The lambda booleans are ``lambda_f``'s.
 
 Costs are measured by the counting engine under the strict
 one-redex-per-step convention, with no constant in the terms, so every

@@ -10,9 +10,10 @@ engine (``engine``) contracts F-redexes under a signature.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-from .asm import BUILTINS, CONNECTIVES
+from .asm import BUILTINS
 from .records import Fields
 from .terms import BOOL, Abs, Code, Term, Unknown, Value, Var, lam
 
@@ -106,12 +107,19 @@ class FSignature(Fields):
         return self.functions.get(name)
 
 
+def add_connectives(sig: FSignature) -> FSignature:
+    """Add to ``sig`` the Boolean connectives it lacks: the all-Bool
+    builtins of ``asm.BUILTINS`` with arguments (not, and, or), so that
+    ``true`` and ``false`` stay inert constants."""
+    for name, b in BUILTINS.items():
+        if b.all_bool and b.arity and sig.get(name) is None:
+            sig.add(name, *b.profile(BOOL), b.fn)
+    return sig
+
+
 def standard_bool_signature() -> FSignature:
     """The Boolean connectives over the Boolean datatype."""
-    sig = FSignature()
-    for name, arity in CONNECTIVES.items():
-        sig.add(name, (BOOL,) * arity, BOOL, BUILTINS[name])
-    return sig
+    return add_connectives(FSignature())
 
 
 # ---------------------------------------------------------------------------
@@ -134,34 +142,39 @@ class DeltaType(NamedTuple):
         return f"{op}_{self.name}"
 
 
-def delta_semantics(op: str, args: tuple):
-    """Pure semantics of the five delta-list operations.
+# The five delta-list operations.  A list is a tuple of (m+1)-tuples,
+# keys first, value last.
 
-    ``seq`` is a tuple of (m+1)-tuples; ``V`` returns None (undefined)
-    unless the sequence is functional and the key is present.
-    """
-    if op == "F":
-        (seq,) = args
-        keys = [t[:-1] for t in seq]
-        return len(keys) == len(set(keys))
-    if op == "B":
-        seq, key = args
-        return any(t[:-1] == key for t in seq)
-    if op == "V":
-        seq, key = args
-        if not delta_semantics("F", (seq,)) or not delta_semantics("B", (seq, key)):
-            return None
+
+def delta_f(seq) -> bool:
+    """F: whether ``seq`` is functional, no key occurring twice."""
+    keys = [t[:-1] for t in seq]
+    return len(keys) == len(set(keys))
+
+
+def delta_b(seq, *key) -> bool:
+    """B: whether ``seq`` holds ``key``."""
+    return any(t[:-1] == key for t in seq)
+
+
+def delta_v(default, seq, *key):
+    """V: the value at ``key``, or ``default`` unless ``seq`` is
+    functional and holds ``key``."""
+    if delta_f(seq):
         for t in seq:
             if t[:-1] == key:
                 return t[-1]
-    if op == "Add":
-        seq, tup = args
-        return seq + (tup,)
-    if op == "Del":
-        seq, tup = args
-        return tuple(t for t in seq if t != tup)
-    if op not in ("F", "B", "V", "Add", "Del"):
-        raise ValueError(f"unknown delta operation {op}")
+    return default
+
+
+def delta_add(seq, *tup):
+    """Add: ``seq`` with ``tup`` appended."""
+    return seq + (tup,)
+
+
+def delta_del(seq, *tup):
+    """Del: ``seq`` without ``tup``."""
+    return tuple(t for t in seq if t != tup)
 
 
 def install_delta(sig: FSignature, d: DeltaType, totalize_default) -> None:
@@ -171,26 +184,10 @@ def install_delta(sig: FSignature, d: DeltaType, totalize_default) -> None:
     guards every lookup, so that value never matters.
     """
     L = d.list_datatype
-    m = len(d.arg_datatypes)
-
-    def f_fn(seq):
-        return delta_semantics("F", (seq,))
-
-    def b_fn(seq, *key):
-        return delta_semantics("B", (seq, tuple(key)))
-
-    def v_fn(seq, *key):
-        out = delta_semantics("V", (seq, tuple(key)))
-        return totalize_default if out is None else out
-
-    def add_fn(seq, *tup):
-        return delta_semantics("Add", (seq, tuple(tup)))
-
-    def del_fn(seq, *tup):
-        return delta_semantics("Del", (seq, tuple(tup)))
-
-    sig.add(d.op_name("F"), (L,), BOOL, f_fn)
-    sig.add(d.op_name("B"), (L,) + d.arg_datatypes, BOOL, b_fn)
-    sig.add(d.op_name("V"), (L,) + d.arg_datatypes, d.result_datatype, v_fn)
-    sig.add(d.op_name("Add"), (L,) + d.arg_datatypes + (d.result_datatype,), L, add_fn)
-    sig.add(d.op_name("Del"), (L,) + d.arg_datatypes + (d.result_datatype,), L, del_fn)
+    tup = d.arg_datatypes + (d.result_datatype,)
+    sig.add(d.op_name("F"), (L,), BOOL, delta_f)
+    sig.add(d.op_name("B"), (L,) + d.arg_datatypes, BOOL, delta_b)
+    sig.add(d.op_name("V"), (L,) + d.arg_datatypes, d.result_datatype,
+            partial(delta_v, totalize_default))
+    sig.add(d.op_name("Add"), (L,) + tup, L, delta_add)
+    sig.add(d.op_name("Del"), (L,) + tup, L, delta_del)

@@ -13,7 +13,7 @@ Grammar (EBNF; '#' starts a comment running to end of line):
     dynamicdecl = "dynamic" IDENT ":" profile [ "output" ] ;
     profile     = [ IDENT { IDENT } ] "->" IDENT ;
     table       = "{" row { "," row } "}" ;
-    row         = literal { literal } "->" literal ;
+    row         = { literal } "->" literal ;  (one literal per argument)
     initdecl    = "init" IDENT [ "(" IDENT { "," IDENT } ")" ] "=" term ;
     programsec  = "program" ":" instr ;
     instr       = "skip" | "halt" | "fail"
@@ -26,17 +26,19 @@ Grammar (EBNF; '#' starts a comment running to end of line):
 Bool, its connectives (and/or/not, true/false) and one equality symbol
 per sort (eq_<sort>) are injected automatically.  Enumeration elements
 and numeric literals become nullary static constants.  Builtin statics:
-zero, succ, plus, rem (undefined at divisor 0), lt, le; their semantics,
-and those of the injected symbols, are the table ``asm.BUILTINS``.  A
-builtin's declaration must give it the arity of its function, and
-result sort Bool exactly when it returns a truth value (lt, le, eq, the
-connectives, true, false).  Every builtin and table result is clipped to
-the carrier (out of range = undefined), except that of a Bool-valued
-builtin (lt, le, eq_<sort>, the connectives over Bool, true, false): it
-only returns True or False, which the Bool carrier always holds, so it
-is stored unwrapped.  Input constants are bound when the state is
-built, to values of their carriers; unbound inputs default to the first
-carrier element.
+zero, succ, plus, rem (undefined at divisor 0), lt, le.  The table
+``asm.BUILTINS`` gives every builtin, the injected ones too, its
+semantics and its profile: arity, whether its arguments must be Bool,
+and whether its result is Bool.  Refused with one diagnostic: a builtin
+declared against its profile (``and`` over Nat arguments, say), a table
+literal of the wrong kind (a Bool position takes true or false, a range
+sort a number, an enumeration one of its elements), and an empty range.
+Every builtin and table result is clipped to the carrier (out of range =
+undefined), except that of a Bool-result builtin: it only returns True
+or False, which the Bool carrier always holds, so it is stored
+unwrapped.  Input constants are bound when the state is built, to
+values of their carriers; unbound inputs default to the first carrier
+element.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ from typing import NamedTuple, Optional
 
 from .asm import (
     BUILTINS,
-    CONNECTIVES,
+    Builtin,
     FailI,
     HaltI,
     If,
@@ -118,11 +120,6 @@ class InitDecl(NamedTuple):
     term: TypedTerm  # over TVar(param, sort)
 
 
-# Injected into every vocabulary (besides eq_<sort>): name -> arity,
-# all over Bool.
-_INJECTED = {"true": 0, "false": 0, **CONNECTIVES}
-
-
 class SourceMachine(Fields):
     """The declarations of one source file.  ``machine()`` and every
     ``state()`` share one vocabulary, built from the declarations on
@@ -150,11 +147,12 @@ class SourceMachine(Fields):
         for st in self.statics:
             symbols[st.name] = Symbol(st.name, "static", st.arg_sorts, st.result,
                                       is_input=st.impl[0] == "input")
-        for name, arity in _INJECTED.items():
-            symbols.setdefault(name, Symbol(name, "static",
-                                            (BOOL,) * arity, BOOL))
+        for name, b in BUILTINS.items():
+            if b.all_bool:
+                symbols.setdefault(name, Symbol(name, "static", *b.profile(BOOL)))
         for s in names:
-            symbols.setdefault(f"eq_{s}", Symbol(f"eq_{s}", "static", (s, s), BOOL))
+            symbols.setdefault(f"eq_{s}", Symbol(f"eq_{s}", "static",
+                                                 *BUILTINS["eq"].profile(s)))
         for d in self.dynamics:
             symbols[d.name] = Symbol(d.name, "dynamic", d.arg_sorts, d.result,
                                      is_output=d.output)
@@ -191,13 +189,15 @@ class SourceMachine(Fields):
             if isinstance(value, bool) != (sort == BOOL) or value not in carriers[sort]:
                 raise SourceError([Diagnostic(0, 0, (
                     f"input {name} = {value!r} is outside the carrier of {sort}"))])
+        decls = {d.name: d for d in reversed(self.statics)}  # the first one wins
         statics: dict = {}
         for sym in voc.symbols.values():
             if sym.kind != "static":
                 continue
-            decl = next((d for d in self.statics if d.name == sym.name), None)
-            fn = _semantics(sym, decl, bindings, carriers)
-            if not _always_bool(sym, decl):
+            decl = decls.get(sym.name)
+            b = _builtin(sym, decl)
+            fn = b.fn if b is not None else _semantics(sym, decl, bindings, carriers)
+            if b is None or not b.bool_result:  # else only True or False
                 fn = _clip(fn, _carrier_set(carriers[sym.result_sort]))
             statics[sym.name] = fn
         return State(voc, carriers, statics, {})
@@ -218,40 +218,16 @@ def _init_rule(decl: InitDecl) -> InitRule:
     return InitRule(sigma, term)
 
 
-# The builtins whose every value is a Python bool, whatever their
-# arguments; ``and`` and ``or`` return one of their arguments, so they
-# join these only over Bool arguments.  With them, these are the
-# builtins a declaration must give result sort Bool.
-_BOOL_BUILTINS = frozenset({"lt", "le", "eq", "not", "true", "false"})
-
-
-def _always_bool(sym: Symbol, decl: Optional[StaticDecl]) -> bool:
-    """Whether ``sym`` is a builtin of result sort Bool that only ever
-    returns True or False, so clipping to the Bool carrier is the
-    identity on it."""
-    if sym.result_sort != BOOL:
-        return False
+def _builtin(sym: Symbol, decl: Optional[StaticDecl]) -> Optional[Builtin]:
+    """The builtin that interprets ``sym``, or None for a table, an
+    input or a literal."""
     if decl is None:  # injected connective or equality
-        name = "eq" if sym.name.startswith("eq_") else sym.name
-    elif decl.impl[0] == "builtin":
-        name = decl.impl[1]
-    else:
-        return False
-    return name in _BOOL_BUILTINS or (
-        name in CONNECTIVES and all(a == BOOL for a in sym.arg_sorts))
+        return BUILTINS["eq" if sym.name.startswith("eq_") else sym.name]
+    return BUILTINS[decl.impl[1]] if decl.impl[0] == "builtin" else None
 
 
-def _semantics(sym: Symbol, decl: Optional[StaticDecl], bindings, carriers):
-    if decl is None:  # injected connective or equality
-        if sym.name.startswith("eq_"):
-            return BUILTINS["eq"]
-        return BUILTINS[sym.name]
+def _semantics(sym: Symbol, decl: StaticDecl, bindings, carriers):
     kind = decl.impl[0]
-    if kind == "builtin":
-        name = decl.impl[1]
-        if name not in BUILTINS:
-            raise SourceError([Diagnostic(0, 0, f"unknown builtin {name}")])
-        return BUILTINS[name]
     if kind == "table":
         mapping = {tuple(r[:-1]): r[-1] for r in decl.impl[1]}
         return lambda *a: mapping.get(tuple(a))
@@ -426,6 +402,8 @@ def _parse_sort(p: _P, ctx: _Ctx) -> SortDecl:
         lo = int(t.text)
         p.expect("dots", "'..'")
         hi = int(p.expect("nat", "upper bound").text)
+        if hi < lo:
+            p.error(t, f"sort {name} = {lo}..{hi} is empty")
         return SortDecl(name, lo, hi)
     if t.kind == "{":
         elements = [p.ident("element")]
@@ -459,21 +437,20 @@ def _parse_static(p: _P, ctx: _Ctx) -> StaticDecl:
         b = p.ident("builtin name")
         if b not in BUILTINS:
             p.error(t, f"unknown builtin {b!r}")
-        arity = BUILTINS[b].__code__.co_argcount
-        boolean = b in _BOOL_BUILTINS or b in CONNECTIVES
-        if (len(args), result == BOOL) != (arity, boolean):
-            p.error(t, f"builtin {b} has arity {arity} and a "
-                       f"{'Bool' if boolean else 'non-Bool'} result, but {name} is "
-                       f"declared {' '.join(args + ('->', result))}")
+        fits = BUILTINS[b]
+        if (len(args), result == BOOL) != (fits.arity, fits.bool_result) or (
+                fits.bool_args and any(a != BOOL for a in args)):
+            p.error(t, f"builtin {b} has arity {fits.arity}"
+                       f"{', Bool arguments' if fits.bool_args and fits.arity else ''} "
+                       f"and a {'Bool' if fits.bool_result else 'non-Bool'} result, "
+                       f"but {name} is declared {' '.join(args + ('->', result))}")
         return StaticDecl(name, args, result, ("builtin", b))
     if t.kind == "{":
         rows = []
         while True:
-            row = [_parse_literal(p)]
-            while p.peek().kind in ("nat", "ident"):
-                row.append(_parse_literal(p))
+            row = [_parse_literal(p, ctx, sort) for sort in args]
             p.expect("arrow", "'->'")
-            row.append(_parse_literal(p))
+            row.append(_parse_literal(p, ctx, result))
             rows.append(tuple(row))
             if p.peek().kind != ",":
                 break
@@ -483,17 +460,23 @@ def _parse_static(p: _P, ctx: _Ctx) -> StaticDecl:
     p.error(t, "expected 'builtin' or a table")
 
 
-def _parse_literal(p: _P):
+def _parse_literal(p: _P, ctx: _Ctx, sort: str):
+    """A table literal of ``sort``: true or false in Bool, a number in a
+    range sort (out of range, it reads as undefined), an element in an
+    enumeration."""
     t = p.next()
-    if t.kind == "nat":
-        return int(t.text)
-    if t.kind == "ident":
-        if t.text == "true":
-            return True
-        if t.text == "false":
-            return False
-        return t.text
-    p.error(t, "expected a literal")
+    decl = next((s for s in ctx.sorts if s.name == sort), None)
+    if sort == BOOL:
+        fits = t.text in ("true", "false")
+    elif decl is None:
+        p.error(t, f"unknown sort {sort!r}")
+    else:
+        fits = t.text in decl.elements if decl.elements else t.kind == "nat"
+    if not fits:
+        p.error(t, f"{t.text} is not a literal of sort {sort}")
+    if sort == BOOL:
+        return t.text == "true"
+    return int(t.text) if t.kind == "nat" else t.text
 
 
 def _parse_dynamic(p: _P) -> DynamicDecl:
@@ -558,14 +541,10 @@ def _parse_term(p: _P, ctx: _Ctx, env: Optional[dict[str, str]] = None,
 
 
 def _known_symbol(ctx: _Ctx, name: str) -> bool:
-    if any(s.name == name for s in ctx.statics):
-        return True
-    if any(d.name == name for d in ctx.dynamics):
-        return True
-    if name in _INJECTED:
-        return True
-    sorts = [BOOL] + [s.name for s in ctx.sorts]
-    return name in (f"eq_{s}" for s in sorts)
+    """A declared symbol or one injected into every vocabulary."""
+    return (any(d.name == name for d in ctx.statics + ctx.dynamics)
+            or name in BUILTINS and BUILTINS[name].all_bool
+            or name in (f"eq_{s}" for s in [BOOL] + [s.name for s in ctx.sorts]))
 
 
 def _parse_instr(p: _P, ctx: _Ctx) -> Program:

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from asmlc.asm import (
+    BUILTINS,
     _carrier_grid,
     FailI,
     HaltI,
@@ -34,6 +35,21 @@ from asmlc.sourcefmt import parse_source
 from asmlc.terms import Var
 
 from conftest import bundled, counter_state, counter_vocabulary, random_program
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_entry_fits_its_function(name):
+    """What a source declaration is checked against, and what the Bool
+    clip is skipped on, is the table's word: the declared arity is the
+    function's parameter count, and a Bool-result builtin returns a
+    ``bool`` on every argument tuple of a small grid (Bool arguments
+    where declared, 0..3 elsewhere)."""
+    b = BUILTINS[name]
+    assert b.arity == b.fn.__code__.co_argcount
+    if b.bool_result:
+        domain = (True, False) if b.bool_args else range(4)
+        for args in itertools.product(domain, repeat=b.arity):
+            assert type(b.fn(*args)) is bool, args
 
 
 def test_eval_ground_strict_none():

@@ -235,6 +235,50 @@ program:
 """
 
 
+REFUSED = {
+    # and(1, 0) is 0, which equals False: it would pass the Bool clip, so
+    # the interpreter would skip the If where theta takes the else-branch
+    "connective-over-nat": ("""\
+sort Nat = 0..3
+static both : Nat Nat -> Bool = builtin and
+static succ : Nat -> Nat = builtin succ
+dynamic c : -> Nat output
+init c = 0
+program:
+  if both(succ(c), c) then halt else c := succ(c)
+""", "2:33: builtin and has arity 2, Bool arguments and a Bool result, "
+     "but both is declared Nat Nat -> Bool"),
+    # 1 equals True, so p(0) would pass the Bool clip as a number
+    "number-into-bool": ("""\
+sort Nat = 0..3
+static p : Nat -> Bool = {0 -> 1, 1 -> 0, 2 -> 0, 3 -> 0}
+static succ : Nat -> Nat = builtin succ
+dynamic c : -> Nat output
+init c = 0
+program:
+  if p(c) then c := succ(c) else halt
+""", "2:32: 1 is not a literal of sort Bool"),
+    # True equals 1, so q(0) would pass the Nat clip as a truth value
+    "bool-into-nat": ("""\
+sort Nat = 0..3
+static q : Nat -> Nat = {0 -> true}
+dynamic c : -> Nat output
+init c = 0
+program:
+  c := q(c)
+""", "2:31: true is not a literal of sort Nat"),
+    # an empty carrier has no first element to totalize statics with
+    "empty-range": ("""\
+sort Nat = 5..2
+static zero : -> Nat = builtin zero
+dynamic c : -> Nat output
+init c = zero
+program:
+  halt
+""", "1:12: sort Nat = 5..2 is empty"),
+}
+
+
 @pytest.mark.parametrize("command, source, message", [
     ("compile", NO_DYNAMICS, "machine has no dynamic symbols"),
     ("compile", UNDEFINED_INIT, "dynamic constant c has no defined initial value"),
@@ -244,8 +288,11 @@ program:
      "dynamic symbol c has no init rule"),
     ("run", NO_DYNAMICS.replace("builtin zero", "builtin zero\nstatic f : Nat Nat -> Bool = builtin plus"),
      "PATH:3:30: builtin plus has arity 2 and a non-Bool result, but f is declared Nat Nat -> Bool"),
+    *[(command, source, f"PATH:{message}") for source, message in REFUSED.values()
+      for command in ("run", "compile", "verify")],
 ], ids=["no-dynamics", "undefined-init", "verify-undefined-init", "ill-sorted", "no-init-rule",
-        "builtin-misfit"])
+        "builtin-misfit",
+        *[f"{name}-{command}" for name in REFUSED for command in ("run", "compile", "verify")]])
 def test_compile_error_is_one_error_line(capsys, tmp_path, command, source, message):
     path = tmp_path / "m.asm"
     path.write_text(source)
@@ -416,7 +463,8 @@ def test_trace_counts(capsys):
     assert "[f]" in out and "[beta]" in out
 
 
-_ARITY = {"not": 1, "and": 2, "or": 2}
+# The connectives ``asmlc trace`` gives semantics to: not, and, or.
+_ARITY = {name: f.arity for name, f in standard_bool_signature().functions.items()}
 _OMEGA = r"(\x. x x) (\x. x x)"
 
 

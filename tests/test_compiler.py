@@ -5,7 +5,6 @@ import random
 import pytest
 
 from asmlc import asm
-from asmlc.asm import BUILTINS
 from asmlc.cli import main
 from asmlc.compiler import (
     compile_machine,
@@ -18,7 +17,7 @@ from asmlc.compiler import (
 from asmlc.combinators import const_count, static_f_work
 from asmlc.cosim import lockstep
 from asmlc.engine import advance_term, scan
-from asmlc.lambda_f import BOOL, FALSE_TERM, TRUE_TERM, FSignature, Value
+from asmlc.lambda_f import BOOL, FALSE_TERM, TRUE_TERM, Value, standard_bool_signature
 from asmlc.sourcefmt import parse_source
 from asmlc.terms import App, Const, Var, app, term_size
 
@@ -209,9 +208,7 @@ def _bool_pair(rng: random.Random, names, depth: int):
 
 
 def test_boolean_algebra_keeps_semantics():
-    sig = FSignature()
-    for name, arity in (("and", 2), ("or", 2), ("not", 1)):
-        sig.add(name, (BOOL,) * arity, BOOL, BUILTINS[name])
+    sig = standard_bool_signature()
     rng = random.Random(20261018)
     saved = 0
     for i in range(400):

@@ -10,7 +10,11 @@ from asmlc.lambda_f import (
     Value,
     bool_term,
     code_term,
-    delta_semantics,
+    delta_add,
+    delta_b,
+    delta_del,
+    delta_f,
+    delta_v,
     install_delta,
     match_bool,
     match_code,
@@ -98,18 +102,26 @@ def test_leftmost_f_redex_prefix_order(sig):
     assert leftmost_f_redex(t, sig) == ("fun",)
 
 
+def test_standard_signature_gives_semantics_to_the_connectives_only(sig):
+    """``asmlc trace`` runs under this signature: ``#true`` and
+    ``#false`` stay inert constants."""
+    assert [(n, f.arity) for n, f in sig.functions.items()] == [
+        ("not", 1), ("and", 2), ("or", 2)]
+
+
 def test_delta_semantics_oracle():
     # oracle: the operations are plain association-list manipulations
     seq = ((0, 7), (2, 9))
-    assert delta_semantics("F", (seq,)) is True
-    assert delta_semantics("F", (seq + ((0, 1),),)) is False
-    assert delta_semantics("B", (seq, (0,))) is True
-    assert delta_semantics("B", (seq, (1,))) is False
-    assert delta_semantics("V", (seq, (2,))) == 9
-    assert delta_semantics("V", (seq, (1,))) is None
-    assert delta_semantics("Add", (seq, (1, 8))) == ((0, 7), (2, 9), (1, 8))
-    assert delta_semantics("Del", (seq, (0, 7))) == ((2, 9),)
-    assert delta_semantics("Del", (seq, (1, 8))) == seq
+    assert delta_f(seq) is True
+    assert delta_f(seq + ((0, 1),)) is False
+    assert delta_b(seq, 0) is True
+    assert delta_b(seq, 1) is False
+    assert delta_v(None, seq, 2) == 9
+    assert delta_v(None, seq, 1) is None
+    assert delta_v(None, seq + ((2, 1),), 2) is None  # not functional
+    assert delta_add(seq, 1, 8) == ((0, 7), (2, 9), (1, 8))
+    assert delta_del(seq, 0, 7) == ((2, 9),)
+    assert delta_del(seq, 1, 8) == seq
 
 
 def test_install_delta_and_reduce(sig):

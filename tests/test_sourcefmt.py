@@ -180,18 +180,25 @@ program:
     ("static f : Nat Nat -> Bool = builtin plus",
      "builtin plus has arity 2 and a non-Bool result, but f is declared Nat Nat -> Bool"),
     ("static f : Nat -> Nat = builtin not",
-     "builtin not has arity 1 and a Bool result, but f is declared Nat -> Nat"),
+     "builtin not has arity 1, Bool arguments and a Bool result, but f is declared Nat -> Nat"),
     ("static f : Nat -> Nat = builtin plus",
      "builtin plus has arity 2 and a non-Bool result, but f is declared Nat -> Nat"),
     ("static f : Nat -> Nat = builtin zero",
      "builtin zero has arity 0 and a non-Bool result, but f is declared Nat -> Nat"),
     ("static f : -> Bool = builtin lt",
      "builtin lt has arity 2 and a Bool result, but f is declared -> Bool"),
-], ids=["bool-for-plus", "nat-for-not", "plus-arity", "zero-arity", "lt-arity"])
+    ("static both : Nat Nat -> Bool = builtin and",
+     "builtin and has arity 2, Bool arguments and a Bool result, "
+     "but both is declared Nat Nat -> Bool"),
+], ids=["bool-for-plus", "nat-for-not", "plus-arity", "zero-arity", "lt-arity",
+        "and-over-nat"])
 def test_builtin_profile_must_fit_its_function(decl, message):
-    """A builtin declared with another arity, or with a Bool result where
-    its function returns none (or the converse), is refused where it is
-    declared, not run with values outside its carrier."""
+    """A builtin declared with another arity, with a Bool result where
+    its function returns none (or the converse), or with a non-Bool
+    argument where it takes Bool ones, is refused where it is declared,
+    not run with values outside its carrier.  (``and`` returns one of
+    its arguments, so over Nat it could return a number that the Bool
+    clip lets through: ``and(1, 0)`` is 0, which equals False.)"""
     src = f"""
 sort Nat = 0..3
 {decl}
@@ -203,6 +210,59 @@ program:
     with pytest.raises(SourceError) as e:
         parse_source(src)
     assert str(e.value) == f"3:{decl.index('builtin') + 1}: {message}"
+
+
+@pytest.mark.parametrize("decl, message", [
+    ("static p : Nat -> Bool = {0 -> 1}", "1 is not a literal of sort Bool"),
+    ("static p : Nat -> Nat = {0 -> true}", "true is not a literal of sort Nat"),
+    ("static p : Nat -> Nat = {red -> 0}", "red is not a literal of sort Nat"),
+    ("static p : Color -> Nat = {0 -> 0}", "0 is not a literal of sort Color"),
+    ("static p : Color -> Color = {red -> blue}", "blue is not a literal of sort Color"),
+    ("static p : Bool -> Color = {true -> red, 1 -> red}",
+     "1 is not a literal of sort Bool"),
+], ids=["number-into-bool", "bool-into-nat", "element-into-nat", "number-into-enum",
+        "foreign-element", "number-for-bool-argument"])
+def test_table_literal_must_fit_its_sort(decl, message):
+    """A table's arguments and results are true or false in Bool,
+    numbers in a range sort, and elements in an enumeration.  (True
+    equals 1, so ``{0 -> 1}`` into Bool would pass the carrier clip
+    and run with a number where the compiled term has a truth value.)"""
+    src = f"""
+sort Nat = 0..3
+sort Color = {{red, green}}
+{decl}
+dynamic c : -> Nat
+init c = 0
+program:
+  skip
+"""
+    with pytest.raises(SourceError) as e:
+        parse_source(src)
+    [d] = e.value.diagnostics
+    assert (d.line, d.message) == (4, message)
+    assert decl[d.column - 1:].startswith(message.split()[0])
+
+
+def test_out_of_range_table_number_is_undefined():
+    sm = parse_source("""
+sort Nat = 0..3
+static p : Nat -> Nat = {0 -> 9, 1 -> 2}
+static q : Nat -> Bool = {0 -> true}
+dynamic c : -> Nat
+init c = 0
+program:
+  skip
+""")
+    st = sm.state()
+    assert [st.statics["p"](a) for a in range(3)] == [None, 2, None]
+    assert st.statics["q"](0) is True and st.statics["q"](1) is None
+
+
+def test_empty_range_is_refused():
+    with pytest.raises(SourceError) as e:
+        parse_source("sort Nat = 5..2\nprogram:\n  skip\n")
+    assert str(e.value) == "1:12: sort Nat = 5..2 is empty"
+    assert parse_source("sort Nat = 2..2\nprogram:\n  skip\n").sorts[0].carrier == (2,)
 
 
 def test_diagnostics_carry_positions():
@@ -251,26 +311,11 @@ program:
     assert states[0].statics["s"](2) == 3 and states[0].statics["s"](3) is None
     for st in states:
         assert st.statics["s"](3) is None  # succ at the carrier's top
-        assert st.statics["lt"] is BUILTINS["lt"]
+        assert st.statics["lt"] is BUILTINS["lt"].fn
+        assert st.statics["and"] is BUILTINS["and"].fn  # injected, over Bool
         assert [st.statics["lt"](a, 2) for a in (1, 2)] == [True, False]
         assert all(type(st.statics["lt"](a, b)) is bool
                    for a in range(4) for b in range(4))
     sets = {id(cell.cell_contents) for st in states for fn in st.statics.values()
             for cell in fn.__closure__ or () if isinstance(cell.cell_contents, frozenset)}
     assert len(sets) == 1  # Nat; no Bool-valued static is clipped
-
-
-def test_connective_over_nat_arguments_stays_clipped():
-    """``and`` returns one of its arguments, so over Nat arguments it
-    can return a number; that static keeps its clipping to Bool."""
-    sm = parse_source("""
-sort Nat = 0..3
-static both : Nat Nat -> Bool = builtin and
-dynamic d : -> Nat
-init d = 0
-program:
-  skip
-""")
-    st = sm.state()
-    assert st.statics["both"](2, 3) is None
-    assert st.statics["and"] is BUILTINS["and"]  # the injected one, over Bool
