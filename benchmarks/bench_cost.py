@@ -7,18 +7,26 @@ the minima K_min and L_min, the size of theta in nodes, the branch
 count, the manifest's guard order and F-work per branch, and what
 certifying (K, L) took in one compile: the engine steps of
 certification, counted at ``combinators._advance`` (the engine loop
-the certificate runs), the certificate's path count, and
+the certificate runs), the certificate's path count, the calls of the
+engine's F-redex walk ``engine._Reducer._contract`` (recursive ones
+included) made while ``combinators.certify`` runs, and
 ``theta_sha256``, the SHA-256 of the printed theta and template
 (``syntax.print_term``), so that two checkouts that build the same
-terms record the same digest.
+terms record the same digest.  The steps are the paper's work; the
+walk's calls are what the engine spent on their F-phases.
+
+The ``wide-7`` case is ``conftest.wide(7)``: a ``par`` of seven
+independent guarded increments of one slot, whose normal form has 128
+clauses, so its certificate has 129 paths that share long prefixes.
 
 The ``random-1108`` record compiles, each at its minima, the first 120
 programs of the seeded stream that ``tests/test_cosim.py``'s
 ``test_random_programs_lockstep`` draws (seed 1108, the same draws,
 init choices included).  It holds the largest K+L, with its (K, L) and
-program index, and the sums over the 120 of K+L, L, theta's nodes and
-certification's engine steps: the baseline for a theta whose cost
-follows the program rather than its normal form.  Its ``theta_sha256``
+program index, and the sums over the 120 of K+L, L, theta's nodes,
+certification's engine steps and its F-redex walk's calls: the
+baseline for a theta whose cost follows the program rather than its
+normal form.  Its ``theta_sha256``
 covers the printed theta and template of all 120 compiles, in order.
 
 Every figure is deterministic, so one run of a checkout is its record.
@@ -48,9 +56,10 @@ from conftest import (
     counter_state,
     counter_vocabulary,
     random_program,
+    wide,
 )
 
-from asmlc import combinators
+from asmlc import combinators, engine
 from asmlc.asm import InitRule, Machine, TApp
 from asmlc.compiler import compile_machine
 from asmlc.syntax import print_term
@@ -68,25 +77,45 @@ def _cases() -> dict:
         out[name] = (sm.machine(), sm.state(inputs))
     for n in COUNTERS:
         out[f"counter-{n}"] = counter_family(n)
+    out["wide-7"] = wide(7)
     return out
 
 
 def _counted_compile(machine, state):
-    """Compile, and count the engine steps of certification."""
+    """Compile, and count the engine steps of certification and the
+    calls of the F-redex walk while it runs."""
     steps = []
-    advance = combinators._advance
+    contracts = 0
+    certifying = False
+    advance, certify = combinators._advance, combinators.certify
+    contract = engine._Reducer._contract
 
     def counted(*args, **kw):
         out = advance(*args, **kw)
         steps.append(out[1] + out[2])
         return out
 
-    combinators._advance = counted
+    def certify_flagged(*args, **kw):
+        nonlocal certifying
+        certifying = True
+        try:
+            return certify(*args, **kw)
+        finally:
+            certifying = False
+
+    def walk(self, t):
+        nonlocal contracts
+        contracts += certifying
+        return contract(self, t)
+
+    combinators._advance, combinators.certify = counted, certify_flagged
+    engine._Reducer._contract = walk
     try:
         cm = compile_machine(machine, state)
     finally:
-        combinators._advance = advance
-    return cm, sum(steps)
+        combinators._advance, combinators.certify = advance, certify
+        engine._Reducer._contract = contract
+    return cm, sum(steps), contracts
 
 
 def _hash_terms(digest, cm) -> None:
@@ -100,16 +129,18 @@ def _random_record() -> dict:
     rng = random.Random(RANDOM_SEED)
     voc = counter_vocabulary()
     state = counter_state(voc, 0, 0)
-    sums = dict.fromkeys(("K_plus_L", "L", "theta_nodes", "certify_steps"), 0)
+    sums = dict.fromkeys(("K_plus_L", "L", "theta_nodes", "certify_steps",
+                          "certify_contract_calls"), 0)
     largest = None
     digest = hashlib.sha256()
     for i in range(RANDOM_PROGRAMS):
         prog = random_program(rng, rng.randint(2, 4))
         init = {s: InitRule((), TApp(rng.choice(("zero", "one", "two")))) for s in ("p", "q")}
-        cm, steps = _counted_compile(Machine(voc, prog, init), state)
+        cm, steps, contracts = _counted_compile(Machine(voc, prog, init), state)
         _hash_terms(digest, cm)
         for key, value in (("K_plus_L", cm.K + cm.L), ("L", cm.L),
-                           ("theta_nodes", term_size(cm.theta)), ("certify_steps", steps)):
+                           ("theta_nodes", term_size(cm.theta)), ("certify_steps", steps),
+                           ("certify_contract_calls", contracts)):
             sums[key] += value
         if largest is None or cm.K + cm.L > largest["K_plus_L"]:
             largest = {"index": i, "K": cm.K, "L": cm.L, "K_plus_L": cm.K + cm.L}
@@ -125,7 +156,7 @@ def main() -> None:
 
     record = {}
     for name, (machine, state) in _cases().items():
-        cm, steps = _counted_compile(machine, state)
+        cm, steps, contracts = _counted_compile(machine, state)
         m = cm.manifest()
         digest = hashlib.sha256()
         _hash_terms(digest, cm)
@@ -134,18 +165,20 @@ def main() -> None:
                "guard_order": m["guard_order"],
                "F_branches": m["cost"]["F_branches"],
                "certify_steps": steps, "certify_paths": cm.certificate.paths,
+               "certify_contract_calls": contracts,
                "theta_sha256": digest.hexdigest()}
         record[name] = row
         print(f"{name:>10}: (K_min, L_min) = ({row['K_min']}, {row['L_min']}), "
               f"theta {row['theta_nodes']} nodes, {row['branches']} branches "
               f"{row['guard_order']}, certified in {steps} engine steps, "
-              f"{row['certify_paths']} paths")
+              f"{row['certify_paths']} paths, {contracts} F-walk calls")
     rec = record[f"random-{RANDOM_SEED}"] = _random_record()
     big, total = rec["largest"], rec["sum"]
     print(f"random-{RANDOM_SEED}: {RANDOM_PROGRAMS} programs, largest (K, L) = "
           f"({big['K']}, {big['L']}) at index {big['index']}; sums K+L {total['K_plus_L']}, "
           f"L {total['L']}, theta {total['theta_nodes']} nodes, "
-          f"certified in {total['certify_steps']} engine steps")
+          f"certified in {total['certify_steps']} engine steps, "
+          f"{total['certify_contract_calls']} F-walk calls")
     if args.json:
         data = json.loads(args.json.read_text()) if args.json.exists() else {}
         data[args.label] = record

@@ -58,7 +58,10 @@ F-redex, a boundary term is F-normal, which lets the engine test the
 boundary once per F-phase.  A machine's inputs are free in theta:
 ``instantiate`` binds them and folds the constant nodes over inputs and
 codes alone, which N leaves out, and the certificate binds each input to
-an abstract code.
+an abstract code.  Each memo grows from the one before it: an instance's
+starts from the template's, and one copy of it serves every path of a
+certificate (``blocks``), so no F-phase of a compile walks a node that
+an earlier one found F-free.
 """
 from __future__ import annotations
 
@@ -279,15 +282,20 @@ def _build_theta(
     return curry_fixpoint(g)
 
 
-def instantiate(template: Term, codes: dict[str, Term], sig: FSignature) -> tuple[Term, dict]:
+def instantiate(template: Term, codes: dict[str, Term], sig: FSignature,
+                template_free: dict) -> tuple[Term, dict]:
     """Theta with each input bound to its closed code in ``codes``, and
-    ``scan``'s memo of it: one simultaneous substitution, then one
+    a memo of its F-free nodes: one simultaneous substitution, then one
     uncounted F-phase, whose walk memoizes every constant node it
     leaves.  Both run on one ``half`` of the fixpoint ``half half``,
-    which so stays shared.  The phase runs to its end: a compiled
-    signature's functions are total."""
+    which so stays shared.  The phase starts from a copy of
+    ``template_free``, the template's memo: the substitution keeps every
+    node that no input reaches, so those are memo hits, and the phase
+    walks only the rebuilt paths.  The memo returned holds the
+    template's nodes too; every one is F-free under ``sig``.  The phase
+    runs to its end: a compiled signature's functions are total."""
     half = _subst(template.fun, codes)
-    r = _Reducer(sig)
+    r = _Reducer(sig, dict(template_free))
     half = r.f_phase(half, sys.maxsize)[0]
     theta = App(half, half)
     r.f_free[id(theta)] = theta
@@ -337,17 +345,21 @@ def blocks(start: Term, theta: Term, slots: Sequence[Slot], sig: FSignature,
     term, beta, F, engine status: a boundary, STATUS_NORMAL, STATUS_RAN
     at the budget, or a fork off the head); and the engine steps over
     all paths, each shared prefix counted once.  ``sig`` and
-    ``theta_free`` are the combinator's (``engine.scan``).  Raises
-    UndefinedApplication where the engine does."""
+    ``theta_free`` are the combinator's (``engine.scan``).  The paths
+    share one copy of ``theta_free``: every path fills it and reads what
+    the others found, so a fork's first F-phase walks only the spine it
+    rebuilt, not the whole forked term.  Raises UndefinedApplication
+    where the engine does."""
     def at_boundary(s: Term) -> bool:
         return decode_state(s, theta, slots) is not None
 
     ends = []
     todo = [(start, 0, 0, ())]
     steps = 0
+    f_free = dict(theta_free) if theta_free else {}
     while todo:
         t, beta, f, path = todo.pop()
-        t, b, g, status = _advance(t, sig, budget - beta - f, at_boundary, theta_free)
+        t, b, g, status = _advance(t, sig, budget - beta - f, at_boundary, f_free)
         beta, f, steps = beta + b, f + g, steps + b + g
         if status == _STATUS_FORK:
             spine, head = _unwind(t)
@@ -445,8 +457,9 @@ def build_branch_combinator(
         raise ValueError("the last branch is the else-arm: its guard must "
                          "be the constant true")
     names = frozenset(s.name for s in inputs)
-    least = step_cost(len(slots), branches, 0, 0)
-    k_min = least["unfold"] + least["load"] + least["select"]
+    # unfold 1, load k+1 and select 2(n-1) of step_cost, without the
+    # F-work of every branch, which static_f_work counts once
+    k_min = len(slots) + 2 * len(branches)
     l_min = static_f_work(branches, names)
     L = l_min if L is None else L
     k_least = k_min + (L > l_min)
@@ -461,7 +474,8 @@ def build_branch_combinator(
         raise ValueError("combinator body contains a resident F-redex; "
                          "fold ground constant subterms to codes first")
     inputs = tuple(s for s in inputs if s.name in theta.fv)
-    abstract, free = (instantiate(theta, {s.name: _abstract_code(s) for s in inputs}, sig)
+    abstract, free = (instantiate(theta, {s.name: _abstract_code(s) for s in inputs}, sig,
+                                  theta_free)
                       if inputs else (theta, theta_free))
     cert = certify(abstract, slots, (K, L), sig, free, [b.label for b in branches])
     return CompiledCombinator(theta, K, L, tuple(slots), tuple(branches), k_min, l_min,

@@ -244,6 +244,12 @@ def initial_values(slots: Sequence[Slot], initial: State) -> tuple[Value, ...]:
 
 
 class Translator(Fields):
+    """Translates the source terms of one compile.  A term translated
+    without ``env`` is translated once: the normal form repeats each
+    condition in many clause guards, and the fail and clash guards read
+    the updates again.  That memo is keyed by ``id`` and holds the term,
+    so no ``id`` is reused while it lives (memo functions: Michie 1968)."""
+
     __match_args__ = ("voc", "init", "slots", "partials", "sig")
 
     def __init__(self, voc: Vocabulary, init: dict[str, InitRule],
@@ -253,8 +259,17 @@ class Translator(Fields):
         self.slots = slots
         self.partials = partials
         self.sig = sig
+        self._done: dict[int, tuple] = {}  # id(term) -> (term, value, definedness)
 
     def value_and_def(self, t: TypedTerm, env: Optional[dict[str, Term]] = None):
+        if env is None:
+            hit = self._done.get(id(t))
+            if hit is None:
+                hit = self._done[id(t)] = (t, *self._translate(t, None))
+            return hit[1:]
+        return self._translate(t, env)
+
+    def _translate(self, t: TypedTerm, env: Optional[dict[str, Term]]):
         if isinstance(t, TVar):
             if env is None or t.name not in env:
                 raise CompileError(f"unbound term variable {t.name}")
@@ -324,7 +339,7 @@ class CompiledMachine(CompiledCombinator):
         if binding == self.binding:
             return self
         codes = {s.name: code_term(v) for s, v in zip(self.inputs, binding)}
-        theta, free = instantiate(self.template, codes, self.sig)
+        theta, free = instantiate(self.template, codes, self.sig, self.theta_free)
         return replace(self, theta=theta, theta_free=free, binding=binding)
 
     def initial_term(self, state: State) -> Term:

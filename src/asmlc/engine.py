@@ -90,10 +90,17 @@ F-redex under its signature.  That property is inherited by
 every subterm, and a step rebuilds only the path from the root to the
 redex plus the contractum, so a memo hit covers a whole subtree the step
 left untouched.  The memo stores the node itself, so no ``id`` is reused
-while it lives.  A call starts from a copy of the nodes the caller
-passes as ``f_free``, such as ``scan``'s of theta: the compiled machine
-keeps that scan, so no round or certificate path searches theta again,
-and the copy dies with the call.
+while it lives.  Whether a node holds an F-redex depends on the node and
+the signature alone, so an entry stays true in every reduction under
+that signature.  Each top-level reduction owns one memo: it copies the
+nodes its caller passes as ``f_free`` once and fills the copy.
+``advance_term``, one lockstep round, copies per call, and the copy dies
+with the call.  A certificate (``combinators.blocks``) copies once for
+all its forks, so a fork starts from the memo its shared prefix filled.
+The loop ``_advance`` and ``_Reducer`` copy nothing: they fill the dict
+they are given.  The compiled machine keeps theta's memo (``scan``'s, or
+that of ``combinators.instantiate``), so no round or certificate path
+searches theta again.
 
 Abstract codes.  The certificate of a compiled term
 (``combinators.certify``) reduces theta applied to abstract codes
@@ -266,12 +273,13 @@ def _beta_step(t: Term, most: int = 1) -> tuple[Term, int]:
 
 class _Reducer:
     """The F-redex walk over one signature, with the F-redex-free memo
-    of one call.  It reads each ``FFunction`` by index: arity at 0,
+    it is given (the caller's own, which it fills), or a new one.  It
+    reads each ``FFunction`` by index: arity at 0,
     argument datatypes at 1, result datatype at 2, function at 3."""
 
     def __init__(self, sig: FSignature, f_free: Optional[dict] = None):
         self.functions = sig.functions
-        self.f_free: dict = dict(f_free) if f_free else {}  # id -> node with no F-redex
+        self.f_free: dict = {} if f_free is None else f_free  # id -> node with no F-redex
         self.fired = self.limit = 0
         self.stop = None
 
@@ -427,7 +435,9 @@ def _advance(t: Term, sig: FSignature, max_steps: int, boundary=None,
     boundary is tested after each F-phase and each beta step, so it must
     hold only of F-normal terms; without one, head runs are contracted
     at once (module docstring).  ``f_free`` holds
-    nodes known to contain no F-redex under ``sig``, by ``id``.
+    nodes known to contain no F-redex under ``sig``, by ``id``; the loop
+    reads and fills that dict itself, so a caller that must keep its
+    memo passes a copy.
 
     Returns (term, beta_count, f_count, status); the status is
     ``_STATUS_FORK`` when the next step would contract the abstract
@@ -494,7 +504,7 @@ def advance_term(t: Term, sig: FSignature, max_steps: int, f_free: Optional[dict
         if hit is not None:
             return hit
     try:
-        out = _advance(t, sig, max_steps, f_free=f_free)
+        out = _advance(t, sig, max_steps, f_free=dict(f_free) if f_free else None)
     except UndefinedApplication as exc:
         out = (*exc.reached, STATUS_UNDEFINED)
     if memo is not None:

@@ -32,7 +32,9 @@ semantics and its profile: arity, whether its arguments must be Bool,
 and whether its result is Bool.  Refused with one diagnostic: a builtin
 declared against its profile (``and`` over Nat arguments, say), a table
 literal of the wrong kind (a Bool position takes true or false, a range
-sort a number, an enumeration one of its elements), and an empty range.
+sort a number, an enumeration one of its elements), an empty range, and
+a symbol name declared twice (statics, inputs, dynamics and enumeration
+elements share one namespace).
 Every builtin and table result is clipped to the carrier (out of range =
 undefined), except that of a Bool-result builtin: it only returns True
 or False, which the Bool carrier always holds, so it is stored
@@ -189,7 +191,7 @@ class SourceMachine(Fields):
             if isinstance(value, bool) != (sort == BOOL) or value not in carriers[sort]:
                 raise SourceError([Diagnostic(0, 0, (
                     f"input {name} = {value!r} is outside the carrier of {sort}"))])
-        decls = {d.name: d for d in reversed(self.statics)}  # the first one wins
+        decls = {d.name: d for d in self.statics}
         statics: dict = {}
         for sym in voc.symbols.values():
             if sym.kind != "static":
@@ -347,12 +349,12 @@ def parse_source(src: str) -> SourceMachine:
             statics.append(_parse_static(p, ctx))
         elif t.text == "input":
             p.next()
-            name = p.ident("input name")
+            name = ctx.declare(p, p.expect("ident", "input name"))
             p.expect(":")
             sort = p.ident("sort name")
             statics.append(StaticDecl(name, (), sort, ("input",)))
         elif t.text == "dynamic":
-            dynamics.append(_parse_dynamic(p))
+            dynamics.append(_parse_dynamic(p, ctx))
         elif t.text == "init":
             inits.append(_parse_init(p, ctx))
         elif t.text == "program":
@@ -378,6 +380,16 @@ class _Ctx(Fields):
         self.sorts = sorts
         self.statics = statics
         self.dynamics = dynamics
+        self.declared: dict[str, _Tok] = {}  # symbol name -> its declaring token
+
+    def declare(self, p: _P, tok: _Tok) -> str:
+        """The symbol name ``tok`` declares: a static, an input, a
+        dynamic or an enumeration element.  They share one namespace, so
+        a name declared before is refused."""
+        first = self.declared.setdefault(tok.text, tok)
+        if first is not tok:
+            p.error(tok, f"{tok.text} is already declared at {first.line}:{first.col}")
+        return tok.text
 
     def numeric_sort(self, p: _P, tok: _Tok) -> str:
         ranges = [s for s in self.sorts if not s.elements]
@@ -406,10 +418,10 @@ def _parse_sort(p: _P, ctx: _Ctx) -> SortDecl:
             p.error(t, f"sort {name} = {lo}..{hi} is empty")
         return SortDecl(name, lo, hi)
     if t.kind == "{":
-        elements = [p.ident("element")]
+        elements = [ctx.declare(p, p.expect("ident", "element"))]
         while p.peek().kind == ",":
             p.next()
-            elements.append(p.ident("element"))
+            elements.append(ctx.declare(p, p.expect("ident", "element")))
         p.expect("}")
         for e in elements:
             ctx.statics.append(StaticDecl(e, (), name, ("element", e)))
@@ -428,7 +440,7 @@ def _parse_profile(p: _P) -> tuple[tuple[str, ...], str]:
 
 def _parse_static(p: _P, ctx: _Ctx) -> StaticDecl:
     p.next()
-    name = p.ident("static name")
+    name = ctx.declare(p, p.expect("ident", "static name"))
     p.expect(":")
     args, result = _parse_profile(p)
     p.expect("=")
@@ -479,9 +491,9 @@ def _parse_literal(p: _P, ctx: _Ctx, sort: str):
     return int(t.text) if t.kind == "nat" else t.text
 
 
-def _parse_dynamic(p: _P) -> DynamicDecl:
+def _parse_dynamic(p: _P, ctx: _Ctx) -> DynamicDecl:
     p.next()
-    name = p.ident("dynamic name")
+    name = ctx.declare(p, p.expect("ident", "dynamic name"))
     p.expect(":")
     args, result = _parse_profile(p)
     output = False

@@ -361,6 +361,17 @@ def counter_family(n: int) -> tuple[Machine, State]:
     return Machine(voc, prog, init), state
 
 
+def wide(m: int) -> tuple[Machine, State]:
+    """"wide-m": a ``par`` of m independent ``if eq_Nat(c, i) then
+    c := succ(c)`` over one Nat slot.  Its normal form has 2^m clauses,
+    so (K, L) and the certificate's paths grow as 2^m."""
+    rules = "".join(f"    if eq_Nat(c, {i}) then c := succ(c)\n" for i in range(1, m + 1))
+    sm = parse_source("sort Nat = 0..20\nstatic succ : Nat -> Nat = builtin succ\n"
+                      "dynamic c : -> Nat output\ninit c = 0\n"
+                      f"program:\n  par {{\n{rules}  }}\n")
+    return sm.machine(), sm.state()
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260824)

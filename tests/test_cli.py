@@ -276,6 +276,51 @@ init c = zero
 program:
   halt
 """, "1:12: sort Nat = 5..2 is empty"),
+    # the vocabulary took the second profile and the state the first
+    # semantics, so f(c) was succ(c), a number past the Bool clip, and
+    # the run ended in an implicit halt
+    "static-twice": ("""\
+sort Nat = 0..3
+static f : Nat -> Nat = builtin succ
+static f : Nat -> Bool = {0 -> true, 1 -> false, 2 -> false, 3 -> false}
+dynamic c : -> Nat output
+init c = 0
+program:
+  if f(c) then halt else c := 1
+""", "3:8: f is already declared at 2:8"),
+    "dynamic-twice": ("""\
+sort Nat = 0..3
+dynamic c : -> Nat output
+dynamic c : -> Nat
+init c = 0
+program:
+  c := 1
+""", "3:9: c is already declared at 2:9"),
+    "input-twice": ("""\
+sort Nat = 0..3
+input n : Nat
+input n : Nat
+dynamic c : -> Nat output
+init c = n
+program:
+  halt
+""", "3:7: n is already declared at 2:7"),
+    "element-twice": ("""\
+sort Color = {red, green}
+sort Light = {green, off}
+dynamic c : -> Color output
+init c = red
+program:
+  c := green
+""", "2:15: green is already declared at 1:20"),
+    "static-and-dynamic": ("""\
+sort Nat = 0..3
+static c : -> Nat = builtin zero
+dynamic c : -> Nat output
+init c = 0
+program:
+  halt
+""", "3:9: c is already declared at 2:8"),
 }
 
 

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from asmlc import combinators
+from asmlc import combinators, engine
+from asmlc.asm import InitRule, Machine, TApp
 from asmlc.combinators import (
     ExitBranch,
     Slot,
@@ -29,8 +32,26 @@ from asmlc.lambda_f import (
 )
 from asmlc.terms import Abs, App, Code, Const, Unknown, Var, alpha_eq, app, lam
 
-from conftest import Block, bundled, machine_probes, measure_block, random_closed_term
-from traced import beta_step, f_step, leftmost_f_redex, leftmost_redex, reduce_leftmost_f
+from conftest import (
+    BUNDLED_COSTS,
+    Block,
+    bundled,
+    counter_state,
+    counter_vocabulary,
+    machine_probes,
+    measure_block,
+    random_closed_term,
+    random_program,
+    wide,
+)
+from traced import (
+    beta_step,
+    f_redexes,
+    f_step,
+    leftmost_f_redex,
+    leftmost_redex,
+    reduce_leftmost_f,
+)
 
 
 def traced_block(t, theta, slots, sig, max_steps=100_000) -> Block:
@@ -253,8 +274,12 @@ def test_inputs_stay_free_and_bind_uncounted(nat_sig):
     assert cc.cost()["F_branches"] == [2, 0]
     for w, d in ((0, 0), (1, 2), (3, 1)):
         theta, free = instantiate(cc.template, {"w": code_term(Value("Nat", w)),
-                                                "d": code_term(Value("Nat", d))}, cc.sig)
-        assert not theta.fv and free.keys() == scan(theta, cc.sig)[1].keys()
+                                                "d": code_term(Value("Nat", d))}, cc.sig,
+                                  cc.theta_free)
+        # the instance's memo starts from the template's
+        assert not theta.fv and scan(theta, cc.sig)[1].keys() <= free.keys()
+        assert cc.theta_free.keys() <= free.keys()
+        assert all(not list(f_redexes(node, cc.sig)) for node in free.values())
         t = App(theta, code_term(Value("Nat", 0)))
         for _ in range(w + d + 1):
             b = block(t, theta, slots, nat_sig)
@@ -370,3 +395,102 @@ def test_selection_off_the_head_is_refused():
     with pytest.raises(RuntimeError, match=r"off the head of the term on path \(\)$"):
         certify(theta, [Slot("b", BOOL)], (5, 0), sig, scan(theta, sig)[1])
 
+
+def _concrete(t, done: dict):
+    """``t`` with the abstract Boolean read as true and every other
+    abstract code as a code of its datatype.  The traced search knows no
+    abstract code, and the engine fires a constant on abstract codes
+    exactly where it would fire on those codes, so the traced search of
+    the result finds the redexes that the engine would fire in ``t``.
+    ``done`` memoizes by ``id`` the nodes already read."""
+    hit = done.get(id(t))
+    if hit is not None:
+        return hit[1]
+    tp = type(t)
+    if t is UNKNOWN_BOOL:
+        out = TRUE_TERM
+    elif tp is Unknown:
+        out = Code(Value(t.datatype, 0))
+    elif tp is App:
+        out = App(_concrete(t.fun, done), _concrete(t.arg, done))
+    elif tp is Abs:
+        out = Abs(t.binder, _concrete(t.body, done))
+    else:
+        out = t
+    done[id(t)] = (t, out)
+    return out
+
+
+def _certificate_memos(monkeypatch) -> list:
+    """Each certificate's memos and signature, as the engine loop sees
+    them: one list of (memo, sig) per ``certify`` call."""
+    memos: list = []
+    advance, certify_ = combinators._advance, combinators.certify
+
+    def spy_certify(*args, **kw):
+        memos.append([])
+        return certify_(*args, **kw)
+
+    def spy_advance(t, sig, max_steps, boundary=None, f_free=None):
+        memos[-1].append((f_free, sig))
+        return advance(t, sig, max_steps, boundary, f_free)
+
+    monkeypatch.setattr(combinators, "certify", spy_certify)
+    monkeypatch.setattr(combinators, "_advance", spy_advance)
+    return memos
+
+
+def test_certificate_paths_share_one_memo_of_f_free_nodes(monkeypatch):
+    """Every path of a certificate fills and reads one memo, a copy of
+    theta's, and after certification each node in it holds no F-redex
+    by the traced search (as ``engine.scan``'s memo is checked), on the
+    bundled machines and on the first random programs of
+    ``test_random_programs_lockstep``'s stream.  The traced search
+    builds an address per node, so its cost grows with the depth of
+    each node it is given: the stream's 14th program alone would take
+    seconds."""
+    memos = _certificate_memos(monkeypatch)
+    compiles = [compile_machine(bundled(name).machine(), bundled(name).state(inputs))
+                for name, (inputs, _) in BUNDLED_COSTS.items()]
+    rng = random.Random(1108)
+    voc = counter_vocabulary()
+    state = counter_state(voc, 0, 0)
+    for _ in range(12):
+        prog = random_program(rng, rng.randint(2, 4))
+        init = {s: InitRule((), TApp(rng.choice(("zero", "one", "two")))) for s in ("p", "q")}
+        compiles.append(compile_machine(Machine(voc, prog, init), state))
+    assert len(memos) == len(compiles)
+    for cm, calls in zip(compiles, memos):
+        assert len(calls) >= cm.certificate.paths
+        (memo, sig), = {id(m): (m, sig) for m, sig in calls}.values()
+        assert memo is not cm.theta_free
+        done: dict = {}
+        assert all(not list(f_redexes(_concrete(node, done), sig)) for node in memo.values())
+
+
+def test_certificate_walks_each_fork_from_its_shared_prefix(monkeypatch):
+    """Certifying wide-6 (65 paths) enters the engine's F-redex walk
+    about 11,000 times.  When each fork started from theta's memo alone
+    and re-walked the whole forked term, it entered it 193,298 times."""
+    calls = 0
+    certifying = False
+    certify_, contract = combinators.certify, engine._Reducer._contract
+
+    def flagged(*args, **kw):
+        nonlocal certifying
+        certifying = True
+        try:
+            return certify_(*args, **kw)
+        finally:
+            certifying = False
+
+    def walk(self, t):
+        nonlocal calls
+        calls += certifying
+        return contract(self, t)
+
+    monkeypatch.setattr(combinators, "certify", flagged)
+    monkeypatch.setattr(engine._Reducer, "_contract", walk)
+    cm = compile_machine(*wide(6))
+    assert (cm.K, cm.L, cm.certificate.paths) == (131, 2998, 65)
+    assert 0 < calls < 20_000

@@ -7,6 +7,7 @@ import pytest
 from asmlc import asm
 from asmlc.cli import main
 from asmlc.compiler import (
+    Translator,
     compile_machine,
     decode_result,
     delta_as_map,
@@ -30,6 +31,7 @@ from conftest import (
     probe_blocks,
     semantics,
 )
+from traced import f_redexes
 
 
 @pytest.fixture(scope="module")
@@ -277,11 +279,39 @@ def test_doubling_budget_same_at_every_stop():
     assert shapes == {(*BUNDLED_COSTS["doubling"][1], 259)}
 
 
+def test_a_compile_translates_each_source_term_once(monkeypatch):
+    """The normal form repeats each condition in many clause guards, and
+    the fail and clash guards read the updates again; a compile still
+    translates each source term once.  Doubling's compile asks 26 times
+    for the translation of one of 13 terms with no ``env``."""
+    translate = Translator._translate
+    asked, done = [], []
+
+    def spy(self, t, env):
+        if env is None:
+            done.append(id(t))
+        return translate(self, t, env)
+
+    def ask(self, t, env=None):
+        if env is None:
+            asked.append(id(t))
+        return value_and_def(self, t, env)
+
+    value_and_def = Translator.value_and_def
+    monkeypatch.setattr(Translator, "_translate", spy)
+    monkeypatch.setattr(Translator, "value_and_def", ask)
+    sm = bundled("doubling")
+    compile_machine(sm.machine(), sm.state({}))
+    assert sorted(done) == sorted(set(asked))
+    assert (len(asked), len(done)) == (26, 13)
+
+
 def test_one_theta_binds_every_stop():
     """Doubling's theta is built with ``stop`` free.  Its instance for
-    each stop is the theta that a compile at that stop returns, with
-    ``scan``'s memo, and lockstep binds its own state's stop.  euclid's
-    theta reads no input, so it has one instance."""
+    each stop is the theta that a compile at that stop returns, with a
+    memo that holds ``scan``'s and only F-free nodes, and lockstep binds
+    its own state's stop.  euclid's theta reads no input, so it has one
+    instance."""
     sm = bundled("doubling")
     machine = sm.machine()
     cm = compile_machine(machine, sm.state({}))
@@ -291,7 +321,10 @@ def test_one_theta_binds_every_stop():
         state = sm.state({"stop": stop})
         inst = cm.with_inputs(state)
         assert inst.theta == compile_machine(machine, state).theta
-        assert inst.theta_free.keys() == scan(inst.theta, inst.sig)[1].keys()
+        # the memo starts from the compiled record's, so it holds more
+        # than scan's: the template's nodes, which no input reaches
+        assert scan(inst.theta, inst.sig)[1].keys() <= inst.theta_free.keys()
+        assert all(not list(f_redexes(node, inst.sig)) for node in inst.theta_free.values())
         assert inst.with_inputs(state) is inst
         assert (inst.K, inst.L) == (cm.K, cm.L)
         assert lockstep(machine, cm, state).passed

@@ -92,10 +92,10 @@ def test_replaced_combinator_starts_with_an_empty_memo(euclid_cm):
 
 
 # The first RANDOM_PROGRAMS programs of the seeded stream, none left
-# out; the count keeps the test near half a second.  Later programs of
-# the stream have normal forms with thousands of constant nodes, whose
-# lockstep takes seconds each.
-RANDOM_PROGRAMS = 50
+# out: the 120 of ``benchmarks/bench_cost.py``'s random-1108 record,
+# whose largest compiles to (K, L) = (104, 4021).  The test must stay
+# under 2 s.
+RANDOM_PROGRAMS = 120
 
 
 def test_random_programs_lockstep():
