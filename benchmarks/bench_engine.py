@@ -32,8 +32,10 @@ so every round is reduced.  The ``lockstep_grid`` record times what
 input pair in 1..N under one compile, with its round memo.  Each timing
 starts from a fresh compile, outside the timed region, so no timing
 reads a memo an earlier one filled.  One more, untimed pass counts
-engine runs, the calls of ``engine._advance`` (wrapped in this
-process), against lockstep rounds.
+engine runs, the calls of ``engine._advance``, and decodes, the calls
+of ``decode_result`` as ``cosim`` binds it (both wrapped in this
+process), against lockstep rounds.  Each distinct round is reduced and
+decoded once, so both equal the number of distinct rounds.
 
 The ``verify_doubling`` record runs ``asmlc verify machines/doubling.asm
 --grid 8`` in this process (``cli.main``, output discarded): the theta
@@ -171,7 +173,7 @@ def bench(cases, repeat: int) -> dict:
 def lockstep_grid(grid: int, repeat: int) -> dict:
     """euclid's grid through lockstep under one compile (module
     docstring)."""
-    from asmlc import engine
+    from asmlc import cosim, engine
     from asmlc.compiler import compile_machine
     from asmlc.cosim import lockstep
     euclid = _load("euclid")
@@ -195,21 +197,23 @@ def lockstep_grid(grid: int, repeat: int) -> dict:
         t0 = time.perf_counter()
         rounds = one_pass(cm)
         best = min(best, time.perf_counter() - t0)
-    runs = 0
-    advance = engine._advance
+    calls = {"engine_runs": 0, "decode_calls": 0}
 
-    def counted(*args, **kwargs):
-        nonlocal runs
-        runs += 1
-        return advance(*args, **kwargs)
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
 
     cm = compile_machine(machine, base)
-    engine._advance = counted
+    advance, decode = engine._advance, cosim.decode_result
+    engine._advance = counted("engine_runs", advance)
+    cosim.decode_result = counted("decode_calls", decode)
     try:
         one_pass(cm)
     finally:
-        engine._advance = advance
-    return {"cases": len(states), "rounds": rounds, "engine_runs": runs, "best_s": best}
+        engine._advance, cosim.decode_result = advance, decode
+    return {"cases": len(states), "rounds": rounds, **calls, "best_s": best}
 
 
 def verify_doubling(repeat: int) -> dict:
@@ -328,7 +332,8 @@ def main() -> None:
                   f"visits, {row['nodes_built_per_step']} nodes built")
         row = side["lockstep_grid"]
         print(f"{label:>7} lockstep grid {args.grid}: {row['cases']} runs, "
-              f"{row['rounds']} rounds, {row['engine_runs']} engine runs, median "
+              f"{row['rounds']} rounds, {row['engine_runs']} engine runs, "
+              f"{row['decode_calls']} decodes, median "
               f"{row['best_s']['median']:.4f} s")
         row = side["verify_doubling"]
         print(f"{label:>7} verify doubling --grid 8: {row['theta_builds']} theta builds, "

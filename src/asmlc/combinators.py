@@ -179,9 +179,10 @@ class CompiledCombinator:
     inputs: tuple[Slot, ...]
     template: Term = field(compare=False, repr=False)
     binding: tuple[Value, ...]
-    # Lockstep's round memo (engine module docstring): start term to
-    # result under this signature and budget.  Not an init field, so a
-    # record made by dataclasses.replace starts with an empty one.
+    # Lockstep's round memo (engine module docstring): a round's start
+    # slot codes to its result and decoding, under this theta, signature
+    # and budget.  Not an init field, so a record made by
+    # dataclasses.replace starts with an empty one.
     round_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property

@@ -101,6 +101,17 @@ def _block_note(t: Term, cm: CompiledMachine) -> str:
     return f"counts off: the block takes (beta, F) = {got}, want {(cm.K, cm.L)}"
 
 
+def _slot_args(t: Term, k: int) -> tuple:
+    """The last ``k`` arguments of ``t``, last first: for theta applied
+    to slot codes, the codes that ``combinators.decode_state`` peels off
+    theta, and a round's key in the round memo."""
+    args = []
+    for _ in range(k):
+        args.append(t.arg)
+        t = t.fun
+    return tuple(args)
+
+
 def lockstep(machine: Machine, cm: CompiledMachine, state: State,
              max_steps: int = 10_000) -> LockstepReport:
     """One round per machine step; the final round must land on the
@@ -115,10 +126,15 @@ def lockstep(machine: Machine, cm: CompiledMachine, state: State,
     "inconclusive".
 
     Every round advances through the compiled machine's round memo
-    (``engine.advance_term``), so a round that starts from a term an
-    earlier round of any run under ``cm`` started from is looked up, not
-    reduced again; its counts and result are those of the reduction.
-    The rounds run ``cm.with_inputs(state)``."""
+    (``engine.advance_term``), keyed by the round's start slot
+    arguments (``_slot_args``): under one instance theta is fixed, so a
+    round whose slot arguments an earlier round of any run under ``cm``
+    started from is looked up, not reduced again.  Each distinct round
+    is decoded once too: its entry keeps the decoded result and the next
+    round's key, so a repeated round costs one lookup on k small codes.
+    Its counts and result are those of the reduction, and every round's
+    state is still compared with the machine's.  The rounds run
+    ``cm.with_inputs(state)``."""
     cm = cm.with_inputs(state)
     result = run(machine, state, max_steps)
     initial = result.trajectory[0]
@@ -134,18 +150,26 @@ def lockstep(machine: Machine, cm: CompiledMachine, state: State,
         expected.append((_EXIT_OF[result.kind], None))
         verdict_hint = None
 
+    memo, k = cm.round_memo, cm.k
+    key = _slot_args(t, k)
     for i, (want_kind, want_state) in enumerate(expected, start=1):
         start = t
-        t, beta, f, status = advance_term(start, cm.sig, K + L, cm.theta_free,
-                                          cm.round_memo)
+        entry = advance_term(start, cm.sig, K + L, cm.theta_free, memo, key)
+        t, beta, f, status = entry[:4]
         if status == STATUS_UNDEFINED:
             rounds.append(RoundRecord(i, beta, f, "undefined", False,
                                       f"undefined application after (beta, F) = {(beta, f)}"))
             ok = False
             break
-        try:
-            d = decode_result(t, cm)
-        except DecodeError:
+        if len(entry) == 4:  # a new round: decode it once, for every run
+            try:
+                d = decode_result(t, cm)
+            except DecodeError:
+                d = None
+            after = _slot_args(t, k) if d is not None and d.kind == "running" else None
+            entry = memo[key] = (*entry, d, after)
+        d, key = entry[4:]
+        if d is None:
             note = (f"undecodable term after (beta, F) = {(beta, f)}; "
                     + _block_note(start, cm))
             rounds.append(RoundRecord(i, beta, f, "undecodable", False, note))

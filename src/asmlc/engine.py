@@ -120,18 +120,24 @@ binder by the terms involved alone, so a structurally equal start term
 ends in an equal term with equal counts and status (the builtin
 functions give equal results on equal payloads).  A caller that
 advances many terms under one signature and one budget, as lockstep does
-under a compiled machine, can pass a ``memo`` dict keyed by the start
-term; a repeated round is then one dict lookup (memo functions: Michie
-1968, "Memo functions and machine learning").  The key is structural,
-so it covers equal copies, not only the same node; hashing is cheap
-because ``App``, ``Abs`` and ``Code`` cache their hash (``terms``), so
-theta is hashed once and a round start hashes only its fresh nodes.  The memo
-sits inside ``advance_term``, not in its callers, so a wrapper around
+under a compiled machine, can pass a ``memo`` dict and a ``key`` that
+determines the start term under that memo; a repeated round is then one
+dict lookup (memo functions: Michie 1968, "Memo functions and machine
+learning").  The engine never hashes the start term: lockstep's key is
+the round's slot arguments, the ``Code`` nodes and lambda booleans that
+``combinators.decode_state`` peels off theta, compared by ``==``.  Under
+one compiled instance theta is fixed, so equal keys mean structurally
+equal start terms, and a key costs the hash of k small codes where the
+term would cost theta's.  A hit returns the stored entry, whose first
+four items are the result; a caller may store the entry again extended
+by what it derives from the result (lockstep keeps the round's decoded
+state there), and a hit returns that too.  The memo sits inside
+``advance_term``, not in its callers, so a wrapper around
 ``advance_term`` (a tracer counting its calls and steps) still sees one
 call per round with that round's counts.  The memo holds one entry per
-distinct start term and lives as long as its owner; the compiled
-machine owns lockstep's (``compiler.CompiledMachine``), and a record
-derived by ``dataclasses.replace`` starts with an empty one.
+distinct key and lives as long as its owner; the compiled machine owns
+lockstep's (``compiler.CompiledMachine``), and a record derived by
+``dataclasses.replace`` starts with an empty one.
 
 ``KERNEL_NAME`` names the implementation for benchmark records.
 """
@@ -482,7 +488,7 @@ def _advance(t: Term, sig: FSignature, max_steps: int, boundary=None,
 
 
 def advance_term(t: Term, sig: FSignature, max_steps: int, f_free: Optional[dict] = None,
-                 memo: Optional[dict] = None):
+                 memo: Optional[dict] = None, key=None):
     """Advance ``t`` by up to ``max_steps`` F-first leftmost steps.
     ``f_free`` maps ``id`` to nodes known to hold no F-redex under
     ``sig`` (``scan``'s memo); the call reads a copy of it.
@@ -493,14 +499,14 @@ def advance_term(t: Term, sig: FSignature, max_steps: int, f_free: Optional[dict
     next step applies a partial function outside its domain (the term
     is the one before that step).
 
-    ``memo``, when given, maps start terms to results (module
-    docstring, "Round memo"): a start term found there returns its
-    stored result without a step, and a new one is reduced once and
-    stored.  One memo serves one ``sig`` and one ``max_steps``.
-    Without a memo no term is hashed.
+    ``memo``, when given, maps the caller's ``key`` for ``t`` to its
+    entry (module docstring, "Round memo"): a key found there returns
+    its stored entry without a step, and a new one is reduced once and
+    stored.  One memo serves one ``sig``, one ``max_steps``, and keys
+    each of which determines its start term.
     """
     if memo is not None:
-        hit = memo.get(t)
+        hit = memo.get(key)
         if hit is not None:
             return hit
     try:
@@ -508,5 +514,5 @@ def advance_term(t: Term, sig: FSignature, max_steps: int, f_free: Optional[dict
     except UndefinedApplication as exc:
         out = (*exc.reached, STATUS_UNDEFINED)
     if memo is not None:
-        memo[t] = out
+        memo[key] = out
     return out

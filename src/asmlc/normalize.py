@@ -43,16 +43,19 @@ class GuardedProgram(NamedTuple):
 def _collect(p: Program, path: tuple[tuple[int, bool], ...], conds: list[TypedTerm],
              out: list):
     """Place every instruction under its path of (condition index,
-    sign) pairs.  Conditions are told apart by equality, never hashed:
-    hashing a term walks all of it."""
+    sign) pairs.  Conditions are told apart by an equality scan, never
+    hashed, since hashing a term walks all of it; nor by ``list.index``,
+    whose miss builds the missing term's ``repr`` for its error."""
     if isinstance(p, (Update, HaltI, FailI)):
         out.append((path, p))
     elif isinstance(p, If):
-        try:
-            i = conds.index(p.cond)
-        except ValueError:
+        cond = p.cond
+        for i, c in enumerate(conds):
+            if c is cond or c == cond:
+                break
+        else:
             i = len(conds)
-            conds.append(p.cond)
+            conds.append(cond)
         _collect(p.then, path + ((i, True),), conds, out)
         _collect(p.orelse, path + ((i, False),), conds, out)
     elif isinstance(p, Par):

@@ -12,12 +12,14 @@ its children's facts and kept out of equality, hashing and ``repr``:
 
 ``App``, ``Abs`` and ``Code`` cache their structural hash,
 ``hash((fun, arg))``, ``hash((binder, body))`` or ``hash((value,))``,
-in a ``_hash`` slot on first use, so a term shared by many keys (theta,
-in the engine's round memo) is hashed once, a new term costs only the
-nodes built since, and a code's payload (a delta list can be long) is
-hashed once per node.  The cache is a value, not a field: it is kept
-out of equality, ``repr`` and pickling (string hashes differ between
-processes), and like the fields it cannot be assigned or deleted.
+in a ``_hash`` slot on first use, so a term shared by many keys is
+hashed once and a new term costs only the nodes built since.  The keys
+of the engine's round memo are what it serves: a round's slot codes,
+whose payload (a delta list can be long) is hashed once per ``Code``
+node, and lambda booleans, the ``Abs`` nodes of a Bool slot.  The
+cache is a value, not a field: it is kept out of equality, ``repr`` and
+pickling (string hashes differ between processes), and like the fields
+it cannot be assigned or deleted.
 
 Alpha-equivalence is decided through a canonical renaming of binders
 (position-indexed), so canonical terms can be hashed and compared

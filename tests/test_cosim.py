@@ -3,13 +3,14 @@ from dataclasses import replace
 
 import pytest
 
-from asmlc import engine
+from asmlc import cosim, engine
 from asmlc.asm import If, InitRule, Machine, Par, TApp, Update
 from asmlc.compiler import compile_machine
 from asmlc.cosim import _slot_diff, decoration_audit, lockstep, render_audit
 from asmlc.engine import scan
 from asmlc.lambda_f import FSignature, Value
-from asmlc.terms import App, Var, lam
+from asmlc.sourcefmt import parse_source
+from asmlc.terms import Abs, App, Var, lam
 
 from conftest import bundled, counter_state, counter_vocabulary, random_program
 
@@ -37,30 +38,80 @@ def test_lockstep_small_grid(euclid_cm):
             assert lockstep(machine, cm, bundled("euclid").state({"a0": a, "b0": b})).passed
 
 
+def _count_runs_and_decodes(monkeypatch) -> dict:
+    """Count the engine runs (``engine._advance``) and the decodes
+    (``decode_result`` as ``cosim`` binds it) of what follows."""
+    counts = {"runs": 0, "decodes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(engine, "_advance", counted("runs", engine._advance))
+    monkeypatch.setattr(cosim, "decode_result", counted("decodes", cosim.decode_result))
+    return counts
+
+
 def test_round_memo_reduces_each_distinct_round_once(monkeypatch):
     """euclid over the 12x12 grid under one compile, twice: every report
     equals that of a fresh compile for its case; the first pass reduces
-    156 distinct round starts for its 482 rounds, the second none."""
+    and decodes 156 distinct rounds for its 482 rounds, the second
+    none."""
     sm = bundled("euclid")
     machine = sm.machine()
     cases = [sm.state({"a0": a, "b0": b}) for a in range(1, 13) for b in range(1, 13)]
     fresh = [lockstep(machine, compile_machine(machine, s), s).rounds for s in cases]
     cm = compile_machine(machine, sm.state({"a0": 1, "b0": 1}))
-    runs = [0]
-    advance = engine._advance
-
-    def counted(*args, **kwargs):
-        runs[0] += 1
-        return advance(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "_advance", counted)
-    for want_runs in (156, 0):
-        runs[0] = 0
+    counts = _count_runs_and_decodes(monkeypatch)
+    for want in (156, 0):
+        counts.update(runs=0, decodes=0)
         got = [lockstep(machine, cm, s).rounds for s in cases]
         assert got == fresh
         assert sum(map(len, got)) == 482
-        assert runs[0] == want_runs
+        assert counts == {"runs": want, "decodes": want}
     assert len(cm.round_memo) == 156
+
+
+# A Bool slot read only through init: one instance serves every input
+# pair, and its round keys hold lambda booleans.
+BLINK = """\
+sort Nat = 0..6
+static succ : Nat -> Nat = builtin succ
+static lt : Nat Nat -> Bool = builtin lt
+input n0 : Nat
+input on0 : Bool
+dynamic on : -> Bool output
+dynamic n : -> Nat output
+init on = on0
+init n = n0
+program:
+  if lt(n, 5) then
+    par {
+      on := not(on)
+      n := succ(n)
+    }
+"""
+
+
+def test_round_memo_keys_bool_slots_by_their_lambda_terms(monkeypatch):
+    """A machine with a Bool slot passes lockstep over its input grid
+    through a warm round memo, with the reports of fresh compiles: keys
+    compare lambda booleans by ``==``, not as decoded values, so each
+    entry answers only for its own start term."""
+    sm = parse_source(BLINK)
+    machine = sm.machine()
+    cases = [sm.state({"n0": n, "on0": on}) for n in range(7) for on in (False, True)]
+    fresh = [lockstep(machine, compile_machine(machine, s), s) for s in cases]
+    assert all(rep.passed for rep in fresh)
+    cm = compile_machine(machine, cases[0])
+    assert [s.datatype for s in cm.slots] == ["Bool", "Nat"]
+    assert [lockstep(machine, cm, s) for s in cases] == fresh
+    counts = _count_runs_and_decodes(monkeypatch)
+    assert [lockstep(machine, cm, s) for s in cases] == fresh
+    assert counts == {"runs": 0, "decodes": 0}
+    assert all(type(key[-1]) is Abs for key in cm.round_memo)
 
 
 def test_replaced_combinator_starts_with_an_empty_memo(euclid_cm):

@@ -1,6 +1,7 @@
 from itertools import product
 from typing import Optional
 
+from asmlc import records
 from asmlc.asm import FailI, HaltI, If, Par, Skip, TApp, TypedTerm, Update, eval_ground
 from asmlc.normalize import (
     Clause,
@@ -239,3 +240,24 @@ def test_normalize_matches_hashing_oracle(rng):
         for cg, cw in zip(got.clauses, want.clauses):
             assert all(a is b for (a, _), (b, _) in zip(cg.literals, cw.literals))
             assert all(a is b for a, b in zip(cg.instructions, cw.instructions))
+
+
+def test_normalize_builds_no_repr(rng, monkeypatch):
+    """normalize tells conditions apart without building a ``repr`` of
+    any: programs with several distinct conditions normalize, while
+    ``Fields.__repr__`` raises, to what the hashing oracle gives."""
+    lt, eq = TApp("lt", (TApp("p"), TApp("q"))), TApp("eq_Nat", (TApp("p"), TApp("q")))
+    progs = [Par((If(lt, Update("p", (), TApp("q")), If(eq, HaltI(), FailI())),
+                  If(TApp("lt", (TApp("q"), TApp("p"))), Update("q", (), TApp("p"))),
+                  If(eq, Update("q", (), TApp("q")))))]
+    progs += [random_program(rng, 4) for _ in range(20)]
+    want = [_hashing_normalize(p) for p in progs]
+
+    def refuse(self):
+        raise AssertionError(f"repr of {type(self).__name__}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(records.Fields, "__repr__", refuse)
+        got = [normalize(p) for p in progs]
+    assert got == want
+    assert len(got[0].conditions) == 3

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asmlc.compiler import compile_machine
-from asmlc.engine import STATUS_NORMAL, STATUS_RAN, advance_term
+from asmlc.cosim import lockstep
 from asmlc.terms import (
     Abs,
     App,
     Code,
     Const,
-    Term,
     Unknown,
     Value,
     Var,
@@ -27,7 +26,7 @@ from asmlc.terms import (
     term_size,
 )
 
-from conftest import BUNDLED_COSTS, bundled, random_closed_term, random_term
+from conftest import bundled, random_closed_term, random_term
 
 
 def test_constructors_and_helpers():
@@ -172,27 +171,24 @@ def test_hash_cache_stays_out_of_pickling_and_repr():
         assert "_hash" not in repr(node)
 
 
-def test_advance_without_a_memo_hashes_no_term(monkeypatch):
-    """Rounds of the compiled euclid machine advance without hashing a
-    term unless a round memo is passed."""
-    sm = bundled("euclid")
-    inputs, _ = BUNDLED_COSTS["euclid"]
-    cm = compile_machine(sm.machine(), sm.state(inputs))
-    t = cm.initial_term(sm.state({"a0": 36, "b0": 24}))
+def test_lockstep_hashes_no_app_or_abs(monkeypatch):
+    """A lockstep of euclid and of doubling, each right after a fresh
+    compile, hashes no App or Abs node: the round memo is keyed by each
+    round's slot codes, never by theta or a start term."""
 
     def refuse(self):
         raise AssertionError(f"hashed {type(self).__name__}")
 
-    for cls in (Term, *Term.__subclasses__()):
-        monkeypatch.setattr(cls, "__hash__", refuse)
-    start, statuses = t, []
-    for _ in range(3):
-        t, beta, f, status = advance_term(t, cm.sig, cm.K + cm.L, cm.theta_free)
-        assert (beta, f) == (cm.K, cm.L)
-        statuses.append(status)
-    assert statuses == [STATUS_RAN, STATUS_RAN, STATUS_NORMAL]
-    with pytest.raises(AssertionError, match="hashed App"):
-        advance_term(start, cm.sig, cm.K + cm.L, cm.theta_free, {})
+    for name, inputs in (("euclid", {"a0": 36, "b0": 24}), ("doubling", {"stop": 5})):
+        sm = bundled(name)
+        machine, state = sm.machine(), sm.state(inputs)
+        cm = compile_machine(machine, state)
+        with monkeypatch.context() as patch:
+            for cls in (App, Abs):
+                patch.setattr(cls, "__hash__", refuse)
+            rep = lockstep(machine, cm, state)
+        assert rep.passed
+        assert len(cm.round_memo) == len(rep.rounds)
 
 
 def test_alpha_equivalence():
