@@ -19,11 +19,11 @@ The ``wide-7`` case is ``conftest.wide(7)``: a ``par`` of seven
 independent guarded increments of one slot, whose normal form has 128
 clauses, so its certificate has 129 paths that share long prefixes.
 
-The ``random-1108`` record compiles, each at its minima, the first 120
-programs of the seeded stream that ``tests/test_cosim.py``'s
-``test_random_programs_lockstep`` draws (seed 1108, the same draws,
-init choices included).  It holds the largest K+L, with its (K, L) and
-program index, and the sums over the 120 of K+L, L, theta's nodes,
+The ``random-1108`` record compiles, each at its minima, the 120
+machines of the seeded stream ``conftest.random_machines`` that
+``tests/test_cosim.py``'s ``test_random_programs_lockstep`` runs.  It
+holds the largest K+L, with its (K, L) and program index, and the sums
+over the 120 of K+L, L, theta's nodes,
 certification's engine steps and its F-redex walk's calls: the
 baseline for a theta whose cost follows the program rather than its
 normal form.  Its ``theta_sha256``
@@ -43,7 +43,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -51,22 +50,22 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from conftest import (
     BUNDLED_COSTS,
+    RANDOM_PROGRAMS,
+    RANDOM_SEED,
     bundled,
     counter_family,
     counter_state,
     counter_vocabulary,
-    random_program,
+    random_machines,
     wide,
 )
 
 from asmlc import combinators, engine
-from asmlc.asm import InitRule, Machine, TApp
 from asmlc.compiler import compile_machine
 from asmlc.syntax import print_term
 from asmlc.terms import term_size
 
 COUNTERS = range(1, 6)
-RANDOM_SEED, RANDOM_PROGRAMS = 1108, 120
 
 
 def _cases() -> dict:
@@ -126,17 +125,13 @@ def _hash_terms(digest, cm) -> None:
 
 def _random_record() -> dict:
     """The ``random-1108`` record (module docstring)."""
-    rng = random.Random(RANDOM_SEED)
-    voc = counter_vocabulary()
-    state = counter_state(voc, 0, 0)
+    state = counter_state(counter_vocabulary(), 0, 0)
     sums = dict.fromkeys(("K_plus_L", "L", "theta_nodes", "certify_steps",
                           "certify_contract_calls"), 0)
     largest = None
     digest = hashlib.sha256()
-    for i in range(RANDOM_PROGRAMS):
-        prog = random_program(rng, rng.randint(2, 4))
-        init = {s: InitRule((), TApp(rng.choice(("zero", "one", "two")))) for s in ("p", "q")}
-        cm, steps, contracts = _counted_compile(Machine(voc, prog, init), state)
+    for i, machine in enumerate(random_machines()):
+        cm, steps, contracts = _counted_compile(machine, state)
         _hash_terms(digest, cm)
         for key, value in (("K_plus_L", cm.K + cm.L), ("L", cm.L),
                            ("theta_nodes", term_size(cm.theta)), ("certify_steps", steps),

@@ -40,7 +40,16 @@ decoded once, so both equal the number of distinct rounds.
 The ``verify_doubling`` record runs ``asmlc verify machines/doubling.asm
 --grid 8`` in this process (``cli.main``, output discarded): the theta
 builds it makes, counted at the ``build_branch_combinator`` that
-``asmlc.compiler`` binds, and its best-of-R time.
+``asmlc.compiler`` binds, and its best-of-R time.  The
+``certify_wide7`` record times a compile of ``conftest.wide(7)``, whose
+certificate has 129 paths, best of R, each from the parsed machine.
+
+Every record also counts, in its untimed pass, the substitutions made:
+the calls of ``engine._subst`` from outside it, as ``engine`` and
+``combinators`` bind it (a beta step or head run, an input binding),
+and the share of them whose replacements are all closed, so that
+substitution needs no capture set (``asmlc.engine``'s docstring,
+"Substitution").
 
     python3 benchmarks/bench_engine.py [--parent-src PATH] [--grid N]
         [--repeat R] [--json BENCH_engine.json]
@@ -68,6 +77,8 @@ import time
 from pathlib import Path
 
 import checkouts
+
+sys.path.insert(0, str(checkouts.ROOT / "tests"))
 
 MACHINES = checkouts.ROOT / "machines"
 DOUBLING_STOPS = range(1, 9)
@@ -116,10 +127,40 @@ def _run(cases) -> tuple[int, int]:
     return steps, rounds
 
 
-def count_work(cases) -> tuple[int, int]:
-    """(F-search visits, nodes built) over every trajectory, counted in
-    one pass with the reducer's search walk and the node constructors
-    wrapped (module docstring)."""
+@contextlib.contextmanager
+def counting_substitutions():
+    """Yield a dict that counts, while the block runs, the calls of
+    ``engine._subst`` from outside it and the share of them with closed
+    replacements (module docstring)."""
+    from asmlc import combinators, engine
+    subst = engine._subst
+    counts = {"substitutions": 0, "closed": 0}
+    depth = 0
+
+    def counted(t, env):
+        nonlocal depth
+        if not depth:
+            counts["substitutions"] += 1
+            counts["closed"] += not any(r.fv for r in env.values())
+        depth += 1
+        try:
+            return subst(t, env)
+        finally:
+            depth -= 1
+
+    engine._subst = combinators._subst = counted
+    try:
+        yield counts
+    finally:
+        engine._subst = combinators._subst = subst
+    closed = counts.pop("closed")
+    counts["closed_share"] = round(closed / counts["substitutions"], 4)
+
+
+def count_work(cases) -> dict:
+    """F-search visits, nodes built and substitutions over every
+    trajectory, counted in one pass with the reducer's search walk, the
+    node constructors and the substitution wrapped (module docstring)."""
     from asmlc import engine
     from asmlc.terms import Abs, App
     reducer = engine._Reducer
@@ -144,12 +185,13 @@ def count_work(cases) -> tuple[int, int]:
     for cls, init in inits.items():
         cls.__init__ = counted(init)
     try:
-        _run(cases)
+        with counting_substitutions() as substitutions:
+            _run(cases)
     finally:
         reducer._contract = contract
         for cls, init in inits.items():
             cls.__init__ = init
-    return visits, built
+    return {"f_search_visits": visits, "nodes_built": built, **substitutions}
 
 
 def bench(cases, repeat: int) -> dict:
@@ -163,11 +205,10 @@ def bench(cases, repeat: int) -> dict:
             raise RuntimeError(f"step counts drifted from {counts} to {got}")
         counts = got
     steps, rounds = counts
-    visits, built = count_work(cases)
-    return {"trajectories": len(cases), "rounds": rounds, "steps": steps,
-            "best_s": best, "f_search_visits": visits,
-            "visits_per_step": round(visits / steps, 2), "nodes_built": built,
-            "nodes_built_per_step": round(built / steps, 2)}
+    work = count_work(cases)
+    return {"trajectories": len(cases), "rounds": rounds, "steps": steps, "best_s": best,
+            **work, "visits_per_step": round(work["f_search_visits"] / steps, 2),
+            "nodes_built_per_step": round(work["nodes_built"] / steps, 2)}
 
 
 def lockstep_grid(grid: int, repeat: int) -> dict:
@@ -210,10 +251,11 @@ def lockstep_grid(grid: int, repeat: int) -> dict:
     engine._advance = counted("engine_runs", advance)
     cosim.decode_result = counted("decode_calls", decode)
     try:
-        one_pass(cm)
+        with counting_substitutions() as substitutions:
+            one_pass(cm)
     finally:
         engine._advance, cosim.decode_result = advance, decode
-    return {"cases": len(states), "rounds": rounds, **calls, "best_s": best}
+    return {"cases": len(states), "rounds": rounds, **calls, **substitutions, "best_s": best}
 
 
 def verify_doubling(repeat: int) -> dict:
@@ -239,11 +281,30 @@ def verify_doubling(repeat: int) -> dict:
 
     compiler.build_branch_combinator = counted
     try:
-        verify()
+        with counting_substitutions() as substitutions:
+            verify()
     finally:
         compiler.build_branch_combinator = build
     best = min(verify() for _ in range(repeat))
-    return {"theta_builds": builds, "best_s": best}
+    return {"theta_builds": builds, **substitutions, "best_s": best}
+
+
+def certify_wide7(repeat: int) -> dict:
+    """A compile of ``conftest.wide(7)`` (module docstring)."""
+    from asmlc.compiler import compile_machine
+    from conftest import wide
+    machine, state = wide(7)
+
+    def compile_once() -> float:
+        t0 = time.perf_counter()
+        compile_machine(machine, state)
+        return time.perf_counter() - t0
+
+    with counting_substitutions() as substitutions:
+        cm = compile_machine(machine, state)
+    best = min(compile_once() for _ in range(repeat))
+    return {"K": cm.K, "L": cm.L, "certify_paths": cm.certificate.paths,
+            "certify_steps": cm.certificate.steps, **substitutions, "best_s": best}
 
 
 def measure(grid: int, repeat: int) -> dict:
@@ -257,6 +318,7 @@ def measure(grid: int, repeat: int) -> dict:
                                  **bench(cases, repeat)}
     out["lockstep_grid"] = lockstep_grid(grid, repeat)
     out["verify_doubling"] = verify_doubling(repeat)
+    out["certify_wide7"] = certify_wide7(repeat)
     return out
 
 
@@ -282,6 +344,10 @@ def summarize(rows: list[dict]) -> dict:
                 raise RuntimeError(f"{key} differs between rounds: {[r[key] for r in rows]}")
             out[key] = value
     return out
+
+
+def _substitutions(row: dict) -> str:
+    return f"{row['substitutions']} substitutions ({row['closed_share']:.1%} closed)"
 
 
 def main() -> None:
@@ -310,7 +376,8 @@ def main() -> None:
         print(f"{label:>7}: euclid {row['machines']['euclid']['best_s']:.4f} s, "
               f"doubling {row['machines']['doubling']['best_s']:.4f} s, "
               f"lockstep grid {row['lockstep_grid']['best_s']:.4f} s, "
-              f"verify doubling {row['verify_doubling']['best_s']:.4f} s", flush=True)
+              f"verify doubling {row['verify_doubling']['best_s']:.4f} s, "
+              f"certify wide-7 {row['certify_wide7']['best_s']:.4f} s", flush=True)
 
     record = {"python": platform.python_version(),
               "nproc": len(os.sched_getaffinity(0)), "rounds": ROUNDS,
@@ -329,21 +396,26 @@ def main() -> None:
                   f"{row['trajectories']} runs, {row['steps']} steps, median "
                   f"{rate['median']:,.0f} steps/s (quartiles {rate['q1']:,.0f}-"
                   f"{rate['q3']:,.0f}); per step {row['visits_per_step']} F-search "
-                  f"visits, {row['nodes_built_per_step']} nodes built")
+                  f"visits, {row['nodes_built_per_step']} nodes built; "
+                  f"{_substitutions(row)}")
         row = side["lockstep_grid"]
         print(f"{label:>7} lockstep grid {args.grid}: {row['cases']} runs, "
               f"{row['rounds']} rounds, {row['engine_runs']} engine runs, "
-              f"{row['decode_calls']} decodes, median "
+              f"{row['decode_calls']} decodes, {_substitutions(row)}, median "
               f"{row['best_s']['median']:.4f} s")
         row = side["verify_doubling"]
         print(f"{label:>7} verify doubling --grid 8: {row['theta_builds']} theta builds, "
-              f"median {row['best_s']['median']:.4f} s")
+              f"{_substitutions(row)}, median {row['best_s']['median']:.4f} s")
+        row = side["certify_wide7"]
+        print(f"{label:>7} compile wide-7: (K, L) = ({row['K']}, {row['L']}), "
+              f"{row['certify_paths']} paths, {row['certify_steps']} certificate steps, "
+              f"{_substitutions(row)}, median {row['best_s']['median']:.4f} s")
     if "parent" in record["sides"]:
         change, parent = record["sides"]["change"], record["sides"]["parent"]
         ratios = {f"{name}_steps_per_s": (change["machines"][name]["steps_per_s"]["median"]
                                           / parent["machines"][name]["steps_per_s"]["median"])
                   for name in change["machines"]}
-        for key in ("lockstep_grid", "verify_doubling"):
+        for key in ("lockstep_grid", "verify_doubling", "certify_wide7"):
             ratios[f"{key}_s"] = change[key]["best_s"]["median"] / parent[key]["best_s"]["median"]
         record["change_over_parent"] = {key: round(r, 3) for key, r in ratios.items()}
         print("change / parent medians: " + ", ".join(

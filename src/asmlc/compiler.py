@@ -36,6 +36,7 @@ from .asm import (
     Update,
     Vocabulary,
     _carrier_grid,
+    lift_interpretation,
 )
 from .combinators import (
     Branch,
@@ -228,14 +229,20 @@ def slot_values_for_state(slots: Sequence[Slot], state: State,
     return tuple(vals)
 
 
+def _require_initial_constants(slots: Sequence[Slot], defined) -> None:
+    """Raise unless ``defined(name)`` holds of every dynamic constant:
+    no slot code can stand for an undefined initial value."""
+    for slot in slots:
+        if slot.delta is None and not defined(slot.name):
+            raise CompileError(
+                f"dynamic constant {slot.name} has no defined initial value")
+
+
 def initial_values(slots: Sequence[Slot], initial: State) -> tuple[Value, ...]:
     """Slot codes for a freshly initialized state: plain values for
     constants (which must be defined), empty difference lists for
     function-sorted symbols."""
-    for slot in slots:
-        if slot.delta is None and () not in initial.dynamics[slot.name]:
-            raise CompileError(
-                f"dynamic constant {slot.name} has no defined initial value")
+    _require_initial_constants(slots, lambda name: () in initial.dynamics[name])
     return slot_values_for_state(slots, initial, initial)
 
 
@@ -514,8 +521,11 @@ def compile_machine(
     # take that branch as its else-arm without testing it.
     kept[-1] = kept[-1]._replace(guard=TRUE_TERM)
 
-    # no slot code can stand for an undefined initial value
-    initial_values(slots, machine.initial_state(state))
+    # only the nullary init rules are evaluated: tabulating every
+    # dynamic function over its carrier would tell nothing more here
+    init = machine.init
+    _require_initial_constants(slots, lambda name: lift_interpretation(
+        state, init[name].term, init[name].sigma, 0)() is not None)
     inputs = [Slot(s.name, s.result_sort) for s in voc.symbols.values() if s.is_input]
     cc = build_branch_combinator(kept, slots, sig, K, L, inputs)
     return CompiledMachine(*(getattr(cc, f.name) for f in fields(cc) if f.init),

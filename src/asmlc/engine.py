@@ -77,6 +77,24 @@ one redex at a time.  With closed arguments the substitution renames
 nothing; an open argument ends the run, and its single step renames a
 capturing binder as the traced reducer does.
 
+Substitution.  Theta only ever receives closed arguments: slot codes,
+the Curry fixed point's half, the closed branch terms, and the input
+codes that ``combinators.instantiate`` binds.  A closed replacement has
+no free variable that a binder of the body could capture (Barendregt's
+variable convention, *The Lambda Calculus*, 1984), so a substitution
+whose replacements are all closed needs no capture set and renames no
+binder.  ``_subst`` tests each replacement's ``fv`` once; when all are
+empty its walk, the module-level ``_walk``, which takes the
+environment, its name set and the capture set as arguments, runs with
+an empty capture set and never takes the renaming branch.  Lockstep
+rounds, certificate paths and input bindings substitute only closed
+terms (``benchmarks/bench_engine.py`` counts the closed share).  An
+open replacement, as in a term that ``asmlc trace`` reduces or in the
+renaming substitution ``{binder: Var(fresh)}``, runs the same walk with
+the free variables of the replacements as its capture set, so it
+renames exactly the binders that the traced reducer's ``substitute``
+renames.
+
 The search prunes by the facts each node carries (``terms``): a node
 without ``beta`` holds no beta redex, and a node without ``const`` holds
 no F-redex.  A constant whose prefix of ``arity`` arguments has a free
@@ -201,39 +219,52 @@ def fresh_name(base: str, avoid: frozenset[str]) -> str:
     return f"{base}${k}"
 
 
+_CLOSED: frozenset = frozenset()
+
+
 def _subst(t: Term, env: dict) -> Term:
     """Capture-avoiding simultaneous substitution: ``t`` with every free
     ``Var`` named in ``env`` replaced by its term.  A binder free in one
     of those terms is renamed to ``fresh_name`` of the body's and their
     free variables, first in a substitution of its own, so a single
     substitution names its binders as the traced reducer's
-    ``substitute`` does.  With closed terms, as a head run's are,
-    nothing is renamed.  Every subterm that holds no variable named in
-    ``env`` is returned unchanged, closed terms included."""
+    ``substitute`` does.  With closed terms (module docstring,
+    "Substitution") the capture set is empty and nothing is renamed.
+    Every subterm that holds no variable named in ``env`` is returned
+    unchanged, closed terms included."""
     names = frozenset(env)
-    avoid = frozenset().union(*(r.fv for r in env.values()))
+    if t.fv.isdisjoint(names):
+        return t
+    avoid = _CLOSED
+    for r in env.values():
+        if r.fv:
+            avoid = avoid.union(*(r.fv for r in env.values()))
+            break
+    return _walk(t, env, names, avoid)
 
-    def walk(t: Term) -> Term:  # t.fv meets names
-        tp = type(t)
-        if tp is Var:
-            return env[t.name]
-        if tp is App:
-            fun, arg = t.fun, t.arg
-            if not fun.fv.isdisjoint(names):
-                fun = walk(fun)
-            if not arg.fv.isdisjoint(names):
-                arg = walk(arg)
-            return App(fun, arg)
-        binder, body = t.binder, t.body
-        if binder in names:
-            return _subst(t, {name: r for name, r in env.items() if name != binder})
-        if binder in avoid:
-            fresh = fresh_name(binder, body.fv | avoid)
-            body = _subst(body, {binder: Var(fresh)})
-            binder = fresh
-        return Abs(binder, walk(body))
 
-    return t if t.fv.isdisjoint(names) else walk(t)
+def _walk(t: Term, env: dict, names: frozenset, avoid: frozenset) -> Term:
+    """``_subst``'s walk of a ``t`` whose free variables meet ``names``,
+    the keys of ``env``; ``avoid`` holds the free variables of its
+    terms."""
+    tp = type(t)
+    if tp is Var:
+        return env[t.name]
+    if tp is App:
+        fun, arg = t.fun, t.arg
+        if not fun.fv.isdisjoint(names):
+            fun = _walk(fun, env, names, avoid)
+        if not arg.fv.isdisjoint(names):
+            arg = _walk(arg, env, names, avoid)
+        return App(fun, arg)
+    binder, body = t.binder, t.body
+    if binder in names:
+        return _subst(t, {name: r for name, r in env.items() if name != binder})
+    if binder in avoid:
+        fresh = fresh_name(binder, body.fv | avoid)
+        body = _subst(body, {binder: Var(fresh)})
+        binder = fresh
+    return Abs(binder, _walk(body, env, names, avoid))
 
 
 def _beta_step(t: Term, most: int = 1) -> tuple[Term, int]:

@@ -326,6 +326,23 @@ def random_program(rng: random.Random, depth: int) -> Program:
     return Par(tuple(random_program(rng, depth - 1) for _ in range(n)))
 
 
+# The seeded stream of random counter machines that lockstep, the
+# certificate memo check and ``benchmarks/bench_cost.py``'s random-1108
+# record all read, the first RANDOM_PROGRAMS of it, none left out.
+RANDOM_SEED, RANDOM_PROGRAMS = 1108, 120
+
+
+def random_machines() -> Iterable[Machine]:
+    """The stream's machines over ``counter_vocabulary()``: programs of
+    depth 2-4, each slot initialised to zero, one or two."""
+    rng = random.Random(RANDOM_SEED)
+    voc = counter_vocabulary()
+    for _ in range(RANDOM_PROGRAMS):
+        prog = random_program(rng, rng.randint(2, 4))
+        init = {s: InitRule((), TApp(rng.choice(("zero", "one", "two")))) for s in ("p", "q")}
+        yield Machine(voc, prog, init)
+
+
 def counter_family(n: int) -> tuple[Machine, State]:
     """A machine with n cyclic counters updated in parallel; exits when
     the first counter returns to zero."""

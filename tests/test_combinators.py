@@ -1,9 +1,6 @@
-import random
-
 import pytest
 
 from asmlc import combinators, engine
-from asmlc.asm import InitRule, Machine, TApp
 from asmlc.combinators import (
     ExitBranch,
     Slot,
@@ -41,13 +38,14 @@ from conftest import (
     machine_probes,
     measure_block,
     random_closed_term,
-    random_program,
+    random_machines,
     wide,
 )
 from traced import (
     beta_step,
     f_redexes,
     f_step,
+    holds_f_redex,
     leftmost_f_redex,
     leftmost_redex,
     reduce_leftmost_f,
@@ -444,28 +442,27 @@ def test_certificate_paths_share_one_memo_of_f_free_nodes(monkeypatch):
     """Every path of a certificate fills and reads one memo, a copy of
     theta's, and after certification each node in it holds no F-redex
     by the traced search (as ``engine.scan``'s memo is checked), on the
-    bundled machines and on the first random programs of
-    ``test_random_programs_lockstep``'s stream.  The traced search
-    builds an address per node, so its cost grows with the depth of
-    each node it is given: the stream's 14th program alone would take
-    seconds."""
+    bundled machines and on every machine of the seeded random stream
+    that ``test_random_programs_lockstep`` runs, at its minima and
+    padded.  The memo's nodes share their subtrees, so the traced
+    search answers each distinct node once (``holds_f_redex``): a
+    search per node walks every node's whole subtree again, and over
+    the memos of the 120 compiles at the minima that took 887 s."""
     memos = _certificate_memos(monkeypatch)
     compiles = [compile_machine(bundled(name).machine(), bundled(name).state(inputs))
                 for name, (inputs, _) in BUNDLED_COSTS.items()]
-    rng = random.Random(1108)
-    voc = counter_vocabulary()
-    state = counter_state(voc, 0, 0)
-    for _ in range(12):
-        prog = random_program(rng, rng.randint(2, 4))
-        init = {s: InitRule((), TApp(rng.choice(("zero", "one", "two")))) for s in ("p", "q")}
-        compiles.append(compile_machine(Machine(voc, prog, init), state))
+    state = counter_state(counter_vocabulary(), 0, 0)
+    for machine in random_machines():
+        least = compile_machine(machine, state)
+        compiles += [least, compile_machine(machine, state, least.K + 1, least.L + 1)]
     assert len(memos) == len(compiles)
     for cm, calls in zip(compiles, memos):
         assert len(calls) >= cm.certificate.paths
         (memo, sig), = {id(m): (m, sig) for m, sig in calls}.values()
         assert memo is not cm.theta_free
         done: dict = {}
-        assert all(not list(f_redexes(_concrete(node, done), sig)) for node in memo.values())
+        seen: dict = {}
+        assert not any(holds_f_redex(_concrete(node, done), sig, seen) for node in memo.values())
 
 
 def test_certificate_walks_each_fork_from_its_shared_prefix(monkeypatch):

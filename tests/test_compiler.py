@@ -187,6 +187,20 @@ def test_compile_runs_no_machine_step(monkeypatch, capsys):
     assert calls
 
 
+def test_compile_tabulates_no_initial_dynamics(monkeypatch):
+    """Compiling a bundled machine evaluates the init rules of its
+    dynamic constants alone, to refuse an undefined one; it tabulates
+    no dynamic function over its carrier."""
+    def refuse(*args):
+        raise AssertionError("compile tabulated the initial dynamics")
+
+    monkeypatch.setattr(asm, "initial_dynamics", refuse)
+    for name, (inputs, cost) in BUNDLED_COSTS.items():
+        sm = bundled(name)
+        cm = compile_machine(sm.machine(), sm.state(inputs))
+        assert (cm.K, cm.L) == cost
+
+
 def _bool_pair(rng: random.Random, names, depth: int):
     """A random Boolean good term over ``names``, built twice: from bare
     constant applications, and through gand/gor/gnot.  The right operand of a binary

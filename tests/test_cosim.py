@@ -1,10 +1,9 @@
-import random
 from dataclasses import replace
 
 import pytest
 
 from asmlc import cosim, engine
-from asmlc.asm import If, InitRule, Machine, Par, TApp, Update
+from asmlc.asm import If, Machine, Par, TApp, Update
 from asmlc.compiler import compile_machine
 from asmlc.cosim import _slot_diff, decoration_audit, lockstep, render_audit
 from asmlc.engine import scan
@@ -12,7 +11,7 @@ from asmlc.lambda_f import FSignature, Value
 from asmlc.sourcefmt import parse_source
 from asmlc.terms import Abs, App, Var, lam
 
-from conftest import bundled, counter_state, counter_vocabulary, random_program
+from conftest import bundled, counter_state, counter_vocabulary, random_machines
 
 
 @pytest.fixture(scope="module")
@@ -142,34 +141,24 @@ def test_replaced_combinator_starts_with_an_empty_memo(euclid_cm):
         assert rep == lockstep(machine, cold, state)
 
 
-# The first RANDOM_PROGRAMS programs of the seeded stream, none left
-# out: the 120 of ``benchmarks/bench_cost.py``'s random-1108 record,
-# whose largest compiles to (K, L) = (104, 4021).  The test must stay
-# under 2 s.
-RANDOM_PROGRAMS = 120
-
-
 def test_random_programs_lockstep():
-    """Random counter-vocabulary programs of depth 2-4, each compiled at
-    its minima and at (K_min+1, L_min+1), which pads through the discard
+    """The machines of the seeded random stream (``random_machines``:
+    the 120 of ``benchmarks/bench_cost.py``'s random-1108 record, whose
+    largest compiles to (K, L) = (104, 4021)), each compiled at its
+    minima and at (K_min+1, L_min+1), which pads through the discard
     binding: each certificate has one path per kept branch, no run
     fails, and a run is inconclusive only when the machine diverged and
-    every round matched."""
-    rng = random.Random(1108)
-    voc = counter_vocabulary()
-    state = counter_state(voc, 0, 0)
+    every round matched.  The test must stay under 2 s."""
+    state = counter_state(counter_vocabulary(), 0, 0)
     verdicts = {"pass": 0, "inconclusive": 0}
-    for _ in range(RANDOM_PROGRAMS):
-        prog = random_program(rng, rng.randint(2, 4))
-        init = {s: InitRule((), TApp(rng.choice(("zero", "one", "two")))) for s in ("p", "q")}
-        machine = Machine(voc, prog, init)
+    for machine in random_machines():
         least = compile_machine(machine, state)
         padded = compile_machine(machine, state, least.K + 1, least.L + 1)
         for cm in (least, padded):
             # one abstract path per branch theta keeps
             assert cm.certificate.paths == len(cm.branches)
             rep = lockstep(machine, cm, state, max_steps=30)
-            assert rep.verdict != "fail", (prog, cm.K, cm.L, rep.rounds[-1])
+            assert rep.verdict != "fail", (machine.program, cm.K, cm.L, rep.rounds[-1])
             # the rerun reads its rounds from the memo the first run filled
             assert lockstep(machine, cm, state, max_steps=30) == rep
             if rep.verdict == "inconclusive":

@@ -24,8 +24,8 @@ from asmlc.lambda_f import (
 from asmlc.syntax import TermSyntaxError, parse_term
 from asmlc.terms import Abs, App, Code, Const, Term, Unknown, Var, app, lam
 
-from conftest import BUNDLED_COSTS, bundled, random_term
-from traced import Status, f_redexes, reduce_leftmost_f
+from conftest import BUNDLED_COSTS, bundled, random_closed_term, random_term
+from traced import Status, f_redexes, holds_f_redex, reduce_leftmost_f, substitute
 
 _STATUS = {Status.NORMAL: STATUS_NORMAL, Status.BUDGET: STATUS_RAN,
            Status.UNDEFINED: STATUS_UNDEFINED}
@@ -116,6 +116,52 @@ def test_substitution_keeps_closed_subterms():
     out, beta, f, status = advance_term(t, FSignature(), 1)
     assert (beta, f, status) == (1, 0, STATUS_NORMAL)
     assert out.fun.fun is big and out.arg is big
+
+
+def _assert_shares(t: Term, out: Term, env: dict) -> int:
+    """``out`` is ``engine._subst(t, env)`` for a closed ``env``: a
+    subterm of ``t`` that holds no variable of ``env`` is in ``out``
+    by identity, each replaced ``Var`` is its replacement itself, and
+    every binder keeps its name.  Returns the number of binders passed
+    that shadow a substituted name."""
+    if t.fv.isdisjoint(env):
+        assert out is t
+        return 0
+    if type(t) is Var:
+        assert out is env[t.name]
+        return 0
+    if type(t) is App:
+        return _assert_shares(t.fun, out.fun, env) + _assert_shares(t.arg, out.arg, env)
+    assert type(out) is Abs and out.binder == t.binder
+    inner = {name: r for name, r in env.items() if name != t.binder}
+    return (t.binder in env) + _assert_shares(t.body, out.body, inner)
+
+
+def test_subst_agrees_with_traced_substitution(rng):
+    """``engine._subst`` against the traced ``substitute`` on random
+    bodies: a closed environment of one to three variables gives the
+    sequential traced substitution, renames no binder and keeps every
+    subterm that holds no substituted variable by identity; an open
+    single-variable environment gives the traced substitution down to
+    its fresh binder names.  The random bodies bind the substituted
+    names too, so binders that shadow them are crossed."""
+    shadowed = renamed = 0
+    for _ in range(500):
+        t = random_term(rng, rng.randint(1, 14))
+        names = rng.sample(("a", "b", "c"), rng.randint(1, 3))
+        env = {name: random_closed_term(rng, rng.randint(1, 6)) for name in names}
+        out = engine._subst(t, env)
+        want = t
+        for name, r in env.items():
+            want = substitute(want, name, r)
+        assert out == want
+        assert not any("$" in n.binder for n in _nodes(out) if type(n) is Abs)
+        shadowed += _assert_shares(t, out, env)
+        name, r = names[0], random_term(rng, rng.randint(1, 5))
+        out = engine._subst(t, {name: r})
+        assert out == substitute(t, name, r)
+        renamed += any("$" in n.binder for n in _nodes(out) if type(n) is Abs)
+    assert shadowed > 50 and renamed > 50, (shadowed, renamed)
 
 
 def _nat_sig() -> FSignature:
@@ -274,7 +320,7 @@ def test_scan_finds_what_the_traced_search_finds(rng):
     for _ in range(300):
         t = random_f_term(rng, rng.randint(1, 5))
         resident, f_free = scan(t, sig)
-        assert resident == bool(list(f_redexes(t, sig)))
+        assert resident == bool(list(f_redexes(t, sig))) == holds_f_redex(t, sig, {})
         # the search stops at the first redex and memoizes none of the
         # nodes that hold it, which later calls would then skip
         assert all(not list(f_redexes(node, sig)) for node in f_free.values())

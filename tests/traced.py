@@ -187,6 +187,29 @@ def f_redexes(t: Term, sig: FSignature) -> Iterator[Addr]:
             stack.append((s.body, at + ("body",)))
 
 
+def holds_f_redex(t: Term, sig: FSignature, seen: dict) -> bool:
+    """Whether ``t`` holds an F-redex, by ``_f_redex_here`` at each of
+    its nodes: ``bool(list(f_redexes(t, sig)))`` without the addresses.
+    ``seen`` memoizes the answer by ``id``, with the node so no ``id``
+    is reused, and may be shared by calls under one ``sig``: a set of
+    terms that share subterms, as the nodes of an engine memo do, then
+    costs one test per distinct node, where ``f_redexes`` walks each
+    term's whole subtree again."""
+    hit = seen.get(id(t))
+    if hit is not None:
+        return hit[1]
+    if _f_redex_here(t, sig) is not None:
+        out = True
+    elif isinstance(t, App):
+        out = holds_f_redex(t.fun, sig, seen) or holds_f_redex(t.arg, sig, seen)
+    elif isinstance(t, Abs):
+        out = holds_f_redex(t.body, sig, seen)
+    else:
+        out = False
+    seen[id(t)] = (t, out)
+    return out
+
+
 def leftmost_f_redex(t: Term, sig: FSignature) -> Optional[Addr]:
     """Address of the leftmost F-redex (prefix order), or None."""
     return next(f_redexes(t, sig), None)
