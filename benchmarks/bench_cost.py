@@ -1,12 +1,15 @@
 """The per-step budget of the compiled bundled machines and counters.
 
 Compiles every bundled machine at the inputs ``tests/conftest.py``
-pins its costs at, and ``counter_family(n)`` for n in 1..5 (n cyclic
-counters updated in parallel, from the same file).  For each it records
-the minima K_min and L_min, the size of theta in nodes, the branch
-count, the manifest's guard order and F-work per branch, and what
-certifying (K, L) took in one compile: the engine steps of
-certification, counted at ``combinators._advance`` (the engine loop
+pins its costs at, ``counter_family(n)`` for n in 1..5 (n cyclic
+counters updated in parallel, from the same file), and
+``tests/halves.asm`` at start 0 (a difference-list slot read over a
+partial init rule and written twice in one clause).  For each it
+records the minima K_min and L_min, the size of theta in nodes, the
+branch count, the manifest's guard order and the cost split of L, the
+F-work per branch and the padding, so a moved L shows which part
+moved, and what certifying (K, L) took in one compile: the engine
+steps of certification, counted at ``combinators._advance`` (the engine loop
 the certificate runs), the certificate's path count, the calls of the
 engine's F-redex walk ``engine._Reducer._contract`` (recursive ones
 included) made while ``combinators.certify`` runs, and
@@ -56,6 +59,7 @@ from conftest import (
     counter_family,
     counter_state,
     counter_vocabulary,
+    halves,
     random_machines,
     wide,
 )
@@ -76,6 +80,7 @@ def _cases() -> dict:
         out[name] = (sm.machine(), sm.state(inputs))
     for n in COUNTERS:
         out[f"counter-{n}"] = counter_family(n)
+    out["halves"] = (halves().machine(), halves().state({"start": 0}))
     out["wide-7"] = wide(7)
     return out
 
@@ -158,7 +163,7 @@ def main() -> None:
         row = {"K_min": m["K_min"], "L_min": m["L_min"],
                "theta_nodes": term_size(cm.theta), "branches": m["branches"],
                "guard_order": m["guard_order"],
-               "F_branches": m["cost"]["F_branches"],
+               "F_branches": m["cost"]["F_branches"], "pad_L": m["cost"]["pad_L"],
                "certify_steps": steps, "certify_paths": cm.certificate.paths,
                "certify_contract_calls": contracts,
                "theta_sha256": digest.hexdigest()}

@@ -61,13 +61,17 @@ the parent's, ``ROUNDS`` of each, in an order that flips every round,
 so drift in the machine's load falls on both sides alike.  The record
 keeps, per side, the median and quartiles over the rounds of every
 timing and of the rate it gives, and the counters, which must repeat
-exactly between rounds.  Step and round counts must agree
-between the sides: both claim the same (K, L).
+exactly between rounds.  Each kernel record also keeps ``theta_sha256``,
+the SHA-256 of the printed theta (``syntax.print_term``).  Between the
+sides, a machine's round count must agree.  Where its (K, L) differs
+the run prints both budgets; where (K, L) and theta agree, its steps,
+nodes built, F-search visits and substitutions must agree too.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -82,11 +86,14 @@ sys.path.insert(0, str(checkouts.ROOT / "tests"))
 
 MACHINES = checkouts.ROOT / "machines"
 DOUBLING_STOPS = range(1, 9)
-# Passes over the doubling stops per timing: at (K, L) = (8, 15) one
-# pass takes about 0.015 s (Python 3.11, 2 CPUs), so ten take about as
-# long as one or two euclid passes.
+# Passes over the doubling stops per timing: at (K, L) = (8, 11) one
+# pass takes about 0.003 s (Python 3.11, 2 CPUs), so ten take about as
+# long as one euclid pass.
 DOUBLING_REPS = 10
 ROUNDS = 11  # processes of each side
+# Deterministic counters of a kernel record that equal budgets and
+# thetas must repeat on both sides.
+WORK = ("steps", "nodes_built", "f_search_visits", "substitutions")
 
 
 def _load(name: str):
@@ -310,12 +317,14 @@ def certify_wide7(repeat: int) -> dict:
 def measure(grid: int, repeat: int) -> dict:
     """Every record of one side, measured in this process."""
     import asmlc
+    from asmlc.syntax import print_term
     from asmlc.terms import term_size
     out = {"package": asmlc.__file__, "machines": {}}
     for name, cases in _cases(grid).items():
         cm = cases[0][0]
+        digest = hashlib.sha256(print_term(cm.theta).encode()).hexdigest()
         out["machines"][name] = {"K": cm.K, "L": cm.L, "theta_nodes": term_size(cm.theta),
-                                 **bench(cases, repeat)}
+                                 "theta_sha256": digest, **bench(cases, repeat)}
     out["lockstep_grid"] = lockstep_grid(grid, repeat)
     out["verify_doubling"] = verify_doubling(repeat)
     out["certify_wide7"] = certify_wide7(repeat)
@@ -344,6 +353,22 @@ def summarize(rows: list[dict]) -> dict:
                 raise RuntimeError(f"{key} differs between rounds: {[r[key] for r in rows]}")
             out[key] = value
     return out
+
+
+def compare_work(parent: dict, change: dict) -> None:
+    """Exit unless every kernel record's work agrees between the sides
+    as far as its budget and theta do (module docstring)."""
+    for name, c in change.items():
+        p = parent[name]
+        if p["rounds"] != c["rounds"]:
+            sys.exit(f"{name}: {p['rounds']} rounds at the parent, {c['rounds']} in the change")
+        if (p["K"], p["L"]) != (c["K"], c["L"]):
+            print(f"{name}: (K, L) = ({p['K']}, {p['L']}) at the parent, ({c['K']}, {c['L']}) "
+                  f"in the change, over {c['rounds']} rounds on both sides")
+        elif p["theta_sha256"] == c["theta_sha256"]:
+            differ = {key: (p[key], c[key]) for key in WORK if p[key] != c[key]}
+            if differ:
+                sys.exit(f"{name}: same (K, L) and theta, but (parent, change) {differ}")
 
 
 def _substitutions(row: dict) -> str:
@@ -385,10 +410,9 @@ def main() -> None:
               "doubling_stops": [DOUBLING_STOPS[0], DOUBLING_STOPS[-1]],
               "doubling_reps": DOUBLING_REPS,
               "sides": {label: summarize(rows) for label, rows in found.items()}}
-    work = {label: {name: (m["steps"], m["rounds"]) for name, m in side["machines"].items()}
-            for label, side in record["sides"].items()}
-    if "parent" in work and work["parent"] != work["change"]:
-        sys.exit(f"the sides count different steps and rounds: {work}")
+    if "parent" in record["sides"]:
+        compare_work(record["sides"]["parent"]["machines"],
+                     record["sides"]["change"]["machines"])
     for label, side in record["sides"].items():
         for name, row in side["machines"].items():
             rate = row["steps_per_s"]
@@ -412,9 +436,13 @@ def main() -> None:
               f"{_substitutions(row)}, median {row['best_s']['median']:.4f} s")
     if "parent" in record["sides"]:
         change, parent = record["sides"]["change"], record["sides"]["parent"]
-        ratios = {f"{name}_steps_per_s": (change["machines"][name]["steps_per_s"]["median"]
-                                          / parent["machines"][name]["steps_per_s"]["median"])
-                  for name in change["machines"]}
+        ratios = {}
+        for name, c in change["machines"].items():
+            p = parent["machines"][name]
+            # a machine whose (K, L) moved takes other steps, so its
+            # steps per second compare less than its times
+            ratios[f"{name}_steps_per_s"] = c["steps_per_s"]["median"] / p["steps_per_s"]["median"]
+            ratios[f"{name}_s"] = c["best_s"]["median"] / p["best_s"]["median"]
         for key in ("lockstep_grid", "verify_doubling", "certify_wide7"):
             ratios[f"{key}_s"] = change[key]["best_s"]["median"] / parent[key]["best_s"]["median"]
         record["change_over_parent"] = {key: round(r, 3) for key, r in ratios.items()}

@@ -3,9 +3,9 @@ step with an exact, constant (K, L) reduction budget.
 
 Pipeline: normalize the program into exclusive guarded clauses, lower
 the vocabulary into a constant signature (statics totalized, with
-definedness predicates for the partial ones, plus Boolean/equality/
-selection builtins and delta-list operations for dynamic symbols of
-positive arity), translate every guard, update and exit into lambda
+definedness predicates for the partial ones, plus Boolean and equality
+builtins and delta-list operations for dynamic symbols of positive
+arity), translate every guard, update and exit into lambda
 terms over the slots, compositions of constants with no abstraction,
 and hand the ordered branch list to the combinator builder.
 
@@ -159,8 +159,8 @@ def _default(state: State, sort: str):
 def lower_signature(voc: Vocabulary, state: State, slots: Sequence[Slot]) -> tuple[FSignature, set[str]]:
     """Constant signature for the compiled term: totalized statics,
     definedness predicates for partial ones, Boolean connectives,
-    per-sort equality and selection, and delta operations per
-    function-sorted dynamic symbol.  Returns (signature, partials)."""
+    per-sort equality, and delta operations per function-sorted dynamic
+    symbol.  Returns (signature, partials)."""
     sig = FSignature()
     partials: set[str] = set()
     for sym in voc.symbols.values():
@@ -187,11 +187,9 @@ def lower_signature(voc: Vocabulary, state: State, slots: Sequence[Slot]) -> tup
     for sort in voc.sorts:
         if sig.get(f"eq_{sort}") is None:
             sig.add(f"eq_{sort}", *eq.profile(sort), eq.fn)
-        if sig.get(f"ite_{sort}") is None:
-            sig.add(f"ite_{sort}", (BOOL, sort, sort), sort, lambda c, a, b: a if c else b)
     for slot in slots:
         if slot.delta is not None:
-            install_delta(sig, slot.delta, totalize_default=_default(state, slot.sort))
+            install_delta(sig, slot.delta)
     return sig, partials
 
 
@@ -297,13 +295,14 @@ class Translator(Fields):
         slot = self.slots[sym.name]
         if slot.delta is None:
             return Var(sym.name), argdef
-        # function-sorted dynamic symbol: look up the delta list, fall
-        # back to the initialization term
+        # function-sorted dynamic symbol: one Get reads the delta list,
+        # the initialization term its default; the entry's presence is
+        # read only where that term may be undefined (gor folds it away
+        # when idef is true)
         delta = Var(sym.name)
         ival, idef = self.init_value_and_def(sym.name, vals)
         present = self.apply(slot.delta.op_name("B"), (delta, *vals))
-        lookup = self.apply(slot.delta.op_name("V"), (delta, *vals))
-        value = self.apply(f"ite_{slot.sort}", (present, lookup, ival))
+        value = self.apply(slot.delta.op_name("Get"), (delta, *vals, ival))
         return value, gand(argdef, gor(present, idef))
 
     def init_value_and_def(self, dyn_name: str, arg_vals: Sequence[Term]):
@@ -427,21 +426,13 @@ def _slot_update(tr: Translator, slot: Slot, updates: list[Update]) -> Term:
         return Var(slot.name)
     if slot.delta is None:
         return tr.value_and_def(mine[0].rhs)[0]
-    # delta slot: remove the currently visible tuple for each updated
-    # location (read from the accumulated list, so repeated writes to
-    # one location keep the list functional), then append the new one
+    # delta slot: one Set per update, each on the list the earlier ones
+    # built, so a repeated write to one location keeps it functional
     acc: Term = Var(slot.name)
-    d = slot.delta
     for u in mine:
-        arg_vals = [tr.value_and_def(a)[0] for a in u.args]
-        rhs = tr.value_and_def(u.rhs)[0]
-        present = tr.apply(d.op_name("B"), (acc, *arg_vals))
-        lookup = tr.apply(d.op_name("V"), (acc, *arg_vals))
-        ival, _ = tr.init_value_and_def(slot.name, arg_vals)
-        current = tr.apply(f"ite_{slot.sort}", (present, lookup, ival))
-        acc = tr.apply(d.op_name("Add"),
-                       (tr.apply(d.op_name("Del"), (acc, *arg_vals, current)),
-                        *arg_vals, rhs))
+        acc = tr.apply(slot.delta.op_name("Set"),
+                       (acc, *(tr.value_and_def(a)[0] for a in u.args),
+                        tr.value_and_def(u.rhs)[0]))
     return acc
 
 

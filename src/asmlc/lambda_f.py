@@ -10,7 +10,6 @@ engine (``engine``) contracts F-redexes under a signature.
 """
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .asm import BUILTINS
@@ -128,7 +127,7 @@ def standard_bool_signature() -> FSignature:
 
 class DeltaType(NamedTuple):
     """One tuple type epsilon = (arg datatypes..., result datatype) with
-    its list datatype and the five operation names."""
+    its list datatype and the four operation names."""
 
     name: str
     arg_datatypes: tuple[str, ...]
@@ -142,7 +141,7 @@ class DeltaType(NamedTuple):
         return f"{op}_{self.name}"
 
 
-# The five delta-list operations.  A list is a tuple of (m+1)-tuples,
+# The four delta-list operations.  A list is a tuple of (m+1)-tuples,
 # keys first, value last.
 
 
@@ -157,37 +156,31 @@ def delta_b(seq, *key) -> bool:
     return any(t[:-1] == key for t in seq)
 
 
-def delta_v(default, seq, *key):
-    """V: the value at ``key``, or ``default`` unless ``seq`` is
-    functional and holds ``key``."""
+def delta_get(seq, *key_default):
+    """Get: the value at the key (every argument but the last), or the
+    default (the last) unless ``seq`` is functional and holds the key."""
+    key = key_default[:-1]
     if delta_f(seq):
         for t in seq:
             if t[:-1] == key:
                 return t[-1]
-    return default
+    return key_default[-1]
 
 
-def delta_add(seq, *tup):
-    """Add: ``seq`` with ``tup`` appended."""
-    return seq + (tup,)
+def delta_set(seq, *tup):
+    """Set: ``seq`` without the entries keyed like ``tup``, with ``tup``
+    appended."""
+    key = tup[:-1]
+    return tuple(t for t in seq if t[:-1] != key) + (tup,)
 
 
-def delta_del(seq, *tup):
-    """Del: ``seq`` without ``tup``."""
-    return tuple(t for t in seq if t != tup)
-
-
-def install_delta(sig: FSignature, d: DeltaType, totalize_default) -> None:
-    """Register the five delta constants for ``d`` into ``sig``.
-
-    V returns ``totalize_default`` where it is undefined: the compiler
-    guards every lookup, so that value never matters.
-    """
+def install_delta(sig: FSignature, d: DeltaType) -> None:
+    """Register the four delta constants for ``d`` into ``sig``.  Get
+    and Set take the key and then a value: Get's default, which the
+    compiler passes the init term, and the value Set stores."""
     L = d.list_datatype
     tup = d.arg_datatypes + (d.result_datatype,)
     sig.add(d.op_name("F"), (L,), BOOL, delta_f)
     sig.add(d.op_name("B"), (L,) + d.arg_datatypes, BOOL, delta_b)
-    sig.add(d.op_name("V"), (L,) + d.arg_datatypes, d.result_datatype,
-            partial(delta_v, totalize_default))
-    sig.add(d.op_name("Add"), (L,) + tup, L, delta_add)
-    sig.add(d.op_name("Del"), (L,) + tup, L, delta_del)
+    sig.add(d.op_name("Get"), (L,) + tup, d.result_datatype, delta_get)
+    sig.add(d.op_name("Set"), (L,) + tup, L, delta_set)

@@ -71,9 +71,25 @@ def bundled(name: str) -> SourceMachine:
     return parse_source((MACHINES / f"{name}.asm").read_text(encoding="utf-8"))
 
 
+HALVES = Path(__file__).resolve().parent / "halves.asm"
+
+
+@functools.cache
+def halves(clash: bool = False) -> SourceMachine:
+    """``tests/halves.asm``, parsed once per session: a difference-list
+    slot read in a guard and in a right-hand side over a partial init
+    rule, and written twice in one clause with equal values.  With
+    ``clash`` the second write adds 1, not 2, so the two values differ
+    and the step clashes."""
+    source = HALVES.read_text(encoding="utf-8")
+    if clash:
+        source = source.replace("plus(f(i), 2)", "plus(f(i), 1)")
+    return parse_source(source)
+
+
 # Inputs to compile each bundled machine at, and its (K, L) there.
 BUNDLED_COSTS = {"euclid": ({"a0": 1, "b0": 1}, (8, 7)),
-                 "doubling": ({"stop": 4}, (8, 15)),
+                 "doubling": ({"stop": 4}, (8, 11)),
                  "fail": ({}, (3, 0)),
                  "clash": ({}, (3, 0))}
 

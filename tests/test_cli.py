@@ -445,7 +445,7 @@ def test_verify_builds_theta_once(capsys, monkeypatch):
                         lambda *a: calls.append(a) or build(*a))
     code, out = run_cli(capsys, "verify", DOUBLING, "--grid", "8")
     assert code == 0
-    assert out.splitlines()[-1] == "verified 8/8 runs in lockstep at (8, 15)"
+    assert out.splitlines()[-1] == "verified 8/8 runs in lockstep at (8, 11)"
     assert len(calls) == 1
 
 

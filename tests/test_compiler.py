@@ -27,6 +27,7 @@ from conftest import (
     MACHINES,
     bundled,
     counter_family,
+    halves,
     machine_probes,
     probe_blocks,
     semantics,
@@ -143,6 +144,7 @@ FORMULA_CASES = {
     **{name: (lambda name=name: _bundled_case(name), kl)
        for name, (_, kl) in BUNDLED_COSTS.items()},
     **{f"counter-{n}": (lambda n=n: counter_family(n), None) for n in range(1, 6)},
+    "halves": (lambda: (halves().machine(), halves().state({"start": 0})), None),
 }
 
 
@@ -290,7 +292,7 @@ def test_doubling_budget_same_at_every_stop():
     for stop in range(1, 9):
         cm = compile_machine(sm.machine(), sm.state({"stop": stop}))
         shapes.add((cm.K, cm.L, term_size(cm.theta)))
-    assert shapes == {(*BUNDLED_COSTS["doubling"][1], 259)}
+    assert shapes == {(*BUNDLED_COSTS["doubling"][1], 219)}
 
 
 def test_a_compile_translates_each_source_term_once(monkeypatch):

@@ -11,7 +11,7 @@ from asmlc.lambda_f import FSignature, Value
 from asmlc.sourcefmt import parse_source
 from asmlc.terms import Abs, App, Var, lam
 
-from conftest import bundled, counter_state, counter_vocabulary, random_machines
+from conftest import bundled, counter_state, counter_vocabulary, halves, random_machines
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +186,34 @@ def test_lockstep_delta_machine():
     rep = lockstep(machine, cm, state)
     assert rep.passed
     assert rep.rounds[-1].kind == "success"
+
+
+@pytest.mark.parametrize("clash", [False, True], ids=["equal-writes", "clash"])
+def test_halves_lockstep_at_minima_and_padded(clash):
+    """``tests/halves.asm`` reads its difference-list slot in a guard
+    and in a right-hand side, over a partial init rule, and writes one
+    cell twice in a clause.  Every start passes lockstep at the minima
+    and at (K_min+1, L_min+1).  A read of an unwritten odd cell is
+    undefined, so the step halts; a start whose first cell holds less
+    than 3 raises it (equal writes) or clashes (the variant)."""
+    sm = halves(clash)
+    machine = sm.machine()
+    least = compile_machine(machine, sm.state({"start": 0}))
+    padded = compile_machine(machine, sm.state({"start": 0}), least.K + 1, least.L + 1)
+    for cm in (least, padded):
+        outcomes = {}
+        for start in range(10):
+            rep = lockstep(machine, cm, sm.state({"start": start}))
+            assert rep.passed, (clash, cm.K, cm.L, start, rep.rounds[-1])
+            outcomes[start] = (rep.asm_outcome, len(rep.rounds))
+        if clash:
+            assert [s for s, (o, _) in outcomes.items() if o == "clash"] == [0, 2, 4]
+        else:
+            assert outcomes == {0: ("implicit-halt", 4), 1: ("implicit-halt", 1),
+                                2: ("implicit-halt", 3), 3: ("implicit-halt", 1),
+                                4: ("implicit-halt", 3), 5: ("implicit-halt", 1),
+                                6: ("implicit-halt", 2), 7: ("implicit-halt", 1),
+                                8: ("halt", 2), 9: ("halt", 1)}
 
 
 def test_lockstep_detects_wrong_constants():

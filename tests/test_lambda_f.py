@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from asmlc.compiler import delta_as_map
 from asmlc.lambda_f import (
     BOOL,
     FALSE_TERM,
@@ -10,11 +13,10 @@ from asmlc.lambda_f import (
     Value,
     bool_term,
     code_term,
-    delta_add,
     delta_b,
-    delta_del,
     delta_f,
-    delta_v,
+    delta_get,
+    delta_set,
     install_delta,
     match_bool,
     match_code,
@@ -116,22 +118,51 @@ def test_delta_semantics_oracle():
     assert delta_f(seq + ((0, 1),)) is False
     assert delta_b(seq, 0) is True
     assert delta_b(seq, 1) is False
-    assert delta_v(None, seq, 2) == 9
-    assert delta_v(None, seq, 1) is None
-    assert delta_v(None, seq + ((2, 1),), 2) is None  # not functional
-    assert delta_add(seq, 1, 8) == ((0, 7), (2, 9), (1, 8))
-    assert delta_del(seq, 0, 7) == ((2, 9),)
-    assert delta_del(seq, 1, 8) == seq
+    assert delta_get(seq, 2, 4) == 9
+    assert delta_get(seq, 1, 4) == 4
+    assert delta_get(seq + ((2, 1),), 2, 4) == 4  # not functional
+    assert delta_set(seq, 1, 8) == ((0, 7), (2, 9), (1, 8))
+    assert delta_set(seq, 0, 8) == ((2, 9), (0, 8))
+    assert delta_set(seq, 2, 9) == seq
+
+
+@st.composite
+def _functional_lists(draw):
+    """A functional list over keys of one or two small components, in
+    any order, with a key and a value to read and write at."""
+    key = st.tuples(*[st.integers(0, 3)] * draw(st.integers(1, 2)))
+    table = draw(st.dictionaries(key, st.integers(0, 3), max_size=6))
+    seq = tuple(draw(st.permutations([k + (v,) for k, v in table.items()])))
+    return seq, draw(key), draw(st.integers(0, 3))
+
+
+@given(_functional_lists())
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+def test_set_and_get_on_functional_lists(case):
+    """Set keeps a list functional, stores the value at the key, and
+    builds the tuple that the Add-after-Del write it replaces built; Get
+    reads the map the list stands for, with its default."""
+    seq, key, v = case
+    table = delta_as_map(Value("L_f", seq))
+    got = delta_set(seq, *key, v)
+    assert delta_f(got)
+    assert delta_as_map(Value("L_f", got)) == {**table, key: v}
+    # the write Set replaces: Del the visible entry, ite(B, V, init), then Add
+    current = table.get(key, "init")
+    assert got == tuple(t for t in seq if t != (*key, current)) + ((*key, v),)
+    assert delta_get(seq, *key, v) == table.get(key, v)
 
 
 def test_install_delta_and_reduce(sig):
     d = DeltaType("cell", ("Nat",), "Nat")
-    install_delta(sig, d, totalize_default=0)
+    install_delta(sig, d)
     empty = Code(Value(d.list_datatype, ()))
-    t = app(Const(d.op_name("Add")), empty, Code(Value("Nat", 1)), Code(Value("Nat", 5)))
+    t = app(Const(d.op_name("Set")), empty, Code(Value("Nat", 1)), Code(Value("Nat", 5)))
     r = reduce_leftmost_f(t, sig, 10)
     assert r.status is Status.NORMAL
     got = r.term
-    t2 = app(Const(d.op_name("V")), got, Code(Value("Nat", 1)))
-    r2 = reduce_leftmost_f(t2, sig, 10)
-    assert match_code(r2.term, "Nat") == Value("Nat", 5)
+    for key, want in ((1, 5), (2, 0)):
+        t2 = app(Const(d.op_name("Get")), got, Code(Value("Nat", key)), Code(Value("Nat", 0)))
+        r2 = reduce_leftmost_f(t2, sig, 10)
+        assert (r2.status, r2.trace.f_count) == (Status.NORMAL, 1)
+        assert match_code(r2.term, "Nat") == Value("Nat", want)
