@@ -8,7 +8,6 @@ round, so that drift in the machine's load falls on both alike.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import statistics
 import subprocess
@@ -17,11 +16,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-
-
-def add_parent_option(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--parent-src", type=Path, metavar="PATH",
-                    help="a parent checkout's src directory, timed in turn with this one's")
 
 
 def sides(parent_src: Path | None) -> dict[str, Path]:
@@ -35,10 +29,13 @@ def sides(parent_src: Path | None) -> dict[str, Path]:
     return out
 
 
-def run_python(src: Path, argv: list[str], **kwargs) -> subprocess.CompletedProcess:
-    """``python argv`` in a fresh process that imports asmlc from ``src``."""
+def run_python(src: Path, argv: list[str]) -> str:
+    """The standard output of ``python argv`` in a fresh process that
+    imports asmlc from ``src``.  Its standard error is not captured, so
+    a child that fails shows its traceback."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    return subprocess.run([sys.executable, *argv], env=env, check=True, **kwargs)
+    return subprocess.run([sys.executable, *argv], env=env, check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
 
 
 def alternate(sides: dict[str, Path], rounds: int):

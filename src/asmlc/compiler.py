@@ -149,6 +149,10 @@ class CompileError(Exception):
 
 def _static_total_on_grid(state: State, sym: Symbol) -> bool:
     fn = state.statics[sym.name]
+    # a Bool-valued builtin is stored unclipped and is total by its
+    # contract; enumerating eq_<sort> alone would cost carrier² calls
+    if any(b.bool_result and fn is b.fn for b in BUILTINS.values()):
+        return True
     return all(fn(*args) is not None for args in _carrier_grid(state, sym.arg_sorts))
 
 

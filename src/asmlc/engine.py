@@ -88,7 +88,7 @@ empty its walk, the module-level ``_walk``, which takes the
 environment, its name set and the capture set as arguments, runs with
 an empty capture set and never takes the renaming branch.  Lockstep
 rounds, certificate paths and input bindings substitute only closed
-terms (``benchmarks/bench_engine.py`` counts the closed share).  An
+terms (``benchmarks/bench.py`` counts the closed share).  An
 open replacement, as in a term that ``asmlc trace`` reduces or in the
 renaming substitution ``{binder: Var(fresh)}``, runs the same walk with
 the free variables of the replacements as its capture set, so it

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .asm import (
     BUILTINS,
@@ -510,14 +510,7 @@ def _parse_init(p: _P, ctx: _Ctx) -> InitDecl:
     decl = next((d for d in ctx.dynamics if d.name == name), None)
     if decl is None:
         p.error(tok, f"init for undeclared dynamic symbol {name!r}")
-    params: list[str] = []
-    if p.peek().kind == "(":
-        p.next()
-        params.append(p.ident("parameter"))
-        while p.peek().kind == ",":
-            p.next()
-            params.append(p.ident("parameter"))
-        p.expect(")")
+    params = _arguments(p, lambda: p.ident("parameter"))
     if len(params) != len(decl.arg_sorts):
         p.error(tok, f"init of {name} needs {len(decl.arg_sorts)} parameters")
     p.expect("=")
@@ -541,15 +534,22 @@ def _parse_term(p: _P, ctx: _Ctx, env: Optional[dict[str, str]] = None,
     if static_only and any(d.name == name for d in ctx.dynamics):
         p.error(t, f"init term uses dynamic symbol {name!r}; "
                    "only static symbols are allowed")
-    args: list[TypedTerm] = []
-    if p.peek().kind == "(":
-        p.next()
-        args.append(_parse_term(p, ctx, env, static_only))
-        while p.peek().kind == ",":
-            p.next()
-            args.append(_parse_term(p, ctx, env, static_only))
-        p.expect(")")
+    args = _arguments(p, lambda: _parse_term(p, ctx, env, static_only))
     return TApp(name, tuple(args))
+
+
+def _arguments(p: _P, item: Callable[[], object]) -> list:
+    """``"(" item {"," item} ")"``, each item read by ``item()``; [] when
+    no "(" follows."""
+    if p.peek().kind != "(":
+        return []
+    p.next()
+    out = [item()]
+    while p.peek().kind == ",":
+        p.next()
+        out.append(item())
+    p.expect(")")
+    return out
 
 
 def _known_symbol(ctx: _Ctx, name: str) -> bool:
@@ -595,14 +595,7 @@ def _parse_instr(p: _P, ctx: _Ctx) -> Program:
     name = p.ident("instruction")
     if not any(d.name == name for d in ctx.dynamics):
         p.error(tok, f"update target {name!r} is not a dynamic symbol")
-    args: list[TypedTerm] = []
-    if p.peek().kind == "(":
-        p.next()
-        args.append(_parse_term(p, ctx))
-        while p.peek().kind == ",":
-            p.next()
-            args.append(_parse_term(p, ctx))
-        p.expect(")")
+    args = _arguments(p, lambda: _parse_term(p, ctx))
     p.expect("assign", "':='")
     rhs = _parse_term(p, ctx)
     return Update(name, tuple(args), rhs)

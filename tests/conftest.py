@@ -343,8 +343,9 @@ def random_program(rng: random.Random, depth: int) -> Program:
 
 
 # The seeded stream of random counter machines that lockstep, the
-# certificate memo check and ``benchmarks/bench_cost.py``'s random-1108
-# record all read, the first RANDOM_PROGRAMS of it, none left out.
+# certificate memo check and the random-1108 record of
+# ``benchmarks/bench.py``'s ``cost`` section all read, the first
+# RANDOM_PROGRAMS of it, none left out.
 RANDOM_SEED, RANDOM_PROGRAMS = 1108, 120
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from asmlc import asm
+from asmlc import asm, compiler
 from asmlc.cli import main
 from asmlc.compiler import (
     Translator,
@@ -201,6 +201,35 @@ def test_compile_tabulates_no_initial_dynamics(monkeypatch):
         sm = bundled(name)
         cm = compile_machine(sm.machine(), sm.state(inputs))
         assert (cm.K, cm.L) == cost
+
+
+def test_compile_enumerates_no_bool_builtin(monkeypatch):
+    """Only a static that may be partial is checked over its argument
+    grid: the injected eq_Nat, the connectives and lt are total by
+    ``asm.Builtin``'s contract, so a compile enumerates succ's 301
+    arguments and the two literals' one each, not eq_Nat's and lt's
+    301² each."""
+    sm = parse_source(
+        "sort Nat = 0..300\n"
+        "static succ : Nat -> Nat = builtin succ\n"
+        "static lt : Nat Nat -> Bool = builtin lt\n"
+        "input n : Nat\n"
+        "dynamic i : -> Nat output\n"
+        "init i = 0\n"
+        "program:\n"
+        "  if lt(i, n) then i := succ(i) else par { i := 1  halt }\n")
+    grid = compiler._carrier_grid
+    yielded = 0
+
+    def counted(*args):
+        nonlocal yielded
+        for t in grid(*args):
+            yielded += 1
+            yield t
+
+    monkeypatch.setattr(compiler, "_carrier_grid", counted)
+    compile_machine(sm.machine(), sm.state({"n": 3}))
+    assert yielded == 303
 
 
 def _bool_pair(rng: random.Random, names, depth: int):

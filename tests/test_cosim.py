@@ -143,7 +143,7 @@ def test_replaced_combinator_starts_with_an_empty_memo(euclid_cm):
 
 def test_random_programs_lockstep():
     """The machines of the seeded random stream (``random_machines``:
-    the 120 of ``benchmarks/bench_cost.py``'s random-1108 record, whose
+    the 120 of ``benchmarks/bench.py``'s random-1108 cost record, whose
     largest compiles to (K, L) = (104, 4021)), each compiled at its
     minima and at (K_min+1, L_min+1), which pads through the discard
     binding: each certificate has one path per kept branch, no run
