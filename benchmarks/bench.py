@@ -72,8 +72,13 @@ into its median and quartiles, with the rate it gives in steps or
 rounds per second, and every other value, a counter, must repeat
 exactly between rounds.  ``compare`` then exits non-zero where the
 sides disagree on work they must share: a record's rounds always; every
-counter of a record whose theta is the same on both sides; and the
-interpreter's counts.  Where a record's budget differs, it prints both.
+counter that theta fixes (steps, rounds, certificate paths and the
+rest) of a record whose theta is the same on both sides; and the
+interpreter's counts.  The engine's work on an equal theta
+(``ENGINE_WORK``: nodes built, F-search visits, their per-step ratios,
+substitutions, their closed share and the certificate's contract
+calls) may differ, and is printed as parent -> change where it does.
+Where a record's budget differs, it prints both.
 """
 from __future__ import annotations
 
@@ -106,6 +111,10 @@ COUNTERS = range(1, 6)
 INTERP_SEED, INTERP_STATES, INTERP_PROGRAMS = 1108, 20, 100
 INTERP_DEPTH, INTERP_MAX_STEPS = 4, 200
 STARTUP_RUNS = 21
+# What the engine spends on a θ, not what θ fixes: at an equal
+# theta_sha256 an engine change may move these, and compare prints them
+ENGINE_WORK = ("nodes_built", "f_search_visits", "visits_per_step", "nodes_built_per_step",
+               "substitutions", "closed_share", "certify_contract_calls")
 STARTUP = {
     "python_pass_s": ["-c", "pass"],
     "import_cli_s": ["-c", "import asmlc.cli"],
@@ -528,16 +537,22 @@ def _records(side: dict, where: str = ""):
                 yield f"{where}{key}", value
 
 
-def _agree(name: str, parent: dict, change: dict) -> None:
+def _agree(name: str, parent: dict, change: dict, free=()) -> None:
+    """Exit non-zero where the sides' counters differ, except the keys
+    in ``free``, which are printed as parent -> change instead."""
     differ = {key: (parent.get(key), value) for key, value in change.items()
               if not key.endswith("_s") and parent.get(key) != value}
+    for key in free:
+        if key in differ:
+            print(f"{name}: {key} {differ[key][0]} -> {differ.pop(key)[1]}")
     if differ:
         sys.exit(f"{name}: the sides differ, (parent, change) {differ}")
 
 
 def compare(parent: dict, change: dict) -> None:
     """Exit non-zero where the summarized sides disagree on work they
-    must share (module docstring)."""
+    must share, and print the engine's work where it moved (module
+    docstring)."""
     parents = dict(_records(parent))
     for name, c in _records(change):
         p = parents.get(name)
@@ -550,7 +565,7 @@ def compare(parent: dict, change: dict) -> None:
         if budget[0] != budget[1]:
             print(f"{name}: (K, L) = {budget[0]} at the parent, {budget[1]} in the change")
         elif p["theta_sha256"] == c["theta_sha256"]:
-            _agree(name, p, c)
+            _agree(name, p, c, ENGINE_WORK)
     _agree("interp", parent["interp"], change["interp"])
 
 

@@ -128,7 +128,7 @@ def cmd_verify(args) -> int:
     if args.grid and inputs:
         # 1..N over a numeric range, else the first N values of the carrier
         carriers = [base.carriers[machine.voc.symbols[name].result_sort] for name in inputs]
-        grids = [range(1, args.grid + 1) if all(type(v) is int for v in c) else c[:args.grid]
+        grids = [range(1, args.grid + 1) if type(c[0]) is int else c[:args.grid]
                  for c in carriers]
         cases = [dict(zip(inputs, combo)) for combo in itertools.product(*grids)]
     else:

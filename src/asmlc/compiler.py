@@ -392,10 +392,6 @@ def _clause_guard(tr: Translator, cl: Clause) -> Term:
     return gconj(parts)
 
 
-def _clause_updates(cl: Clause) -> list[Update]:
-    return [u for u in cl.instructions if isinstance(u, Update)]
-
-
 def _update_def(tr: Translator, u: Update) -> Term:
     parts = []
     for a in u.args:
@@ -459,34 +455,28 @@ def compile_machine(
     sig, partials = lower_signature(voc, state, slots)
     tr = Translator(voc, machine.init, {s.name: s for s in slots}, partials, sig)
 
-    clause_guards = [_clause_guard(tr, cl) for cl in gp.clauses]
-    update_clauses = [
-        (cl, g) for cl, g in zip(gp.clauses, clause_guards) if _clause_updates(cl)
-    ]
-
-    fail_parts = []
-    for cl, g in zip(gp.clauses, clause_guards):
-        if any(isinstance(i, FailI) for i in cl.instructions):
-            fail_parts.append(g)
-    for cl, g in zip(gp.clauses, clause_guards):
-        ups = _clause_updates(cl)
+    # one pass over the clauses: each guard and update list is built
+    # once, and each exit's parts are joined in the order the step
+    # semantics gives (explicit fails before undefined updates)
+    fails, undefined, clashes, halts = [], [], [], []
+    update_branches: list[Branch] = []
+    for i, cl in enumerate(gp.clauses):
+        g = _clause_guard(tr, cl)
+        ups = [u for u in cl.instructions if isinstance(u, Update)]
+        if any(isinstance(ins, FailI) for ins in cl.instructions):
+            fails.append(g)
+        if any(isinstance(ins, HaltI) for ins in cl.instructions):
+            halts.append(g)
         if ups:
             all_def = gconj([_update_def(tr, u) for u in ups])
-            fail_parts.append(gand(g, gnot(all_def)))
-    rho_fail = gdisj(fail_parts)
-
-    rho_clash = gdisj([
-        gand(g, _clause_clash(tr, voc, _clause_updates(cl)))
-        for cl, g in zip(gp.clauses, clause_guards)
-        if len(_clause_updates(cl)) > 1
-    ])
-
-    explicit_halt = gdisj([
-        g for cl, g in zip(gp.clauses, clause_guards)
-        if any(isinstance(i, HaltI) for i in cl.instructions)
-    ])
-    implicit_halt = gnot(gdisj([g for _, g in update_clauses]))
-    rho_halt = gor(explicit_halt, implicit_halt)
+            undefined.append(gand(g, gnot(all_def)))
+            row = tuple(_slot_update(tr, slot, ups) for slot in slots)
+            update_branches.append(UpdateBranch(g, row, label=f"clause-{i}"))
+        if len(ups) > 1:
+            clashes.append(gand(g, _clause_clash(tr, voc, ups)))
+    rho_fail = gdisj(fails + undefined)
+    rho_clash = gdisj(clashes)
+    rho_halt = gor(gdisj(halts), gnot(gdisj([b.guard for b in update_branches])))
 
     outputs = tuple(voc.outputs())
     success_parts = (nat(SUCCESS_CODE), *(Var(sym.name) for sym in outputs))
@@ -494,12 +484,8 @@ def compile_machine(
         ExitBranch(rho_fail, (nat(FAIL_CODE),), label="fail"),
         ExitBranch(rho_clash, (nat(CLASH_CODE),), label="clash"),
         ExitBranch(rho_halt, success_parts, tuple_form=True, label="halt"),
+        *update_branches,
     ]
-    for i, (cl, g) in enumerate(zip(gp.clauses, clause_guards)):
-        ups = _clause_updates(cl)
-        if ups:
-            row = tuple(_slot_update(tr, slot, ups) for slot in slots)
-            branches.append(UpdateBranch(g, row, label=f"clause-{i}"))
     # theta selects the first true guard, so neither a guard that folds
     # to false nor any branch after one that folds to true can fire;
     # leaving them out saves their selection and F-work on every step

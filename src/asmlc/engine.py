@@ -152,9 +152,12 @@ by what it derives from the result (lockstep keeps the round's decoded
 state there), and a hit returns that too.  The memo sits inside
 ``advance_term``, not in its callers, so a wrapper around
 ``advance_term`` (a tracer counting its calls and steps) still sees one
-call per round with that round's counts.  The memo holds one entry per
-distinct key and lives as long as its owner; the compiled machine owns
-lockstep's (``compiler.CompiledMachine``), and a record derived by
+call per round with that round's counts.  For the same reason the
+compile path (``compiler.compile_machine``, certification included)
+must not call ``advance_term``: such a tracer would add the compile's
+steps to the rounds'.  The memo holds one entry per distinct key and
+lives as long as its owner; the compiled machine owns lockstep's
+(``compiler.CompiledMachine``), and a record derived by
 ``dataclasses.replace`` starts with an empty one.
 
 ``KERNEL_NAME`` names the implementation for benchmark records.

@@ -30,22 +30,26 @@ zero, succ, plus, rem (undefined at divisor 0), lt, le.  The table
 ``asm.BUILTINS`` gives every builtin, the injected ones too, its
 semantics and its profile: arity, whether its arguments must be Bool,
 and whether its result is Bool.  Refused with one diagnostic: a builtin
-declared against its profile (``and`` over Nat arguments, say), a table
-literal of the wrong kind (a Bool position takes true or false, a range
-sort a number, an enumeration one of its elements), an empty range, and
-a symbol name declared twice (statics, inputs, dynamics and enumeration
-elements share one namespace).
+declared against its profile (``and`` over Nat arguments, say), a
+builtin other than eq and the connectives over a sort that is not a
+range (they compute on numbers), a table literal of the wrong kind (a
+Bool position takes true or false, a range sort a number, an
+enumeration one of its elements), a table row that repeats an earlier
+row's arguments, an empty range, a symbol name declared twice (statics,
+inputs, dynamics and enumeration elements share one namespace), a
+second init rule for one dynamic symbol, and an init parameter named
+twice.
 Every builtin and table result is clipped to the carrier (out of range =
 undefined), except that of a Bool-result builtin: it only returns True
 or False, which the Bool carrier always holds, so it is stored
-unwrapped.  Input constants are bound when the state is built, to
-values of their carriers; unbound inputs default to the first carrier
-element.
+unwrapped.  The carriers and every static but the inputs are the same
+for every state of a file, so a ``SourceMachine`` builds them once, on
+first use; a state binds only its input constants, each to a value of
+its carrier, an unbound input to the carrier's first element.
 """
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 from .asm import (
@@ -124,8 +128,9 @@ class InitDecl(NamedTuple):
 
 class SourceMachine(Fields):
     """The declarations of one source file.  ``machine()`` and every
-    ``state()`` share one vocabulary, built from the declarations on
-    first use, so change no declaration after that."""
+    ``state()`` share one vocabulary, and every state shares one table
+    of carriers and of the statics that are not inputs, each built from
+    the declarations on first use, so change no declaration after that."""
 
     __match_args__ = ("sorts", "statics", "dynamics", "inits", "program")
 
@@ -137,6 +142,7 @@ class SourceMachine(Fields):
         self.inits = inits
         self.program = program
         self._voc: Optional[Vocabulary] = None
+        self._table: Optional[tuple[dict, dict, dict]] = None
 
     def vocabulary(self) -> Vocabulary:
         if self._voc is None:
@@ -160,26 +166,44 @@ class SourceMachine(Fields):
                                      is_output=d.output)
         return Vocabulary(tuple(names), symbols)
 
+    def _static_table(self) -> tuple[dict, dict, dict]:
+        """(carriers, carrier sets, statics but the inputs), by sort and
+        by name, shared by every state."""
+        if self._table is None:
+            carriers: dict[str, tuple] = {BOOL: (True, False)}
+            for s in self.sorts:
+                carriers[s.name] = s.carrier
+            sets = {sort: frozenset(c) for sort, c in carriers.items()}
+            decls = {d.name: d for d in self.statics}
+            statics: dict = {}
+            for sym in self.vocabulary().symbols.values():
+                if sym.kind != "static" or sym.is_input:
+                    continue
+                decl = decls.get(sym.name)
+                b = _builtin(sym, decl)
+                fn = b.fn if b is not None else _semantics(decl)
+                if b is None or not b.bool_result:  # else only True or False
+                    fn = _clip(fn, sets[sym.result_sort])
+                statics[sym.name] = fn
+            self._table = carriers, sets, statics
+        return self._table
+
     def machine(self) -> Machine:
         """The machine; raises SourceError where ``asm.Machine`` rejects
         it (an ill-sorted program, a dynamic symbol with no init rule)."""
-        init: dict[str, InitRule] = {}
-        for decl in self.inits:
-            init[decl.name] = _init_rule(decl)
+        init = {decl.name: _init_rule(decl) for decl in self.inits}
         try:
             return Machine(self.vocabulary(), self.program, init)
         except ValueError as exc:
             raise SourceError([Diagnostic(0, 0, str(exc))]) from None
 
     def state(self, bindings: Optional[dict[str, object]] = None) -> State:
-        """The state that binds the input constants to ``bindings``.
+        """The state that binds the input constants to ``bindings``, over
+        the carriers and statics every state of this file shares.
         Raises SourceError for a name that is not a declared input and
         for a value outside its input's carrier."""
         bindings = bindings or {}
-        voc = self.vocabulary()
-        carriers: dict[str, tuple] = {BOOL: (True, False)}
-        for s in self.sorts:
-            carriers[s.name] = s.carrier
+        carriers, sets, shared = self._static_table()
         inputs = {d.name: d.result for d in self.statics if d.impl[0] == "input"}
         for name, value in bindings.items():
             if name not in inputs:
@@ -188,21 +212,14 @@ class SourceMachine(Fields):
                     f"(inputs: {', '.join(inputs) or 'none'})"))])
             sort = inputs[name]
             # True == 1, so a Bool must not pass for a number or back
-            if isinstance(value, bool) != (sort == BOOL) or value not in carriers[sort]:
+            if isinstance(value, bool) != (sort == BOOL) or value not in sets[sort]:
                 raise SourceError([Diagnostic(0, 0, (
                     f"input {name} = {value!r} is outside the carrier of {sort}"))])
-        decls = {d.name: d for d in self.statics}
-        statics: dict = {}
-        for sym in voc.symbols.values():
-            if sym.kind != "static":
-                continue
-            decl = decls.get(sym.name)
-            b = _builtin(sym, decl)
-            fn = b.fn if b is not None else _semantics(sym, decl, bindings, carriers)
-            if b is None or not b.bool_result:  # else only True or False
-                fn = _clip(fn, _carrier_set(carriers[sym.result_sort]))
-            statics[sym.name] = fn
-        return State(voc, carriers, statics, {})
+        statics = dict(shared)
+        for name, sort in inputs.items():
+            value = bindings.get(name, carriers[sort][0])
+            statics[name] = lambda _v=value: _v
+        return State(self.vocabulary(), carriers, statics, {})
 
 
 def _init_rule(decl: InitDecl) -> InitRule:
@@ -228,25 +245,14 @@ def _builtin(sym: Symbol, decl: Optional[StaticDecl]) -> Optional[Builtin]:
     return BUILTINS[decl.impl[1]] if decl.impl[0] == "builtin" else None
 
 
-def _semantics(sym: Symbol, decl: StaticDecl, bindings, carriers):
+def _semantics(decl: StaticDecl):
     kind = decl.impl[0]
     if kind == "table":
         mapping = {tuple(r[:-1]): r[-1] for r in decl.impl[1]}
         return lambda *a: mapping.get(tuple(a))
-    if kind == "input":
-        default = carriers[sym.result_sort][0]
-        value = bindings.get(sym.name, default)
-        return lambda _v=value: _v
     if kind in ("literal", "element"):
         return lambda _v=decl.impl[1]: _v
     raise ValueError(f"bad static implementation {decl.impl!r}")
-
-
-@lru_cache(maxsize=64)
-def _carrier_set(carrier: tuple) -> frozenset:
-    """A carrier as a set, shared by every static and state over it: a
-    grid of states would otherwise hold one set per static per state."""
-    return frozenset(carrier)
 
 
 def _clip(fn, allowed: frozenset):
@@ -319,6 +325,13 @@ class _P:
     def error(self, tok: _Tok, msg: str):
         raise SourceError(self.diags + [Diagnostic(tok.line, tok.col, msg)])
 
+    def once(self, seen: dict, key, tok: _Tok, msg: str) -> None:
+        """Record ``tok`` as where ``key`` occurs first; a key seen
+        before is refused with ``msg`` and the first place."""
+        first = seen.setdefault(key, tok)
+        if first is not tok:
+            self.error(tok, f"{msg} at {first.line}:{first.col}")
+
     def expect(self, kind: str, what: str = "") -> _Tok:
         t = self.next()
         if t.kind != kind:
@@ -381,14 +394,13 @@ class _Ctx(Fields):
         self.statics = statics
         self.dynamics = dynamics
         self.declared: dict[str, _Tok] = {}  # symbol name -> its declaring token
+        self.initialized: dict[str, _Tok] = {}  # dynamic name -> its init's name token
 
     def declare(self, p: _P, tok: _Tok) -> str:
         """The symbol name ``tok`` declares: a static, an input, a
         dynamic or an enumeration element.  They share one namespace, so
         a name declared before is refused."""
-        first = self.declared.setdefault(tok.text, tok)
-        if first is not tok:
-            p.error(tok, f"{tok.text} is already declared at {first.line}:{first.col}")
+        p.once(self.declared, tok.text, tok, f"{tok.text} is already declared")
         return tok.text
 
     def numeric_sort(self, p: _P, tok: _Tok) -> str:
@@ -456,11 +468,20 @@ def _parse_static(p: _P, ctx: _Ctx) -> StaticDecl:
                        f"{', Bool arguments' if fits.bool_args and fits.arity else ''} "
                        f"and a {'Bool' if fits.bool_result else 'non-Bool'} result, "
                        f"but {name} is declared {' '.join(args + ('->', result))}")
+        # eq and the connectives aside, a builtin computes on numbers
+        if b != "eq" and not fits.all_bool:
+            for sort in args + (() if fits.bool_result else (result,)):
+                if not any(s.name == sort and not s.elements for s in ctx.sorts):
+                    p.error(t, f"builtin {b} computes on numbers, "
+                               f"but {sort} is not a range sort")
         return StaticDecl(name, args, result, ("builtin", b))
     if t.kind == "{":
         rows = []
+        starts: dict[tuple, _Tok] = {}  # a row's arguments -> its first token
         while True:
+            start = p.peek()
             row = [_parse_literal(p, ctx, sort) for sort in args]
+            p.once(starts, tuple(row), start, "this row repeats the arguments of the row")
             p.expect("arrow", "'->'")
             row.append(_parse_literal(p, ctx, result))
             rows.append(tuple(row))
@@ -510,7 +531,10 @@ def _parse_init(p: _P, ctx: _Ctx) -> InitDecl:
     decl = next((d for d in ctx.dynamics if d.name == name), None)
     if decl is None:
         p.error(tok, f"init for undeclared dynamic symbol {name!r}")
-    params = _arguments(p, lambda: p.ident("parameter"))
+    p.once(ctx.initialized, name, tok, f"{name} already has an init rule")
+    params: dict[str, _Tok] = {}
+    for ptok in _arguments(p, lambda: p.expect("ident", "parameter")):
+        p.once(params, ptok.text, ptok, f"{ptok.text} is already a parameter")
     if len(params) != len(decl.arg_sorts):
         p.error(tok, f"init of {name} needs {len(decl.arg_sorts)} parameters")
     p.expect("=")

@@ -10,16 +10,17 @@ its children's facts and kept out of equality, hashing and ``repr``:
 - ``beta``: whether it contains a beta redex;
 - ``const``: whether it contains a ``Const`` node.
 
-``App``, ``Abs`` and ``Code`` cache their structural hash,
-``hash((fun, arg))``, ``hash((binder, body))`` or ``hash((value,))``,
-in a ``_hash`` slot on first use, so a term shared by many keys is
-hashed once and a new term costs only the nodes built since.  The keys
-of the engine's round memo are what it serves: a round's slot codes,
-whose payload (a delta list can be long) is hashed once per ``Code``
-node, and lambda booleans, the ``Abs`` nodes of a Bool slot.  The
-cache is a value, not a field: it is kept out of equality, ``repr`` and
-pickling (string hashes differ between processes), and like the fields
-it cannot be assigned or deleted.
+Only ``Code`` caches its structural hash, ``hash((value,))``, in a
+``_hash`` slot on first use.  The keys of the engine's round memo are a
+round's slot codes, and a ``Code`` payload (a delta list can be long)
+is then hashed once per node, however many rounds share it.  ``App``
+and ``Abs`` hash their fields on every call: the round memo is keyed by
+slot codes, never by theta or a start term, so the only ones hashed
+there are the lambda booleans of Bool slots, three nodes each, and a
+cache slot would cost every node 8 bytes.  The cache is a value, not a
+field: it is kept out of equality, ``repr`` and pickling (string hashes
+differ between processes), and like the fields it cannot be assigned
+or deleted.
 
 Alpha-equivalence is decided through a canonical renaming of binders
 (position-indexed), so canonical terms can be hashed and compared
@@ -75,7 +76,7 @@ class Var(Term):
 
 
 class Abs(Term):
-    __slots__ = ("binder", "body", "fv", "beta", "const", "_hash")
+    __slots__ = ("binder", "body", "fv", "beta", "const")
     __match_args__ = ("binder", "body")
 
     def __init__(self, binder: str, body: Term):
@@ -94,16 +95,11 @@ class Abs(Term):
         return NotImplemented
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.binder, self.body))
-            _abs_hash(self, h)
-            return h
+        return hash((self.binder, self.body))
 
 
 class App(Term):
-    __slots__ = ("fun", "arg", "fv", "beta", "const", "_hash")
+    __slots__ = ("fun", "arg", "fv", "beta", "const")
     __match_args__ = ("fun", "arg")
 
     def __init__(self, fun: Term, arg: Term):
@@ -121,12 +117,7 @@ class App(Term):
         return NotImplemented
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.fun, self.arg))
-            _app_hash(self, h)
-            return h
+        return hash((self.fun, self.arg))
 
 
 class Const(Term):
@@ -203,10 +194,8 @@ class Unknown(Term):
 _var_name, _var_fv = Var.name.__set__, Var.fv.__set__
 _abs_binder, _abs_body = Abs.binder.__set__, Abs.body.__set__
 _abs_fv, _abs_beta, _abs_const = Abs.fv.__set__, Abs.beta.__set__, Abs.const.__set__
-_abs_hash = Abs._hash.__set__
 _app_fun, _app_arg = App.fun.__set__, App.arg.__set__
 _app_fv, _app_beta, _app_const = App.fv.__set__, App.beta.__set__, App.const.__set__
-_app_hash = App._hash.__set__
 _const_symbol = Const.symbol.__set__
 _code_value, _code_hash = Code.value.__set__, Code._hash.__set__
 _unknown_datatype = Unknown.datatype.__set__

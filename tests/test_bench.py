@@ -47,15 +47,25 @@ def test_a_counter_that_drifts_between_rounds_raises():
 
 
 @pytest.mark.parametrize("change", [
-    {"kernel": {"nodes_built": 13000}},
+    {"kernel": {"steps": 7229}},
     {"cost": {"certify_steps": 20}},
     {"interp": {"steps": 124471}},
-], ids=["kernel-nodes-built", "cost-counter", "interp-steps"])
+], ids=["kernel-steps", "cost-counter", "interp-steps"])
 def test_a_counter_that_differs_between_the_sides_exits(change):
     with pytest.raises(SystemExit) as exc:
         compare(_side(), _side(**change))
     key = next(iter(next(iter(change.values()))))
     assert key in str(exc.value.code)
+
+
+@pytest.mark.parametrize("change, printed", [
+    ({"nodes_built": 13000}, "nodes_built 13978 -> 13000"),
+], ids=["kernel-nodes-built"])
+def test_engine_work_that_differs_at_an_equal_theta_passes_and_prints(capsys, change, printed):
+    """The nodes an engine builds for one θ are its own work, not θ's:
+    an engine change may move them while θ's steps stay equal."""
+    compare(_side(), _side(kernel=change))
+    assert capsys.readouterr().out == f"kernel euclid: {printed}\n"
 
 
 def test_a_moved_budget_passes_and_prints_both(capsys):

@@ -321,6 +321,42 @@ init c = 0
 program:
   halt
 """, "3:9: c is already declared at 2:8"),
+    # succ(red) raised a TypeError, plus joined element names and lt
+    # compared them as strings
+    "numeric-builtin-over-enum": ("""\
+sort Col = {red, green}
+static s : Col -> Col = builtin succ
+dynamic c : -> Col output
+init c = red
+program:
+  c := s(c)
+""", "2:25: builtin succ computes on numbers, but Col is not a range sort"),
+    # the first x was bound and the second ignored
+    "init-parameter-twice": ("""\
+sort Nat = 0..3
+dynamic f : Nat Nat -> Nat output
+init f(x, x) = x
+program:
+  halt
+""", "3:11: x is already a parameter at 3:8"),
+    # the last row won
+    "table-row-twice": ("""\
+sort Nat = 0..3
+static t : Nat -> Nat = {0 -> 1, 0 -> 2}
+dynamic c : -> Nat output
+init c = t(0)
+program:
+  halt
+""", "2:34: this row repeats the arguments of the row at 2:26"),
+    # the last init won
+    "init-twice": ("""\
+sort Nat = 0..3
+dynamic c : -> Nat output
+init c = 0
+init c = 3
+program:
+  halt
+""", "4:6: c already has an init rule at 3:6"),
 }
 
 

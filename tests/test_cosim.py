@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import sys
+
 import pytest
 
 from asmlc import cosim, engine
@@ -11,7 +13,14 @@ from asmlc.lambda_f import FSignature, Value
 from asmlc.sourcefmt import parse_source
 from asmlc.terms import Abs, App, Var, lam
 
-from conftest import bundled, counter_state, counter_vocabulary, halves, random_machines
+from conftest import (
+    BUNDLED_COSTS,
+    bundled,
+    counter_state,
+    counter_vocabulary,
+    halves,
+    random_machines,
+)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +80,41 @@ def test_round_memo_reduces_each_distinct_round_once(monkeypatch):
         assert sum(map(len, got)) == 482
         assert counts == {"runs": want, "decodes": want}
     assert len(cm.round_memo) == 156
+
+
+def test_compile_calls_no_engine_and_lockstep_one_per_round(monkeypatch):
+    """A tracer that wraps ``engine.advance_term`` in every ``asmlc``
+    module that binds it (as ``perfbench/tracing.py`` does) counts the
+    rounds and their steps exactly: compiling the bundled machines and
+    halves calls it never, and lockstep calls it once per round, with
+    a cold round memo and with a warm one, and their beta and F counts
+    sum to the rounds' counts."""
+    calls = []
+    advance = engine.advance_term
+
+    def traced(*args, **kwargs):
+        out = advance(*args, **kwargs)
+        calls.append(out[1:3])
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("asmlc") and getattr(module, "advance_term", None) is advance:
+            monkeypatch.setattr(module, "advance_term", traced)
+    cases = [(bundled(name), inputs) for name, (inputs, _) in BUNDLED_COSTS.items()]
+    cases.append((halves(), {"start": 0}))
+    compiled = []
+    for sm, inputs in cases:
+        machine, state = sm.machine(), sm.state(inputs)
+        compiled.append((machine, compile_machine(machine, state), state))
+    assert calls == []
+    for machine, cm, state in compiled:
+        for memo in ("cold", "warm"):
+            calls.clear()
+            rep = lockstep(machine, cm, state)
+            assert rep.passed and len(calls) == len(rep.rounds), memo
+            assert [sum(c) for c in zip(*calls)] == [
+                sum(r.beta_count for r in rep.rounds), sum(r.f_count for r in rep.rounds)]
+        assert cm.round_memo
 
 
 # A Bool slot read only through init: one instance serves every input

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from asmlc import sourcefmt
 from asmlc.asm import BUILTINS, run
 from asmlc.sourcefmt import (
     SourceError,
@@ -82,6 +83,32 @@ def test_machine_and_states_share_one_vocabulary():
     a, b = sm.state({"a0": 3, "b0": 2}), sm.state({"a0": 5, "b0": 4})
     assert voc is a.voc is b.voc is sm.vocabulary()
     assert a.statics["a0"]() == 3 and b.statics["a0"]() == 5
+
+
+def test_states_share_one_static_table(monkeypatch):
+    """The carriers and every static but the inputs are built once per
+    source file: every state shares the carriers dict and each non-input
+    static, and a state after the first clips nothing again."""
+    sm = parse_source(EUCLID)
+    first = sm.state({"a0": 3, "b0": 2})
+    clip = sourcefmt._clip
+    clipped = []
+
+    def counting(*args):
+        clipped.append(args)
+        return clip(*args)
+
+    monkeypatch.setattr(sourcefmt, "_clip", counting)
+    states = [sm.state({"a0": n % 60, "b0": 7}) for n in range(100)]
+    assert clipped == []
+    inputs = {"a0", "b0"}
+    for st in states:
+        assert st.carriers is first.carriers
+        assert st.statics.keys() == first.statics.keys()
+        assert all(st.statics[name] is fn for name, fn in first.statics.items()
+                   if name not in inputs)
+    assert [st.statics["a0"]() for st in states[:3]] == [0, 1, 2]
+    assert first.statics["a0"]() == 3 and states[0].statics["b0"]() == 7
 
 
 def test_inputs_default_to_first_carrier_element():
