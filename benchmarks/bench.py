@@ -41,7 +41,7 @@ returns these sections:
   1..5, of ``tests/halves.asm`` at start 0 and of wide-7: (K_min,
   L_min), theta's nodes, the branches in guard order, the cost split of
   L (F-work per branch and padding), and what certifying took, in
-  engine steps (at ``combinators._advance``), paths and calls of the
+  engine steps (at ``engine._advance``), paths and calls of the
   F-redex walk made during ``combinators.certify``.  The
   ``random-1108`` record compiles the 120 machines of
   ``conftest.random_machines``, which ``test_random_programs_lockstep``
@@ -50,8 +50,8 @@ returns these sections:
 A timing is the best of ``REPEAT`` passes (``_s`` keys), except the
 interpreter loop, which runs once.  Every kernel, lockstep, verify and
 certify record also counts, in one more untimed pass, the
-substitutions (calls of ``engine._subst`` from outside it, as
-``engine`` and ``combinators`` bind it) and the share whose
+substitutions (calls of ``engine._subst`` from outside it, as the
+package's modules bind it) and the share whose
 replacements are all closed (``asmlc.engine``'s docstring,
 "Substitution"); a kernel record also counts F-search visits, the nodes
 with ``const`` and outside the F-redex-free memo that
@@ -165,8 +165,11 @@ def _best(fn, *args) -> float:
 
 @contextlib.contextmanager
 def _wrapped(wrap, name: str, *owners):
-    """Replace attribute ``name`` of every one of ``owners`` (all bound
-    to the same function) by ``wrap(function)`` while the block runs."""
+    """Replace attribute ``name`` of every one of ``owners`` that has it
+    (all bound to the same function) by ``wrap(function)`` while the
+    block runs.  The first owner must have it; a parent checkout's
+    modules may bind a name that this checkout's no longer import."""
+    owners = [o for o in owners if hasattr(o, name)]
     fn = getattr(owners[0], name)
     wrapped = wrap(fn)
     for owner in owners:
@@ -415,7 +418,7 @@ def _counted_compile(machine, state):
             return contract(self, t)
         return walk
 
-    with _wrapped(stepping, "_advance", combinators), \
+    with _wrapped(stepping, "_advance", engine, combinators), \
             _wrapped(flagging, "certify", combinators), \
             _wrapped(walking, "_contract", engine._Reducer):
         cm = compile_machine(machine, state)

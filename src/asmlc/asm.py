@@ -296,7 +296,7 @@ def initial_dynamics(voc: Vocabulary, s: State, init: InitMap) -> dict[str, dict
         rule = init[sym.name]
         fn = lift_interpretation(s, rule.term, rule.sigma, sym.arity)
         table: dict[tuple, object] = {}
-        for args in _carrier_grid(s, sym.arg_sorts):
+        for args in carrier_grid(s, sym.arg_sorts):
             v = fn(*args)
             if v is not None:
                 table[args] = v
@@ -304,7 +304,7 @@ def initial_dynamics(voc: Vocabulary, s: State, init: InitMap) -> dict[str, dict
     return out
 
 
-def _carrier_grid(s: State, sorts: tuple[str, ...]):
+def carrier_grid(s: State, sorts: tuple[str, ...]):
     """Every argument tuple over the carriers of ``sorts``, the first
     sort outermost; one empty tuple for no sorts."""
     return itertools.product(*(s.carriers[sort] for sort in sorts))

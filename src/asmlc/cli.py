@@ -282,9 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; a negative ``--grid`` or ``--max-steps``, and
-    a machine, an input or a compile the program rejects, end in one
-    ``error:`` line on stderr and exit status 1.  A reader that closes
-    stdout early ends the run with exit status 1 and no traceback."""
+    a machine, an input or a compile the program rejects, and a term
+    nested too deeply for the recursive walks (theta at a K of 100,000,
+    say), end in one ``error:`` line on stderr and exit status 1.  A
+    reader that closes stdout early ends the run with exit status 1 and
+    no traceback."""
     args = build_parser().parse_args(argv)
     for option in ("grid", "max_steps"):
         value = getattr(args, option, 0)
@@ -298,6 +300,10 @@ def main(argv=None) -> int:
         return status
     except (CompileError, SourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: maximum recursion depth exceeded: a term nests too deeply",
+              file=sys.stderr)
         return 1
     except BrokenPipeError:
         # Python's documented recipe for SIGPIPE: point stdout at devnull,

@@ -33,20 +33,20 @@ branches, built with internal padding (K', L'):
 
 Because the F-work happens before the selection, both counts are
 independent of the valuation and of which branch fires.  The minima
-come from this formula at K' = L' = 0: K_min = k + 2n and L_min = N;
-a budget with L > L_min needs K >= K_min + 1.  A compile builds theta
-once, with the padding that lands on the requested budget, and
-certifies it (``certify``) by one abstract block: theta applied to one
-abstract code per slot, forked at each guard it selects on, so one path
-per branch.  Every path must cost exactly the formula, which then holds
+come from this formula at K' = L' = 0 (``step_cost`` gives its parts):
+K_min = k + 2n and L_min = N; a budget with L > L_min needs
+K >= K_min + 1.  A compile builds theta once, with the padding that
+lands on the requested budget, and certifies it (``certify``) by one
+abstract block: theta applied to one abstract code per slot, forked at
+each guard it selects on, so one path per branch.  Every path must cost exactly the formula, which then holds
 from every valuation, and no machine step is run; lockstep checks every
 round against the same (K, L).
 
-One driver (``blocks``) runs every block, abstract or concrete, to the
-next boundary (``decode_state``, the only boundary test) or a normal
-form, forking on an abstract Boolean: the certificate runs it from
-abstract codes, and a failed lockstep round's note from the round's
-start.
+One driver runs every block, abstract or concrete: ``engine.blocks``,
+which forks on an abstract Boolean.  ``blocks`` hands it theta's
+boundary (``decode_state``, the only boundary test) and one copy of
+theta's memo; the certificate runs it from abstract codes, and a failed
+lockstep round's note from the round's start.
 
 Theta must hold no resident F-redex: one would fire once, at the first
 step, and never again, so no constant per-step cost could hold.  The
@@ -65,30 +65,19 @@ an earlier one found F-free.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .encodings import _fresh_binder, identity_chain, select_first, tup
-from .engine import (
-    _STATUS_FORK,
-    STATUS_RAN,
-    _advance,
-    _rebuild,
-    _Reducer,
-    _subst,
-    _unwind,
-    scan,
-)
-from .lambda_f import BOOL, TRUE_TERM, UNKNOWN_BOOL, DeltaType, FSignature, bool_term, match_code
-from .records import Checked
+from .encodings import fresh_binder, identity_chain, select_first
+from .engine import STATUS_FORK, STATUS_RAN, bind, blocks as engine_blocks, scan
+from .lambda_f import BOOL, TRUE_TERM, UNKNOWN_BOOL, DeltaType, FSignature, match_code
 from .terms import Abs, App, Const, Term, Unknown, Value, Var, app, lam, spine
 
 
 def curry_fixpoint(f: Term) -> Term:
     """(λx.f(xx))(λx.f(xx)); one leftmost beta step yields f applied to
     the fixpoint itself."""
-    x = _fresh_binder("x", f.fv)
+    x = fresh_binder("x", f.fv)
     half = Abs(x, App(f, App(Var(x), Var(x))))
     return App(half, half)
 
@@ -107,24 +96,14 @@ class UpdateBranch(NamedTuple):
     label: str = ""
 
 
-class _ExitBranchFields(NamedTuple):
+class ExitBranch(NamedTuple):
+    """Guarded exit to ``payload``: a good term over the slots, or a
+    lambda term with no constant node, such as a numeral or a tuple of
+    slot variables.  ``label`` names the branch in reports."""
+
     guard: Term
-    parts: tuple[Term, ...]
-    tuple_form: bool = False
+    payload: Term
     label: str = ""
-
-
-class ExitBranch(Checked, _ExitBranchFields):
-    """Guarded exit.  ``parts`` are good terms over the slots, or other
-    lambda terms with no F-redex such as numerals; a single part is
-    emitted bare unless ``tuple_form`` forces the tuple wrapper.
-    ``label`` names the branch in reports."""
-
-    __slots__ = ()
-
-    def _check(self):
-        if not self.parts:
-            raise ValueError("exit branch needs at least one part")
 
 
 Branch = UpdateBranch | ExitBranch
@@ -158,10 +137,10 @@ class Certificate(NamedTuple):
 @dataclass(frozen=True)
 class CompiledCombinator:
     """The record of one build, each fact held once: theta, its budget
-    (K, L) and minima, its slots and branches, the signature it runs
-    under with the scan's memo of theta, its certificate, and the inputs
-    it binds.  ``compiler.CompiledMachine`` extends it with the machine
-    and its outputs."""
+    (K, L), its minima and their parts, its slots and branches, the
+    signature it runs under with the scan's memo of theta, its
+    certificate, and the inputs it binds.  ``compiler.CompiledMachine``
+    extends it with the machine and its outputs."""
 
     theta: Term
     K: int
@@ -170,6 +149,8 @@ class CompiledCombinator:
     branches: tuple[Branch, ...]
     K_min: int
     L_min: int
+    # step_cost at the minima, which K_min and L_min sum
+    parts: dict = field(compare=False, repr=False)
     # The signature theta was built over, and the memo of the residency
     # scan: theta's nodes with no F-redex under it.
     sig: FSignature = field(compare=False, repr=False)
@@ -191,8 +172,7 @@ class CompiledCombinator:
 
     def cost(self) -> dict:
         """The parts of (K, L) by the formula in the module docstring."""
-        return step_cost(self.k, self.branches, self.K - self.K_min, self.L - self.L_min,
-                         frozenset(s.name for s in self.inputs))
+        return {**self.parts, "pad_K": self.K - self.K_min, "pad_L": self.L - self.L_min}
 
 
 def const_count(t: Term, inputs: frozenset = frozenset()) -> int:
@@ -213,24 +193,19 @@ def branch_f_work(b: Branch, inputs: frozenset = frozenset()) -> int:
     """N_i: constant nodes of one guard and its branch body, less those
     over ``inputs`` and codes alone.  The last guard is the constant
     true, with no constant node, and theta leaves it out."""
-    parts = b.updates if isinstance(b, UpdateBranch) else b.parts
+    parts = b.updates if isinstance(b, UpdateBranch) else (b.payload,)
     return sum(const_count(p, inputs) for p in (b.guard, *parts))
 
 
-def static_f_work(branches: Sequence[Branch], inputs: frozenset = frozenset()) -> int:
-    """N: constant nodes over all guards and branch bodies — the F-cost
-    the F-first strategy pays on every step regardless of selection."""
-    return sum(branch_f_work(b, inputs) for b in branches)
-
-
-def step_cost(k: int, branches: Sequence[Branch], pad_K: int, pad_L: int,
-              inputs: frozenset = frozenset()) -> dict:
-    """The parts of one step's cost with k slots and internal padding
-    (pad_K, pad_L): K is unfold + load + select + pad_K, and L is the
-    sum of F_branches plus pad_L."""
+def step_cost(k: int, branches: Sequence[Branch], inputs: frozenset = frozenset()) -> dict:
+    """The parts of one step's cost with k slots, at the minima: K_min
+    is unfold + load + select, and L_min the sum of F_branches, the
+    F-cost that the F-first strategy pays on every step whichever branch
+    it selects.  Padding adds pad_K and pad_L
+    (``CompiledCombinator.cost``)."""
     return {"unfold": 1, "load": k + 1, "select": 2 * (len(branches) - 1),
-            "pad_K": pad_K, "F_branches": [branch_f_work(b, inputs) for b in branches],
-            "pad_L": pad_L}
+            "pad_K": 0, "F_branches": [branch_f_work(b, inputs) for b in branches],
+            "pad_L": 0}
 
 
 def _slot_test(slots: Sequence[Slot], sig: FSignature) -> Term:
@@ -257,24 +232,22 @@ def _build_theta(
     l_prime: int,
 ) -> Term:
     names = [s.name for s in slots]
-    w = _fresh_binder("w", inputs.union(names))
+    w = fresh_binder("w", inputs.union(names))
     branch_terms: list[Term] = []
     for b in branches:
         if isinstance(b, UpdateBranch):
             if len(b.updates) != len(slots):
                 raise ValueError("update row length must equal the slot count")
             branch_terms.append(app(Var(w), *b.updates))
-        elif len(b.parts) == 1 and not b.tuple_form:
-            branch_terms.append(b.parts[0])
         else:
-            branch_terms.append(tup(*b.parts))
+            branch_terms.append(b.payload)
     guards = [b.guard for b in branches[:-1]]
     body = select_first(guards, branch_terms)
     if l_prime:
         chain = _slot_test(slots, sig)
         for _ in range(l_prime - 1):
             chain = App(Const("not"), chain)
-        d = _fresh_binder("d", inputs.union(names, (w,)))
+        d = fresh_binder("d", inputs.union(names, (w,)))
         body = App(Abs(d, body), chain)
         k_prime -= 1
     g = lam([w] + names, identity_chain(k_prime, body))
@@ -286,21 +259,15 @@ def _build_theta(
 def instantiate(template: Term, codes: dict[str, Term], sig: FSignature,
                 template_free: dict) -> tuple[Term, dict]:
     """Theta with each input bound to its closed code in ``codes``, and
-    a memo of its F-free nodes: one simultaneous substitution, then one
-    uncounted F-phase, whose walk memoizes every constant node it
-    leaves.  Both run on one ``half`` of the fixpoint ``half half``,
-    which so stays shared.  The phase starts from a copy of
-    ``template_free``, the template's memo: the substitution keeps every
-    node that no input reaches, so those are memo hits, and the phase
-    walks only the rebuilt paths.  The memo returned holds the
-    template's nodes too; every one is F-free under ``sig``.  The phase
+    a memo of its F-free nodes, a copy of ``template_free`` that the
+    binding fills (``engine.bind``).  The binding runs on one ``half``
+    of the fixpoint ``half half``, which so stays shared.  Its F-phase
     runs to its end: a compiled signature's functions are total."""
-    half = _subst(template.fun, codes)
-    r = _Reducer(sig, dict(template_free))
-    half = r.f_phase(half, sys.maxsize)[0]
+    f_free = dict(template_free)
+    half = bind(template.fun, codes, sig, f_free)
     theta = App(half, half)
-    r.f_free[id(theta)] = theta
-    return theta, r.f_free
+    f_free[id(theta)] = theta
+    return theta, f_free
 
 
 def _abstract_code(s: Slot) -> Term:
@@ -335,42 +302,15 @@ def decode_state(t: Term, theta: Term, slots: Sequence[Slot]) -> Optional[tuple]
 
 def blocks(start: Term, theta: Term, slots: Sequence[Slot], sig: FSignature,
            theta_free: Optional[dict], budget: int) -> tuple[list, int]:
-    """Reduce ``start`` F-first leftmost, through the engine's shared
-    loop, to the next block boundary or a normal form, within ``budget``
-    steps.  Where the next beta step would contract the abstract Boolean
-    at the head of the term, the run forks: it goes on from FALSE and
-    from TRUE in its place, rebuilding only that spine.  A concrete
-    start has the one path ``()``.
-
-    Returns the end of every path, in the order reached, as (path,
-    term, beta, F, engine status: a boundary, STATUS_NORMAL, STATUS_RAN
-    at the budget, or a fork off the head); and the engine steps over
-    all paths, each shared prefix counted once.  ``sig`` and
-    ``theta_free`` are the combinator's (``engine.scan``).  The paths
-    share one copy of ``theta_free``: every path fills it and reads what
-    the others found, so a fork's first F-phase walks only the spine it
-    rebuilt, not the whole forked term.  Raises UndefinedApplication
-    where the engine does."""
-    def at_boundary(s: Term) -> bool:
-        return decode_state(s, theta, slots) is not None
-
-    ends = []
-    todo = [(start, 0, 0, ())]
-    steps = 0
-    f_free = dict(theta_free) if theta_free else {}
-    while todo:
-        t, beta, f, path = todo.pop()
-        t, b, g, status = _advance(t, sig, budget - beta - f, at_boundary, f_free)
-        beta, f, steps = beta + b, f + g, steps + b + g
-        if status == _STATUS_FORK:
-            spine, head = _unwind(t)
-            if head is UNKNOWN_BOOL:
-                for choice in (False, True):
-                    todo.append((_rebuild(spine, len(spine), bool_term(choice)), beta, f,
-                                 path + (choice,)))
-                continue
-        ends.append((path, t, beta, f, status))
-    return ends, steps
+    """``engine.blocks`` from ``start`` to theta's block boundary
+    (``decode_state``), forking on the abstract Boolean, within
+    ``budget`` steps: the end of every path as (path, term, beta, F,
+    status), and the steps over all paths.  ``sig`` and ``theta_free``
+    are the combinator's (``engine.scan``); the paths share one copy of
+    ``theta_free``, so each reads what the others found."""
+    return engine_blocks(start, sig, budget,
+                         lambda t: decode_state(t, theta, slots) is not None,
+                         dict(theta_free) if theta_free else {})
 
 
 def _path_name(path: tuple[bool, ...], labels: Sequence[str]) -> str:
@@ -413,7 +353,7 @@ def certify(
     start = app(theta, *map(_abstract_code, slots))
     ends, steps = blocks(start, theta, slots, sig, theta_free, budget)
     for path, _, beta, f, status in ends:
-        if status == _STATUS_FORK:
+        if status == STATUS_FORK:
             error = "theta selects on an unknown Boolean off the head of the term"
         elif status == STATUS_RAN:
             error = f"cost formula gives (K,L)={want} but theta takes more than {budget} steps"
@@ -441,8 +381,8 @@ def build_branch_combinator(
     otherwise), so the list is exhaustive and the last branch fires
     exactly when every earlier guard is false.
 
-    The minima come from the cost formula: K_min = k + 2n and
-    L_min = N (``static_f_work``).  L defaults to L_min, and K to the
+    The minima come from the cost formula (``step_cost``): K_min =
+    k + 2n and L_min = N.  L defaults to L_min, and K to the
     least K for that L: K_min, plus the discard beta when L > L_min.
     Internal padding lands exactly on the requested budget; a request
     below the minima, or with L > L_min at K = K_min, is rejected.
@@ -458,10 +398,9 @@ def build_branch_combinator(
         raise ValueError("the last branch is the else-arm: its guard must "
                          "be the constant true")
     names = frozenset(s.name for s in inputs)
-    # unfold 1, load k+1 and select 2(n-1) of step_cost, without the
-    # F-work of every branch, which static_f_work counts once
-    k_min = len(slots) + 2 * len(branches)
-    l_min = static_f_work(branches, names)
+    parts = step_cost(len(slots), branches, names)
+    k_min = parts["unfold"] + parts["load"] + parts["select"]
+    l_min = sum(parts["F_branches"])
     L = l_min if L is None else L
     k_least = k_min + (L > l_min)
     K = k_least if K is None else K
@@ -480,4 +419,4 @@ def build_branch_combinator(
                       if inputs else (theta, theta_free))
     cert = certify(abstract, slots, (K, L), sig, free, [b.label for b in branches])
     return CompiledCombinator(theta, K, L, tuple(slots), tuple(branches), k_min, l_min,
-                              sig, theta_free, cert, inputs, theta, ())
+                              parts, sig, theta_free, cert, inputs, theta, ())

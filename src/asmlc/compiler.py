@@ -35,7 +35,7 @@ from .asm import (
     TypedTerm,
     Update,
     Vocabulary,
-    _carrier_grid,
+    carrier_grid,
     lift_interpretation,
 )
 from .combinators import (
@@ -48,7 +48,7 @@ from .combinators import (
     instantiate,
     decode_state,
 )
-from .encodings import match_nat, nat
+from .encodings import match_nat, nat, tup
 from .lambda_f import (
     BOOL,
     FALSE_TERM,
@@ -153,7 +153,7 @@ def _static_total_on_grid(state: State, sym: Symbol) -> bool:
     # contract; enumerating eq_<sort> alone would cost carrier² calls
     if any(b.bool_result and fn is b.fn for b in BUILTINS.values()):
         return True
-    return all(fn(*args) is not None for args in _carrier_grid(state, sym.arg_sorts))
+    return all(fn(*args) is not None for args in carrier_grid(state, sym.arg_sorts))
 
 
 def _default(state: State, sort: str):
@@ -479,11 +479,11 @@ def compile_machine(
     rho_halt = gor(gdisj(halts), gnot(gdisj([b.guard for b in update_branches])))
 
     outputs = tuple(voc.outputs())
-    success_parts = (nat(SUCCESS_CODE), *(Var(sym.name) for sym in outputs))
+    success = tup(nat(SUCCESS_CODE), *(Var(sym.name) for sym in outputs))
     branches: list[Branch] = [
-        ExitBranch(rho_fail, (nat(FAIL_CODE),), label="fail"),
-        ExitBranch(rho_clash, (nat(CLASH_CODE),), label="clash"),
-        ExitBranch(rho_halt, success_parts, tuple_form=True, label="halt"),
+        ExitBranch(rho_fail, nat(FAIL_CODE), label="fail"),
+        ExitBranch(rho_clash, nat(CLASH_CODE), label="clash"),
+        ExitBranch(rho_halt, success, label="halt"),
         *update_branches,
     ]
     # theta selects the first true guard, so neither a guard that folds

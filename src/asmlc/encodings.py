@@ -25,7 +25,7 @@ def identity_chain(n: int, t: Term) -> Term:
     return t
 
 
-def _fresh_binder(base: str, avoid: frozenset[str]) -> str:
+def fresh_binder(base: str, avoid: frozenset[str]) -> str:
     name = base
     while name in avoid:
         name += "'"
@@ -34,7 +34,7 @@ def _fresh_binder(base: str, avoid: frozenset[str]) -> str:
 
 def tup(*items: Term) -> Term:
     """The tuple term: one binder applied to all components."""
-    z = _fresh_binder("z", frozenset().union(*(u.fv for u in items)))
+    z = fresh_binder("z", frozenset().union(*(u.fv for u in items)))
     return Abs(z, app(Var(z), *items))
 
 

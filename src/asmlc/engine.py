@@ -79,8 +79,8 @@ capturing binder as the traced reducer does.
 
 Substitution.  Theta only ever receives closed arguments: slot codes,
 the Curry fixed point's half, the closed branch terms, and the input
-codes that ``combinators.instantiate`` binds.  A closed replacement has
-no free variable that a binder of the body could capture (Barendregt's
+codes that ``bind`` substitutes.  A closed replacement has no free
+variable that a binder of the body could capture (Barendregt's
 variable convention, *The Lambda Calculus*, 1984), so a substitution
 whose replacements are all closed needs no capture set and renames no
 binder.  ``_subst`` tests each replacement's ``fv`` once; when all are
@@ -110,15 +110,15 @@ redex plus the contractum, so a memo hit covers a whole subtree the step
 left untouched.  The memo stores the node itself, so no ``id`` is reused
 while it lives.  Whether a node holds an F-redex depends on the node and
 the signature alone, so an entry stays true in every reduction under
-that signature.  Each top-level reduction owns one memo: it copies the
-nodes its caller passes as ``f_free`` once and fills the copy.
-``advance_term``, one lockstep round, copies per call, and the copy dies
-with the call.  A certificate (``combinators.blocks``) copies once for
-all its forks, so a fork starts from the memo its shared prefix filled.
-The loop ``_advance`` and ``_Reducer`` copy nothing: they fill the dict
-they are given.  The compiled machine keeps theta's memo (``scan``'s, or
-that of ``combinators.instantiate``), so no round or certificate path
-searches theta again.
+that signature.  Each top-level reduction owns one memo, a copy of the
+nodes its caller knows.  ``advance_term``, one lockstep round, copies
+per call, and the copy dies with the call.  ``blocks``, ``bind``, the
+loop ``_advance`` and ``_Reducer`` copy nothing: they fill the dict they
+are given.  So every path of a certificate fills the one copy that
+``combinators.blocks`` makes, and a fork starts from the memo its shared
+prefix filled; ``combinators.instantiate`` copies once per binding.  The
+compiled machine keeps theta's memo (``scan``'s, or that of a binding),
+so no round or certificate path searches theta again.
 
 Abstract codes.  The certificate of a compiled term
 (``combinators.certify``) reduces theta applied to abstract codes
@@ -128,9 +128,10 @@ F-step without calling its function; its contractum is an abstract code
 of the result datatype.  The beta step whose leftmost redex applies the
 abstract Boolean is not taken: ``_advance`` stops before it with a fork,
 at the step where a concrete term contracts TRUE or FALSE applied to
-its arguments.  Both checks sit where a concrete term does not go, past
-``_fire``'s failed match and on a head that is an abstraction, so they
-cost concrete reduction one type or identity test.
+its arguments, and ``blocks`` goes on from each of them in its place.
+Both checks sit where a concrete term does not go, past ``_fire``'s
+failed match and on a head that is an abstraction, so they cost
+concrete reduction one type or identity test.
 
 Round memo.  The result of ``advance_term`` is a function of its
 arguments: the reduction is deterministic, and ``fresh_name`` renames a
@@ -175,7 +176,6 @@ from .lambda_f import (
     FFunction,
     FSignature,
     UndefinedApplication,
-    match_bool,
 )
 from .terms import Abs, App, Code, Const, Term, Unknown, Value, Var
 
@@ -186,8 +186,8 @@ KERNEL_NAME = "pure-python"
 STATUS_NORMAL = 0
 STATUS_RAN = 1
 STATUS_UNDEFINED = 2
-_STATUS_BOUNDARY = 3
-_STATUS_FORK = 4
+STATUS_BOUNDARY = 3
+STATUS_FORK = 4
 
 
 class _Fork(Exception):
@@ -325,14 +325,22 @@ class _Reducer:
 
     def _fire(self, head: Const, entry: FFunction, args: list):
         """The contractum of ``head`` applied to the first ``arity`` of
-        ``args``, counted in ``fired``; None when one of them is not a
-        code of its datatype, or when the walk stops here (``stop``):
-        at ``limit``, or outside the function's domain."""
+        ``args``, counted in ``fired``; None when one of them is neither
+        a code nor an abstract code of its datatype, or when the walk
+        stops here (``stop``): at ``limit``, or outside the function's
+        domain.  With an abstract code among them (``abstract``) the
+        contractum is an abstract code of the result datatype, and the
+        function is not called.  Each abstract test sits past a failed
+        concrete one: a concrete firing reads only the flag."""
         payloads = []
+        abstract = False
         for a, dt in zip(args, entry[1]):
             if dt == BOOL:
                 if type(a) is not Abs or type(a.body) is not Abs or type(a.body.body) is not Var:
-                    return self._fire_unknown(entry, args) if a is UNKNOWN_BOOL else None
+                    if a is not UNKNOWN_BOOL:
+                        return None
+                    abstract = True
+                    continue
                 v = a.body.body.name
                 if v == a.body.binder:
                     payloads.append(False)
@@ -342,11 +350,16 @@ class _Reducer:
                     return None
             elif type(a) is Code and a.value.datatype == dt:
                 payloads.append(a.value.payload)
+            elif type(a) is Unknown and a.datatype == dt:
+                abstract = True
             else:
-                return self._fire_unknown(entry, args) if type(a) is Unknown else None
+                return None
         if self.fired == self.limit:
             self.stop = STATUS_RAN
             return None
+        if abstract:
+            self.fired += 1
+            return UNKNOWN_BOOL if entry[2] == BOOL else Unknown(entry[2])
         out = entry[3](*payloads)
         if out is None:
             self.stop = UndefinedApplication(head.symbol, tuple(payloads))
@@ -355,26 +368,6 @@ class _Reducer:
         if entry[2] == BOOL:
             return TRUE_TERM if out else FALSE_TERM
         return Code(Value(entry[2], out))
-
-    def _fire_unknown(self, entry: FFunction, args: list):
-        """``_fire`` when an argument is an abstract code: when every
-        argument is a code or an abstract code of its datatype, one
-        counted firing to an abstract code of the result datatype,
-        without calling the function; else None."""
-        for a, dt in zip(args, entry[1]):
-            if type(a) is Unknown:
-                if a.datatype != dt:
-                    return None
-            elif dt == BOOL:
-                if a is not UNKNOWN_BOOL and match_bool(a) is None:
-                    return None
-            elif type(a) is not Code or a.value.datatype != dt:
-                return None
-        if self.fired == self.limit:
-            self.stop = STATUS_RAN
-            return None
-        self.fired += 1
-        return UNKNOWN_BOOL if entry[2] == BOOL else Unknown(entry[2])
 
     def f_phase(self, t: Term, limit: int):
         """Contract the F-redexes of ``t`` in leftmost order, those the
@@ -467,6 +460,15 @@ def scan(t: Term, sig: FSignature) -> tuple[bool, dict]:
     return stop is not None, r.f_free
 
 
+def bind(t: Term, env: dict, sig: FSignature, f_free: dict) -> Term:
+    """``t`` with every free ``Var`` named in ``env`` replaced by its
+    closed term, after one uncounted F-phase run to its end.  The phase
+    reads and fills ``f_free``, the memo of nodes with no F-redex under
+    ``sig``: every node that no replacement reaches is kept, so the
+    phase walks only the rebuilt paths."""
+    return _Reducer(sig, f_free).f_phase(_subst(t, env), sys.maxsize)[0]
+
+
 def _advance(t: Term, sig: FSignature, max_steps: int, boundary=None,
              f_free: Optional[dict] = None):
     """The shared reduction loop: up to ``max_steps`` F-first leftmost
@@ -480,7 +482,7 @@ def _advance(t: Term, sig: FSignature, max_steps: int, boundary=None,
     memo passes a copy.
 
     Returns (term, beta_count, f_count, status); the status is
-    ``_STATUS_FORK`` when the next step would contract the abstract
+    ``STATUS_FORK`` when the next step would contract the abstract
     Boolean applied to an argument, and the term is the one before it.
     An undefined leftmost F-redex within the budget raises
     UndefinedApplication carrying ``reached`` = (term before it,
@@ -497,7 +499,7 @@ def _advance(t: Term, sig: FSignature, max_steps: int, boundary=None,
             stop.reached = (t, beta, f)
             raise stop
         if count and boundary is not None and boundary(t):
-            return t, beta, f, _STATUS_BOUNDARY
+            return t, beta, f, STATUS_BOUNDARY
         # the term is F-normal now, so without a beta redex it is normal
         if not t.beta:
             return t, beta, f, STATUS_NORMAL
@@ -507,7 +509,7 @@ def _advance(t: Term, sig: FSignature, max_steps: int, boundary=None,
         try:
             new, j = _beta_step(t, left if boundary is None else 1)
         except _Fork:
-            return t, beta, f, _STATUS_FORK
+            return t, beta, f, STATUS_FORK
         if j > 1:
             # a head run: kept only when its one F-phase is complete
             out, count, stop = r.f_phase(new, left - j)
@@ -518,7 +520,38 @@ def _advance(t: Term, sig: FSignature, max_steps: int, boundary=None,
         t = new
         beta += 1
         if boundary is not None and boundary(t):
-            return t, beta, f, _STATUS_BOUNDARY
+            return t, beta, f, STATUS_BOUNDARY
+
+
+def blocks(start: Term, sig: FSignature, budget: int, boundary, f_free: dict):
+    """Reduce ``start`` through ``_advance`` to ``boundary`` or a normal
+    form, within ``budget`` steps.  Where the next beta step would
+    contract the abstract Boolean at the head of the term, the run
+    forks: it goes on from FALSE and from TRUE in its place, rebuilding
+    only that spine.  A concrete start has the one path ``()``.
+
+    Returns the end of every path, in the order reached, as (path,
+    term, beta, F, status: STATUS_BOUNDARY, STATUS_NORMAL, STATUS_RAN
+    at the budget, or STATUS_FORK off the head); and the steps over all
+    paths, each shared prefix counted once.  Every path reads and fills
+    the one memo ``f_free``, so a fork's first F-phase walks only the
+    spine it rebuilt.  Raises UndefinedApplication as ``_advance``
+    does."""
+    ends = []
+    todo = [(start, 0, 0, ())]
+    steps = 0
+    while todo:
+        t, beta, f, path = todo.pop()
+        t, b, g, status = _advance(t, sig, budget - beta - f, boundary, f_free)
+        beta, f, steps = beta + b, f + g, steps + b + g
+        if status == STATUS_FORK:
+            spine, head = _unwind(t)
+            if head is UNKNOWN_BOOL:
+                for choice, term in ((False, FALSE_TERM), (True, TRUE_TERM)):
+                    todo.append((_rebuild(spine, len(spine), term), beta, f, path + (choice,)))
+                continue
+        ends.append((path, t, beta, f, status))
+    return ends, steps
 
 
 def advance_term(t: Term, sig: FSignature, max_steps: int, f_free: Optional[dict] = None,

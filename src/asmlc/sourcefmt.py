@@ -37,8 +37,9 @@ Bool position takes true or false, a range sort a number, an
 enumeration one of its elements), a table row that repeats an earlier
 row's arguments, an empty range, a symbol name declared twice (statics,
 inputs, dynamics and enumeration elements share one namespace), a
-second init rule for one dynamic symbol, and an init parameter named
-twice.
+declaration of a name that every vocabulary injects (true, false, the
+connectives, eq_<sort> before or after its sort), a second init rule
+for one dynamic symbol, and an init parameter named twice.
 Every builtin and table result is clipped to the carrier (out of range =
 undefined), except that of a Bool-result builtin: it only returns True
 or False, which the Bool carrier always holds, so it is stored
@@ -399,7 +400,10 @@ class _Ctx(Fields):
     def declare(self, p: _P, tok: _Tok) -> str:
         """The symbol name ``tok`` declares: a static, an input, a
         dynamic or an enumeration element.  They share one namespace, so
-        a name declared before is refused."""
+        a name declared before is refused, and so is a name that every
+        vocabulary injects (``_injected``)."""
+        if _injected(self, tok.text):
+            _refuse_injected(p, tok)
         p.once(self.declared, tok.text, tok, f"{tok.text} is already declared")
         return tok.text
 
@@ -417,9 +421,17 @@ class _Ctx(Fields):
         return name
 
 
+def _refuse_injected(p: _P, tok: _Tok):
+    p.error(tok, f"{tok.text} is injected into every vocabulary and cannot be declared")
+
+
 def _parse_sort(p: _P, ctx: _Ctx) -> SortDecl:
     p.next()
     name = p.ident("sort name")
+    # the sort injects eq_<name>, so a symbol declared so before it is refused
+    eq = ctx.declared.get(f"eq_{name}")
+    if eq is not None:
+        _refuse_injected(p, eq)
     p.expect("=")
     t = p.next()
     if t.kind == "nat":
@@ -576,11 +588,17 @@ def _arguments(p: _P, item: Callable[[], object]) -> list:
     return out
 
 
+def _injected(ctx: _Ctx, name: str) -> bool:
+    """Whether every vocabulary over the sorts declared so far holds
+    ``name``: true, false, the connectives, and eq_<sort> for Bool and
+    each of those sorts."""
+    return (name in BUILTINS and BUILTINS[name].all_bool
+            or name in (f"eq_{s}" for s in [BOOL] + [s.name for s in ctx.sorts]))
+
+
 def _known_symbol(ctx: _Ctx, name: str) -> bool:
     """A declared symbol or one injected into every vocabulary."""
-    return (any(d.name == name for d in ctx.statics + ctx.dynamics)
-            or name in BUILTINS and BUILTINS[name].all_bool
-            or name in (f"eq_{s}" for s in [BOOL] + [s.name for s in ctx.sorts]))
+    return any(d.name == name for d in ctx.statics + ctx.dynamics) or _injected(ctx, name)
 
 
 def _parse_instr(p: _P, ctx: _Ctx) -> Program:

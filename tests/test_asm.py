@@ -7,7 +7,6 @@ import pytest
 
 from asmlc.asm import (
     BUILTINS,
-    _carrier_grid,
     FailI,
     HaltI,
     If,
@@ -22,17 +21,15 @@ from asmlc.asm import (
     TVar,
     Update,
     Vocabulary,
+    carrier_grid,
     check_program,
     eval_ground,
     initial_dynamics,
     run,
     successor,
 )
-from asmlc.combinators import ExitBranch
-from asmlc.lambda_f import TRUE_TERM
 from asmlc.normalize import normalize, to_program
 from asmlc.sourcefmt import parse_source
-from asmlc.terms import Var
 
 from conftest import bundled, counter_state, counter_vocabulary, random_program
 
@@ -218,9 +215,9 @@ def test_carrier_grid_order():
     s = counter_state(counter_vocabulary(), 0, 0)
     for n in range(4):
         for sorts in itertools.product(("Bool", "Nat"), repeat=n):
-            assert list(_carrier_grid(s, sorts)) == list(_recursive_grid(s, sorts))
-    assert list(_carrier_grid(s, ())) == [()]
-    assert list(_carrier_grid(s, ("Nat", "Bool")))[:3] == [(0, True), (0, False), (1, True)]
+            assert list(carrier_grid(s, sorts)) == list(_recursive_grid(s, sorts))
+    assert list(carrier_grid(s, ())) == [()]
+    assert list(carrier_grid(s, ("Nat", "Bool")))[:3] == [(0, True), (0, False), (1, True)]
 
 
 def test_check_program_rejects_ill_sorted():
@@ -537,12 +534,11 @@ def test_fieldless_instructions_are_pairwise_unequal_and_truthy():
 
 
 def test_record_checks_run_on_every_value_built_from_outside():
-    """Vocabulary, State, Machine and ExitBranch check their fields
-    however they are built: called, by _make or _replace, or copied."""
+    """Vocabulary, State and Machine check their fields however they
+    are built: called, by _make or _replace, or copied."""
     voc = counter_vocabulary()
     s = counter_state(voc, 1, 2)
     machine = Machine(voc, Skip(), {c: InitRule((), TApp("zero")) for c in ("p", "q")})
-    exit_branch = ExitBranch(TRUE_TERM, (Var("a"),))
     bad = [
         lambda: Vocabulary(("Nat",), {}),
         lambda: Vocabulary._make((("Nat",), {})),
@@ -558,8 +554,6 @@ def test_record_checks_run_on_every_value_built_from_outside():
         lambda: Machine(voc, If(TApp("zero"), Skip()), machine.init),
         lambda: machine._replace(init={"p": InitRule((), TApp("q"))}),
         lambda: Machine(voc, Skip(), {}),
-        lambda: ExitBranch(TRUE_TERM, ()),
-        lambda: exit_branch._replace(parts=()),
     ]
     for build in bad:
         with pytest.raises(ValueError):

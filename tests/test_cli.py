@@ -102,6 +102,16 @@ def test_compile_below_minima_is_one_error_line(capsys):
     assert err == "error: requested (K,L)=(7,7) below the minima (8,7)\n"
 
 
+def test_too_deep_padding_is_one_error_line():
+    # theta's identity chain is 100,000 deep; the recursive F-redex walk
+    # raised RecursionError with a traceback.  A process of its own, as a
+    # test runner that walks the frames of an escaped RecursionError
+    # compares their deep terms and can overflow the C stack
+    r = cli_process("compile", EUCLID, "--headroom-K", "100000", capture_output=True)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "error: maximum recursion depth exceeded: a term nests too deeply\n"
+
+
 @pytest.mark.parametrize("cmd", ["compile", "verify"])
 def test_f_padding_at_least_k_is_one_error_line(capsys, cmd):
     # L above L_min needs one beta more than K_min, for the discard binding
@@ -357,6 +367,43 @@ init c = 3
 program:
   halt
 """, "4:6: c already has an init rule at 3:6"),
+    # the declaration replaced the conjunction of the compiler's own
+    # guards, so theta failed where the machine ran
+    "connective-declared": ("""\
+sort Nat = 0..3
+static and : Bool Bool -> Bool = builtin or
+static lt : Nat Nat -> Bool = builtin lt
+static succ : Nat -> Nat = builtin succ
+input n : Nat
+dynamic i : -> Nat output
+init i = 0
+program:
+  if lt(i, n) then if lt(i, 2) then i := succ(i) else i := succ(succ(i))
+""", "2:8: and is injected into every vocabulary and cannot be declared"),
+    "constant-declared": ("""\
+sort Nat = 0..3
+static true : -> Bool = builtin false
+dynamic c : -> Nat output
+init c = 0
+program:
+  if true then halt else c := 1
+""", "2:8: true is injected into every vocabulary and cannot be declared"),
+    "eq-declared-after-its-sort": ("""\
+sort Nat = 0..3
+static eq_Nat : Nat Nat -> Bool = builtin lt
+dynamic c : -> Nat output
+init c = 0
+program:
+  if eq_Nat(c, 0) then c := 1 else halt
+""", "2:8: eq_Nat is injected into every vocabulary and cannot be declared"),
+    "eq-declared-before-its-sort": ("""\
+static eq_Nat : Nat Nat -> Bool = builtin eq
+sort Nat = 0..3
+dynamic c : -> Nat output
+init c = 0
+program:
+  if eq_Nat(c, 0) then c := 1 else halt
+""", "1:8: eq_Nat is injected into every vocabulary and cannot be declared"),
 }
 
 

@@ -10,7 +10,7 @@ from asmlc.combinators import (
     curry_fixpoint,
     decode_state,
     instantiate,
-    static_f_work,
+    step_cost,
 )
 from asmlc.encodings import identity_chain
 from asmlc.engine import scan
@@ -142,7 +142,9 @@ def test_static_f_work_counts_all_branches(nat_sig):
     guard = app(Const("lt"), Var("c"), Code(Value("Nat", 3)))
     phi = app(Const("plus"), Var("c"), Code(Value("Nat", 1)))
     branch = UpdateBranch(guard, (phi,))
-    assert static_f_work([branch]) == 2  # lt and plus nodes
+    exit_ = ExitBranch(TRUE_TERM, phi)
+    assert step_cost(1, [branch, exit_]) == {  # lt and plus nodes, then plus
+        "unfold": 1, "load": 2, "select": 2, "pad_K": 0, "F_branches": [2, 1], "pad_L": 0}
 
 
 def test_requested_headroom_is_exact(nat_sig):
@@ -177,8 +179,8 @@ def test_headroom_below_minimum_rejected(nat_sig):
 
 def test_cost_formula_cross_check_fires(nat_sig, monkeypatch):
     """A formula that disagrees with the measured theta is an error."""
-    real = combinators.static_f_work
-    monkeypatch.setattr(combinators, "static_f_work", lambda *a: real(*a) + 1)
+    real = combinators.branch_f_work
+    monkeypatch.setattr(combinators, "branch_f_work", lambda *a: real(*a) + 1)
     with pytest.raises(RuntimeError, match=r"\(K,L\)=\(3, 2\).*measures \(3, 1\)"):
         _counter(nat_sig)
     # a compile names the branch of the first path that is off
@@ -195,7 +197,7 @@ def test_conditional_combinator_exits(nat_sig):
     gamma = Var("c")
     probes = [{"c": Value("Nat", i)} for i in range(4)]
     cc = build_branch_combinator(
-        [UpdateBranch(guard_run, (phi,)), ExitBranch(TRUE_TERM, (gamma,))],
+        [UpdateBranch(guard_run, (phi,)), ExitBranch(TRUE_TERM, gamma)],
         slots, nat_sig)
     _assert_probes_agree(cc, probes)
     t = App(cc.theta, code_term(Value("Nat", 0)))
@@ -261,7 +263,7 @@ def test_inputs_stay_free_and_bind_uncounted(nat_sig):
     c = Var("c")
     bound = app(Const("plus"), Var("w"), Var("d"))
     phi = app(Const("plus"), c, Code(Value("Nat", 1)))
-    branches = [UpdateBranch(app(Const("lt"), c, bound), (phi,)), ExitBranch(TRUE_TERM, (c,))]
+    branches = [UpdateBranch(app(Const("lt"), c, bound), (phi,)), ExitBranch(TRUE_TERM, c)]
     inputs = [Slot("w", "Nat"), Slot("d", "Nat"), Slot("unread", "Nat")]
     least = build_branch_combinator(branches, slots, nat_sig, inputs=inputs)
     assert (least.K_min, least.L_min) == (5, 2)
@@ -339,7 +341,7 @@ def test_certificate_has_one_path_per_branch(nat_sig):
     phi = app(Const("plus"), Var("c"), Code(Value("Nat", 1)))
     cc = build_branch_combinator(
         [UpdateBranch(guard_run, (phi,), label="run"),
-         ExitBranch(TRUE_TERM, (Var("c"),), label="exit")], slots, sig)
+         ExitBranch(TRUE_TERM, Var("c"), label="exit")], slots, sig)
     assert cc.certificate.paths == 2
     # the two paths share the block up to the fork on the guard
     assert cc.K + cc.L < cc.certificate.steps < 2 * (cc.K + cc.L)
@@ -423,7 +425,7 @@ def _certificate_memos(monkeypatch) -> list:
     """Each certificate's memos and signature, as the engine loop sees
     them: one list of (memo, sig) per ``certify`` call."""
     memos: list = []
-    advance, certify_ = combinators._advance, combinators.certify
+    advance, certify_ = engine._advance, combinators.certify
 
     def spy_certify(*args, **kw):
         memos.append([])
@@ -434,7 +436,7 @@ def _certificate_memos(monkeypatch) -> list:
         return advance(t, sig, max_steps, boundary, f_free)
 
     monkeypatch.setattr(combinators, "certify", spy_certify)
-    monkeypatch.setattr(combinators, "_advance", spy_advance)
+    monkeypatch.setattr(engine, "_advance", spy_advance)
     return memos
 
 

@@ -15,12 +15,13 @@ from asmlc.compiler import (
     gnot,
     gor,
 )
-from asmlc.combinators import const_count, static_f_work
+from asmlc.combinators import const_count
 from asmlc.cosim import lockstep
+from asmlc.encodings import nat, tup
 from asmlc.engine import advance_term, scan
 from asmlc.lambda_f import BOOL, FALSE_TERM, TRUE_TERM, Value, standard_bool_signature
 from asmlc.sourcefmt import parse_source
-from asmlc.terms import App, Const, Var, app, term_size
+from asmlc.terms import App, Const, Var, alpha_eq, app, term_size
 
 from conftest import (
     BUNDLED_COSTS,
@@ -157,8 +158,8 @@ def test_cost_formula_equals_measurement(name):
     machine, state = make()
     c = compile_machine(machine, state)
     assert c.K_min == c.k + 2 * len(c.branches)
-    assert c.L_min == static_f_work(c.branches)
     assert (c.K, c.L) == (c.K_min, c.L_min)
+    assert c.L_min == sum(c.manifest()["cost"]["F_branches"])
     if want is not None:
         assert (c.K_min, c.L_min) == want
     assert c.certificate.paths == len(c.branches)
@@ -187,6 +188,37 @@ def test_compile_runs_no_machine_step(monkeypatch, capsys):
     machine, state = cases[0]
     asm.run(machine, state, 3)
     assert calls
+
+
+NO_OUTPUTS = """\
+sort Nat = 0..3
+static succ : Nat -> Nat = builtin succ
+static lt : Nat Nat -> Bool = builtin lt
+dynamic c : -> Nat
+init c = 0
+program:
+  if lt(c, 2) then c := succ(c) else halt
+"""
+
+
+def test_machine_without_outputs_halts_to_the_one_tuple(tmp_path, capsys):
+    """A machine with no output symbol halts to the 1-tuple <1>, not to
+    the bare numeral 1 (the fail exit is the bare numeral 2), and passes
+    ``asmlc verify``."""
+    sm = parse_source(NO_OUTPUTS)
+    machine, state = sm.machine(), sm.state()
+    cm = compile_machine(machine, state)
+    assert cm.outputs == () and cm.manifest()["outputs"] == []
+    t = cm.initial_term(state)
+    for _ in range(3):
+        t = advance_term(t, cm.sig, cm.K + cm.L, cm.theta_free)[0]
+    assert alpha_eq(t, tup(nat(compiler.SUCCESS_CODE)))
+    assert decode_result(t, cm) == ("success", None, {})
+    path = tmp_path / "m.asm"
+    path.write_text(NO_OUTPUTS)
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"verified 1/1 runs in lockstep at ({cm.K}, {cm.L})"
 
 
 def test_compile_tabulates_no_initial_dynamics(monkeypatch):
@@ -218,7 +250,7 @@ def test_compile_enumerates_no_bool_builtin(monkeypatch):
         "init i = 0\n"
         "program:\n"
         "  if lt(i, n) then i := succ(i) else par { i := 1  halt }\n")
-    grid = compiler._carrier_grid
+    grid = compiler.carrier_grid
     yielded = 0
 
     def counted(*args):
@@ -227,7 +259,7 @@ def test_compile_enumerates_no_bool_builtin(monkeypatch):
             yielded += 1
             yield t
 
-    monkeypatch.setattr(compiler, "_carrier_grid", counted)
+    monkeypatch.setattr(compiler, "carrier_grid", counted)
     compile_machine(sm.machine(), sm.state({"n": 3}))
     assert yielded == 303
 

@@ -5,7 +5,7 @@ import pytest
 from asmlc import engine
 from asmlc.compiler import compile_machine
 from asmlc.engine import (
-    _STATUS_FORK,
+    STATUS_FORK,
     STATUS_NORMAL,
     STATUS_RAN,
     STATUS_UNDEFINED,
@@ -376,7 +376,7 @@ def test_loop_forks_before_applying_the_abstract_boolean():
              (app(Abs("v", UNKNOWN_BOOL), TRUE_TERM, _n(1), _n(2)),
               app(UNKNOWN_BOOL, _n(1), _n(2)), 1)]
     for t, stop, beta in cases:
-        assert engine._advance(t, FSignature(), 5) == (stop, beta, 0, _STATUS_FORK)
+        assert engine._advance(t, FSignature(), 5) == (stop, beta, 0, STATUS_FORK)
     assert advance_term(App(Var("f"), UNKNOWN_BOOL), FSignature(), 5)[1:] == (
         0, 0, STATUS_NORMAL)
 

@@ -1,5 +1,6 @@
 """Every name a module of the package or a test module imports is used
-in that module, every name a module of the package defines at top level
+in that module, no module of the package imports a ``_``-prefixed name
+of another, every name a module of the package defines at top level
 is reached from what the package runs, and every function the
 benchmark's tracer wraps by name still exists.  Only two classes of the
 package are dataclasses, and every other one, as every record of the
@@ -79,6 +80,16 @@ def test_no_unused_imports(path):
             imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert not imported - used, f"unused imports in {path.name}: {sorted(imported - used)}"
+
+
+def test_no_module_imports_a_private_name():
+    """No module of the package imports a ``_``-prefixed name from
+    another module: a name that another module needs is public."""
+    private = [f"{path.name}: {a.name}" for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) for a in node.names
+               if a.name.startswith("_")]
+    assert not private, f"private names imported: {private}"
 
 
 def _defined(node: ast.stmt) -> list[str]:
@@ -250,9 +261,8 @@ _CLASSES = [
      "Machine(voc=Vocabulary(sorts=('Bool',), symbols={}), program=Skip(), init={})"),
     (lambda: UpdateBranch(Const("true"), (Var("a"),), label="step"),
      "UpdateBranch(guard=Const(symbol='true'), updates=(Var(name='a'),), label='step')"),
-    (lambda: ExitBranch(Const("true"), (Var("a"),)),
-     "ExitBranch(guard=Const(symbol='true'), parts=(Var(name='a'),), tuple_form=False, "
-     "label='')"),
+    (lambda: ExitBranch(Const("true"), Var("a")),
+     "ExitBranch(guard=Const(symbol='true'), payload=Var(name='a'), label='')"),
     (lambda: Slot("f", "L_f", DeltaType("f", ("Nat",), "Nat")),
      "Slot(name='f', datatype='L_f', delta=DeltaType(name='f', arg_datatypes=('Nat',), "
      "result_datatype='Nat'))"),
